@@ -1,4 +1,4 @@
-//! The admin route family served by **both** front-end engines:
+//! The admin route family served by **every** front-end engine:
 //!
 //! | route | method | semantics |
 //! |---|---|---|
@@ -40,27 +40,26 @@ use bytes::Bytes;
 
 use crate::classify::{admin_route, AdminRoute};
 use crate::codec::{HttpRequest, Response};
+use crate::reactor::Shared;
 use crate::server::PsdServer;
+use crate::EngineKind;
 use psd_core::control::ControllerKind;
-use psd_obs::{spans_to_json, PromWriter, ReactorShardStats, UringStats};
+use psd_obs::{spans_to_json, PromWriter};
 
 /// How many spans `GET /trace` returns when the request does not cap
 /// the count with `?n=`.
 const DEFAULT_TRACE_SPANS: usize = 512;
 
 /// Engine-side context the front-end hands to every admin call: which
-/// engine is serving and (reactor only) the per-shard loop counters.
-/// Built from references so constructing one on the request path costs
-/// nothing.
+/// engine is serving and (reactor only) its shards, whose loop and
+/// ring counters the exposition reads. Built from references so
+/// constructing one on the request path costs nothing.
 pub(crate) struct AdminInfo<'a> {
-    /// Engine token (`"threads"` | `"reactor"` | `"uring"`).
-    pub(crate) engine: &'static str,
-    /// Reactor event-loop shard counters, empty for the threaded
-    /// engine (both reactor backends fill them).
-    pub(crate) shard_stats: &'a [Arc<ReactorShardStats>],
-    /// io_uring ring counters per shard, empty unless the uring
-    /// backend is serving.
-    pub(crate) uring_stats: &'a [Arc<UringStats>],
+    /// The engine actually serving.
+    pub(crate) engine: EngineKind,
+    /// The reactor's shards in shard order; empty for the threaded
+    /// engine.
+    pub(crate) shards: &'a [Arc<Shared>],
 }
 
 /// Serve `req` if it targets an admin route. `keep_alive` is the
@@ -214,8 +213,8 @@ fn healthz_json(server: &PsdServer, info: &AdminInfo<'_>) -> String {
         "{{\"status\":\"ok\",\"engine\":{},\"shards\":{},\"classes\":{},\
          \"uptime_s\":{:.3},\"epoch\":{},\"applied_epoch\":{applied},\
          \"trace_sample\":{}}}",
-        json_str(info.engine),
-        info.shard_stats.len(),
+        json_str(info.engine.as_str()),
+        info.shards.len(),
         server.num_classes(),
         server.started_at().elapsed().as_secs_f64(),
         t.epoch,
@@ -256,7 +255,7 @@ fn prom_text(server: &PsdServer, info: &AdminInfo<'_>) -> String {
     let mut w = PromWriter::new();
 
     w.help("psd_server_info", "gauge", "Constant 1, labeled with the serving engine.");
-    w.sample("psd_server_info", &[("engine", info.engine)], 1.0);
+    w.sample("psd_server_info", &[("engine", info.engine.as_str())], 1.0);
     w.help("psd_uptime_seconds", "gauge", "Seconds since the server started.");
     w.sample("psd_uptime_seconds", &[], server.started_at().elapsed().as_secs_f64());
 
@@ -329,7 +328,7 @@ fn prom_text(server: &PsdServer, info: &AdminInfo<'_>) -> String {
         w.sample("psd_wheel_in_flight", &[], in_flight as f64);
     }
 
-    if !info.shard_stats.is_empty() {
+    if !info.shards.is_empty() {
         w.help("psd_reactor_wakeups_total", "counter", "Poller returns per reactor shard.");
         w.help("psd_reactor_events_total", "counter", "Readiness events per reactor shard.");
         w.help("psd_reactor_accepts_total", "counter", "Connections accepted per shard.");
@@ -340,8 +339,8 @@ fn prom_text(server: &PsdServer, info: &AdminInfo<'_>) -> String {
         w.help("psd_reactor_events_per_wakeup", "gauge", "Mean readiness events per wakeup.");
         w.help("psd_reactor_mean_mailbox_depth", "gauge", "Mean completions per mailbox drain.");
         w.help("psd_reactor_mean_sweep_size", "gauge", "Mean connections reaped per sweep.");
-        for (i, s) in info.shard_stats.iter().enumerate() {
-            let snap = s.snapshot();
+        for (i, s) in info.shards.iter().enumerate() {
+            let snap = s.stats.snapshot();
             label.clear();
             let _ = write!(label, "{i}");
             let shard: &[(&str, &str)] = &[("shard", &label)];
@@ -358,7 +357,7 @@ fn prom_text(server: &PsdServer, info: &AdminInfo<'_>) -> String {
         }
     }
 
-    if !info.uring_stats.is_empty() {
+    if info.engine == EngineKind::Uring {
         w.help("psd_uring_enters_total", "counter", "io_uring_enter syscalls per shard.");
         w.help("psd_uring_waits_total", "counter", "Enter calls that waited for a completion.");
         w.help("psd_uring_sqes_total", "counter", "SQEs submitted per shard.");
@@ -369,8 +368,8 @@ fn prom_text(server: &PsdServer, info: &AdminInfo<'_>) -> String {
         w.help("psd_uring_sqes_per_enter", "gauge", "Mean SQEs batched into one enter.");
         w.help("psd_uring_cqes_per_wait", "gauge", "Mean CQEs reaped per waiting enter.");
         w.help("psd_uring_fixed_hit_ratio", "gauge", "Share of ops on registered buffers.");
-        for (i, s) in info.uring_stats.iter().enumerate() {
-            let snap = s.snapshot();
+        for (i, s) in info.shards.iter().enumerate() {
+            let snap = s.uring_stats.snapshot();
             label.clear();
             let _ = write!(label, "{i}");
             let shard: &[(&str, &str)] = &[("shard", &label)];

@@ -2,21 +2,25 @@
 //! execute through the PSD dispatch queue, and answer with timing
 //! headers so external clients can observe their slowdown.
 //!
-//! Two interchangeable engines serve the same protocol (selected by
+//! Three interchangeable engines serve the same protocol (selected by
 //! [`FrontendConfig::engine`], surfaced as `--engine` on the binaries):
 //!
-//! * [`EngineKind::Threads`] — the legacy baseline: one OS thread per
-//!   connection, blocked in `submit_sync` while the PSD queue runs the
-//!   request. Simple, and fine up to a few dozen connections.
-//! * [`EngineKind::Reactor`] — an epoll event loop
-//!   ([`crate::reactor`]): all connections multiplexed on one thread,
-//!   PSD workers reply through a completion mailbox + poller wakeup.
-//!   Hundreds of keep-alive connections cost file descriptors, not
-//!   threads.
+//! * [`EngineKind::Threads`] — the wire-parity reference: one OS thread
+//!   per connection, blocked in `submit_sync` while the PSD queue runs
+//!   the request. Simple, and fine up to a few dozen connections.
+//! * [`EngineKind::Reactor`] — the sharded event loop of
+//!   [`crate::reactor`] on its epoll driver: all connections
+//!   multiplexed on a few threads, PSD workers reply through a
+//!   completion mailbox + poller wakeup. Hundreds of keep-alive
+//!   connections cost file descriptors, not threads.
+//! * [`EngineKind::Uring`] — the same loop on its io_uring driver,
+//!   falling back to epoll when the kernel refuses io_uring.
 //!
-//! Both engines share the sans-io parser and serializer in
-//! [`crate::codec`] (so the wire behavior cannot drift), the vendored
-//! [`polling`] readiness poller for accept (no accept-poll sleep), a
+//! All engines share the sans-io parser and serializer in
+//! [`crate::codec`] (so the wire behavior cannot drift), one routing
+//! function ([`route`]: admin ahead of classification, admission ahead
+//! of queueing), the vendored [`polling`] readiness poller for the
+//! threaded accept loop (no accept-poll sleep), a
 //! [`FrontendConfig::max_connections`] cap answered with `503` +
 //! `Connection: close`, and a [`FrontendConfig::idle_timeout`] for
 //! keep-alive connections. HTTP/1.1 connections are kept alive
@@ -41,6 +45,7 @@ use polling::{Interest, Poller};
 
 pub use crate::codec::{HttpRequest, MAX_BODY_BYTES, MAX_HEADERS, MAX_HEAD_LINE_BYTES};
 
+use crate::admin::{self, AdminInfo};
 use crate::classify::classify;
 use crate::codec::{RequestCodec, Response};
 use crate::reactor;
@@ -66,15 +71,15 @@ const ACCEPT_TICK: Duration = Duration::from_millis(50);
 /// Which front-end engine serves connections.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum EngineKind {
-    /// Thread per connection, blocking I/O (the legacy baseline).
+    /// Thread per connection, blocking I/O (the wire-parity reference).
     Threads,
     /// Sharded epoll event loops multiplexing every connection.
     Reactor,
     /// The same sharded reactor on an io_uring completion plane:
     /// batched SQEs, registered buffers, in-ring doorbell. Requires
-    /// kernel support — [`HttpFrontend::start_on_with`] probes at
-    /// startup and falls back to [`EngineKind::Reactor`] (with a
-    /// logged warning) when the kernel refuses io_uring.
+    /// kernel support — the reactor probes at startup and falls back
+    /// to [`EngineKind::Reactor`] (with a logged warning) when the
+    /// kernel refuses io_uring.
     Uring,
 }
 
@@ -108,7 +113,7 @@ pub fn uring_available() -> bool {
     polling::uring::available()
 }
 
-/// Front-end configuration shared by both engines.
+/// Front-end configuration shared by all three engines.
 #[derive(Debug, Clone)]
 pub struct FrontendConfig {
     /// Which engine serves connections.
@@ -149,16 +154,58 @@ impl Default for FrontendConfig {
     }
 }
 
+/// Whether the connection stays open after answering `req`: the client
+/// asked for it, the body was framed, and no drain has begun (so
+/// shutdown converges).
+pub(crate) fn keeps_alive(req: &HttpRequest, draining: bool) -> bool {
+    req.keep_alive() && req.framed() && !draining
+}
+
+/// What a front end does with one parsed request.
+pub(crate) enum Routed {
+    /// Answer now and never queue: an admin route, or an admission
+    /// shed. The response's own `keep_alive` says whether to close.
+    Respond(Response),
+    /// Admitted: queue `cost` work units on `class`.
+    Submit {
+        /// The PSD class the request was classified into.
+        class: usize,
+        /// Work units, clamped into the band `submit` accepts.
+        cost: f64,
+    },
+}
+
+/// The routing every engine applies to a parsed request, written once:
+/// admin routes are served by the front end itself — never classified,
+/// admitted or queued — then the request is classified, and the
+/// control plane's per-class admission draw (highest classes
+/// protected) comes ahead of queueing. `shard` indexes the trace ring
+/// for the shed span.
+pub(crate) fn route(
+    server: &PsdServer,
+    req: &HttpRequest,
+    draining: bool,
+    default_cost: f64,
+    shard: usize,
+    info: &AdminInfo<'_>,
+) -> Routed {
+    if let Some(resp) = admin::handle(server, req, keeps_alive(req, draining), info) {
+        return Routed::Respond(resp);
+    }
+    let (class, cost) = class_and_cost(server, req, default_cost);
+    if !server.admit(class, cost) {
+        push_span(server, shard, class, cost, None);
+        return Routed::Respond(shed_response(req.http11));
+    }
+    Routed::Submit { class, cost }
+}
+
 /// Map a parsed request onto (class, cost) for the PSD queue. The cost
 /// is clamped into the finite band `submit` accepts — `?cost=inf`
 /// parses as a valid f64 and would otherwise trip the queue's
 /// positivity assert, letting one request panic a serving thread (or
 /// the whole reactor loop).
-pub(crate) fn class_and_cost(
-    server: &PsdServer,
-    req: &HttpRequest,
-    default_cost: f64,
-) -> (usize, f64) {
+fn class_and_cost(server: &PsdServer, req: &HttpRequest, default_cost: f64) -> (usize, f64) {
     let class = classify(&req.path, req.x_class.as_deref(), server.num_classes() - 1).class;
     let mut cost = req.cost.unwrap_or(default_cost);
     if !cost.is_finite() {
@@ -167,14 +214,14 @@ pub(crate) fn class_and_cost(
     (class, cost.clamp(1e-3, 1e9))
 }
 
-/// Serialize the `200 OK` response both engines send for an executed
+/// Serialize the `200 OK` response every engine sends for an executed
 /// request **directly into `out`**, using `scratch` for the body (the
 /// head needs the body length first). Both buffers are caller-owned
 /// and reused across requests, so the per-request response path
 /// allocates nothing — the old `Response`-building version cost a
 /// `Vec`, three header `String`s and a body `String` per request,
 /// which at reactor rates was the largest allocation source in the
-/// server. The wire bytes are identical between engines because both
+/// server. The wire bytes are identical between engines because all
 /// call exactly this function.
 pub(crate) fn write_ok_response(
     out: &mut Vec<u8>,
@@ -223,43 +270,39 @@ pub(crate) fn record_span(
     done: &Completion,
     total: Duration,
 ) {
-    let telemetry = server.obs();
     let total_ns = total.as_nanos().min(u64::MAX as u128) as u64;
     let queue_ns = (done.delay_s.max(0.0) * 1e9) as u64;
     let service_ns = (done.service_s.max(0.0) * 1e9) as u64;
-    telemetry.spans.record(
-        shard,
-        psd_obs::SpanRecord {
-            seq: 0,
-            class: class as u32,
-            shard: shard as u32,
-            admitted: true,
-            cost,
-            queue_ns,
-            service_ns,
-            nominal_ns: (cost * server.work_unit().as_secs_f64() * 1e9) as u64,
-            writeback_ns: total_ns.saturating_sub(queue_ns.saturating_add(service_ns)),
-        },
-    );
-    telemetry.observe_latency_ns(class, total_ns);
+    let writeback_ns = total_ns.saturating_sub(queue_ns.saturating_add(service_ns));
+    push_span(server, shard, class, cost, Some((queue_ns, service_ns, writeback_ns)));
+    server.obs().observe_latency_ns(class, total_ns);
 }
 
-/// Record a request turned away by the admission draw (zero timing
-/// stages, `admitted: false`) so `/trace` decompositions account shed
-/// load per class.
-pub(crate) fn record_shed_span(server: &PsdServer, shard: usize, class: usize, cost: f64) {
+/// One trace-ring record: `stages` are the (queueing, service,
+/// write-back) nanoseconds of an admitted request; `None` records a
+/// request turned away by the admission draw (zero timing stages,
+/// `admitted: false`) so `/trace` decompositions account shed load per
+/// class.
+fn push_span(
+    server: &PsdServer,
+    shard: usize,
+    class: usize,
+    cost: f64,
+    stages: Option<(u64, u64, u64)>,
+) {
+    let (queue_ns, service_ns, writeback_ns) = stages.unwrap_or_default();
     server.obs().spans.record(
         shard,
         psd_obs::SpanRecord {
             seq: 0,
             class: class as u32,
             shard: shard as u32,
-            admitted: false,
+            admitted: stages.is_some(),
             cost,
-            queue_ns: 0,
-            service_ns: 0,
+            queue_ns,
+            service_ns,
             nominal_ns: (cost * server.work_unit().as_secs_f64() * 1e9) as u64,
-            writeback_ns: 0,
+            writeback_ns,
         },
     );
 }
@@ -291,7 +334,7 @@ pub(crate) fn service_unavailable(http11: bool) -> Response {
 /// account shed load separately from failures. Closing is deliberate:
 /// a shedding server wants the connection's kernel buffers back, and a
 /// well-behaved client backs off before reconnecting.
-pub(crate) fn shed_response(http11: bool) -> Response {
+fn shed_response(http11: bool) -> Response {
     let mut resp = Response::empty(http11, 503, "Service Unavailable", false);
     resp.extra_headers.push(("X-Shed", "1".to_string()));
     resp
@@ -340,48 +383,32 @@ fn handle_connection(
                 return;
             }
             Ok(Some(req)) => {
-                // Stop keeping alive once a drain began so shutdown
-                // converges; unframed bodies force a close too.
-                let keep = req.keep_alive() && req.framed() && !stop.load(Ordering::SeqCst);
-                // Admin routes are served by the front-end itself —
-                // never classified, admitted or queued.
-                let info = crate::admin::AdminInfo {
-                    engine: "threads",
-                    shard_stats: &[],
-                    uring_stats: &[],
-                };
-                if let Some(resp) = crate::admin::handle(server, &req, keep, &info) {
-                    let closing = !resp.keep_alive;
-                    if stream.write_all(&resp.to_bytes()).is_err() || closing {
-                        return;
-                    }
-                    idle_since = Instant::now();
-                    continue;
-                }
+                let draining = stop.load(Ordering::SeqCst);
                 let since = Instant::now();
-                let (class, cost) = class_and_cost(server, &req, default_cost);
-                // Admission shedding: the control plane's per-class
-                // probabilities, highest classes protected.
-                if !server.admit(class, cost) {
-                    record_shed_span(server, span_shard(), class, cost);
-                    let _ = stream.write_all(&shed_response(req.http11).to_bytes());
+                let info = AdminInfo { engine: EngineKind::Threads, shards: &[] };
+                let (class, cost) =
+                    match route(server, &req, draining, default_cost, span_shard(), &info) {
+                        Routed::Respond(resp) => {
+                            if stream.write_all(&resp.to_bytes()).is_err() || !resp.keep_alive {
+                                return;
+                            }
+                            idle_since = Instant::now();
+                            continue;
+                        }
+                        Routed::Submit { class, cost } => (class, cost),
+                    };
+                let Some(done) = server.submit_sync(class, cost) else {
+                    // Server already shutting down.
+                    let _ = stream.write_all(&service_unavailable(req.http11).to_bytes());
                     return;
-                }
-                let written = match server.submit_sync(class, cost) {
-                    Some(done) => {
-                        out.clear();
-                        write_ok_response(&mut out, &mut scratch, &req, class, cost, &done, keep);
-                        let written = stream.write_all(&out);
-                        // Threaded engine spans include the socket
-                        // write: write-back here is real write-back.
-                        record_span(server, span_shard(), class, cost, &done, since.elapsed());
-                        written
-                    }
-                    None => {
-                        let _ = stream.write_all(&service_unavailable(req.http11).to_bytes());
-                        return;
-                    }
                 };
+                let keep = keeps_alive(&req, draining);
+                out.clear();
+                write_ok_response(&mut out, &mut scratch, &req, class, cost, &done, keep);
+                let written = stream.write_all(&out);
+                // Threaded engine spans include the socket write:
+                // write-back here is real write-back.
+                record_span(server, span_shard(), class, cost, &done, since.elapsed());
                 if written.is_err() || !keep {
                     return;
                 }
@@ -576,7 +603,7 @@ enum Engine {
 /// accepting, closes idle keep-alive connections, waits for in-flight
 /// requests, and joins the engine's threads. Construct with
 /// [`HttpFrontend::start`] (threaded engine, defaults) or
-/// [`HttpFrontend::start_with`] (explicit [`FrontendConfig`], either
+/// [`HttpFrontend::start_with`] (explicit [`FrontendConfig`], any
 /// engine).
 pub struct HttpFrontend {
     addr: SocketAddr,
@@ -629,57 +656,8 @@ impl HttpFrontend {
                 };
                 Engine::Threads { stop, tracker, poller, accept: Some(accept) }
             }
-            EngineKind::Reactor => Engine::Reactor(reactor::Handle::start(
-                listener,
-                server,
-                cfg,
-                reactor::Backend::Epoll,
-            )?),
-            EngineKind::Uring => {
-                // Probe first (cheap, cached): a kernel without io_uring
-                // (ENOSYS), or one that refuses it (seccomp/EPERM),
-                // downgrades to the epoll reactor with a warning rather
-                // than failing startup — `--engine uring` is a request
-                // for the fast path, not a hard requirement. A probe
-                // pass followed by a ring-construction failure (e.g.
-                // memlock exhaustion) downgrades the same way.
-                match polling::uring::probe() {
-                    Err(why) => {
-                        eprintln!(
-                            "psd-server: io_uring unavailable ({why}); \
-                             falling back to the epoll reactor engine"
-                        );
-                        Engine::Reactor(reactor::Handle::start(
-                            listener,
-                            server,
-                            cfg,
-                            reactor::Backend::Epoll,
-                        )?)
-                    }
-                    Ok(()) => {
-                        let listener2 = listener.try_clone()?;
-                        match reactor::Handle::start(
-                            listener,
-                            server.clone(),
-                            cfg.clone(),
-                            reactor::Backend::Uring,
-                        ) {
-                            Ok(handle) => Engine::Reactor(handle),
-                            Err(e) => {
-                                eprintln!(
-                                    "psd-server: io_uring engine failed to start ({e}); \
-                                     falling back to the epoll reactor engine"
-                                );
-                                Engine::Reactor(reactor::Handle::start(
-                                    listener2,
-                                    server,
-                                    cfg,
-                                    reactor::Backend::Epoll,
-                                )?)
-                            }
-                        }
-                    }
-                }
+            EngineKind::Reactor | EngineKind::Uring => {
+                Engine::Reactor(reactor::Handle::start(listener, server, cfg)?)
             }
         };
         Ok(Self { addr, engine })
@@ -697,10 +675,7 @@ impl HttpFrontend {
     pub fn engine(&self) -> EngineKind {
         match &self.engine {
             Engine::Threads { .. } => EngineKind::Threads,
-            Engine::Reactor(handle) => match handle.backend() {
-                reactor::Backend::Epoll => EngineKind::Reactor,
-                reactor::Backend::Uring => EngineKind::Uring,
-            },
+            Engine::Reactor(handle) => handle.engine(),
         }
     }
 

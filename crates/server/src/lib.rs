@@ -7,25 +7,27 @@
 //! from [`psd_propshare`], with weights produced online by the PSD rate
 //! allocator from [`psd_core`].
 //!
-//! Architecture (mirrors paper Fig. 1, with two selectable front-end
-//! engines feeding the same dispatch core and two execution engines
-//! behind it):
+//! Architecture (mirrors paper Fig. 1, with three selectable front-end
+//! engines feeding the same dispatch core through one routing function,
+//! and two execution engines behind it):
 //!
 //! ```text
 //!  clients / TCP                  front-end engines (FrontendConfig::engine)
 //!  ─────────────                 ┌────────────────────────────────────────────┐
 //!  driver::LoadDriver ────┐      │ threads: 1 blocking thread / connection    │
-//!                         │      │ reactor: N epoll shards (cfg.shards),      │
-//!  psd-loadgen / curl ─────────▶ │   round-robin fd assignment, sans-io       │
-//!                         │      │   codec, pooled buffers, coarse cached     │
-//!                         │      │   clock, coalesced eventfd completions     │
-//!                         │      │ uring: the same shards on io_uring —       │
-//!                         │      │   multishot accept, registered fixed       │
+//!                         │      │ reactor: N shards (cfg.shards) of ONE loop │
+//!  psd-loadgen / curl ─────────▶ │   + connection state machine, round-robin  │
+//!                         │      │   fd assignment, sans-io codec, pooled     │
+//!                         │      │   buffers, coarse cached clock, coalesced  │
+//!                         │      │   eventfd completions — on an epoll driver │
+//!                         │      │ uring: the same loop on an io_uring driver │
+//!                         │      │   — multishot accept, registered fixed     │
 //!      GET /metrics       │      │   buffers, reads/writes/doorbell batched   │
 //!      GET|PUT /config ────────┐ │   into ONE io_uring_enter per loop turn;   │
 //!      (hot reconfig:     │    │ │   probe → epoll fallback with warning      │
 //!       δ's, gain, cap)   │    └─┼─▶ admin routes (classify::admin_route)     │
 //!                         │      └──────────────┬─────────────────────────────┘
+//!                         │   httplite::route (every engine): admin first, then
 //!                         │   classify → class, cost → admit? ──no──▶ 503
 //!                         │                     │ yes                X-Shed: 1
 //!                         │ submit/submit_async ▼                   + close
@@ -61,7 +63,7 @@
 //!             │ recorder (one ControlTrace per window, replayable       │
 //!             │ through desim's controller)                             │
 //!             │   GET /healthz · /trace · /trace/control ·              │
-//!             │   /metrics/prometheus  (served by both engines)         │
+//!             │   /metrics/prometheus  (served by every engine)         │
 //!             └─────────────────────────────────────────────────────────┘
 //! ```
 //!
@@ -108,8 +110,9 @@
 //! let stats = server.shutdown();
 //! ```
 //!
-//! The blocking front-end engine, the sharded reactor (epoll shard
-//! loops and the io_uring completion loops share one structure) and
+//! The blocking front-end engine (the wire-parity reference), the
+//! sharded reactor (one generic shard loop and connection state machine
+//! over an I/O driver — epoll readiness or io_uring completion) and
 //! their shared HTTP codec live in [`httplite`], [`reactor`] and
 //! [`codec`]; the `psd_httpd` binary selects between engines with
 //! `--engine {threads,reactor,uring}` (uring probes at startup and
@@ -121,7 +124,7 @@
 //! hot reconfiguration of δ's, gain and admission cap without restart,
 //! epoch-ordered at control window boundaries — plus the observability
 //! routes `GET /healthz`, `GET /trace` and `GET /trace/control`) is
-//! served by both engines ahead of classification; see `admin` and
+//! served by every engine ahead of classification; see `admin` and
 //! [`SharedControl`]. Request tracing, Prometheus exposition and the
 //! control-decision flight recorder come from the dependency-free
 //! `psd-obs` crate; the timer-wheel execution engine lives in `wheel`

@@ -1,22 +1,35 @@
-//! The sharded epoll reactor engine: connections multiplexed over N
+//! The sharded reactor engine: connections multiplexed over N
 //! independent event-loop threads ("shards"), so concurrency costs file
 //! descriptors instead of OS threads and event handling scales across
 //! cores without any shared connection state.
 //!
+//! One loop, two drivers. [`shard::Shard`] is the event loop and the
+//! per-connection state machine — written once; what differs between
+//! [`crate::EngineKind::Reactor`] and [`crate::EngineKind::Uring`] is
+//! only the [`driver::Driver`] underneath, the thing that moves bytes:
+//!
 //! ```text
-//!            ┌─ shard 0 (owns the listener) ──────────────────────────┐
-//!  accept ──▶│ epoll { listener, conns, eventfd }                     │
-//!            │   round-robin: keep conn, or hand fd to shard k ───────┼──┐
-//!            │   readable ─▶ read ─▶ codec ─▶ submit_async ───────────┼──┼─▶ PSD queue
-//!            │   eventfd  ─▶ drain completion mailbox ─▶ respond      │◀─┼──────┘
-//!            └────────────────────────────────────────────────────────┘  │ worker/wheel
-//!            ┌─ shard 1..N-1 ──────────────────────────────────────────┐ │ callback:
-//!            │ epoll { conns, eventfd } ◀── inbox: handed-off streams ◀┼─┘ mailbox.push
-//!            │   same per-connection state machine, own mailbox        │   + eventfd ring
-//!            └─────────────────────────────────────────────────────────┘   (coalesced)
+//!            ┌─ Shard<D> 0 (its driver owns the listener) ───────────────┐
+//!            │ I/O events ▶ handoffs ▶ PSD completions ▶ idle sweep      │
+//!  accept ──▶│   round-robin: keep conn, or hand stream to shard k ──────┼──┐
+//!            │   Reading ─▶ codec ─▶ route ─▶ submit_async ──────────────┼──┼─▶ PSD queue
+//!            │   Waiting (parked) ◀─ mailbox ◀─ doorbell ◀───────────────┼◀─┼──────┘
+//!            │   Flushing ─▶ keep-alive (pipelined pickup) or close      │  │ worker/wheel
+//!            ├───────────────────────────────────────────────────────────┤  │ callback:
+//!            │ D: Driver   wait · next_event · accept · open · read ·    │  │ mailbox.push
+//!            │             arm_read · park · flush · close               │  │ + eventfd ring
+//!            │   EpollDriver  epoll_wait, read(2)/write(2)/accept(2),    │  │ (coalesced)
+//!            │                interest = phase, parked = deregistered    │  │
+//!            │   UringDriver  one io_uring_enter per turn, fixed-buffer  │  │
+//!            │                SQEs, multishot accept, in-ring doorbell,  │  │
+//!            │                close = cancel + wait out the CQEs         │  │
+//!            └───────────────────────────────────────────────────────────┘  │
+//!            ┌─ Shard<D> 1..N-1 ─────────────────────────────────────────┐  │
+//!            │ same loop, same driver type, own mailbox ◀── inbox ◀──────┼──┘
+//!            └───────────────────────────────────────────────────────────┘
 //! ```
 //!
-//! Share-nothing by construction: each shard owns its poller, its
+//! Share-nothing by construction: each shard owns its driver, its
 //! connection table, its completion mailbox, its buffer pool and its
 //! scratch vectors. The only cross-shard state is the global live
 //! connection counter (for the `max_connections` cap) and the one-way
@@ -26,64 +39,42 @@
 //! first into an empty mailbox, so a burst of completions costs one
 //! wakeup, not one syscall each.
 //!
-//! Each loop iteration reads the clock **once** and stamps every event
-//! of that iteration with it (the coarse cached clock); per-connection
-//! idle bookkeeping never calls `clock_gettime` itself.
-//!
-//! The per-connection state machine, idle policy and drain semantics
-//! are unchanged from the single-loop reactor and live in [`shard`].
+//! Each loop turn reads the clock **once** and stamps everything it
+//! handles with it (the coarse cached clock); per-connection idle
+//! bookkeeping never calls `clock_gettime` itself.
 
+mod driver;
+mod epoll;
 mod shard;
 mod uring;
 
 use std::io;
 use std::net::{TcpListener, TcpStream};
-use std::os::unix::io::AsRawFd;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::thread::{self, JoinHandle};
 use std::time::{Duration, Instant};
 
 use parking_lot::{Condvar, Mutex};
-use polling::{Interest, Poller};
+use polling::Poller;
 use psd_obs::{ReactorShardStats, UringStats};
 
 use crate::server::{Completion, PsdServer};
-use crate::FrontendConfig;
+use crate::{EngineKind, FrontendConfig};
 
-use shard::ShardLoop;
-use uring::UringLoop;
-
-/// Which kernel interface drives the shard event loops. Both backends
-/// share [`Shared`] (mailbox, inbox, stop/exit protocol) and the
-/// per-connection state machine semantics; only the I/O plane differs.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum Backend {
-    /// Readiness: `epoll_wait` + per-fd `read`/`write` syscalls.
-    Epoll,
-    /// Completion: batched SQEs through one `io_uring_enter` per loop
-    /// iteration, registered-buffer reads/writes, in-ring doorbell.
-    Uring,
-}
-
-/// Epoll key of the listener (shard 0 only); connection keys start
-/// above it.
-pub(crate) const LISTENER_KEY: usize = 0;
+use driver::Driver;
+use epoll::EpollDriver;
+use shard::Shard;
+use uring::UringDriver;
 
 /// Event-loop tick: upper bound on idle-sweep latency and stop-flag
 /// latency (wakeups via the eventfd make the common paths immediate).
 pub(crate) const TICK: Duration = Duration::from_millis(100);
 
 /// During a drain, how long a mid-request connection may go without
-/// byte progress before it is closed anyway (see
-/// [`shard::ShardLoop::sweep_idle`]).
+/// byte progress before it is closed anyway (see the shard's idle
+/// sweep).
 pub(crate) const DRAIN_GRACE: Duration = Duration::from_secs(1);
-
-/// State shared by every shard: the total live connection count backing
-/// the `max_connections` cap.
-pub(crate) struct Global {
-    pub(crate) live: AtomicUsize,
-}
 
 /// Accepted streams handed off by the accepting shard, waiting to be
 /// registered by the owning shard's loop. `closed` flips (under the
@@ -98,7 +89,8 @@ pub(crate) struct Inbox {
 
 /// Cross-thread state of one shard, shared between its event loop, the
 /// PSD completion callbacks targeting its connections, the accepting
-/// shard (stream handoffs) and the owning [`Handle`].
+/// shard (stream handoffs), the admin exposition and the owning
+/// [`Handle`].
 pub(crate) struct Shared {
     pub(crate) poller: Poller,
     pub(crate) stop: AtomicBool,
@@ -107,16 +99,30 @@ pub(crate) struct Shared {
     pub(crate) inbox: Mutex<Inbox>,
     pub(crate) exited: Mutex<bool>,
     pub(crate) exited_cv: Condvar,
-    pub(crate) global: Arc<Global>,
-    /// This shard's event-loop counters, shared with the admin
-    /// exposition (`GET /metrics/prometheus`).
-    pub(crate) stats: Arc<ReactorShardStats>,
-    /// Ring counters, published only by the uring backend (all-zero
-    /// under epoll; the exposition omits them when empty).
-    pub(crate) uring_stats: Arc<UringStats>,
+    /// Live connections across all shards, backing the
+    /// `max_connections` cap.
+    pub(crate) live: Arc<AtomicUsize>,
+    /// This shard's event-loop counters (`GET /metrics/prometheus`).
+    pub(crate) stats: ReactorShardStats,
+    /// Ring counters, published only by the uring driver.
+    pub(crate) uring_stats: UringStats,
 }
 
 impl Shared {
+    fn new(live: Arc<AtomicUsize>) -> io::Result<Arc<Self>> {
+        Ok(Arc::new(Self {
+            poller: Poller::new()?,
+            stop: AtomicBool::new(false),
+            mailbox: Mutex::new(Vec::new()),
+            inbox: Mutex::new(Inbox::default()),
+            exited: Mutex::new(false),
+            exited_cv: Condvar::new(),
+            live,
+            stats: ReactorShardStats::default(),
+            uring_stats: UringStats::default(),
+        }))
+    }
+
     /// Post a completion for `key` and ring the shard's eventfd only if
     /// the mailbox was empty — completions arriving while a wakeup is
     /// already pending coalesce into the same poller wake.
@@ -134,96 +140,64 @@ impl Shared {
 }
 
 /// A running reactor front-end. Created through
-/// [`crate::HttpFrontend::start_with`] with [`crate::EngineKind::Reactor`].
+/// [`crate::HttpFrontend::start_with`] with [`EngineKind::Reactor`] or
+/// [`EngineKind::Uring`].
 pub struct Handle {
     shards: Vec<(Arc<Shared>, Option<JoinHandle<()>>)>,
-    global: Arc<Global>,
-    backend: Backend,
+    live: Arc<AtomicUsize>,
+    engine: EngineKind,
 }
 
 impl Handle {
-    /// Spawn `cfg.shards` event loops on `backend`; shard 0 owns
-    /// `listener` and assigns accepted connections round-robin.
+    /// Spawn `cfg.shards` event loops on the driver `cfg.engine` asks
+    /// for; shard 0 owns `listener` and assigns accepted connections
+    /// round-robin. [`EngineKind::Uring`] falls back to epoll — once,
+    /// here, with the reason on stderr — when the kernel refuses
+    /// io_uring; [`Handle::engine`] reports what actually runs.
     ///
-    /// For [`Backend::Uring`] every ring (and its registered buffer
-    /// arena) is created here, before any thread spawns — a kernel
-    /// that refuses io_uring fails this call and the caller falls back
-    /// to [`Backend::Epoll`] instead of limping half-started.
+    /// Every driver (ring, registered buffer arena, listener
+    /// registration) is built before any thread spawns, so a failure
+    /// fails this call instead of leaving a half-started reactor.
     pub(crate) fn start(
         listener: TcpListener,
         server: Arc<PsdServer>,
         cfg: FrontendConfig,
-        backend: Backend,
     ) -> io::Result<Self> {
         listener.set_nonblocking(true)?;
         let n = cfg.shards.max(1);
-        let global = Arc::new(Global { live: AtomicUsize::new(0) });
-        let mut shareds = Vec::with_capacity(n);
-        for _ in 0..n {
-            shareds.push(Arc::new(Shared {
-                poller: Poller::new()?,
-                stop: AtomicBool::new(false),
-                mailbox: Mutex::new(Vec::new()),
-                inbox: Mutex::new(Inbox::default()),
-                exited: Mutex::new(false),
-                exited_cv: Condvar::new(),
-                global: Arc::clone(&global),
-                stats: Arc::new(ReactorShardStats::default()),
-                uring_stats: Arc::new(UringStats::default()),
-            }));
-        }
-        // The uring backend accepts through a multishot SQE instead of
-        // epoll readiness, so only the epoll backend registers the
-        // listener with shard 0's poller.
-        let mut engines = Vec::new();
-        match backend {
-            Backend::Epoll => {
-                shareds[0].poller.add(listener.as_raw_fd(), LISTENER_KEY, Interest::READABLE)?;
-            }
-            Backend::Uring => {
-                for _ in 0..n {
-                    engines.push(uring::new_engine()?);
-                }
-            }
-        }
-        let mut engines = engines.into_iter();
+        let live = Arc::new(AtomicUsize::new(0));
+        let shareds =
+            (0..n).map(|_| Shared::new(Arc::clone(&live))).collect::<io::Result<Vec<_>>>()?;
+        // Shard 0's driver keeps the listener itself — the fd moves
+        // with it, so no re-registration races.
         let mut listener = Some(listener);
-        let mut shards = Vec::with_capacity(n);
-        for (i, shared) in shareds.iter().enumerate() {
-            // Shard 0 keeps the listener itself — the fd moves with it,
-            // so no re-registration races.
-            let shard_listener = if i == 0 { listener.take() } else { None };
-            let thread = {
-                let shared_for_exit = Arc::clone(shared);
-                let peers = shareds.clone();
-                let server = Arc::clone(&server);
-                let cfg = cfg.clone();
-                let shared = Arc::clone(shared);
-                let engine = engines.next();
-                let name = match backend {
-                    Backend::Epoll => format!("psd-reactor-{i}"),
-                    Backend::Uring => format!("psd-uring-{i}"),
-                };
-                thread::Builder::new().name(name).spawn(move || {
-                    match engine {
-                        None => ShardLoop::new(shard_listener, peers, i, server, cfg, shared).run(),
-                        Some(engine) => {
-                            UringLoop::new(shard_listener, peers, i, server, cfg, shared, engine)
-                                .run()
-                        }
-                    }
-                    *shared_for_exit.exited.lock() = true;
-                    shared_for_exit.exited_cv.notify_all();
-                })?
-            };
-            shards.push((Arc::clone(shared), Some(thread)));
-        }
-        Ok(Self { shards, global, backend })
+        let rings = if cfg.engine == EngineKind::Uring { uring::engines(n) } else { None };
+        let (engine, threads) = match rings {
+            Some(rings) => {
+                let drivers = rings.into_iter().zip(&shareds).map(|(ring, shared)| {
+                    UringDriver::new(ring, listener.take(), Arc::clone(shared))
+                });
+                spawn_shards(drivers, &shareds, &server, &cfg)?
+            }
+            None => {
+                let drivers =
+                    shareds.iter().map(|sh| EpollDriver::new(listener.take(), Arc::clone(sh)));
+                spawn_shards(drivers, &shareds, &server, &cfg)?
+            }
+        };
+        Ok(Self { shards: shareds.into_iter().zip(threads).collect(), live, engine })
     }
 
-    /// Which kernel interface this reactor's shards run on.
-    pub(crate) fn backend(&self) -> Backend {
-        self.backend
+    /// The engine this reactor's shards actually run.
+    pub(crate) fn engine(&self) -> EngineKind {
+        self.engine
+    }
+
+    fn signal_stop(&self) {
+        for (shared, _) in &self.shards {
+            shared.stop.store(true, Ordering::SeqCst);
+            let _ = shared.poller.notify();
+        }
     }
 
     /// Graceful drain: stop accepting, close idle connections, serve
@@ -232,10 +206,7 @@ impl Handle {
     /// drain); non-zero means some loop is still flushing and keeps its
     /// `PsdServer` `Arc`.
     pub(crate) fn shutdown(&mut self, timeout: Duration) -> io::Result<usize> {
-        for (shared, _) in &self.shards {
-            shared.stop.store(true, Ordering::SeqCst);
-            let _ = shared.poller.notify();
-        }
+        self.signal_stop();
         let deadline = Instant::now() + timeout;
         let mut clean = true;
         for (shared, thread) in &mut self.shards {
@@ -259,7 +230,7 @@ impl Handle {
         if clean {
             Ok(0)
         } else {
-            Ok(self.global.live.load(Ordering::SeqCst).max(1))
+            Ok(self.live.load(Ordering::SeqCst).max(1))
         }
     }
 }
@@ -270,14 +241,42 @@ impl Drop for Handle {
     /// `PsdServer::shutdown`) so the joins below converge, mirroring
     /// the threaded engine's drop contract.
     fn drop(&mut self) {
-        for (shared, _) in &self.shards {
-            shared.stop.store(true, Ordering::SeqCst);
-            let _ = shared.poller.notify();
-        }
+        self.signal_stop();
         for (_, thread) in &mut self.shards {
             if let Some(h) = thread.take() {
                 let _ = h.join();
             }
         }
     }
+}
+
+/// Build every driver, then start one named thread per driver, each
+/// running a [`Shard`] to its exit and then reporting it. Returns the
+/// engine the drivers realize.
+fn spawn_shards<D>(
+    drivers: impl Iterator<Item = io::Result<D>>,
+    shareds: &[Arc<Shared>],
+    server: &Arc<PsdServer>,
+    cfg: &FrontendConfig,
+) -> io::Result<(EngineKind, Vec<Option<JoinHandle<()>>>)>
+where
+    D: Driver + Send + 'static,
+    D::Io: Send,
+{
+    let drivers = drivers.collect::<io::Result<Vec<D>>>()?;
+    let mut threads = Vec::with_capacity(drivers.len());
+    for (i, driver) in drivers.into_iter().enumerate() {
+        let mut shard = Shard::new(driver, shareds.to_vec(), i, Arc::clone(server), cfg.clone());
+        let shared = Arc::clone(&shareds[i]);
+        let name = format!("psd-{}-{i}", D::ENGINE.as_str());
+        threads.push(Some(thread::Builder::new().name(name).spawn(move || {
+            shard.run();
+            // Driver teardown and the `PsdServer` release come before
+            // the exit report: a drain that saw it may unwrap the Arc.
+            drop(shard);
+            *shared.exited.lock() = true;
+            shared.exited_cv.notify_all();
+        })?));
+    }
+    Ok((D::ENGINE, threads))
 }

@@ -1,20 +1,22 @@
-//! One reactor shard: a single-threaded epoll event loop owning a
-//! subset of the connections (assigned round-robin by the accepting
-//! shard).
+//! One reactor shard: a single-threaded event loop owning a subset of
+//! the connections (assigned round-robin by the accepting shard),
+//! generic over the [`Driver`] that moves its bytes.
 //!
 //! Per-connection state machine ([`Phase`]):
 //!
-//! * `Reading` — read interest; bytes feed the sans-io codec until a
-//!   full request (head + drained body) is parsed.
-//! * `Waiting` — no epoll interest at all: the request sits in the PSD
-//!   dispatch queue and the connection costs nothing. Pipelined bytes
-//!   stay in the kernel socket buffer (natural TCP backpressure, like
-//!   the blocked thread of the legacy engine). The PSD executor's
-//!   completion callback posts into this shard's mailbox and rings its
-//!   eventfd.
-//! * `Flushing` — write interest while [`WriteBuf`] drains; resumes at
-//!   the exact byte offset after every short write, then returns to
-//!   `Reading` (keep-alive) or closes.
+//! * `Reading` — the driver delivers arriving bytes; they feed the
+//!   sans-io codec until a full request (head + drained body) is
+//!   parsed.
+//! * `Waiting` — parked: the request sits in the PSD dispatch queue and
+//!   the driver holds no interest and no operation for the connection,
+//!   so it costs nothing. Pipelined bytes stay in the kernel socket
+//!   buffer (natural TCP backpressure, like the blocked thread of the
+//!   thread-per-connection engine). The PSD executor's completion
+//!   callback posts into this shard's mailbox and rings its doorbell.
+//! * `Flushing` — the driver drains [`WriteBuf`], resuming at the exact
+//!   byte offset after every short write; then back to `Reading`
+//!   (keep-alive, picking up a pipelined request already buffered) or
+//!   close.
 //!
 //! Idle policy: only *arriving or departing bytes* refresh a
 //! connection's clock, so both a silent keep-alive and a slow-loris
@@ -24,34 +26,38 @@
 //! `Waiting` connections are exempt — their latency belongs to the PSD
 //! queue, which is the thing under test.
 //!
+//! One loop turn, in this order on every driver: wait (the turn's one
+//! blocking call), read the clock once, handle I/O events, adopt
+//! handed-off streams, answer PSD completions, sweep idle connections.
+//! The inbox and mailbox drains come *after* the I/O events because a
+//! completion driver consumes the doorbell while reaping them: a ring
+//! that lands mid-turn is then still followed by a drain in the same
+//! turn, instead of waiting out the next tick with its doorbell spent.
+//!
 //! Allocation discipline: the loop owns every scratch buffer it uses
-//! (poller events, drained completions, handed-off streams, expiry key
+//! (drained completions, handed-off streams, expiry key
 //! lists, the response-body scratch) and a pool of retired
 //! per-connection codec/write buffers, so steady-state event handling
 //! performs **no allocation per event** — `tests/reactor_alloc.rs`
-//! pins this with a counting global allocator. The clock is read once
-//! per loop iteration ([`ShardLoop::now`]) instead of per event.
+//! pins this with a counting global allocator.
 
 use std::collections::HashMap;
-use std::io::{self, Read, Write};
-use std::net::{TcpListener, TcpStream};
-use std::os::unix::io::AsRawFd;
+use std::io::Write;
+use std::net::TcpStream;
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
 use std::time::Instant;
 
-use polling::{Event, Interest};
-use psd_obs::ReactorShardStats;
-
-use crate::codec::{HttpRequest, RequestCodec, WriteBuf};
+use crate::admin::AdminInfo;
+use crate::codec::{HttpRequest, RequestCodec, Response, WriteBuf};
 use crate::httplite::{
-    bad_request, class_and_cost, record_shed_span, record_span, service_unavailable, shed_response,
-    write_ok_response,
+    bad_request, keeps_alive, record_span, route, service_unavailable, write_ok_response, Routed,
 };
 use crate::server::{Completion, PsdServer};
 use crate::FrontendConfig;
 
-use super::{Shared, DRAIN_GRACE, LISTENER_KEY, TICK};
+use super::driver::{Driver, Flush, IoEvent};
+use super::{Shared, DRAIN_GRACE, TICK};
 
 /// How many retired (codec, write) buffer pairs a shard keeps for
 /// reuse by future connections.
@@ -59,36 +65,29 @@ const POOL_CAP: usize = 256;
 
 /// Where a connection is in its request/response cycle.
 enum Phase {
-    /// Parsing the next request; read interest.
+    /// Parsing the next request.
     Reading,
-    /// Request submitted to the PSD queue; no epoll interest. `since`
-    /// is the coarse-clock instant of admission — the span's total
-    /// lifetime starts there.
+    /// Request submitted to the PSD queue; parked. `since` is the
+    /// coarse-clock instant of admission — the span's total lifetime
+    /// starts there.
     Waiting { req: HttpRequest, class: usize, cost: f64, since: Instant },
-    /// Draining the write buffer; write interest.
+    /// Draining the write buffer.
     Flushing { then_close: bool },
 }
 
-struct Conn {
-    stream: TcpStream,
+struct Conn<Io> {
+    /// The driver's half: the socket and its registration or slot.
+    io: Io,
     codec: RequestCodec,
     out: WriteBuf,
     phase: Phase,
     /// Refreshed by transferred bytes only (see module docs), stamped
     /// from the loop's coarse cached clock.
     last_progress: Instant,
-    /// The interest currently registered with the poller, or `None`
-    /// while the fd is deregistered (`Waiting` phase). Deregistering —
-    /// not registering-with-empty-interest — matters: epoll reports
-    /// ERR/HUP regardless of interest, so a client that aborts while
-    /// its request is queued would otherwise level-trigger a busy loop
-    /// until the PSD executor completes.
-    registration: Option<Interest>,
 }
 
-pub(super) struct ShardLoop {
-    /// The accepting shard's listener (shard 0 only).
-    listener: Option<TcpListener>,
+pub(super) struct Shard<D: Driver> {
+    driver: D,
     /// Every shard's shared state, for round-robin handoffs.
     peers: Vec<Arc<Shared>>,
     self_index: usize,
@@ -96,11 +95,12 @@ pub(super) struct ShardLoop {
     server: Arc<PsdServer>,
     cfg: FrontendConfig,
     shared: Arc<Shared>,
-    conns: HashMap<usize, Conn>,
+    conns: HashMap<usize, Conn<D::Io>>,
     next_key: usize,
+    /// Shard 0 until its drain begins.
     accepting: bool,
-    /// Coarse cached clock: read once per loop iteration, used for
-    /// every progress stamp and idle comparison in that iteration.
+    /// Coarse cached clock: read once per loop turn, used for every
+    /// progress stamp and idle comparison in that turn.
     now: Instant,
     /// Retired connection buffers, reused by future accepts.
     pool: Vec<(Vec<u8>, Vec<u8>)>,
@@ -108,112 +108,86 @@ pub(super) struct ShardLoop {
     body_scratch: Vec<u8>,
     /// Reused key list for idle sweeps / drains.
     key_scratch: Vec<usize>,
-    /// This shard's loop counters (a clone of `shared.stats`).
-    stats: Arc<ReactorShardStats>,
-    /// Every shard's counters, in shard order, for the admin
-    /// exposition. Collected once at construction so building an
-    /// [`crate::admin::AdminInfo`] per request allocates nothing.
-    peer_stats: Vec<Arc<ReactorShardStats>>,
 }
 
-impl ShardLoop {
+impl<D: Driver> Shard<D> {
     pub(super) fn new(
-        listener: Option<TcpListener>,
+        driver: D,
         peers: Vec<Arc<Shared>>,
         self_index: usize,
         server: Arc<PsdServer>,
         cfg: FrontendConfig,
-        shared: Arc<Shared>,
     ) -> Self {
-        let accepting = listener.is_some();
-        let stats = Arc::clone(&shared.stats);
-        let peer_stats = peers.iter().map(|p| Arc::clone(&p.stats)).collect();
         Self {
-            listener,
+            driver,
+            shared: Arc::clone(&peers[self_index]),
             peers,
             self_index,
             rr_next: self_index,
             server,
             cfg,
-            shared,
             conns: HashMap::new(),
-            next_key: LISTENER_KEY + 1,
-            accepting,
+            next_key: 1, // 0 is the driver's, for its listener
+            accepting: self_index == 0,
             now: Instant::now(),
             pool: Vec::new(),
             body_scratch: Vec::new(),
             key_scratch: Vec::new(),
-            stats,
-            peer_stats,
         }
     }
 
     pub(super) fn run(&mut self) {
-        // Loop-owned scratch, reused every iteration (the poller clears
-        // `events`; `completions`/`streams` are swapped with the shared
-        // vectors and drained, handing the capacity back and forth).
-        let mut events: Vec<Event> = Vec::new();
+        // Loop-owned scratch, swapped with the shared vectors and
+        // drained, handing the capacity back and forth.
         let mut completions: Vec<(usize, Completion)> = Vec::new();
         let mut streams: Vec<TcpStream> = Vec::new();
         loop {
-            let draining = self.shared.stop.load(Ordering::SeqCst);
-            if draining {
+            if self.shared.stop.load(Ordering::SeqCst) {
                 self.begin_drain();
                 if self.conns.is_empty() {
                     break;
                 }
             }
-            if self.shared.poller.wait(&mut events, Some(TICK)).is_err() {
-                break; // poller gone: nothing recoverable
+            if self.driver.wait(TICK).is_err() {
+                break; // backend gone: nothing recoverable
             }
-            // One clock read per iteration: every event handled below
-            // is stamped with this instant.
+            // One clock read per turn: everything handled below is
+            // stamped with this instant.
             self.now = Instant::now();
-            self.stats.wakeups.fetch_add(1, Ordering::Relaxed);
-            if !events.is_empty() {
-                self.stats.events.fetch_add(events.len() as u64, Ordering::Relaxed);
+            self.shared.stats.wakeups.fetch_add(1, Ordering::Relaxed);
+            let mut events = 0u64;
+            while let Some(ev) = self.driver.next_event() {
+                events += 1;
+                self.on_io(ev);
+            }
+            if events > 0 {
+                self.shared.stats.events.fetch_add(events, Ordering::Relaxed);
             }
             // Handed-off streams from the accepting shard.
-            if !self.shared.inbox.lock().streams.is_empty() {
-                std::mem::swap(&mut self.shared.inbox.lock().streams, &mut streams);
-                for stream in streams.drain(..) {
-                    self.adopt(stream);
-                }
+            std::mem::swap(&mut self.shared.inbox.lock().streams, &mut streams);
+            for stream in streams.drain(..) {
+                self.adopt(stream);
             }
-            // Completions first: they free connections for new reads
-            // and are the latency-critical path. The swap drains the
-            // whole batch under one lock — paired with the
-            // first-into-empty-mailbox eventfd ring, a burst of
-            // completions costs one wakeup and one lock.
-            {
-                let mut mb = self.shared.mailbox.lock();
-                std::mem::swap(&mut *mb, &mut completions);
-            }
-            self.stats.record_drain(completions.len() as u64);
+            // The swap drains the whole batch under one lock — paired
+            // with the first-into-empty-mailbox doorbell ring, a burst
+            // of completions costs one wakeup and one lock.
+            std::mem::swap(&mut *self.shared.mailbox.lock(), &mut completions);
+            self.shared.stats.record_drain(completions.len() as u64);
             for (key, done) in completions.drain(..) {
                 self.on_complete(key, done);
             }
-            for ev in &events {
-                if ev.key == LISTENER_KEY {
-                    self.accept_ready();
-                } else {
-                    if ev.readable {
-                        self.on_readable(ev.key);
-                    }
-                    if ev.writable {
-                        self.on_writable(ev.key);
-                    }
-                }
-            }
             self.sweep_idle();
+            self.driver.end_turn();
         }
-        // Loop exit: deregister what's left and release the server.
-        self.key_scratch.clear();
-        self.key_scratch.extend(self.conns.keys().copied());
-        let mut keys = std::mem::take(&mut self.key_scratch);
-        for key in keys.drain(..) {
-            self.close(key);
-        }
+        self.exit();
+    }
+
+    /// Loop exit: hand what is left to the driver (whose own drop
+    /// closes the fds in an order that is safe for it) and release the
+    /// live slots.
+    fn exit(&mut self) {
+        self.close_where(|_| true);
+        self.driver.end_turn();
         // Close the inbox under its lock — a racing handoff either
         // lands before this drain (closed below) or observes `closed`
         // and stays with the accepting shard — then release the live
@@ -223,9 +197,14 @@ impl ShardLoop {
             inbox.closed = true;
             std::mem::take(&mut inbox.streams)
         };
-        for stream in leftover {
-            drop(stream);
-            self.shared.global.live.fetch_sub(1, Ordering::SeqCst);
+        self.shared.live.fetch_sub(leftover.len(), Ordering::SeqCst);
+    }
+
+    fn on_io(&mut self, ev: IoEvent) {
+        match ev {
+            IoEvent::Accepted(stream) => self.place(stream),
+            IoEvent::Read { key, result } => self.on_read(key, result),
+            IoEvent::Write { key, result } => self.flush(key, Some(result)),
         }
     }
 
@@ -239,198 +218,136 @@ impl ShardLoop {
     fn begin_drain(&mut self) {
         if self.accepting {
             self.accepting = false;
-            if let Some(listener) = &self.listener {
-                let _ = self.shared.poller.delete(listener.as_raw_fd());
-            }
+            self.driver.stop_accepting();
         }
-        self.key_scratch.clear();
-        self.key_scratch.extend(
-            self.conns
-                .iter()
-                .filter(|(_, c)| matches!(c.phase, Phase::Reading) && !c.codec.is_mid_request())
-                .map(|(&k, _)| k),
-        );
-        let mut keys = std::mem::take(&mut self.key_scratch);
-        for key in keys.drain(..) {
-            self.close(key);
-        }
-        self.key_scratch = keys;
+        self.close_where(|c| matches!(c.phase, Phase::Reading) && !c.codec.is_mid_request());
     }
 
-    fn accept_ready(&mut self) {
+    /// Apply the connection cap to a fresh connection, then keep it or
+    /// hand it to a peer, round-robin.
+    fn place(&mut self, mut stream: TcpStream) {
         if !self.accepting {
+            return; // raced a drain: refuse politely by closing
+        }
+        if self.shared.live.load(Ordering::SeqCst) >= self.cfg.max_connections {
+            // Over cap: best-effort 503 without ever blocking the loop
+            // (the socket buffer of a fresh connection always fits 80
+            // bytes; if it somehow doesn't, the close alone is answer
+            // enough).
+            let _ = stream.set_nonblocking(true);
+            polling::count::bump(); // write(2)
+            let _ = stream.write_all(&service_unavailable(true).to_bytes());
             return;
         }
-        // Temporarily take the listener so `adopt` can borrow `self`.
-        let Some(listener) = self.listener.take() else { return };
-        loop {
-            polling::count::bump(); // accept(2)
-            match listener.accept() {
-                Ok((stream, _)) => {
-                    if self.shared.global.live.load(Ordering::SeqCst) >= self.cfg.max_connections {
-                        // Over cap: best-effort 503 without ever
-                        // blocking the loop (the socket buffer of a
-                        // fresh connection always fits 80 bytes; if it
-                        // somehow doesn't, the close alone is answer
-                        // enough).
-                        let mut stream = stream;
-                        let _ = stream.set_nonblocking(true);
-                        polling::count::bump(); // write(2)
-                        let _ = stream.write_all(&service_unavailable(true).to_bytes());
-                        continue;
-                    }
-                    if stream.set_nonblocking(true).is_err() || stream.set_nodelay(true).is_err() {
-                        continue;
-                    }
-                    self.shared.global.live.fetch_add(1, Ordering::SeqCst);
-                    self.stats.accepts.fetch_add(1, Ordering::Relaxed);
-                    // Round-robin assignment across shards; the target
-                    // shard registers the fd with its own poller.
-                    let target = self.rr_next % self.peers.len();
-                    self.rr_next = self.rr_next.wrapping_add(1);
-                    if target == self.self_index {
-                        self.adopt(stream);
-                    } else {
-                        let peer = &self.peers[target];
-                        let refused = {
-                            let mut inbox = peer.inbox.lock();
-                            if inbox.closed {
-                                Some(stream)
-                            } else {
-                                inbox.streams.push(stream);
-                                None
-                            }
-                        };
-                        match refused {
-                            None => {
-                                let _ = peer.poller.notify();
-                            }
-                            // The peer exited (drain race): keep the
-                            // connection here instead of stranding it —
-                            // this shard serves or closes it like any
-                            // of its own.
-                            Some(stream) => self.adopt(stream),
-                        }
-                    }
-                }
-                Err(e) if e.kind() == io::ErrorKind::WouldBlock => break,
-                Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
-                Err(_) => break, // transient accept error: try next tick
-            }
+        if stream.set_nonblocking(true).is_err() || stream.set_nodelay(true).is_err() {
+            return;
         }
-        self.listener = Some(listener);
+        self.shared.live.fetch_add(1, Ordering::SeqCst);
+        self.shared.stats.accepts.fetch_add(1, Ordering::Relaxed);
+        let target = self.rr_next % self.peers.len();
+        self.rr_next = self.rr_next.wrapping_add(1);
+        if target == self.self_index {
+            return self.adopt(stream);
+        }
+        let peer = &self.peers[target];
+        let mut inbox = peer.inbox.lock();
+        if inbox.closed {
+            // The peer exited (drain race): keep the connection here
+            // instead of stranding it — this shard serves or closes it
+            // like any of its own.
+            drop(inbox);
+            self.adopt(stream);
+        } else {
+            inbox.streams.push(stream);
+            drop(inbox);
+            let _ = peer.poller.notify();
+        }
     }
 
-    /// Take ownership of an accepted (or handed-off) stream: register
-    /// it with this shard's poller and set up its connection state,
-    /// reusing pooled buffers when available.
+    /// Take ownership of an accepted (or handed-off) stream: the driver
+    /// starts reading it, the shard sets up its connection state.
     fn adopt(&mut self, stream: TcpStream) {
         let key = self.next_key;
         self.next_key += 1;
-        if self.shared.poller.add(stream.as_raw_fd(), key, Interest::READABLE).is_err() {
-            self.shared.global.live.fetch_sub(1, Ordering::SeqCst);
-            return;
+        match self.driver.open(key, stream) {
+            Ok(io) => self.insert(key, io),
+            Err(_) => {
+                self.shared.live.fetch_sub(1, Ordering::SeqCst);
+            }
         }
+    }
+
+    /// A new connection in `Reading`, on pooled buffers when available.
+    fn insert(&mut self, key: usize, io: D::Io) {
         let (read_buf, write_buf) = self.pool.pop().unwrap_or_default();
         self.conns.insert(
             key,
             Conn {
-                stream,
+                io,
                 codec: RequestCodec::with_buffer(read_buf),
                 out: WriteBuf::with_buffer(write_buf),
                 phase: Phase::Reading,
                 last_progress: self.now,
-                registration: Some(Interest::READABLE),
             },
         );
     }
 
-    fn on_readable(&mut self, key: usize) {
+    fn on_read(&mut self, key: usize, result: i32) {
         let Some(conn) = self.conns.get_mut(&key) else { return };
         if !matches!(conn.phase, Phase::Reading) {
-            return; // stale event for a Waiting/Flushing connection
+            return; // hang-up report for a Waiting/Flushing connection
         }
-        let mut chunk = [0u8; 8192];
-        loop {
-            polling::count::bump(); // read(2)
-            match conn.stream.read(&mut chunk) {
-                Ok(0) => {
-                    self.close(key);
-                    return;
-                }
-                Ok(n) => {
-                    conn.codec.feed(&chunk[..n]);
-                    conn.last_progress = self.now;
-                    match conn.codec.poll() {
-                        Ok(Some(req)) => {
-                            self.begin_request(key, req);
-                            return;
-                        }
-                        Ok(None) => {} // need more bytes
-                        Err(_) => {
-                            conn.out.push_response(&bad_request());
-                            conn.phase = Phase::Flushing { then_close: true };
-                            self.flush(key);
-                            return;
-                        }
-                    }
-                }
-                Err(e) if e.kind() == io::ErrorKind::WouldBlock => return,
-                Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
-                Err(_) => {
-                    self.close(key);
-                    return;
-                }
-            }
+        let now = self.now;
+        let Conn { io, codec, last_progress, .. } = conn;
+        let mut parsed = Ok(None);
+        let open = self.driver.read(io, result, |bytes| {
+            codec.feed(bytes);
+            *last_progress = now;
+            parsed = codec.poll();
+            matches!(parsed, Ok(None))
+        });
+        match parsed {
+            Ok(Some(req)) => self.begin_request(key, req),
+            Err(_) => self.respond(key, &bad_request()),
+            Ok(None) if open.is_err() => self.close(key), // EOF or socket error
+            Ok(None) => {}                                // need more bytes
         }
     }
 
-    /// Hand a parsed request to the PSD queue and park the connection
-    /// (fd deregistered from epoll) until the executor's callback rings
-    /// back. Admin routes and admission-shed requests short-circuit to
-    /// an immediate response — they never touch the queue.
+    /// Route a parsed request. Admin routes and admission-shed requests
+    /// are answered on the spot — they never touch the queue; an
+    /// admitted request goes to the PSD queue and the connection parks
+    /// until the executor's callback rings back.
     fn begin_request(&mut self, key: usize, req: HttpRequest) {
         let draining = self.shared.stop.load(Ordering::SeqCst);
-        let keep = req.keep_alive() && req.framed() && !draining;
-        let info = crate::admin::AdminInfo {
-            engine: "reactor",
-            shard_stats: &self.peer_stats,
-            uring_stats: &[],
+        let info = AdminInfo { engine: D::ENGINE, shards: &self.peers };
+        let routed =
+            route(&self.server, &req, draining, self.cfg.default_cost, self.self_index, &info);
+        let (class, cost) = match routed {
+            Routed::Respond(resp) => return self.respond(key, &resp),
+            Routed::Submit { class, cost } => (class, cost),
         };
-        if let Some(resp) = crate::admin::handle(&self.server, &req, keep, &info) {
-            let Some(conn) = self.conns.get_mut(&key) else { return };
-            conn.out.push_response(&resp);
-            conn.phase = Phase::Flushing { then_close: !resp.keep_alive };
-            self.flush(key);
-            return;
-        }
-        let (class, cost) = class_and_cost(&self.server, &req, self.cfg.default_cost);
-        if !self.server.admit(class, cost) {
-            record_shed_span(&self.server, self.self_index, class, cost);
-            let Some(conn) = self.conns.get_mut(&key) else { return };
-            conn.out.push_response(&shed_response(req.http11));
-            conn.phase = Phase::Flushing { then_close: true };
-            self.flush(key);
-            return;
-        }
         let http11 = req.http11;
-        let since = self.now;
         let Some(conn) = self.conns.get_mut(&key) else { return };
-        conn.phase = Phase::Waiting { req, class, cost, since };
-        if conn.registration.take().is_some() {
-            let _ = self.shared.poller.delete(conn.stream.as_raw_fd());
-        }
+        conn.phase = Phase::Waiting { req, class, cost, since: self.now };
+        self.driver.park(&mut conn.io);
         let shared = Arc::clone(&self.shared);
         let submitted = self.server.submit_async(class, cost, move |done| {
             shared.post_completion(key, done);
         });
         if !submitted {
-            // Server already shutting down: answer 503 and close.
-            let Some(conn) = self.conns.get_mut(&key) else { return };
-            conn.out.push_response(&service_unavailable(http11));
-            conn.phase = Phase::Flushing { then_close: true };
-            self.flush(key);
+            // Server already shutting down.
+            self.respond(key, &service_unavailable(http11));
         }
+    }
+
+    /// Queue `resp` and start flushing; the response's own
+    /// `Connection:` header decides what follows.
+    fn respond(&mut self, key: usize, resp: &Response) {
+        let Some(conn) = self.conns.get_mut(&key) else { return };
+        conn.out.push_response(resp);
+        conn.phase = Phase::Flushing { then_close: !resp.keep_alive };
+        self.flush(key, None);
     }
 
     /// A PSD executor finished this connection's request: encode the
@@ -438,75 +355,52 @@ impl ShardLoop {
     fn on_complete(&mut self, key: usize, done: Completion) {
         let draining = self.shared.stop.load(Ordering::SeqCst);
         let Some(conn) = self.conns.get_mut(&key) else { return };
-        if !matches!(conn.phase, Phase::Waiting { .. }) {
+        let Phase::Waiting { req, class, cost, since } = &conn.phase else {
             return; // stale completion for a recycled state: ignore
-        }
-        let Phase::Waiting { req, class, cost, since } =
-            std::mem::replace(&mut conn.phase, Phase::Reading)
-        else {
-            unreachable!("checked above");
         };
-        // Stop keeping alive once a drain began so shutdown converges;
-        // unframed bodies force a close too.
-        let keep = req.keep_alive() && req.framed() && !draining;
+        // Stop keeping alive once a drain began so shutdown converges.
+        let keep = keeps_alive(req, draining);
         let scratch = &mut self.body_scratch;
-        conn.out.append_with(|out| write_ok_response(out, scratch, &req, class, cost, &done, keep));
+        conn.out
+            .append_with(|out| write_ok_response(out, scratch, req, *class, *cost, &done, keep));
         // Span assembled once at respond time: the write-back stage is
         // the mailbox + wakeup delivery latency (total minus queueing
-        // minus service), measured on the coarse per-iteration clock.
-        let total = self.now.saturating_duration_since(since);
-        record_span(&self.server, self.self_index, class, cost, &done, total);
+        // minus service), measured on the coarse per-turn clock.
+        let total = self.now.saturating_duration_since(*since);
+        record_span(&self.server, self.self_index, *class, *cost, &done, total);
         conn.phase = Phase::Flushing { then_close: !keep };
-        self.flush(key);
+        self.flush(key, None);
     }
 
-    fn on_writable(&mut self, key: usize) {
-        if matches!(self.conns.get(&key), Some(c) if matches!(c.phase, Phase::Flushing { .. })) {
-            self.flush(key);
-        }
-    }
-
-    /// Drive the write buffer; on drain, close or hand the connection
-    /// back to the read path (serving any pipelined request already
-    /// buffered in the codec).
-    fn flush(&mut self, key: usize) {
+    /// Drive the write buffer (`completed`: the result of the write
+    /// event being handled, if any); on drain, close or hand the
+    /// connection back to the read path, serving any pipelined request
+    /// already buffered in the codec.
+    fn flush(&mut self, key: usize, completed: Option<i32>) {
         let Some(conn) = self.conns.get_mut(&key) else { return };
         let Phase::Flushing { then_close } = conn.phase else { return };
         let before = conn.out.pending();
-        // One bump per flush attempt (flush_into may issue several
-        // write(2)s — undercounting epoll is the conservative side of
-        // the syscall-gate comparison).
-        polling::count::bump();
-        match conn.out.flush_into(&mut conn.stream) {
-            Ok(true) => {
-                conn.last_progress = self.now;
-                if then_close {
-                    self.close(key);
-                    return;
-                }
+        let state = self.driver.flush(&mut conn.io, &mut conn.out, completed);
+        if conn.out.pending() < before {
+            conn.last_progress = self.now;
+        }
+        match state {
+            Flush::Pending => {}
+            Flush::Drained if !then_close => {
                 conn.phase = Phase::Reading;
-                self.set_interest(key, Interest::READABLE);
                 // A pipelined request may already be parseable without
                 // another byte arriving.
-                let Some(conn) = self.conns.get_mut(&key) else { return };
                 match conn.codec.poll() {
                     Ok(Some(req)) => self.begin_request(key, req),
-                    Ok(None) => {}
-                    Err(_) => {
-                        let Some(conn) = self.conns.get_mut(&key) else { return };
-                        conn.out.push_response(&bad_request());
-                        conn.phase = Phase::Flushing { then_close: true };
-                        self.flush(key);
+                    Ok(None) => {
+                        if self.driver.arm_read(&mut conn.io).is_err() {
+                            self.close(key);
+                        }
                     }
+                    Err(_) => self.respond(key, &bad_request()),
                 }
             }
-            Ok(false) => {
-                if conn.out.pending() < before {
-                    conn.last_progress = self.now; // partial progress
-                }
-                self.set_interest(key, Interest::WRITABLE);
-            }
-            Err(_) => self.close(key),
+            Flush::Drained | Flush::Failed => self.close(key),
         }
     }
 
@@ -522,57 +416,215 @@ impl ShardLoop {
             timeout = timeout.min(DRAIN_GRACE);
         }
         let now = self.now;
-        self.key_scratch.clear();
-        self.key_scratch.extend(
-            self.conns
-                .iter()
-                .filter(|(_, c)| {
-                    !matches!(c.phase, Phase::Waiting { .. })
-                        && now.saturating_duration_since(c.last_progress) >= timeout
-                })
-                .map(|(&k, _)| k),
-        );
-        self.stats.sweeps.fetch_add(1, Ordering::Relaxed);
-        if !self.key_scratch.is_empty() {
-            self.stats.swept.fetch_add(self.key_scratch.len() as u64, Ordering::Relaxed);
+        let swept = self.close_where(|c| {
+            !matches!(c.phase, Phase::Waiting { .. })
+                && now.saturating_duration_since(c.last_progress) >= timeout
+        });
+        self.shared.stats.sweeps.fetch_add(1, Ordering::Relaxed);
+        if swept > 0 {
+            self.shared.stats.swept.fetch_add(swept as u64, Ordering::Relaxed);
         }
+    }
+
+    /// Close every connection `doomed` picks; returns how many.
+    fn close_where(&mut self, doomed: impl Fn(&Conn<D::Io>) -> bool) -> usize {
         let mut keys = std::mem::take(&mut self.key_scratch);
+        keys.clear();
+        keys.extend(self.conns.iter().filter(|(_, c)| doomed(c)).map(|(&k, _)| k));
+        let n = keys.len();
         for key in keys.drain(..) {
             self.close(key);
         }
         self.key_scratch = keys;
-    }
-
-    /// (Re)register the connection's fd with `interest`, adding it back
-    /// if it was parked during `Waiting`.
-    fn set_interest(&mut self, key: usize, interest: Interest) {
-        let Some(conn) = self.conns.get_mut(&key) else { return };
-        let fd = conn.stream.as_raw_fd();
-        let result = match conn.registration {
-            Some(current) if current == interest => return,
-            Some(_) => self.shared.poller.modify(fd, key, interest),
-            None => self.shared.poller.add(fd, key, interest),
-        };
-        if result.is_err() {
-            // Registration lost (shouldn't happen): drop the
-            // connection rather than wedge it.
-            self.close(key);
-            return;
-        }
-        conn.registration = Some(interest);
+        n
     }
 
     fn close(&mut self, key: usize) {
         if let Some(conn) = self.conns.remove(&key) {
-            if conn.registration.is_some() {
-                let _ = self.shared.poller.delete(conn.stream.as_raw_fd());
-            }
+            self.driver.close(conn.io);
             // Retire the connection's buffers into the shard pool so
             // the next accept starts warm.
             if self.pool.len() < POOL_CAP {
                 self.pool.push((conn.codec.into_buffer(), conn.out.into_buffer()));
             }
-            self.shared.global.live.fetch_sub(1, Ordering::SeqCst);
+            self.shared.live.fetch_sub(1, Ordering::SeqCst);
         }
+    }
+}
+
+/// The shared transitions, driven through a recording driver with an
+/// injected clock: no sockets, no sleeps, no kernel.
+#[cfg(test)]
+mod tests {
+    use std::collections::VecDeque;
+    use std::io;
+    use std::sync::atomic::AtomicUsize;
+    use std::time::Duration;
+
+    use super::*;
+    use crate::server::ServerConfig;
+    use crate::EngineKind;
+
+    /// A socket that is a script: chunks the peer sent, and whether it
+    /// has stopped reading.
+    struct FakeIo {
+        key: usize,
+        inbound: VecDeque<&'static [u8]>,
+        stalled: bool,
+    }
+
+    /// Moves bytes in memory; records parks, what each connection was
+    /// sent, and which were closed.
+    #[derive(Default)]
+    struct Recorder {
+        parks: usize,
+        sent: HashMap<usize, String>,
+        closed: Vec<usize>,
+    }
+
+    impl Driver for Recorder {
+        type Io = FakeIo;
+        const ENGINE: EngineKind = EngineKind::Reactor;
+
+        fn wait(&mut self, _: Duration) -> io::Result<()> {
+            Ok(())
+        }
+        fn next_event(&mut self) -> Option<IoEvent> {
+            None
+        }
+        fn stop_accepting(&mut self) {}
+        fn open(&mut self, _: usize, _: TcpStream) -> io::Result<FakeIo> {
+            unreachable!("scripts insert connections directly")
+        }
+        fn read(
+            &mut self,
+            io: &mut FakeIo,
+            _: i32,
+            mut sink: impl FnMut(&[u8]) -> bool,
+        ) -> io::Result<()> {
+            while io.inbound.pop_front().is_some_and(&mut sink) {}
+            Ok(())
+        }
+        fn arm_read(&mut self, _: &mut FakeIo) -> io::Result<()> {
+            Ok(())
+        }
+        fn park(&mut self, _: &mut FakeIo) {
+            self.parks += 1;
+        }
+        fn flush(&mut self, io: &mut FakeIo, out: &mut WriteBuf, _: Option<i32>) -> Flush {
+            if io.stalled {
+                return Flush::Pending;
+            }
+            let text = std::str::from_utf8(out.unflushed()).expect("utf8 responses");
+            self.sent.entry(io.key).or_default().push_str(text);
+            out.consume(out.pending());
+            Flush::Drained
+        }
+        fn close(&mut self, io: FakeIo) {
+            self.closed.push(io.key);
+        }
+    }
+
+    const REQ: &[u8] = b"GET /class1/x HTTP/1.1\r\n\r\n";
+    const DONE: Completion = Completion { delay_s: 1e-3, service_s: 1e-3 };
+
+    fn shard() -> Shard<Recorder> {
+        let control_window = Duration::from_secs(3600);
+        let server = PsdServer::start(ServerConfig { control_window, ..ServerConfig::default() });
+        let shared = Shared::new(Arc::new(AtomicUsize::new(0))).expect("poller");
+        let cfg = FrontendConfig::default();
+        Shard::new(Recorder::default(), vec![shared], 0, Arc::new(server), cfg)
+    }
+
+    /// A fresh connection, as `adopt` would leave it; `stalled` if its
+    /// peer never reads.
+    fn connect(s: &mut Shard<Recorder>, stalled: bool) -> usize {
+        let key = s.next_key;
+        s.next_key += 1;
+        s.shared.live.fetch_add(1, Ordering::SeqCst);
+        s.insert(key, FakeIo { key, inbound: VecDeque::new(), stalled });
+        key
+    }
+
+    fn send(s: &mut Shard<Recorder>, key: usize, bytes: &'static [u8]) {
+        s.conns.get_mut(&key).expect("open").io.inbound.push_back(bytes);
+        s.on_io(IoEvent::Read { key, result: 0 });
+    }
+
+    /// Every script ends here: after the exit protocol nothing is live.
+    fn finish(mut s: Shard<Recorder>) -> Recorder {
+        s.exit();
+        assert!(s.conns.is_empty());
+        assert_eq!(s.shared.live.load(Ordering::SeqCst), 0, "live count returns to zero");
+        let Shard { server, driver, .. } = s;
+        Arc::try_unwrap(server).ok().expect("shard held the only handle").shutdown();
+        driver
+    }
+
+    #[test]
+    fn one_submit_per_request_and_pipelined_pickup_after_flush() {
+        let mut s = shard();
+        let k = connect(&mut s, false);
+        for i in 0..REQ.len() {
+            assert_eq!(s.driver.parks, 0, "no submit before the head is complete");
+            send(&mut s, k, &REQ[i..=i]);
+        }
+        assert_eq!(s.driver.parks, 1, "byte-at-a-time head yields exactly one submit");
+        s.on_complete(k, DONE);
+        s.on_complete(k, DONE); // stale: the connection is back in Reading
+        s.on_complete(k + 1, DONE); // stale: no such connection
+        assert_eq!(s.driver.sent[&k].matches("200 OK").count(), 1, "stale completions ignored");
+
+        // Two requests in one chunk: the second waits in the codec and
+        // starts when the first response has flushed — no new bytes.
+        send(&mut s, k, b"GET /a HTTP/1.1\r\n\r\nGET /b HTTP/1.1\r\nConnection: close\r\n\r\n");
+        assert_eq!(s.driver.parks, 2);
+        s.on_complete(k, DONE);
+        assert_eq!(s.driver.parks, 3, "pipelined request submitted after the flush");
+        assert!(s.driver.closed.is_empty());
+        s.on_complete(k, DONE);
+        assert_eq!(s.driver.closed, [k], "Connection: close honoured after the last response");
+        assert_eq!(finish(s).sent[&k].matches("200 OK").count(), 3);
+    }
+
+    #[test]
+    fn drain_and_idle_sweep_spare_requests_in_progress() {
+        let mut s = shard();
+        let [idle, partial, waiting] = [(); 3].map(|()| connect(&mut s, false));
+        let flushing = connect(&mut s, true);
+        send(&mut s, partial, b"GET /slow HT");
+        send(&mut s, waiting, REQ);
+        send(&mut s, flushing, b"GET /healthz HTTP/1.1\r\n\r\n");
+
+        // A drain closes the idle `Reading` connection at once…
+        s.shared.stop.store(true, Ordering::SeqCst);
+        s.begin_drain();
+        assert_eq!(s.driver.closed, [idle]);
+        s.now += DRAIN_GRACE / 2;
+        s.sweep_idle();
+        assert_eq!(s.driver.closed, [idle]);
+        // …the sweep reaps the others after DRAIN_GRACE (not the 30 s
+        // idle timeout) without progress, and `Waiting` never.
+        s.now += DRAIN_GRACE / 2;
+        s.sweep_idle();
+        assert_eq!(s.conns.keys().collect::<Vec<_>>(), [&waiting], "Waiting is the queue's");
+        s.on_complete(waiting, DONE);
+        assert!(finish(s).sent[&waiting].contains("200 OK"));
+    }
+
+    #[test]
+    fn malformed_heads_and_sheds_are_answered_and_closed() {
+        let mut s = shard();
+        s.server.control().publish(0, &[0.5, 0.5], Some(&[1.0, 0.0])); // shed all of class 1
+        let [bad, shed] = [(); 2].map(|()| connect(&mut s, false));
+        send(&mut s, bad, b"GET / JUNK/9\r\n\r\n");
+        send(&mut s, shed, REQ);
+        assert_eq!((s.driver.parks, &s.driver.closed), (0, &vec![bad, shed]), "neither is queued");
+        let span = s.server.obs().spans.recent(1)[0];
+        assert!(!span.admitted && span.class == 1, "shed span recorded: {span:?}");
+        let sent = finish(s).sent;
+        assert!(sent[&bad].starts_with("HTTP/1.0 400"), "{}", sent[&bad]);
+        assert!(sent[&shed].starts_with("HTTP/1.1 503"), "{}", sent[&shed]);
+        assert!(sent[&shed].contains("X-Shed: 1"), "{}", sent[&shed]);
     }
 }

@@ -1,9 +1,4 @@
-//! One io_uring shard: the completion-based twin of [`super::shard`].
-//!
-//! Same per-connection state machine (`Reading` → `Waiting` →
-//! `Flushing`), same idle policy, same drain semantics, same
-//! round-robin handoff — but the I/O plane inverts from readiness to
-//! completion:
+//! The completion driver: the same shard loop on io_uring.
 //!
 //! * Accepts arrive through one **multishot `ACCEPT`** SQE that stays
 //!   armed across completions instead of an epoll-readable listener.
@@ -18,42 +13,36 @@
 //!   `io_uring_enter` wait as every other completion instead of
 //!   costing an `epoll_wait` + `read` round-trip.
 //!
-//! Everything a loop iteration queued — accept re-arms, reads, response
+//! Everything a loop turn queued — accept re-arms, reads, response
 //! writes, cancels, the doorbell — is flushed by **one**
-//! `io_uring_enter` at the top of the next iteration. Under load the
-//! syscall count per request approaches 1/batch instead of the epoll
-//! engine's several-per-request (`tests/syscall_gate.rs` pins the
-//! ordering).
+//! `io_uring_enter` in the next [`Driver::wait`]: four syscalls per
+//! keep-alive request with the executor's eventfd `write`, against
+//! epoll's eight (`tests/syscall_gate.rs` pins both).
 //!
 //! Closing inverts too: an fd with in-flight SQEs must outlive them, so
-//! `close` cancels the ops (`ASYNC_CANCEL` on the fd) and parks the
-//! connection as *closing* until the cancelled completions drain; only
-//! then does the `TcpStream` drop. Buffer slots go through the
-//! engine's zombie deferral the same way.
+//! [`Driver::close`] cancels the ops (`ASYNC_CANCEL` on the fd) and
+//! parks the connection in `closing` until the cancelled completions
+//! drain; only then does the `TcpStream` drop. Buffer slots go through
+//! the engine's zombie deferral the same way.
 
 use std::collections::HashMap;
-use std::io::{self, Write};
+use std::io;
 use std::net::{TcpListener, TcpStream};
 use std::os::unix::io::AsRawFd;
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
-use std::time::Instant;
+use std::time::Duration;
 
 use polling::uring::{take_accepted_fd, UringEngine};
-use psd_obs::{ReactorShardStats, UringStats};
 
-use crate::codec::{HttpRequest, RequestCodec, WriteBuf};
-use crate::httplite::{
-    bad_request, class_and_cost, record_shed_span, record_span, service_unavailable, shed_response,
-    write_ok_response,
-};
-use crate::server::{Completion, PsdServer};
-use crate::FrontendConfig;
+use crate::codec::WriteBuf;
+use crate::EngineKind;
 
-use super::{Shared, DRAIN_GRACE, TICK};
+use super::driver::{Driver, Flush, IoEvent};
+use super::Shared;
 
-/// Ring capacity: enough SQEs that a full iteration's batch (reads +
-/// writes + re-arms across hundreds of connections) never forces a
+/// Ring capacity: enough SQEs that a full turn's batch (reads, writes
+/// and re-arms across hundreds of connections) never forces a
 /// mid-batch flush.
 const ENTRIES: u32 = 1024;
 /// Registered fixed-buffer slots per shard; connections past this use
@@ -61,7 +50,7 @@ const ENTRIES: u32 = 1024;
 /// path).
 const FIXED_SLOTS: usize = 128;
 /// Bytes per buffer half (one read half + one write half per slot) —
-/// matches the epoll shard's 8 KiB stack chunk.
+/// matches the epoll driver's 8 KiB stack chunk.
 const HALF_BYTES: usize = 8192;
 
 /// Completion-token tags: `token = key << TAG_BITS | tag`.
@@ -72,209 +61,266 @@ const TAG_ACCEPT: u64 = 2;
 const TAG_DOORBELL: u64 = 3;
 const TAG_CANCEL: u64 = 4;
 
+/// `-EAGAIN` as a CQE result: the kernel chose not to poll-arm the op;
+/// resubmitting it is the whole remedy.
+const EAGAIN: i32 = -11;
+
 fn token(key: usize, tag: u64) -> u64 {
     ((key as u64) << TAG_BITS) | tag
 }
 
-/// Build one shard's engine. Called by [`super::Handle::start`] *before*
-/// any thread spawns so an io_uring-refusing kernel fails the whole
-/// start call (and the frontend falls back to epoll) instead of a
-/// half-started reactor.
-pub(super) fn new_engine() -> io::Result<UringEngine> {
-    UringEngine::new(ENTRIES, FIXED_SLOTS, HALF_BYTES)
+/// Build one ring (and its registered buffer arena) per shard, or say
+/// on stderr why not. `--engine uring` is a request for the fast path,
+/// not a hard requirement: a kernel without io_uring (ENOSYS), one that
+/// refuses it (seccomp/EPERM), or a probe pass followed by a ring
+/// construction failure (e.g. memlock exhaustion) all yield `None`, and
+/// [`super::Handle::start`] serves on epoll instead.
+pub(super) fn engines(shards: usize) -> Option<Vec<UringEngine>> {
+    let built = match polling::uring::probe() {
+        Err(why) => Err(format!("io_uring unavailable ({why})")),
+        Ok(()) => (0..shards)
+            .map(|_| UringEngine::new(ENTRIES, FIXED_SLOTS, HALF_BYTES))
+            .collect::<io::Result<Vec<_>>>()
+            .map_err(|e| format!("io_uring engine failed to start ({e})")),
+    };
+    built
+        .map_err(|why| eprintln!("psd-server: {why}; falling back to the epoll reactor engine"))
+        .ok()
 }
 
-/// How many retired (codec, write) buffer pairs a shard keeps for
-/// reuse by future connections.
-const POOL_CAP: usize = 256;
-
-/// Where a connection is in its request/response cycle. Identical
-/// semantics to the epoll shard's phases; only the I/O mechanics
-/// differ (in-flight SQEs instead of registered interest).
-enum Phase {
-    /// Parsing the next request; a read SQE is normally in flight.
-    Reading,
-    /// Request queued in the PSD dispatcher; **no SQE in flight** —
-    /// pipelined bytes wait in the kernel socket buffer (natural TCP
-    /// backpressure), exactly like the epoll shard's deregistered fd.
-    Waiting { req: HttpRequest, class: usize, cost: f64, since: Instant },
-    /// Draining the write buffer through write SQEs.
-    Flushing { then_close: bool },
+/// Arm the multishot accept on the accepting shard's listener.
+fn arm_accept(engine: &mut UringEngine, listener: Option<&TcpListener>) -> io::Result<()> {
+    listener.map_or(Ok(()), |l| engine.push_accept(l.as_raw_fd(), token(0, TAG_ACCEPT)))
 }
 
-struct Conn {
+pub(super) struct UringIo {
     stream: TcpStream,
-    codec: RequestCodec,
-    out: WriteBuf,
-    phase: Phase,
-    /// Refreshed by transferred bytes only, stamped from the loop's
-    /// coarse per-iteration clock.
-    last_progress: Instant,
+    key: usize,
     /// The engine buffer slot owned by this connection for its
     /// lifetime (read half + write half).
     slot: usize,
     read_inflight: bool,
     write_inflight: bool,
-    /// Close requested while SQEs were in flight: cancels issued, the
-    /// stream stays open until the last completion drains.
-    closing: bool,
 }
 
-pub(super) struct UringLoop {
-    /// Declared before `conns`: the engine drops (and quiesces every
-    /// in-flight op) while the connection fds are still open.
+/// Teardown order is the field order: dropping `engine` cancels and
+/// reaps every operation still in flight (the doorbell, the accept,
+/// reads of connections in `closing`), and only then do `closing` and
+/// `listener` drop and their fds close — an fd never closes under an
+/// SQE that names it. The shard hands every connection it still holds
+/// to [`Driver::close`] before the driver drops, so no stream lives
+/// anywhere else.
+pub(super) struct UringDriver {
     engine: UringEngine,
-    /// The accepting shard's listener (shard 0 only).
+    /// Connections released with operations still in flight: cancels
+    /// issued, the stream stays open until the last completion drains.
+    closing: HashMap<usize, UringIo>,
+    /// The accepting shard's listener (shard 0 only). It stays open
+    /// after accepting stops: the cancel names its fd.
     listener: Option<TcpListener>,
-    peers: Vec<Arc<Shared>>,
-    self_index: usize,
-    rr_next: usize,
-    server: Arc<PsdServer>,
-    cfg: FrontendConfig,
-    shared: Arc<Shared>,
-    conns: HashMap<usize, Conn>,
-    next_key: usize,
+    /// Whether a spent multishot accept is to be re-armed.
     accepting: bool,
-    /// Coarse cached clock, read once per loop iteration.
-    now: Instant,
-    /// Retired connection buffers, reused by future accepts.
-    pool: Vec<(Vec<u8>, Vec<u8>)>,
-    body_scratch: Vec<u8>,
-    key_scratch: Vec<usize>,
-    /// Set when the ring itself fails (enter error, doorbell lost):
-    /// the loop exits rather than spin blind.
+    shared: Arc<Shared>,
+    /// Set when the ring itself fails (enter error, doorbell lost): the
+    /// next wait reports it and the loop exits rather than spin blind.
     dead: bool,
-    stats: Arc<ReactorShardStats>,
-    peer_stats: Vec<Arc<ReactorShardStats>>,
-    peer_uring_stats: Vec<Arc<UringStats>>,
 }
 
-impl UringLoop {
-    #[allow(clippy::too_many_arguments)]
+impl UringDriver {
+    /// Arms the permanent SQEs: the doorbell read on the poller's
+    /// eventfd (cross-thread wakeups fold into the ring wait) and, on
+    /// the accepting shard, the multishot accept.
     pub(super) fn new(
+        mut engine: UringEngine,
         listener: Option<TcpListener>,
-        peers: Vec<Arc<Shared>>,
-        self_index: usize,
-        server: Arc<PsdServer>,
-        cfg: FrontendConfig,
         shared: Arc<Shared>,
-        engine: UringEngine,
-    ) -> Self {
-        let accepting = listener.is_some();
-        let stats = Arc::clone(&shared.stats);
-        let peer_stats = peers.iter().map(|p| Arc::clone(&p.stats)).collect();
-        let peer_uring_stats = peers.iter().map(|p| Arc::clone(&p.uring_stats)).collect();
-        Self {
+    ) -> io::Result<Self> {
+        engine.push_wakeup_read(shared.poller.notify_fd(), token(0, TAG_DOORBELL))?;
+        arm_accept(&mut engine, listener.as_ref())?;
+        Ok(Self {
             engine,
+            closing: HashMap::new(),
+            accepting: listener.is_some(),
             listener,
-            peers,
-            self_index,
-            rr_next: self_index,
-            server,
-            cfg,
             shared,
-            conns: HashMap::new(),
-            next_key: 1,
-            accepting,
-            now: Instant::now(),
-            pool: Vec::new(),
-            body_scratch: Vec::new(),
-            key_scratch: Vec::new(),
             dead: false,
-            stats,
-            peer_stats,
-            peer_uring_stats,
+        })
+    }
+
+    /// A completion for a connection in `closing`: retire it when its
+    /// last operation has drained. Returns false for live connections.
+    fn reap_closing(&mut self, key: usize, tag: u64) -> bool {
+        let Some(io) = self.closing.get_mut(&key) else { return false };
+        match tag {
+            TAG_READ => io.read_inflight = false,
+            _ => io.write_inflight = false,
+        }
+        if !io.read_inflight && !io.write_inflight {
+            if let Some(io) = self.closing.remove(&key) {
+                self.engine.release_slot(io.slot);
+            }
+        }
+        true
+    }
+
+    fn push_read(&mut self, io: &mut UringIo) -> io::Result<()> {
+        if !io.read_inflight {
+            self.engine.push_read(io.stream.as_raw_fd(), io.slot, token(io.key, TAG_READ))?;
+            io.read_inflight = true;
+        }
+        Ok(())
+    }
+}
+
+impl Driver for UringDriver {
+    type Io = UringIo;
+
+    const ENGINE: EngineKind = EngineKind::Uring;
+
+    /// The one syscall of the turn: flush everything the previous turn
+    /// queued (reads, writes, re-arms, cancels) and wait for the first
+    /// completion or the timeout.
+    fn wait(&mut self, timeout: Duration) -> io::Result<()> {
+        if self.dead {
+            return Err(io::Error::other("io_uring doorbell or accept lost"));
+        }
+        self.engine.submit_and_wait(Some(timeout))
+    }
+
+    /// Reap the CQ one completion at a time. Follow-up SQEs queue
+    /// locally; they ride the next turn's enter.
+    fn next_event(&mut self) -> Option<IoEvent> {
+        while let Some(c) = self.engine.pop() {
+            let key = (c.token >> TAG_BITS) as usize;
+            let tag = c.token & ((1 << TAG_BITS) - 1);
+            match tag {
+                TAG_DOORBELL => {
+                    // Someone rang (completion posted, handoff, stop):
+                    // the shard drains its mailbox and inbox every turn
+                    // anyway. Re-arm immediately — writes landing
+                    // between the CQE and the re-arm stick in the
+                    // eventfd counter, so no wakeup is ever lost.
+                    let fd = self.shared.poller.notify_fd();
+                    self.dead |= self.engine.push_wakeup_read(fd, token(0, TAG_DOORBELL)).is_err();
+                }
+                TAG_ACCEPT => {
+                    // A spent multishot (kernel stops producing) must
+                    // be re-armed by hand; do it first so an error
+                    // result can't leak the arm.
+                    if !c.more && self.accepting {
+                        self.dead |= arm_accept(&mut self.engine, self.listener.as_ref()).is_err();
+                    }
+                    // Negative: ECANCELED after drain, or transient
+                    // (EMFILE etc.).
+                    if c.result >= 0 {
+                        return Some(IoEvent::Accepted(take_accepted_fd(c.result)));
+                    }
+                }
+                TAG_READ | TAG_WRITE => {
+                    if !self.closing.is_empty() && self.reap_closing(key, tag) {
+                        continue;
+                    }
+                    return Some(if tag == TAG_READ {
+                        IoEvent::Read { key, result: c.result }
+                    } else {
+                        IoEvent::Write { key, result: c.result }
+                    });
+                }
+                TAG_CANCEL => {} // the cancelled ops' own CQEs do the work
+                _ => unreachable!("unknown completion tag"),
+            }
+        }
+        None
+    }
+
+    /// Cancel the multishot accept.
+    fn stop_accepting(&mut self) {
+        self.accepting = false;
+        if let Some(listener) = &self.listener {
+            let _ = self.engine.push_cancel_fd(listener.as_raw_fd(), token(0, TAG_CANCEL));
         }
     }
 
-    pub(super) fn run(&mut self) {
-        // Permanent SQEs: the doorbell read on the poller's eventfd
-        // (cross-thread wakeups fold into the ring wait) and, on the
-        // accepting shard, the multishot accept.
-        if self
-            .engine
-            .push_wakeup_read(self.shared.poller.notify_fd(), token(0, TAG_DOORBELL))
-            .is_err()
-        {
-            self.dead = true;
+    /// Claim a buffer slot and put the first read in flight.
+    fn open(&mut self, key: usize, stream: TcpStream) -> io::Result<UringIo> {
+        let slot = self.engine.alloc_slot();
+        let mut io = UringIo { stream, key, slot, read_inflight: false, write_inflight: false };
+        if let Err(e) = self.push_read(&mut io) {
+            self.engine.release_slot(slot);
+            return Err(e);
         }
-        if let Some(listener) = &self.listener {
-            if self.engine.push_accept(listener.as_raw_fd(), token(0, TAG_ACCEPT)).is_err() {
-                self.dead = true;
+        Ok(io)
+    }
+
+    fn read(
+        &mut self,
+        io: &mut UringIo,
+        result: i32,
+        mut sink: impl FnMut(&[u8]) -> bool,
+    ) -> io::Result<()> {
+        io.read_inflight = false;
+        if result == 0 {
+            return Err(io::ErrorKind::UnexpectedEof.into());
+        }
+        if result < 0 && result != EAGAIN {
+            return Err(io::Error::from_raw_os_error(-result));
+        }
+        // Disjoint borrows: the slice lives in the engine arena, the
+        // codec the sink feeds in the shard's connection table.
+        if result == EAGAIN || sink(self.engine.read_slice(io.slot, result as usize)) {
+            self.push_read(io)?;
+        }
+        Ok(())
+    }
+
+    fn arm_read(&mut self, io: &mut UringIo) -> io::Result<()> {
+        self.push_read(io)
+    }
+
+    /// Nothing to undo: a connection enters `Waiting` from a read
+    /// completion, which is not re-armed, so no SQE is in flight.
+    fn park(&mut self, _io: &mut UringIo) {}
+
+    /// Keep the write pipeline full: queue a write SQE for the front of
+    /// the unflushed buffer unless one is already in flight. Its
+    /// completion advances the buffer and comes back here.
+    fn flush(&mut self, io: &mut UringIo, out: &mut WriteBuf, completed: Option<i32>) -> Flush {
+        if let Some(result) = completed {
+            io.write_inflight = false;
+            match result {
+                EAGAIN => {}                        // retry the same bytes
+                n if n < 0 => return Flush::Failed, // EPIPE/ECONNRESET: client went away
+                n => out.consume(n as usize),
             }
         }
-        let mut completions: Vec<(usize, Completion)> = Vec::new();
-        let mut streams: Vec<TcpStream> = Vec::new();
-        while !self.dead {
-            let draining = self.shared.stop.load(Ordering::SeqCst);
-            if draining {
-                self.begin_drain();
-                if self.conns.is_empty() {
-                    break;
-                }
-            }
-            // The one syscall of the iteration: flush everything the
-            // previous iteration queued (reads, writes, re-arms,
-            // cancels) and wait for the first completion or the tick.
-            if self.engine.submit_and_wait(Some(TICK)).is_err() {
-                break;
-            }
-            self.now = Instant::now();
-            self.stats.wakeups.fetch_add(1, Ordering::Relaxed);
-            // Reap the whole CQ. Handlers queue follow-up SQEs locally;
-            // they ride the next iteration's enter.
-            let mut reaped = 0u64;
-            while let Some(c) = self.engine.pop() {
-                reaped += 1;
-                self.on_cqe(c.token, c.result, c.more);
-            }
-            if reaped > 0 {
-                self.stats.events.fetch_add(reaped, Ordering::Relaxed);
-            }
-            // Handed-off streams from the accepting shard.
-            if !self.shared.inbox.lock().streams.is_empty() {
-                std::mem::swap(&mut self.shared.inbox.lock().streams, &mut streams);
-                for stream in streams.drain(..) {
-                    self.adopt(stream);
-                }
-            }
-            // PSD executor completions (the doorbell CQE above is what
-            // woke us; the mailbox drain is identical to epoll's).
-            {
-                let mut mb = self.shared.mailbox.lock();
-                std::mem::swap(&mut *mb, &mut completions);
-            }
-            self.stats.record_drain(completions.len() as u64);
-            for (key, done) in completions.drain(..) {
-                self.on_complete(key, done);
-            }
-            self.sweep_idle();
-            self.publish_counters();
+        if io.write_inflight {
+            return Flush::Pending;
         }
-        // Loop exit. Everything still connected drops below; the engine
-        // field precedes `conns`, so its Drop cancels and reaps every
-        // in-flight op while the fds are still open, and only then do
-        // the streams close.
-        self.publish_counters();
-        let leftover_conns = self.conns.len();
-        for _ in 0..leftover_conns {
-            self.shared.global.live.fetch_sub(1, Ordering::SeqCst);
+        if out.is_empty() {
+            return Flush::Drained;
         }
-        self.conns.clear();
-        let leftover = {
-            let mut inbox = self.shared.inbox.lock();
-            inbox.closed = true;
-            std::mem::take(&mut inbox.streams)
-        };
-        for stream in leftover {
-            drop(stream);
-            self.shared.global.live.fetch_sub(1, Ordering::SeqCst);
+        // push_write copies into the slot's write half, so a response
+        // may exceed a half and drain in turns.
+        let (fd, token) = (io.stream.as_raw_fd(), token(io.key, TAG_WRITE));
+        if self.engine.push_write(fd, io.slot, out.unflushed(), token).is_err() {
+            return Flush::Failed;
+        }
+        io.write_inflight = true;
+        Flush::Pending
+    }
+
+    fn close(&mut self, io: UringIo) {
+        if io.read_inflight || io.write_inflight {
+            let _ = self.engine.push_cancel_fd(io.stream.as_raw_fd(), token(io.key, TAG_CANCEL));
+            self.closing.insert(io.key, io);
+        } else {
+            self.engine.release_slot(io.slot);
         }
     }
 
     /// Copy the engine's single-threaded meters into the shared atomics
     /// (plain stores — the loop is the only writer).
-    fn publish_counters(&self) {
+    fn end_turn(&mut self) {
         let c = self.engine.counters();
         let s = &self.shared.uring_stats;
         s.enters.store(c.enters, Ordering::Relaxed);
@@ -284,397 +330,5 @@ impl UringLoop {
         s.fixed_reads.store(c.fixed_reads, Ordering::Relaxed);
         s.fixed_writes.store(c.fixed_writes, Ordering::Relaxed);
         s.plain_ops.store(c.plain_ops, Ordering::Relaxed);
-    }
-
-    fn on_cqe(&mut self, tok: u64, result: i32, more: bool) {
-        let key = (tok >> TAG_BITS) as usize;
-        match tok & ((1 << TAG_BITS) - 1) {
-            TAG_DOORBELL => {
-                // Someone rang (completion posted, handoff, stop): the
-                // mailbox/inbox drains below. Re-arm immediately —
-                // writes landing between the CQE and the re-arm stick
-                // in the eventfd counter, so no wakeup is ever lost.
-                let fd = self.shared.poller.notify_fd();
-                if self.engine.push_wakeup_read(fd, token(0, TAG_DOORBELL)).is_err() {
-                    self.dead = true;
-                }
-            }
-            TAG_ACCEPT => self.on_accept_cqe(result, more),
-            TAG_READ => self.on_read_cqe(key, result),
-            TAG_WRITE => self.on_write_cqe(key, result),
-            TAG_CANCEL => {} // the cancelled ops' own CQEs do the work
-            _ => unreachable!("unknown completion tag"),
-        }
-    }
-
-    fn on_accept_cqe(&mut self, result: i32, more: bool) {
-        // A spent multishot (kernel stops producing) must be re-armed
-        // by hand; do it first so an error result can't leak the arm.
-        if !more && self.accepting {
-            if let Some(listener) = &self.listener {
-                if self.engine.push_accept(listener.as_raw_fd(), token(0, TAG_ACCEPT)).is_err() {
-                    self.dead = true;
-                }
-            }
-        }
-        if result < 0 {
-            return; // ECANCELED after drain, or transient (EMFILE etc.)
-        }
-        let stream = take_accepted_fd(result);
-        if !self.accepting {
-            return; // raced a drain: refuse politely by closing
-        }
-        if self.shared.global.live.load(Ordering::SeqCst) >= self.cfg.max_connections {
-            // Over cap: best-effort 503 without blocking the loop.
-            let mut stream = stream;
-            let _ = stream.set_nonblocking(true);
-            let _ = stream.write_all(&service_unavailable(true).to_bytes());
-            return;
-        }
-        if stream.set_nonblocking(true).is_err() || stream.set_nodelay(true).is_err() {
-            return;
-        }
-        self.shared.global.live.fetch_add(1, Ordering::SeqCst);
-        self.stats.accepts.fetch_add(1, Ordering::Relaxed);
-        let target = self.rr_next % self.peers.len();
-        self.rr_next = self.rr_next.wrapping_add(1);
-        if target == self.self_index {
-            self.adopt(stream);
-        } else {
-            let peer = &self.peers[target];
-            let refused = {
-                let mut inbox = peer.inbox.lock();
-                if inbox.closed {
-                    Some(stream)
-                } else {
-                    inbox.streams.push(stream);
-                    None
-                }
-            };
-            match refused {
-                None => {
-                    let _ = peer.poller.notify();
-                }
-                // Peer exited (drain race): keep the connection here.
-                Some(stream) => self.adopt(stream),
-            }
-        }
-    }
-
-    /// Take ownership of an accepted (or handed-off) stream: claim a
-    /// buffer slot, set up connection state, and put the first read in
-    /// flight.
-    fn adopt(&mut self, stream: TcpStream) {
-        let key = self.next_key;
-        self.next_key += 1;
-        let slot = self.engine.alloc_slot();
-        if self.engine.push_read(stream.as_raw_fd(), slot, token(key, TAG_READ)).is_err() {
-            self.engine.release_slot(slot);
-            self.shared.global.live.fetch_sub(1, Ordering::SeqCst);
-            return;
-        }
-        let (read_buf, write_buf) = self.pool.pop().unwrap_or_default();
-        self.conns.insert(
-            key,
-            Conn {
-                stream,
-                codec: RequestCodec::with_buffer(read_buf),
-                out: WriteBuf::with_buffer(write_buf),
-                phase: Phase::Reading,
-                last_progress: self.now,
-                slot,
-                read_inflight: true,
-                write_inflight: false,
-                closing: false,
-            },
-        );
-    }
-
-    fn on_read_cqe(&mut self, key: usize, result: i32) {
-        let Some(conn) = self.conns.get_mut(&key) else { return };
-        conn.read_inflight = false;
-        if conn.closing {
-            self.try_finish_close(key);
-            return;
-        }
-        if result == -11 {
-            // EAGAIN (kernel chose not to poll-arm): just re-arm.
-            self.arm_read(key);
-            return;
-        }
-        if result <= 0 {
-            self.close(key); // EOF or socket error
-            return;
-        }
-        if !matches!(conn.phase, Phase::Reading) {
-            // A read should never be in flight outside Reading; if one
-            // slips through, drop the bytes on the floor is wrong —
-            // close instead of desynchronizing the stream.
-            self.close(key);
-            return;
-        }
-        let n = result as usize;
-        let slot = conn.slot;
-        // Disjoint field borrows: the slice lives in the engine arena,
-        // the codec in the connection table.
-        let data = self.engine.read_slice(slot, n);
-        conn.codec.feed(data);
-        conn.last_progress = self.now;
-        match conn.codec.poll() {
-            Ok(Some(req)) => self.begin_request(key, req),
-            Ok(None) => self.arm_read(key),
-            Err(_) => {
-                conn.out.push_response(&bad_request());
-                conn.phase = Phase::Flushing { then_close: true };
-                self.pump_write(key);
-            }
-        }
-    }
-
-    /// Put (or re-put) the connection's read SQE in flight.
-    fn arm_read(&mut self, key: usize) {
-        let Some(conn) = self.conns.get_mut(&key) else { return };
-        if conn.read_inflight {
-            return;
-        }
-        let fd = conn.stream.as_raw_fd();
-        let slot = conn.slot;
-        if self.engine.push_read(fd, slot, token(key, TAG_READ)).is_err() {
-            self.close(key);
-            return;
-        }
-        let Some(conn) = self.conns.get_mut(&key) else { return };
-        conn.read_inflight = true;
-    }
-
-    /// Hand a parsed request to the PSD queue and park the connection —
-    /// no SQE in flight at all — until the executor rings back through
-    /// the mailbox + doorbell. Admin routes and admission sheds
-    /// short-circuit, exactly like the epoll shard.
-    fn begin_request(&mut self, key: usize, req: HttpRequest) {
-        let draining = self.shared.stop.load(Ordering::SeqCst);
-        let keep = req.keep_alive() && req.framed() && !draining;
-        let info = crate::admin::AdminInfo {
-            engine: "uring",
-            shard_stats: &self.peer_stats,
-            uring_stats: &self.peer_uring_stats,
-        };
-        if let Some(resp) = crate::admin::handle(&self.server, &req, keep, &info) {
-            let Some(conn) = self.conns.get_mut(&key) else { return };
-            conn.out.push_response(&resp);
-            conn.phase = Phase::Flushing { then_close: !resp.keep_alive };
-            self.pump_write(key);
-            return;
-        }
-        let (class, cost) = class_and_cost(&self.server, &req, self.cfg.default_cost);
-        if !self.server.admit(class, cost) {
-            record_shed_span(&self.server, self.self_index, class, cost);
-            let Some(conn) = self.conns.get_mut(&key) else { return };
-            conn.out.push_response(&shed_response(req.http11));
-            conn.phase = Phase::Flushing { then_close: true };
-            self.pump_write(key);
-            return;
-        }
-        let http11 = req.http11;
-        let since = self.now;
-        let Some(conn) = self.conns.get_mut(&key) else { return };
-        conn.phase = Phase::Waiting { req, class, cost, since };
-        let shared = Arc::clone(&self.shared);
-        let submitted = self.server.submit_async(class, cost, move |done| {
-            shared.post_completion(key, done);
-        });
-        if !submitted {
-            let Some(conn) = self.conns.get_mut(&key) else { return };
-            conn.out.push_response(&service_unavailable(http11));
-            conn.phase = Phase::Flushing { then_close: true };
-            self.pump_write(key);
-        }
-    }
-
-    /// A PSD executor finished this connection's request: encode the
-    /// response and start flushing.
-    fn on_complete(&mut self, key: usize, done: Completion) {
-        let draining = self.shared.stop.load(Ordering::SeqCst);
-        let Some(conn) = self.conns.get_mut(&key) else { return };
-        if conn.closing || !matches!(conn.phase, Phase::Waiting { .. }) {
-            return; // stale completion for a recycled state: ignore
-        }
-        let Phase::Waiting { req, class, cost, since } =
-            std::mem::replace(&mut conn.phase, Phase::Reading)
-        else {
-            unreachable!("checked above");
-        };
-        let keep = req.keep_alive() && req.framed() && !draining;
-        let scratch = &mut self.body_scratch;
-        conn.out.append_with(|out| write_ok_response(out, scratch, &req, class, cost, &done, keep));
-        let total = self.now.saturating_duration_since(since);
-        record_span(&self.server, self.self_index, class, cost, &done, total);
-        conn.phase = Phase::Flushing { then_close: !keep };
-        self.pump_write(key);
-    }
-
-    /// Keep the write pipeline full: queue a write SQE for the front of
-    /// the unflushed buffer unless one is already in flight. The
-    /// completion handler advances the buffer and calls back here.
-    fn pump_write(&mut self, key: usize) {
-        let Some(conn) = self.conns.get_mut(&key) else { return };
-        if conn.write_inflight || conn.closing {
-            return;
-        }
-        if conn.out.unflushed().is_empty() {
-            self.finish_flush(key);
-            return;
-        }
-        let fd = conn.stream.as_raw_fd();
-        let slot = conn.slot;
-        // Disjoint borrows again: source bytes in the connection's
-        // WriteBuf, destination half in the engine arena (push_write
-        // copies, so the response may exceed a half and drain in turns).
-        let data = conn.out.unflushed();
-        if self.engine.push_write(fd, slot, data, token(key, TAG_WRITE)).is_err() {
-            self.close(key);
-            return;
-        }
-        let Some(conn) = self.conns.get_mut(&key) else { return };
-        conn.write_inflight = true;
-    }
-
-    fn on_write_cqe(&mut self, key: usize, result: i32) {
-        let Some(conn) = self.conns.get_mut(&key) else { return };
-        conn.write_inflight = false;
-        if conn.closing {
-            self.try_finish_close(key);
-            return;
-        }
-        if result == -11 {
-            self.pump_write(key); // EAGAIN: retry the same bytes
-            return;
-        }
-        if result < 0 {
-            self.close(key); // EPIPE/ECONNRESET: client went away
-            return;
-        }
-        conn.out.consume(result as usize);
-        if result > 0 {
-            conn.last_progress = self.now;
-        }
-        self.pump_write(key);
-    }
-
-    /// The write buffer drained: close, or hand the connection back to
-    /// the read path (serving any pipelined request already buffered).
-    fn finish_flush(&mut self, key: usize) {
-        let Some(conn) = self.conns.get_mut(&key) else { return };
-        let Phase::Flushing { then_close } = conn.phase else { return };
-        if then_close {
-            self.close(key);
-            return;
-        }
-        conn.phase = Phase::Reading;
-        match conn.codec.poll() {
-            Ok(Some(req)) => self.begin_request(key, req),
-            Ok(None) => self.arm_read(key),
-            Err(_) => {
-                conn.out.push_response(&bad_request());
-                conn.phase = Phase::Flushing { then_close: true };
-                self.pump_write(key);
-            }
-        }
-    }
-
-    /// First stop-flag observation: stop accepting (cancel the
-    /// multishot accept) and close idle keep-alive connections;
-    /// mid-request connections serve out under the tightened
-    /// [`DRAIN_GRACE`], mirroring the epoll shard.
-    fn begin_drain(&mut self) {
-        if self.accepting {
-            self.accepting = false;
-            if let Some(listener) = &self.listener {
-                let _ = self.engine.push_cancel_fd(listener.as_raw_fd(), token(0, TAG_CANCEL));
-            }
-        }
-        self.key_scratch.clear();
-        self.key_scratch.extend(
-            self.conns
-                .iter()
-                .filter(|(_, c)| {
-                    !c.closing && matches!(c.phase, Phase::Reading) && !c.codec.is_mid_request()
-                })
-                .map(|(&k, _)| k),
-        );
-        let mut keys = std::mem::take(&mut self.key_scratch);
-        for key in keys.drain(..) {
-            self.close(key);
-        }
-        self.key_scratch = keys;
-    }
-
-    /// Reap connections without byte progress for `idle_timeout`
-    /// (tightened to [`DRAIN_GRACE`] during a drain). `Waiting` is
-    /// exempt (their time belongs to the PSD queue); `closing` is
-    /// exempt (they are already on the cancel path).
-    fn sweep_idle(&mut self) {
-        let mut timeout = self.cfg.idle_timeout;
-        if self.shared.stop.load(Ordering::SeqCst) {
-            timeout = timeout.min(DRAIN_GRACE);
-        }
-        let now = self.now;
-        self.key_scratch.clear();
-        self.key_scratch.extend(
-            self.conns
-                .iter()
-                .filter(|(_, c)| {
-                    !c.closing
-                        && !matches!(c.phase, Phase::Waiting { .. })
-                        && now.saturating_duration_since(c.last_progress) >= timeout
-                })
-                .map(|(&k, _)| k),
-        );
-        self.stats.sweeps.fetch_add(1, Ordering::Relaxed);
-        if !self.key_scratch.is_empty() {
-            self.stats.swept.fetch_add(self.key_scratch.len() as u64, Ordering::Relaxed);
-        }
-        let mut keys = std::mem::take(&mut self.key_scratch);
-        for key in keys.drain(..) {
-            self.close(key);
-        }
-        self.key_scratch = keys;
-    }
-
-    /// Close a connection. With SQEs in flight the fd must outlive
-    /// them, so the first call cancels the ops and parks the connection
-    /// as closing; [`Self::try_finish_close`] retires it when the last
-    /// completion drains. Idempotent.
-    fn close(&mut self, key: usize) {
-        let Some(conn) = self.conns.get_mut(&key) else { return };
-        if conn.closing {
-            return;
-        }
-        if conn.read_inflight || conn.write_inflight {
-            conn.closing = true;
-            let fd = conn.stream.as_raw_fd();
-            let _ = self.engine.push_cancel_fd(fd, token(key, TAG_CANCEL));
-            return;
-        }
-        self.finish_close(key);
-    }
-
-    fn try_finish_close(&mut self, key: usize) {
-        if matches!(
-            self.conns.get(&key),
-            Some(c) if c.closing && !c.read_inflight && !c.write_inflight
-        ) {
-            self.finish_close(key);
-        }
-    }
-
-    fn finish_close(&mut self, key: usize) {
-        if let Some(conn) = self.conns.remove(&key) {
-            self.engine.release_slot(conn.slot);
-            if self.pool.len() < POOL_CAP {
-                self.pool.push((conn.codec.into_buffer(), conn.out.into_buffer()));
-            }
-            self.shared.global.live.fetch_sub(1, Ordering::SeqCst);
-        }
     }
 }

@@ -5,11 +5,14 @@
 //!   recorded arrival sequence, through the exact factory the server
 //!   monitor uses (the live mirror of the desim property test);
 //! * the admin route family (`GET /metrics`, `GET`/`PUT /config`) on
-//!   both engines, including hot reconfiguration epochs;
+//!   every engine (uring self-skipping via the probe), including hot
+//!   reconfiguration epochs;
 //! * admission shedding over HTTP: `503` + `X-Shed: 1` +
-//!   `Connection: close` on both engines, protected classes untouched;
+//!   `Connection: close` on every engine, protected classes untouched;
 //! * the monitor applies a hot-swapped class table at a window
 //!   boundary (`applied_epoch` catches up to `epoch`).
+
+mod common;
 
 use std::io::{Read, Write};
 use std::net::TcpStream;
@@ -18,6 +21,8 @@ use std::time::{Duration, Instant};
 
 use psd_core::control::{build_controller, ControllerKind, RateController, WindowObservation};
 use psd_server::{EngineKind, FrontendConfig, HttpFrontend, PsdServer, ServerConfig};
+
+use common::all_engines;
 
 /// A deterministic "recorded arrival sequence": per-window arrivals,
 /// offered work and measured slowdowns as a live monitor would sweep
@@ -130,11 +135,11 @@ fn teardown(fe: HttpFrontend, server: Arc<PsdServer>) {
     Arc::try_unwrap(server).ok().expect("handlers drained").shutdown();
 }
 
-/// GET /metrics and GET/PUT /config on both engines: JSON snapshots,
+/// GET /metrics and GET/PUT /config on every engine: JSON snapshots,
 /// validation errors, and the epoch bump of a hot reconfiguration.
 #[test]
 fn admin_routes_serve_on_both_engines() {
-    for engine in [EngineKind::Threads, EngineKind::Reactor] {
+    for engine in all_engines() {
         let (fe, server) = start_frontend(
             engine,
             ServerConfig {
@@ -223,14 +228,14 @@ fn hot_reconfig_applies_at_a_window_boundary() {
     Arc::try_unwrap(server).ok().expect("sole owner").shutdown();
 }
 
-/// Admission shedding over HTTP on both engines: the shed response is
+/// Admission shedding over HTTP on every engine: the shed response is
 /// exactly `503` + `X-Shed: 1` + `Connection: close`, the protected
 /// class is never shed, and the shed counters land in the stats. The
 /// admission table is published directly (long control window keeps
 /// the monitor out of the way) so the test is deterministic.
 #[test]
 fn shed_responses_are_503_with_close_on_both_engines() {
-    for engine in [EngineKind::Threads, EngineKind::Reactor] {
+    for engine in all_engines() {
         let (fe, server) = start_frontend(
             engine,
             ServerConfig {

@@ -5,6 +5,8 @@
 //! thread count. Every uring case self-skips (with a note) on kernels
 //! that refuse io_uring, where the frontend would silently serve epoll.
 
+mod common;
+
 use std::io::{Read, Write};
 use std::net::TcpStream;
 use std::sync::Arc;
@@ -14,24 +16,7 @@ use psd_server::{
     EngineKind, FrontendConfig, HttpFrontend, PsdServer, SchedulerKind, ServerConfig,
 };
 
-/// The reactor backends testable on this kernel: always epoll, plus
-/// uring when the probe passes.
-fn reactor_backends() -> Vec<EngineKind> {
-    let mut v = vec![EngineKind::Reactor];
-    if psd_server::uring_available() {
-        v.push(EngineKind::Uring);
-    } else {
-        eprintln!("skipping uring cases: io_uring unavailable on this kernel");
-    }
-    v
-}
-
-/// All engines testable on this kernel (wire-parity suites).
-fn all_engines() -> Vec<EngineKind> {
-    let mut v = vec![EngineKind::Threads];
-    v.extend(reactor_backends());
-    v
-}
+use common::{all_engines, reactor_backends, read_response};
 
 fn cfg_for(engine: EngineKind) -> FrontendConfig {
     FrontendConfig { engine, ..FrontendConfig::default() }
@@ -44,30 +29,6 @@ fn quick_server(deltas: Vec<f64>) -> Arc<PsdServer> {
         work_unit: Duration::from_micros(100),
         ..ServerConfig::default()
     }))
-}
-
-fn read_response(s: &mut TcpStream) -> String {
-    let mut buf = [0u8; 4096];
-    let mut out = String::new();
-    loop {
-        match s.read(&mut buf) {
-            Ok(0) => break,
-            Ok(n) => {
-                out.push_str(std::str::from_utf8(&buf[..n]).expect("utf8 response"));
-                // One response per exchange; the body ends with '\n'
-                // and Content-Length framing means a complete head +
-                // body is readable once the final newline arrives.
-                if out.contains("\r\n\r\n") && out.ends_with('\n') && !out.ends_with("\r\n\r\n") {
-                    break;
-                }
-                if out.contains("Content-Length: 0\r\n") && out.contains("\r\n\r\n") {
-                    break;
-                }
-            }
-            Err(e) => panic!("read failed: {e}"),
-        }
-    }
-    out
 }
 
 #[test]

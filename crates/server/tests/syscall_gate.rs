@@ -16,12 +16,16 @@
 //! function — the harness would otherwise interleave other tests'
 //! syscalls into the window.
 
-use std::io::{Read, Write};
+mod common;
+
+use std::io::Write;
 use std::net::TcpStream;
 use std::sync::Arc;
 use std::time::Duration;
 
 use psd_server::{EngineKind, FrontendConfig, HttpFrontend, PsdServer, ServerConfig};
+
+use common::read_response;
 
 const REQUESTS: usize = 400;
 
@@ -32,25 +36,6 @@ fn quick_server() -> Arc<PsdServer> {
         work_unit: Duration::from_micros(50),
         ..ServerConfig::default()
     }))
-}
-
-fn read_response(s: &mut TcpStream) -> String {
-    let mut buf = [0u8; 4096];
-    let mut out = String::new();
-    loop {
-        match s.read(&mut buf) {
-            Ok(0) => break,
-            Ok(n) => {
-                out.push_str(std::str::from_utf8(&buf[..n]).expect("utf8"));
-                if out.contains("\r\n\r\n") && out.ends_with('\n') && !out.ends_with("\r\n\r\n") {
-                    break;
-                }
-            }
-            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
-            Err(e) => panic!("read failed: {e}"),
-        }
-    }
-    out
 }
 
 /// Serve `REQUESTS` keep-alive exchanges on `engine` and return the
