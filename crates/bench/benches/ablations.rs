@@ -1,16 +1,12 @@
 //! Benchmarks of the moving parts the ablations vary: the load
-//! estimator, the controller reallocation step, and the threaded
-//! server's dispatch under each proportional-share kernel.
-
-use std::sync::Arc;
-use std::time::Duration;
+//! estimator and the controller reallocation step. (The
+//! proportional-share kernels are compared in `schedulers.rs`.)
 
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
 use psd_core::controller::ControllerParams;
 use psd_core::estimator::LoadEstimator;
 use psd_core::PsdController;
 use psd_desim::{RateController, WindowObservation};
-use psd_server::{PsdServer, SchedulerKind, ServerConfig, Workload};
 
 fn bench_estimator(c: &mut Criterion) {
     let mut group = c.benchmark_group("estimator");
@@ -46,39 +42,5 @@ fn bench_controller_tick(c: &mut Criterion) {
     });
 }
 
-/// End-to-end dispatch latency of the threaded server per kernel: push
-/// N requests through a 1-worker server with near-zero service times.
-fn bench_server_kernels(c: &mut Criterion) {
-    let mut group = c.benchmark_group("server_dispatch");
-    group.sample_size(10);
-    for (name, kind) in [
-        ("wfq", SchedulerKind::Wfq),
-        ("stride", SchedulerKind::Stride),
-        ("drr", SchedulerKind::Drr(2.0)),
-        ("lottery", SchedulerKind::Lottery(7)),
-    ] {
-        group.bench_function(name, |b| {
-            b.iter(|| {
-                let server = Arc::new(PsdServer::start(ServerConfig {
-                    deltas: vec![1.0, 2.0],
-                    mean_cost: 1.0,
-                    scheduler: kind,
-                    workers: 1,
-                    work_unit: Duration::from_nanos(100),
-                    workload: Workload::Sleep,
-                    control_window: Duration::from_millis(50),
-                    estimator_history: 5,
-                    ..ServerConfig::default()
-                }));
-                for i in 0..200u64 {
-                    server.submit((i % 2) as usize, 1.0);
-                }
-                Arc::try_unwrap(server).ok().expect("sole owner").shutdown()
-            })
-        });
-    }
-    group.finish();
-}
-
-criterion_group!(benches, bench_estimator, bench_controller_tick, bench_server_kernels);
+criterion_group!(benches, bench_estimator, bench_controller_tick);
 criterion_main!(benches);

@@ -1,5 +1,5 @@
 //! Hot-path microbenches for the serving stack (`BENCH_hotpath`
-//! trajectory): HTTP codec parse throughput and dispatch-queue submit
+//! trajectory): HTTP codec parse throughput and task-server submit
 //! throughput — the two per-request costs every front-end engine pays
 //! before any scheduling policy runs.
 
@@ -56,32 +56,25 @@ fn bench_codec(c: &mut Criterion) {
 }
 
 fn bench_queue_submit(c: &mut Criterion) {
-    use psd_server::{PsdServer, SchedulerKind, ServerConfig, Workload};
+    use psd_server::{PsdServer, ServerConfig};
     use std::time::Duration;
 
     let mut group = c.benchmark_group("queue_submit");
-    // Submit+drain cycles through the full facade: arrival shard,
-    // dispatch (or wheel lane), execution, completion notification.
-    for (label, scheduler) in
-        [("wfq_pool", SchedulerKind::Wfq), ("rate_partition_wheel", SchedulerKind::RatePartition)]
-    {
-        group.bench_with_input(BenchmarkId::new("submit_sync", label), &scheduler, |b, &sched| {
-            let server = PsdServer::start(ServerConfig {
-                deltas: vec![1.0, 2.0],
-                workers: 2,
-                work_unit: Duration::from_micros(1),
-                scheduler: sched,
-                workload: Workload::Sleep,
-                control_window: Duration::from_secs(60),
-                ..ServerConfig::default()
-            });
-            b.iter(|| {
-                for i in 0..200 {
-                    black_box(server.submit_sync(i % 2, 1.0).expect("executes"));
-                }
-            });
+    // Submit+drain cycles through the full facade: lane, finish
+    // deadline, timer-thread fire, completion notification.
+    group.bench_function(BenchmarkId::new("submit_sync", "rate_partition_wheel"), |b| {
+        let server = PsdServer::start(ServerConfig {
+            deltas: vec![1.0, 2.0],
+            work_unit: Duration::from_micros(1),
+            control_window: Duration::from_secs(60),
+            ..ServerConfig::default()
         });
-    }
+        b.iter(|| {
+            for i in 0..200 {
+                black_box(server.submit_sync(i % 2, 1.0).expect("executes"));
+            }
+        });
+    });
     group.finish();
 }
 

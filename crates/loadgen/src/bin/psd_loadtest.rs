@@ -4,7 +4,7 @@
 //! ```text
 //! psd_loadtest [--scenario steady] [--duration 10s] [--warmup 3s]
 //!              [--connections 64] [--rate R] [--deltas 1,2]
-//!              [--workers W] [--engine threads|reactor|uring] [--shards N]
+//!              [--engine threads|reactor|uring] [--shards N]
 //!              [--controller open|feedback] [--gain G]
 //!              [--admission-cap C] [--work-unit-us U] [--seed N]
 //!              [--trace-sample P] [--obs-scrape DIR]
@@ -66,7 +66,6 @@ fn main() {
     let mut connections: Option<usize> = None;
     let mut rate: Option<f64> = None;
     let mut deltas: Option<Vec<f64>> = None;
-    let mut workers: Option<usize> = None;
     let mut engine: Option<EngineKind> = None;
     let mut shards: Option<usize> = None;
     let mut controller: Option<ControllerKind> = None;
@@ -120,14 +119,6 @@ fn main() {
                     die("deltas must be positive");
                 }
                 deltas = Some(parsed);
-            }
-            "--workers" => {
-                workers = Some(
-                    args.next()
-                        .and_then(|v| v.parse().ok())
-                        .filter(|&n| n >= 1)
-                        .unwrap_or_else(|| die("--workers needs a positive integer")),
-                );
             }
             "--engine" => {
                 engine = Some(
@@ -221,7 +212,7 @@ fn main() {
             "--help" | "-h" => {
                 println!(
                     "usage: psd_loadtest [--scenario NAME] [--duration 10s] [--warmup 3s] \
-                     [--connections N] [--rate R] [--deltas 1,2] [--workers W] \
+                     [--connections N] [--rate R] [--deltas 1,2] \
                      [--engine threads|reactor|uring] [--shards N] \
                      [--controller open|feedback] [--gain G] [--admission-cap C] \
                      [--work-unit-us U] [--control-window-ms M] [--seed N] \
@@ -288,9 +279,6 @@ fn main() {
             }
         }
         scenario.deltas = d;
-    }
-    if let Some(w) = workers {
-        scenario.server.workers = w;
     }
     if let Some(e) = engine {
         scenario.server.engine = e;

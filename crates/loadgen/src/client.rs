@@ -193,7 +193,6 @@ mod tests {
     fn tiny_server() -> (HttpFrontend, Arc<PsdServer>) {
         let server = Arc::new(PsdServer::start(ServerConfig {
             deltas: vec![1.0, 2.0],
-            workers: 2,
             ..ServerConfig::default()
         }));
         let fe = HttpFrontend::start("127.0.0.1:0", Arc::clone(&server), 1.0).expect("bind");

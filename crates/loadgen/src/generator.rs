@@ -213,6 +213,15 @@ fn pick_class(weights: &[f64], rng: &mut Xoshiro256pp) -> usize {
     weights.len() - 1
 }
 
+/// Latency of an open-loop exchange sent at `sent` and answered at
+/// `done` (all offsets from the run start): measured from the intended
+/// instant when the send ran late (coordinated-omission corrected), and
+/// from the actual send when compensated pacing woke early — a reply
+/// cannot be faster than the request that caused it.
+fn open_loop_latency(intended: Duration, sent: Duration, done: Duration) -> Duration {
+    done.saturating_sub(sent.min(intended))
+}
+
 /// Record one finished exchange into `c`. A 2xx response counts even
 /// when the server announced `Connection: close` alongside it; `at` is
 /// the request's time since run start (intended instant in open loop),
@@ -340,7 +349,7 @@ fn run_open(addr: SocketAddr, scenario: &Scenario) -> std::io::Result<GenStats> 
     let warmup = scenario.warmup;
 
     // Connection workers: pace each job to its intended instant, then
-    // measure from that instant (coordinated-omission corrected).
+    // measure from it (see `open_loop_latency`).
     let mut handles = Vec::with_capacity(scenario.connections);
     for _ in 0..scenario.connections {
         let queue = Arc::clone(&queue);
@@ -356,10 +365,11 @@ fn run_open(addr: SocketAddr, scenario: &Scenario) -> std::io::Result<GenStats> 
                 // arrival late and shave the offered rate at exactly
                 // the high-rate operating points under test.
                 psd_server::timing::sleep_until(start + job.intended);
+                let sent = start.elapsed();
                 let c = &mut counters[job.class];
                 c.sent += 1;
                 let outcome = conn.exchange(job.class, job.cost);
-                let latency = start.elapsed().saturating_sub(job.intended);
+                let latency = open_loop_latency(job.intended, sent, start.elapsed());
                 record(c, &outcome, latency, job.intended, warmup);
                 if let Some(died) = settle_connection(&mut conn, addr, &outcome) {
                     return (counters, died);
@@ -487,6 +497,18 @@ fn run_closed(
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn early_send_latency_is_measured_from_the_send() {
+        let us = Duration::from_micros;
+        // Pacing woke 100 µs early and the reply beat the intended
+        // instant: 60 µs on the wire, not a clamped zero.
+        assert_eq!(open_loop_latency(us(10_000), us(9_900), us(9_960)), us(60));
+        // Early send, reply after the intended instant: still from the send.
+        assert_eq!(open_loop_latency(us(10_000), us(9_900), us(10_050)), us(150));
+        // Late send: the backlog the client itself caused is charged.
+        assert_eq!(open_loop_latency(us(10_000), us(12_000), us(12_200)), us(2_200));
+    }
 
     #[test]
     fn pick_class_follows_weights() {

@@ -20,7 +20,7 @@ use std::time::Duration;
 use psd_dist::arrival::{ArrivalProcess, Mmpp2, PoissonProcess, StepPoisson};
 use psd_dist::rng::Xoshiro256pp;
 use psd_dist::{BoundedPareto, ServiceDist};
-use psd_server::{ControllerKind, EngineKind, SchedulerKind, ServerConfig, Workload};
+use psd_server::{ControllerKind, EngineKind, ServerConfig, Workload};
 
 /// Piecewise-constant-rate Poisson process: segment `i` holds
 /// `rates[i]` until absolute time `ends[i]`; the last rate holds
@@ -198,15 +198,10 @@ pub struct ClassMix {
 /// How the in-process server under test is configured.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ServerProfile {
-    /// Worker threads (rate-partition mode needs ≥ the class count;
-    /// `PsdServer::start` raises it if necessary).
-    pub workers: usize,
     /// Wall-clock duration of one work unit.
     pub work_unit: Duration,
     /// Spin or sleep execution.
     pub workload: Workload,
-    /// Dispatch discipline.
-    pub scheduler: SchedulerKind,
     /// Monitor window for the online PSD allocator.
     pub control_window: Duration,
     /// Estimator history in windows.
@@ -236,16 +231,14 @@ pub struct ServerProfile {
 
 impl Default for ServerProfile {
     fn default() -> Self {
-        // Rate-partition dispatch (the paper's task-server architecture,
-        // the regime Eq. 17 controls exactly), sleep workload: accurate
+        // Sleep workload on the server's rate-partitioned task servers
+        // (the regime Eq. 17 controls exactly): accurate
         // on one core, since sleeping burns no cycles the generator
         // needs, and the sub-millisecond work unit keeps the machine
         // rate ≈1410 req/s at the default mix's ≈1.18-unit mean cost.
         Self {
-            workers: 2,
             work_unit: Duration::from_micros(600),
             workload: Workload::Sleep,
-            scheduler: SchedulerKind::RatePartition,
             control_window: Duration::from_millis(500),
             estimator_history: 5,
             engine: EngineKind::Threads,
@@ -458,10 +451,6 @@ impl Scenario {
         ServerConfig {
             deltas: self.deltas.clone(),
             mean_cost,
-            scheduler: self.server.scheduler,
-            // Rate-partition mode floors this to the class count itself
-            // (one runnable thread per serial virtual task server).
-            workers: self.server.workers,
             work_unit: self.server.work_unit,
             workload: self.server.workload,
             control_window: self.server.control_window,

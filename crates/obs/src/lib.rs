@@ -18,8 +18,8 @@
 //! 2. **Prometheus text exposition** ([`prom`], [`hist`], [`stats`]) —
 //!    a hand-rolled 0.0.4 writer (HELP/TYPE, label escaping,
 //!    log-bucket histograms with cumulative `le` buckets) plus the
-//!    relaxed-atomic internals counters it publishes: timer-wheel
-//!    cascades, reactor loop stats, admission draws vs sheds.
+//!    relaxed-atomic internals counters it publishes: timer-thread
+//!    fires, reactor loop stats, admission draws vs sheds.
 //! 3. **Control-decision flight recorder** ([`flight`]) — a bounded
 //!    ring of `ControlTrace { observation, directive, internals }`
 //!    records shared by the server monitor and the desim engine,

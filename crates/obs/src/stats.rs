@@ -1,5 +1,5 @@
 //! Relaxed-atomic counters for internals that were previously
-//! invisible: timer-wheel cascade/fire activity, per-shard reactor
+//! invisible: timer-thread wake/fire activity, per-shard reactor
 //! loop behaviour, and admission draws vs sheds. The hot paths bump
 //! plain `AtomicU64`s (wait-free, no allocation); scrapes read them
 //! relaxed — each counter is independently consistent, which is all an
@@ -7,7 +7,7 @@
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
-/// Timer-wheel activity counters (occupancy is the executor's
+/// Timer-thread activity counters (occupancy is the executor's
 /// in-flight count, reported alongside by the host).
 #[derive(Debug, Default)]
 pub struct WheelStats {
@@ -15,7 +15,8 @@ pub struct WheelStats {
     pub wakeups: AtomicU64,
     /// Virtual-finish deadlines fired.
     pub fires: AtomicU64,
-    /// Entries re-homed from an outer wheel level into a finer one.
+    /// Always 0: the deadline queue that replaced the hierarchical wheel
+    /// has no levels to cascade between. `benchmark/` reads the field.
     pub cascades: AtomicU64,
     /// Deadlines scheduled (including service-start reschedules).
     pub scheduled: AtomicU64,

@@ -3,7 +3,7 @@
 //! | route | method | semantics |
 //! |---|---|---|
 //! | `/metrics` | `GET` | JSON snapshot: controller kind, epochs, published rates & admission probabilities, per-class completed/shed/backlog/mean-slowdown |
-//! | `/metrics/prometheus` | `GET` | the same signals plus engine internals (timer wheel, reactor shards, admission door, latency histograms) in Prometheus text format 0.0.4 |
+//! | `/metrics/prometheus` | `GET` | the same signals plus engine internals (timer thread, reactor shards, admission door, latency histograms) in Prometheus text format 0.0.4 |
 //! | `/config`  | `GET` | JSON view of the epoch-stamped class table |
 //! | `/config`  | `PUT`/`POST` | hot reconfiguration via query parameters |
 //! | `/healthz` | `GET` | liveness: engine, shard count, uptime, epochs |
@@ -244,7 +244,7 @@ fn trace_json(server: &PsdServer, req: &HttpRequest) -> String {
 
 /// Render the whole Prometheus exposition: control plane, per-class
 /// service stats, latency histograms, and the engine internals that
-/// the JSON `/metrics` never carried (timer-wheel cascade activity,
+/// the JSON `/metrics` never carried (timer-thread activity,
 /// per-shard reactor loop behaviour, admission door counters).
 fn prom_text(server: &PsdServer, info: &AdminInfo<'_>) -> String {
     let control = server.control();
@@ -316,13 +316,11 @@ fn prom_text(server: &PsdServer, info: &AdminInfo<'_>) -> String {
 
     if let Some((wheel, in_flight)) = server.wheel_stats() {
         use std::sync::atomic::Ordering::Relaxed;
-        w.help("psd_wheel_wakeups_total", "counter", "Timer-wheel thread wakeups.");
+        w.help("psd_wheel_wakeups_total", "counter", "Timer thread wakeups.");
         w.sample("psd_wheel_wakeups_total", &[], wheel.wakeups.load(Relaxed) as f64);
         w.help("psd_wheel_fires_total", "counter", "Virtual-finish deadlines fired.");
         w.sample("psd_wheel_fires_total", &[], wheel.fires.load(Relaxed) as f64);
-        w.help("psd_wheel_cascades_total", "counter", "Entries cascaded between wheel levels.");
-        w.sample("psd_wheel_cascades_total", &[], wheel.cascades.load(Relaxed) as f64);
-        w.help("psd_wheel_scheduled_total", "counter", "Deadlines scheduled on the wheel.");
+        w.help("psd_wheel_scheduled_total", "counter", "Finish deadlines scheduled.");
         w.sample("psd_wheel_scheduled_total", &[], wheel.scheduled.load(Relaxed) as f64);
         w.help("psd_wheel_in_flight", "gauge", "Requests accepted and not yet fired.");
         w.sample("psd_wheel_in_flight", &[], in_flight as f64);

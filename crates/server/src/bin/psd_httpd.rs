@@ -1,7 +1,9 @@
-//! `psd_httpd` — a runnable PSD-scheduled HTTP-lite server.
+//! `psd_httpd` — a runnable PSD-scheduled HTTP-lite server: one
+//! rate-partitioned task server per class (paper Fig. 1) behind a
+//! selectable front-end engine.
 //!
 //! ```text
-//! psd_httpd [--addr 127.0.0.1:8080] [--deltas 1,2,4] [--workers 1]
+//! psd_httpd [--addr 127.0.0.1:8080] [--deltas 1,2,4]
 //!           [--work-unit-us 300] [--default-cost 1.0] [--spin]
 //!           [--engine threads|reactor|uring] [--shards N]
 //!           [--controller open|feedback] [--gain G] [--admission-cap C]
@@ -10,7 +12,10 @@
 //! Requests are classified by URL (`/class0/...`, `/premium/...`) or an
 //! `X-Class` header; `?cost=2.5` sets the work amount. Responses carry
 //! `X-Delay-Us` and `X-Slowdown` headers. HTTP/1.1 connections are
-//! kept alive.
+//! kept alive. Class `i` executes one request at a time at its
+//! allocated rate `r_i` (service stretched by `1/r_i`): as a finish
+//! deadline on one timer thread by default, or burning CPU on the
+//! class's own thread with `--spin`.
 //!
 //! `--engine threads` (default) serves one blocking thread per
 //! connection; `--engine reactor` multiplexes connections over
@@ -36,7 +41,7 @@
 //!
 //! With `--duration-s N` the server runs for N seconds and then drains
 //! gracefully — stop accepting, finish in-flight requests, join the
-//! worker pool via `PsdServer::shutdown()` — and prints final per-class
+//! task servers via `PsdServer::shutdown()` — and prints final per-class
 //! statistics. Without it the accept loop runs until Ctrl-C (no drain).
 
 use std::sync::Arc;
@@ -49,7 +54,6 @@ use psd_server::{
 fn main() {
     let mut addr = "127.0.0.1:8080".to_string();
     let mut deltas = vec![1.0, 2.0, 4.0];
-    let mut workers = 1usize;
     let mut work_unit_us = 300u64;
     let mut default_cost = 1.0f64;
     let mut workload = Workload::Sleep;
@@ -74,12 +78,6 @@ fn main() {
                 if deltas.is_empty() {
                     die("need at least one delta");
                 }
-            }
-            "--workers" => {
-                workers = args
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .unwrap_or_else(|| die("--workers needs a positive integer"));
             }
             "--work-unit-us" => {
                 work_unit_us = args
@@ -157,7 +155,7 @@ fn main() {
             }
             "--help" | "-h" => {
                 println!(
-                    "usage: psd_httpd [--addr A] [--deltas 1,2,4] [--workers N] \
+                    "usage: psd_httpd [--addr A] [--deltas 1,2,4] \
                      [--work-unit-us U] [--default-cost C] [--spin] \
                      [--engine threads|reactor|uring] [--shards N] \
                      [--controller open|feedback] [--gain G] [--admission-cap C] \
@@ -174,7 +172,6 @@ fn main() {
     let server = Arc::new(PsdServer::start(ServerConfig {
         deltas: deltas.clone(),
         mean_cost: default_cost,
-        workers,
         work_unit: Duration::from_micros(work_unit_us),
         workload,
         controller,
@@ -197,13 +194,14 @@ fn main() {
     .unwrap_or_else(|e| die(&format!("cannot bind {addr}: {e}")));
     eprintln!(
         "psd_httpd listening on {} — {} engine ({shards} shard(s)), {} classes \
-         (deltas {deltas:?}), {} controller{}, {workers} worker(s), \
+         (deltas {deltas:?}), {} controller{}, rate partition ({}), \
          {work_unit_us}µs/work-unit, ≤{max_connections} connections",
         frontend.addr(),
         engine.as_str(),
         deltas.len(),
         controller.as_str(),
-        admission_cap.map(|c| format!(" (admission cap {c})")).unwrap_or_default()
+        admission_cap.map(|c| format!(" (admission cap {c})")).unwrap_or_default(),
+        if workload == Workload::Spin { "spin" } else { "sleep" }
     );
     eprintln!("try: curl 'http://{}/class0/hello?cost=2'", frontend.addr());
 

@@ -86,7 +86,6 @@ mod tests {
     fn server(deltas: Vec<f64>) -> Arc<PsdServer> {
         Arc::new(PsdServer::start(ServerConfig {
             deltas,
-            workers: 2,
             work_unit: Duration::from_micros(100),
             ..ServerConfig::default()
         }))

@@ -10,7 +10,7 @@
 //!   the request. Simple, and fine up to a few dozen connections.
 //! * [`EngineKind::Reactor`] — the sharded event loop of
 //!   [`crate::reactor`] on its epoll driver: all connections
-//!   multiplexed on a few threads, PSD workers reply through a
+//!   multiplexed on a few threads, task servers reply through a
 //!   completion mailbox + poller wakeup. Hundreds of keep-alive
 //!   connections cost file descriptors, not threads.
 //! * [`EngineKind::Uring`] — the same loop on its io_uring driver,

@@ -1,15 +1,14 @@
-//! # psd-server — a multi-threaded Internet server with PSD scheduling
+//! # psd-server — an Internet server with PSD rate allocation
 //!
 //! The paper's *task server* is "an abstract concept … a child process
 //! in a multi-process server, or a thread in a multi-thread server"
-//! (§1). This crate realizes that abstraction: a real request server
-//! whose dispatch order is driven by a proportional-share scheduler
-//! from [`psd_propshare`], with weights produced online by the PSD rate
-//! allocator from [`psd_core`].
+//! (§1), one per class, running at its allocated rate `r_i` (Fig. 1).
+//! This crate realizes exactly that and nothing else: one serial
+//! rate-partitioned task server per class, with the rates produced
+//! online by the PSD rate allocator from [`psd_core`].
 //!
 //! Architecture (mirrors paper Fig. 1, with three selectable front-end
-//! engines feeding the same dispatch core through one routing function,
-//! and two execution engines behind it):
+//! engines feeding the task servers through one routing function):
 //!
 //! ```text
 //!  clients / TCP                  front-end engines (FrontendConfig::engine)
@@ -41,19 +40,18 @@
 //!             │        (psd_core::control: open Eq.17 | feedback,       │
 //!             │         × Admitting cap — the same objects desim runs)  │
 //!             │      → ControlDirective { rates, admit_probability }    │
-//!             │        rates → engine weights; admission + epoch →      │
+//!             │        rates → lane shares; admission + epoch →         │
 //!             │        SharedControl (lock-free submit-path tables)     │
-//!             │  Sleep × RatePartition:      everything else:           │
-//!             │  ┌────────────────────────┐  ┌───────────────────────┐  │
-//!             │  │ timer-wheel virtual    │  │ per-class arrival     │  │
-//!             │  │ task servers (wheel.rs)│  │ shards → dispatch     │  │
-//!             │  │ per-class deadline     │  │ core (ProportionalS.  │  │
-//!             │  │ chains, 0 blocked      │  │ | rate partition) →   │  │
-//!             │  │ threads, 50 µs ticks   │  │ worker pool           │  │
-//!             │  └────────────────────────┘  └───────────────────────┘  │
-//!             │  both: record delay/slowdown into per-executor metric   │
-//!             │  shards (swept per window AND at snapshot), deliver     │
-//!             │  CompletionNotify                                       │
+//!             │  task servers (queues.rs lanes, executed by wheel.rs):  │
+//!             │  ┌───────────────────────────────────────────────────┐  │
+//!             │  │ lane[class]: share r_i · FIFO · busy              │  │
+//!             │  │ one request per class in service, stretched 1/r_i │  │
+//!             │  │   Sleep: finish deadline → one timer thread       │  │
+//!             │  │   Spin:  the class's own thread burns the time    │  │
+//!             │  └───────────────────────────────────────────────────┘  │
+//!             │  finish: record delay/slowdown into the executor's      │
+//!             │  metric shard (swept per window AND at snapshot),       │
+//!             │  deliver CompletionNotify, start the lane's next        │
 //!             └──────────────────────────┬──────────────────────────────┘
 //!                                        │ psd-obs (allocation-free)
 //!             ┌──────────────────────────▼──────────────────────────────┐
@@ -68,41 +66,28 @@
 //! ```
 //!
 //! Requests carry a *cost* (work units), scaled by a configurable
-//! work-unit duration so tests stay fast. CPU-bound (`Spin`) work
-//! executes on the worker pool; I/O-like (`Sleep`) work under the
-//! paper's rate partition is pure *waiting*, so it completes on the
-//! hashed hierarchical timer wheel instead — no thread blocks per
-//! in-service request and in-service concurrency is not bounded by
-//! `workers`.
+//! work-unit duration so tests stay fast. A class executes one request
+//! at a time for `cost × work_unit / r_i`: under [`Workload::Sleep`]
+//! that is pure waiting — a finish deadline fired by one timer thread,
+//! no thread blocked per request — and under [`Workload::Spin`] the
+//! class's own thread burns it on a CPU.
 //!
 //! # Performance
 //!
-//! The wheel + sharded reactor + allocation-light request path (pooled
-//! codec/write buffers, in-place head parsing, direct-write responses,
-//! per-executor metrics shards) move the 5 s steady `psd_loadtest`
-//! smoke on one core from **5141 sent / ~1031 req/s** (PR 3, threads
-//! or single-loop reactor, offered-load-limited at its stable
-//! operating point) to **10977 sent / ~2172 req/s** (reactor ×2
-//! shards, 250 µs work units, 2200 req/s offered), and the io_uring
-//! engine doubles the hot path again: **24137 sent / ~4850 req/s**
-//! (uring ×2 shards, 125 µs work units, 4800 req/s offered) — each
-//! step with 0 errors and the achieved S1/S0 slowdown ratio within
-//! the ±20 % band of the configured δ1/δ0 = 2. See
-//! `BENCH_hotpath.json` / `BENCH_uring.json` in CI and the committed
-//! reference runs in `benches/baselines/`. The uring engine gets
-//! there on **half the I/O-plane syscalls per request** (4.0 vs 8.0,
-//! metered by `polling::count`, exported as
-//! `psd_reactor_syscalls_total` and pinned strictly below epoll by
-//! `tests/syscall_gate.rs`): per-connection reads, response writes,
-//! the multishot accept and the PSD completion doorbell all ride one
-//! batched `io_uring_enter` per loop iteration, with payloads in a
-//! registered fixed-buffer pool (128 slots/shard, heap spill above).
-//! Steady-state request handling performs ~3 heap allocations end to
-//! end (`tests/reactor_alloc.rs` pins this with a counting
+//! What a request costs end to end, and per layer, is measured by the
+//! standalone `benchmark/` crate (see its README); nothing here is a
+//! claim beyond what it reports. Two structural numbers are pinned by
+//! tests in this crate: the io_uring driver spends **half the I/O-plane
+//! syscalls per request** of the epoll driver (4.0 vs 8.0, metered by
+//! `polling::count`, exported as `psd_reactor_syscalls_total`, gated by
+//! `tests/syscall_gate.rs`) because reads, writes, the multishot accept
+//! and the completion doorbell ride one batched `io_uring_enter` per
+//! loop turn; and steady-state request handling performs ~3 heap
+//! allocations end to end (`tests/reactor_alloc.rs`, counting
 //! allocator).
 //!
 //! ```no_run
-//! use psd_server::{PsdServer, ServerConfig, SchedulerKind};
+//! use psd_server::{PsdServer, ServerConfig};
 //!
 //! let cfg = ServerConfig { deltas: vec![1.0, 2.0], ..ServerConfig::default() };
 //! let server = PsdServer::start(cfg);
@@ -127,8 +112,9 @@
 //! served by every engine ahead of classification; see `admin` and
 //! [`SharedControl`]. Request tracing, Prometheus exposition and the
 //! control-decision flight recorder come from the dependency-free
-//! `psd-obs` crate; the timer-wheel execution engine lives in `wheel`
-//! (internal), the shared sleep-overshoot calibration in [`timing`].
+//! `psd-obs` crate; the task servers live in `queues` (the lanes) and
+//! `wheel` (their execution), both internal, and the shared
+//! sleep-overshoot calibration in [`timing`].
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]

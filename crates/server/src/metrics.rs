@@ -1,16 +1,10 @@
 //! Measured per-class statistics of the server, accumulated
-//! **share-nothing**: every executor (worker thread, timer-wheel
-//! thread) registers its own [`MetricsRecorder`] shard and records
-//! completions into it without ever contending with another thread.
-//!
-//! The old design put one `Mutex<ClassAccum>` per *class*, so every
-//! completion of a class serialized all workers (and the reactor's
-//! completion callbacks) on the same lock — measurable at hundreds of
-//! thousands of completions per second. Now the lock is per *recorder*
-//! (one owner thread → always uncontended, a parking_lot fast-path
-//! CAS), and [`MetricsSink::snapshot`] sweeps the shards — the same
-//! sweep-at-the-control-window pattern the dispatch queue uses for
-//! arrivals.
+//! **share-nothing**: every executor thread (the timer thread, or each
+//! class's spinning thread) registers its own [`MetricsRecorder`] shard
+//! and records completions into it without ever contending with
+//! another thread: the lock is per *recorder* (one owner thread →
+//! always uncontended), and [`MetricsSink::snapshot`] sweeps the
+//! shards.
 
 use parking_lot::Mutex;
 use std::sync::Arc;

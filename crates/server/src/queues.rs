@@ -1,68 +1,52 @@
-//! The shared dispatch core, connecting submitters (clients) to the
-//! worker pool. Two dispatch disciplines:
+//! The rate-partition discipline: one [`Lane`] per class, the paper's
+//! *serial* virtual task server (Fig. 1) with everything but the clock.
 //!
-//! * **Shared pool** — a work-conserving proportional-share scheduler
-//!   ([`psd_propshare`]) orders one global dispatch queue; workers
-//!   execute at full machine speed.
-//! * **Rate partition** — the paper's Fig. 1 architecture: one *serial*
-//!   virtual task server per class, each running at its allocated
-//!   fraction `r_i` of the machine rate. At most one request per class
-//!   is in service, and its execution is stretched by `1/r_i`, so each
-//!   class behaves as an independent M/G/1 at rate `r_i` — the regime
-//!   Eq. 17 was derived for. Non-work-conserving by design: spare
-//!   capacity of an idle class is *not* donated, which is exactly what
-//!   keeps the slowdown ratios pinned to the δ's.
+//! Each class runs at its allocated fraction `r_i` of the machine rate.
+//! At most one request per class is in service and its execution is
+//! stretched by `1/r_i`, so each class is an independent M/G/1 at rate
+//! `r_i` — the regime Eq. 17 was derived for. Non-work-conserving by
+//! design: spare capacity of an idle class is *not* donated, which is
+//! exactly what keeps the slowdown ratios pinned to the δ's.
 //!
-//! # Sharded arrivals
-//!
-//! Submitters do not touch the dispatch lock. Each class owns a staging
-//! shard (its own tiny mutex + FIFO); [`DispatchQueue::push`] appends
-//! to the request's class shard and only rings the dispatch condvar
-//! when a worker is actually asleep. Workers sweep every shard into the
-//! scheduler core under the single dispatch lock right before picking
-//! the next request, so discipline order is unchanged while the
-//! submit path — the one the reactor thread and hundreds of connection
-//! handlers hammer concurrently — never serializes on the dispatcher.
+//! A lane is the share (read lock-free at service start), the FIFO
+//! behind the in-service head, and a `busy` flag. [`Lanes::submit`]
+//! either queues a request or tells the caller to start it;
+//! [`Lanes::finish`] hands back the next one or idles the lane. That is
+//! the whole discipline; [`crate::wheel`] supplies the time.
 
-use std::collections::{HashMap, VecDeque};
-use std::mem;
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::collections::VecDeque;
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::time::Instant;
 
 use crossbeam::channel::Sender;
-use parking_lot::{Condvar, Mutex};
-use psd_propshare::{ProportionalScheduler, WorkItem};
+use parking_lot::Mutex;
 
 use crate::server::Completion;
 
-/// Shares below this floor are clamped before the `1/r` stretch
-/// (shared with the timer-wheel virtual task servers in
-/// [`crate::wheel`], which apply the same stretch without a worker).
-pub(crate) const MIN_SHARE: f64 = 1e-6;
+/// Shares below this floor are clamped before the `1/r` stretch.
+const MIN_SHARE: f64 = 1e-6;
 
-/// Ceiling on the rate-partition execution stretch: a class whose
-/// estimated load decays to the allocator's rate floor must still run
-/// at ≥1% of the machine rate, or its serial virtual server wedges for
-/// longer than every drain/client timeout on the first request after
-/// the lull.
-pub(crate) const MAX_STRETCH: f64 = 100.0;
+/// Ceiling on the execution stretch: a class whose estimated load
+/// decays to the allocator's rate floor must still run at ≥1% of the
+/// machine rate, or its serial server wedges for longer than every
+/// drain/client timeout on the first request after the lull.
+const MAX_STRETCH: f64 = 100.0;
 
 /// How a completed execution is reported back to the submitter.
-pub enum CompletionNotify {
+pub(crate) enum CompletionNotify {
     /// Fire-and-forget: nobody is waiting.
     None,
     /// A blocked synchronous submitter ([`crate::PsdServer::submit_sync`]).
     Channel(Sender<Completion>),
-    /// An event-driven submitter: the worker invokes the callback on
-    /// its own thread — the reactor uses this to post the completion
-    /// into its mailbox and ring its poller, instead of parking a whole
+    /// An event-driven submitter: the executing thread invokes the
+    /// callback — the reactor uses this to post the completion into its
+    /// mailbox and ring its poller, instead of parking a whole
     /// connection thread per in-flight request.
     Callback(Box<dyn FnOnce(Completion) + Send>),
 }
 
 impl CompletionNotify {
-    /// Deliver `done` to whoever is waiting (no-op for `None`).
-    pub fn deliver(self, done: Completion) {
+    pub(crate) fn deliver(self, done: Completion) {
         match self {
             CompletionNotify::None => {}
             CompletionNotify::Channel(tx) => {
@@ -73,451 +57,255 @@ impl CompletionNotify {
     }
 }
 
-impl std::fmt::Debug for CompletionNotify {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(match self {
-            CompletionNotify::None => "None",
-            CompletionNotify::Channel(_) => "Channel",
-            CompletionNotify::Callback(_) => "Callback",
-        })
-    }
-}
-
 /// A request queued for execution.
-#[derive(Debug)]
-pub struct QueuedRequest {
-    /// Class index.
-    pub class: usize,
+pub(crate) struct QueuedRequest {
+    /// Class index (clamped to the last class on submit).
+    pub(crate) class: usize,
     /// Work units to execute.
-    pub cost: f64,
+    pub(crate) cost: f64,
     /// Enqueue instant (queueing delay is measured from here).
-    pub enqueued: Instant,
+    pub(crate) enqueued: Instant,
     /// Completion notification for the submitter.
-    pub notify: CompletionNotify,
+    pub(crate) notify: CompletionNotify,
 }
 
-/// A dispatched request plus its execution-time multiplier.
-#[derive(Debug)]
-pub struct Dispatched {
-    /// The request to execute.
-    pub req: QueuedRequest,
-    /// Execution stretch factor: `1.0` in shared-pool mode, `1/r_c` in
-    /// rate-partition mode (the class's virtual server runs at `r_c` ×
-    /// the machine rate).
-    pub stretch: f64,
+/// One class's serial virtual server.
+struct Lane {
+    /// `r_i` as f64 bits; read without any lock at service start.
+    share: AtomicU64,
+    queue: Mutex<LaneQueue>,
 }
 
-enum Core {
-    Shared {
-        scheduler: Box<dyn ProportionalScheduler + Send>,
-        /// Sidecar payloads: the scheduler tracks (id, cost); we map id
-        /// to the full request. Entries are removed on dispatch.
-        payloads: HashMap<u64, QueuedRequest>,
-        next_id: u64,
-    },
-    Paced {
-        fifos: Vec<VecDeque<QueuedRequest>>,
-        /// Normalized rate shares `r_i` (sum ≈ 1).
-        shares: Vec<f64>,
-        /// Whether class `i`'s serial virtual server is busy.
-        in_service: Vec<bool>,
-    },
-}
-
-/// One class's staging FIFO — the only lock a submitter takes.
 #[derive(Default)]
-struct Shard {
-    staged: Mutex<VecDeque<QueuedRequest>>,
+struct LaneQueue {
+    /// Requests waiting behind the in-service head.
+    fifo: VecDeque<QueuedRequest>,
+    /// Whether a request of this class is in service.
+    busy: bool,
 }
 
-/// MPMC dispatch queue with proportional-share or rate-partitioned
-/// ordering and per-class sharded arrival staging.
-pub struct DispatchQueue {
-    shards: Vec<Shard>,
-    dispatch: Mutex<Core>,
-    ready: Condvar,
-    /// Requests pushed but not yet handed to a worker (staged or in the
-    /// core). `closed && queued == 0` is the drained condition.
-    queued: AtomicUsize,
-    /// Workers parked on `ready` — lets `push` skip the dispatch lock
-    /// entirely when everyone is busy executing.
-    sleepers: AtomicUsize,
-    /// Bumped on every push / completion / close, so a worker that
-    /// raced a wakeup can detect it before parking.
-    stamp: AtomicUsize,
+/// What [`Lanes::submit`] did with a request.
+pub(crate) enum Submitted {
+    /// The lanes are closed; the request was dropped.
+    Rejected,
+    /// Its class is busy; it waits in the FIFO.
+    Queued,
+    /// Its class was idle and is now busy: the caller starts service.
+    Start(QueuedRequest),
+}
+
+/// Every class's lane plus the drain bookkeeping. No clock, no thread.
+pub(crate) struct Lanes {
+    lanes: Vec<Lane>,
     closed: AtomicBool,
-    /// Immutable mode flag, readable without any lock.
-    paced: bool,
+    /// Requests accepted and not yet finished (queued or in service);
+    /// an occupancy gauge — draining is decided by [`Lanes::drained`].
+    in_flight: AtomicUsize,
 }
 
-impl DispatchQueue {
-    /// Work-conserving shared pool over a proportional scheduler.
-    pub fn new(scheduler: Box<dyn ProportionalScheduler + Send>) -> Self {
-        let n = scheduler.num_classes();
-        Self {
-            shards: (0..n).map(|_| Shard::default()).collect(),
-            dispatch: Mutex::new(Core::Shared { scheduler, payloads: HashMap::new(), next_id: 0 }),
-            ready: Condvar::new(),
-            queued: AtomicUsize::new(0),
-            sleepers: AtomicUsize::new(0),
-            stamp: AtomicUsize::new(0),
-            closed: AtomicBool::new(false),
-            paced: false,
-        }
-    }
-
-    /// Rate-partitioned dispatch over `n` classes, starting from an
-    /// even split.
-    pub fn new_paced(n: usize) -> Self {
+impl Lanes {
+    /// `n` idle lanes at an even rate split.
+    pub(crate) fn new(n: usize) -> Self {
         assert!(n >= 1, "at least one class");
+        let even = (1.0 / n as f64).to_bits();
         Self {
-            shards: (0..n).map(|_| Shard::default()).collect(),
-            dispatch: Mutex::new(Core::Paced {
-                fifos: (0..n).map(|_| VecDeque::new()).collect(),
-                shares: vec![1.0 / n as f64; n],
-                in_service: vec![false; n],
-            }),
-            ready: Condvar::new(),
-            queued: AtomicUsize::new(0),
-            sleepers: AtomicUsize::new(0),
-            stamp: AtomicUsize::new(0),
+            lanes: (0..n)
+                .map(|_| Lane {
+                    share: AtomicU64::new(even),
+                    queue: Mutex::new(LaneQueue::default()),
+                })
+                .collect(),
             closed: AtomicBool::new(false),
-            paced: true,
+            in_flight: AtomicUsize::new(0),
         }
     }
 
-    /// Enqueue a request onto its class shard; wakes one worker if any
-    /// is parked. Returns `false` if the queue is already closed.
-    pub fn push(&self, req: QueuedRequest) -> bool {
-        let class = req.class.min(self.shards.len() - 1);
-        {
-            // The closed check lives under the shard lock: `close`
-            // flips the flag and then passes through every shard lock,
-            // so a push that saw `closed == false` here has its item
-            // visible to the final drain.
-            let mut staged = self.shards[class].staged.lock();
-            if self.closed.load(Ordering::SeqCst) {
-                return false;
-            }
-            staged.push_back(req);
+    /// Accept `req` into its class's lane (an out-of-range class lands
+    /// in the last one).
+    pub(crate) fn submit(&self, mut req: QueuedRequest) -> Submitted {
+        req.class = req.class.min(self.lanes.len() - 1);
+        let mut q = self.lanes[req.class].queue.lock();
+        // Checked under the lane lock: an executor that reads the flag
+        // set and then finds this lane idle (see `drained`) knows no
+        // submit slipped in between.
+        if self.closed.load(Ordering::SeqCst) {
+            return Submitted::Rejected;
         }
-        self.queued.fetch_add(1, Ordering::SeqCst);
-        self.stamp.fetch_add(1, Ordering::SeqCst);
-        if self.sleepers.load(Ordering::SeqCst) > 0 {
-            // Taking (and dropping) the dispatch lock orders this
-            // notify after any in-progress park decision, closing the
-            // lost-wakeup window the sharded fast path opens.
-            drop(self.dispatch.lock());
-            self.ready.notify_one();
-        }
-        true
-    }
-
-    /// Sweep every shard's staged arrivals into the discipline core.
-    /// Caller holds the dispatch lock.
-    fn collect(&self, core: &mut Core) {
-        for (class, shard) in self.shards.iter().enumerate() {
-            let mut staged = {
-                let mut g = shard.staged.lock();
-                if g.is_empty() {
-                    continue;
-                }
-                mem::take(&mut *g)
-            };
-            match core {
-                Core::Shared { scheduler, payloads, next_id } => {
-                    for req in staged.drain(..) {
-                        let id = *next_id;
-                        *next_id += 1;
-                        let cost = req.cost;
-                        payloads.insert(id, req);
-                        scheduler.enqueue(class, WorkItem { id, cost });
-                    }
-                }
-                Core::Paced { fifos, .. } => fifos[class].append(&mut staged),
-            }
+        self.in_flight.fetch_add(1, Ordering::Relaxed);
+        if q.busy {
+            q.fifo.push_back(req);
+            Submitted::Queued
+        } else {
+            q.busy = true;
+            Submitted::Start(req)
         }
     }
 
-    /// Try to dispatch one request in discipline order. Caller holds
-    /// the dispatch lock.
-    fn try_dispatch(&self, core: &mut Core) -> Option<Dispatched> {
-        match core {
-            Core::Shared { scheduler, payloads, .. } => {
-                let (_, item) = scheduler.dequeue()?;
-                let req = payloads.remove(&item.id).expect("payload tracked");
-                Some(Dispatched { req, stretch: 1.0 })
-            }
-            Core::Paced { fifos, shares, in_service } => {
-                // Among idle classes with backlog, dispatch the
-                // longest-waiting head (each class is serial, so the
-                // pick order barely matters — it only decides which
-                // idle virtual server starts first).
-                let eligible = (0..fifos.len())
-                    .filter(|&c| !in_service[c] && !fifos[c].is_empty())
-                    .min_by(|&a, &b| {
-                        let ta = fifos[a].front().expect("non-empty").enqueued;
-                        let tb = fifos[b].front().expect("non-empty").enqueued;
-                        ta.cmp(&tb)
-                    })?;
-                in_service[eligible] = true;
-                let req = fifos[eligible].pop_front().expect("non-empty");
-                let stretch = (1.0 / shares[eligible].max(MIN_SHARE)).min(MAX_STRETCH);
-                Some(Dispatched { req, stretch })
-            }
+    /// `class`'s in-service request is done: the FIFO head to start
+    /// next, or `None` and the lane goes idle.
+    pub(crate) fn finish(&self, class: usize) -> Option<QueuedRequest> {
+        let next = {
+            let mut q = self.lanes[class].queue.lock();
+            let next = q.fifo.pop_front();
+            q.busy = next.is_some();
+            next
+        };
+        self.in_flight.fetch_sub(1, Ordering::Relaxed);
+        next
+    }
+
+    /// The execution stretch a service starting now on `class` gets:
+    /// `1/r_i`, capped. A request already in service keeps the stretch
+    /// it started with.
+    pub(crate) fn stretch(&self, class: usize) -> f64 {
+        let share = f64::from_bits(self.lanes[class].share.load(Ordering::Relaxed));
+        (1.0 / share.max(MIN_SHARE)).min(MAX_STRETCH)
+    }
+
+    /// Update the per-class rate shares (normalized here).
+    pub(crate) fn set_weights(&self, weights: &[f64]) {
+        let total: f64 = weights.iter().map(|&w| w.max(MIN_SHARE)).sum();
+        for (lane, &w) in self.lanes.iter().zip(weights) {
+            lane.share.store((w.max(MIN_SHARE) / total).to_bits(), Ordering::Relaxed);
         }
     }
 
-    /// Blocking pop in discipline order; `None` once closed *and* no
-    /// queued work remains (requests already in service keep running in
-    /// their workers).
-    pub fn pop(&self) -> Option<Dispatched> {
-        let mut g = self.dispatch.lock();
-        loop {
-            self.collect(&mut g);
-            if let Some(d) = self.try_dispatch(&mut g) {
-                self.queued.fetch_sub(1, Ordering::SeqCst);
-                return Some(d);
-            }
-            if self.closed.load(Ordering::SeqCst) && self.queued.load(Ordering::SeqCst) == 0 {
-                return None;
-            }
-            // Park — unless a push / completion landed after the sweep
-            // above, in which case retry instead of risking a missed
-            // wakeup (the push fast path only notifies when it already
-            // saw us in `sleepers`).
-            let before = self.stamp.load(Ordering::SeqCst);
-            self.sleepers.fetch_add(1, Ordering::SeqCst);
-            if self.stamp.load(Ordering::SeqCst) == before {
-                self.ready.wait(&mut g);
-            }
-            self.sleepers.fetch_sub(1, Ordering::SeqCst);
-        }
+    /// Requests queued behind `class`'s in-service head.
+    pub(crate) fn backlog(&self, class: usize) -> usize {
+        self.lanes[class].queue.lock().fifo.len()
     }
 
-    /// Mark class `class`'s serial virtual server idle again
-    /// (rate-partition mode; a no-op for the shared pool). Workers call
-    /// this when an execution finishes.
-    pub fn complete(&self, class: usize) {
-        if !self.paced {
-            return;
-        }
-        let mut g = self.dispatch.lock();
-        if let Core::Paced { in_service, .. } = &mut *g {
-            in_service[class] = false;
-        }
-        drop(g);
-        self.stamp.fetch_add(1, Ordering::SeqCst);
-        self.ready.notify_all();
-    }
-
-    /// Update the per-class rates (class `i` gets `weights[i]`).
-    pub fn set_weights(&self, weights: &[f64]) {
-        let mut g = self.dispatch.lock();
-        match &mut *g {
-            Core::Shared { scheduler, .. } => {
-                for (class, &w) in weights.iter().enumerate() {
-                    // Proportional schedulers require strictly positive
-                    // weights.
-                    scheduler.set_weight(class, w.max(1e-9));
-                }
-            }
-            Core::Paced { shares, .. } => {
-                let total: f64 = weights.iter().map(|&w| w.max(MIN_SHARE)).sum();
-                for (s, &w) in shares.iter_mut().zip(weights) {
-                    *s = w.max(MIN_SHARE) / total;
-                }
-            }
-        }
-    }
-
-    /// Close the queue: pending requests still drain, new pushes fail.
-    pub fn close(&self) {
+    /// Stop accepting; what was accepted still drains.
+    pub(crate) fn close(&self) {
         self.closed.store(true, Ordering::SeqCst);
-        // Pass through every shard lock: any push that saw the flag
-        // unset has finished inserting by the time we get its lock, so
-        // its request is visible to the workers' final sweeps.
-        for shard in &self.shards {
-            drop(shard.staged.lock());
-        }
-        drop(self.dispatch.lock());
-        self.stamp.fetch_add(1, Ordering::SeqCst);
-        self.ready.notify_all();
     }
 
-    /// Current backlog of `class` (staged + scheduled).
-    pub fn backlog(&self, class: usize) -> usize {
-        let staged = self.shards[class].staged.lock().len();
-        let g = self.dispatch.lock();
-        staged
-            + match &*g {
-                Core::Shared { scheduler, .. } => scheduler.backlog(class),
-                Core::Paced { fifos, .. } => fifos[class].len(),
-            }
+    /// Closed and nothing of `class` queued, in service or about to be
+    /// started. The flag is read first: once it is set, a lane seen
+    /// idle stays idle.
+    pub(crate) fn drained(&self, class: usize) -> bool {
+        self.closed.load(Ordering::SeqCst) && !self.lanes[class].queue.lock().busy
+    }
+
+    /// [`Lanes::drained`] for every class.
+    pub(crate) fn all_drained(&self) -> bool {
+        (0..self.lanes.len()).all(|class| self.drained(class))
+    }
+
+    /// Requests accepted and not yet finished.
+    pub(crate) fn in_flight(&self) -> usize {
+        self.in_flight.load(Ordering::Relaxed)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use psd_propshare::Wfq;
     use std::sync::Arc;
-    use std::time::Instant;
-
-    fn queue() -> Arc<DispatchQueue> {
-        Arc::new(DispatchQueue::new(Box::new(Wfq::new(vec![1.0, 1.0]))))
-    }
 
     fn req(class: usize, cost: f64) -> QueuedRequest {
         QueuedRequest { class, cost, enqueued: Instant::now(), notify: CompletionNotify::None }
     }
 
+    /// Submit to a lane that must be idle; the request comes back to be
+    /// started.
+    fn start(lanes: &Lanes, class: usize, cost: f64) -> QueuedRequest {
+        match lanes.submit(req(class, cost)) {
+            Submitted::Start(r) => r,
+            _ => panic!("lane {class} should have been idle"),
+        }
+    }
+
     #[test]
     fn push_pop_roundtrip() {
-        let q = queue();
-        assert!(q.push(req(0, 1.0)));
-        assert!(q.push(req(1, 2.0)));
-        let a = q.pop().unwrap();
-        let b = q.pop().unwrap();
-        assert_ne!(a.req.class, b.req.class);
-        assert_eq!(a.stretch, 1.0, "shared pool never stretches");
+        let lanes = Lanes::new(2);
+        assert_eq!(start(&lanes, 0, 1.0).cost, 1.0);
+        assert!(matches!(lanes.submit(req(0, 2.0)), Submitted::Queued));
+        assert!(matches!(lanes.submit(req(0, 3.0)), Submitted::Queued));
+        assert_eq!((lanes.backlog(0), lanes.backlog(1), lanes.in_flight()), (2, 0, 3));
+        // FIFO behind the head, then the lane idles.
+        assert_eq!(lanes.finish(0).map(|r| r.cost), Some(2.0));
+        assert_eq!(lanes.finish(0).map(|r| r.cost), Some(3.0));
+        assert!(lanes.finish(0).is_none());
+        assert_eq!(lanes.in_flight(), 0);
+        assert_eq!(start(&lanes, 0, 4.0).cost, 4.0, "idle again: the next submit starts");
     }
 
     #[test]
     fn close_rejects_pushes_but_drains() {
-        let q = queue();
-        q.push(req(0, 1.0));
-        q.close();
-        assert!(!q.push(req(1, 1.0)));
-        assert!(q.pop().is_some(), "queued work drains");
-        assert!(q.pop().is_none(), "then None");
-    }
-
-    #[test]
-    fn blocking_pop_wakes_on_push() {
-        let q = queue();
-        let q2 = Arc::clone(&q);
-        let h = std::thread::spawn(move || q2.pop());
-        std::thread::sleep(std::time::Duration::from_millis(20));
-        q.push(req(1, 1.0));
-        let got = h.join().unwrap().unwrap();
-        assert_eq!(got.req.class, 1);
-    }
-
-    #[test]
-    fn weights_update_applies() {
-        let q = queue();
-        q.set_weights(&[3.0, 1.0]);
-        // No panic and backlog still works.
-        q.push(req(0, 1.0));
-        assert_eq!(q.backlog(0), 1);
-        assert_eq!(q.backlog(1), 0);
-    }
-
-    #[test]
-    fn zero_weight_is_floored_not_fatal() {
-        let q = queue();
-        q.set_weights(&[0.0, 1.0]); // must not panic
-        q.push(req(0, 1.0));
-        assert!(q.pop().is_some());
+        let lanes = Lanes::new(2);
+        start(&lanes, 0, 1.0);
+        lanes.submit(req(0, 2.0));
+        lanes.close();
+        assert!(matches!(lanes.submit(req(1, 1.0)), Submitted::Rejected));
+        assert!(lanes.drained(1) && !lanes.drained(0), "class 0 still has work");
+        assert!(lanes.finish(0).is_some(), "queued work drains");
+        assert!(!lanes.all_drained(), "its last request is in service");
+        assert!(lanes.finish(0).is_none());
+        assert!(lanes.all_drained());
+        assert_eq!(lanes.in_flight(), 0);
     }
 
     #[test]
     fn paced_serializes_each_class() {
-        let q = DispatchQueue::new_paced(2);
-        q.push(req(0, 1.0));
-        q.push(req(0, 1.0));
-        q.push(req(1, 1.0));
-        let a = q.pop().unwrap();
-        assert_eq!(a.req.class, 0, "earliest head first");
-        // Class 0 is now in service: only class 1 is eligible.
-        let b = q.pop().unwrap();
-        assert_eq!(b.req.class, 1);
-        q.close();
-        // Both classes busy, one class-0 request queued: not drained.
-        q.complete(0);
-        let c = q.pop().unwrap();
-        assert_eq!(c.req.class, 0);
-        q.complete(0);
-        q.complete(1);
-        assert!(q.pop().is_none(), "closed and empty");
+        let lanes = Lanes::new(2);
+        start(&lanes, 0, 1.0);
+        assert!(matches!(lanes.submit(req(0, 2.0)), Submitted::Queued), "class 0 is serial");
+        start(&lanes, 1, 1.0); // class 1 is not held up by class 0
+        assert_eq!(lanes.finish(0).map(|r| r.cost), Some(2.0), "starts only now");
+        assert!(matches!(lanes.submit(req(0, 3.0)), Submitted::Queued), "still one at a time");
     }
 
     #[test]
     fn paced_stretch_is_inverse_share() {
-        let q = DispatchQueue::new_paced(2);
-        q.set_weights(&[0.8, 0.2]);
-        q.push(req(0, 1.0));
-        q.push(req(1, 1.0));
-        let a = q.pop().unwrap();
-        let b = q.pop().unwrap();
-        let (s0, s1) =
-            if a.req.class == 0 { (a.stretch, b.stretch) } else { (b.stretch, a.stretch) };
+        let lanes = Lanes::new(2);
+        lanes.set_weights(&[0.8, 0.2]);
+        let (s0, s1) = (lanes.stretch(0), lanes.stretch(1));
         assert!((s0 - 1.25).abs() < 1e-9, "class 0 runs at 0.8× machine rate, stretch {s0}");
         assert!((s1 - 5.0).abs() < 1e-9, "class 1 runs at 0.2× machine rate, stretch {s1}");
     }
 
     #[test]
     fn paced_stretch_is_capped_for_starved_shares() {
-        let q = DispatchQueue::new_paced(2);
+        let lanes = Lanes::new(2);
         // The allocator's rate floor (1e-4) must not wedge the class.
-        q.set_weights(&[1.0, 1e-4]);
-        q.push(req(1, 1.0));
-        let d = q.pop().unwrap();
-        assert_eq!(d.req.class, 1);
-        assert!((d.stretch - MAX_STRETCH).abs() < 1e-9, "stretch capped, got {}", d.stretch);
+        lanes.set_weights(&[1.0, 1e-4]);
+        let s = lanes.stretch(1);
+        assert!((s - MAX_STRETCH).abs() < 1e-9, "stretch capped, got {s}");
     }
 
     #[test]
     fn paced_even_split_by_default() {
-        let q = DispatchQueue::new_paced(4);
-        q.push(req(2, 1.0));
-        let d = q.pop().unwrap();
-        assert!((d.stretch - 4.0).abs() < 1e-9, "even split over 4 classes");
-        q.complete(2);
-        assert_eq!(q.backlog(2), 0);
+        let lanes = Lanes::new(4);
+        assert!((lanes.stretch(2) - 4.0).abs() < 1e-9, "even split over 4 classes");
     }
 
     #[test]
-    fn out_of_range_class_lands_in_last_shard() {
-        let q = queue();
-        assert!(q.push(req(99, 1.0)));
-        assert_eq!(q.backlog(1), 1, "clamped to the last class shard");
+    fn weights_update_applies() {
+        let lanes = Lanes::new(2);
+        lanes.set_weights(&[3.0, 1.0]); // normalized here
+        assert!((lanes.stretch(0) - 4.0 / 3.0).abs() < 1e-9);
+        assert!((lanes.stretch(1) - 4.0).abs() < 1e-9);
+        lanes.set_weights(&[0.5, 0.5]);
+        assert!((lanes.stretch(0) - 2.0).abs() < 1e-9, "the latest weights win");
     }
 
-    /// The sharded fast path must not lose requests or wakeups under
-    /// concurrent pushers and poppers.
     #[test]
-    fn concurrent_push_pop_conserves_requests() {
-        const PUSHERS: usize = 4;
-        const PER_PUSHER: usize = 500;
-        let q = queue();
-        let mut workers = Vec::new();
-        for _ in 0..2 {
-            let q = Arc::clone(&q);
-            workers.push(std::thread::spawn(move || {
-                let mut n = 0usize;
-                while q.pop().is_some() {
-                    n += 1;
-                }
-                n
-            }));
-        }
-        let mut pushers = Vec::new();
-        for p in 0..PUSHERS {
-            let q = Arc::clone(&q);
-            pushers.push(std::thread::spawn(move || {
-                for i in 0..PER_PUSHER {
-                    assert!(q.push(req((p + i) % 2, 1.0)));
-                }
-            }));
-        }
-        for h in pushers {
-            h.join().unwrap();
-        }
-        q.close();
-        let drained: usize = workers.into_iter().map(|h| h.join().unwrap()).sum();
-        assert_eq!(drained, PUSHERS * PER_PUSHER, "every push dispatched exactly once");
+    fn zero_weight_is_floored_not_fatal() {
+        let lanes = Lanes::new(2);
+        lanes.set_weights(&[0.0, 1.0]);
+        // Share MIN_SHARE/(1 + MIN_SHARE): 1/share is finite, then capped.
+        assert_eq!(lanes.stretch(0), MAX_STRETCH);
+        assert!((lanes.stretch(1) - 1.0).abs() < 1e-5);
+        start(&lanes, 0, 1.0);
+    }
+
+    #[test]
+    fn out_of_range_class_lands_in_last_lane() {
+        let lanes = Lanes::new(2);
+        assert_eq!(start(&lanes, 99, 1.0).class, 1, "clamped on submit");
+        assert!(matches!(lanes.submit(req(99, 1.0)), Submitted::Queued));
+        assert_eq!((lanes.backlog(0), lanes.backlog(1)), (0, 1));
     }
 
     #[test]

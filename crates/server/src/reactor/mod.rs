@@ -14,7 +14,7 @@
 //!  accept ──▶│   round-robin: keep conn, or hand stream to shard k ──────┼──┐
 //!            │   Reading ─▶ codec ─▶ route ─▶ submit_async ──────────────┼──┼─▶ PSD queue
 //!            │   Waiting (parked) ◀─ mailbox ◀─ doorbell ◀───────────────┼◀─┼──────┘
-//!            │   Flushing ─▶ keep-alive (pipelined pickup) or close      │  │ worker/wheel
+//!            │   Flushing ─▶ keep-alive (pipelined pickup) or close      │  │ task server
 //!            ├───────────────────────────────────────────────────────────┤  │ callback:
 //!            │ D: Driver   wait · next_event · accept · open · read ·    │  │ mailbox.push
 //!            │             arm_read · park · flush · close               │  │ + eventfd ring
@@ -33,7 +33,7 @@
 //! connection table, its completion mailbox, its buffer pool and its
 //! scratch vectors. The only cross-shard state is the global live
 //! connection counter (for the `max_connections` cap) and the one-way
-//! stream handoff inboxes filled by the accepting shard. PSD workers
+//! stream handoff inboxes filled by the accepting shard. Task servers
 //! reply through the owning shard's mailbox; the eventfd ring is
 //! **coalesced** — a completion only writes the eventfd when it is the
 //! first into an empty mailbox, so a burst of completions costs one

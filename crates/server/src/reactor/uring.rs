@@ -7,7 +7,7 @@
 //!   registered window, plain `READ`/`WRITE` past it); the kernel
 //!   reports *finished* I/O, so the loop never calls `read(2)`/
 //!   `write(2)` at all.
-//! * PSD-worker completions still land in the shard mailbox, but the
+//! * Task-server completions still land in the shard mailbox, but the
 //!   eventfd ring is observed by an in-ring **doorbell read** armed on
 //!   the poller's notify fd — the wakeup folds into the same
 //!   `io_uring_enter` wait as every other completion instead of

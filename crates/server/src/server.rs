@@ -1,5 +1,6 @@
-//! The [`PsdServer`] facade: execution engine (worker pool or timer
-//! wheel) + dispatch queue + online PSD rate monitor.
+//! The [`PsdServer`] facade: the per-class task servers
+//! ([`crate::queues`] lanes executed by [`crate::wheel`]) + the online
+//! PSD rate monitor.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -11,47 +12,33 @@ use psd_core::control::{
     build_controller, ClassTable, ControllerKind, RateController, SharedControl, WindowObservation,
 };
 use psd_obs::{ControlTrace, ObsBundle, ObsConfig};
-use psd_propshare::{Drr, Lottery, Stride, Wfq};
 
-use crate::metrics::{MetricsRecorder, MetricsSink, ServerStats};
-use crate::queues::{CompletionNotify, DispatchQueue, QueuedRequest};
-use crate::timing;
-use crate::wheel::WheelServers;
+use crate::metrics::{MetricsSink, ServerStats};
+use crate::queues::{CompletionNotify, QueuedRequest};
+use crate::wheel::TaskServers;
 
-/// Which proportional-share kernel drives the worker dispatch.
+/// The dispatch discipline. One value: the server has no other. The
+/// type and [`ServerConfig::scheduler`] remain because `benchmark/`
+/// names both when it builds its configurations.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum SchedulerKind {
-    /// Start-time fair queueing (default; deterministic, near-GPS).
-    Wfq,
-    /// Lottery scheduling with the given seed.
-    Lottery(u64),
-    /// Stride scheduling.
-    Stride,
-    /// Deficit round robin with the given base quantum (work units).
-    Drr(f64),
     /// Paper-faithful rate partitioning (Fig. 1): one *serial* virtual
     /// task server per class, executing at its allocated fraction `r_i`
     /// of the machine rate (execution stretched by `1/r_i`), so each
     /// class is an independent M/G/1 at rate `r_i` — the regime Eq. 17
-    /// assumes. Non-work-conserving; the machine rate is one worker's
-    /// speed.
-    ///
-    /// With the Sleep workload the virtual servers run as **deadline
-    /// chains on a timer wheel** ([`crate::wheel`]): no worker thread
-    /// blocks per in-service request and `workers` does not bound the
-    /// in-service concurrency. The Spin workload still needs real CPU,
-    /// so it keeps the worker pool (raised to ≥ the class count so
-    /// every virtual server stays runnable).
+    /// assumes. Non-work-conserving.
     RatePartition,
 }
 
-/// How workers "execute" a request's work units.
+/// How a class's task server spends a request's stretched service time.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Workload {
-    /// Busy-spin (CPU-bound, like dynamic content generation).
+    /// Busy-spin (CPU-bound, like dynamic content generation) on the
+    /// class's own thread — so the machine needs a core for every class
+    /// that is busy at once.
     Spin,
-    /// Precise sleep (I/O-bound; cheap for tests). In rate-partition
-    /// mode this executes on the timer wheel, not a worker thread.
+    /// Pure waiting (I/O-bound; cheap for tests): a finish deadline on
+    /// the one timer thread, so no thread blocks per request.
     Sleep,
 }
 
@@ -74,11 +61,8 @@ pub struct ServerConfig {
     /// Mean request cost in work units (the allocator's `E[X]`, in the
     /// same units clients use for `submit`).
     pub mean_cost: f64,
-    /// Dispatch kernel.
+    /// Dispatch discipline (see [`SchedulerKind`]: there is one).
     pub scheduler: SchedulerKind,
-    /// Worker threads (the machine's "capacity"). Ignored by the
-    /// timer-wheel path (rate partition + Sleep), which needs none.
-    pub workers: usize,
     /// Wall-clock duration of one work unit.
     pub work_unit: Duration,
     /// Spin or sleep execution.
@@ -115,8 +99,8 @@ pub struct ServerConfig {
 }
 
 impl Default for ServerConfig {
-    /// Two classes at δ = 1:2 over one worker, WFQ dispatch, sleep
-    /// workload, a 200 µs work unit, [`DEFAULT_CONTROL_WINDOW`] and the
+    /// Two classes at δ = 1:2, rate-partitioned, sleep workload, a
+    /// 200 µs work unit, [`DEFAULT_CONTROL_WINDOW`] and the
     /// paper's 5-window estimator history. Callers override what they
     /// need with struct-update syntax; nothing else in the tree
     /// hard-codes these values anymore.
@@ -124,8 +108,7 @@ impl Default for ServerConfig {
         Self {
             deltas: vec![1.0, 2.0],
             mean_cost: 1.0,
-            scheduler: SchedulerKind::Wfq,
-            workers: 1,
+            scheduler: SchedulerKind::RatePartition,
             work_unit: Duration::from_micros(200),
             workload: Workload::Sleep,
             control_window: DEFAULT_CONTROL_WINDOW,
@@ -153,37 +136,6 @@ impl Completion {
     /// Measured slowdown of this request.
     pub fn slowdown(&self) -> f64 {
         self.delay_s / self.service_s.max(1e-9)
-    }
-}
-
-/// The execution engine behind the facade: either the shared dispatch
-/// queue feeding a worker pool, or the timer-wheel virtual task
-/// servers (rate partition + Sleep — no blocked threads).
-enum Exec {
-    Pool(Arc<DispatchQueue>),
-    Wheel(Arc<WheelServers>),
-}
-
-impl Exec {
-    fn submit(&self, req: QueuedRequest) -> bool {
-        match self {
-            Exec::Pool(q) => q.push(req),
-            Exec::Wheel(w) => w.submit(req),
-        }
-    }
-
-    fn set_weights(&self, weights: &[f64]) {
-        match self {
-            Exec::Pool(q) => q.set_weights(weights),
-            Exec::Wheel(w) => w.set_weights(weights),
-        }
-    }
-
-    fn backlog(&self, class: usize) -> usize {
-        match self {
-            Exec::Pool(q) => q.backlog(class),
-            Exec::Wheel(w) => w.backlog(class),
-        }
     }
 }
 
@@ -220,7 +172,7 @@ impl StopFlag {
 
 /// A running PSD server.
 pub struct PsdServer {
-    exec: Arc<Exec>,
+    exec: Arc<TaskServers>,
     metrics: Arc<MetricsSink>,
     window_arrivals: Arc<Vec<AtomicU64>>,
     /// Per-class admitted work inside the current window, in
@@ -237,7 +189,6 @@ pub struct PsdServer {
     control: Arc<SharedControl>,
     shed: Arc<Vec<AtomicU64>>,
     stop: Arc<StopFlag>,
-    workers: Vec<JoinHandle<()>>,
     monitor: Option<JoinHandle<()>>,
     n_classes: usize,
     obs: Arc<ObsBundle>,
@@ -246,10 +197,9 @@ pub struct PsdServer {
 }
 
 impl PsdServer {
-    /// Start the execution engine and the rate monitor.
+    /// Start the task servers and the rate monitor.
     pub fn start(cfg: ServerConfig) -> Self {
         assert!(!cfg.deltas.is_empty(), "at least one class");
-        assert!(cfg.workers >= 1, "at least one worker");
         assert!(cfg.mean_cost > 0.0, "mean cost must be positive");
         let n = cfg.deltas.len();
         let metrics = Arc::new(MetricsSink::new(n));
@@ -278,43 +228,7 @@ impl PsdServer {
             },
         ));
 
-        let use_wheel =
-            cfg.scheduler == SchedulerKind::RatePartition && cfg.workload == Workload::Sleep;
-        let (exec, workers) = if use_wheel {
-            // Rate-partitioned sleeps are pure waiting: the wheel fires
-            // their virtual finish times, so no worker threads exist at
-            // all and in-service concurrency is unbounded by `workers`.
-            (Exec::Wheel(WheelServers::start(n, cfg.work_unit, &metrics)), Vec::new())
-        } else {
-            let queue = Arc::new(match cfg.scheduler {
-                SchedulerKind::Wfq => DispatchQueue::new(Box::new(Wfq::new(vec![1.0; n]))),
-                SchedulerKind::Lottery(seed) => {
-                    DispatchQueue::new(Box::new(Lottery::new(vec![1.0; n], seed)))
-                }
-                SchedulerKind::Stride => DispatchQueue::new(Box::new(Stride::new(vec![1.0; n]))),
-                SchedulerKind::Drr(q) => DispatchQueue::new(Box::new(Drr::new(vec![1.0; n], q))),
-                SchedulerKind::RatePartition => DispatchQueue::new_paced(n),
-            });
-            // Spinning rate partition needs one runnable thread per
-            // serial virtual task server or classes would also queue
-            // behind each other for workers, drifting the slowdown
-            // ratios off the δ's.
-            let worker_count = match cfg.scheduler {
-                SchedulerKind::RatePartition => cfg.workers.max(n),
-                _ => cfg.workers,
-            };
-            let workers = (0..worker_count)
-                .map(|_| {
-                    let queue = Arc::clone(&queue);
-                    let recorder = metrics.recorder();
-                    let work_unit = cfg.work_unit;
-                    let workload = cfg.workload;
-                    thread::spawn(move || worker_loop(&queue, &recorder, work_unit, workload))
-                })
-                .collect();
-            (Exec::Pool(queue), workers)
-        };
-        let exec = Arc::new(exec);
+        let exec = Arc::new(TaskServers::start(n, cfg.work_unit, cfg.workload, &metrics));
 
         // Build the controller stack and publish its initial directive
         // *before* the monitor thread exists: `start` returns with the
@@ -353,7 +267,6 @@ impl PsdServer {
             control,
             shed,
             stop,
-            workers,
             monitor,
             n_classes: n,
             obs,
@@ -383,7 +296,7 @@ impl PsdServer {
         rx.recv().ok()
     }
 
-    /// Submit and have the executing engine invoke `notify` with the
+    /// Submit and have the executing thread invoke `notify` with the
     /// [`Completion`] — no thread blocks in between. The reactor engine
     /// replies through this: the callback posts into the reactor's
     /// mailbox and rings its poller. Returns `false` (without invoking
@@ -455,13 +368,13 @@ impl PsdServer {
         self.started
     }
 
-    /// Timer-wheel activity counters and current occupancy, when this
-    /// server runs on the wheel (`None` for the worker-pool engines).
+    /// The timer thread's activity counters and the current occupancy
+    /// (requests accepted and not yet finished): `Some` under
+    /// [`Workload::Sleep`], `None` under [`Workload::Spin`], which has
+    /// no timer. Named for the timer wheel this used to be; `benchmark/`
+    /// calls it by this name.
     pub fn wheel_stats(&self) -> Option<(&psd_obs::WheelStats, usize)> {
-        match &*self.exec {
-            Exec::Wheel(w) => Some((w.stats(), w.in_flight())),
-            Exec::Pool(_) => None,
-        }
+        self.exec.timer_stats()
     }
 
     /// Requests shed at admission for one class.
@@ -483,24 +396,14 @@ impl PsdServer {
 
     /// Backlog of one class.
     pub fn backlog(&self, class: usize) -> usize {
-        self.exec.backlog(class)
+        self.exec.backlog(class.min(self.n_classes - 1))
     }
 
     /// Drain pending work, stop all threads, return final statistics.
     pub fn shutdown(mut self) -> ServerStats {
         self.stop.set();
-        match &*self.exec {
-            Exec::Pool(queue) => {
-                queue.close();
-                for w in std::mem::take(&mut self.workers) {
-                    let _ = w.join();
-                }
-            }
-            Exec::Wheel(wheel) => {
-                wheel.close();
-                wheel.join();
-            }
-        }
+        self.exec.close();
+        self.exec.join();
         if let Some(m) = self.monitor.take() {
             let _ = m.join();
         }
@@ -508,76 +411,15 @@ impl PsdServer {
     }
 }
 
-fn worker_loop(
-    queue: &DispatchQueue,
-    recorder: &MetricsRecorder,
-    work_unit: Duration,
-    workload: Workload,
-) {
-    while let Some(d) = queue.pop() {
-        let req = d.req;
-        let dispatched = Instant::now();
-        let delay_s = dispatched.duration_since(req.enqueued).as_secs_f64();
-        // In rate-partition mode the stretch slows the class's virtual
-        // server to its allocated rate, so `service_s` below is the
-        // paper's rate-scaled service time X/r — and the recorded
-        // slowdown is exactly the paper's S = W/(X/r).
-        let target = work_unit.mul_f64(req.cost * d.stretch);
-        match workload {
-            // The shared calibration caps its compensation at a quarter
-            // of the target, so a noisy probe can bias a short service
-            // only mildly while millisecond services get the full
-            // correction.
-            Workload::Sleep => thread::sleep(timing::compensated(target)),
-            Workload::Spin => {
-                let until = dispatched + target;
-                while Instant::now() < until {
-                    std::hint::spin_loop();
-                }
-            }
-        }
-        let service_s = dispatched.elapsed().as_secs_f64();
-        queue.complete(req.class);
-        recorder.record(req.class, delay_s, service_s);
-        req.notify.deliver(Completion { delay_s, service_s });
-    }
-}
-
-/// The rate monitor: every control window it closes a
-/// [`WindowObservation`] — swept arrivals/work counters, **measured
-/// per-class slowdowns** from the sharded metrics recorders
-/// ([`MetricsSink::sweep_window`], snapshot-and-reset so nothing
-/// double-counts), and live backlogs — and hands it to an arbitrary
-/// [`RateController`] built by the shared `psd_core::control` factory.
-/// The directive's rates drive the execution engine; its admission
-/// probabilities are published to [`SharedControl`] for the submit
-/// paths. The old inlined `LoadEstimator` + `psd_rates_clamped` loop is
-/// gone: the controller stack is the single source of truth for rates,
-/// and the exact same controller objects run in the desim engine.
-///
-/// Hot reconfiguration: when the admin surface bumps the class-table
-/// epoch, the monitor rebuilds its controller from the new table at the
-/// next window boundary and publishes under the new epoch (see the
-/// epoch-ordering notes on [`SharedControl`]).
-/// Fraction of the machine one worker represents (the `/ workers` in
-/// the shared pool; rate partition is a single full-rate processor
-/// split into per-class shares).
-fn capacity_workers(cfg: &ServerConfig) -> f64 {
-    match cfg.scheduler {
-        SchedulerKind::RatePartition => 1.0,
-        _ => cfg.workers as f64,
-    }
-}
-
 /// Build the controller stack for the monitor from a class table — the
-/// shared `psd_core::control` factory with this server's effective
-/// mean service time (mean request cost as a fraction of machine
-/// capacity).
+/// shared `psd_core::control` factory with this server's mean service
+/// time at the full machine rate (rate partition splits one full-rate
+/// processor into per-class shares).
 fn build_monitor_controller(
     cfg: &ServerConfig,
     table: &ClassTable,
 ) -> Box<dyn RateController + Send> {
-    let mean_service_s = cfg.mean_cost * cfg.work_unit.as_secs_f64() / capacity_workers(cfg);
+    let mean_service_s = cfg.mean_cost * cfg.work_unit.as_secs_f64();
     build_controller(
         table.controller,
         &table.deltas,
@@ -588,10 +430,26 @@ fn build_monitor_controller(
     )
 }
 
+/// The rate monitor: every control window it closes a
+/// [`WindowObservation`] — swept arrivals/work counters, **measured
+/// per-class slowdowns** from the sharded metrics recorders
+/// ([`MetricsSink::sweep_window`], snapshot-and-reset so nothing
+/// double-counts), and live backlogs — and hands it to an arbitrary
+/// [`RateController`] built by the shared `psd_core::control` factory.
+/// The directive's rates become the task servers' shares; its admission
+/// probabilities are published to [`SharedControl`] for the submit
+/// paths. The old inlined `LoadEstimator` + `psd_rates_clamped` loop is
+/// gone: the controller stack is the single source of truth for rates,
+/// and the exact same controller objects run in the desim engine.
+///
+/// Hot reconfiguration: when the admin surface bumps the class-table
+/// epoch, the monitor rebuilds its controller from the new table at the
+/// next window boundary and publishes under the new epoch (see the
+/// epoch-ordering notes on [`SharedControl`]).
 #[allow(clippy::too_many_arguments)]
 fn monitor_loop(
     cfg: &ServerConfig,
-    exec: &Exec,
+    exec: &TaskServers,
     arrivals: &[AtomicU64],
     work_mu: &[AtomicU64],
     shed_mu: &[AtomicU64],
@@ -604,7 +462,6 @@ fn monitor_loop(
     mut current_rates: Vec<f64>,
 ) {
     let n = cfg.deltas.len();
-    let capacity_workers = capacity_workers(cfg);
     let work_unit_s = cfg.work_unit.as_secs_f64();
     let started = Instant::now();
     let mut window_start = 0.0f64;
@@ -629,15 +486,11 @@ fn monitor_loop(
             arrivals: arrivals.iter().map(|a| a.swap(0, Ordering::Relaxed)).collect(),
             arrived_work: work_mu
                 .iter()
-                .map(|w| {
-                    w.swap(0, Ordering::Relaxed) as f64 * 1e-3 * work_unit_s / capacity_workers
-                })
+                .map(|w| w.swap(0, Ordering::Relaxed) as f64 * 1e-3 * work_unit_s)
                 .collect(),
             shed_work: shed_mu
                 .iter()
-                .map(|w| {
-                    w.swap(0, Ordering::Relaxed) as f64 * 1e-3 * work_unit_s / capacity_workers
-                })
+                .map(|w| w.swap(0, Ordering::Relaxed) as f64 * 1e-3 * work_unit_s)
                 .collect(),
             completions: sweep.completions,
             backlog: (0..n).map(|c| exec.backlog(c) as u64).collect(),
@@ -698,14 +551,17 @@ mod tests {
     fn out_of_range_class_clamped() {
         let s = PsdServer::start(quick_cfg(vec![1.0, 2.0]));
         assert!(s.submit(99, 1.0));
+        assert!(s.admit(99, 1.0));
+        assert_eq!(s.shed_count(99), 0);
+        assert_eq!(s.backlog(99), 0, "backlog clamps like submit, admit and shed_count");
         let stats = s.shutdown();
         assert_eq!(stats.classes[1].completed, 1, "clamped to the last class");
     }
 
     #[test]
     fn submit_after_shutdown_fails_gracefully() {
-        for scheduler in [SchedulerKind::Wfq, SchedulerKind::RatePartition] {
-            let s = PsdServer::start(ServerConfig { scheduler, ..quick_cfg(vec![1.0]) });
+        for workload in [Workload::Sleep, Workload::Spin] {
+            let s = PsdServer::start(ServerConfig { workload, ..quick_cfg(vec![1.0]) });
             let exec = Arc::clone(&s.exec);
             s.shutdown();
             assert!(
@@ -715,39 +571,39 @@ mod tests {
                     enqueued: Instant::now(),
                     notify: CompletionNotify::None
                 }),
-                "{scheduler:?}: closed engine must reject"
+                "{workload:?}: closed task servers must reject"
             );
         }
     }
 
     #[test]
     fn rate_partition_sleep_uses_the_wheel() {
-        let s = PsdServer::start(ServerConfig {
-            scheduler: SchedulerKind::RatePartition,
-            workload: Workload::Sleep,
-            ..quick_cfg(vec![1.0, 2.0])
-        });
-        assert!(matches!(*s.exec, Exec::Wheel(_)), "sleep + rate partition runs on the wheel");
-        assert!(s.workers.is_empty(), "no worker threads parked in sleeps");
+        let s = PsdServer::start(quick_cfg(vec![1.0, 2.0]));
         let c = s.submit_sync(0, 1.0).expect("executes");
         // Even split over 2 classes: stretch 2 → ≈ 400 µs of service.
         assert!(c.service_s >= 0.0002, "stretched service, got {}", c.service_s);
+        let (timer, _) = s.wheel_stats().expect("Sleep runs on the timer thread");
+        assert_eq!(timer.fires.load(Ordering::Relaxed), 1);
+        assert_eq!(timer.cascades.load(Ordering::Relaxed), 0, "nothing cascades any more");
         let stats = s.shutdown();
         assert_eq!(stats.classes[0].completed, 1);
     }
 
     #[test]
-    fn rate_partition_spin_keeps_the_worker_pool() {
+    fn spin_serves_each_class_on_its_own_thread() {
         let s = PsdServer::start(ServerConfig {
-            scheduler: SchedulerKind::RatePartition,
             workload: Workload::Spin,
             work_unit: Duration::from_micros(50),
             ..quick_cfg(vec![1.0, 2.0])
         });
-        assert!(matches!(*s.exec, Exec::Pool(_)), "spinning needs real CPU");
-        assert_eq!(s.workers.len(), 2, "raised to the class count");
-        assert!(s.submit_sync(1, 1.0).is_some());
-        s.shutdown();
+        assert!(s.wheel_stats().is_none(), "spinning needs real CPU, not a timer");
+        let c = s.submit_sync(1, 1.0).expect("executes");
+        assert!(c.service_s >= 0.0001, "even split: stretch 2, got {}", c.service_s);
+        for i in 0..20 {
+            assert!(s.submit(i % 2, 1.0));
+        }
+        let stats = s.shutdown();
+        assert_eq!(stats.classes.iter().map(|c| c.completed).sum::<u64>(), 21);
     }
 
     #[test]

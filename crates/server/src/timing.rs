@@ -1,7 +1,7 @@
 //! Shared wall-clock pacing utilities: the `thread::sleep` overshoot
 //! calibration (measured once per process, cached) and a compensated
 //! sleep used by every component that targets a wall-clock instant —
-//! the worker pool's Sleep workload, the timer wheel, the in-process
+//! the task servers' timer thread, the in-process
 //! [`crate::driver`] and the `psd-loadgen` open-loop pacing.
 //!
 //! On Linux `thread::sleep` systematically overshoots by the timer

@@ -1,37 +1,30 @@
-//! Timer-wheel virtual task servers: the paper's per-class *serial
-//! virtual task server* (Fig. 1) executed as **deadline chains on a
-//! hashed hierarchical timer wheel** instead of worker threads parked
-//! in `thread::sleep`.
-//!
-//! In rate-partition mode a class's requests run one at a time,
-//! stretched by `1/r_i` — pure *waiting*, not computation. PR 2/PR 3
-//! realized that wait by occupying an OS worker thread per in-service
-//! request, so service concurrency was capped by the worker count and
-//! every completion cost a context switch pair. Here a request's
-//! *virtual finish time* is computed at dispatch and inserted into the
-//! wheel; one timer thread fires every due completion in batches. No
-//! thread blocks per request, and in-service concurrency is bounded
-//! only by the class count (or memory), which is what lets hundreds of
-//! stretched requests progress on a 2-worker configuration.
+//! The per-class task servers' execution: what a request's stretched
+//! service time costs, and who notices that it is over. The discipline
+//! — which request of which class is in service — is [`Lanes`]; this
+//! module turns each service start into a finish deadline and each
+//! fired deadline into the lane's next start.
 //!
 //! ```text
-//!  submit ──▶ lane[class] (tiny mutex)        ┌── timer thread ──────────────┐
-//!              ├─ idle: schedule finish time ─┼▶ wheel: 4 levels × 256 slots │
-//!              └─ busy: FIFO behind head      │   advance → fire batch       │
-//!                                             │   fire: record metrics,      │
-//!     chain: fire pops the lane FIFO and ◀────┤   deliver CompletionNotify,  │
-//!     schedules the next finish time          │   chain next from the lane   │
-//!                                             └──────────────────────────────┘
+//!  submit ─▶ lane[class] ─ idle ─▶ start: file finish deadline ─▶ executor thread
+//!              └─ busy: FIFO                                       │ waits for it:
+//!                                                                  │  Sleep: parked
+//!  fire: record metrics, deliver CompletionNotify, ◀───────────────┘  Spin: polling
+//!  start the lane's FIFO head                                         the clock
 //! ```
 //!
-//! The wheel itself ([`WheelCore`]) is a pure data structure (ticks in,
-//! fired payloads out) so the tick rounding, cascade and cancellation
-//! logic is unit-testable without clocks or threads. Expired slots keep
-//! their capacity, so steady-state operation allocates nothing.
+//! The [`Workload`] decides how the wait is spent. Sleep service is
+//! pure waiting, so one timer thread serves every class, parked until
+//! the earliest deadline: no thread blocks per request. Spin service
+//! stands for CPU-bound work, so each class has its own thread, which
+//! burns the stretched time polling the clock. Either way a
+//! [`Deadlines`] store never holds more than one entry per class (a
+//! lane admits one in-service request). The module keeps the name of
+//! the hierarchical timer wheel it replaced because
+//! `PsdServer::wheel_stats`, `psd_obs::WheelStats` and the
+//! `psd_wheel_*` metric families are what `benchmark/` reads.
 
-use std::collections::{HashSet, VecDeque};
-use std::mem;
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::collections::VecDeque;
+use std::sync::atomic::Ordering;
 use std::sync::Arc;
 use std::thread::{self, JoinHandle};
 use std::time::{Duration, Instant};
@@ -40,435 +33,266 @@ use parking_lot::{Condvar, Mutex};
 use psd_obs::WheelStats;
 
 use crate::metrics::{MetricsRecorder, MetricsSink};
-use crate::queues::{CompletionNotify, QueuedRequest, MAX_STRETCH, MIN_SHARE};
-use crate::server::Completion;
+use crate::queues::{CompletionNotify, Lanes, QueuedRequest, Submitted};
+use crate::server::{Completion, Workload};
 use crate::timing;
 
-/// Wheel resolution in nanoseconds (50 µs). Finish times are rounded
-/// **up** to the next tick, so a completion fires at most one tick
-/// late; 50 µs is well under both the sleep-overshoot the old path
-/// suffered and the shortest modeled service times (≥ ~100 µs work
-/// units).
-const TICK_NANOS: u64 = 50_000;
+/// Sleep finish times are rounded **up** to this grid (50 µs), so a
+/// completion fires at most one step late. Dropping it is a measured
+/// latency win that also moves `peak_rss_mb` and `slowdown_c0`
+/// (ROADMAP item 1; numbers in CHANGES.md, PR 16), so it stays until
+/// that change is made on its own.
+const GRID_NANOS: u64 = 50_000;
 
-/// Slots per level (256 ⇒ 8 bits of the tick count per level).
-const SLOTS: usize = 256;
-
-const SLOT_BITS: u32 = 8;
-
-/// Hierarchy depth: 4 levels × 8 bits = 2³² ticks ≈ 59 hours of range
-/// at the 50 µs tick; farther deadlines are clamped to the horizon.
-const LEVELS: usize = 4;
-
-const MAX_RANGE: u64 = 1 << (SLOT_BITS * LEVELS as u32);
-
-/// One scheduled timer.
-#[derive(Debug)]
-struct Entry<T> {
-    id: u64,
-    expiry: u64,
-    payload: T,
+/// Pending finish deadlines, earliest first (filing order among
+/// equals). Time is whatever unit the caller counts in (the timer
+/// thread: nanoseconds since its epoch). A sorted queue, not a heap: a
+/// lane admits one in-service request, so it never holds more entries
+/// than there are classes, and it keeps its capacity, so steady state
+/// allocates nothing.
+struct Deadlines<T> {
+    queue: VecDeque<(u64, T)>,
 }
 
-/// The hashed hierarchical timer wheel, in pure tick arithmetic.
-///
-/// Level `L` slot `j` holds timers whose expiry tick has `j` in bit
-/// range `[8L, 8L+8)` and is between `256^L` and `256^(L+1)` ticks
-/// away. Advancing cascades a level-`L` slot down when the clock
-/// reaches the slot boundary `j << 8L`, so every timer reaches level 0
-/// before it is due and fires in the exact tick of its expiry.
-#[derive(Debug)]
-pub(crate) struct WheelCore<T> {
-    now: u64,
-    pending: usize,
-    next_id: u64,
-    /// Entries re-homed from an outer level toward level 0, cumulative
-    /// — the cascade cost the exposition layer reports.
-    cascaded: u64,
-    cancelled: HashSet<u64>,
-    levels: Vec<Vec<Vec<Entry<T>>>>,
-}
-
-impl<T> WheelCore<T> {
-    pub(crate) fn new() -> Self {
-        Self {
-            now: 0,
-            pending: 0,
-            next_id: 0,
-            cascaded: 0,
-            cancelled: HashSet::new(),
-            levels: (0..LEVELS).map(|_| (0..SLOTS).map(|_| Vec::new()).collect()).collect(),
-        }
-    }
-
-    /// Cumulative count of entries cascaded down a level.
-    pub(crate) fn cascaded(&self) -> u64 {
-        self.cascaded
-    }
-
-    /// Current wheel time in ticks.
-    #[cfg(test)]
-    pub(crate) fn now(&self) -> u64 {
-        self.now
-    }
-
-    /// Timers scheduled and not yet fired (cancelled timers count until
-    /// their slot drains).
-    #[cfg(test)]
-    pub(crate) fn pending(&self) -> usize {
-        self.pending
-    }
-
-    /// Schedule `payload` to fire at absolute tick `expiry` (clamped to
-    /// the future and to the wheel horizon). Returns a cancellation id.
-    pub(crate) fn schedule_at(&mut self, expiry: u64, payload: T) -> u64 {
-        let expiry = expiry.clamp(self.now + 1, self.now + MAX_RANGE - 1);
-        let id = self.next_id;
-        self.next_id += 1;
-        self.pending += 1;
-        self.place(Entry { id, expiry, payload });
-        id
-    }
-
-    /// Cancel a scheduled timer: it will be discarded instead of fired.
-    /// Lazy — the slot entry is dropped when its tick drains. (The
-    /// virtual task servers never cancel — an aborted client's request
-    /// still occupies its class's serial server for the stretched
-    /// duration, exactly as a parked worker thread used to — but the
-    /// wheel supports it for callers that do abort.)
-    #[cfg_attr(not(test), allow(dead_code))]
-    pub(crate) fn cancel(&mut self, id: u64) {
-        self.cancelled.insert(id);
-    }
-
-    fn place(&mut self, e: Entry<T>) {
-        let delta = e.expiry.saturating_sub(self.now);
-        let mut lvl = 0;
-        while lvl + 1 < LEVELS && delta >= 1 << (SLOT_BITS * (lvl as u32 + 1)) {
-            lvl += 1;
-        }
-        let slot = ((e.expiry >> (SLOT_BITS * lvl as u32)) & (SLOTS as u64 - 1)) as usize;
-        self.levels[lvl][slot].push(e);
-    }
-
-    /// The next tick at which something happens: a level-0 expiry or a
-    /// higher-level cascade boundary with occupants. `None` when empty.
-    /// Sleeping until this tick and re-advancing is always correct —
-    /// a cascade wake re-files entries and yields a new, exact deadline.
-    pub(crate) fn next_event_tick(&self) -> Option<u64> {
-        let mut best: Option<u64> = None;
-        for j in 1..=(SLOTS as u64 - 1) {
-            let t = self.now + j;
-            if !self.levels[0][(t & (SLOTS as u64 - 1)) as usize].is_empty() {
-                best = Some(t);
-                break;
-            }
-        }
-        for lvl in 1..LEVELS {
-            let shift = SLOT_BITS * lvl as u32;
-            let base = self.now >> shift;
-            for k in 1..=(SLOTS as u64) {
-                let s = base + k;
-                let boundary = s << shift;
-                if best.is_some_and(|b| b <= boundary) {
-                    break;
-                }
-                if !self.levels[lvl][(s & (SLOTS as u64 - 1)) as usize].is_empty() {
-                    best = Some(match best {
-                        Some(b) => b.min(boundary),
-                        None => boundary,
-                    });
-                    break;
-                }
-            }
-        }
-        best
-    }
-
-    /// Advance the wheel clock to absolute tick `to`, appending every
-    /// fired payload to `fired`. Empty stretches are skipped in O(1)
-    /// per occupied slot, so a long idle gap costs nothing.
-    pub(crate) fn advance(&mut self, to: u64, fired: &mut Vec<T>) {
-        while self.now < to {
-            match self.next_event_tick() {
-                Some(t) if t <= to => {
-                    self.now = t;
-                    self.run_current_tick(fired);
-                }
-                _ => {
-                    self.now = to;
-                    return;
-                }
-            }
-        }
-    }
-
-    /// Cascade any level boundaries aligned with `now` (top-down, so a
-    /// level-2 entry can pass through level 1 in the same tick), then
-    /// fire the level-0 slot.
-    fn run_current_tick(&mut self, fired: &mut Vec<T>) {
-        for lvl in (1..LEVELS).rev() {
-            let shift = SLOT_BITS * lvl as u32;
-            if self.now & ((1 << shift) - 1) != 0 {
-                continue;
-            }
-            let slot = ((self.now >> shift) & (SLOTS as u64 - 1)) as usize;
-            let mut tmp = mem::take(&mut self.levels[lvl][slot]);
-            self.cascaded += tmp.len() as u64;
-            for e in tmp.drain(..) {
-                self.place(e);
-            }
-            // Hand the (now empty) vec back so the slot keeps capacity.
-            self.levels[lvl][slot] = tmp;
-        }
-        let slot = (self.now & (SLOTS as u64 - 1)) as usize;
-        let lane = &mut self.levels[0][slot];
-        for e in lane.drain(..) {
-            self.pending -= 1;
-            debug_assert_eq!(e.expiry, self.now, "level-0 entries fire in their exact tick");
-            if !self.cancelled.remove(&e.id) {
-                fired.push(e.payload);
-            }
-        }
+impl<T> Default for Deadlines<T> {
+    fn default() -> Self {
+        Self { queue: VecDeque::new() }
     }
 }
 
-/// What fires when a virtual task server finishes a request.
-struct Pending {
+impl<T> Deadlines<T> {
+    fn insert(&mut self, due: u64, payload: T) {
+        let at = self.queue.partition_point(|entry| entry.0 <= due);
+        self.queue.insert(at, (due, payload));
+    }
+
+    fn next_due(&self) -> Option<u64> {
+        self.queue.front().map(|entry| entry.0)
+    }
+
+    /// The earliest payload whose deadline is at or before `now`.
+    fn pop_due(&mut self, now: u64) -> Option<T> {
+        if self.next_due()? > now {
+            return None;
+        }
+        self.queue.pop_front().map(|entry| entry.1)
+    }
+}
+
+/// `finish` (nanoseconds) rounded up to the grid.
+fn on_grid(finish_ns: u64) -> u64 {
+    finish_ns.next_multiple_of(GRID_NANOS)
+}
+
+/// A request in service: what completes when its stretched time is up.
+struct InService {
     class: usize,
     enqueued: Instant,
     dispatched: Instant,
     notify: CompletionNotify,
 }
 
-/// One class's serial virtual task server: the allocated share (read
-/// lock-free on the submit path) and the FIFO of requests waiting
-/// behind the in-service head.
-struct Lane {
-    /// `r_i` as f64 bits; submitters read it without any lock.
-    share: AtomicU64,
-    queue: Mutex<LaneQueue>,
-}
-
+/// One executor thread's deadline store (nanoseconds since
+/// `Shared::epoch`) and what the thread parks on when it is empty.
 #[derive(Default)]
-struct LaneQueue {
-    fifo: VecDeque<QueuedRequest>,
-    busy: bool,
-}
-
-struct WheelShared {
-    epoch: Instant,
-    work_unit: Duration,
-    lanes: Vec<Lane>,
-    state: Mutex<WheelCore<Pending>>,
+struct Executor {
+    state: Mutex<Deadlines<InService>>,
     alarm: Condvar,
-    closed: AtomicBool,
-    /// Requests accepted and not yet fired (in a FIFO or on the wheel).
-    in_flight: AtomicUsize,
-    recorder: MetricsRecorder,
-    /// Cascade/fire/wakeup counters for the exposition layer.
     stats: WheelStats,
 }
 
-/// The rate-partitioned Sleep-workload execution engine: all classes'
-/// virtual task servers multiplexed on one timer thread.
-pub(crate) struct WheelServers {
-    shared: Arc<WheelShared>,
-    thread: Mutex<Option<JoinHandle<()>>>,
+struct Shared {
+    epoch: Instant,
+    work_unit: Duration,
+    workload: Workload,
+    lanes: Lanes,
+    /// Sleep: one, serving every class. Spin: one per class.
+    executors: Vec<Executor>,
 }
 
-impl WheelServers {
-    /// Start the timer thread for `n` classes at an even rate split.
-    pub(crate) fn start(n: usize, work_unit: Duration, metrics: &MetricsSink) -> Arc<Self> {
-        let even = (1.0 / n as f64).to_bits();
-        let shared = Arc::new(WheelShared {
+/// All classes' task servers: the lanes plus the thread(s) that realise
+/// their service times.
+pub(crate) struct TaskServers {
+    shared: Arc<Shared>,
+    threads: Mutex<Vec<JoinHandle<()>>>,
+}
+
+impl TaskServers {
+    /// Start `n` classes' servers at an even rate split: one timer
+    /// thread for Sleep, one spinning thread per class for Spin.
+    pub(crate) fn start(
+        n: usize,
+        work_unit: Duration,
+        workload: Workload,
+        metrics: &MetricsSink,
+    ) -> Self {
+        let executors = match workload {
+            Workload::Sleep => 1,
+            Workload::Spin => n,
+        };
+        let shared = Arc::new(Shared {
             epoch: Instant::now(),
             work_unit,
-            lanes: (0..n)
-                .map(|_| Lane {
-                    share: AtomicU64::new(even),
-                    queue: Mutex::new(LaneQueue::default()),
-                })
-                .collect(),
-            state: Mutex::new(WheelCore::new()),
-            alarm: Condvar::new(),
-            closed: AtomicBool::new(false),
-            in_flight: AtomicUsize::new(0),
-            recorder: metrics.recorder(),
-            stats: WheelStats::default(),
+            workload,
+            lanes: Lanes::new(n),
+            executors: (0..executors).map(|_| Executor::default()).collect(),
         });
-        let thread = {
-            let shared = Arc::clone(&shared);
-            thread::Builder::new()
-                .name("psd-wheel".into())
-                .spawn(move || timer_loop(&shared))
-                .expect("spawn wheel thread")
-        };
-        Arc::new(Self { shared, thread: Mutex::new(Some(thread)) })
+        let threads = (0..executors)
+            .map(|i| {
+                let shared = Arc::clone(&shared);
+                let recorder = metrics.recorder();
+                thread::Builder::new()
+                    .name(format!("psd-task-{i}"))
+                    .spawn(move || shared.run(i, &recorder))
+                    .expect("spawn task-server thread")
+            })
+            .collect();
+        Self { shared, threads: Mutex::new(threads) }
     }
 
-    /// Accept a request: start service immediately if the class's
-    /// virtual server is idle, else queue behind it. Returns `false`
-    /// after [`WheelServers::close`].
+    /// Accept a request: start service at once if its class is idle,
+    /// else queue behind the head. `false` after [`TaskServers::close`].
     pub(crate) fn submit(&self, req: QueuedRequest) -> bool {
-        let class = req.class.min(self.shared.lanes.len() - 1);
-        let lane = &self.shared.lanes[class];
-        let start = {
-            let mut q = lane.queue.lock();
-            // Same protocol as the dispatch queue: `close` passes
-            // through every lane lock after flipping the flag, so a
-            // submit that saw it unset is visible to the final drain.
-            if self.shared.closed.load(Ordering::SeqCst) {
-                return false;
+        match self.shared.lanes.submit(req) {
+            Submitted::Rejected => false,
+            Submitted::Queued => true,
+            Submitted::Start(req) => {
+                self.shared.start(req);
+                true
             }
-            self.shared.in_flight.fetch_add(1, Ordering::SeqCst);
-            if q.busy {
-                q.fifo.push_back(req);
-                None
-            } else {
-                q.busy = true;
-                Some(req)
-            }
-        };
-        if let Some(req) = start {
-            self.shared.start_service(class, req);
         }
-        true
     }
 
-    /// Update the per-class rate shares (normalized internally).
+    /// Update the per-class rate shares; takes effect at each class's
+    /// next service start.
     pub(crate) fn set_weights(&self, weights: &[f64]) {
-        let total: f64 = weights.iter().map(|&w| w.max(MIN_SHARE)).sum();
-        for (lane, &w) in self.shared.lanes.iter().zip(weights) {
-            lane.share.store((w.max(MIN_SHARE) / total).to_bits(), Ordering::Relaxed);
-        }
+        self.shared.lanes.set_weights(weights);
     }
 
     /// Requests queued behind `class`'s in-service head.
     pub(crate) fn backlog(&self, class: usize) -> usize {
-        self.shared.lanes[class].queue.lock().fifo.len()
+        self.shared.lanes.backlog(class)
     }
 
     /// Stop accepting; queued and in-service requests still complete.
     pub(crate) fn close(&self) {
-        self.shared.closed.store(true, Ordering::SeqCst);
-        for lane in &self.shared.lanes {
-            drop(lane.queue.lock());
+        self.shared.lanes.close();
+        for exec in &self.shared.executors {
+            // Pass through the lock before ringing, so a thread that
+            // checked the flag just before it flipped is already parked
+            // when the notify lands.
+            drop(exec.state.lock());
+            exec.alarm.notify_all();
         }
-        drop(self.shared.state.lock());
-        self.shared.alarm.notify_all();
     }
 
-    /// Wait for the timer thread to drain and exit (call after
-    /// [`WheelServers::close`]).
+    /// Wait for the executor threads to drain and exit (call after
+    /// [`TaskServers::close`]).
     pub(crate) fn join(&self) {
-        if let Some(h) = self.thread.lock().take() {
+        for h in self.threads.lock().drain(..) {
             let _ = h.join();
         }
     }
 
-    /// Activity counters for the exposition layer.
-    pub(crate) fn stats(&self) -> &WheelStats {
-        &self.shared.stats
-    }
-
-    /// Current occupancy: requests accepted and not yet fired.
-    pub(crate) fn in_flight(&self) -> usize {
-        self.shared.in_flight.load(Ordering::SeqCst)
+    /// The timer thread's activity counters and the current occupancy
+    /// (requests accepted and not yet finished); `None` for Spin, which
+    /// has no timer.
+    pub(crate) fn timer_stats(&self) -> Option<(&WheelStats, usize)> {
+        (self.shared.workload == Workload::Sleep)
+            .then(|| (&self.shared.executors[0].stats, self.shared.lanes.in_flight()))
     }
 }
 
-impl WheelShared {
-    /// Begin executing `req` on `class`'s virtual server: compute the
-    /// stretched finish time and file it on the wheel.
-    fn start_service(&self, class: usize, req: QueuedRequest) {
-        let share = f64::from_bits(self.lanes[class].share.load(Ordering::Relaxed));
-        let stretch = (1.0 / share.max(MIN_SHARE)).min(MAX_STRETCH);
+impl Shared {
+    /// Put `req` in service on its class's server and file its finish
+    /// with the executor that will notice it. The share is read now, so
+    /// the stretch holds for this request's whole execution; the
+    /// stretched time is the paper's rate-scaled `X/r_i`, which makes
+    /// the recorded slowdown exactly `W/(X/r_i)`.
+    fn start(&self, req: QueuedRequest) {
+        let target = self.work_unit.mul_f64(req.cost * self.lanes.stretch(req.class));
         let dispatched = Instant::now();
-        // Compensate like the sleeping worker did: the timer thread's
-        // wait overshoots by the calibrated amount, so aim early and
-        // let the overshoot land the fire on the true finish time.
-        let target = timing::compensated(self.work_unit.mul_f64(req.cost * stretch));
-        let offset_ns = (dispatched + target - self.epoch).as_nanos() as u64;
-        let expiry = offset_ns.div_ceil(TICK_NANOS);
-        self.stats.scheduled.fetch_add(1, Ordering::Relaxed);
-        let pending = Pending { class, enqueued: req.enqueued, dispatched, notify: req.notify };
+        let since_epoch = |at: Instant| (at - self.epoch).as_nanos() as u64;
+        let (exec, due) = match self.workload {
+            // The timer thread's wait overshoots by the calibrated
+            // amount, so aim early and let the overshoot land the fire
+            // on the true finish time.
+            Workload::Sleep => {
+                (&self.executors[0], on_grid(since_epoch(dispatched + timing::compensated(target))))
+            }
+            Workload::Spin => (&self.executors[req.class], since_epoch(dispatched + target)),
+        };
+        let job =
+            InService { class: req.class, enqueued: req.enqueued, dispatched, notify: req.notify };
+        exec.stats.scheduled.fetch_add(1, Ordering::Relaxed);
         let wake = {
-            let mut st = self.state.lock();
-            let earlier = st.next_event_tick().is_none_or(|d| expiry < d);
-            st.schedule_at(expiry, pending);
+            let mut st = exec.state.lock();
+            let earlier = st.next_due().is_none_or(|d| due < d);
+            st.insert(due, job);
             earlier
         };
         if wake {
-            self.alarm.notify_one();
+            exec.alarm.notify_one();
         }
     }
 
-    /// Deliver one fired completion and chain the lane's next request.
-    fn complete(&self, p: Pending) {
-        let service_s = p.dispatched.elapsed().as_secs_f64();
-        let delay_s = p.dispatched.saturating_duration_since(p.enqueued).as_secs_f64();
-        self.recorder.record(p.class, delay_s, service_s);
-        p.notify.deliver(Completion { delay_s, service_s });
-        let next = {
-            let mut q = self.lanes[p.class].queue.lock();
-            match q.fifo.pop_front() {
-                Some(next) => Some(next),
-                None => {
-                    q.busy = false;
-                    None
-                }
-            }
-        };
-        if let Some(next) = next {
-            self.start_service(p.class, next);
+    /// Record and deliver a finished execution, then start the class's
+    /// next request if one was waiting.
+    fn complete(&self, job: InService, recorder: &MetricsRecorder) {
+        let service_s = job.dispatched.elapsed().as_secs_f64();
+        let delay_s = job.dispatched.saturating_duration_since(job.enqueued).as_secs_f64();
+        recorder.record(job.class, delay_s, service_s);
+        job.notify.deliver(Completion { delay_s, service_s });
+        if let Some(next) = self.lanes.finish(job.class) {
+            self.start(next);
         }
-        self.in_flight.fetch_sub(1, Ordering::SeqCst);
     }
 
-    fn now_tick(&self) -> u64 {
-        (self.epoch.elapsed().as_nanos() as u64) / TICK_NANOS
-    }
-}
-
-fn timer_loop(shared: &WheelShared) {
-    let mut fired: Vec<Pending> = Vec::new();
-    let mut st = shared.state.lock();
-    loop {
-        st.advance(shared.now_tick(), &mut fired);
-        shared.stats.cascades.store(st.cascaded(), Ordering::Relaxed);
-        if !fired.is_empty() {
-            shared.stats.fires.fetch_add(fired.len() as u64, Ordering::Relaxed);
-            drop(st);
-            // Fire outside the wheel lock: completions take lane locks,
-            // record metrics and may re-enter `start_service` to chain.
-            for p in fired.drain(..) {
-                shared.complete(p);
+    /// Executor `i`'s thread: fire what is due, then wait for the next
+    /// deadline — asleep on the alarm (Sleep) or burning the CPU the
+    /// request stands for (Spin) — until closed and drained.
+    fn run(&self, i: usize, recorder: &MetricsRecorder) {
+        let exec = &self.executors[i];
+        let mut fired: Vec<InService> = Vec::new();
+        let mut st = exec.state.lock();
+        loop {
+            let now_ns = self.epoch.elapsed().as_nanos() as u64;
+            while let Some(job) = st.pop_due(now_ns) {
+                fired.push(job);
             }
-            st = shared.state.lock();
-            continue;
-        }
-        match st.next_event_tick() {
-            Some(tick) => {
-                let due_ns = tick.saturating_mul(TICK_NANOS);
-                let now_ns = shared.epoch.elapsed().as_nanos() as u64;
-                if due_ns <= now_ns {
-                    continue;
+            if !fired.is_empty() {
+                exec.stats.fires.fetch_add(fired.len() as u64, Ordering::Relaxed);
+                drop(st);
+                // Fire outside the lock: completions take lane locks,
+                // run callbacks and file the next deadline.
+                for job in fired.drain(..) {
+                    self.complete(job, recorder);
                 }
-                let wait = Duration::from_nanos(due_ns - now_ns);
-                shared.alarm.wait_for(&mut st, wait);
-                shared.stats.wakeups.fetch_add(1, Ordering::Relaxed);
+                st = exec.state.lock();
+                continue;
             }
-            None => {
-                if shared.closed.load(Ordering::SeqCst)
-                    && shared.in_flight.load(Ordering::SeqCst) == 0
-                {
-                    return;
+            match (st.next_due(), self.workload) {
+                (Some(due_ns), Workload::Sleep) => {
+                    exec.alarm.wait_for(&mut st, Duration::from_nanos(due_ns - now_ns));
+                    exec.stats.wakeups.fetch_add(1, Ordering::Relaxed);
                 }
-                // Idle: sleep until a submit or close rings the alarm.
-                // Both do so while ordering against this lock, so the
-                // wakeup cannot be lost.
-                shared.alarm.wait(&mut st);
+                // Poll the clock with the lock held: the class is in
+                // service, so no start can want it, and `close` waits
+                // for the drain anyway.
+                (Some(_), Workload::Spin) => std::hint::spin_loop(),
+                (None, workload) => {
+                    let drained = match workload {
+                        Workload::Sleep => self.lanes.all_drained(),
+                        Workload::Spin => self.lanes.drained(i),
+                    };
+                    if drained {
+                        return;
+                    }
+                    // Idle: sleep until a start or close rings the
+                    // alarm. Both do so while ordering against this
+                    // lock, so the wakeup cannot be lost.
+                    exec.alarm.wait(&mut st);
+                }
             }
         }
     }
@@ -477,109 +301,206 @@ fn timer_loop(shared: &WheelShared) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use psd_dist::rng::Xoshiro256pp;
 
-    fn drain(core: &mut WheelCore<u32>, to: u64) -> Vec<u32> {
-        let mut fired = Vec::new();
-        core.advance(to, &mut fired);
-        fired
+    fn drain(d: &mut Deadlines<u32>, now: u64) -> Vec<u32> {
+        std::iter::from_fn(|| d.pop_due(now)).collect()
     }
 
     #[test]
     fn fires_at_exact_tick_not_before() {
-        let mut w = WheelCore::new();
-        w.schedule_at(5, 1u32);
-        assert!(drain(&mut w, 4).is_empty(), "not due yet");
-        assert_eq!(drain(&mut w, 5), vec![1], "due exactly at tick 5");
-        assert_eq!(w.pending(), 0);
+        let mut d = Deadlines::default();
+        d.insert(5, 1u32);
+        assert!(drain(&mut d, 4).is_empty(), "not due yet");
+        assert_eq!(d.next_due(), Some(5));
+        assert_eq!(drain(&mut d, 5), vec![1], "due exactly at 5");
+        assert_eq!(d.next_due(), None);
     }
 
     #[test]
     fn past_deadlines_round_up_to_the_next_tick() {
-        let mut w = WheelCore::new();
-        let _ = drain(&mut w, 100);
-        w.schedule_at(7, 9u32); // already past: clamps to now+1
-        assert_eq!(drain(&mut w, 101), vec![9]);
+        assert_eq!(on_grid(1), GRID_NANOS);
+        assert_eq!(on_grid(GRID_NANOS), GRID_NANOS, "already on the grid");
+        assert_eq!(on_grid(GRID_NANOS + 1), 2 * GRID_NANOS);
+        // A deadline already in the past when filed fires at the next pop.
+        let mut d = Deadlines::default();
+        d.insert(7, 9u32);
+        assert_eq!(drain(&mut d, 100), vec![9]);
     }
 
     #[test]
     fn same_tick_timers_fire_together() {
-        let mut w = WheelCore::new();
+        let mut d = Deadlines::default();
+        d.insert(50, 99u32);
         for v in 0..10u32 {
-            w.schedule_at(42, v);
+            d.insert(42, v);
         }
-        let mut got = drain(&mut w, 1000);
-        got.sort_unstable();
-        assert_eq!(got, (0..10).collect::<Vec<_>>());
-    }
-
-    #[test]
-    fn cascade_level1_fires_in_exact_tick() {
-        let mut w = WheelCore::new();
-        // 1000 ticks out: lands on level 1, must cascade to level 0 at
-        // the 768 boundary and fire exactly at 1000.
-        w.schedule_at(1000, 7u32);
-        assert!(drain(&mut w, 999).is_empty());
-        assert_eq!(drain(&mut w, 1000), vec![7]);
-    }
-
-    #[test]
-    fn cascade_level2_through_level1() {
-        let mut w = WheelCore::new();
-        let expiry = 70_000; // > 65536: level 2
-        w.schedule_at(expiry, 3u32);
-        // Walk up in uneven jumps, crossing several cascade boundaries.
-        let mut fired = Vec::new();
-        for to in [10_000, 65_536, 65_537, 69_999] {
-            w.advance(to, &mut fired);
-            assert!(fired.is_empty(), "nothing before {expiry}, at {to}");
-        }
-        w.advance(expiry, &mut fired);
-        assert_eq!(fired, vec![3]);
-    }
-
-    #[test]
-    fn cancel_on_abort_suppresses_the_fire() {
-        let mut w = WheelCore::new();
-        let a = w.schedule_at(50, 1u32);
-        let _b = w.schedule_at(50, 2u32);
-        w.cancel(a);
-        assert_eq!(drain(&mut w, 60), vec![2], "cancelled timer must not fire");
-        assert_eq!(w.pending(), 0, "cancelled entries still drain from their slot");
-    }
-
-    #[test]
-    fn far_deadlines_clamp_to_the_horizon() {
-        let mut w = WheelCore::new();
-        w.schedule_at(u64::MAX, 5u32);
-        assert_eq!(w.pending(), 1);
-        // Fires at the clamped horizon, not never.
-        assert_eq!(drain(&mut w, MAX_RANGE), vec![5]);
+        assert_eq!(drain(&mut d, 42), (0..10).collect::<Vec<_>>(), "in filing order");
+        assert_eq!(drain(&mut d, 1000), vec![99]);
     }
 
     #[test]
     fn idle_gaps_are_skipped_cheaply() {
-        let mut w = WheelCore::new();
+        // Nothing walks the time between deadlines, however long.
+        let mut d = Deadlines::default();
         let t = Instant::now();
-        assert!(drain(&mut w, 10_000_000_000).is_empty());
-        assert!(t.elapsed() < Duration::from_millis(100), "empty advance must jump");
-        w.schedule_at(10_000_000_100, 1u32);
-        assert_eq!(drain(&mut w, 10_000_000_100), vec![1]);
+        assert!(drain(&mut d, u64::MAX - 1).is_empty());
+        d.insert(u64::MAX, 1u32);
+        assert_eq!(drain(&mut d, u64::MAX), vec![1]);
+        assert!(t.elapsed() < Duration::from_millis(100), "an empty stretch must cost nothing");
+    }
+
+    /// Submitters racing `close`, on real threads: whatever `submit`
+    /// accepted completes before `join` returns — no executor exits
+    /// over a request that was accepted but not yet handed to it.
+    #[test]
+    fn submits_racing_close_are_served_or_refused_never_lost() {
+        for workload in [Workload::Sleep, Workload::Spin] {
+            for round in 0..20 {
+                let sink = MetricsSink::new(2);
+                let servers =
+                    Arc::new(TaskServers::start(2, Duration::from_micros(5), workload, &sink));
+                let pushers: Vec<_> = (0..2usize)
+                    .map(|p| {
+                        let servers = Arc::clone(&servers);
+                        thread::spawn(move || {
+                            let req = |i| QueuedRequest {
+                                class: (p + i) % 2,
+                                cost: 1.0,
+                                enqueued: Instant::now(),
+                                notify: CompletionNotify::None,
+                            };
+                            (0..200usize).filter(|&i| servers.submit(req(i))).count() as u64
+                        })
+                    })
+                    .collect();
+                thread::sleep(Duration::from_micros(50 * round));
+                servers.close();
+                let accepted: u64 = pushers.into_iter().map(|h| h.join().unwrap()).sum();
+                servers.join();
+                let completed: u64 = sink.snapshot().classes.iter().map(|c| c.completed).sum();
+                assert_eq!(completed, accepted, "{workload:?} round {round}");
+            }
+        }
+    }
+
+    /// The Sleep executor with the clock and the thread taken out: the
+    /// same [`Lanes`] and [`Deadlines`], virtual nanoseconds for time,
+    /// the invariants checked at every step.
+    struct Model {
+        lanes: Lanes,
+        /// `(class, due as computed at the start, notify)`.
+        deadlines: Deadlines<(usize, u64, CompletionNotify)>,
+        now: u64,
+        /// Finish deadlines pending per class (the invariant: ≤ 1).
+        pending: Vec<u32>,
+        /// The weights last set, to predict the stretch independently.
+        weights: Vec<f64>,
+        accepted: u32,
+        last_fired: u64,
+        /// `(class, id)` in completion order, written by the callbacks.
+        log: Arc<Mutex<Vec<(usize, u32)>>>,
+    }
+
+    impl Model {
+        fn submit(&mut self, raw_class: usize, cost: f64) {
+            let (log, id) = (Arc::clone(&self.log), self.accepted);
+            let class = raw_class.min(self.pending.len() - 1);
+            let done = move |_| log.lock().push((class, id));
+            let req = QueuedRequest {
+                class: raw_class, // clamped by the lanes
+                cost,
+                enqueued: Instant::now(),
+                notify: CompletionNotify::Callback(Box::new(done)),
+            };
+            match self.lanes.submit(req) {
+                Submitted::Rejected => panic!("open lanes accept"),
+                Submitted::Queued => assert_eq!(self.pending[class], 1, "queued behind a head"),
+                Submitted::Start(req) => self.start(req),
+            }
+            self.accepted += 1;
+        }
+
+        fn start(&mut self, req: QueuedRequest) {
+            // 1/share, share floored at MIN_SHARE, capped at MAX_STRETCH
+            // — from the weights in force now, whatever they were when
+            // the request was queued.
+            let floor = |w: f64| w.max(1e-6);
+            let total: f64 = self.weights.iter().map(|&w| floor(w)).sum();
+            let want = (total / floor(self.weights[req.class])).min(100.0);
+            let stretch = self.lanes.stretch(req.class);
+            assert!((stretch - want).abs() <= 1e-9 * want, "stretch {stretch} vs {want}");
+            let due = on_grid(self.now + (req.cost * stretch * 20_000.0) as u64);
+            self.pending[req.class] += 1;
+            assert_eq!(self.pending[req.class], 1, "one pending finish per class");
+            self.deadlines.insert(due, (req.class, due, req.notify));
+        }
+
+        fn advance(&mut self, to: u64) {
+            self.now = to;
+            while let Some((class, due, notify)) = self.deadlines.pop_due(self.now) {
+                assert!(due <= self.now, "fired before due");
+                assert!(due >= self.last_fired, "fired out of deadline order");
+                self.last_fired = due;
+                self.pending[class] -= 1;
+                notify.deliver(Completion { delay_s: 0.0, service_s: 1.0 });
+                if let Some(next) = self.lanes.finish(class) {
+                    self.start(next);
+                }
+            }
+            assert!(self.deadlines.next_due().is_none_or(|d| d > self.now));
+        }
     }
 
     #[test]
-    fn next_event_tick_bounds_the_true_deadline() {
-        let mut w = WheelCore::new();
-        w.schedule_at(1000, 1u32);
-        let mut fired = Vec::new();
-        // Repeatedly sleeping until next_event_tick must converge on
-        // the exact expiry without ever passing it.
-        loop {
-            let next = w.next_event_tick().expect("timer pending");
-            assert!(next <= 1000);
-            w.advance(next, &mut fired);
-            if !fired.is_empty() {
-                assert_eq!(w.now(), 1000);
-                break;
+    fn seeded_schedules_keep_the_task_server_invariants() {
+        const CLASSES: usize = 5;
+        for seed in 0..8u64 {
+            let mut rng = Xoshiro256pp::seed_from(seed);
+            let mut draw = |k: usize| (rng.next_f64() * k as f64) as usize;
+            let mut m = Model {
+                lanes: Lanes::new(CLASSES),
+                deadlines: Deadlines::default(),
+                now: 0,
+                pending: vec![0; CLASSES],
+                weights: vec![1.0; CLASSES],
+                accepted: 0,
+                last_fired: 0,
+                log: Arc::default(),
+            };
+            for _ in 0..3_000 {
+                match draw(10) {
+                    0..=4 => m.submit(draw(CLASSES + 1), 0.5 + draw(4) as f64), // incl. out of range
+                    5..=7 => m.advance(m.now + draw(300_000) as u64),
+                    8 => {
+                        // Zero, starved and ordinary weights alike; what
+                        // is already filed does not move.
+                        m.weights =
+                            (0..CLASSES).map(|_| [0.0, 1e-5, 0.3, 1.0, 4.0][draw(5)]).collect();
+                        m.lanes.set_weights(&m.weights);
+                    }
+                    _ => assert!(m.lanes.in_flight() >= m.pending.iter().sum::<u32>() as usize),
+                }
+            }
+            m.lanes.close();
+            let late = QueuedRequest {
+                class: 0,
+                cost: 1.0,
+                enqueued: Instant::now(),
+                notify: CompletionNotify::None,
+            };
+            assert!(matches!(m.lanes.submit(late), Submitted::Rejected), "closed lanes refuse");
+            while let Some(due) = m.deadlines.next_due() {
+                assert!(!m.lanes.all_drained());
+                m.advance(due);
+            }
+            assert!(m.lanes.all_drained(), "seed {seed}");
+            assert_eq!(m.lanes.in_flight(), 0, "seed {seed}");
+            let log = m.log.lock();
+            assert_eq!(log.len(), m.accepted as usize, "seed {seed}: each completes exactly once");
+            for class in 0..CLASSES {
+                let ids: Vec<u32> = log.iter().filter(|e| e.0 == class).map(|e| e.1).collect();
+                assert!(ids.is_sorted(), "seed {seed}: class {class} is FIFO");
             }
         }
     }

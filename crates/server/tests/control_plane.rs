@@ -279,7 +279,6 @@ fn feedback_controller_drives_the_live_monitor() {
         deltas: vec![1.0, 2.0],
         controller: ControllerKind::Feedback,
         gain: 0.3,
-        workers: 2,
         work_unit: Duration::from_micros(100),
         control_window: Duration::from_millis(25),
         ..ServerConfig::default()

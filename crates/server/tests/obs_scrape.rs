@@ -10,10 +10,13 @@ use std::net::TcpStream;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
+mod common;
+
 use psd_server::{
-    ControllerKind, EngineKind, FrontendConfig, HttpFrontend, PsdServer, SchedulerKind,
-    ServerConfig,
+    ControllerKind, EngineKind, FrontendConfig, HttpFrontend, PsdServer, ServerConfig,
 };
+
+use common::all_engines;
 
 /// One `Connection: close` exchange on a fresh socket.
 fn exchange(addr: std::net::SocketAddr, req: &str) -> String {
@@ -67,18 +70,13 @@ fn teardown(fe: HttpFrontend, server: Arc<PsdServer>) {
 /// back to epoll and the engine-token assertions below would lie).
 #[test]
 fn observability_routes_scrape_mid_overload() {
-    for engine in [EngineKind::Threads, EngineKind::Reactor, EngineKind::Uring] {
-        if engine == EngineKind::Uring && !psd_server::uring_available() {
-            eprintln!("skipping uring case: io_uring unavailable on this kernel");
-            continue;
-        }
+    for engine in all_engines() {
         let server = Arc::new(PsdServer::start(ServerConfig {
             deltas: vec![1.0, 2.0],
             work_unit: Duration::from_micros(100),
             // Keep the monitor out of the way: the published admission
             // table below stays in force for the whole test.
             control_window: Duration::from_secs(3600),
-            scheduler: SchedulerKind::RatePartition,
             ..ServerConfig::default()
         }));
         let fe = HttpFrontend::start_with(

@@ -12,9 +12,7 @@ use std::net::TcpStream;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use psd_server::{
-    EngineKind, FrontendConfig, HttpFrontend, PsdServer, SchedulerKind, ServerConfig,
-};
+use psd_server::{EngineKind, FrontendConfig, HttpFrontend, PsdServer, ServerConfig};
 
 use common::{all_engines, reactor_backends, read_response};
 
@@ -25,7 +23,6 @@ fn cfg_for(engine: EngineKind) -> FrontendConfig {
 fn quick_server(deltas: Vec<f64>) -> Arc<PsdServer> {
     Arc::new(PsdServer::start(ServerConfig {
         deltas,
-        workers: 2,
         work_unit: Duration::from_micros(100),
         ..ServerConfig::default()
     }))
@@ -371,7 +368,6 @@ fn drain_serves_in_flight_requests() {
             deltas: vec![1.0],
             // Long enough that the drain demonstrably overlaps execution.
             work_unit: Duration::from_millis(2),
-            scheduler: SchedulerKind::Wfq,
             ..ServerConfig::default()
         }));
         let fe = HttpFrontend::start_with("127.0.0.1:0", Arc::clone(&server), cfg_for(engine))

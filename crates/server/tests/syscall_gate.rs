@@ -32,7 +32,6 @@ const REQUESTS: usize = 400;
 fn quick_server() -> Arc<PsdServer> {
     Arc::new(PsdServer::start(ServerConfig {
         deltas: vec![1.0, 2.0],
-        workers: 2,
         work_unit: Duration::from_micros(50),
         ..ServerConfig::default()
     }))

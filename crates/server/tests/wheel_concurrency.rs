@@ -21,7 +21,6 @@ fn stretched_requests_complete_concurrently_on_two_workers() {
     let work_unit = Duration::from_micros(200);
     let server = Arc::new(PsdServer::start(ServerConfig {
         deltas: vec![1.0; CLASSES],
-        workers: 2,
         work_unit,
         scheduler: SchedulerKind::RatePartition,
         workload: Workload::Sleep,
@@ -79,7 +78,6 @@ fn single_class_requests_chain_serially() {
     let work_unit = Duration::from_micros(500);
     let server = Arc::new(PsdServer::start(ServerConfig {
         deltas: vec![1.0],
-        workers: 2,
         work_unit,
         scheduler: SchedulerKind::RatePartition,
         workload: Workload::Sleep,
@@ -110,4 +108,32 @@ fn single_class_requests_chain_serially() {
         "tail of the chain must wait longer than the head: {delays:?}"
     );
     Arc::try_unwrap(server).ok().expect("sole owner").shutdown();
+}
+
+/// A deadline filed ahead of the one the timer thread is parked on
+/// rings its alarm: a short request of one class does not wait out a
+/// long request of another.
+#[test]
+fn an_earlier_deadline_wakes_the_timer() {
+    let server = PsdServer::start(ServerConfig {
+        deltas: vec![1.0, 1.0],
+        work_unit: Duration::from_millis(1),
+        control_window: Duration::from_secs(30),
+        ..ServerConfig::default()
+    });
+    let (tx, rx) = crossbeam::channel::bounded(2);
+    let submit = |class: usize, cost: f64| {
+        let tx = tx.clone();
+        assert!(server.submit_async(class, cost, move |done| {
+            let _ = tx.send((class, done));
+        }));
+    };
+    submit(0, 150.0); // even split: stretch 2 → ≈ 300 ms
+    std::thread::sleep(Duration::from_millis(20)); // the timer is parked on it
+    submit(1, 1.0); // ≈ 2 ms
+    let (first, done) = rx.recv_timeout(Duration::from_secs(10)).expect("a completion");
+    assert_eq!(first, 1, "the short request finishes first");
+    assert!(done.service_s < 0.15, "and on its own deadline: {}", done.service_s);
+    assert_eq!(rx.recv_timeout(Duration::from_secs(10)).expect("the long one").0, 0);
+    server.shutdown();
 }

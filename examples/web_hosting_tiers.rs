@@ -1,11 +1,10 @@
-//! Tiered Web-content hosting on the *threaded* PSD server.
+//! Tiered Web-content hosting on the live PSD server.
 //!
 //! The paper's motivating deployment (§5 cites Web content hosting with
 //! differentiated service levels): premium / standard / basic tenants
-//! share one machine. Here the task servers are real threads: requests
-//! flow through a weighted-fair dispatch queue whose weights are
-//! recomputed online by the Eq. 17 allocator from measured arrival
-//! rates.
+//! share one machine. Each tier is one rate-partitioned task server
+//! (paper Fig. 1) whose rate is recomputed online by the Eq. 17
+//! allocator from measured arrival rates.
 //!
 //! Run with: `cargo run --release --example web_hosting_tiers`
 
@@ -14,11 +13,13 @@ use std::time::Duration;
 
 use psd::dist::{BoundedPareto, ServiceDist};
 use psd::server::driver::{drive, ClassTraffic};
-use psd::server::{PsdServer, SchedulerKind, ServerConfig, Workload};
+use psd::server::{PsdServer, ServerConfig};
 
 fn main() {
     // Heavy-tailed request costs, mean ≈ 0.29 work units (paper's BP),
-    // scaled so one work unit is 300µs of worker time.
+    // scaled so one work unit is 1 ms at the full machine rate: long
+    // enough that the timer's tens of µs of lateness stay small beside
+    // even the shortest request.
     let bp = BoundedPareto::paper_default();
     let mean_cost = psd::dist::ServiceDistribution::mean(&bp);
     let cost_dist = ServiceDist::BoundedPareto(bp);
@@ -26,22 +27,16 @@ fn main() {
     let cfg = ServerConfig {
         deltas: vec![1.0, 2.0, 4.0], // premium : standard : basic = 1 : 2 : 4
         mean_cost,
-        scheduler: SchedulerKind::Wfq,
-        workers: 1,
-        work_unit: Duration::from_micros(300),
-        // Spin, not sleep: thread::sleep overshoots sub-millisecond
-        // targets, which would silently overload the single worker.
-        workload: Workload::Spin,
+        work_unit: Duration::from_millis(1),
         control_window: Duration::from_millis(100),
-        estimator_history: 5,
         ..ServerConfig::default()
     };
     let server = Arc::new(PsdServer::start(cfg));
 
-    // Offered load ≈ 80% of the single worker: 0.8 / (0.29 · 300µs)
-    // ≈ 9.2k req/s total, split evenly across tiers.
-    let per_tier_rate = 0.8 / (mean_cost * 300e-6) / 3.0;
-    println!("Driving 3 tiers at {per_tier_rate:.0} req/s each for 3 seconds...\n");
+    // Offered load ≈ 70% of the machine rate: 0.7 / (0.29 · 1 ms)
+    // ≈ 2.4k req/s total, split evenly across tiers.
+    let per_tier_rate = 0.7 / (mean_cost * 1e-3) / 3.0;
+    println!("Driving 3 tiers at {per_tier_rate:.0} req/s each for 5 seconds...\n");
 
     let submitted = drive(
         &server,
@@ -50,8 +45,8 @@ fn main() {
             ClassTraffic { rate_per_s: per_tier_rate, cost: cost_dist.clone() },
             ClassTraffic { rate_per_s: per_tier_rate, cost: cost_dist },
         ],
-        Duration::from_secs(3),
-        42,
+        Duration::from_secs(5),
+        7,
     );
 
     let stats = Arc::try_unwrap(server).ok().expect("driver threads joined").shutdown();
@@ -74,7 +69,7 @@ fn main() {
             c.mean_slowdown / s0,
         );
     }
-    println!("\nTarget ratios are 1 : 2 : 4. Thread-scheduling jitter and the");
+    println!("\nTarget ratios are 1 : 2 : 4. Timer jitter and the");
     println!("short horizon make this noisier than the simulator, but the");
     println!("ordering premium < standard < basic must hold.");
 }
