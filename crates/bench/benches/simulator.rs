@@ -50,6 +50,22 @@ fn bench_full_psd_run(c: &mut Criterion) {
             run_once(&cfg, seed)
         })
     });
+    // The shape the benchmark's `sim-sweep` workload and its
+    // `desim.replication_ms_*` layer rows time.
+    for load in [10u64, 50, 90] {
+        group.bench_with_input(
+            BenchmarkId::new("three_class_paper_horizon", load),
+            &load,
+            |b, &load| {
+                let cfg = PsdConfig::equal_load(&[1.0, 2.0, 4.0], load as f64 / 100.0);
+                let mut seed = 0u64;
+                b.iter(|| {
+                    seed += 1;
+                    run_once(&cfg, seed)
+                })
+            },
+        );
+    }
     group.finish();
 }
 

@@ -1,6 +1,7 @@
-//! Ablation studies for the design choices DESIGN.md calls out:
-//! estimator history length, fluid vs pinned-rate task servers, and the
-//! PSD allocator against the baseline allocators.
+//! Ablation studies for the simulator's design choices (listed in
+//! `psd_desim`'s crate docs and `PsdConfig`): estimator history length,
+//! fluid vs pinned-rate task servers, and the PSD allocator against
+//! the baseline allocators.
 
 use psd_core::baselines::{BacklogProportional, EqualShare, LoadProportional, StrictPriority};
 use psd_core::config::PsdConfig;

@@ -19,11 +19,12 @@ pub struct ClassConfig {
 
 /// Declarative PSD experiment configuration with the paper's defaults:
 /// `BP(1.5, 0.1, 100)` service, warm-up 10 000 time units, measurement
-/// to 60 000, 1000-unit control/measurement windows, estimator history
-/// of 5 windows. One *time unit* equals the mean full-rate service time
-/// only if you normalize the service distribution; with the default BP
-/// the absolute scale is `E[X] ≈ 0.29` and windows are scaled
-/// accordingly by [`PsdConfig::paper_scaled`] — see DESIGN.md.
+/// from there to the end of the run at 61 000 (the last 1000 units are
+/// the window Figs 7/8 trace), 1000-unit control/measurement windows,
+/// estimator history of 5 windows. A *time unit* is the mean full-rate
+/// service time `E[X]` (≈ 0.29 for the default BP): [`PsdConfig::new`]
+/// and the `with_*` setters take durations in time units and store
+/// them multiplied by `E[X]`, as simulator time.
 #[derive(Debug, Clone, PartialEq)]
 pub struct PsdConfig {
     /// The classes, ordered highest (smallest δ) first by convention.

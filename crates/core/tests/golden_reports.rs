@@ -1,0 +1,88 @@
+//! Golden reports: the simulator's output is an exact function of the
+//! configuration and the seed, so one hash over every number in a set
+//! of `run_once` reports pins the engine's behaviour bit for bit — the
+//! event order (ties included), the RNG draw order and the floating
+//! point of every accumulator. A simulator change that is a pure
+//! optimisation leaves the constant alone (it was computed with the
+//! binary-heap engine, before `desim`'s slot set replaced it); one that
+//! moves it has changed what the simulator computes and must say so.
+
+use psd_core::config::PsdConfig;
+use psd_core::control::{FeedbackParams, FeedbackPsdController};
+use psd_core::simulation::{run_once, run_with_controller};
+use psd_core::PsdReport;
+use psd_desim::ServiceMode;
+use psd_dist::ServiceDistribution;
+
+const DELTAS: [f64; 3] = [1.0, 2.0, 4.0];
+
+/// FNV-1a over 64-bit words.
+struct Fold(u64);
+
+impl Fold {
+    fn word(&mut self, w: u64) {
+        for b in w.to_le_bytes() {
+            self.0 = (self.0 ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3);
+        }
+    }
+
+    fn f64(&mut self, x: f64) {
+        self.word(x.to_bits());
+    }
+
+    fn opt(&mut self, x: Option<f64>) {
+        self.word(u64::from(x.is_some()));
+        self.f64(x.unwrap_or(0.0));
+    }
+
+    /// Every numeric field of the report, lengths included.
+    fn report(&mut self, r: &PsdReport) {
+        self.word(r.seed);
+        self.word(r.classes.len() as u64);
+        for c in &r.classes {
+            self.f64(c.delta);
+            self.f64(c.load);
+            self.opt(c.mean_slowdown);
+            self.opt(c.expected_slowdown);
+            self.opt(c.mean_delay);
+            self.word(c.completed);
+        }
+        self.opt(r.system_slowdown);
+        for ratios in &r.window_ratios_vs_class0 {
+            self.word(ratios.len() as u64);
+            ratios.iter().for_each(|&x| self.f64(x));
+        }
+        self.word(r.trace.len() as u64);
+        for &(class, t, s) in &r.trace {
+            self.word(class as u64);
+            self.f64(t);
+            self.f64(s);
+        }
+    }
+}
+
+#[test]
+fn run_once_reports_match_the_golden_hash() {
+    let mut h = Fold(0xcbf2_9ce4_8422_2325);
+    for load in [0.1, 0.5, 0.9] {
+        let cfg = PsdConfig::equal_load(&DELTAS, load);
+        for seed in 1000..1005 {
+            h.report(&run_once(&cfg, seed));
+        }
+    }
+
+    // Pinned rates keep the completion scheduled at service start alive
+    // across a rate change; the trace window adds per-request records.
+    let mut pinned = PsdConfig::equal_load(&DELTAS, 0.7).with_trace(60_000.0, 61_000.0);
+    pinned.service_mode = ServiceMode::PinnedRate;
+    h.report(&run_once(&pinned, 1000));
+
+    // A controller whose rates depend on the window's slowdown sums.
+    let cfg = PsdConfig::equal_load(&DELTAS, 0.8);
+    let feedback =
+        FeedbackPsdController::new(cfg.deltas(), cfg.service.mean(), FeedbackParams::default())
+            .with_nominal_lambdas(cfg.lambdas());
+    h.report(&run_with_controller(&cfg, 1000, Box::new(feedback)));
+
+    assert_eq!(h.0, 0xdde5_8524_2b83_688d, "simulator output moved: {:#018x}", h.0);
+}

@@ -1,6 +1,19 @@
 //! The simulation engine: wires generators, FCFS waiting queues, fluid
 //! task servers, the rate controller and the metrics collector into the
 //! structure of the paper's Figure 1.
+//!
+//! The loop pops the earliest of `2n + 1` slots (`events::SlotSet`):
+//! slot `i < n` is class `i`'s next arrival, slot `n + i` the
+//! completion of its request in service, slot `2n` the control tick.
+//! An arrival re-arms its own slot, a start of service or a fluid rate
+//! change arms the class's completion slot, tagged with the epoch the
+//! task server handed out (which is what made the previous one stale,
+//! so whatever the slot held could no longer fire), and the control
+//! tick re-arms itself.
+//! Whether a completion that fires is still the live one is decided in
+//! one place, `TaskServer::complete`'s epoch check — a fluid rate of
+//! zero leaves a stale completion armed, and `PinnedRate` leaves the
+//! original one live, and both are sorted out there.
 
 use std::collections::VecDeque;
 
@@ -8,8 +21,8 @@ use psd_dist::rng::SplitMix64;
 use psd_dist::ServiceDist;
 use psd_obs::{ControlTrace, FlightRecorder};
 
-use crate::controller::{RateController, WindowObservation};
-use crate::events::{Event, EventQueue};
+use crate::controller::{RateController, WindowAccount};
+use crate::events::SlotSet;
 use crate::generator::{ArrivalSpec, Generator};
 use crate::metrics::{MetricsCollector, SimOutput};
 use crate::request::{CompletedRequest, Request};
@@ -133,49 +146,45 @@ impl Simulation {
 
         let mut metrics = MetricsCollector::new(n, cfg.warmup, metrics_window);
         let mut tracer = cfg.trace_range.map(|(a, b)| Tracer::new(a, b));
-        let mut events = EventQueue::new();
+        let mut events = SlotSet::new(2 * n + 1);
         let mut rate_history = vec![(0.0, initial_rates)];
         let flight = (cfg.flight_capacity > 0).then(|| FlightRecorder::new(cfg.flight_capacity));
 
+        // Sequence numbers are drawn in this order — class arrivals,
+        // then the control tick — and, below, at every point an event
+        // is armed: that order is what breaks ties between events due
+        // at the same instant.
         for (i, c) in classes.iter().enumerate() {
-            events.schedule(c.generator.next_arrival_time(), Event::Arrival { class: i });
+            events.arm(i, c.generator.next_arrival_time(), 0);
         }
-        events.schedule(cfg.control_period, Event::Control);
+        events.arm(2 * n, cfg.control_period, 0);
 
-        // Window accounting for the controller's observations.
-        let mut window_index: u64 = 0;
-        let mut window_start = 0.0;
-        let mut win_arrivals = vec![0u64; n];
-        let mut win_work = vec![0.0f64; n];
-        let mut win_completions = vec![0u64; n];
-        let mut win_slowdown_sums = vec![0.0f64; n];
-
+        let mut window = WindowAccount::new(n);
         let mut next_id: u64 = 0;
         let end = cfg.end_time;
 
-        while let Some((now, event)) = events.pop() {
-            if now > end {
-                break;
-            }
-            match event {
-                Event::Arrival { class } => {
-                    let req = classes[class].generator.emit(next_id);
+        while let Some((now, slot, epoch)) = events.pop(end) {
+            match slot {
+                // Slot i < n: class i's next arrival.
+                class if class < n => {
+                    let state = &mut classes[class];
+                    let req = state.generator.emit(next_id);
                     next_id += 1;
                     metrics.on_arrival(class);
-                    win_arrivals[class] += 1;
-                    win_work[class] += req.size;
-                    let state = &mut classes[class];
+                    window.on_arrival(class, req.size);
                     if state.server.is_busy() {
                         state.queue.push_back(req);
                     } else {
                         debug_assert!(state.queue.is_empty(), "idle server with backlog");
                         if let Some((t, epoch)) = state.server.start_service(req, now) {
-                            events.schedule(t, Event::Completion { class, epoch });
+                            events.arm(n + class, t, epoch);
                         }
                     }
-                    events.schedule(state.generator.next_arrival_time(), Event::Arrival { class });
+                    events.arm(slot, state.generator.next_arrival_time(), 0);
                 }
-                Event::Completion { class, epoch } => {
+                // Slot n + i: the completion of class i's request in service.
+                _ if slot < 2 * n => {
+                    let class = slot - n;
                     let state = &mut classes[class];
                     if let Some(in_service) = state.server.complete(now, epoch) {
                         let done = CompletedRequest {
@@ -187,36 +196,21 @@ impl Simulation {
                         if let Some(t) = tracer.as_mut() {
                             t.offer(&done);
                         }
-                        win_completions[class] += 1;
-                        win_slowdown_sums[class] += done.slowdown();
+                        window.on_departure(class, done.slowdown());
                         if let Some(next) = state.queue.pop_front() {
                             if let Some((t, epoch)) = state.server.start_service(next, now) {
-                                events.schedule(t, Event::Completion { class, epoch });
+                                events.arm(slot, t, epoch);
                             }
                         }
                     }
                 }
-                Event::Control => {
-                    let obs = WindowObservation {
-                        index: window_index,
-                        start: window_start,
-                        end: now,
-                        arrivals: std::mem::take(&mut win_arrivals),
-                        arrived_work: std::mem::take(&mut win_work),
-                        shed_work: vec![0.0; n],
-                        completions: std::mem::take(&mut win_completions),
-                        slowdown_sums: std::mem::take(&mut win_slowdown_sums),
-                        backlog: classes
-                            .iter()
-                            .map(|c| c.queue.len() as u64 + u64::from(c.server.is_busy()))
-                            .collect(),
-                    };
-                    win_arrivals = vec![0; n];
-                    win_work = vec![0.0; n];
-                    win_completions = vec![0; n];
-                    win_slowdown_sums = vec![0.0; n];
-                    window_index += 1;
-                    window_start = now;
+                // Slot 2n: the control tick.
+                _ => {
+                    let backlog = classes
+                        .iter()
+                        .map(|c| c.queue.len() as u64 + u64::from(c.server.is_busy()))
+                        .collect();
+                    let obs = window.close(now, backlog);
 
                     // The unified control entry point — the same call
                     // the live server's monitor makes. The simulator
@@ -228,7 +222,7 @@ impl Simulation {
                         validate_rates(rates, n);
                         for (i, state) in classes.iter_mut().enumerate() {
                             if let Some((t, epoch)) = state.server.set_rate(rates[i], now) {
-                                events.schedule(t, Event::Completion { class: i, epoch });
+                                events.arm(n + i, t, epoch);
                             }
                         }
                         rate_history.push((now, rates.clone()));
@@ -249,7 +243,7 @@ impl Simulation {
                             directive,
                         });
                     }
-                    events.schedule(now + cfg.control_period, Event::Control);
+                    events.arm(slot, now + cfg.control_period, 0);
                 }
             }
         }
@@ -266,7 +260,7 @@ impl Simulation {
     }
 }
 
-fn validate_rates(rates: &[f64], n: usize) {
+pub(crate) fn validate_rates(rates: &[f64], n: usize) {
     assert_eq!(rates.len(), n, "controller returned {} rates for {} classes", rates.len(), n);
     let mut sum = 0.0;
     for &r in rates {
@@ -279,7 +273,7 @@ fn validate_rates(rates: &[f64], n: usize) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::controller::StaticRates;
+    use crate::controller::{StaticRates, WindowObservation};
     use psd_dist::{Deterministic, ServiceDist};
 
     fn det_service(v: f64) -> ServiceDist {
@@ -435,6 +429,75 @@ mod tests {
         assert_eq!(early, 0.0);
         assert!(late > 1.0, "late mean delay {late}");
         assert!(out.rate_history.len() >= 2);
+    }
+
+    /// Evenly spaced arrivals land on the control instants. The tick
+    /// was armed a whole period earlier than the arrival due with it
+    /// (which was armed one gap earlier), so `(time, seq)` order fires
+    /// the tick first: the arrival at t = 100 belongs to window 1.
+    #[test]
+    fn control_tick_precedes_the_arrival_it_ties_with() {
+        let cfg = SimConfig {
+            classes: vec![ClassSpec {
+                arrival: ArrivalSpec::Deterministic { interval: 2.0 },
+                service: det_service(0.5),
+            }],
+            end_time: 1000.0,
+            warmup: 0.0,
+            control_period: 100.0,
+            seed: 1,
+            ..SimConfig::default()
+        };
+        let out = Simulation::new(cfg, Box::new(StaticRates::new(vec![1.0]))).run();
+        let per_window: Vec<u64> =
+            out.control_trace.iter().map(|t| t.observation.arrivals[0]).collect();
+        // Window 0 holds t = 2..=98, every later one t = 100k..=100k + 98.
+        assert_eq!(per_window, [vec![49], vec![50; 9]].concat());
+    }
+
+    /// A controller that takes a busy class's rate to zero and later
+    /// back. Fluid: the completion armed at service start goes stale
+    /// (it still fires, and the epoch check drops it), the request
+    /// starves and completes once, after its rate returns. Pinned: the
+    /// request keeps the rate it started under, so that first
+    /// completion is the live one.
+    #[test]
+    fn zero_rate_starves_fluid_and_spares_pinned() {
+        struct Blackout;
+        impl RateController for Blackout {
+            fn initial_rates(&mut self, _n: usize) -> Vec<f64> {
+                vec![1.0]
+            }
+            fn reallocate(&mut self, now: f64, _w: &WindowObservation) -> Option<Vec<f64>> {
+                if now == 16.0 {
+                    Some(vec![0.0])
+                } else {
+                    (now == 24.0).then(|| vec![1.0])
+                }
+            }
+        }
+        // Arrivals at 15 and 30, 4.5 units of work each; ticks every 8.
+        let departures = |service_mode| {
+            let cfg = SimConfig {
+                classes: vec![ClassSpec {
+                    arrival: ArrivalSpec::Deterministic { interval: 15.0 },
+                    service: det_service(4.5),
+                }],
+                end_time: 40.0,
+                warmup: 0.0,
+                control_period: 8.0,
+                seed: 1,
+                service_mode,
+                trace_range: Some((0.0, 40.0)),
+                ..SimConfig::default()
+            };
+            let out = Simulation::new(cfg, Box::new(Blackout)).run();
+            assert_eq!(out.per_class[0].completed as usize, out.trace.len());
+            out.trace.iter().map(|t| (t.id, t.departure)).collect::<Vec<_>>()
+        };
+        // One unit done by t = 16, the other 3.5 from t = 24.
+        assert_eq!(departures(ServiceMode::Fluid), [(0, 27.5), (1, 34.5)]);
+        assert_eq!(departures(ServiceMode::PinnedRate), [(0, 19.5), (1, 34.5)]);
     }
 
     #[test]

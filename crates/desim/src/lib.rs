@@ -7,7 +7,7 @@
 //! (the paper's "rate allocator"), re-invoked every control window with
 //! that window's observations (the paper's "load estimator" inputs).
 //!
-//! Key modelling choices (documented in `DESIGN.md`):
+//! Key modelling choices:
 //!
 //! * **Normalized capacity** — the machine rate is 1.0 and task-server
 //!   rates are fractions summing to ≤ 1.
@@ -17,7 +17,16 @@
 //!   paper assumes). [`ServiceMode::PinnedRate`] freezes the rate at
 //!   service start instead (used by the ablation benches).
 //! * **Determinism** — all randomness flows from one experiment seed via
-//!   SplitMix64-derived child streams.
+//!   SplitMix64-derived child streams, and simultaneous events fire in
+//!   the order they were scheduled, so a report is an exact function of
+//!   configuration and seed.
+//! * **A future-event set shaped like the model** — Fig. 1 never has
+//!   more than `2n + 1` events pending (per class the next arrival and
+//!   the in-service completion, plus the control tick), so
+//!   [`Simulation::run`] keeps one fixed slot for each and scans them;
+//!   a rescheduled completion overwrites the one it made stale. The
+//!   closed-loop [`run_sessions`] has one think timer per user instead
+//!   and keeps a binary heap.
 //!
 //! ```
 //! use psd_desim::{ClassSpec, SimConfig, Simulation, StaticRates};

@@ -20,7 +20,8 @@ use std::collections::VecDeque;
 use psd_dist::rng::{open01, SplitMix64, Xoshiro256pp};
 use psd_dist::{ServiceDist, ServiceDistribution};
 
-use crate::controller::{RateController, WindowObservation};
+use crate::controller::{RateController, WindowAccount};
+use crate::engine::validate_rates;
 use crate::events::EventQueue;
 use crate::metrics::{MetricsCollector, SimOutput};
 use crate::request::{CompletedRequest, Request};
@@ -106,6 +107,7 @@ pub fn run_sessions(cfg: SessionConfig, mut controller: Box<dyn RateController>)
     cfg.validate();
     let n = cfg.n_classes;
     let initial_rates = controller.initial_rates(n);
+    validate_rates(&initial_rates, n);
 
     let mut rng = Xoshiro256pp::seed_from(SplitMix64::derive(cfg.seed, 0xC105ED));
     let mut servers: Vec<TaskServer> =
@@ -129,12 +131,7 @@ pub fn run_sessions(cfg: SessionConfig, mut controller: Box<dyn RateController>)
     }
     events.schedule(cfg.control_period, SessionEvent::Control);
 
-    let mut window_index = 0u64;
-    let mut window_start = 0.0;
-    let mut win_arrivals = vec![0u64; n];
-    let mut win_work = vec![0.0f64; n];
-    let mut win_completions = vec![0u64; n];
-    let mut win_slowdown_sums = vec![0.0f64; n];
+    let mut window = WindowAccount::new(n);
     let mut next_id = 0u64;
 
     while let Some((now, event)) = events.pop() {
@@ -151,8 +148,7 @@ pub fn run_sessions(cfg: SessionConfig, mut controller: Box<dyn RateController>)
                 owner.insert(next_id, user);
                 next_id += 1;
                 metrics.on_arrival(class);
-                win_arrivals[class] += 1;
-                win_work[class] += size;
+                window.on_arrival(class, size);
                 if servers[class].is_busy() {
                     queues[class].push_back(req);
                 } else if let Some((t, epoch)) = servers[class].start_service(req, now) {
@@ -168,8 +164,7 @@ pub fn run_sessions(cfg: SessionConfig, mut controller: Box<dyn RateController>)
                         departure: now,
                     };
                     metrics.on_departure(&done);
-                    win_completions[class] += 1;
-                    win_slowdown_sums[class] += done.slowdown();
+                    window.on_departure(class, done.slowdown());
                     // The owning user transitions and schedules their
                     // next request after a think time.
                     let user = owner.remove(&req_id).expect("owner tracked");
@@ -197,29 +192,16 @@ pub fn run_sessions(cfg: SessionConfig, mut controller: Box<dyn RateController>)
                 }
             }
             SessionEvent::Control => {
-                let obs = WindowObservation {
-                    index: window_index,
-                    start: window_start,
-                    end: now,
-                    arrivals: std::mem::take(&mut win_arrivals),
-                    arrived_work: std::mem::take(&mut win_work),
-                    shed_work: vec![0.0; n],
-                    completions: std::mem::take(&mut win_completions),
-                    backlog: (0..n)
-                        .map(|c| queues[c].len() as u64 + u64::from(servers[c].is_busy()))
-                        .collect(),
-                    slowdown_sums: std::mem::take(&mut win_slowdown_sums),
-                };
-                win_arrivals = vec![0; n];
-                win_work = vec![0.0; n];
-                win_completions = vec![0; n];
-                win_slowdown_sums = vec![0.0; n];
-                window_index += 1;
-                window_start = now;
-                if let Some(rates) = controller.reallocate(now, &obs) {
-                    assert_eq!(rates.len(), n);
-                    let sum: f64 = rates.iter().sum();
-                    assert!(sum <= 1.0 + 1e-6, "controller oversubscribed: {sum}");
+                let backlog = (0..n)
+                    .map(|c| queues[c].len() as u64 + u64::from(servers[c].is_busy()))
+                    .collect();
+                let obs = window.close(now, backlog);
+                // The unified control entry point, as in the open-loop
+                // engine: a wrapper that overrides `control` sees every
+                // window. There is no admission path here either, so
+                // `admit_probability` is ignored.
+                if let Some(rates) = controller.control(now, &obs).rates {
+                    validate_rates(&rates, n);
                     for (c, server) in servers.iter_mut().enumerate() {
                         if let Some((t, epoch)) = server.set_rate(rates[c], now) {
                             events.schedule(t, SessionEvent::Completion { class: c, epoch });
