@@ -3,10 +3,15 @@
 //! of `run_once` reports pins the engine's behaviour bit for bit — the
 //! event order (ties included), the RNG draw order and the floating
 //! point of every accumulator. A simulator change that is a pure
-//! optimisation leaves the constant alone (it was computed with the
-//! binary-heap engine, before `desim`'s slot set replaced it); one that
+//! optimisation leaves the constant alone — it was computed with the
+//! binary-heap engine `desim` began with, and the window-synchronous
+//! loop, which has no event set at all, still produces it; one that
 //! moves it has changed what the simulator computes and must say so.
+//! `golden_output.rs` pins the parts of `SimOutput` a report drops.
 
+mod common;
+
+use common::Fold;
 use psd_core::config::PsdConfig;
 use psd_core::control::{FeedbackParams, FeedbackPsdController};
 use psd_core::simulation::{run_once, run_with_controller};
@@ -16,25 +21,7 @@ use psd_dist::ServiceDistribution;
 
 const DELTAS: [f64; 3] = [1.0, 2.0, 4.0];
 
-/// FNV-1a over 64-bit words.
-struct Fold(u64);
-
 impl Fold {
-    fn word(&mut self, w: u64) {
-        for b in w.to_le_bytes() {
-            self.0 = (self.0 ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3);
-        }
-    }
-
-    fn f64(&mut self, x: f64) {
-        self.word(x.to_bits());
-    }
-
-    fn opt(&mut self, x: Option<f64>) {
-        self.word(u64::from(x.is_some()));
-        self.f64(x.unwrap_or(0.0));
-    }
-
     /// Every numeric field of the report, lengths included.
     fn report(&mut self, r: &PsdReport) {
         self.word(r.seed);
@@ -63,7 +50,7 @@ impl Fold {
 
 #[test]
 fn run_once_reports_match_the_golden_hash() {
-    let mut h = Fold(0xcbf2_9ce4_8422_2325);
+    let mut h = Fold::fnv1a();
     for load in [0.1, 0.5, 0.9] {
         let cfg = PsdConfig::equal_load(&DELTAS, load);
         for seed in 1000..1005 {

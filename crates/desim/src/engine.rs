@@ -2,17 +2,31 @@
 //! task servers, the rate controller and the metrics collector into the
 //! structure of the paper's Figure 1.
 //!
-//! The loop pops the earliest of `2n + 1` slots (`events::SlotSet`):
-//! slot `i < n` is class `i`'s next arrival, slot `n + i` the
-//! completion of its request in service, slot `2n` the control tick.
-//! An arrival re-arms its own slot, a start of service or a fluid rate
-//! change arms the class's completion slot, tagged with the epoch the
-//! task server handed out (which is what made the previous one stale,
-//! so whatever the slot held could no longer fire), and the control
-//! tick re-arms itself.
+//! The loop is **window-synchronous**. The task servers are
+//! rate-partitioned: between two control instants class `i` is one FCFS
+//! queue served at a fixed rate `r_i`, and nothing one class does can
+//! reach another — they meet only when the controller re-solves Eq. 17
+//! at the window boundary. So there is no future-event set. Per control
+//! window the engine advances class 0 up to the tick, then class 1, …
+//! each on its own — a two-way choice between that class's next arrival
+//! and the completion of its request in service — then runs the control
+//! tick, and repeats to the horizon.
+//!
+//! Events still fire in `(time, seq)` order wherever that order can be
+//! observed, which is among one class's two events and the tick. `seq`
+//! comes from ONE counter, drawn every time an event is armed: the
+//! first arrivals in class order, then the first tick; an arrival's
+//! successor; a completion, whenever `start_service` or `set_rate`
+//! hands one out; the tick's successor. Everything that arms an event
+//! of class `i` is an event of class `i` or a tick, and those fire in
+//! the same relative order here as they would from a global queue, so
+//! the counter ranks them the same way — it is only the order *between*
+//! classes inside a window that differs, and no output depends on it
+//! ([`MetricsCollector`] keeps its windows per class, [`Tracer`] sorts).
+//!
 //! Whether a completion that fires is still the live one is decided in
 //! one place, `TaskServer::complete`'s epoch check — a fluid rate of
-//! zero leaves a stale completion armed, and `PinnedRate` leaves the
+//! zero leaves a stale completion pending, and `PinnedRate` leaves the
 //! original one live, and both are sorted out there.
 
 use std::collections::VecDeque;
@@ -22,7 +36,6 @@ use psd_dist::ServiceDist;
 use psd_obs::{ControlTrace, FlightRecorder};
 
 use crate::controller::{RateController, WindowAccount};
-use crate::events::SlotSet;
 use crate::generator::{ArrivalSpec, Generator};
 use crate::metrics::{MetricsCollector, SimOutput};
 use crate::request::{CompletedRequest, Request};
@@ -93,10 +106,51 @@ impl SimConfig {
         assert!(!self.classes.is_empty(), "at least one class required");
         assert!(self.end_time > 0.0 && self.end_time.is_finite(), "bad end_time");
         assert!(self.warmup >= 0.0 && self.warmup < self.end_time, "warmup must precede end_time");
-        assert!(self.control_period > 0.0, "control period must be positive");
+        assert!(
+            self.control_period > 0.0 && self.control_period.is_finite(),
+            "control_period must be positive and finite, got {}",
+            self.control_period
+        );
+        if let Some(w) = self.metrics_window {
+            assert!(
+                w > 0.0 && w.is_finite(),
+                "metrics_window must be positive and finite, got {w}"
+            );
+        }
+        if let Some((from, to)) = self.trace_range {
+            assert!(
+                from.is_finite() && to.is_finite() && to > from,
+                "trace_range must be finite with to > from, got ({from}, {to})"
+            );
+        }
         for c in &self.classes {
             assert!(c.arrival.mean_rate() > 0.0, "class arrival rate must be positive");
         }
+    }
+}
+
+/// When an armed event fires: events fire in `(time, seq)` order.
+type Rank = (f64, u64);
+
+fn precedes(a: Rank, b: Rank) -> bool {
+    a.0 < b.0 || (a.0 == b.0 && a.1 < b.1)
+}
+
+/// What the events of every class write to.
+struct Ledger {
+    /// The one sequence counter; see the module doc for where it is
+    /// drawn.
+    next_seq: u64,
+    next_id: u64,
+    metrics: MetricsCollector,
+    window: WindowAccount,
+    tracer: Option<Tracer>,
+}
+
+impl Ledger {
+    fn draw_seq(&mut self) -> u64 {
+        self.next_seq += 1;
+        self.next_seq - 1
     }
 }
 
@@ -104,6 +158,68 @@ struct ClassState {
     generator: Generator,
     queue: VecDeque<Request>,
     server: TaskServer,
+    /// `seq` of the pending arrival; its time is the generator's.
+    arrival_seq: u64,
+    /// The pending completion of the request in service, time `+∞` when
+    /// there is none, and the task-server epoch it was handed out
+    /// under. Arming it overwrites the one that epoch made stale.
+    completion: Rank,
+    completion_epoch: u64,
+}
+
+impl ClassState {
+    fn arm_completion(&mut self, scheduled: Option<(f64, u64)>, ledger: &mut Ledger) {
+        if let Some((at, epoch)) = scheduled {
+            self.completion = (at, ledger.draw_seq());
+            self.completion_epoch = epoch;
+        }
+    }
+
+    /// Fire this class's events in `(time, seq)` order for as long as
+    /// they precede `bound`.
+    fn advance(&mut self, class: usize, bound: Rank, ledger: &mut Ledger) {
+        loop {
+            let arrival = (self.generator.next_arrival_time(), self.arrival_seq);
+            let arrival_first = precedes(arrival, self.completion);
+            let next = if arrival_first { arrival } else { self.completion };
+            if !precedes(next, bound) {
+                return;
+            }
+            let now = next.0;
+            if arrival_first {
+                let req = self.generator.emit(ledger.next_id);
+                ledger.next_id += 1;
+                ledger.metrics.on_arrival(class);
+                ledger.window.on_arrival(class, req.size);
+                if self.server.is_busy() {
+                    self.queue.push_back(req);
+                } else {
+                    debug_assert!(self.queue.is_empty(), "idle server with backlog");
+                    let scheduled = self.server.start_service(req, now);
+                    self.arm_completion(scheduled, ledger);
+                }
+                self.arrival_seq = ledger.draw_seq();
+            } else {
+                self.completion.0 = f64::INFINITY;
+                if let Some(in_service) = self.server.complete(now, self.completion_epoch) {
+                    let done = CompletedRequest {
+                        request: in_service.request,
+                        service_start: in_service.service_start,
+                        departure: now,
+                    };
+                    ledger.metrics.on_departure(&done);
+                    if let Some(t) = ledger.tracer.as_mut() {
+                        t.offer(&done);
+                    }
+                    ledger.window.on_departure(class, done.slowdown());
+                    if let Some(next) = self.queue.pop_front() {
+                        let scheduled = self.server.start_service(next, now);
+                        self.arm_completion(scheduled, ledger);
+                    }
+                }
+            }
+        }
+    }
 }
 
 /// One simulation run.
@@ -128,6 +244,15 @@ impl Simulation {
         let initial_rates = self.controller.initial_rates(n);
         validate_rates(&initial_rates, n);
 
+        let mut ledger = Ledger {
+            next_seq: 0,
+            next_id: 0,
+            metrics: MetricsCollector::new(n, cfg.warmup, metrics_window),
+            window: WindowAccount::new(n),
+            tracer: cfg.trace_range.map(|(a, b)| Tracer::new(a, b)),
+        };
+        // The first draws of the sequence counter: the class arrivals
+        // in class order, then the control tick.
         let mut classes: Vec<ClassState> = cfg
             .classes
             .iter()
@@ -141,115 +266,69 @@ impl Simulation {
                 ),
                 queue: VecDeque::new(),
                 server: TaskServer::new(initial_rates[i], cfg.service_mode),
+                arrival_seq: ledger.draw_seq(),
+                completion: (f64::INFINITY, 0),
+                completion_epoch: 0,
             })
             .collect();
+        let mut tick: Rank = (cfg.control_period, ledger.draw_seq());
 
-        let mut metrics = MetricsCollector::new(n, cfg.warmup, metrics_window);
-        let mut tracer = cfg.trace_range.map(|(a, b)| Tracer::new(a, b));
-        let mut events = SlotSet::new(2 * n + 1);
         let mut rate_history = vec![(0.0, initial_rates)];
         let flight = (cfg.flight_capacity > 0).then(|| FlightRecorder::new(cfg.flight_capacity));
-
-        // Sequence numbers are drawn in this order — class arrivals,
-        // then the control tick — and, below, at every point an event
-        // is armed: that order is what breaks ties between events due
-        // at the same instant.
-        for (i, c) in classes.iter().enumerate() {
-            events.arm(i, c.generator.next_arrival_time(), 0);
-        }
-        events.arm(2 * n, cfg.control_period, 0);
-
-        let mut window = WindowAccount::new(n);
-        let mut next_id: u64 = 0;
         let end = cfg.end_time;
 
-        while let Some((now, slot, epoch)) = events.pop(end) {
-            match slot {
-                // Slot i < n: class i's next arrival.
-                class if class < n => {
-                    let state = &mut classes[class];
-                    let req = state.generator.emit(next_id);
-                    next_id += 1;
-                    metrics.on_arrival(class);
-                    window.on_arrival(class, req.size);
-                    if state.server.is_busy() {
-                        state.queue.push_back(req);
-                    } else {
-                        debug_assert!(state.queue.is_empty(), "idle server with backlog");
-                        if let Some((t, epoch)) = state.server.start_service(req, now) {
-                            events.arm(n + class, t, epoch);
-                        }
-                    }
-                    events.arm(slot, state.generator.next_arrival_time(), 0);
-                }
-                // Slot n + i: the completion of class i's request in service.
-                _ if slot < 2 * n => {
-                    let class = slot - n;
-                    let state = &mut classes[class];
-                    if let Some(in_service) = state.server.complete(now, epoch) {
-                        let done = CompletedRequest {
-                            request: in_service.request,
-                            service_start: in_service.service_start,
-                            departure: now,
-                        };
-                        metrics.on_departure(&done);
-                        if let Some(t) = tracer.as_mut() {
-                            t.offer(&done);
-                        }
-                        window.on_departure(class, done.slowdown());
-                        if let Some(next) = state.queue.pop_front() {
-                            if let Some((t, epoch)) = state.server.start_service(next, now) {
-                                events.arm(slot, t, epoch);
-                            }
-                        }
-                    }
-                }
-                // Slot 2n: the control tick.
-                _ => {
-                    let backlog = classes
-                        .iter()
-                        .map(|c| c.queue.len() as u64 + u64::from(c.server.is_busy()))
-                        .collect();
-                    let obs = window.close(now, backlog);
-
-                    // The unified control entry point — the same call
-                    // the live server's monitor makes. The simulator
-                    // has no admission path, so a directive's
-                    // `admit_probability` is ignored here (shedding is
-                    // exercised end-to-end by `psd-server`/`psd-loadgen`).
-                    let directive = self.controller.control(now, &obs);
-                    if let Some(rates) = &directive.rates {
-                        validate_rates(rates, n);
-                        for (i, state) in classes.iter_mut().enumerate() {
-                            if let Some((t, epoch)) = state.server.set_rate(rates[i], now) {
-                                events.arm(n + i, t, epoch);
-                            }
-                        }
-                        rate_history.push((now, rates.clone()));
-                    }
-                    // Flight-record the decision exactly as the live
-                    // server's monitor does, so a simulated run and a
-                    // live trace are diffable window by window.
-                    if let Some(f) = &flight {
-                        f.record(ControlTrace {
-                            at_s: now,
-                            epoch: obs.index,
-                            applied_rates: rate_history
-                                .last()
-                                .map(|(_, r)| r.clone())
-                                .unwrap_or_default(),
-                            internals: self.controller.internals(),
-                            observation: obs,
-                            directive,
-                        });
-                    }
-                    events.arm(slot, now + cfg.control_period, 0);
-                }
+        loop {
+            // Every class on its own up to the tick, or to the horizon
+            // once the tick lies past it (no `seq` reaches `u64::MAX`,
+            // so that bound admits exactly the events with time ≤ end).
+            let tick_fires = tick.0 <= end;
+            let bound = if tick_fires { tick } else { (end, u64::MAX) };
+            for (i, state) in classes.iter_mut().enumerate() {
+                state.advance(i, bound, &mut ledger);
             }
+            if !tick_fires {
+                break;
+            }
+
+            let now = tick.0;
+            let backlog = classes
+                .iter()
+                .map(|c| c.queue.len() as u64 + u64::from(c.server.is_busy()))
+                .collect();
+            let obs = ledger.window.close(now, backlog);
+
+            // The unified control entry point — the same call the live
+            // server's monitor makes. The simulator has no admission
+            // path, so a directive's `admit_probability` is ignored
+            // here (shedding is exercised end-to-end by
+            // `psd-server`/`psd-loadgen`).
+            let directive = self.controller.control(now, &obs);
+            if let Some(rates) = &directive.rates {
+                validate_rates(rates, n);
+                for (state, &rate) in classes.iter_mut().zip(rates) {
+                    let scheduled = state.server.set_rate(rate, now);
+                    state.arm_completion(scheduled, &mut ledger);
+                }
+                rate_history.push((now, rates.clone()));
+            }
+            // Flight-record the decision exactly as the live server's
+            // monitor does, so a simulated run and a live trace are
+            // diffable window by window.
+            if let Some(f) = &flight {
+                f.record(ControlTrace {
+                    at_s: now,
+                    epoch: obs.index,
+                    applied_rates: rate_history.last().map(|(_, r)| r.clone()).unwrap_or_default(),
+                    internals: self.controller.internals(),
+                    observation: obs,
+                    directive,
+                });
+            }
+            tick = (now + cfg.control_period, ledger.draw_seq());
         }
 
-        let mut out = metrics.finish(end, rate_history);
-        if let Some(t) = tracer {
+        let mut out = ledger.metrics.finish(end, rate_history);
+        if let Some(t) = ledger.tracer {
             out.trace = t.into_records();
         }
         if let Some(f) = flight {
@@ -530,5 +609,37 @@ mod tests {
     #[should_panic(expected = "at least one class")]
     fn empty_config_rejected() {
         Simulation::new(SimConfig::default(), Box::new(StaticRates::even(1)));
+    }
+
+    fn one_class(tweak: impl FnOnce(&mut SimConfig)) {
+        let mut cfg = SimConfig {
+            classes: vec![ClassSpec::poisson(0.1, det_service(1.0))],
+            end_time: 100.0,
+            warmup: 0.0,
+            control_period: 10.0,
+            ..SimConfig::default()
+        };
+        tweak(&mut cfg);
+        Simulation::new(cfg, Box::new(StaticRates::even(1)));
+    }
+
+    /// An infinite period passed `validate` before and simply never
+    /// ticked; the loop is never to see a tick it cannot reach.
+    #[test]
+    #[should_panic(expected = "control_period must be positive and finite")]
+    fn infinite_control_period_rejected() {
+        one_class(|cfg| cfg.control_period = f64::INFINITY);
+    }
+
+    #[test]
+    #[should_panic(expected = "metrics_window must be positive and finite")]
+    fn non_positive_metrics_window_rejected() {
+        one_class(|cfg| cfg.metrics_window = Some(0.0));
+    }
+
+    #[test]
+    #[should_panic(expected = "trace_range must be finite with to > from")]
+    fn backwards_trace_range_rejected() {
+        one_class(|cfg| cfg.trace_range = Some((50.0, 50.0)));
     }
 }

@@ -17,16 +17,22 @@
 //!   paper assumes). [`ServiceMode::PinnedRate`] freezes the rate at
 //!   service start instead (used by the ablation benches).
 //! * **Determinism** — all randomness flows from one experiment seed via
-//!   SplitMix64-derived child streams, and simultaneous events fire in
-//!   the order they were scheduled, so a report is an exact function of
-//!   configuration and seed.
-//! * **A future-event set shaped like the model** — Fig. 1 never has
-//!   more than `2n + 1` events pending (per class the next arrival and
-//!   the in-service completion, plus the control tick), so
-//!   [`Simulation::run`] keeps one fixed slot for each and scans them;
-//!   a rescheduled completion overwrites the one it made stale. The
-//!   closed-loop [`run_sessions`] has one think timer per user instead
-//!   and keeps a binary heap.
+//!   SplitMix64-derived child streams, and simultaneous events whose
+//!   order can be observed fire in the order they were scheduled, so a
+//!   report is an exact function of configuration and seed.
+//! * **A window-synchronous loop, no future-event set** — the task
+//!   servers are rate-partitioned, so between two control instants the
+//!   classes cannot affect one another: each is an FCFS queue at a
+//!   fixed rate, and they meet only when the controller runs.
+//!   [`Simulation::run`] therefore advances class 0 through the control
+//!   window, then class 1, … each a two-way choice between its next
+//!   arrival and the completion of its request in service, then runs
+//!   the tick. One sequence counter, drawn whenever an event is armed,
+//!   still breaks every tie that can be observed — among a class's two
+//!   events and the tick (see `engine.rs`). The closed-loop
+//!   [`run_sessions`] cannot be taken apart like that — a departure
+//!   from one class schedules an arrival at another — and keeps a
+//!   binary heap of think timers.
 //!
 //! ```
 //! use psd_desim::{ClassSpec, SimConfig, Simulation, StaticRates};

@@ -65,15 +65,40 @@ impl ClassMetrics {
 }
 
 /// Collects departures into windows and accumulators.
+///
+/// Each class keeps its own place on the window grid and moves along it
+/// as its own departures pass the boundaries, so the classes may be fed
+/// one after the other over a stretch of time as well as interleaved —
+/// all that is asked is that a class's departures come in time order.
 #[derive(Debug)]
 pub struct MetricsCollector {
     warmup: f64,
     window_len: f64,
     per_class: Vec<ClassMetrics>,
-    // In-progress window accumulators.
-    current_window: u64,
-    win_slowdown: Vec<Welford>,
-    win_delay: Vec<Welford>,
+    /// Per class: the window it is filling and that window's
+    /// accumulators.
+    open: Vec<OpenWindow>,
+}
+
+#[derive(Debug, Default)]
+struct OpenWindow {
+    index: u64,
+    slowdown: Welford,
+    delay: Welford,
+}
+
+impl OpenWindow {
+    /// Close the window into `windows` and open the next one.
+    fn flush(&mut self, windows: &mut Vec<WindowStat>) {
+        let count = self.slowdown.count();
+        windows.push(WindowStat {
+            index: self.index,
+            count,
+            mean_slowdown: (count > 0).then(|| self.slowdown.mean()),
+            mean_delay: (count > 0).then(|| self.delay.mean()),
+        });
+        *self = Self { index: self.index + 1, ..Self::default() };
+    }
 }
 
 impl MetricsCollector {
@@ -85,9 +110,7 @@ impl MetricsCollector {
             warmup,
             window_len,
             per_class: (0..n_classes).map(|_| ClassMetrics::new()).collect(),
-            current_window: 0,
-            win_slowdown: (0..n_classes).map(|_| Welford::new()).collect(),
-            win_delay: (0..n_classes).map(|_| Welford::new()).collect(),
+            open: (0..n_classes).map(|_| OpenWindow::default()).collect(),
         }
     }
 
@@ -101,41 +124,32 @@ impl MetricsCollector {
         if done.departure < self.warmup {
             return;
         }
-        let w = ((done.departure - self.warmup) / self.window_len) as u64;
-        while w > self.current_window {
-            self.flush_window();
-        }
         let class = done.request.class;
+        let (m, open) = (&mut self.per_class[class], &mut self.open[class]);
+        let w = ((done.departure - self.warmup) / self.window_len) as u64;
+        while w > open.index {
+            open.flush(&mut m.windows);
+        }
         let s = done.slowdown();
         let d = done.delay();
-        let m = &mut self.per_class[class];
         m.completed += 1;
         m.slowdown.push(s);
         m.delay.push(d);
         m.service.push(done.service_duration());
-        self.win_slowdown[class].push(s);
-        self.win_delay[class].push(d);
+        open.slowdown.push(s);
+        open.delay.push(d);
     }
 
-    fn flush_window(&mut self) {
-        for (class, m) in self.per_class.iter_mut().enumerate() {
-            let ws = &self.win_slowdown[class];
-            let wd = &self.win_delay[class];
-            m.windows.push(WindowStat {
-                index: self.current_window,
-                count: ws.count(),
-                mean_slowdown: (ws.count() > 0).then(|| ws.mean()),
-                mean_delay: (wd.count() > 0).then(|| wd.mean()),
-            });
-            self.win_slowdown[class] = Welford::new();
-            self.win_delay[class] = Welford::new();
-        }
-        self.current_window += 1;
-    }
-
-    /// Close the final partial window and emit the report.
+    /// Close every class's windows up to the last one any class reached
+    /// — so all `windows` vectors have the same length and indices
+    /// `0..len` — and emit the report.
     pub fn finish(mut self, end_time: f64, rate_history: Vec<(f64, Vec<f64>)>) -> SimOutput {
-        self.flush_window();
+        let last = self.open.iter().map(|o| o.index).max().unwrap_or(0);
+        for (m, open) in self.per_class.iter_mut().zip(&mut self.open) {
+            while open.index <= last {
+                open.flush(&mut m.windows);
+            }
+        }
         SimOutput {
             per_class: self.per_class,
             end_time,
@@ -291,6 +305,75 @@ mod tests {
         let out = m.finish(20.0, vec![]);
         assert_eq!(out.slowdown_ratio(1, 0), Some(2.0));
         assert_eq!(out.window_ratios(1, 0), vec![2.0]);
+    }
+
+    /// The engine feeds the collector one class at a time over each
+    /// control window, and a class may stop departing long before the
+    /// others: every class still reports the same windows, on a grid
+    /// (70) that shares no boundary with the control grid (100).
+    #[test]
+    fn windows_line_up_when_a_class_falls_silent() {
+        use crate::{ArrivalSpec, ClassSpec, SimConfig, Simulation, StaticRates};
+        use psd_dist::{Deterministic, ServiceDist};
+        let class = |interval| ClassSpec {
+            arrival: ArrivalSpec::Deterministic { interval },
+            service: ServiceDist::Deterministic(Deterministic::new(0.25).unwrap()),
+        };
+        let cfg = SimConfig {
+            // Class 1 arrives at 400 and 800 only.
+            classes: vec![class(2.0), class(400.0)],
+            end_time: 1_000.0,
+            warmup: 0.0,
+            control_period: 100.0,
+            metrics_window: Some(70.0),
+            ..SimConfig::default()
+        };
+        let out = Simulation::new(cfg, Box::new(StaticRates::even(2))).run();
+        let [busy, quiet] = [&out.per_class[0].windows, &out.per_class[1].windows];
+        // Class 0's last departure, at 1000.5, is past the horizon; the
+        // one at 998.5 falls in window 14.
+        assert_eq!(busy.len(), 15);
+        assert_eq!(quiet.len(), 15);
+        for w in [busy, quiet] {
+            assert!(w.iter().map(|x| x.index).eq(0..15));
+        }
+        assert!(busy.iter().all(|w| w.count > 0));
+        let counted: Vec<u64> = quiet.iter().filter(|w| w.count > 0).map(|w| w.index).collect();
+        assert_eq!(counted, [5, 11], "departures at 400.5 and 800.5");
+        assert_eq!(quiet[14].mean_slowdown, None);
+    }
+
+    /// Fed class by class or interleaved in time order, the collector
+    /// reports the same thing.
+    #[test]
+    fn feeding_order_across_classes_does_not_matter() {
+        // (class, arrival, start, departure)
+        let departures = [
+            (0, 0.0, 1.0, 2.0),
+            (1, 0.0, 2.0, 3.0),
+            (0, 1.0, 4.0, 9.0),
+            (1, 2.0, 8.0, 16.0),
+            (0, 5.0, 20.0, 24.0),
+            (0, 6.0, 30.0, 31.0),
+        ];
+        let collect = |by_class: bool| {
+            let mut m = MetricsCollector::new(2, 0.0, 7.0);
+            let mut feed = departures.to_vec();
+            if by_class {
+                feed.sort_by_key(|d| d.0);
+            }
+            for (class, arrival, start, depart) in feed {
+                m.on_departure(&done(class, arrival, start, depart));
+            }
+            m.finish(35.0, vec![])
+        };
+        let (a, b) = (collect(false), collect(true));
+        for class in 0..2 {
+            assert_eq!(a.per_class[class].windows, b.per_class[class].windows);
+            assert_eq!(a.per_class[class].windows.len(), 5);
+            assert_eq!(a.per_class[class].slowdown, b.per_class[class].slowdown);
+        }
+        assert_eq!(a.window_ratios(1, 0), b.window_ratios(1, 0));
     }
 
     #[test]

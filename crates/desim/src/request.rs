@@ -3,7 +3,9 @@
 /// A request waiting in, or being served by, the simulated server.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Request {
-    /// Globally unique, monotonically increasing id (arrival order).
+    /// Unique id, increasing in arrival order within the class. Ids of
+    /// different classes are not comparable: `Simulation::run` hands
+    /// them out as it advances one class at a time through a window.
     pub id: u64,
     /// Class index, `0 ..` (class 0 is the *highest* priority class —
     /// smallest differentiation parameter — by the paper's convention).

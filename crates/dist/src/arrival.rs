@@ -47,6 +47,7 @@ impl PoissonProcess {
 }
 
 impl ArrivalProcess for PoissonProcess {
+    #[inline]
     fn next_interarrival(&mut self, rng: &mut Xoshiro256pp) -> f64 {
         exp_gap(self.rate, rng)
     }

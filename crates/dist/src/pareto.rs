@@ -80,6 +80,7 @@ impl BoundedPareto {
 impl ServiceDistribution for BoundedPareto {
     /// Inverse-CDF sampling: `F(x) = (1 − (k/x)^α)/(1 − (k/p)^α)`, so
     /// `x = k·(1 − u·(1 − (k/p)^α))^{−1/α}`.
+    #[inline]
     fn sample(&self, rng: &mut Xoshiro256pp) -> f64 {
         let u = rng.next_f64();
         let x = self.k * (1.0 - u * self.norm).powf(-1.0 / self.alpha);

@@ -78,12 +78,14 @@ impl Xoshiro256pp {
     }
 
     /// Uniform in the half-open interval `[0, 1)` (53 random bits).
+    #[inline]
     pub fn next_f64(&mut self) -> f64 {
         (self.step() >> 11) as f64 * (1.0 / (1u64 << 53) as f64)
     }
 
     /// Uniform in the *open* interval `(0, 1)` — safe under `ln` and
     /// division; used for exponential and Pareto inversion sampling.
+    #[inline]
     pub fn next_open_f64(&mut self) -> f64 {
         ((self.step() >> 12) as f64 + 0.5) * (1.0 / (1u64 << 52) as f64)
     }
