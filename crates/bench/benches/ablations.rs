@@ -3,7 +3,7 @@
 //! proportional-share kernels are compared in `schedulers.rs`.)
 
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
-use psd_core::controller::ControllerParams;
+use psd_core::control::ControllerParams;
 use psd_core::estimator::LoadEstimator;
 use psd_core::PsdController;
 use psd_desim::{RateController, WindowObservation};

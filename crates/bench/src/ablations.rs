@@ -5,7 +5,7 @@
 
 use psd_core::baselines::{BacklogProportional, EqualShare, LoadProportional, StrictPriority};
 use psd_core::config::PsdConfig;
-use psd_core::controller::ControllerParams;
+use psd_core::control::ControllerParams;
 use psd_core::simulation::{run_once, run_with_controller};
 use psd_desim::{ArrivalSpec, ClassSpec, RateController, ServiceMode, SimConfig, Simulation};
 use psd_dist::rng::SplitMix64;
@@ -144,31 +144,19 @@ pub fn baselines(params: &HarnessParams) -> Table {
 /// open-loop Eq. 17 controller — achieved ratio and the spread of
 /// per-window ratios (short-timescale predictability).
 pub fn feedback_gain(params: &HarnessParams) -> Table {
-    use psd_core::feedback::{FeedbackParams, FeedbackPsdController};
     let mut t = Table::new(
         "ablation_feedback",
         "Open-loop Eq.17 vs feedback gains, deltas (1,2), load 70%",
         &["gain", "achieved_ratio", "p5_window_ratio", "p50_window_ratio", "p95_window_ratio"],
     );
     let (end, warm) = params.horizon();
-    let cfg = PsdConfig::equal_load(&[1.0, 2.0], 0.7).with_horizon(end, warm);
-    let ex = cfg.service.mean();
-    let lambdas = cfg.lambdas();
+    let mut cfg = PsdConfig::equal_load(&[1.0, 2.0], 0.7).with_horizon(end, warm);
     for gain in [0.0, 0.3, 1.0] {
+        cfg.controller_params.gain = gain;
         let (mut s0, mut s1, mut n) = (0.0, 0.0, 0u64);
         let mut pooled: Vec<f64> = Vec::new();
         for run in 0..params.runs {
-            let ctl = FeedbackPsdController::new(
-                vec![1.0, 2.0],
-                ex,
-                FeedbackParams { gain, ..Default::default() },
-            )
-            .with_nominal_lambdas(lambdas.clone());
-            let r = run_with_controller(
-                &cfg,
-                SplitMix64::derive(params.seed ^ 0xfee, run),
-                Box::new(ctl),
-            );
+            let r = run_once(&cfg, SplitMix64::derive(params.seed ^ 0xfee, run));
             if let (Some(a), Some(b)) = (r.classes[0].mean_slowdown, r.classes[1].mean_slowdown) {
                 s0 += a;
                 s1 += b;

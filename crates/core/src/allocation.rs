@@ -14,6 +14,8 @@
 
 use std::fmt;
 
+use psd_dist::Moments;
+
 /// Why rate allocation failed.
 #[derive(Debug, Clone, PartialEq)]
 pub enum AllocationError {
@@ -42,38 +44,128 @@ impl fmt::Display for AllocationError {
 
 impl std::error::Error for AllocationError {}
 
-fn validate(lambdas: &[f64], deltas: &[f64], mean_service: f64) -> Result<(), AllocationError> {
-    if lambdas.is_empty() || lambdas.len() != deltas.len() {
-        return Err(AllocationError::InvalidInput {
-            reason: format!(
-                "need equal, non-zero class counts (got {} lambdas, {} deltas)",
-                lambdas.len(),
-                deltas.len()
-            ),
-        });
+fn invalid(reason: String) -> AllocationError {
+    AllocationError::InvalidInput { reason }
+}
+
+fn validate(lambdas: &[f64], deltas: &[f64]) -> Result<(), AllocationError> {
+    let (n, m) = (lambdas.len(), deltas.len());
+    if n == 0 || n != m {
+        return Err(invalid(format!("need equal non-zero class counts ({n} lambdas, {m} deltas)")));
     }
-    if !(mean_service.is_finite() && mean_service > 0.0) {
-        return Err(AllocationError::InvalidInput {
-            reason: format!("mean service time must be finite and > 0, got {mean_service}"),
-        });
+    if let Some(i) = lambdas.iter().position(|l| !(l.is_finite() && *l >= 0.0)) {
+        let l = lambdas[i];
+        return Err(invalid(format!("arrival rate of class {i} must be finite and >= 0, got {l}")));
     }
-    for (i, &l) in lambdas.iter().enumerate() {
-        if !(l.is_finite() && l >= 0.0) {
-            return Err(AllocationError::InvalidInput {
-                reason: format!("arrival rate of class {i} must be finite and >= 0, got {l}"),
-            });
-        }
-    }
-    for (i, &d) in deltas.iter().enumerate() {
-        if !(d.is_finite() && d > 0.0) {
-            return Err(AllocationError::InvalidInput {
-                reason: format!(
-                    "differentiation parameter of class {i} must be finite and > 0, got {d}"
-                ),
-            });
-        }
+    if let Some(i) = deltas.iter().position(|d| !(d.is_finite() && *d > 0.0)) {
+        let d = deltas[i];
+        return Err(invalid(format!("delta of class {i} must be finite and > 0, got {d}")));
     }
     Ok(())
+}
+
+/// The floor and the overload margin [`clamped_rates`] can honour for
+/// `n` classes: `n·min_rate ≤ 1` and a margin in `[0, 1)`.
+pub(crate) fn validate_clamp(n: usize, min_rate: f64, margin: f64) -> Result<(), AllocationError> {
+    if !(0.0..1.0).contains(&margin) {
+        return Err(invalid(format!("overload margin must be in [0,1), got {margin}")));
+    }
+    if !(min_rate >= 0.0 && min_rate * n as f64 <= 1.0) {
+        return Err(invalid(format!("min_rate {min_rate} x {n} classes exceeds capacity")));
+    }
+    Ok(())
+}
+
+/// What Eq. 17 needs of class `i`'s service distribution: `E[X_i]` and
+/// the weight tilt `E[X_i²]·E[1/X_i]` (Theorem 1's numerator).
+pub(crate) fn mean_and_tilt(i: usize, m: &Moments) -> Result<(f64, f64), AllocationError> {
+    if !(m.mean.is_finite() && m.mean > 0.0) {
+        return Err(invalid(format!("class {i} mean service time must be finite and > 0")));
+    }
+    let mean_inverse = m.mean_inverse.ok_or_else(|| {
+        invalid(format!("class {i} has divergent E[1/X]; slowdown model does not apply"))
+    })?;
+    if !m.second_moment.is_finite() {
+        return Err(invalid(format!("class {i} has infinite E[X^2]")));
+    }
+    Ok((m.mean, m.second_moment * mean_inverse))
+}
+
+/// **The one clamped Eq. 17 path**: every PSD rate vector comes out of
+/// this function. `loads[i]` is class `i`'s raw requirement
+/// `ρ_i = λ_i·E[X_i]`, `weights[i]` its claim `w_i` on the residual.
+///
+/// 1. *Overload fallback*: at `ρ ≥ 1 − overload_margin` the shares are
+///    proportional to the offered loads (every task server is then
+///    equally over-driven — the least-bad work-conserving choice).
+/// 2. *Residual split*: otherwise `r_i = ρ_i + (1 − ρ)·w_i/Σw_j`, or an
+///    even split when no class has traffic (`Σw = 0`).
+/// 3. *Floor*, by waterfilling: classes below `min_rate` are pinned at
+///    exactly `min_rate` and the rest share the remaining capacity in
+///    proportion to their unclamped rates, so a class whose *estimated*
+///    load transiently hits zero is not starved and `Σ r_i` stays 1.
+///
+/// Callers validate ([`validate_clamp`]); this cannot fail.
+pub(crate) fn clamped_rates(
+    loads: &[f64],
+    weights: &[f64],
+    min_rate: f64,
+    overload_margin: f64,
+) -> Vec<f64> {
+    let n = loads.len();
+    let rho: f64 = loads.iter().sum();
+    let wsum: f64 = weights.iter().sum();
+    let mut rates: Vec<f64> = if rho >= 1.0 - overload_margin {
+        // `overload_margin < 1`, so ρ > 0 here.
+        loads.iter().map(|load| load / rho).collect()
+    } else if wsum == 0.0 {
+        vec![1.0 / n as f64; n]
+    } else {
+        let residual = 1.0 - rho;
+        loads.iter().zip(weights).map(|(load, w)| load + residual * w / wsum).collect()
+    };
+    // Repeat: the rescale can push further classes below the floor.
+    let mut floored = vec![false; n];
+    while rates.iter().any(|&r| r < min_rate) {
+        for (f, &r) in floored.iter_mut().zip(&rates) {
+            *f |= r < min_rate;
+        }
+        let n_floored = floored.iter().filter(|&&f| f).count();
+        let remaining = 1.0 - n_floored as f64 * min_rate;
+        let free_sum: f64 = rates.iter().zip(&floored).filter(|(_, &f)| !f).map(|(r, _)| *r).sum();
+        // (An unfloored class has `r ≥ min_rate > 0`, so `free_sum > 0`.)
+        for (r, &f) in rates.iter_mut().zip(&floored) {
+            *r = if f { min_rate } else { *r * remaining / free_sum };
+        }
+    }
+    rates
+}
+
+/// The strict entries: no margin, no floor, and `ρ ≥ 1` is an error.
+fn strict_rates(loads: &[f64], weights: &[f64]) -> Result<Vec<f64>, AllocationError> {
+    let rho: f64 = loads.iter().sum();
+    if rho >= 1.0 {
+        return Err(AllocationError::Infeasible { total_load: rho });
+    }
+    Ok(clamped_rates(loads, weights, 0.0, 0.0))
+}
+
+/// `(ρ_i, w_i) = (λ_i·E[X], λ_i/δ_i)` under one shared distribution.
+fn shared_terms(
+    lambdas: &[f64],
+    deltas: &[f64],
+    mean_service: f64,
+) -> Result<(Vec<f64>, Vec<f64>), AllocationError> {
+    validate(lambdas, deltas)?;
+    if !(mean_service.is_finite() && mean_service > 0.0) {
+        return Err(invalid(format!(
+            "mean service time must be finite and > 0, got {mean_service}"
+        )));
+    }
+    Ok((
+        lambdas.iter().map(|l| l * mean_service).collect(),
+        lambdas.iter().zip(deltas).map(|(l, d)| l / d).collect(),
+    ))
 }
 
 /// Compute the PSD rate vector (paper Eq. 17).
@@ -91,36 +183,15 @@ pub fn psd_rates(
     deltas: &[f64],
     mean_service: f64,
 ) -> Result<Vec<f64>, AllocationError> {
-    validate(lambdas, deltas, mean_service)?;
-    let n = lambdas.len();
-    let rho: f64 = lambdas.iter().map(|l| l * mean_service).sum();
-    if rho >= 1.0 {
-        return Err(AllocationError::Infeasible { total_load: rho });
-    }
-    let scaled: Vec<f64> = lambdas.iter().zip(deltas).map(|(l, d)| l / d).collect();
-    let big_lambda: f64 = scaled.iter().sum();
-    if big_lambda == 0.0 {
-        // No traffic anywhere: any split works; pick the even one.
-        return Ok(vec![1.0 / n as f64; n]);
-    }
-    let residual = 1.0 - rho;
-    Ok(lambdas
-        .iter()
-        .zip(&scaled)
-        .map(|(l, s)| l * mean_service + residual * s / big_lambda)
-        .collect())
+    let (loads, weights) = shared_terms(lambdas, deltas, mean_service)?;
+    strict_rates(&loads, &weights)
 }
 
 /// Like [`psd_rates`], but degrades gracefully instead of erroring:
-///
-/// * under overload (`ρ ≥ 1 − margin`) it falls back to shares
-///   proportional to each class's offered load (every task server is
-///   then equally over-driven — the least-bad work-conserving choice);
-/// * each class with traffic is guaranteed at least `min_rate` (and the
-///   vector is renormalized), so a class whose *estimated* load
-///   transiently hits zero is not starved.
-///
-/// This is the production path used by [`crate::PsdController`].
+/// load-proportional shares under overload (`ρ ≥ 1 − overload_margin`)
+/// and at least `min_rate` for every class (floored classes get exactly
+/// `min_rate`, the rest share the remainder). This is what
+/// [`crate::PsdController`] computes in the paper's configuration.
 pub fn psd_rates_clamped(
     lambdas: &[f64],
     deltas: &[f64],
@@ -128,62 +199,9 @@ pub fn psd_rates_clamped(
     min_rate: f64,
     overload_margin: f64,
 ) -> Result<Vec<f64>, AllocationError> {
-    validate(lambdas, deltas, mean_service)?;
-    if !(0.0..1.0).contains(&overload_margin) {
-        return Err(AllocationError::InvalidInput {
-            reason: format!("overload margin must be in [0,1), got {overload_margin}"),
-        });
-    }
-    let n = lambdas.len();
-    if !(min_rate >= 0.0 && min_rate * n as f64 <= 1.0) {
-        return Err(AllocationError::InvalidInput {
-            reason: format!("min_rate {min_rate} x {n} classes exceeds capacity"),
-        });
-    }
-    let rho: f64 = lambdas.iter().map(|l| l * mean_service).sum();
-    let mut rates = if rho >= 1.0 - overload_margin {
-        // Overload fallback: load-proportional shares.
-        if rho == 0.0 {
-            vec![1.0 / n as f64; n]
-        } else {
-            lambdas.iter().map(|l| l * mean_service / rho).collect()
-        }
-    } else {
-        psd_rates(lambdas, deltas, mean_service)?
-    };
-    // Enforce the floor by waterfilling: floored classes are pinned at
-    // exactly `min_rate`; the rest share the remaining capacity in
-    // proportion to their unclamped rates. Iterate because the rescale
-    // can push further classes below the floor.
-    if min_rate > 0.0 {
-        let mut floored = vec![false; n];
-        loop {
-            let mut changed = false;
-            for (r, f) in rates.iter().zip(&mut floored) {
-                if !*f && *r < min_rate {
-                    *f = true;
-                    changed = true;
-                }
-            }
-            if !changed {
-                break;
-            }
-            let n_floored = floored.iter().filter(|&&f| f).count();
-            let remaining = 1.0 - n_floored as f64 * min_rate;
-            let free_sum: f64 =
-                rates.iter().zip(&floored).filter(|(_, &f)| !f).map(|(r, _)| *r).sum();
-            for (r, &f) in rates.iter_mut().zip(&floored) {
-                if f {
-                    *r = min_rate;
-                } else if free_sum > 0.0 {
-                    *r = *r * remaining / free_sum;
-                } else {
-                    *r = remaining / (n - n_floored).max(1) as f64;
-                }
-            }
-        }
-    }
-    Ok(rates)
+    let (loads, weights) = shared_terms(lambdas, deltas, mean_service)?;
+    validate_clamp(lambdas.len(), min_rate, overload_margin)?;
+    Ok(clamped_rates(&loads, &weights, min_rate, overload_margin))
 }
 
 /// Heterogeneous-distribution PSD allocation — an extension beyond the
@@ -194,7 +212,7 @@ pub fn psd_rates_clamped(
 ///
 /// ```text
 /// r_i = ρ_i + (1 − ρ) · w_i / Σ_j w_j,
-///       w_i = λ_i·E[X_i²]·E[1/X_i] / δ_i,   ρ_i = λ_i·E[X_i]
+///       w_i = (λ_i/δ_i)·E[X_i²]·E[1/X_i],   ρ_i = λ_i·E[X_i]
 /// ```
 ///
 /// which reduces to [`psd_rates`] when all classes share one
@@ -202,66 +220,20 @@ pub fn psd_rates_clamped(
 pub fn psd_rates_heterogeneous(
     lambdas: &[f64],
     deltas: &[f64],
-    moments: &[psd_dist::Moments],
+    moments: &[Moments],
 ) -> Result<Vec<f64>, AllocationError> {
-    if lambdas.is_empty() || lambdas.len() != deltas.len() || lambdas.len() != moments.len() {
-        return Err(AllocationError::InvalidInput {
-            reason: format!(
-                "need equal non-zero class counts ({} lambdas, {} deltas, {} moment sets)",
-                lambdas.len(),
-                deltas.len(),
-                moments.len()
-            ),
-        });
+    validate(lambdas, deltas)?;
+    if moments.len() != lambdas.len() {
+        let (m, n) = (moments.len(), lambdas.len());
+        return Err(invalid(format!("need one moment set per class (got {m} for {n} classes)")));
     }
-    for (i, &l) in lambdas.iter().enumerate() {
-        if !(l.is_finite() && l >= 0.0) {
-            return Err(AllocationError::InvalidInput {
-                reason: format!("arrival rate of class {i} must be finite and >= 0, got {l}"),
-            });
-        }
+    let (mut loads, mut weights) = (Vec::new(), Vec::new());
+    for (i, ((l, d), m)) in lambdas.iter().zip(deltas).zip(moments).enumerate() {
+        let (mean, tilt) = mean_and_tilt(i, m)?;
+        loads.push(l * mean);
+        weights.push(l / d * tilt);
     }
-    for (i, &d) in deltas.iter().enumerate() {
-        if !(d.is_finite() && d > 0.0) {
-            return Err(AllocationError::InvalidInput {
-                reason: format!("delta of class {i} must be finite and > 0, got {d}"),
-            });
-        }
-    }
-    let mut weights = Vec::with_capacity(lambdas.len());
-    let mut rho = 0.0;
-    for (i, ((&l, &d), m)) in lambdas.iter().zip(deltas).zip(moments).enumerate() {
-        if !(m.mean.is_finite() && m.mean > 0.0) {
-            return Err(AllocationError::InvalidInput {
-                reason: format!("class {i} mean service time must be finite and > 0"),
-            });
-        }
-        let mi = m.mean_inverse.ok_or_else(|| AllocationError::InvalidInput {
-            reason: format!("class {i} has divergent E[1/X]; slowdown model does not apply"),
-        })?;
-        if m.second_moment.is_infinite() {
-            return Err(AllocationError::InvalidInput {
-                reason: format!("class {i} has infinite E[X^2]"),
-            });
-        }
-        rho += l * m.mean;
-        weights.push(l * m.second_moment * mi / d);
-    }
-    if rho >= 1.0 {
-        return Err(AllocationError::Infeasible { total_load: rho });
-    }
-    let wsum: f64 = weights.iter().sum();
-    let n = lambdas.len();
-    if wsum == 0.0 {
-        return Ok(vec![1.0 / n as f64; n]);
-    }
-    let residual = 1.0 - rho;
-    Ok(lambdas
-        .iter()
-        .zip(moments)
-        .zip(&weights)
-        .map(|((l, m), w)| l * m.mean + residual * w / wsum)
-        .collect())
+    strict_rates(&loads, &weights)
 }
 
 #[cfg(test)]
@@ -328,9 +300,17 @@ mod tests {
     #[test]
     fn clamped_protects_idle_class() {
         let r = psd_rates_clamped(&[1.0, 0.0], &[1.0, 2.0], 0.3, 0.01, 0.02).unwrap();
-        assert!(r[1] >= 0.009, "min-rate floor applies: {r:?}");
-        let sum: f64 = r.iter().sum();
-        assert!((sum - 1.0).abs() < 1e-9);
+        assert_eq!(r, vec![0.99, 0.01], "the idle class gets the floor, not a share of it");
+    }
+
+    /// Pinning one class rescales the others, which can push the next
+    /// one under the floor: shares (0.97, 0.02, 0.01) against a floor of
+    /// 0.02 pin class 2, then class 1 (0.02·0.98/0.99 < 0.02).
+    #[test]
+    fn floor_cascades_and_keeps_the_sum() {
+        let r = psd_rates_clamped(&[97.0, 2.0, 1.0], &[1.0; 3], 0.1, 0.02, 0.02).unwrap();
+        assert_eq!(&r[1..], &[0.02, 0.02]);
+        assert!((r[0] - 0.96).abs() < 1e-15, "{r:?}");
     }
 
     #[test]

@@ -5,7 +5,7 @@
 use psd_desim::{ClassSpec, ServiceMode, SimConfig};
 use psd_dist::{ServiceDist, ServiceDistribution};
 
-use crate::controller::{ControllerParams, PsdController};
+use crate::control::{ControllerParams, PsdController};
 use crate::model::{ModelError, PsdModel};
 
 /// One service class: differentiation parameter and offered load.

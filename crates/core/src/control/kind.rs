@@ -1,21 +1,22 @@
 //! [`ControllerKind`] and [`build_controller`] — the one factory the
 //! server monitor, `psd_httpd`, `psd_loadtest` and the tests all use to
 //! construct a controller stack, so "which controller runs" is a value
-//! (`--controller {open,feedback}`) instead of hard-wired code.
+//! (`--controller {open,feedback}`) instead of hard-wired code. Both
+//! kinds are the one [`PsdController`]: `open` simply means gain 0.
 
 use psd_control::RateController;
 
 use crate::control::admit::Admitting;
-use crate::control::feedback::{FeedbackParams, FeedbackPsdController};
 use crate::control::open::{ControllerParams, PsdController};
 
-/// Which rate-controller family drives the control plane.
+/// Whether the slowdown feedback of [`PsdController`] is engaged.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ControllerKind {
-    /// The paper's open-loop Eq. 17 allocator (load estimator only).
+    /// The paper's open-loop Eq. 17 allocator (load estimator only):
+    /// gain 0, whatever `--gain` says.
     Open,
     /// The slowdown-feedback extension; with `gain = 0` it is
-    /// *bit-identical* to [`ControllerKind::Open`].
+    /// [`ControllerKind::Open`] — one controller, bit-identical.
     Feedback,
 }
 
@@ -38,8 +39,8 @@ impl ControllerKind {
     }
 }
 
-/// Build the controller stack for `kind`: the base controller, wrapped
-/// in [`Admitting`] when `admission_cap` is set. `gain` only affects
+/// Build the controller stack for `kind`: a [`PsdController`], wrapped
+/// in [`Admitting`] when `admission_cap` is set. `gain` only reaches
 /// [`ControllerKind::Feedback`]; `estimator_history` is the paper's
 /// 5-window moving average by default.
 pub fn build_controller(
@@ -50,17 +51,14 @@ pub fn build_controller(
     estimator_history: usize,
     admission_cap: Option<f64>,
 ) -> Box<dyn RateController + Send> {
-    let params = ControllerParams { estimator_history, ..ControllerParams::default() };
-    let base: Box<dyn RateController + Send> = match kind {
-        ControllerKind::Open => Box::new(PsdController::new(deltas.to_vec(), mean_service, params)),
-        ControllerKind::Feedback => Box::new(FeedbackPsdController::new(
-            deltas.to_vec(),
-            mean_service,
-            FeedbackParams { base: params, gain, ..FeedbackParams::default() },
-        )),
+    let gain = match kind {
+        ControllerKind::Open => 0.0,
+        ControllerKind::Feedback => gain,
     };
+    let params = ControllerParams { estimator_history, gain, ..ControllerParams::default() };
+    let base = PsdController::new(deltas.to_vec(), mean_service, params);
     match admission_cap {
-        None => base,
+        None => Box::new(base),
         Some(cap) => Box::new(Admitting::new(base, cap, estimator_history)),
     }
 }
@@ -102,6 +100,15 @@ mod tests {
                 assert_eq!(d.admit_probability, None, "load 0.6 is under every cap here");
             }
         }
+        // "Gain 0 ≡ open", on a window that exercises the floor: class 0
+        // at load ≈ 0.6, class 1 idle.
+        let idle = WindowObservation { end: 1000.0, arrivals: vec![2065, 0], ..w };
+        let ex = 0.29053;
+        let mut open = build_controller(ControllerKind::Open, &[1.0, 2.0], ex, 0.3, 5, None);
+        let mut fb0 = build_controller(ControllerKind::Feedback, &[1.0, 2.0], ex, 0.0, 5, None);
+        let rates = open.control(1000.0, &idle).rates.unwrap();
+        assert_eq!(rates, vec![1.0 - 1e-4, 1e-4], "the idle class sits exactly at min_rate");
+        assert_eq!(fb0.control(1000.0, &idle).rates.unwrap(), rates);
     }
 
     #[test]

@@ -7,7 +7,9 @@
 //! * [`allocation`] — the processing-rate allocation strategy (paper
 //!   Eq. 17): each class receives its raw processing requirement
 //!   `ρ_i = λ_i·E[X]` plus a share of the residual capacity
-//!   proportional to `λ_i/δ_i`.
+//!   proportional to `λ_i/δ_i`. One clamped path (overload fallback →
+//!   residual split → `min_rate` floor) serves the strict, the clamped
+//!   and the per-class-moments entries alike.
 //! * [`model`] — the PSD model itself (paper Eqs. 16/18): the expected
 //!   per-class slowdown under the allocation, its predictability /
 //!   controllability properties, and feasibility checks.
@@ -15,8 +17,8 @@
 //!   for the next window is the average over the past five windows).
 //! * [`control`] — the unified control plane: the shared
 //!   [`control::RateController`] contract (re-exported from
-//!   `psd-control`), the open-loop [`PsdController`], the
-//!   slowdown-feedback extension, admission shedding and the
+//!   `psd-control`), the one [`PsdController`] (the paper's open loop;
+//!   the slowdown feedback is its `gain`), admission shedding and the
 //!   hot-reconfigurable [`control::SharedControl`] runtime surface —
 //!   the same objects drive the desim engine and the live
 //!   `psd-server` monitor.
@@ -56,17 +58,9 @@ pub mod model;
 pub mod report;
 pub mod simulation;
 
-// Compatibility aliases for the pre-`control` module layout: the
-// controller stack now lives under [`control`], but the old paths
-// (`psd_core::controller`, `psd_core::feedback`, `psd_core::admission`)
-// keep resolving.
-pub use control::admission;
-pub use control::feedback;
-pub use control::open as controller;
-
 pub use allocation::{psd_rates, psd_rates_heterogeneous, AllocationError};
 pub use config::{ClassConfig, PsdConfig};
-pub use control::{FeedbackPsdController, PsdController};
+pub use control::PsdController;
 pub use estimator::LoadEstimator;
 pub use model::PsdModel;
 pub use report::{ClassReport, PsdReport};

@@ -2,8 +2,7 @@
 //! the closed-loop (feedback) extension.
 
 use psd_core::config::PsdConfig;
-use psd_core::controller::ControllerParams;
-use psd_core::feedback::{FeedbackParams, FeedbackPsdController};
+use psd_core::control::ControllerParams;
 use psd_core::simulation::run_with_controller;
 use psd_core::PsdController;
 use psd_desim::{ArrivalSpec, ClassSpec, SimConfig, Simulation};
@@ -90,8 +89,12 @@ fn feedback_controller_end_to_end() {
     });
     let closed = ratio_with(&|| {
         Box::new(
-            FeedbackPsdController::new(vec![1.0, 2.0], ex, FeedbackParams::default())
-                .with_nominal_lambdas(lambdas.clone()),
+            PsdController::new(
+                vec![1.0, 2.0],
+                ex,
+                ControllerParams { gain: 0.3, ..Default::default() },
+            )
+            .with_nominal_lambdas(lambdas.clone()),
         )
     });
 
@@ -127,10 +130,10 @@ fn zero_gain_feedback_is_open_loop() {
         &cfg,
         42,
         Box::new(
-            FeedbackPsdController::new(
+            PsdController::new(
                 vec![1.0, 2.0],
                 ex,
-                psd_core::feedback::FeedbackParams { gain: 0.0, ..Default::default() },
+                ControllerParams { gain: 0.0, ..Default::default() },
             )
             .with_nominal_lambdas(lambdas),
         ),

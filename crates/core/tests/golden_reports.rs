@@ -3,22 +3,27 @@
 //! of `run_once` reports pins the engine's behaviour bit for bit — the
 //! event order (ties included), the RNG draw order and the floating
 //! point of every accumulator. A simulator change that is a pure
-//! optimisation leaves the constant alone — it was computed with the
-//! binary-heap engine `desim` began with, and the window-synchronous
-//! loop, which has no event set at all, still produces it; one that
-//! moves it has changed what the simulator computes and must say so.
+//! optimisation leaves the constants alone — they were computed with
+//! the binary-heap engine `desim` began with, and the window-synchronous
+//! loop, which has no event set at all, still produces them; one that
+//! moves them has changed what the simulator computes and must say so.
 //! `golden_output.rs` pins the parts of `SimOutput` a report drops.
+//!
+//! Two constants, so that a controller change can move the one it means
+//! to: `OPEN_LOOP` covers the paper's controller (gain 0), on which
+//! every benchmark workload runs; `FEEDBACK` the same controller with
+//! the §6 slowdown feedback engaged.
 
 mod common;
 
 use common::Fold;
 use psd_core::config::PsdConfig;
-use psd_core::control::{FeedbackParams, FeedbackPsdController};
-use psd_core::simulation::{run_once, run_with_controller};
+use psd_core::simulation::run_once;
 use psd_core::PsdReport;
 use psd_desim::ServiceMode;
-use psd_dist::ServiceDistribution;
 
+const OPEN_LOOP: u64 = 0xf9ab_8d12_e8eb_d3e5;
+const FEEDBACK: u64 = 0x8a4c_d72c_a4d8_554d;
 const DELTAS: [f64; 3] = [1.0, 2.0, 4.0];
 
 impl Fold {
@@ -64,12 +69,15 @@ fn run_once_reports_match_the_golden_hash() {
     pinned.service_mode = ServiceMode::PinnedRate;
     h.report(&run_once(&pinned, 1000));
 
-    // A controller whose rates depend on the window's slowdown sums.
-    let cfg = PsdConfig::equal_load(&DELTAS, 0.8);
-    let feedback =
-        FeedbackPsdController::new(cfg.deltas(), cfg.service.mean(), FeedbackParams::default())
-            .with_nominal_lambdas(cfg.lambdas());
-    h.report(&run_with_controller(&cfg, 1000, Box::new(feedback)));
+    assert_eq!(h.0, OPEN_LOOP, "simulator output moved: {:#018x}", h.0);
+}
 
-    assert_eq!(h.0, 0xdde5_8524_2b83_688d, "simulator output moved: {:#018x}", h.0);
+/// Rates that depend on the window's slowdown sums.
+#[test]
+fn feedback_report_matches_the_golden_hash() {
+    let mut cfg = PsdConfig::equal_load(&DELTAS, 0.8);
+    cfg.controller_params.gain = 0.3;
+    let mut h = Fold::fnv1a();
+    h.report(&run_once(&cfg, 1000));
+    assert_eq!(h.0, FEEDBACK, "feedback-leg output moved: {:#018x}", h.0);
 }

@@ -1,13 +1,15 @@
 //! The rate-controller interface between the simulator and the PSD
-//! allocation strategy.
+//! allocation strategy, and the window bookkeeping behind it.
 //!
 //! The contract itself ([`RateController`], [`WindowObservation`],
-//! [`ControlDirective`], [`StaticRates`]) was extracted into the
-//! dependency-free `psd-control` crate so the exact same controller
-//! objects drive this simulator *and* the live `psd-server` monitor;
-//! this module re-exports it unchanged for backwards compatibility.
-//! The concrete controllers (open-loop Eq. 17, slowdown feedback,
-//! admission composition) live in `psd_core::control`.
+//! [`ControlDirective`], [`StaticRates`]) lives in the dependency-free
+//! `psd-control` crate, so the exact same controller objects drive this
+//! simulator *and* the live `psd-server` monitor; it is re-exported
+//! here because the simulator's own API is written in its terms. The
+//! concrete controllers (the Eq. 17 `PsdController` with its optional
+//! slowdown feedback, admission composition) live in
+//! `psd_core::control`. What this module adds is `WindowAccount`, the
+//! one place a simulator fills in the observation its controller sees.
 
 pub use psd_control::{ControlDirective, RateController, StaticRates, WindowObservation};
 

@@ -25,9 +25,9 @@
 //!                  kernel refuses io_uring)     (default: threads)
 //!   --shards       reactor event-loop shard count
 //!                  (default: min(cores, 4); threads engine ignores)
-//!   --controller   rate-controller family driving the monitor: open
-//!                  (Eq. 17) or feedback (slowdown integral loop);
-//!                  gain 0 makes feedback identical to open
+//!   --controller   how the PSD controller drives the monitor: open
+//!                  (Eq. 17, gain 0) or feedback (its slowdown integral
+//!                  loop engaged); feedback at gain 0 is open
 //!   --gain         feedback integral gain (default 0.3)
 //!   --admission-cap
 //!                  target admitted utilization in (0,1): sheds the

@@ -30,7 +30,11 @@
 //! ```
 //!
 //! `--controller feedback` closes the control loop on measured
-//! per-class slowdowns (`--gain` tunes it; gain 0 ≡ open loop) and
+//! per-class slowdowns: `--gain G` is the integral gain of the one PSD
+//! controller, `open` runs it at gain 0 whatever `G` is, and feedback
+//! at gain 0 is that same open loop (`/trace/control` then carries no
+//! `integral_terms`). Either way a class whose rate falls under the
+//! floor is pinned at `min_rate` and the rest share the remainder;
 //! `--admission-cap C` sheds the lowest classes (`503` + `X-Shed`)
 //! once the offered load exceeds `C`. Both engines also serve the
 //! admin routes: `GET /metrics` (JSON snapshot) and `GET|PUT /config`

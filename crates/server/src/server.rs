@@ -71,13 +71,16 @@ pub struct ServerConfig {
     pub control_window: Duration,
     /// Estimator history in windows (paper: 5).
     pub estimator_history: usize,
-    /// Which controller family drives the monitor (`--controller`):
-    /// the open-loop Eq. 17 allocator or the slowdown-feedback
-    /// extension. Both are the same objects the simulator runs.
+    /// How the one PSD controller drives the monitor (`--controller`):
+    /// as the open-loop Eq. 17 allocator or with its slowdown feedback
+    /// engaged. It is the same object the simulator runs.
     pub controller: ControllerKind,
-    /// Integral gain of the feedback controller (`--gain`); ignored by
-    /// [`ControllerKind::Open`]. `gain = 0` makes the feedback
-    /// controller bit-identical to the open loop.
+    /// Integral gain of the slowdown feedback (`--gain`); it reaches
+    /// the controller only under [`ControllerKind::Feedback`], and
+    /// `gain = 0` there *is* the open loop (one controller, one clamped
+    /// Eq. 17 path: a class below `min_rate` is pinned at it, the rest
+    /// share the remainder). At gain 0 `/trace/control` lists no
+    /// `integral_terms`.
     pub gain: f64,
     /// Target admitted utilization (`--admission-cap`): when set, the
     /// control plane sheds the lowest classes first once the

@@ -10,7 +10,7 @@
 //!
 //! Run with: `cargo run --release --example session_store`
 
-use psd::core::controller::{ControllerParams, HeterogeneousPsdController};
+use psd::core::control::{ControllerParams, PsdController};
 use psd::desim::session::{run_sessions, SessionConfig, SessionState};
 use psd::desim::StaticRates;
 use psd::dist::{Deterministic, Moments, ServiceDist, ServiceDistribution, UniformService};
@@ -108,9 +108,9 @@ fn main() {
                         (1.0, Deterministic::new(0.4).unwrap().moments()),
                     ]);
                     let search = UniformService::new(0.5, 3.0).unwrap().moments();
-                    Box::new(HeterogeneousPsdController::new(
+                    Box::new(PsdController::per_class(
                         deltas.clone(),
-                        vec![checkout, class1, search],
+                        &[checkout, class1, search],
                         ControllerParams::default(),
                     ))
                 } else {

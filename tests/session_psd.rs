@@ -1,7 +1,7 @@
 //! Closed-loop sessions × heterogeneous PSD: the integration path used
 //! by `examples/session_store.rs`, pinned down as a test.
 
-use psd::core::controller::{ControllerParams, HeterogeneousPsdController};
+use psd::core::control::{ControllerParams, PsdController};
 use psd::desim::session::{run_sessions, SessionConfig, SessionState};
 use psd::desim::StaticRates;
 use psd::dist::{Deterministic, ServiceDist, ServiceDistribution};
@@ -34,10 +34,10 @@ fn store(n_users: usize, seed: u64) -> SessionConfig {
     }
 }
 
-fn controller() -> HeterogeneousPsdController {
-    HeterogeneousPsdController::new(
+fn controller() -> PsdController {
+    PsdController::per_class(
         vec![1.0, 2.0],
-        vec![
+        &[
             Deterministic::new(1.5).unwrap().moments(), // checkout class
             Deterministic::new(0.5).unwrap().moments(), // browse class
         ],
