@@ -8,7 +8,9 @@
 //! completions and with the other class's events. The constant was
 //! computed with the engine that popped every event of every class
 //! from one `(time, seq)`-ordered set; an engine that orders events any
-//! other way must still produce it.
+//! other way must still produce it. `run_sessions` has a constant of
+//! its own, computed while its completions and ticks still sat in one
+//! heap with the think timers.
 
 mod common;
 
@@ -16,8 +18,8 @@ use common::Fold;
 use psd_core::config::PsdConfig;
 use psd_core::control::{ControllerParams, PsdController};
 use psd_desim::{
-    ArrivalSpec, ClassSpec, RateController, ServiceMode, SimConfig, SimOutput, Simulation,
-    WindowObservation,
+    run_sessions, ArrivalSpec, ClassSpec, RateController, ServiceMode, SessionConfig, SessionState,
+    SimConfig, SimOutput, Simulation, WindowObservation,
 };
 use psd_dist::{Deterministic, Exponential, ServiceDist, ServiceDistribution};
 
@@ -167,4 +169,64 @@ fn sim_outputs_match_the_golden_hash() {
     }
 
     assert_eq!(h.0, 0x19b0_bd82_e2f1_88b5, "simulator output moved: {:#018x}", h.0);
+}
+
+/// The closed loop: think timers, completions and ticks of both classes
+/// in one `(time, seq)` order. With zero think time a two-state store
+/// of deterministic sizes keeps all three on one grid of halves, so
+/// every kind of tie is exercised; the 60-user run is the shape of the
+/// session studies.
+#[test]
+fn session_outputs_match_the_golden_hash() {
+    let mut h = Fold::fnv1a();
+    let det = |v| ServiceDist::Deterministic(Deterministic::new(v).unwrap());
+    let bp = ServiceDist::paper_default();
+    let psd = |mean_service| {
+        Box::new(PsdController::new(vec![1.0, 2.0], mean_service, ControllerParams::default()))
+    };
+
+    for (think0, think1) in [(0.0, 0.0), (2.0, 1.0), (0.0, 1.5)] {
+        let store = || SessionConfig {
+            states: vec![
+                SessionState {
+                    class: 1,
+                    service: det(0.5),
+                    mean_think: think0,
+                    next: vec![0.3, 0.7],
+                },
+                SessionState {
+                    class: 0,
+                    service: det(1.0),
+                    mean_think: think1,
+                    next: vec![1.0, 0.0],
+                },
+            ],
+            initial_state: 0,
+            n_classes: 2,
+            n_users: 7,
+            end_time: 3_000.0,
+            warmup: 150.0,
+            control_period: 100.0,
+            seed: 2100,
+        };
+        h.output(&run_sessions(store(), Box::new(Swing(0))));
+        h.output(&run_sessions(store(), psd(0.75)));
+    }
+
+    let cfg = SessionConfig {
+        states: vec![
+            SessionState { class: 1, service: bp.clone(), mean_think: 3.0, next: vec![0.4, 0.6] },
+            SessionState { class: 0, service: bp.clone(), mean_think: 1.0, next: vec![0.9, 0.1] },
+        ],
+        initial_state: 0,
+        n_classes: 2,
+        n_users: 60,
+        end_time: 8_000.0,
+        warmup: 500.0,
+        control_period: 250.0,
+        seed: 2101,
+    };
+    h.output(&run_sessions(cfg, psd(bp.mean())));
+
+    assert_eq!(h.0, 0xb185_f485_c97e_7480, "session output moved: {:#018x}", h.0);
 }

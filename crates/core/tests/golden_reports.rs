@@ -4,9 +4,11 @@
 //! event order (ties included), the RNG draw order and the floating
 //! point of every accumulator. A simulator change that is a pure
 //! optimisation leaves the constants alone — they were computed with
-//! the binary-heap engine `desim` began with, and the window-synchronous
-//! loop, which has no event set at all, still produces them; one that
-//! moves them has changed what the simulator computes and must say so.
+//! the engine `desim` began with, which popped every event from one
+//! binary heap, and the window-synchronous loop over steppable
+//! stations, which has no event set at all, still produces them; one
+//! that moves them has changed what the simulator computes and must say
+//! so.
 //! `golden_output.rs` pins the parts of `SimOutput` a report drops.
 //!
 //! Two constants, so that a controller change can move the one it means

@@ -2,7 +2,14 @@
 //! task servers, the rate controller and the metrics collector into the
 //! structure of the paper's Figure 1.
 //!
-//! The loop is **window-synchronous**. The task servers are
+//! [`Plant`] is that figure from the queues rightwards: one [`Station`]
+//! per class, the controller that re-rates them at every window
+//! boundary, and what their events write to. What feeds it is the
+//! caller's: [`Simulation::run`] drives it from one arrival process per
+//! class, [`run_sessions`](crate::run_sessions) from a closed
+//! population of users.
+//!
+//! The open loop is **window-synchronous**. The task servers are
 //! rate-partitioned: between two control instants class `i` is one FCFS
 //! queue served at a fixed rate `r_i`, and nothing one class does can
 //! reach another — they meet only when the controller re-solves Eq. 17
@@ -16,20 +23,19 @@
 //! observed, which is among one class's two events and the tick. `seq`
 //! comes from ONE counter, drawn every time an event is armed: the
 //! first arrivals in class order, then the first tick; an arrival's
-//! successor; a completion, whenever `start_service` or `set_rate`
-//! hands one out; the tick's successor. Everything that arms an event
-//! of class `i` is an event of class `i` or a tick, and those fire in
-//! the same relative order here as they would from a global queue, so
-//! the counter ranks them the same way — it is only the order *between*
-//! classes inside a window that differs, and no output depends on it
-//! ([`MetricsCollector`] keeps its windows per class, [`Tracer`] sorts).
+//! successor; a completion, whenever a station starts a request or a
+//! fluid one is re-rated, at a positive rate; the tick's successor.
+//! Everything that arms an event of class `i` is an event of class `i`
+//! or a tick, and those fire in the same relative order here as they
+//! would from a global queue, so the counter ranks them the same way —
+//! it is only the order *between* classes inside a window that differs,
+//! and no output depends on it ([`MetricsCollector`] keeps its windows
+//! per class, [`Tracer`] sorts).
 //!
-//! Whether a completion that fires is still the live one is decided in
-//! one place, `TaskServer::complete`'s epoch check — a fluid rate of
-//! zero leaves a stale completion pending, and `PinnedRate` leaves the
-//! original one live, and both are sorted out there.
-
-use std::collections::VecDeque;
+//! A station holds the one completion it can have pending and arming
+//! overwrites it, so a completion that fires is the live one: a fluid
+//! rate of zero withdraws it, and `PinnedRate` leaves the original
+//! standing.
 
 use psd_dist::rng::SplitMix64;
 use psd_dist::ServiceDist;
@@ -39,7 +45,7 @@ use crate::controller::{RateController, WindowAccount};
 use crate::generator::{ArrivalSpec, Generator};
 use crate::metrics::{MetricsCollector, SimOutput};
 use crate::request::{CompletedRequest, Request};
-use crate::server::{ServiceMode, TaskServer};
+use crate::server::{precedes, Rank, Seq, ServiceMode, Station};
 use crate::trace::Tracer;
 
 /// Per-class workload specification.
@@ -104,13 +110,7 @@ impl Default for SimConfig {
 impl SimConfig {
     fn validate(&self) {
         assert!(!self.classes.is_empty(), "at least one class required");
-        assert!(self.end_time > 0.0 && self.end_time.is_finite(), "bad end_time");
-        assert!(self.warmup >= 0.0 && self.warmup < self.end_time, "warmup must precede end_time");
-        assert!(
-            self.control_period > 0.0 && self.control_period.is_finite(),
-            "control_period must be positive and finite, got {}",
-            self.control_period
-        );
+        validate_horizon(self.end_time, self.warmup, self.control_period);
         if let Some(w) = self.metrics_window {
             assert!(
                 w > 0.0 && w.is_finite(),
@@ -129,94 +129,178 @@ impl SimConfig {
     }
 }
 
-/// When an armed event fires: events fire in `(time, seq)` order.
-type Rank = (f64, u64);
-
-fn precedes(a: Rank, b: Rank) -> bool {
-    a.0 < b.0 || (a.0 == b.0 && a.1 < b.1)
+/// A run must be able to reach its end, and its ticks to fire.
+pub(crate) fn validate_horizon(end_time: f64, warmup: f64, control_period: f64) {
+    assert!(end_time > 0.0 && end_time.is_finite(), "bad end_time");
+    assert!(warmup >= 0.0 && warmup < end_time, "warmup must precede end_time");
+    assert!(
+        control_period > 0.0 && control_period.is_finite(),
+        "control_period must be positive and finite, got {control_period}"
+    );
 }
 
-/// What the events of every class write to.
-struct Ledger {
+fn validate_rates(rates: &[f64], n: usize) {
+    assert_eq!(rates.len(), n, "controller returned {} rates for {} classes", rates.len(), n);
+    let mut sum = 0.0;
+    for &r in rates {
+        assert!(r.is_finite() && r >= 0.0, "controller produced invalid rate {r}");
+        sum += r;
+    }
+    assert!(sum <= 1.0 + 1e-6, "controller oversubscribed the server: Σr = {sum}");
+}
+
+/// The stations, their controller, and what the events of every class
+/// write to.
+pub(crate) struct Plant {
+    pub stations: Vec<Station>,
     /// The one sequence counter; see the module doc for where it is
     /// drawn.
-    next_seq: u64,
+    pub seq: Seq,
     next_id: u64,
     metrics: MetricsCollector,
     window: WindowAccount,
     tracer: Option<Tracer>,
+    flight: Option<FlightRecorder>,
+    rate_history: Vec<(f64, Vec<f64>)>,
+    controller: Box<dyn RateController>,
 }
 
-impl Ledger {
-    fn draw_seq(&mut self) -> u64 {
-        self.next_seq += 1;
-        self.next_seq - 1
-    }
-}
-
-struct ClassState {
-    generator: Generator,
-    queue: VecDeque<Request>,
-    server: TaskServer,
-    /// `seq` of the pending arrival; its time is the generator's.
-    arrival_seq: u64,
-    /// The pending completion of the request in service, time `+∞` when
-    /// there is none, and the task-server epoch it was handed out
-    /// under. Arming it overwrites the one that epoch made stale.
-    completion: Rank,
-    completion_epoch: u64,
-}
-
-impl ClassState {
-    fn arm_completion(&mut self, scheduled: Option<(f64, u64)>, ledger: &mut Ledger) {
-        if let Some((at, epoch)) = scheduled {
-            self.completion = (at, ledger.draw_seq());
-            self.completion_epoch = epoch;
+impl Plant {
+    /// `n` empty stations at the controller's initial rates.
+    pub fn new(
+        n: usize,
+        mode: ServiceMode,
+        warmup: f64,
+        metrics_window: f64,
+        trace_range: Option<(f64, f64)>,
+        flight_capacity: usize,
+        mut controller: Box<dyn RateController>,
+    ) -> Self {
+        let initial_rates = controller.initial_rates(n);
+        validate_rates(&initial_rates, n);
+        Self {
+            stations: initial_rates.iter().map(|&r| Station::new(r, mode)).collect(),
+            seq: Seq::default(),
+            next_id: 0,
+            metrics: MetricsCollector::new(n, warmup, metrics_window),
+            window: WindowAccount::new(n),
+            tracer: trace_range.map(|(a, b)| Tracer::new(a, b)),
+            flight: (flight_capacity > 0).then(|| FlightRecorder::new(flight_capacity)),
+            rate_history: vec![(0.0, initial_rates)],
+            controller,
         }
     }
 
+    /// The id of the next request to arrive.
+    pub fn next_id(&mut self) -> u64 {
+        self.next_id += 1;
+        self.next_id - 1
+    }
+
+    /// `request` reaches the station of its class. (This and the two
+    /// below are the body of `Source::advance`'s loop, hence the hints:
+    /// without them a replication measured 1–2 % slower.)
+    #[inline]
+    pub fn arrive(&mut self, request: Request) {
+        self.metrics.on_arrival(request.class);
+        self.window.on_arrival(request.class, request.size);
+        self.stations[request.class].arrive(request, &mut self.seq);
+    }
+
+    /// The completion of `class` fires at `now`. The server stays idle
+    /// until [`Self::start_next`], so the caller can arm what the
+    /// departure sets off before the next completion is armed.
+    #[inline]
+    pub fn depart(&mut self, class: usize, now: f64) -> CompletedRequest {
+        let done = self.stations[class].depart(now);
+        self.metrics.on_departure(&done);
+        if let Some(t) = self.tracer.as_mut() {
+            t.offer(&done);
+        }
+        self.window.on_departure(class, done.slowdown());
+        done
+    }
+
+    /// The idle server of `class` takes the head of its queue.
+    #[inline]
+    pub fn start_next(&mut self, class: usize, now: f64) {
+        self.stations[class].start_next(now, &mut self.seq);
+    }
+
+    /// The control tick at `now`: close the window, show it to the
+    /// controller, re-rate the stations.
+    pub fn tick(&mut self, now: f64) {
+        let backlog = self.stations.iter().map(Station::backlog).collect();
+        let obs = self.window.close(now, backlog);
+
+        // The unified control entry point — the same call the live
+        // server's monitor makes. The simulator has no admission
+        // path, so a directive's `admit_probability` is ignored
+        // here (shedding is exercised end-to-end by
+        // `psd-server`/`psd-loadgen`).
+        let directive = self.controller.control(now, &obs);
+        if let Some(rates) = &directive.rates {
+            validate_rates(rates, self.stations.len());
+            for (station, &rate) in self.stations.iter_mut().zip(rates) {
+                station.set_rate(rate, now, &mut self.seq);
+            }
+            self.rate_history.push((now, rates.clone()));
+        }
+        // Flight-record the decision exactly as the live server's
+        // monitor does, so a simulated run and a live trace are
+        // diffable window by window.
+        if let Some(f) = &self.flight {
+            f.record(ControlTrace {
+                at_s: now,
+                epoch: obs.index,
+                applied_rates: self.rate_history.last().map(|(_, r)| r.clone()).unwrap_or_default(),
+                internals: self.controller.internals(),
+                observation: obs,
+                directive,
+            });
+        }
+    }
+
+    /// The report of a run that ended at `end`.
+    pub fn finish(self, end: f64) -> SimOutput {
+        let mut out = self.metrics.finish(end, self.rate_history);
+        if let Some(t) = self.tracer {
+            out.trace = t.into_records();
+        }
+        if let Some(f) = self.flight {
+            out.control_trace = f.snapshot();
+        }
+        out.busy_time = self.stations.iter().map(|s| s.busy_time_as_of(end)).collect();
+        out
+    }
+}
+
+/// A class's arrival process and the event it keeps armed.
+struct Source {
+    generator: Generator,
+    /// `seq` of the pending arrival; its time is the generator's.
+    arrival_seq: u64,
+}
+
+impl Source {
     /// Fire this class's events in `(time, seq)` order for as long as
     /// they precede `bound`.
-    fn advance(&mut self, class: usize, bound: Rank, ledger: &mut Ledger) {
+    fn advance(&mut self, class: usize, bound: Rank, plant: &mut Plant) {
         loop {
             let arrival = (self.generator.next_arrival_time(), self.arrival_seq);
-            let arrival_first = precedes(arrival, self.completion);
-            let next = if arrival_first { arrival } else { self.completion };
+            let completion = plant.stations[class].completion();
+            let arrival_first = precedes(arrival, completion);
+            let next = if arrival_first { arrival } else { completion };
             if !precedes(next, bound) {
                 return;
             }
-            let now = next.0;
             if arrival_first {
-                let req = self.generator.emit(ledger.next_id);
-                ledger.next_id += 1;
-                ledger.metrics.on_arrival(class);
-                ledger.window.on_arrival(class, req.size);
-                if self.server.is_busy() {
-                    self.queue.push_back(req);
-                } else {
-                    debug_assert!(self.queue.is_empty(), "idle server with backlog");
-                    let scheduled = self.server.start_service(req, now);
-                    self.arm_completion(scheduled, ledger);
-                }
-                self.arrival_seq = ledger.draw_seq();
+                let id = plant.next_id();
+                plant.arrive(self.generator.emit(id));
+                self.arrival_seq = plant.seq.draw();
             } else {
-                self.completion.0 = f64::INFINITY;
-                if let Some(in_service) = self.server.complete(now, self.completion_epoch) {
-                    let done = CompletedRequest {
-                        request: in_service.request,
-                        service_start: in_service.service_start,
-                        departure: now,
-                    };
-                    ledger.metrics.on_departure(&done);
-                    if let Some(t) = ledger.tracer.as_mut() {
-                        t.offer(&done);
-                    }
-                    ledger.window.on_departure(class, done.slowdown());
-                    if let Some(next) = self.queue.pop_front() {
-                        let scheduled = self.server.start_service(next, now);
-                        self.arm_completion(scheduled, ledger);
-                    }
-                }
+                plant.depart(class, next.0);
+                plant.start_next(class, next.0);
             }
         }
     }
@@ -236,117 +320,51 @@ impl Simulation {
     }
 
     /// Execute the run to completion and return the report.
-    pub fn run(mut self) -> SimOutput {
+    pub fn run(self) -> SimOutput {
         let cfg = &self.config;
-        let n = cfg.classes.len();
-        let metrics_window = cfg.metrics_window.unwrap_or(cfg.control_period);
-
-        let initial_rates = self.controller.initial_rates(n);
-        validate_rates(&initial_rates, n);
-
-        let mut ledger = Ledger {
-            next_seq: 0,
-            next_id: 0,
-            metrics: MetricsCollector::new(n, cfg.warmup, metrics_window),
-            window: WindowAccount::new(n),
-            tracer: cfg.trace_range.map(|(a, b)| Tracer::new(a, b)),
-        };
+        let mut plant = Plant::new(
+            cfg.classes.len(),
+            cfg.service_mode,
+            cfg.warmup,
+            cfg.metrics_window.unwrap_or(cfg.control_period),
+            cfg.trace_range,
+            cfg.flight_capacity,
+            self.controller,
+        );
         // The first draws of the sequence counter: the class arrivals
         // in class order, then the control tick.
-        let mut classes: Vec<ClassState> = cfg
+        let mut sources: Vec<Source> = cfg
             .classes
             .iter()
             .enumerate()
-            .map(|(i, spec)| ClassState {
+            .map(|(i, spec)| Source {
                 generator: Generator::new(
                     i,
                     &spec.arrival,
                     spec.service.clone(),
                     SplitMix64::derive(cfg.seed, i as u64 + 1),
                 ),
-                queue: VecDeque::new(),
-                server: TaskServer::new(initial_rates[i], cfg.service_mode),
-                arrival_seq: ledger.draw_seq(),
-                completion: (f64::INFINITY, 0),
-                completion_epoch: 0,
+                arrival_seq: plant.seq.draw(),
             })
             .collect();
-        let mut tick: Rank = (cfg.control_period, ledger.draw_seq());
-
-        let mut rate_history = vec![(0.0, initial_rates)];
-        let flight = (cfg.flight_capacity > 0).then(|| FlightRecorder::new(cfg.flight_capacity));
+        let mut tick: Rank = (cfg.control_period, plant.seq.draw());
         let end = cfg.end_time;
 
-        loop {
-            // Every class on its own up to the tick, or to the horizon
-            // once the tick lies past it (no `seq` reaches `u64::MAX`,
-            // so that bound admits exactly the events with time ≤ end).
-            let tick_fires = tick.0 <= end;
-            let bound = if tick_fires { tick } else { (end, u64::MAX) };
-            for (i, state) in classes.iter_mut().enumerate() {
-                state.advance(i, bound, &mut ledger);
+        // Every class on its own up to the tick, or to the horizon
+        // once the tick lies past it (no `seq` reaches `u64::MAX`,
+        // so that bound admits exactly the events with time ≤ end).
+        while tick.0 <= end {
+            for (i, source) in sources.iter_mut().enumerate() {
+                source.advance(i, tick, &mut plant);
             }
-            if !tick_fires {
-                break;
-            }
-
-            let now = tick.0;
-            let backlog = classes
-                .iter()
-                .map(|c| c.queue.len() as u64 + u64::from(c.server.is_busy()))
-                .collect();
-            let obs = ledger.window.close(now, backlog);
-
-            // The unified control entry point — the same call the live
-            // server's monitor makes. The simulator has no admission
-            // path, so a directive's `admit_probability` is ignored
-            // here (shedding is exercised end-to-end by
-            // `psd-server`/`psd-loadgen`).
-            let directive = self.controller.control(now, &obs);
-            if let Some(rates) = &directive.rates {
-                validate_rates(rates, n);
-                for (state, &rate) in classes.iter_mut().zip(rates) {
-                    let scheduled = state.server.set_rate(rate, now);
-                    state.arm_completion(scheduled, &mut ledger);
-                }
-                rate_history.push((now, rates.clone()));
-            }
-            // Flight-record the decision exactly as the live server's
-            // monitor does, so a simulated run and a live trace are
-            // diffable window by window.
-            if let Some(f) = &flight {
-                f.record(ControlTrace {
-                    at_s: now,
-                    epoch: obs.index,
-                    applied_rates: rate_history.last().map(|(_, r)| r.clone()).unwrap_or_default(),
-                    internals: self.controller.internals(),
-                    observation: obs,
-                    directive,
-                });
-            }
-            tick = (now + cfg.control_period, ledger.draw_seq());
+            plant.tick(tick.0);
+            tick = (tick.0 + cfg.control_period, plant.seq.draw());
         }
-
-        let mut out = ledger.metrics.finish(end, rate_history);
-        if let Some(t) = ledger.tracer {
-            out.trace = t.into_records();
+        for (i, source) in sources.iter_mut().enumerate() {
+            source.advance(i, (end, u64::MAX), &mut plant);
         }
-        if let Some(f) = flight {
-            out.control_trace = f.snapshot();
-        }
-        out.busy_time = classes.iter().map(|c| c.server.busy_time_as_of(end)).collect();
-        out
+        plant.finish(end)
     }
-}
-
-pub(crate) fn validate_rates(rates: &[f64], n: usize) {
-    assert_eq!(rates.len(), n, "controller returned {} rates for {} classes", rates.len(), n);
-    let mut sum = 0.0;
-    for &r in rates {
-        assert!(r.is_finite() && r >= 0.0, "controller produced invalid rate {r}");
-        sum += r;
-    }
-    assert!(sum <= 1.0 + 1e-6, "controller oversubscribed the server: Σr = {sum}");
 }
 
 #[cfg(test)]
@@ -535,11 +553,10 @@ mod tests {
     }
 
     /// A controller that takes a busy class's rate to zero and later
-    /// back. Fluid: the completion armed at service start goes stale
-    /// (it still fires, and the epoch check drops it), the request
-    /// starves and completes once, after its rate returns. Pinned: the
-    /// request keeps the rate it started under, so that first
-    /// completion is the live one.
+    /// back. Fluid: the completion armed at service start is withdrawn,
+    /// the request starves and completes once, after its rate returns.
+    /// Pinned: the request keeps the rate it started under, so that
+    /// first completion stands.
     #[test]
     fn zero_rate_starves_fluid_and_spares_pinned() {
         struct Blackout;

@@ -20,7 +20,14 @@
 //!   SplitMix64-derived child streams, and simultaneous events whose
 //!   order can be observed fire in the order they were scheduled, so a
 //!   report is an exact function of configuration and seed.
-//! * **A window-synchronous loop, no future-event set** — the task
+//! * **One plant, two drivers** — a class is a `Station`: its FCFS
+//!   queue, its fluid task server and the one completion the pair can
+//!   have pending, steppable in virtual time. The stations, the
+//!   controller that re-rates them at every window boundary and the
+//!   collectors their events write to are one plant (`engine.rs`),
+//!   which [`Simulation::run`] drives from per-class arrival processes
+//!   and [`run_sessions`] from a closed population of users.
+//! * **A window-synchronous open loop, no future-event set** — the task
 //!   servers are rate-partitioned, so between two control instants the
 //!   classes cannot affect one another: each is an FCFS queue at a
 //!   fixed rate, and they meet only when the controller runs.
@@ -31,8 +38,9 @@
 //!   still breaks every tie that can be observed — among a class's two
 //!   events and the tick (see `engine.rs`). The closed-loop
 //!   [`run_sessions`] cannot be taken apart like that — a departure
-//!   from one class schedules an arrival at another — and keeps a
-//!   binary heap of think timers.
+//!   from one class schedules an arrival at another — so each step it
+//!   fires the earliest of the stations' completions, the tick and a
+//!   heap of think timers, one per user.
 //!
 //! ```
 //! use psd_desim::{ClassSpec, SimConfig, Simulation, StaticRates};
@@ -58,7 +66,6 @@
 
 mod controller;
 mod engine;
-mod events;
 mod generator;
 mod metrics;
 mod request;

@@ -8,24 +8,29 @@
 //! cycles through a Markov chain of session states, thinks between
 //! requests, and each state's requests are dispatched to the state's
 //! service class — the PSD task servers and rate controller are the
-//! same ones the open-loop engine uses.
+//! same plant (`engine.rs`) the open-loop engine drives.
 //!
 //! The closed loop matters: arrival rates now *respond* to the
 //! allocation (slow service ⇒ users stuck waiting ⇒ fewer arrivals), a
 //! regime the paper's open-loop analysis does not cover — this module
-//! is how we probe it.
+//! is how we probe it. It is also why this loop, unlike the open one,
+//! cannot take the classes one at a time: a departure from one class
+//! is what schedules an arrival at another, at any instant. So each
+//! step fires the earliest, in `(time, seq)` order, of the stations'
+//! completions, the control tick and the users' think timers — one per
+//! user, hundreds in the closed-loop studies, which is a heap's job.
 
-use std::collections::VecDeque;
+use std::cmp::Ordering;
+use std::collections::{BinaryHeap, HashMap};
 
 use psd_dist::rng::{open01, SplitMix64, Xoshiro256pp};
 use psd_dist::{ServiceDist, ServiceDistribution};
 
-use crate::controller::{RateController, WindowAccount};
-use crate::engine::validate_rates;
-use crate::events::EventQueue;
-use crate::metrics::{MetricsCollector, SimOutput};
-use crate::request::{CompletedRequest, Request};
-use crate::server::{ServiceMode, TaskServer};
+use crate::controller::RateController;
+use crate::engine::{validate_horizon, Plant};
+use crate::metrics::SimOutput;
+use crate::request::Request;
+use crate::server::{precedes, Rank, ServiceMode, NEVER};
 
 /// One session state (e.g. "browse", "checkout").
 #[derive(Debug, Clone)]
@@ -70,8 +75,7 @@ impl SessionConfig {
         assert!(self.n_users > 0, "need at least one user");
         assert!(self.n_classes > 0, "need at least one class");
         assert!(self.initial_state < self.states.len(), "initial state out of range");
-        assert!(self.end_time > self.warmup && self.warmup >= 0.0, "bad horizon");
-        assert!(self.control_period > 0.0, "bad control period");
+        validate_horizon(self.end_time, self.warmup, self.control_period);
         for (i, s) in self.states.iter().enumerate() {
             assert!(
                 s.class < self.n_classes,
@@ -88,135 +92,102 @@ impl SessionConfig {
     }
 }
 
-#[derive(Debug, Clone, Copy)]
-enum SessionEvent {
-    /// User's think time ended; they issue their current state's request.
-    Wake { user: usize },
-    /// Task-server completion (same epoch protocol as the open engine).
-    Completion { class: usize, epoch: u64 },
-    /// Controller tick.
-    Control,
+/// A user's think time ends at `at`; they issue their state's request.
+#[derive(Debug, PartialEq)]
+struct Wake {
+    at: Rank,
+    user: usize,
 }
 
-struct UserState {
-    state: usize,
+impl Eq for Wake {}
+
+impl Ord for Wake {
+    /// Reversed, so that a max-heap pops the earliest `(time, seq)`.
+    fn cmp(&self, other: &Self) -> Ordering {
+        other.at.0.total_cmp(&self.at.0).then_with(|| other.at.1.cmp(&self.at.1))
+    }
+}
+
+impl PartialOrd for Wake {
+    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
+/// An exponential think time of the given mean; none at mean 0.
+fn think_time(mean: f64, rng: &mut Xoshiro256pp) -> f64 {
+    if mean > 0.0 {
+        -open01(rng).ln() * mean
+    } else {
+        0.0
+    }
 }
 
 /// Run a closed-loop session simulation under the given controller.
-pub fn run_sessions(cfg: SessionConfig, mut controller: Box<dyn RateController>) -> SimOutput {
+pub fn run_sessions(cfg: SessionConfig, controller: Box<dyn RateController>) -> SimOutput {
     cfg.validate();
-    let n = cfg.n_classes;
-    let initial_rates = controller.initial_rates(n);
-    validate_rates(&initial_rates, n);
-
+    let period = cfg.control_period;
+    let mut plant =
+        Plant::new(cfg.n_classes, ServiceMode::Fluid, cfg.warmup, period, None, 0, controller);
     let mut rng = Xoshiro256pp::seed_from(SplitMix64::derive(cfg.seed, 0xC105ED));
-    let mut servers: Vec<TaskServer> =
-        initial_rates.iter().map(|&r| TaskServer::new(r, ServiceMode::Fluid)).collect();
-    let mut queues: Vec<VecDeque<Request>> = (0..n).map(|_| VecDeque::new()).collect();
     // Which user each queued/in-service request belongs to.
-    let mut owner: std::collections::HashMap<u64, usize> = std::collections::HashMap::new();
-    let mut users: Vec<UserState> =
-        (0..cfg.n_users).map(|_| UserState { state: cfg.initial_state }).collect();
+    let mut owner: HashMap<u64, usize> = HashMap::new();
+    let mut users = vec![cfg.initial_state; cfg.n_users];
 
-    let mut metrics = MetricsCollector::new(n, cfg.warmup, cfg.control_period);
-    let mut rate_history = vec![(0.0, initial_rates)];
+    // The first draws of the sequence counter: the users' initial think
+    // times, which stagger them, in user order, then the control tick.
+    let first_think = cfg.states[cfg.initial_state].mean_think;
+    let mut wakes: BinaryHeap<Wake> = (0..cfg.n_users)
+        .map(|user| Wake { at: (think_time(first_think, &mut rng), plant.seq.draw()), user })
+        .collect();
+    let mut tick: Rank = (period, plant.seq.draw());
 
-    let mut events: EventQueue<SessionEvent> = EventQueue::new();
-
-    // Initial think times stagger the users.
-    for user in 0..cfg.n_users {
-        let think = cfg.states[cfg.initial_state].mean_think;
-        let t = if think > 0.0 { -open01(&mut rng).ln() * think } else { 0.0 };
-        events.schedule(t, SessionEvent::Wake { user });
-    }
-    events.schedule(cfg.control_period, SessionEvent::Control);
-
-    let mut window = WindowAccount::new(n);
-    let mut next_id = 0u64;
-
-    while let Some((now, event)) = events.pop() {
+    loop {
+        let wake = wakes.peek().map_or(NEVER, |w| w.at);
+        let (mut class, mut completion) = (0, NEVER);
+        for (c, station) in plant.stations.iter().enumerate() {
+            if precedes(station.completion(), completion) {
+                (class, completion) = (c, station.completion());
+            }
+        }
+        let now = wake.0.min(completion.0).min(tick.0);
         if now > cfg.end_time {
             break;
         }
-        match event {
-            SessionEvent::Wake { user } => {
-                // A user wakes and issues the request of their state.
-                let state = users[user].state;
-                let class = cfg.states[state].class;
-                let size = cfg.states[state].service.sample(&mut rng);
-                let req = Request { id: next_id, class, size, arrival: now };
-                owner.insert(next_id, user);
-                next_id += 1;
-                metrics.on_arrival(class);
-                window.on_arrival(class, size);
-                if servers[class].is_busy() {
-                    queues[class].push_back(req);
-                } else if let Some((t, epoch)) = servers[class].start_service(req, now) {
-                    events.schedule(t, SessionEvent::Completion { class, epoch });
-                }
-            }
-            SessionEvent::Completion { class, epoch } => {
-                if let Some(in_service) = servers[class].complete(now, epoch) {
-                    let req_id = in_service.request.id;
-                    let done = CompletedRequest {
-                        request: in_service.request,
-                        service_start: in_service.service_start,
-                        departure: now,
-                    };
-                    metrics.on_departure(&done);
-                    window.on_departure(class, done.slowdown());
-                    // The owning user transitions and schedules their
-                    // next request after a think time.
-                    let user = owner.remove(&req_id).expect("owner tracked");
-                    let state = users[user].state;
-                    let u = open01(&mut rng);
-                    let mut acc = 0.0;
-                    let mut next_state = cfg.states.len() - 1;
-                    for (j, &p) in cfg.states[state].next.iter().enumerate() {
-                        acc += p;
-                        if u < acc {
-                            next_state = j;
-                            break;
-                        }
-                    }
-                    users[user].state = next_state;
-                    let think = cfg.states[next_state].mean_think;
-                    let gap = if think > 0.0 { -open01(&mut rng).ln() * think } else { 0.0 };
-                    events.schedule(now + gap, SessionEvent::Wake { user });
-                    // Start the next queued request of this class.
-                    if let Some(next_req) = queues[class].pop_front() {
-                        if let Some((t, epoch)) = servers[class].start_service(next_req, now) {
-                            events.schedule(t, SessionEvent::Completion { class, epoch });
-                        }
-                    }
-                }
-            }
-            SessionEvent::Control => {
-                let backlog = (0..n)
-                    .map(|c| queues[c].len() as u64 + u64::from(servers[c].is_busy()))
-                    .collect();
-                let obs = window.close(now, backlog);
-                // The unified control entry point, as in the open-loop
-                // engine: a wrapper that overrides `control` sees every
-                // window. There is no admission path here either, so
-                // `admit_probability` is ignored.
-                if let Some(rates) = controller.control(now, &obs).rates {
-                    validate_rates(&rates, n);
-                    for (c, server) in servers.iter_mut().enumerate() {
-                        if let Some((t, epoch)) = server.set_rate(rates[c], now) {
-                            events.schedule(t, SessionEvent::Completion { class: c, epoch });
-                        }
-                    }
-                    rate_history.push((now, rates));
-                }
-                events.schedule(now + cfg.control_period, SessionEvent::Control);
-            }
+        if precedes(tick, wake) && precedes(tick, completion) {
+            plant.tick(now);
+            tick = (now + period, plant.seq.draw());
+        } else if precedes(wake, completion) {
+            // The user issues the request of their state.
+            let user = wakes.pop().expect("peeked").user;
+            let state = &cfg.states[users[user]];
+            let id = plant.next_id();
+            owner.insert(id, user);
+            let size = state.service.sample(&mut rng);
+            plant.arrive(Request { id, class: state.class, size, arrival: now });
+        } else {
+            // The owning user moves to their next state and thinks; the
+            // wake is armed before the completion of the request the
+            // server takes next.
+            let done = plant.depart(class, now);
+            let user = owner.remove(&done.request.id).expect("owner tracked");
+            let row = &cfg.states[users[user]].next;
+            let u = open01(&mut rng);
+            let mut acc = 0.0;
+            let next_state = row
+                .iter()
+                .position(|&p| {
+                    acc += p;
+                    u < acc
+                })
+                .unwrap_or(row.len() - 1);
+            users[user] = next_state;
+            let at = now + think_time(cfg.states[next_state].mean_think, &mut rng);
+            wakes.push(Wake { at: (at, plant.seq.draw()), user });
+            plant.start_next(class, now);
         }
     }
-
-    let mut out = metrics.finish(cfg.end_time, rate_history);
-    out.busy_time = servers.iter().map(|s| s.busy_time_as_of(cfg.end_time)).collect();
-    out
+    plant.finish(cfg.end_time)
 }
 
 #[cfg(test)]
@@ -309,5 +280,35 @@ mod tests {
         let mut cfg = two_state_cfg(1, 1);
         cfg.states[0].next = vec![0.5, 0.2];
         run_sessions(cfg, Box::new(StaticRates::even(2)));
+    }
+
+    /// The closed loop never runs out of events, so a horizon it cannot
+    /// reach is one it never returns from.
+    #[test]
+    #[should_panic(expected = "bad end_time")]
+    fn infinite_end_time_rejected() {
+        let mut cfg = two_state_cfg(1, 1);
+        cfg.end_time = f64::INFINITY;
+        run_sessions(cfg, Box::new(StaticRates::even(2)));
+    }
+
+    #[test]
+    #[should_panic(expected = "control_period must be positive and finite")]
+    fn infinite_control_period_rejected() {
+        let mut cfg = two_state_cfg(1, 1);
+        cfg.control_period = f64::INFINITY;
+        run_sessions(cfg, Box::new(StaticRates::even(2)));
+    }
+
+    /// Think timers due at the same instant fire in the order they were
+    /// armed.
+    #[test]
+    fn ties_break_by_insertion_order() {
+        let mut wakes = BinaryHeap::new();
+        for (user, at) in [(7, (5.0, 1)), (3, (2.0, 4)), (8, (5.0, 2)), (9, (5.0, 0))] {
+            wakes.push(Wake { at, user });
+        }
+        let order: Vec<usize> = std::iter::from_fn(|| wakes.pop()).map(|w| w.user).collect();
+        assert_eq!(order, [3, 9, 7, 8]);
     }
 }

@@ -44,6 +44,7 @@ use crate::reactor::Shared;
 use crate::server::PsdServer;
 use crate::EngineKind;
 use psd_core::control::ControllerKind;
+use psd_obs::json::{push_json_f64_array, push_json_str};
 use psd_obs::{spans_to_json, PromWriter};
 
 /// How many spans `GET /trace` returns when the request does not cap
@@ -78,7 +79,10 @@ pub(crate) fn handle(
         (AdminRoute::Config, "PUT" | "POST") => match apply_config(server, req) {
             Ok(()) => json_response(req, keep_alive, 200, config_json(server)),
             Err(e) => {
-                json_response(req, keep_alive, 400, format!("{{\"error\":{}}}", json_str(&e)))
+                let mut body = String::from("{\"error\":");
+                push_json_str(&mut body, &e);
+                body.push('}');
+                json_response(req, keep_alive, 400, body)
             }
         },
         (AdminRoute::Healthz, "GET") => {
@@ -121,38 +125,6 @@ fn prom_response(req: &HttpRequest, keep_alive: bool, body: String) -> Response 
     }
 }
 
-/// Minimal JSON string escaping (error messages only contain ASCII
-/// from our own validation code, but stay safe anyway).
-fn json_str(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
-}
-
-fn json_f64_array(xs: &[f64]) -> String {
-    let mut out = String::from("[");
-    for (i, x) in xs.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        let _ = write!(out, "{x}");
-    }
-    out.push(']');
-    out
-}
-
 fn table_fields(server: &PsdServer) -> String {
     let control = server.control();
     // Read `applied_epoch` *before* the table: both only ever increase
@@ -162,14 +134,16 @@ fn table_fields(server: &PsdServer) -> String {
     let applied = control.applied_epoch();
     let t = control.table();
     let cap = t.admission_cap.map_or("null".to_string(), |c| c.to_string());
-    format!(
-        "\"controller\":{},\"deltas\":{},\"gain\":{},\"admission_cap\":{cap},\
-         \"epoch\":{},\"applied_epoch\":{applied}",
-        json_str(t.controller.as_str()),
-        json_f64_array(&t.deltas),
-        t.gain,
-        t.epoch,
-    )
+    let mut out = String::from("\"controller\":");
+    push_json_str(&mut out, t.controller.as_str());
+    out.push_str(",\"deltas\":");
+    push_json_f64_array(&mut out, &t.deltas);
+    let _ = write!(
+        out,
+        ",\"gain\":{},\"admission_cap\":{cap},\"epoch\":{},\"applied_epoch\":{applied}",
+        t.gain, t.epoch,
+    );
+    out
 }
 
 fn config_json(server: &PsdServer) -> String {
@@ -179,13 +153,17 @@ fn config_json(server: &PsdServer) -> String {
 fn metrics_json(server: &PsdServer) -> String {
     let control = server.control();
     let stats = server.stats();
-    let mut classes = String::from("[");
+    let mut out = format!("{{{},\"rates\":", table_fields(server));
+    push_json_f64_array(&mut out, &control.rates());
+    out.push_str(",\"admit_probability\":");
+    push_json_f64_array(&mut out, &control.admit_probabilities());
+    out.push_str(",\"classes\":[");
     for (i, c) in stats.classes.iter().enumerate() {
         if i > 0 {
-            classes.push(',');
+            out.push(',');
         }
         let _ = write!(
-            classes,
+            out,
             "{{\"class\":{i},\"completed\":{},\"shed\":{},\"backlog\":{},\
              \"mean_delay_s\":{},\"mean_service_s\":{},\"mean_slowdown\":{}}}",
             c.completed,
@@ -196,30 +174,27 @@ fn metrics_json(server: &PsdServer) -> String {
             c.mean_slowdown,
         );
     }
-    classes.push(']');
-    format!(
-        "{{{},\"rates\":{},\"admit_probability\":{},\"classes\":{classes}}}",
-        table_fields(server),
-        json_f64_array(&control.rates()),
-        json_f64_array(&control.admit_probabilities()),
-    )
+    out.push_str("]}");
+    out
 }
 
 fn healthz_json(server: &PsdServer, info: &AdminInfo<'_>) -> String {
     let control = server.control();
     let applied = control.applied_epoch();
     let t = control.table();
-    format!(
-        "{{\"status\":\"ok\",\"engine\":{},\"shards\":{},\"classes\":{},\
-         \"uptime_s\":{:.3},\"epoch\":{},\"applied_epoch\":{applied},\
-         \"trace_sample\":{}}}",
-        json_str(info.engine.as_str()),
+    let mut out = String::from("{\"status\":\"ok\",\"engine\":");
+    push_json_str(&mut out, info.engine.as_str());
+    let _ = write!(
+        out,
+        ",\"shards\":{},\"classes\":{},\"uptime_s\":{:.3},\"epoch\":{},\
+         \"applied_epoch\":{applied},\"trace_sample\":{}}}",
         info.shards.len(),
         server.num_classes(),
         server.started_at().elapsed().as_secs_f64(),
         t.epoch,
         server.obs().spans.sample_rate(),
-    )
+    );
+    out
 }
 
 fn trace_json(server: &PsdServer, req: &HttpRequest) -> String {
