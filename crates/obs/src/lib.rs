@@ -19,7 +19,7 @@
 //!    a hand-rolled 0.0.4 writer (HELP/TYPE, label escaping,
 //!    log-bucket histograms with cumulative `le` buckets) plus the
 //!    relaxed-atomic internals counters it publishes: timer-thread
-//!    fires, reactor loop stats, admission draws vs sheds.
+//!    fires, reactor loop stats, admission draws.
 //! 3. **Control-decision flight recorder** ([`flight`]) — a bounded
 //!    ring of `ControlTrace { observation, directive, internals }`
 //!    records shared by the server monitor and the desim engine,
@@ -97,7 +97,7 @@ pub struct ObsBundle {
     pub spans: SpanRing,
     /// Control-decision records.
     pub flight: FlightRecorder,
-    /// Admission draws vs sheds.
+    /// Admission draws.
     pub admission: AdmissionStats,
     /// Per-class end-to-end latency histograms (index = class).
     pub latency: Vec<LogHistogram>,

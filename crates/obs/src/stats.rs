@@ -196,13 +196,14 @@ impl UringSnapshot {
     }
 }
 
-/// Admission-control door counters.
+/// Admission-control door counters. What the draws turned away is
+/// counted per class by the host (`psd-server`'s lanes), next to the
+/// arrivals it is compared with.
 #[derive(Debug, Default)]
 pub struct AdmissionStats {
-    /// Admission decisions drawn (one per class-request arrival).
+    /// Admission decisions drawn (one per class-request arrival that
+    /// went through the door).
     pub draws: AtomicU64,
-    /// Requests turned away by the draw.
-    pub sheds: AtomicU64,
 }
 
 #[cfg(test)]

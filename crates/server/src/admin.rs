@@ -278,11 +278,8 @@ fn prom_text(server: &PsdServer, info: &AdminInfo<'_>) -> String {
         telemetry.admission.draws.load(std::sync::atomic::Ordering::Relaxed) as f64,
     );
     w.help("psd_admission_sheds_total", "counter", "Requests turned away by the admission draw.");
-    w.sample(
-        "psd_admission_sheds_total",
-        &[],
-        telemetry.admission.sheds.load(std::sync::atomic::Ordering::Relaxed) as f64,
-    );
+    let sheds: u64 = stats.classes.iter().map(|c| c.shed).sum();
+    w.sample("psd_admission_sheds_total", &[], sheds as f64);
 
     w.help("psd_trace_spans_recorded_total", "counter", "Request spans kept by the trace ring.");
     w.sample("psd_trace_spans_recorded_total", &[], telemetry.spans.recorded() as f64);
@@ -297,7 +294,7 @@ fn prom_text(server: &PsdServer, info: &AdminInfo<'_>) -> String {
         w.sample("psd_wheel_fires_total", &[], wheel.fires.load(Relaxed) as f64);
         w.help("psd_wheel_scheduled_total", "counter", "Finish deadlines scheduled.");
         w.sample("psd_wheel_scheduled_total", &[], wheel.scheduled.load(Relaxed) as f64);
-        w.help("psd_wheel_in_flight", "gauge", "Requests accepted and not yet fired.");
+        w.help("psd_wheel_in_flight", "gauge", "Requests queued or in service, all classes.");
         w.sample("psd_wheel_in_flight", &[], in_flight as f64);
     }
 

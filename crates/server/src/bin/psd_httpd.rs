@@ -79,21 +79,23 @@ fn main() {
                     .split(',')
                     .map(|s| s.trim().parse().unwrap_or_else(|_| die("bad delta")))
                     .collect();
-                if deltas.is_empty() {
-                    die("need at least one delta");
+                if deltas.iter().any(|&d: &f64| d <= 0.0 || !d.is_finite()) {
+                    die("deltas must be positive and finite");
                 }
             }
             "--work-unit-us" => {
                 work_unit_us = args
                     .next()
                     .and_then(|v| v.parse().ok())
-                    .unwrap_or_else(|| die("--work-unit-us needs an integer"));
+                    .filter(|&n: &u64| n >= 1)
+                    .unwrap_or_else(|| die("--work-unit-us needs a positive integer"));
             }
             "--default-cost" => {
                 default_cost = args
                     .next()
                     .and_then(|v| v.parse().ok())
-                    .unwrap_or_else(|| die("--default-cost needs a number"));
+                    .filter(|&c: &f64| c > 0.0 && c.is_finite())
+                    .unwrap_or_else(|| die("--default-cost needs a positive number"));
             }
             "--engine" => {
                 engine = args

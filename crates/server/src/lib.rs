@@ -33,9 +33,9 @@
 //!             ┌─────────────────────────────────────────────────────────┐
 //!             │ PsdServer                                               │
 //!             │  monitor (every control window):                        │
-//!             │    sweep arrivals + offered work (incl. shed) +         │
-//!             │    measured slowdowns (MetricsSink::sweep_window) +     │
-//!             │    backlogs → WindowObservation                         │
+//!             │    Lanes::close_window — per class, under its lane      │
+//!             │    lock: arrivals, offered work (incl. shed), measured  │
+//!             │    slowdowns, backlog → WindowObservation               │
 //!             │      → Box<dyn RateController>.control()                │
 //!             │        (psd_core::control: open Eq.17 | feedback,       │
 //!             │         × Admitting cap — the same objects desim runs)  │
@@ -44,14 +44,15 @@
 //!             │        SharedControl (lock-free submit-path tables)     │
 //!             │  task servers (queues.rs lanes, executed by wheel.rs):  │
 //!             │  ┌───────────────────────────────────────────────────┐  │
-//!             │  │ lane[class]: share r_i · FIFO · busy              │  │
+//!             │  │ lane[class]: share r_i · FIFO · busy · ledger     │  │
 //!             │  │ one request per class in service, stretched 1/r_i │  │
 //!             │  │   Sleep: finish deadline → one timer thread       │  │
 //!             │  │   Spin:  the class's own thread burns the time    │  │
 //!             │  └───────────────────────────────────────────────────┘  │
-//!             │  finish: record delay/slowdown into the executor's      │
-//!             │  metric shard (swept per window AND at snapshot),       │
-//!             │  deliver CompletionNotify, start the lane's next        │
+//!             │  the ledger counts under the lane lock: submit → an     │
+//!             │  arrival, admit's 503 → a shed, finish → a departure    │
+//!             │  (before CompletionNotify is delivered); stats(),       │
+//!             │  /metrics and the monitor all read it                   │
 //!             └──────────────────────────┬──────────────────────────────┘
 //!                                        │ psd-obs (allocation-free)
 //!             ┌──────────────────────────▼──────────────────────────────┐
@@ -112,8 +113,9 @@
 //! served by every engine ahead of classification; see `admin` and
 //! [`SharedControl`]. Request tracing, Prometheus exposition and the
 //! control-decision flight recorder come from the dependency-free
-//! `psd-obs` crate; the task servers live in `queues` (the lanes) and
-//! `wheel` (their execution), both internal, and the wall-clock waits
+//! `psd-obs` crate; the task servers live in `queues` (the lanes, each
+//! with its class's ledger from `metrics`) and `wheel` (their
+//! execution), all internal, and the wall-clock waits
 //! that end on time (no timer slack, never early) in [`timing`].
 
 #![warn(missing_docs)]
@@ -134,7 +136,7 @@ mod wheel;
 pub use classify::{admin_route, classify_path, AdminRoute, Classification};
 pub use codec::{ConnectionHeader, HttpRequest, RequestCodec, Response, WriteBuf};
 pub use httplite::{default_shards, uring_available, EngineKind, FrontendConfig, HttpFrontend};
-pub use metrics::{ClassStats, MetricsRecorder, ServerStats, WindowSweep};
+pub use metrics::{ClassStats, ServerStats};
 pub use psd_core::control::{ClassTable, ControllerKind, SharedControl};
 pub use server::{
     Completion, PsdServer, SchedulerKind, ServerConfig, Workload, DEFAULT_CONTROL_WINDOW,

@@ -1,21 +1,20 @@
-//! Measured per-class statistics of the server, accumulated
-//! **share-nothing**: every executor thread (the timer thread, or each
-//! class's spinning thread) registers its own [`MetricsRecorder`] shard
-//! and records completions into it without ever contending with
-//! another thread: the lock is per *recorder* (one owner thread →
-//! always uncontended), and [`MetricsSink::snapshot`] sweeps the
-//! shards.
+//! The per-class ledger: everything the server counts about a class.
+//! A [`Ledger`] lives inside its class's lane (`crate::queues`) and is
+//! written under the lane's lock by the critical sections that already
+//! queue, start and finish the class's requests — an arrival, a shed
+//! and a departure each cost a few additions there and nothing else.
+//! Closing a control window reads and resets the window tally and reads
+//! the backlog under that same lock, so a class's arrivals, work,
+//! completions, slowdown sum and backlog all describe one instant.
 
-use parking_lot::Mutex;
-use std::sync::Arc;
+use crate::server::Completion;
 
 /// Snapshot of one class's measured behaviour.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ClassStats {
     /// Requests completed.
     pub completed: u64,
-    /// Requests shed at admission (503, never executed). Counted by the
-    /// server facade, not the metrics shards — the sink reports 0.
+    /// Requests shed at admission (503, never executed).
     pub shed: u64,
     /// Mean queueing delay in seconds (enqueue → dispatch).
     pub mean_delay: f64,
@@ -43,290 +42,169 @@ impl ServerStats {
     }
 }
 
-/// One class's running sums. Means only need Σx (the old Welford
-/// accumulators tracked variance nobody read — plain sums are cheaper
-/// and merge exactly).
-#[derive(Debug, Default, Clone, Copy)]
-struct ClassAccum {
+/// What the controller sees of a class for the window now open. Work
+/// is in work units; the window's close scales it to seconds.
+#[derive(Debug, Default)]
+pub(crate) struct WindowTally {
+    pub(crate) arrivals: u64,
+    pub(crate) work: f64,
+    /// Work turned away at the door. The admission controller must see
+    /// **offered** load — admitted plus shed — or it would equilibrate
+    /// above its cap: post-shed load looks compliant the moment the
+    /// shedding works.
+    pub(crate) shed_work: f64,
+    pub(crate) completions: u64,
+    pub(crate) slowdown_sum: f64,
+}
+
+/// A class's counts since the server started.
+#[derive(Debug, Default)]
+struct Lifetime {
     completed: u64,
+    shed: u64,
     delay_sum: f64,
     service_sum: f64,
     slowdown_sum: f64,
 }
 
-impl ClassAccum {
-    fn add(&mut self, other: &ClassAccum) {
-        self.completed += other.completed;
-        self.delay_sum += other.delay_sum;
-        self.service_sum += other.service_sum;
-        self.slowdown_sum += other.slowdown_sum;
-    }
+/// One class's window tally and lifetime tally.
+#[derive(Debug, Default)]
+pub(crate) struct Ledger {
+    window: WindowTally,
+    life: Lifetime,
 }
 
-/// One recorder's private accumulators (all classes). The hot path
-/// writes **only** `window`; `totals` holds everything already swept
-/// out of it (folded in by [`MetricsSink::sweep_window`] under the
-/// same lock), so a lifetime snapshot is `totals + window` and a
-/// record costs one set of additions, not two.
-#[derive(Debug)]
-struct ShardData {
-    totals: Vec<ClassAccum>,
-    window: Vec<ClassAccum>,
-}
-
-/// One recorder's private accumulator array (all classes).
-#[derive(Debug)]
-struct Shard {
-    classes: Mutex<ShardData>,
-}
-
-/// A per-executor handle into the sink: recording takes only this
-/// shard's (uncontended) lock.
-#[derive(Debug, Clone)]
-pub struct MetricsRecorder {
-    shard: Arc<Shard>,
-}
-
-impl MetricsRecorder {
-    /// Record one completed request (durations in seconds).
-    pub fn record(&self, class: usize, delay_s: f64, service_s: f64) {
-        let mut g = self.shard.classes.lock();
-        // Guard the division: sub-microsecond services can measure as 0.
-        let slowdown = delay_s / service_s.max(1e-9);
-        let c = &mut g.window[class];
-        c.completed += 1;
-        c.delay_sum += delay_s;
-        c.service_sum += service_s;
-        c.slowdown_sum += slowdown;
-    }
-}
-
-/// One control window's departures, swept (snapshot-and-reset) from
-/// every shard by `MetricsSink::sweep_window`. Feeds the
-/// `completions` / `slowdown_sums` fields of the controller's
-/// `WindowObservation`; a class with `completions == 0` yields
-/// `mean_slowdowns() == None` downstream — never NaN.
-#[derive(Debug, Clone, PartialEq)]
-pub struct WindowSweep {
-    /// Per-class completions since the previous sweep.
-    pub completions: Vec<u64>,
-    /// Per-class sum of slowdowns of those completions.
-    pub slowdown_sums: Vec<f64>,
-}
-
-/// Sharded metrics sink: executors register recorders, snapshots sweep
-/// them.
-#[derive(Debug)]
-pub struct MetricsSink {
-    n_classes: usize,
-    shards: Mutex<Vec<Arc<Shard>>>,
-}
-
-impl MetricsSink {
-    /// Sink for `n` classes with no shards yet.
-    pub fn new(n: usize) -> Self {
-        Self { n_classes: n, shards: Mutex::new(Vec::new()) }
+impl Ledger {
+    /// An accepted request of `cost` work units.
+    pub(crate) fn arrive(&mut self, cost: f64) {
+        self.window.arrivals += 1;
+        self.window.work += cost;
     }
 
-    /// Register a new private shard and return its recorder. Shards are
-    /// never removed: a recorder dropped mid-run keeps its history in
-    /// the snapshot.
-    pub fn recorder(&self) -> MetricsRecorder {
-        let shard = Arc::new(Shard {
-            classes: Mutex::new(ShardData {
-                totals: vec![ClassAccum::default(); self.n_classes],
-                window: vec![ClassAccum::default(); self.n_classes],
-            }),
-        });
-        self.shards.lock().push(Arc::clone(&shard));
-        MetricsRecorder { shard }
+    /// A request of `cost` work units rejected at the door.
+    pub(crate) fn shed(&mut self, cost: f64) {
+        self.window.shed_work += cost;
+        self.life.shed += 1;
     }
 
-    /// Sweep every shard into one consistent-enough snapshot (per-shard
-    /// locks, no global freeze — fine for monitoring). Lifetime =
-    /// already-swept totals plus the live (un-swept) window.
-    pub fn snapshot(&self) -> ServerStats {
-        let mut totals = vec![ClassAccum::default(); self.n_classes];
-        for shard in self.shards.lock().iter() {
-            let g = shard.classes.lock();
-            for (t, (swept, live)) in totals.iter_mut().zip(g.totals.iter().zip(g.window.iter())) {
-                t.add(swept);
-                t.add(live);
-            }
+    /// A departure.
+    pub(crate) fn depart(&mut self, done: &Completion) {
+        let slowdown = done.slowdown();
+        self.window.completions += 1;
+        self.window.slowdown_sum += slowdown;
+        self.life.completed += 1;
+        self.life.delay_sum += done.delay_s;
+        self.life.service_sum += done.service_s;
+        self.life.slowdown_sum += slowdown;
+    }
+
+    /// The window now open; the next one opens empty.
+    pub(crate) fn take_window(&mut self) -> WindowTally {
+        std::mem::take(&mut self.window)
+    }
+
+    /// Lifetime means; zeros before the first departure.
+    pub(crate) fn stats(&self) -> ClassStats {
+        let l = &self.life;
+        let mean = |sum: f64| if l.completed > 0 { sum / l.completed as f64 } else { 0.0 };
+        ClassStats {
+            completed: l.completed,
+            shed: l.shed,
+            mean_delay: mean(l.delay_sum),
+            mean_service: mean(l.service_sum),
+            mean_slowdown: mean(l.slowdown_sum),
         }
-        ServerStats {
-            classes: totals
-                .iter()
-                .map(|t| {
-                    let n = (t.completed as f64).max(1.0);
-                    ClassStats {
-                        completed: t.completed,
-                        shed: 0,
-                        mean_delay: if t.completed > 0 { t.delay_sum / n } else { 0.0 },
-                        mean_service: if t.completed > 0 { t.service_sum / n } else { 0.0 },
-                        mean_slowdown: if t.completed > 0 { t.slowdown_sum / n } else { 0.0 },
-                    }
-                })
-                .collect(),
-        }
-    }
-
-    /// Close the current observation window: sweep each shard's window
-    /// accumulators **and reset them** under the shard's lock, so a
-    /// departure is counted in exactly one window however the sweep
-    /// instants fall (no double counting across windows, no losses —
-    /// records racing the sweep land in one window or the next).
-    pub fn sweep_window(&self) -> WindowSweep {
-        let mut completions = vec![0u64; self.n_classes];
-        let mut slowdown_sums = vec![0.0f64; self.n_classes];
-        for shard in self.shards.lock().iter() {
-            let mut g = shard.classes.lock();
-            let ShardData { totals, window } = &mut *g;
-            for (i, c) in window.iter_mut().enumerate() {
-                completions[i] += c.completed;
-                slowdown_sums[i] += c.slowdown_sum;
-                // Fold the swept window into the shard's lifetime
-                // totals (the hot path only ever writes the window).
-                totals[i].add(c);
-                *c = ClassAccum::default();
-            }
-        }
-        WindowSweep { completions, slowdown_sums }
     }
 }
 
 #[cfg(test)]
 mod tests {
-    use super::*;
+    use std::time::Instant;
+
+    use super::ClassStats;
+    use crate::queues::{CompletionNotify, Lanes, QueuedRequest, Submitted};
+    use crate::server::Completion;
+
+    /// A one-work-unit request of `class` arrives at an idle lane and
+    /// departs after waiting `delay_s` and taking `service_s`.
+    fn serve(lanes: &Lanes, class: usize, delay_s: f64, service_s: f64) {
+        let notify = CompletionNotify::None;
+        let req = QueuedRequest { class, cost: 1.0, enqueued: Instant::now(), notify };
+        assert!(matches!(lanes.submit(req), Submitted::Start(_)));
+        lanes.finish(class, &Completion { delay_s, service_s });
+    }
 
     #[test]
     fn record_and_snapshot() {
-        let s = MetricsSink::new(2);
-        let r = s.recorder();
-        r.record(0, 1.0, 0.5); // slowdown 2
-        r.record(0, 3.0, 0.5); // slowdown 6
-        r.record(1, 1.0, 1.0); // slowdown 1
-        let snap = s.snapshot();
-        assert_eq!(snap.classes[0].completed, 2);
-        assert!((snap.classes[0].mean_slowdown - 4.0).abs() < 1e-12);
-        assert!((snap.classes[0].mean_delay - 2.0).abs() < 1e-12);
-        assert_eq!(snap.classes[1].completed, 1);
+        let lanes = Lanes::new(2);
+        serve(&lanes, 0, 1.0, 0.5); // slowdown 2
+        serve(&lanes, 0, 3.0, 0.5); // slowdown 6
+        serve(&lanes, 1, 1.0, 1.0); // slowdown 1
+        let snap = lanes.stats();
+        let (c0, c1) = (&snap.classes[0], &snap.classes[1]);
+        assert_eq!((c0.completed, c0.mean_delay, c0.mean_service), (2, 2.0, 0.5));
+        assert_eq!((c0.mean_slowdown, c1.completed), (4.0, 1));
         assert_eq!(snap.slowdown_ratio(0, 1), Some(4.0));
     }
 
     #[test]
     fn empty_ratio_is_none() {
-        let s = MetricsSink::new(2);
-        s.recorder().record(0, 1.0, 1.0);
-        assert!(s.snapshot().slowdown_ratio(0, 1).is_none());
+        let lanes = Lanes::new(2);
+        serve(&lanes, 0, 1.0, 1.0);
+        assert!(lanes.stats().slowdown_ratio(0, 1).is_none(), "class 1 never departed");
+        assert!(lanes.stats().slowdown_ratio(1, 0).is_none());
     }
 
     #[test]
     fn zero_service_guarded() {
-        let s = MetricsSink::new(1);
-        s.recorder().record(0, 1.0, 0.0);
-        assert!(s.snapshot().classes[0].mean_slowdown.is_finite());
+        let lanes = Lanes::new(1);
+        serve(&lanes, 0, 1.0, 0.0);
+        assert!(lanes.stats().classes[0].mean_slowdown.is_finite());
+        assert!(lanes.close_window(1.0).slowdown_sums[0].is_finite());
     }
 
     #[test]
-    fn empty_sink_snapshots_zeroes() {
-        let snap = MetricsSink::new(3).snapshot();
+    fn empty_lanes_snapshot_zeroes() {
+        let snap = Lanes::new(3).stats();
         assert_eq!(snap.classes.len(), 3);
-        assert!(snap.classes.iter().all(|c| c.completed == 0 && c.mean_slowdown == 0.0));
+        // Counts and means are never negative: all zero iff they sum to 0.
+        let sum = |c: &ClassStats| {
+            (c.completed + c.shed, c.mean_delay + c.mean_service + c.mean_slowdown)
+        };
+        assert!(snap.classes.iter().all(|c| sum(c) == (0, 0.0)));
     }
 
-    /// Snapshot-and-reset semantics: a departure lands in exactly one
-    /// window, and the lifetime snapshot is untouched by sweeping.
+    /// Read-and-reset semantics: a departure lands in exactly one
+    /// window, and closing one leaves the lifetime snapshot alone.
     #[test]
-    fn sweep_window_never_double_counts() {
-        let s = MetricsSink::new(2);
-        let r1 = s.recorder();
-        let r2 = s.recorder();
-        r1.record(0, 1.0, 0.5); // slowdown 2
-        r2.record(0, 3.0, 0.5); // slowdown 6
-        r2.record(1, 1.0, 1.0); // slowdown 1
-        let w1 = s.sweep_window();
-        assert_eq!(w1.completions, vec![2, 1]);
-        assert!((w1.slowdown_sums[0] - 8.0).abs() < 1e-12);
-        assert!((w1.slowdown_sums[1] - 1.0).abs() < 1e-12);
-        // Next window starts empty; only new departures appear in it.
-        r1.record(1, 2.0, 1.0);
-        let w2 = s.sweep_window();
-        assert_eq!(w2.completions, vec![0, 1], "window 1's departures must not repeat");
-        assert!((w2.slowdown_sums[1] - 2.0).abs() < 1e-12);
-        // Lifetime totals still hold everything.
-        let snap = s.snapshot();
-        assert_eq!(snap.classes[0].completed, 2);
-        assert_eq!(snap.classes[1].completed, 2);
+    fn closed_windows_never_double_count() {
+        let lanes = Lanes::new(2);
+        serve(&lanes, 0, 1.0, 0.5); // slowdown 2
+        serve(&lanes, 0, 3.0, 0.5); // slowdown 6
+        serve(&lanes, 1, 1.0, 1.0); // slowdown 1
+        lanes.shed(1, 2.0);
+        let w = lanes.close_window(0.5); // work units scaled to seconds
+        assert_eq!((w.arrivals, w.completions), (vec![2, 1], vec![2, 1]));
+        assert_eq!((w.arrived_work, w.shed_work), (vec![1.0, 0.5], vec![0.0, 1.0]));
+        assert_eq!(w.slowdown_sums, vec![8.0, 1.0]);
+        serve(&lanes, 1, 2.0, 1.0);
+        let w = lanes.close_window(0.5);
+        assert_eq!((w.arrivals, w.shed_work), (vec![0, 1], vec![0.0, 0.0]), "only new events");
+        assert_eq!((w.completions, w.slowdown_sums), (vec![0, 1], vec![0.0, 2.0]));
+        let snap = lanes.stats();
+        let lifetime: Vec<_> = snap.classes.iter().map(|c| (c.completed, c.shed)).collect();
+        assert_eq!(lifetime, vec![(2, 0), (2, 1)]);
     }
 
-    /// The satellite contract: an empty window must surface to the
-    /// controller as `None` mean slowdowns — never NaN.
+    /// An empty window must surface to the controller as `None` mean
+    /// slowdowns — never NaN.
     #[test]
     fn empty_window_yields_none_not_nan() {
-        let s = MetricsSink::new(2);
-        let _r = s.recorder();
-        let w = s.sweep_window();
-        assert_eq!(w.completions, vec![0, 0]);
-        assert_eq!(w.slowdown_sums, vec![0.0, 0.0]);
-        let obs = psd_core::control::WindowObservation {
-            index: 0,
-            start: 0.0,
-            end: 0.05,
-            arrivals: vec![0, 0],
-            arrived_work: vec![0.0, 0.0],
-            shed_work: vec![0.0; 2],
-            completions: w.completions,
-            backlog: vec![0, 0],
-            slowdown_sums: w.slowdown_sums,
-        };
-        let means = obs.mean_slowdowns();
-        assert_eq!(means, vec![None, None], "no departures ⇒ None, not NaN");
-        assert!(means.iter().flatten().all(|m| m.is_finite()), "no NaN can leak");
-    }
-
-    /// The sharded-accumulator consistency contract: concurrent
-    /// recorders on private shards must sum to exactly what the old
-    /// single-mutex sink would have produced.
-    #[test]
-    fn sharded_accumulators_sum_to_the_serial_totals() {
-        const RECORDERS: usize = 4;
-        const PER: usize = 1000;
-        let s = Arc::new(MetricsSink::new(2));
-        let handles: Vec<_> = (0..RECORDERS)
-            .map(|k| {
-                let r = s.recorder();
-                std::thread::spawn(move || {
-                    for i in 0..PER {
-                        let class = (k + i) % 2;
-                        r.record(class, 1.0 + i as f64 * 1e-3, 0.5);
-                    }
-                })
-            })
-            .collect();
-        for h in handles {
-            h.join().unwrap();
-        }
-        // Serial oracle with the same stream of records.
-        let mut completed = [0u64; 2];
-        let mut delay = [0.0f64; 2];
-        for k in 0..RECORDERS {
-            for i in 0..PER {
-                let class = (k + i) % 2;
-                completed[class] += 1;
-                delay[class] += 1.0 + i as f64 * 1e-3;
-            }
-        }
-        let snap = s.snapshot();
-        for c in 0..2 {
-            assert_eq!(snap.classes[c].completed, completed[c]);
-            let want_mean = delay[c] / completed[c] as f64;
-            assert!(
-                (snap.classes[c].mean_delay - want_mean).abs() < 1e-9,
-                "class {c}: {} vs {want_mean}",
-                snap.classes[c].mean_delay
-            );
-            assert!((snap.classes[c].mean_service - 0.5).abs() < 1e-12);
-        }
+        let obs = Lanes::new(2).close_window(1.0);
+        assert_eq!(
+            (obs.completions.clone(), obs.slowdown_sums.clone()),
+            (vec![0, 0], vec![0.0, 0.0])
+        );
+        assert_eq!(obs.mean_slowdowns(), vec![None, None], "no departures ⇒ None, not NaN");
     }
 }

@@ -9,18 +9,30 @@
 //! exactly what keeps the slowdown ratios pinned to the δ's.
 //!
 //! A lane is the share (read lock-free at service start), the FIFO
-//! behind the in-service head, and a `busy` flag. [`Lanes::submit`]
-//! either queues a request or tells the caller to start it;
-//! [`Lanes::finish`] hands back the next one or idles the lane. That is
-//! the whole discipline; [`crate::wheel`] supplies the time.
+//! behind the in-service head, a `busy` flag and the class's
+//! [`Ledger`]. [`Lanes::submit`] either queues a request or tells the
+//! caller to start it; [`Lanes::finish`] hands back the next one or
+//! idles the lane. That is the whole discipline; [`crate::wheel`]
+//! supplies the time.
+//!
+//! The lane is also the only place that counts anything about its
+//! class: `submit` tallies an accepted arrival, [`Lanes::shed`] a door
+//! rejection and `finish` a departure, each under the lock the
+//! discipline takes anyway. [`Lanes::close_window`] reads and resets
+//! every class's window under that lock, so the monitor's observation
+//! of a class — arrivals, work, completions, slowdowns, backlog — is
+//! one consistent snapshot, and its backlog at one close is the last
+//! close's plus the arrivals less the completions in between.
 
 use std::collections::VecDeque;
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::time::Instant;
 
 use crossbeam::channel::Sender;
 use parking_lot::Mutex;
+use psd_core::control::WindowObservation;
 
+use crate::metrics::{Ledger, ServerStats};
 use crate::server::Completion;
 
 /// Shares below this floor are clamped before the `1/r` stretch.
@@ -82,6 +94,14 @@ struct LaneQueue {
     fifo: VecDeque<QueuedRequest>,
     /// Whether a request of this class is in service.
     busy: bool,
+    ledger: Ledger,
+}
+
+impl LaneQueue {
+    /// Requests queued or in service.
+    fn backlog(&self) -> usize {
+        self.fifo.len() + usize::from(self.busy)
+    }
 }
 
 /// What [`Lanes::submit`] did with a request.
@@ -94,13 +114,10 @@ pub(crate) enum Submitted {
     Start(QueuedRequest),
 }
 
-/// Every class's lane plus the drain bookkeeping. No clock, no thread.
+/// Every class's lane plus the drain flag. No clock, no thread.
 pub(crate) struct Lanes {
     lanes: Vec<Lane>,
     closed: AtomicBool,
-    /// Requests accepted and not yet finished (queued or in service);
-    /// an occupancy gauge — draining is decided by [`Lanes::drained`].
-    in_flight: AtomicUsize,
 }
 
 impl Lanes {
@@ -116,7 +133,6 @@ impl Lanes {
                 })
                 .collect(),
             closed: AtomicBool::new(false),
-            in_flight: AtomicUsize::new(0),
         }
     }
 
@@ -131,7 +147,7 @@ impl Lanes {
         if self.closed.load(Ordering::SeqCst) {
             return Submitted::Rejected;
         }
-        self.in_flight.fetch_add(1, Ordering::Relaxed);
+        q.ledger.arrive(req.cost);
         if q.busy {
             q.fifo.push_back(req);
             Submitted::Queued
@@ -141,16 +157,19 @@ impl Lanes {
         }
     }
 
-    /// `class`'s in-service request is done: the FIFO head to start
-    /// next, or `None` and the lane goes idle.
-    pub(crate) fn finish(&self, class: usize) -> Option<QueuedRequest> {
-        let next = {
-            let mut q = self.lanes[class].queue.lock();
-            let next = q.fifo.pop_front();
-            q.busy = next.is_some();
-            next
-        };
-        self.in_flight.fetch_sub(1, Ordering::Relaxed);
+    /// A class-`class` request of `cost` work units was turned away at
+    /// the door.
+    pub(crate) fn shed(&self, class: usize, cost: f64) {
+        self.lanes[class].queue.lock().ledger.shed(cost);
+    }
+
+    /// `class`'s in-service request departed as `done`: the FIFO head
+    /// to start next, or `None` and the lane goes idle.
+    pub(crate) fn finish(&self, class: usize, done: &Completion) -> Option<QueuedRequest> {
+        let mut q = self.lanes[class].queue.lock();
+        q.ledger.depart(done);
+        let next = q.fifo.pop_front();
+        q.busy = next.is_some();
         next
     }
 
@@ -170,9 +189,40 @@ impl Lanes {
         }
     }
 
-    /// Requests queued behind `class`'s in-service head.
+    /// `class`'s requests queued or in service.
     pub(crate) fn backlog(&self, class: usize) -> usize {
-        self.lanes[class].queue.lock().fifo.len()
+        self.lanes[class].queue.lock().backlog()
+    }
+
+    /// Close the control window: every class's window tally and backlog,
+    /// each read and reset under its lane's lock, with work scaled to
+    /// seconds by `work_unit_s`. `index`, `start` and `end` are the
+    /// caller's to stamp.
+    pub(crate) fn close_window(&self, work_unit_s: f64) -> WindowObservation {
+        let (tallies, backlog): (Vec<_>, _) = self
+            .lanes
+            .iter()
+            .map(|lane| {
+                let mut q = lane.queue.lock();
+                (q.ledger.take_window(), q.backlog() as u64)
+            })
+            .unzip();
+        WindowObservation {
+            index: 0,
+            start: 0.0,
+            end: 0.0,
+            arrivals: tallies.iter().map(|w| w.arrivals).collect(),
+            arrived_work: tallies.iter().map(|w| w.work * work_unit_s).collect(),
+            shed_work: tallies.iter().map(|w| w.shed_work * work_unit_s).collect(),
+            completions: tallies.iter().map(|w| w.completions).collect(),
+            backlog,
+            slowdown_sums: tallies.iter().map(|w| w.slowdown_sum).collect(),
+        }
+    }
+
+    /// Every class's lifetime counts and means.
+    pub(crate) fn stats(&self) -> ServerStats {
+        ServerStats { classes: self.lanes.iter().map(|l| l.queue.lock().ledger.stats()).collect() }
     }
 
     /// Stop accepting; what was accepted still drains.
@@ -192,9 +242,9 @@ impl Lanes {
         (0..self.lanes.len()).all(|class| self.drained(class))
     }
 
-    /// Requests accepted and not yet finished.
+    /// Requests accepted and not yet finished, all classes.
     pub(crate) fn in_flight(&self) -> usize {
-        self.in_flight.load(Ordering::Relaxed)
+        (0..self.lanes.len()).map(|class| self.backlog(class)).sum()
     }
 }
 
@@ -206,6 +256,8 @@ mod tests {
     fn req(class: usize, cost: f64) -> QueuedRequest {
         QueuedRequest { class, cost, enqueued: Instant::now(), notify: CompletionNotify::None }
     }
+
+    const DONE: Completion = Completion { delay_s: 0.0, service_s: 1.0 };
 
     /// Submit to a lane that must be idle; the request comes back to be
     /// started.
@@ -222,11 +274,11 @@ mod tests {
         assert_eq!(start(&lanes, 0, 1.0).cost, 1.0);
         assert!(matches!(lanes.submit(req(0, 2.0)), Submitted::Queued));
         assert!(matches!(lanes.submit(req(0, 3.0)), Submitted::Queued));
-        assert_eq!((lanes.backlog(0), lanes.backlog(1), lanes.in_flight()), (2, 0, 3));
+        assert_eq!((lanes.backlog(0), lanes.backlog(1), lanes.in_flight()), (3, 0, 3));
         // FIFO behind the head, then the lane idles.
-        assert_eq!(lanes.finish(0).map(|r| r.cost), Some(2.0));
-        assert_eq!(lanes.finish(0).map(|r| r.cost), Some(3.0));
-        assert!(lanes.finish(0).is_none());
+        assert_eq!(lanes.finish(0, &DONE).map(|r| r.cost), Some(2.0));
+        assert_eq!(lanes.finish(0, &DONE).map(|r| r.cost), Some(3.0));
+        assert!(lanes.finish(0, &DONE).is_none());
         assert_eq!(lanes.in_flight(), 0);
         assert_eq!(start(&lanes, 0, 4.0).cost, 4.0, "idle again: the next submit starts");
     }
@@ -239,9 +291,9 @@ mod tests {
         lanes.close();
         assert!(matches!(lanes.submit(req(1, 1.0)), Submitted::Rejected));
         assert!(lanes.drained(1) && !lanes.drained(0), "class 0 still has work");
-        assert!(lanes.finish(0).is_some(), "queued work drains");
+        assert!(lanes.finish(0, &DONE).is_some(), "queued work drains");
         assert!(!lanes.all_drained(), "its last request is in service");
-        assert!(lanes.finish(0).is_none());
+        assert!(lanes.finish(0, &DONE).is_none());
         assert!(lanes.all_drained());
         assert_eq!(lanes.in_flight(), 0);
     }
@@ -252,7 +304,7 @@ mod tests {
         start(&lanes, 0, 1.0);
         assert!(matches!(lanes.submit(req(0, 2.0)), Submitted::Queued), "class 0 is serial");
         start(&lanes, 1, 1.0); // class 1 is not held up by class 0
-        assert_eq!(lanes.finish(0).map(|r| r.cost), Some(2.0), "starts only now");
+        assert_eq!(lanes.finish(0, &DONE).map(|r| r.cost), Some(2.0), "starts only now");
         assert!(matches!(lanes.submit(req(0, 3.0)), Submitted::Queued), "still one at a time");
     }
 
@@ -305,7 +357,7 @@ mod tests {
         let lanes = Lanes::new(2);
         assert_eq!(start(&lanes, 99, 1.0).class, 1, "clamped on submit");
         assert!(matches!(lanes.submit(req(99, 1.0)), Submitted::Queued));
-        assert_eq!((lanes.backlog(0), lanes.backlog(1)), (0, 1));
+        assert_eq!((lanes.backlog(0), lanes.backlog(1)), (0, 2), "in service + queued");
     }
 
     #[test]

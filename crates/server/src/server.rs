@@ -2,7 +2,7 @@
 //! ([`crate::queues`] lanes executed by [`crate::wheel`]) + the online
 //! PSD rate monitor.
 
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::Ordering;
 use std::sync::Arc;
 use std::thread::{self, JoinHandle};
 use std::time::{Duration, Instant};
@@ -13,7 +13,7 @@ use psd_core::control::{
 };
 use psd_obs::{ControlTrace, ObsBundle, ObsConfig};
 
-use crate::metrics::{MetricsSink, ServerStats};
+use crate::metrics::ServerStats;
 use crate::queues::{CompletionNotify, QueuedRequest};
 use crate::wheel::TaskServers;
 
@@ -175,22 +175,9 @@ impl StopFlag {
 
 /// A running PSD server.
 pub struct PsdServer {
+    /// The task servers; their lanes hold every per-class count.
     exec: Arc<TaskServers>,
-    metrics: Arc<MetricsSink>,
-    window_arrivals: Arc<Vec<AtomicU64>>,
-    /// Per-class admitted work inside the current window, in
-    /// fixed-point milli-work-units (f64 costs don't add atomically;
-    /// 1/1000 of a work unit is far below every other measurement
-    /// error here).
-    window_work_mu: Arc<Vec<AtomicU64>>,
-    /// Per-class work turned away at the door inside the current
-    /// window (same fixed point). The admission controller must see
-    /// **offered** load — admitted plus shed — or it would equilibrate
-    /// above its cap: post-shed load looks compliant the moment the
-    /// shedding works.
-    window_shed_mu: Arc<Vec<AtomicU64>>,
     control: Arc<SharedControl>,
-    shed: Arc<Vec<AtomicU64>>,
     stop: Arc<StopFlag>,
     monitor: Option<JoinHandle<()>>,
     n_classes: usize,
@@ -205,13 +192,6 @@ impl PsdServer {
         assert!(!cfg.deltas.is_empty(), "at least one class");
         assert!(cfg.mean_cost > 0.0, "mean cost must be positive");
         let n = cfg.deltas.len();
-        let metrics = Arc::new(MetricsSink::new(n));
-        let window_arrivals: Arc<Vec<AtomicU64>> =
-            Arc::new((0..n).map(|_| AtomicU64::new(0)).collect());
-        let window_work_mu: Arc<Vec<AtomicU64>> =
-            Arc::new((0..n).map(|_| AtomicU64::new(0)).collect());
-        let window_shed_mu: Arc<Vec<AtomicU64>> =
-            Arc::new((0..n).map(|_| AtomicU64::new(0)).collect());
         let control = Arc::new(SharedControl::new(ClassTable {
             deltas: cfg.deltas.clone(),
             gain: cfg.gain,
@@ -219,7 +199,6 @@ impl PsdServer {
             controller: cfg.controller,
             epoch: 0,
         }));
-        let shed: Arc<Vec<AtomicU64>> = Arc::new((0..n).map(|_| AtomicU64::new(0)).collect());
         let stop = Arc::new(StopFlag::new());
         let obs = Arc::new(ObsBundle::new(
             n,
@@ -231,7 +210,7 @@ impl PsdServer {
             },
         ));
 
-        let exec = Arc::new(TaskServers::start(n, cfg.work_unit, cfg.workload, &metrics));
+        let exec = Arc::new(TaskServers::start(n, cfg.work_unit, cfg.workload));
 
         // Build the controller stack and publish its initial directive
         // *before* the monitor thread exists: `start` returns with the
@@ -240,35 +219,23 @@ impl PsdServer {
         let table = control.table();
         let mut controller = build_monitor_controller(&cfg, &table);
         let initial = controller.initial_rates(n);
-        exec.set_weights(&initial);
+        exec.lanes().set_weights(&initial);
         control.publish(table.epoch, &initial, None);
 
         let monitor = {
             let exec = Arc::clone(&exec);
-            let arrivals = Arc::clone(&window_arrivals);
-            let work = Arc::clone(&window_work_mu);
-            let shed_work = Arc::clone(&window_shed_mu);
-            let metrics = Arc::clone(&metrics);
             let control = Arc::clone(&control);
             let stop = Arc::clone(&stop);
             let telemetry = Arc::clone(&obs);
             let cfg = cfg.clone();
             Some(thread::spawn(move || {
-                monitor_loop(
-                    &cfg, &exec, &arrivals, &work, &shed_work, &metrics, &control, &stop,
-                    &telemetry, controller, table, initial,
-                )
+                monitor_loop(&cfg, &exec, &control, &stop, &telemetry, controller, table, initial)
             }))
         };
 
         Self {
             exec,
-            metrics,
-            window_arrivals,
-            window_work_mu,
-            window_shed_mu,
             control,
-            shed,
             stop,
             monitor,
             n_classes: n,
@@ -316,32 +283,26 @@ impl PsdServer {
     fn submit_inner(&self, class: usize, cost: f64, notify: CompletionNotify) -> bool {
         assert!(cost.is_finite() && cost > 0.0, "request cost must be positive");
         let class = class.min(self.n_classes - 1);
-        self.window_arrivals[class].fetch_add(1, Ordering::Relaxed);
-        self.window_work_mu[class].fetch_add((cost * 1000.0).round() as u64, Ordering::Relaxed);
         self.exec.submit(QueuedRequest { class, cost, enqueued: Instant::now(), notify })
     }
 
     /// One admission decision for a class-`class` request of `cost`
     /// work units, against the probabilities most recently published by
-    /// the control plane: `true` to serve, `false` to shed (the shed
-    /// counter and the window's shed-work account are bumped here;
-    /// callers answer `503` + `Connection: close`). The cost matters
-    /// even for rejected requests — the monitor's controller must see
-    /// the **offered** load, not just what survived the door. With no
-    /// `admission_cap` configured this is always `true` at the cost of
-    /// one relaxed atomic load.
+    /// the control plane: `true` to serve, `false` to shed (the class's
+    /// lane counts the shed and its work; callers answer `503` +
+    /// `Connection: close`). The cost matters even for rejected
+    /// requests — the monitor's controller must see the **offered**
+    /// load, not just what survived the door. With no `admission_cap`
+    /// configured this is always `true` at the cost of one relaxed
+    /// atomic load.
     pub fn admit(&self, class: usize, cost: f64) -> bool {
         let class = class.min(self.n_classes - 1);
         self.obs.admission.draws.fetch_add(1, Ordering::Relaxed);
-        if self.control.admit(class) {
-            true
-        } else {
-            self.obs.admission.sheds.fetch_add(1, Ordering::Relaxed);
-            self.shed[class].fetch_add(1, Ordering::Relaxed);
-            self.window_shed_mu[class]
-                .fetch_add((cost.max(0.0) * 1000.0).round() as u64, Ordering::Relaxed);
-            false
+        let admitted = self.control.admit(class);
+        if !admitted {
+            self.exec.lanes().shed(class, cost.max(0.0));
         }
+        admitted
     }
 
     /// The control plane's runtime surface: published rates and
@@ -382,24 +343,18 @@ impl PsdServer {
 
     /// Requests shed at admission for one class.
     pub fn shed_count(&self, class: usize) -> u64 {
-        self.shed[class.min(self.n_classes - 1)].load(Ordering::Relaxed)
+        self.stats().classes[class.min(self.n_classes - 1)].shed
     }
 
-    /// Live statistics snapshot.
+    /// Live statistics snapshot. A request is counted as completed
+    /// before its submitter is notified.
     pub fn stats(&self) -> ServerStats {
-        self.fill_shed(self.metrics.snapshot())
+        self.exec.lanes().stats()
     }
 
-    fn fill_shed(&self, mut stats: ServerStats) -> ServerStats {
-        for (c, shed) in stats.classes.iter_mut().zip(self.shed.iter()) {
-            c.shed = shed.load(Ordering::Relaxed);
-        }
-        stats
-    }
-
-    /// Backlog of one class.
+    /// One class's requests queued or in service.
     pub fn backlog(&self, class: usize) -> usize {
-        self.exec.backlog(class.min(self.n_classes - 1))
+        self.exec.lanes().backlog(class.min(self.n_classes - 1))
     }
 
     /// Drain pending work, stop all threads, return final statistics.
@@ -410,7 +365,7 @@ impl PsdServer {
         if let Some(m) = self.monitor.take() {
             let _ = m.join();
         }
-        self.fill_shed(self.metrics.snapshot())
+        self.stats()
     }
 }
 
@@ -434,11 +389,13 @@ fn build_monitor_controller(
 }
 
 /// The rate monitor: every control window it closes a
-/// [`WindowObservation`] — swept arrivals/work counters, **measured
-/// per-class slowdowns** from the sharded metrics recorders
-/// ([`MetricsSink::sweep_window`], snapshot-and-reset so nothing
-/// double-counts), and live backlogs — and hands it to an arbitrary
-/// [`RateController`] built by the shared `psd_core::control` factory.
+/// [`WindowObservation`] — per class, the arrivals, admitted and shed
+/// work, departures with their **measured slowdowns**, and the backlog
+/// (queued + in service), all read and reset at one instant under the
+/// class's lane lock, so nothing double-counts and a class's backlog
+/// changes by exactly its arrivals less its departures from one window
+/// to the next — and hands it to an arbitrary [`RateController`] built
+/// by the shared `psd_core::control` factory.
 /// The directive's rates become the task servers' shares; its admission
 /// probabilities are published to [`SharedControl`] for the submit
 /// paths. The old inlined `LoadEstimator` + `psd_rates_clamped` loop is
@@ -453,10 +410,6 @@ fn build_monitor_controller(
 fn monitor_loop(
     cfg: &ServerConfig,
     exec: &TaskServers,
-    arrivals: &[AtomicU64],
-    work_mu: &[AtomicU64],
-    shed_mu: &[AtomicU64],
-    metrics: &MetricsSink,
     control: &SharedControl,
     stop: &StopFlag,
     telemetry: &ObsBundle,
@@ -464,7 +417,6 @@ fn monitor_loop(
     mut table: ClassTable,
     mut current_rates: Vec<f64>,
 ) {
-    let n = cfg.deltas.len();
     let work_unit_s = cfg.work_unit.as_secs_f64();
     let started = Instant::now();
     let mut window_start = 0.0f64;
@@ -481,30 +433,18 @@ fn monitor_loop(
             controller = build_monitor_controller(cfg, &table);
         }
         let now_s = started.elapsed().as_secs_f64();
-        let sweep = metrics.sweep_window();
         let obs = WindowObservation {
             index,
             start: window_start,
             end: now_s,
-            arrivals: arrivals.iter().map(|a| a.swap(0, Ordering::Relaxed)).collect(),
-            arrived_work: work_mu
-                .iter()
-                .map(|w| w.swap(0, Ordering::Relaxed) as f64 * 1e-3 * work_unit_s)
-                .collect(),
-            shed_work: shed_mu
-                .iter()
-                .map(|w| w.swap(0, Ordering::Relaxed) as f64 * 1e-3 * work_unit_s)
-                .collect(),
-            completions: sweep.completions,
-            backlog: (0..n).map(|c| exec.backlog(c) as u64).collect(),
-            slowdown_sums: sweep.slowdown_sums,
+            ..exec.lanes().close_window(work_unit_s)
         };
         index += 1;
         window_start = now_s;
 
         let directive = controller.control(now_s, &obs);
         if let Some(rates) = &directive.rates {
-            exec.set_weights(rates);
+            exec.lanes().set_weights(rates);
             current_rates = rates.clone();
         }
         control.publish(table.epoch, &current_rates, directive.admit_probability.as_deref());
@@ -553,10 +493,11 @@ mod tests {
     #[test]
     fn out_of_range_class_clamped() {
         let s = PsdServer::start(quick_cfg(vec![1.0, 2.0]));
-        assert!(s.submit(99, 1.0));
+        // Long enough (≥ 50 ms) to be still in service when read below.
+        assert!(s.submit(99, 250.0));
         assert!(s.admit(99, 1.0));
         assert_eq!(s.shed_count(99), 0);
-        assert_eq!(s.backlog(99), 0, "backlog clamps like submit, admit and shed_count");
+        assert_eq!(s.backlog(99), 1, "backlog clamps like submit, admit and shed_count");
         let stats = s.shutdown();
         assert_eq!(stats.classes[1].completed, 1, "clamped to the last class");
     }

@@ -8,9 +8,13 @@
 //!  submit ─▶ lane[class] ─ idle ─▶ start: file finish deadline ─▶ executor thread
 //!              └─ busy: FIFO                                       │ waits for it:
 //!                                                                  │  Sleep: parked
-//!  fire: record metrics, deliver CompletionNotify, ◀───────────────┘  Spin: polling
-//!  start the lane's FIFO head                                         the clock
+//!  fire: finish (the lane tallies the departure ◀──────────────────┘  Spin: polling
+//!  and pops its FIFO head), deliver CompletionNotify,                 the clock
+//!  start that head
 //! ```
+//!
+//! The departure is tallied before the submitter hears of it, so every
+//! reply a client holds is already counted in `PsdServer::stats`.
 //!
 //! The [`Workload`] decides how the wait is spent. Sleep service is
 //! pure waiting, so one timer thread serves every class, parked until
@@ -32,7 +36,6 @@ use std::time::{Duration, Instant};
 use parking_lot::{Condvar, Mutex};
 use psd_obs::WheelStats;
 
-use crate::metrics::{MetricsRecorder, MetricsSink};
 use crate::queues::{CompletionNotify, Lanes, QueuedRequest, Submitted};
 use crate::server::{Completion, Workload};
 use crate::timing;
@@ -126,12 +129,7 @@ pub(crate) struct TaskServers {
 impl TaskServers {
     /// Start `n` classes' servers at an even rate split: one timer
     /// thread for Sleep, one spinning thread per class for Spin.
-    pub(crate) fn start(
-        n: usize,
-        work_unit: Duration,
-        workload: Workload,
-        metrics: &MetricsSink,
-    ) -> Self {
+    pub(crate) fn start(n: usize, work_unit: Duration, workload: Workload) -> Self {
         let executors = match workload {
             Workload::Sleep => 1,
             Workload::Spin => n,
@@ -146,10 +144,9 @@ impl TaskServers {
         let threads = (0..executors)
             .map(|i| {
                 let shared = Arc::clone(&shared);
-                let recorder = metrics.recorder();
                 thread::Builder::new()
                     .name(format!("psd-task-{i}"))
-                    .spawn(move || shared.run(i, &recorder))
+                    .spawn(move || shared.run(i))
                     .expect("spawn task-server thread")
             })
             .collect();
@@ -169,15 +166,9 @@ impl TaskServers {
         }
     }
 
-    /// Update the per-class rate shares; takes effect at each class's
-    /// next service start.
-    pub(crate) fn set_weights(&self, weights: &[f64]) {
-        self.shared.lanes.set_weights(weights);
-    }
-
-    /// Requests queued behind `class`'s in-service head.
-    pub(crate) fn backlog(&self, class: usize) -> usize {
-        self.shared.lanes.backlog(class)
+    /// The lanes: their shares, backlogs and per-class ledgers.
+    pub(crate) fn lanes(&self) -> &Lanes {
+        &self.shared.lanes
     }
 
     /// Stop accepting; queued and in-service requests still complete.
@@ -258,14 +249,17 @@ impl Shared {
         }
     }
 
-    /// Record and deliver a finished execution, then start the class's
-    /// next request, if one was waiting, at this one's finish.
-    fn complete(&self, job: InService, recorder: &MetricsRecorder) {
+    /// Tally and deliver a finished execution — in that order, so the
+    /// departure is counted before anyone can act on its reply — then
+    /// start the class's next request, if one was waiting, at this
+    /// one's finish.
+    fn complete(&self, job: InService) {
         let service_s = job.dispatched.elapsed().as_secs_f64();
         let delay_s = job.dispatched.saturating_duration_since(job.enqueued).as_secs_f64();
-        recorder.record(job.class, delay_s, service_s);
-        job.notify.deliver(Completion { delay_s, service_s });
-        if let Some(next) = self.lanes.finish(job.class) {
+        let done = Completion { delay_s, service_s };
+        let next = self.lanes.finish(job.class, &done);
+        job.notify.deliver(done);
+        if let Some(next) = next {
             self.start(next, job.finish);
         }
     }
@@ -273,7 +267,7 @@ impl Shared {
     /// Executor `i`'s thread: fire what is due, then wait for the next
     /// deadline — asleep on the alarm (Sleep) or burning the CPU the
     /// request stands for (Spin) — until closed and drained.
-    fn run(&self, i: usize, recorder: &MetricsRecorder) {
+    fn run(&self, i: usize) {
         timing::precise_timers();
         let exec = &self.executors[i];
         let mut fired: Vec<InService> = Vec::new();
@@ -289,7 +283,7 @@ impl Shared {
                 // Fire outside the lock: completions take lane locks,
                 // run callbacks and file the next deadline.
                 for job in fired.drain(..) {
-                    self.complete(job, recorder);
+                    self.complete(job);
                 }
                 st = exec.state.lock();
                 continue;
@@ -380,9 +374,7 @@ mod tests {
     fn submits_racing_close_are_served_or_refused_never_lost() {
         for workload in [Workload::Sleep, Workload::Spin] {
             for round in 0..20 {
-                let sink = MetricsSink::new(2);
-                let servers =
-                    Arc::new(TaskServers::start(2, Duration::from_micros(5), workload, &sink));
+                let servers = Arc::new(TaskServers::start(2, Duration::from_micros(5), workload));
                 let pushers: Vec<_> = (0..2usize)
                     .map(|p| {
                         let servers = Arc::clone(&servers);
@@ -401,7 +393,8 @@ mod tests {
                 servers.close();
                 let accepted: u64 = pushers.into_iter().map(|h| h.join().unwrap()).sum();
                 servers.join();
-                let completed: u64 = sink.snapshot().classes.iter().map(|c| c.completed).sum();
+                let completed: u64 =
+                    servers.lanes().stats().classes.iter().map(|c| c.completed).sum();
                 assert_eq!(completed, accepted, "{workload:?} round {round}");
             }
         }
@@ -414,9 +407,8 @@ mod tests {
     #[test]
     fn sleep_service_never_ends_before_its_stretched_target() {
         let unit = Duration::from_micros(20);
-        let sink = MetricsSink::new(2);
-        let servers = TaskServers::start(2, unit, Workload::Sleep, &sink);
-        servers.set_weights(&[1.0, 3.0]);
+        let servers = TaskServers::start(2, unit, Workload::Sleep);
+        servers.lanes().set_weights(&[1.0, 3.0]);
         let early = Arc::new(Mutex::new(Vec::new()));
         for i in 0..200u32 {
             let class = i as usize % 2;
@@ -434,7 +426,7 @@ mod tests {
         }
         servers.close();
         servers.join();
-        let completed: u64 = sink.snapshot().classes.iter().map(|c| c.completed).sum();
+        let completed: u64 = servers.lanes().stats().classes.iter().map(|c| c.completed).sum();
         assert_eq!(completed, 200);
         let early = early.lock();
         assert!(early.is_empty(), "(request, service_s, target) ended early: {:?}", *early);
@@ -448,9 +440,8 @@ mod tests {
     #[test]
     fn queued_service_starts_at_its_predecessors_finish() {
         let unit = Duration::from_micros(20);
-        let sink = MetricsSink::new(2);
-        let servers = TaskServers::start(2, unit, Workload::Sleep, &sink);
-        servers.set_weights(&[1.0, 3.0]);
+        let servers = TaskServers::start(2, unit, Workload::Sleep);
+        servers.lanes().set_weights(&[1.0, 3.0]);
         let stretch = servers.shared.lanes.stretch(0);
         // A 50 ms head holds the lane while 19 short requests (20–80 µs,
         // off the 50 µs grid) queue behind it, all "arrived" at once.
@@ -464,7 +455,7 @@ mod tests {
             let notify = CompletionNotify::Callback(Box::new(done));
             assert!(servers.submit(QueuedRequest { class: 0, cost, enqueued, notify }));
         }
-        assert_eq!(servers.backlog(0), costs.len() - 1, "the head outlived the submissions");
+        assert_eq!(servers.lanes().backlog(0), costs.len(), "the head outlived the submissions");
         servers.close();
         servers.join();
         let delays = delays.lock();
@@ -495,9 +486,27 @@ mod tests {
         last_fired: u64,
         /// `(class, id)` in completion order, written by the callbacks.
         log: Arc<Mutex<Vec<(usize, u32)>>>,
+        /// Backlog at the last window close, and arrivals and
+        /// completions summed over every closed window.
+        backlog: Vec<u64>,
+        arrivals: u64,
+        completions: u64,
     }
 
     impl Model {
+        /// Close a control window and check the per-window conservation
+        /// law: each class's backlog is its backlog at the last close
+        /// plus the window's arrivals less its completions.
+        fn close_window(&mut self) {
+            let obs = self.lanes.close_window(1.0);
+            for (class, (&now, &last)) in obs.backlog.iter().zip(&self.backlog).enumerate() {
+                assert_eq!(now, last + obs.arrivals[class] - obs.completions[class], "{class}");
+            }
+            self.arrivals += obs.arrivals.iter().sum::<u64>();
+            self.completions += obs.completions.iter().sum::<u64>();
+            self.backlog = obs.backlog;
+        }
+
         fn submit(&mut self, raw_class: usize, cost: f64) {
             let (log, id) = (Arc::clone(&self.log), self.accepted);
             let class = raw_class.min(self.pending.len() - 1);
@@ -538,8 +547,10 @@ mod tests {
                 assert!(due >= self.last_fired, "fired out of deadline order");
                 self.last_fired = due;
                 self.pending[class] -= 1;
-                notify.deliver(Completion { delay_s: 0.0, service_s: 1.0 });
-                if let Some(next) = self.lanes.finish(class) {
+                let done = Completion { delay_s: 0.0, service_s: 1.0 };
+                let next = self.lanes.finish(class, &done);
+                notify.deliver(done);
+                if let Some(next) = next {
                     self.start(next);
                 }
             }
@@ -562,6 +573,9 @@ mod tests {
                 accepted: 0,
                 last_fired: 0,
                 log: Arc::default(),
+                backlog: vec![0; CLASSES],
+                arrivals: 0,
+                completions: 0,
             };
             for _ in 0..3_000 {
                 match draw(10) {
@@ -574,7 +588,10 @@ mod tests {
                             (0..CLASSES).map(|_| [0.0, 1e-5, 0.3, 1.0, 4.0][draw(5)]).collect();
                         m.lanes.set_weights(&m.weights);
                     }
-                    _ => assert!(m.lanes.in_flight() >= m.pending.iter().sum::<u32>() as usize),
+                    _ => {
+                        assert!(m.lanes.in_flight() >= m.pending.iter().sum::<u32>() as usize);
+                        m.close_window();
+                    }
                 }
             }
             m.lanes.close();
@@ -591,6 +608,9 @@ mod tests {
             }
             assert!(m.lanes.all_drained(), "seed {seed}");
             assert_eq!(m.lanes.in_flight(), 0, "seed {seed}");
+            m.close_window();
+            let accepted = u64::from(m.accepted);
+            assert_eq!((m.arrivals, m.completions), (accepted, accepted));
             let log = m.log.lock();
             assert_eq!(log.len(), m.accepted as usize, "seed {seed}: each completes exactly once");
             for class in 0..CLASSES {

@@ -12,7 +12,9 @@
 //! * an out-of-range `X-Class` is reported as the class that served it,
 //!   in the reply and in the span, on every engine;
 //! * the monitor applies a hot-swapped class table at a window
-//!   boundary (`applied_epoch` catches up to `epoch`).
+//!   boundary (`applied_epoch` catches up to `epoch`);
+//! * the monitor's windows conserve requests, and the backlog it, `/metrics`
+//!   and `psd_backlog` report counts the request in service.
 
 mod common;
 
@@ -338,6 +340,106 @@ fn feedback_controller_drives_the_live_monitor() {
     let stats = Arc::try_unwrap(server).ok().expect("sole owner").shutdown();
     let done: u64 = stats.classes.iter().map(|c| c.completed).sum();
     assert_eq!(done, submitted.iter().sum::<u64>(), "everything drains under feedback");
+}
+
+/// The backlog counts the request in service, as
+/// `WindowObservation::backlog` and desim define it: a class with one
+/// request in service and two queued behind it reads 3 in the monitor's
+/// window observation, in `/metrics` and in `psd_backlog`.
+#[test]
+fn backlog_counts_the_request_in_service() {
+    let (fe, server) = start_frontend(
+        EngineKind::Threads,
+        ServerConfig { control_window: Duration::from_millis(5), ..ServerConfig::default() },
+    );
+    // 1000 work units of 200 µs: the head stays in service ≥ 200 ms.
+    for cost in [1000.0, 0.01, 0.01] {
+        assert!(server.submit(0, cost));
+    }
+    let departs = Instant::now() + Duration::from_millis(200);
+    assert_eq!((server.backlog(0), server.backlog(1)), (3, 0));
+
+    let mut s = TcpStream::connect(fe.addr()).unwrap();
+    let metrics = wait_ok(&mut s, "GET /metrics HTTP/1.1\r\nConnection: close\r\n\r\n");
+    assert!(metrics.contains("\"class\":0,\"completed\":0,\"shed\":0,\"backlog\":3,"), "{metrics}");
+    assert!(metrics.contains("\"class\":1,\"completed\":0,\"shed\":0,\"backlog\":0,"), "{metrics}");
+
+    let mut s = TcpStream::connect(fe.addr()).unwrap();
+    let prom = wait_ok(&mut s, "GET /metrics/prometheus HTTP/1.1\r\nConnection: close\r\n\r\n");
+    let body = prom.split_once("\r\n\r\n").map_or("", |(_, b)| b);
+    let samples = psd_obs::parse_prometheus(body).expect("exposition parses");
+    let backlog: Vec<f64> =
+        samples.iter().filter(|s| s.name == "psd_backlog").map(|s| s.value).collect();
+    assert_eq!(backlog, vec![3.0, 0.0]);
+
+    // Window `recorded + 1` closes after window `recorded` is recorded,
+    // so after the submits.
+    let recorded = server.obs().flight.recorded();
+    let observed = loop {
+        let traces = server.obs().flight.snapshot();
+        if let Some(t) = traces.into_iter().find(|t| t.observation.index > recorded) {
+            break t.observation.backlog;
+        }
+        std::thread::sleep(Duration::from_millis(1));
+    };
+    assert_eq!(observed, vec![3, 0]);
+    assert!(Instant::now() < departs, "the head departed before the reads");
+    teardown(fe, server);
+}
+
+/// Conservation per control window through the live monitor: four
+/// submitter threads race the timer thread and a monitor closing a
+/// window every 100 µs. In every window each class's backlog is the last
+/// window's plus its arrivals less its completions, and the windows
+/// together hold every submitted arrival and every completion.
+#[test]
+fn monitor_windows_conserve_requests_on_real_threads() {
+    const CLASSES: usize = 3;
+    let server = Arc::new(PsdServer::start(ServerConfig {
+        deltas: vec![1.0, 2.0, 4.0],
+        work_unit: Duration::from_micros(5),
+        control_window: Duration::from_micros(100),
+        flight_capacity: 1 << 14,
+        ..ServerConfig::default()
+    }));
+    let submitters: Vec<_> = (0..4usize)
+        .map(|p| {
+            let server = Arc::clone(&server);
+            std::thread::spawn(move || {
+                for i in 0..150usize {
+                    if i % 10 == 0 {
+                        std::thread::sleep(Duration::from_micros(50));
+                    }
+                    assert!(server.submit((p + i) % CLASSES, 0.5 + (i % 3) as f64));
+                }
+            })
+        })
+        .collect();
+    submitters.into_iter().for_each(|h| h.join().unwrap());
+    while (0..CLASSES).any(|c| server.backlog(c) > 0) {
+        std::thread::sleep(Duration::from_millis(1));
+    }
+    // One window closed after the drain (see the test above).
+    let recorded = server.obs().flight.recorded();
+    while server.obs().flight.snapshot().last().is_none_or(|t| t.observation.index <= recorded) {
+        std::thread::sleep(Duration::from_millis(1));
+    }
+    let traces = server.obs().flight.snapshot();
+    assert_eq!(traces.len() as u64, server.obs().flight.recorded(), "no window evicted");
+    let (mut last, mut arrivals, mut completions) = (vec![0; CLASSES], 0, 0);
+    for (k, t) in traces.iter().enumerate() {
+        let w = &t.observation;
+        assert_eq!(w.index, k as u64);
+        for (c, (&now, &before)) in w.backlog.iter().zip(&last).enumerate() {
+            assert_eq!(now, before + w.arrivals[c] - w.completions[c], "window {k} class {c}");
+        }
+        arrivals += w.arrivals.iter().sum::<u64>();
+        completions += w.completions.iter().sum::<u64>();
+        last.clone_from(&w.backlog);
+    }
+    let completed: u64 = server.stats().classes.iter().map(|c| c.completed).sum();
+    assert_eq!((arrivals, completions, completed), (600, 600, 600));
+    Arc::try_unwrap(server).ok().expect("sole owner").shutdown();
 }
 
 /// The driver honors admission too: with everything shed, arrivals

@@ -81,3 +81,23 @@ fn workers_flag_is_gone() {
     assert_eq!(refused.status.code(), Some(2));
     assert!(String::from_utf8_lossy(&refused.stderr).contains("unknown argument: --workers"));
 }
+
+/// Out-of-range values are refused with exit 2 and an `error:` line
+/// before a server exists, not by a panic inside it.
+#[test]
+fn out_of_range_flags_exit_2_with_an_error() {
+    let bin = env!("CARGO_BIN_EXE_psd_httpd");
+    for args in [
+        ["--deltas", "0,1"],
+        ["--deltas", "1,-2"],
+        ["--work-unit-us", "0"],
+        ["--default-cost", "0"],
+        ["--default-cost", "nan"],
+    ] {
+        let out = Command::new(bin).args(args).output().expect("run psd_httpd");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{args:?}: {stderr}");
+        assert!(stderr.starts_with("error: "), "{args:?}: {stderr}");
+        assert!(!stderr.contains("panicked"), "{args:?}: {stderr}");
+    }
+}
