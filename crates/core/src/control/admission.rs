@@ -33,7 +33,9 @@ impl AdmissionDecision {
 /// Strategy: walk classes from the lowest (end of the slice) upward,
 /// shedding each class as much as needed (possibly fully) until the
 /// admitted load fits under the cap. Higher classes are only touched
-/// once every lower class is fully shed.
+/// once every lower class is fully shed — an idle one included, so a
+/// request arriving in a class estimated idle cannot overtake a class
+/// above it that is being shed.
 pub fn admission_probabilities(loads: &[f64], cap: f64) -> AdmissionDecision {
     assert!(!loads.is_empty(), "at least one class");
     assert!(cap > 0.0 && cap < 1.0, "cap must be in (0,1), got {cap}");
@@ -50,6 +52,7 @@ pub fn admission_probabilities(loads: &[f64], cap: f64) -> AdmissionDecision {
                 break;
             }
             if load <= 0.0 {
+                admit[i] = 0.0;
                 continue;
             }
             let shed = excess.min(load);

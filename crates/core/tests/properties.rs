@@ -1,27 +1,50 @@
-//! Property-based tests of the PSD allocation, model and controller:
-//! Eq. 17's invariants over randomized class counts, loads and
-//! differentiation parameters, and the controller's over randomized
-//! window sequences.
+//! Property tests of the PSD allocation, model and controller: Eq. 17's
+//! invariants over randomized class counts, loads and differentiation
+//! parameters, and the controller's, the admission rule's and the
+//! control surface's over randomized window and update sequences.
+//!
+//! Each property runs 48 seeded cases whose inputs are drawn from
+//! `Xoshiro256pp::seed_from(seed)`. A failure names its seed, which
+//! replays the case exactly.
 
-use proptest::prelude::*;
 use psd_core::allocation::{psd_rates, psd_rates_clamped, AllocationError};
-use psd_core::control::{ControllerParams, PsdController, RateController, WindowObservation};
+use psd_core::control::{
+    admission_probabilities, ClassTable, ControllerKind, ControllerParams, PsdController,
+    RateController, SharedControl, WindowObservation,
+};
 use psd_core::estimator::LoadEstimator;
 use psd_core::model::PsdModel;
+use psd_dist::rng::Xoshiro256pp;
 use psd_dist::{BoundedPareto, Deterministic, ServiceDistribution};
 
-/// Random class systems: (deltas, per-class loads) with total load < 1.
-fn class_system() -> impl Strategy<Value = (Vec<f64>, Vec<f64>)> {
-    (2usize..6).prop_flat_map(|n| {
-        (proptest::collection::vec(0.2f64..16.0, n), proptest::collection::vec(0.01f64..1.0, n))
-            .prop_map(|(deltas, raw)| {
-                let total: f64 = raw.iter().sum();
-                // Normalize to a random total load in (0.05, 0.95).
-                let target = 0.05 + 0.9 * (total - total.floor()).abs().min(0.9);
-                let loads: Vec<f64> = raw.iter().map(|r| r / total * target).collect();
-                (deltas, loads)
-            })
-    })
+/// Run `case` once per seed, each with its own generator.
+fn each_seed(mut case: impl FnMut(u64, &mut Xoshiro256pp)) {
+    for seed in 0..48 {
+        case(seed, &mut Xoshiro256pp::seed_from(seed));
+    }
+}
+
+/// Uniform in `[lo, hi)`.
+fn uniform(rng: &mut Xoshiro256pp, lo: f64, hi: f64) -> f64 {
+    lo + rng.next_f64() * (hi - lo)
+}
+
+/// Uniform integer in `[lo, hi)`.
+fn between(rng: &mut Xoshiro256pp, lo: usize, hi: usize) -> usize {
+    lo + (rng.next_f64() * (hi - lo) as f64) as usize
+}
+
+/// A random class system: (deltas, per-class loads) for 2–5 classes
+/// with total load in (0.05, 0.95).
+fn class_system(rng: &mut Xoshiro256pp) -> (Vec<f64>, Vec<f64>) {
+    let n = between(rng, 2, 6);
+    let deltas: Vec<f64> = (0..n).map(|_| uniform(rng, 0.2, 16.0)).collect();
+    let raw: Vec<f64> = (0..n).map(|_| uniform(rng, 0.01, 1.0)).collect();
+    let total: f64 = raw.iter().sum();
+    // Normalize to a random total load in (0.05, 0.95).
+    let target = 0.05 + 0.9 * (total - total.floor()).abs().min(0.9);
+    let loads = raw.iter().map(|r| r / total * target).collect();
+    (deltas, loads)
 }
 
 fn moments() -> psd_dist::Moments {
@@ -34,12 +57,15 @@ fn moments() -> psd_dist::Moments {
 /// departure, the rest completed 10 requests at mean slowdown `s − 9`.
 type ClassDraw = (f64, f64);
 
-/// Random class systems with a sequence of observation windows.
-fn window_sequences() -> impl Strategy<Value = (Vec<f64>, Vec<Vec<ClassDraw>>)> {
-    (2usize..6).prop_flat_map(|n| {
-        let window = proptest::collection::vec((0.0f64..1.0, 0.0f64..40.0), n);
-        (proptest::collection::vec(0.2f64..16.0, n), proptest::collection::vec(window, 1..14))
-    })
+/// A random class system with a sequence of 1–13 observation windows.
+fn window_sequence(rng: &mut Xoshiro256pp) -> (Vec<f64>, Vec<Vec<ClassDraw>>) {
+    let n = between(rng, 2, 6);
+    let deltas = (0..n).map(|_| uniform(rng, 0.2, 16.0)).collect();
+    let windows = between(rng, 1, 14);
+    let sequence = (0..windows)
+        .map(|_| (0..n).map(|_| (uniform(rng, 0.0, 1.0), uniform(rng, 0.0, 40.0))).collect())
+        .collect();
+    (deltas, sequence)
 }
 
 fn observation(index: usize, draws: &[ClassDraw], mean_service: f64) -> WindowObservation {
@@ -62,25 +88,29 @@ fn observation(index: usize, draws: &[ClassDraw], mean_service: f64) -> WindowOb
     }
 }
 
-proptest! {
-    /// Eq. 17 rates always sum to exactly 1 and exceed each class's raw
-    /// requirement (local stability).
-    #[test]
-    fn rates_partition_capacity((deltas, loads) in class_system()) {
+/// Eq. 17 rates always sum to exactly 1 and exceed each class's raw
+/// requirement (local stability).
+#[test]
+fn rates_partition_capacity() {
+    each_seed(|seed, rng| {
+        let (deltas, loads) = class_system(rng);
         let m = moments();
         let lambdas: Vec<f64> = loads.iter().map(|l| l / m.mean).collect();
         let rates = psd_rates(&lambdas, &deltas, m.mean).unwrap();
         let sum: f64 = rates.iter().sum();
-        prop_assert!((sum - 1.0).abs() < 1e-9, "sum {sum}");
+        assert!((sum - 1.0).abs() < 1e-9, "seed {seed}: sum {sum}");
         for ((&r, &l), &load) in rates.iter().zip(&lambdas).zip(&loads) {
-            prop_assert!(r > l * m.mean - 1e-12, "rate {r} below requirement {load}");
+            assert!(r > l * m.mean - 1e-12, "seed {seed}: rate {r} below requirement {load}");
         }
-    }
+    });
+}
 
-    /// The achieved model ratios are exactly the delta ratios, for any
-    /// loads (the defining Eq. 16 property — *load independence*).
-    #[test]
-    fn ratios_are_load_independent((deltas, loads) in class_system()) {
+/// The achieved model ratios are exactly the delta ratios, for any
+/// loads (the defining Eq. 16 property — *load independence*).
+#[test]
+fn ratios_are_load_independent() {
+    each_seed(|seed, rng| {
+        let (deltas, loads) = class_system(rng);
         let m = moments();
         let lambdas: Vec<f64> = loads.iter().map(|l| l / m.mean).collect();
         let model = PsdModel::new(&deltas, m).unwrap();
@@ -88,64 +118,77 @@ proptest! {
         for i in 1..deltas.len() {
             let want = deltas[i] / deltas[0];
             let got = s[i] / s[0];
-            prop_assert!((got - want).abs() < 1e-9 * want.max(1.0), "class {i}: {got} vs {want}");
+            assert!((got - want).abs() < 1e-9 * want.max(1.0), "seed {seed}: {got} vs {want}");
         }
-    }
+    });
+}
 
-    /// Scaling every delta by a constant changes nothing (only ratios
-    /// matter — the paper's controllability knob is relative).
-    #[test]
-    fn delta_scale_invariance((deltas, loads) in class_system(), scale in 0.1f64..10.0) {
+/// Scaling every delta by a constant changes nothing (only ratios
+/// matter — the paper's controllability knob is relative).
+#[test]
+fn delta_scale_invariance() {
+    each_seed(|seed, rng| {
+        let (deltas, loads) = class_system(rng);
+        let scale = uniform(rng, 0.1, 10.0);
         let m = moments();
         let lambdas: Vec<f64> = loads.iter().map(|l| l / m.mean).collect();
         let r1 = psd_rates(&lambdas, &deltas, m.mean).unwrap();
         let scaled: Vec<f64> = deltas.iter().map(|d| d * scale).collect();
         let r2 = psd_rates(&lambdas, &scaled, m.mean).unwrap();
         for (a, b) in r1.iter().zip(&r2) {
-            prop_assert!((a - b).abs() < 1e-9);
+            assert!((a - b).abs() < 1e-9, "seed {seed}: {r1:?} vs {r2:?}");
         }
-    }
+    });
+}
 
-    /// Clamped allocation is total (never errors) for any non-negative
-    /// load level, sums to 1, and respects the floor.
-    #[test]
-    fn clamped_allocation_is_total(
-        (deltas, loads) in class_system(),
-        overload_factor in 0.1f64..3.0,
-        min_rate in 0.0f64..0.01,
-    ) {
+/// Clamped allocation is total (never errors) for any non-negative
+/// load level, sums to 1, and respects the floor.
+#[test]
+fn clamped_allocation_is_total() {
+    each_seed(|seed, rng| {
+        let (deltas, loads) = class_system(rng);
+        let overload_factor = uniform(rng, 0.1, 3.0);
+        let min_rate = uniform(rng, 0.0, 0.01);
         let m = moments();
         let lambdas: Vec<f64> = loads.iter().map(|l| l * overload_factor / m.mean).collect();
         let rates = psd_rates_clamped(&lambdas, &deltas, m.mean, min_rate, 0.02).unwrap();
         let sum: f64 = rates.iter().sum();
-        prop_assert!((sum - 1.0).abs() < 1e-6, "sum {sum}");
+        assert!((sum - 1.0).abs() < 1e-6, "seed {seed}: sum {sum}");
         for &r in &rates {
-            prop_assert!(r >= min_rate - 1e-12, "floor violated: {r} < {min_rate}");
+            assert!(r >= min_rate - 1e-12, "seed {seed}: floor violated: {r} < {min_rate}");
         }
-    }
+    });
+}
 
-    /// Infeasible loads are rejected by the strict allocator with the
-    /// correct total in the error.
-    #[test]
-    fn infeasible_detected((deltas, loads) in class_system(), excess in 1.0f64..3.0) {
+/// Infeasible loads are rejected by the strict allocator with the
+/// correct total in the error.
+#[test]
+fn infeasible_detected() {
+    each_seed(|seed, rng| {
+        let (deltas, loads) = class_system(rng);
+        let excess = uniform(rng, 1.0, 3.0);
         let m = moments();
         let total: f64 = loads.iter().sum();
         let factor = excess / total; // pushes ρ to exactly `excess` ≥ 1
         let lambdas: Vec<f64> = loads.iter().map(|l| l * factor / m.mean).collect();
         match psd_rates(&lambdas, &deltas, m.mean) {
             Err(AllocationError::Infeasible { total_load }) => {
-                prop_assert!((total_load - excess).abs() < 1e-6);
+                assert!((total_load - excess).abs() < 1e-6, "seed {seed}: {total_load}");
             }
-            other => prop_assert!(false, "expected Infeasible, got {other:?}"),
+            other => panic!("seed {seed}: expected Infeasible, got {other:?}"),
         }
-    }
+    });
+}
 
-    /// Property 2 (controllability), model-wide: raising one δ lowers
-    /// every *other* class's expected slowdown.
-    #[test]
-    fn raising_delta_helps_others((deltas, loads) in class_system(), victim in 0usize..6, bump in 1.1f64..4.0) {
+/// Property 2 (controllability), model-wide: raising one δ lowers
+/// every *other* class's expected slowdown.
+#[test]
+fn raising_delta_helps_others() {
+    each_seed(|seed, rng| {
+        let (deltas, loads) = class_system(rng);
+        let victim = between(rng, 0, deltas.len());
+        let bump = uniform(rng, 1.1, 4.0);
         let m = moments();
-        let victim = victim % deltas.len();
         let lambdas: Vec<f64> = loads.iter().map(|l| l / m.mean).collect();
         let before = PsdModel::new(&deltas, m).unwrap().expected_slowdowns(&lambdas).unwrap();
         let mut bumped = deltas.clone();
@@ -153,20 +196,23 @@ proptest! {
         let after = PsdModel::new(&bumped, m).unwrap().expected_slowdowns(&lambdas).unwrap();
         for i in 0..deltas.len() {
             if i == victim {
-                prop_assert!(after[i] > before[i] - 1e-12, "victim's slowdown rises");
+                assert!(after[i] > before[i] - 1e-12, "seed {seed}: victim's slowdown rises");
             } else {
-                prop_assert!(after[i] < before[i] + 1e-12, "others improve: {} -> {}", before[i], after[i]);
+                assert!(after[i] < before[i] + 1e-12, "seed {seed}: {before:?} -> {after:?}");
             }
         }
-    }
+    });
+}
 
-    /// The estimator output is always inside the min/max envelope of its
-    /// history window (it is a mean).
-    #[test]
-    fn estimator_within_envelope(
-        windows in proptest::collection::vec(proptest::collection::vec(0.0f64..100.0, 3), 1..12),
-        history in 1usize..8,
-    ) {
+/// The estimator output is always inside the min/max envelope of its
+/// history window (it is a mean).
+#[test]
+fn estimator_within_envelope() {
+    each_seed(|seed, rng| {
+        let count = between(rng, 1, 12);
+        let windows: Vec<Vec<f64>> =
+            (0..count).map(|_| (0..3).map(|_| uniform(rng, 0.0, 100.0)).collect()).collect();
+        let history = between(rng, 1, 8);
         let mut e = LoadEstimator::new(3, history);
         for w in &windows {
             e.observe(w);
@@ -176,19 +222,22 @@ proptest! {
         for c in 0..3 {
             let min = held.iter().map(|w| w[c]).fold(f64::INFINITY, f64::min);
             let max = held.iter().map(|w| w[c]).fold(0.0f64, f64::max);
-            prop_assert!(est[c] >= min - 1e-9 && est[c] <= max + 1e-9);
+            assert!(est[c] >= min - 1e-9 && est[c] <= max + 1e-9, "seed {seed}: {est:?}");
         }
-    }
+    });
+}
 
-    /// The controller's invariants hold window after window — idle
-    /// classes, overload bursts and windows without departures included
-    /// — for the open loop and the feedback, for one shared distribution
-    /// and per-class ones: rates finite, summing to 1, never below
-    /// `min_rate`; integral terms inside their clamp. At gain 0 the
-    /// controller *is* `psd_rates_clamped` on the estimator's mean, and
-    /// per-class moments that are all equal change nothing.
-    #[test]
-    fn controller_invariants_over_window_sequences((deltas, sequence) in window_sequences()) {
+/// The controller's invariants hold window after window — idle
+/// classes, overload bursts and windows without departures included
+/// — for the open loop and the feedback, for one shared distribution
+/// and per-class ones: rates finite, summing to 1, never below
+/// `min_rate`; integral terms inside their clamp. At gain 0 the
+/// controller *is* `psd_rates_clamped` on the estimator's mean, and
+/// per-class moments that are all equal change nothing.
+#[test]
+fn controller_invariants_over_window_sequences() {
+    each_seed(|seed, rng| {
+        let (deltas, sequence) = window_sequence(rng);
         let m = moments();
         let n = deltas.len();
         let mixed: Vec<psd_dist::Moments> = (0..n)
@@ -210,18 +259,18 @@ proptest! {
                 let rates: Vec<Vec<f64>> =
                     controllers.iter_mut().map(|c| c.reallocate(w.end, &w).unwrap()).collect();
                 for (c, r) in controllers.iter().zip(&rates) {
-                    prop_assert!(r.iter().all(|x| x.is_finite()), "{r:?}");
+                    assert!(r.iter().all(|x| x.is_finite()), "seed {seed}: {r:?}");
                     let sum: f64 = r.iter().sum();
-                    prop_assert!((sum - 1.0).abs() < 1e-12, "window {index}: sum {sum}");
-                    prop_assert!(r.iter().all(|&x| x >= params.min_rate), "floor: {r:?}");
+                    assert!((sum - 1.0).abs() < 1e-12, "seed {seed}: window {index}: sum {sum}");
+                    assert!(r.iter().all(|&x| x >= params.min_rate), "seed {seed}: floor: {r:?}");
                     let clamp = params.integral_clamp;
                     let traced = c.internals();
-                    prop_assert_eq!(traced.len(), usize::from(gain > 0.0));
-                    prop_assert!(traced.iter().all(|(_, i)| i.iter().all(|i| i.abs() <= clamp)));
+                    assert_eq!(traced.len(), usize::from(gain > 0.0), "seed {seed}");
+                    let clamped = traced.iter().all(|(_, i)| i.iter().all(|i| i.abs() <= clamp));
+                    assert!(clamped, "seed {seed}: {traced:?}");
                 }
-                for (shared, equal) in rates[0].iter().zip(&rates[1]) {
-                    prop_assert!((shared - equal).abs() < 1e-12, "{:?} vs {:?}", rates[0], rates[1]);
-                }
+                let equal = rates[0].iter().zip(&rates[1]).all(|(a, b)| (a - b).abs() < 1e-12);
+                assert!(equal, "seed {seed}: {:?} vs {:?}", rates[0], rates[1]);
                 if gain == 0.0 {
                     estimator.observe(&w.arrival_rates());
                     let est = estimator.estimate().unwrap();
@@ -232,9 +281,128 @@ proptest! {
                         params.min_rate,
                         params.overload_margin,
                     );
-                    prop_assert_eq!(&rates[0], &want.unwrap());
+                    assert_eq!(rates[0], want.unwrap(), "seed {seed}: window {index}");
                 }
             }
         }
-    }
+    });
+}
+
+/// Admission never sheds a higher class while a lower one is still
+/// admitted — idle classes included — and admits exactly what fits
+/// under the cap.
+#[test]
+fn admission_is_monotone_in_class_order() {
+    each_seed(|seed, rng| {
+        let n = between(rng, 2, 6);
+        let loads: Vec<f64> = (0..n)
+            .map(|_| if rng.next_f64() < 0.3 { 0.0 } else { uniform(rng, 0.01, 0.6) })
+            .collect();
+        let cap = uniform(rng, 0.05, 0.95);
+        let d = admission_probabilities(&loads, cap);
+        let p = &d.admit_probability;
+        for i in 0..n {
+            assert!((0.0..=1.0).contains(&p[i]), "seed {seed}: {p:?}");
+            for j in i + 1..n {
+                assert!(
+                    p[i] == 1.0 || p[j] == 0.0,
+                    "seed {seed}: class {i} shed while class {j} is admitted: {p:?} for {loads:?}"
+                );
+            }
+        }
+        let offered: f64 = loads.iter().sum();
+        assert!(
+            (d.admitted_load - offered.min(cap)).abs() < 1e-9,
+            "seed {seed}: admitted {} of {offered} under cap {cap}",
+            d.admitted_load
+        );
+    });
+}
+
+/// `SharedControl`'s epochs stay ordered through any mix of accepted
+/// and rejected updates and monitor publishes: the epoch counts the
+/// accepted updates, a rejected one changes nothing, the applied epoch
+/// never runs backwards or ahead, and every published admission
+/// probability is a probability.
+#[test]
+fn shared_control_epochs_are_ordered() {
+    each_seed(|seed, rng| {
+        let n = between(rng, 1, 5);
+        let c = SharedControl::new(ClassTable {
+            deltas: (1..=n).map(|d| d as f64).collect(),
+            gain: 0.3,
+            admission_cap: None,
+            controller: ControllerKind::Open,
+            epoch: 0,
+        });
+        let mut accepted = 0;
+        let mut monitor = c.table();
+        let mut applied = 0;
+        for step in 0..60 {
+            if rng.next_f64() < 0.6 {
+                let before = c.table();
+                let mut next = before.clone();
+                let valid = match between(rng, 0, 7) {
+                    0 => {
+                        next.deltas = (0..n).map(|_| uniform(rng, 0.1, 8.0)).collect();
+                        true
+                    }
+                    1 => {
+                        next.gain = uniform(rng, 0.0, 1.0);
+                        true
+                    }
+                    2 => {
+                        next.admission_cap =
+                            (rng.next_f64() < 0.7).then(|| uniform(rng, 0.05, 0.95));
+                        true
+                    }
+                    3 => {
+                        next.deltas = vec![1.0; [n - 1, n + 1][between(rng, 0, 2)]];
+                        false
+                    }
+                    4 => {
+                        next.deltas[between(rng, 0, n)] = [0.0, -1.0, f64::NAN][between(rng, 0, 3)];
+                        false
+                    }
+                    5 => {
+                        next.gain = -uniform(rng, 0.01, 2.0);
+                        false
+                    }
+                    _ => {
+                        next.admission_cap = Some([0.0, 1.0, 1.5, -0.2][between(rng, 0, 4)]);
+                        false
+                    }
+                };
+                let result = c.update(|t| *t = next.clone());
+                if valid {
+                    accepted += 1;
+                    assert_eq!(result, Ok(accepted), "seed {seed}: step {step}");
+                    next.epoch = accepted;
+                    assert_eq!(c.table(), next, "seed {seed}: step {step}");
+                } else {
+                    assert!(result.is_err(), "seed {seed}: step {step}: {next:?} accepted");
+                    assert_eq!(c.table(), before, "seed {seed}: step {step}");
+                }
+            } else {
+                if c.epoch() != monitor.epoch {
+                    monitor = c.table();
+                }
+                let rates = vec![1.0 / n as f64; n];
+                let admit: Option<Vec<f64>> = (rng.next_f64() < 0.7)
+                    .then(|| (0..n).map(|_| uniform(rng, -1.0, 2.0)).collect());
+                c.publish(monitor.epoch, &rates, admit.as_deref());
+            }
+            assert_eq!(c.epoch(), accepted, "seed {seed}: step {step}");
+            assert_eq!(c.table().epoch, accepted, "seed {seed}: step {step}");
+            let now = c.applied_epoch();
+            assert!(
+                applied <= now && now <= c.epoch(),
+                "seed {seed}: step {step}: applied {applied} -> {now}, epoch {}",
+                c.epoch()
+            );
+            applied = now;
+            let p = c.admit_probabilities();
+            assert!(p.iter().all(|p| (0.0..=1.0).contains(p)), "seed {seed}: step {step}: {p:?}");
+        }
+    });
 }

@@ -52,6 +52,10 @@
 //!                  deviation > D (e.g. 0.5 for 50%)
 //!   --list         print the scenario catalog and exit
 //! ```
+//!
+//! A flag or value the scenario cannot run with (a non-finite duration,
+//! rate or delta, a warm-up as long as the run, …) exits 2 with an
+//! `error:` line before any server starts.
 
 use std::time::Duration;
 
@@ -105,20 +109,18 @@ fn main() {
                 rate = Some(
                     args.next()
                         .and_then(|v| v.parse().ok())
-                        .filter(|&r: &f64| r > 0.0)
-                        .unwrap_or_else(|| die("--rate needs a positive number")),
+                        .filter(|&r: &f64| r.is_finite() && r > 0.0)
+                        .unwrap_or_else(|| die("--rate needs a positive finite number")),
                 );
             }
             "--deltas" => {
                 let v = args.next().unwrap_or_else(|| die("--deltas needs a list"));
-                let parsed: Vec<f64> = v
-                    .split(',')
-                    .map(|s| s.trim().parse().unwrap_or_else(|_| die("bad delta")))
-                    .collect();
-                if parsed.is_empty() || parsed.iter().any(|&d| d <= 0.0) {
-                    die("deltas must be positive");
-                }
-                deltas = Some(parsed);
+                // Positivity and finiteness are `Scenario::validate`'s.
+                deltas = Some(
+                    v.split(',')
+                        .map(|s| s.trim().parse().unwrap_or_else(|_| die("bad delta")))
+                        .collect(),
+                );
             }
             "--engine" => {
                 engine = Some(
@@ -307,7 +309,9 @@ fn main() {
     if let Some(p) = trace_sample {
         scenario.server.trace_sample = p;
     }
-    scenario.validate();
+    if let Err(why) = scenario.validate() {
+        die(&why);
+    }
 
     eprintln!(
         "psd_loadtest: scenario '{}' for {:?} ({} connections, {} engine, {} shard(s), \
@@ -382,10 +386,10 @@ fn parse_duration(s: &str) -> Duration {
         },
     };
     let v: f64 = num.parse().unwrap_or_else(|_| die(&format!("bad duration '{s}'")));
-    if v <= 0.0 {
-        die(&format!("duration must be positive, got '{s}'"));
+    match Duration::try_from_secs_f64(v * unit) {
+        Ok(d) if !d.is_zero() => d,
+        _ => die(&format!("duration must be positive and finite, got '{s}'")),
     }
-    Duration::from_secs_f64(v * unit)
 }
 
 fn die(msg: &str) -> ! {

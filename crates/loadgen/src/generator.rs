@@ -291,7 +291,7 @@ fn new_counters(n: usize) -> Vec<ClassCounters> {
 pub fn run(addr: SocketAddr, scenario: &Scenario) -> std::io::Result<GenStats> {
     use std::sync::atomic::{AtomicBool, Ordering};
 
-    scenario.validate();
+    scenario.validate().expect("invalid scenario");
     // The timer is cancellable: a run that dies early must not sit out
     // the remaining sleep (and then PUT against a dead server) before
     // the caller sees the failure. Returns whether the PUT fired.

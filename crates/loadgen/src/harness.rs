@@ -85,7 +85,7 @@ fn run_with(
     scenario: &Scenario,
     scrape_at: Option<f64>,
 ) -> io::Result<(RunOutput, Option<ObsScrape>)> {
-    scenario.validate();
+    scenario.validate().expect("invalid scenario");
     let server = Arc::new(PsdServer::start(scenario.server_config()));
     // Every scenario runs against the engine its profile selects; the
     // connection pool must fit under the front-end cap (plus headroom
@@ -165,7 +165,7 @@ fn run_with(
 /// (e.g. a `psd_httpd` on another machine); no server lifecycle is
 /// managed.
 pub fn run_scenario_against(addr: SocketAddr, scenario: &Scenario) -> io::Result<LoadReport> {
-    scenario.validate();
+    scenario.validate().expect("invalid scenario");
     let stats = generator::run(addr, scenario)?;
     Ok(LoadReport::from_stats(scenario, &stats))
 }

@@ -463,33 +463,37 @@ impl Scenario {
         }
     }
 
-    /// Panic on nonsensical configurations (mismatched lengths, empty
-    /// mixes, zero durations, …) before any thread spawns.
-    pub fn validate(&self) {
-        assert!(!self.deltas.is_empty(), "need at least one class");
-        assert_eq!(self.mix.len(), self.deltas.len(), "one mix entry per class");
-        assert!(self.deltas.iter().all(|&d| d.is_finite() && d > 0.0), "deltas must be positive");
-        assert!(self.mix.iter().any(|m| m.weight > 0.0), "mix needs some weight");
-        assert!(self.mix.iter().all(|m| m.weight >= 0.0), "mix weights must be non-negative");
-        assert!(self.duration > self.warmup, "duration must exceed warmup");
-        assert!(self.connections >= 1, "need at least one connection");
+    /// Reject nonsensical configurations (mismatched lengths, empty
+    /// mixes, non-finite deltas, warm-ups as long as the run, …) before
+    /// any thread spawns; the error says which rule failed.
+    pub fn validate(&self) -> Result<(), String> {
+        let require = |ok: bool, why: &str| if ok { Ok(()) } else { Err(why.to_string()) };
+        let positive = |d: &[f64]| d.iter().all(|&d| d.is_finite() && d > 0.0);
+        require(!self.deltas.is_empty(), "need at least one class")?;
+        require(self.mix.len() == self.deltas.len(), "one mix entry per class")?;
+        require(positive(&self.deltas), "deltas must be positive and finite")?;
+        require(self.mix.iter().any(|m| m.weight > 0.0), "mix needs some weight")?;
+        require(self.mix.iter().all(|m| m.weight >= 0.0), "mix weights must be non-negative")?;
+        require(self.duration > self.warmup, "duration must exceed warmup")?;
+        require(self.connections >= 1, "need at least one connection")?;
         if let Some((frac, w)) = &self.mix_shift {
-            assert!((0.0..1.0).contains(frac), "mix shift fraction in [0, 1)");
-            assert_eq!(w.len(), self.mix.len(), "shifted mix length");
-            assert!(w.iter().any(|&x| x > 0.0), "shifted mix needs some weight");
+            require((0.0..1.0).contains(frac), "mix shift fraction in [0, 1)")?;
+            require(w.len() == self.mix.len(), "shifted mix length")?;
+            require(w.iter().any(|&x| x > 0.0), "shifted mix needs some weight")?;
         }
         if let Some(r) = &self.reconfig {
-            assert!((0.0..1.0).contains(&r.at_frac) && r.at_frac > 0.0, "reconfig frac in (0,1)");
-            assert_eq!(r.deltas.len(), self.deltas.len(), "reconfig deltas length");
-            assert!(r.deltas.iter().all(|&d| d.is_finite() && d > 0.0), "reconfig deltas positive");
+            require(r.at_frac > 0.0 && r.at_frac < 1.0, "reconfig frac in (0,1)")?;
+            require(r.deltas.len() == self.deltas.len(), "reconfig deltas length")?;
+            require(positive(&r.deltas), "reconfig deltas positive")?;
         }
         if let Some(cap) = self.server.admission_cap {
-            assert!(cap > 0.0 && cap < 1.0, "admission cap in (0,1)");
+            require(cap > 0.0 && cap < 1.0, "admission cap in (0,1)")?;
         }
-        assert!(self.server.gain >= 0.0 && self.server.gain.is_finite(), "gain must be >= 0");
+        require(self.server.gain >= 0.0 && self.server.gain.is_finite(), "gain must be >= 0")?;
         if let LoadMode::Closed { sessions, .. } = self.mode {
-            assert!(sessions >= 1, "need at least one session");
+            require(sessions >= 1, "need at least one session")?;
         }
+        Ok(())
     }
 }
 
@@ -502,7 +506,7 @@ mod tests {
         for name in Scenario::catalog() {
             let s = Scenario::by_name(name).unwrap_or_else(|| panic!("{name} missing"));
             assert_eq!(&s.name, name);
-            s.validate();
+            assert_eq!(s.validate(), Ok(()), "{name}");
         }
         assert!(Scenario::by_name("nope").is_none());
     }
@@ -567,7 +571,7 @@ mod tests {
     fn validate_catches_bad_horizon() {
         let mut s = Scenario::by_name("steady").unwrap();
         s.warmup = s.duration;
-        s.validate();
+        s.validate().unwrap();
     }
 
     #[test]

@@ -1,13 +1,34 @@
-//! Property-based tests of WFQ and the GPS fluid reference: no work is
-//! ever lost or invented, FIFO order holds within a class, and WFQ's
+//! Property tests of WFQ and the GPS fluid reference: no work is ever
+//! lost or invented, FIFO order holds within a class, and WFQ's
 //! dispatched work stays within its fairness bound of GPS.
+//!
+//! Each property runs 48 seeded cases whose inputs are drawn from
+//! `Xoshiro256pp::seed_from(seed)`. A failure names its seed, which
+//! replays the case exactly.
 
 // The class index is used against several parallel arrays at once, so
 // indexed loops read better than zipped enumerations here.
 #![allow(clippy::needless_range_loop)]
 
-use proptest::prelude::*;
+use psd_dist::rng::Xoshiro256pp;
 use psd_propshare::{GpsFluid, ProportionalScheduler, Wfq, WorkItem};
+
+/// Run `case` once per seed, each with its own generator.
+fn each_seed(mut case: impl FnMut(u64, &mut Xoshiro256pp)) {
+    for seed in 0..48 {
+        case(seed, &mut Xoshiro256pp::seed_from(seed));
+    }
+}
+
+/// Uniform in `[lo, hi)`.
+fn uniform(rng: &mut Xoshiro256pp, lo: f64, hi: f64) -> f64 {
+    lo + rng.next_f64() * (hi - lo)
+}
+
+/// Uniform integer in `[lo, hi)`.
+fn between(rng: &mut Xoshiro256pp, lo: usize, hi: usize) -> usize {
+    lo + (rng.next_f64() * (hi - lo) as f64) as usize
+}
 
 #[derive(Debug, Clone)]
 enum Op {
@@ -15,21 +36,25 @@ enum Op {
     Dequeue,
 }
 
-fn ops(n_classes: usize) -> impl Strategy<Value = Vec<Op>> {
-    proptest::collection::vec(
-        prop_oneof![
-            3 => (0..n_classes, 0.01f64..20.0).prop_map(|(class, cost)| Op::Enqueue { class, cost }),
-            2 => Just(Op::Dequeue),
-        ],
-        1..200,
-    )
+/// 1–199 ops, three enqueues to every two dequeues.
+fn ops(rng: &mut Xoshiro256pp, n_classes: usize) -> Vec<Op> {
+    let len = between(rng, 1, 200);
+    (0..len)
+        .map(|_| match between(rng, 0, 5) {
+            0..=2 => {
+                Op::Enqueue { class: between(rng, 0, n_classes), cost: uniform(rng, 0.01, 20.0) }
+            }
+            _ => Op::Dequeue,
+        })
+        .collect()
 }
 
-/// Drive an arbitrary op sequence and check conservation + class FIFO.
-fn check_conservation<S: ProportionalScheduler>(
-    mut s: S,
-    ops: Vec<Op>,
-) -> Result<(), TestCaseError> {
+fn weights(rng: &mut Xoshiro256pp, n: usize) -> Vec<f64> {
+    (0..n).map(|_| uniform(rng, 0.1, 10.0)).collect()
+}
+
+/// Drive an op sequence and check conservation + class FIFO.
+fn check_conservation<S: ProportionalScheduler>(seed: u64, mut s: S, ops: Vec<Op>) {
     let n = s.num_classes();
     let mut next_id = 0u64;
     let mut enqueued = vec![0usize; n];
@@ -48,11 +73,7 @@ fn check_conservation<S: ProportionalScheduler>(
                     dispatched[class] += 1;
                     // FIFO within a class: ids per class must ascend.
                     if let Some(prev) = last_dispatched_id[class] {
-                        prop_assert!(
-                            item.id > prev,
-                            "class {class} dispatched id {} after {prev}",
-                            item.id
-                        );
+                        assert!(item.id > prev, "seed {seed}: class {class} broke FIFO");
                     }
                     last_dispatched_id[class] = Some(item.id);
                 }
@@ -61,42 +82,40 @@ fn check_conservation<S: ProportionalScheduler>(
     }
     // Conservation: backlog + dispatched == enqueued, per class.
     for c in 0..n {
-        prop_assert_eq!(s.backlog(c) + dispatched[c], enqueued[c], "class {} leaked work", c);
+        assert_eq!(s.backlog(c) + dispatched[c], enqueued[c], "seed {seed}: class {c} leaked work");
     }
     // Draining yields exactly the backlog.
     let mut drained = 0;
     while s.dequeue().is_some() {
         drained += 1;
-        prop_assert!(drained <= enqueued.iter().sum::<usize>(), "infinite drain");
+        assert!(drained <= enqueued.iter().sum::<usize>(), "seed {seed}: infinite drain");
     }
-    prop_assert!(s.is_empty());
-    Ok(())
+    assert!(s.is_empty(), "seed {seed}: not empty after the drain");
 }
 
-fn weights(n: usize) -> impl Strategy<Value = Vec<f64>> {
-    proptest::collection::vec(0.1f64..10.0, n)
+#[test]
+fn wfq_conserves() {
+    each_seed(|seed, rng| {
+        let w = weights(rng, 3);
+        check_conservation(seed, Wfq::new(w), ops(rng, 3));
+    });
 }
 
-proptest! {
-    #[test]
-    fn wfq_conserves(w in weights(3), ops in ops(3)) {
-        check_conservation(Wfq::new(w), ops)?;
-    }
-
-    /// With everything continuously backlogged, WFQ's dispatched work
-    /// per class stays within a bounded distance of the GPS fluid ideal
-    /// (one maximal item per class — SFQ's fairness bound).
-    #[test]
-    fn wfq_tracks_gps(w in weights(2), seed in any::<u64>()) {
+/// With everything continuously backlogged, WFQ's dispatched work
+/// per class stays within a bounded distance of the GPS fluid ideal
+/// (one maximal item per class — SFQ's fairness bound).
+#[test]
+fn wfq_tracks_gps() {
+    each_seed(|seed, rng| {
+        let w = weights(rng, 2);
         let mut wfq = Wfq::new(w.clone());
-        let mut gps = GpsFluid::new(w.clone(), 1.0);
-        let mut rng = psd_dist::rng::Xoshiro256pp::seed_from(seed);
+        let mut gps = GpsFluid::new(w, 1.0);
         let mut id = 0u64;
         let max_cost = 3.0;
         // Prime both with identical backlogs.
         for class in 0..2 {
             for _ in 0..400 {
-                let cost = 0.1 + rng.next_f64() * (max_cost - 0.1);
+                let cost = uniform(rng, 0.1, max_cost);
                 wfq.enqueue(class, WorkItem { id, cost });
                 gps.add_work(class, cost);
                 id += 1;
@@ -116,39 +135,37 @@ proptest! {
             let diff = (done[c] - gps.served(c)).abs();
             // SFQ lag bound: one maximal item per *busy* class, plus the
             // in-flight item.
-            prop_assert!(
-                diff <= 2.0 * max_cost + 1e-6,
-                "class {c}: wfq {} vs gps {} (diff {diff})",
-                done[c],
-                gps.served(c)
-            );
+            assert!(diff <= 2.0 * max_cost + 1e-6, "seed {seed}: class {c} lags gps by {diff}");
         }
-    }
+    });
+}
 
-    /// GPS fluid never serves more than capacity·dt in total, and never
-    /// serves an empty class.
-    #[test]
-    fn gps_capacity_bound(
-        w in weights(3),
-        adds in proptest::collection::vec((0usize..3, 0.1f64..5.0), 1..30),
-        dt in 0.1f64..50.0,
-    ) {
-        let mut g = GpsFluid::new(w, 2.0);
+/// GPS fluid never serves more than capacity·dt in total, and never
+/// serves an empty class.
+#[test]
+fn gps_capacity_bound() {
+    each_seed(|seed, rng| {
+        let mut g = GpsFluid::new(weights(rng, 3), 2.0);
         let mut offered = [0.0f64; 3];
-        for (c, work) in adds {
+        for _ in 0..between(rng, 1, 30) {
+            let (c, work) = (between(rng, 0, 3), uniform(rng, 0.1, 5.0));
             g.add_work(c, work);
             offered[c] += work;
         }
+        let dt = uniform(rng, 0.1, 50.0);
         g.advance(dt);
         let mut total_served = 0.0;
         for c in 0..3 {
-            prop_assert!(g.served(c) <= offered[c] + 1e-9, "served more than offered");
+            assert!(g.served(c) <= offered[c] + 1e-9, "seed {seed}: served more than offered");
             total_served += g.served(c);
         }
-        prop_assert!(total_served <= 2.0 * dt + 1e-9, "capacity exceeded");
+        assert!(total_served <= 2.0 * dt + 1e-9, "seed {seed}: capacity exceeded");
         // Work conservation: served + backlog == offered.
         for c in 0..3 {
-            prop_assert!((g.served(c) + g.backlog(c) - offered[c]).abs() < 1e-9);
+            assert!(
+                (g.served(c) + g.backlog(c) - offered[c]).abs() < 1e-9,
+                "seed {seed}: class {c}"
+            );
         }
-    }
+    });
 }

@@ -2,9 +2,25 @@
 //! fragments the byte stream, the parse must be identical — that is the
 //! whole contract that lets one parser serve both the blocking engine
 //! (BufReader-sized chunks) and the reactor (whatever epoll hands us).
+//!
+//! Each property runs 64 seeded cases whose inputs are drawn from
+//! `Xoshiro256pp::seed_from(seed)`. A failure names its seed, which
+//! replays the case exactly.
 
-use proptest::prelude::*;
+use psd_dist::rng::Xoshiro256pp;
 use psd_server::{HttpRequest, RequestCodec, Response, WriteBuf};
+
+/// Run `case` once per seed, each with its own generator.
+fn each_seed(mut case: impl FnMut(u64, &mut Xoshiro256pp)) {
+    for seed in 0..64 {
+        case(seed, &mut Xoshiro256pp::seed_from(seed));
+    }
+}
+
+/// Uniform integer in `[lo, hi)`.
+fn between(rng: &mut Xoshiro256pp, lo: usize, hi: usize) -> usize {
+    lo + (rng.next_f64() * (hi - lo) as f64) as usize
+}
 
 /// Decode everything a codec can produce from one whole feed.
 fn decode_all(raw: &[u8]) -> Vec<HttpRequest> {
@@ -62,20 +78,20 @@ fn build_request(
     req
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(64))]
-
-    /// A pipelined stream of randomized requests parses to the same
-    /// request sequence whether fed whole, in random split sizes, or
-    /// byte at a time.
-    #[test]
-    fn fragmentation_never_changes_the_parse(
-        specs in proptest::collection::vec(
-            (0usize..3, 1u64..5000, any::<bool>(), 0usize..200, 0usize..5),
-            1..6,
-        ),
-        chunks in proptest::collection::vec(0usize..37, 1..12),
-    ) {
+/// A pipelined stream of randomized requests parses to the same
+/// request sequence whether fed whole, in random split sizes, or
+/// byte at a time.
+#[test]
+fn fragmentation_never_changes_the_parse() {
+    each_seed(|seed, rng| {
+        let specs: Vec<(usize, u64, bool, usize, usize)> = (0..between(rng, 1, 6))
+            .map(|_| {
+                let (class, cost) = (between(rng, 0, 3), between(rng, 1, 5000) as u64);
+                let keep = rng.next_f64() < 0.5;
+                (class, cost, keep, between(rng, 0, 200), between(rng, 0, 5))
+            })
+            .collect();
+        let chunks: Vec<usize> = (0..between(rng, 1, 12)).map(|_| between(rng, 0, 37)).collect();
         let raw: String = specs
             .iter()
             .map(|&(class, cost, keep, body, extra)| build_request(class, cost, keep, body, extra))
@@ -83,53 +99,54 @@ proptest! {
         let raw = raw.as_bytes();
 
         let whole = decode_all(raw);
-        prop_assert_eq!(whole.len(), specs.len(), "every request parses from the whole feed");
+        assert_eq!(whole.len(), specs.len(), "seed {seed}: every request parses whole");
         for (req, &(class, _, keep, body, _)) in whole.iter().zip(&specs) {
             let want_class = format!("{class}");
-            prop_assert_eq!(req.x_class.as_deref(), Some(want_class.as_str()));
-            prop_assert_eq!(req.keep_alive(), keep);
-            prop_assert_eq!(req.content_length, body as u64);
-            prop_assert!(req.cost.is_some(), "cost query must parse");
+            assert_eq!(req.x_class.as_deref(), Some(want_class.as_str()), "seed {seed}");
+            assert_eq!(req.keep_alive(), keep, "seed {seed}");
+            assert_eq!(req.content_length, body as u64, "seed {seed}");
+            assert!(req.cost.is_some(), "seed {seed}: cost query must parse");
         }
 
         let split = decode_chunked(raw, &chunks);
-        prop_assert_eq!(&whole, &split, "random splits must not change the parse");
+        assert_eq!(whole, split, "seed {seed}: random splits must not change the parse");
 
         let bytewise = decode_chunked(raw, &[1]);
-        prop_assert_eq!(&whole, &bytewise, "byte-at-a-time must not change the parse");
+        assert_eq!(whole, bytewise, "seed {seed}: byte-at-a-time must not change the parse");
+    });
+}
+
+/// Serialized responses survive arbitrary partial-write schedules:
+/// flushing through a writer that accepts random amounts per call
+/// reproduces the exact byte stream.
+#[test]
+fn partial_writes_reassemble_exactly() {
+    struct Throttle<'a> {
+        out: Vec<u8>,
+        quotas: &'a [usize],
+        i: usize,
+    }
+    impl std::io::Write for Throttle<'_> {
+        fn write(&mut self, data: &[u8]) -> std::io::Result<usize> {
+            let q = self.quotas[self.i % self.quotas.len()];
+            self.i += 1;
+            // Every few calls, pretend the socket buffer is full.
+            if self.i % 4 == 3 {
+                return Err(std::io::ErrorKind::WouldBlock.into());
+            }
+            let n = q.min(data.len());
+            self.out.extend_from_slice(&data[..n]);
+            Ok(n)
+        }
+        fn flush(&mut self) -> std::io::Result<()> {
+            Ok(())
+        }
     }
 
-    /// Serialized responses survive arbitrary partial-write schedules:
-    /// flushing through a writer that accepts random amounts per call
-    /// reproduces the exact byte stream.
-    #[test]
-    fn partial_writes_reassemble_exactly(
-        bodies in proptest::collection::vec(0usize..400, 1..5),
-        quotas in proptest::collection::vec(1usize..61, 1..10),
-        keep in any::<bool>(),
-    ) {
-        struct Throttle<'a> {
-            out: Vec<u8>,
-            quotas: &'a [usize],
-            i: usize,
-        }
-        impl std::io::Write for Throttle<'_> {
-            fn write(&mut self, data: &[u8]) -> std::io::Result<usize> {
-                let q = self.quotas[self.i % self.quotas.len()];
-                self.i += 1;
-                // Every few calls, pretend the socket buffer is full.
-                if self.i % 4 == 3 {
-                    return Err(std::io::ErrorKind::WouldBlock.into());
-                }
-                let n = q.min(data.len());
-                self.out.extend_from_slice(&data[..n]);
-                Ok(n)
-            }
-            fn flush(&mut self) -> std::io::Result<()> {
-                Ok(())
-            }
-        }
-
+    each_seed(|seed, rng| {
+        let bodies: Vec<usize> = (0..between(rng, 1, 5)).map(|_| between(rng, 0, 400)).collect();
+        let quotas: Vec<usize> = (0..between(rng, 1, 10)).map(|_| between(rng, 1, 61)).collect();
+        let keep = rng.next_f64() < 0.5;
         let responses: Vec<Response> = bodies
             .iter()
             .enumerate()
@@ -155,16 +172,19 @@ proptest! {
         let mut rounds = 0;
         while !wb.flush_into(&mut w).unwrap() {
             rounds += 1;
-            prop_assert!(rounds < 100_000, "flush must make progress");
+            assert!(rounds < 100_000, "seed {seed}: flush must make progress");
         }
-        prop_assert!(wb.is_empty());
-        prop_assert_eq!(&w.out, &expected, "partial writes must splice back exactly");
-    }
+        assert!(wb.is_empty(), "seed {seed}");
+        assert_eq!(w.out, expected, "seed {seed}: partial writes must splice back exactly");
+    });
+}
 
-    /// Interleaved feed/poll with a body split anywhere keeps frames
-    /// aligned: the next request on the connection always parses.
-    #[test]
-    fn body_split_points_never_desync(split in 0usize..120, body_len in 1usize..60) {
+/// Interleaved feed/poll with a body split anywhere keeps frames
+/// aligned: the next request on the connection always parses.
+#[test]
+fn body_split_points_never_desync() {
+    each_seed(|seed, rng| {
+        let (split, body_len) = (between(rng, 0, 120), between(rng, 1, 60));
         let first = build_request(1, 1500, true, body_len, 0);
         let second = "GET /after HTTP/1.1\r\nConnection: close\r\n\r\n";
         let mut raw = first.into_bytes();
@@ -181,9 +201,9 @@ proptest! {
         while let Ok(Some(r)) = codec.poll() {
             got.push(r);
         }
-        prop_assert_eq!(got.len(), 2, "both requests must parse");
-        prop_assert_eq!(got[0].path.as_str(), "/class1/page");
-        prop_assert_eq!(got[1].path.as_str(), "/after");
-        prop_assert!(!got[1].keep_alive());
-    }
+        assert_eq!(got.len(), 2, "seed {seed}: both requests must parse");
+        assert_eq!(got[0].path.as_str(), "/class1/page", "seed {seed}");
+        assert_eq!(got[1].path.as_str(), "/after", "seed {seed}");
+        assert!(!got[1].keep_alive(), "seed {seed}");
+    });
 }
