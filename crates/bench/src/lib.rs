@@ -1,10 +1,9 @@
-//! # psd-bench — figure-reproduction harness and benchmark plumbing
+//! # psd-bench — figure-reproduction harness
 //!
 //! One function per figure of the paper's evaluation section (§4,
-//! Figures 2–12). Each returns a [`table::Table`] whose rows are the
-//! series the paper plots, so the `figures` binary can print them and
-//! `EXPERIMENTS.md` can record paper-vs-measured. The criterion benches
-//! reuse the same functions at reduced scale.
+//! Figures 2–12), plus the ablations in [`ablations`]. Each returns a
+//! [`table::Table`] whose rows are the series the paper plots, so the
+//! `figures` binary can print them or write them as JSON.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
@@ -21,7 +20,8 @@ pub struct HarnessParams {
     pub runs: u64,
     /// Root seed.
     pub seed: u64,
-    /// Shrink horizons ~10× for smoke tests and criterion benches.
+    /// Shrink horizons ~10× and the load sweep to three points, for
+    /// smoke tests and `figures --quick`.
     pub quick: bool,
 }
 
@@ -49,6 +49,24 @@ impl HarnessParams {
             vec![0.3, 0.6, 0.9]
         } else {
             vec![0.05, 0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9, 0.95]
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn every_figure_and_ablation_runs_at_quick_scale() {
+        let p = HarnessParams { runs: 2, seed: 11, quick: true };
+        let tables: Vec<_> = figures::all(&p).into_iter().chain(ablations::all(&p)).collect();
+        assert_eq!(tables.len(), 16, "11 figures and 5 ablations");
+        for t in &tables {
+            assert!(!t.rows.is_empty(), "{} has no rows", t.id);
+            for row in &t.rows {
+                assert_eq!(row.len(), t.columns.len(), "{}: row width", t.id);
+            }
         }
     }
 }

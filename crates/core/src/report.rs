@@ -1,5 +1,4 @@
-//! Serializable result types for single runs and experiments — the
-//! machine-readable artifacts behind `EXPERIMENTS.md`.
+//! Serializable result types for single runs and experiments.
 
 use serde::Serialize;
 

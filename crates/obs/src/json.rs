@@ -236,12 +236,16 @@ impl Parser<'_> {
                     self.i += 1;
                 }
                 Some(_) => {
-                    // Advance one UTF-8 scalar; the input is a &str so
-                    // the byte stream is valid by construction.
-                    let rest = std::str::from_utf8(&self.b[self.i..]).map_err(|e| e.to_string())?;
-                    let c = rest.chars().next().unwrap();
-                    out.push(c);
-                    self.i += c.len_utf8();
+                    // Copy the whole run up to the next `"` or `\` at
+                    // once. The input is a &str and both ends of the run
+                    // sit on ASCII bytes, so the run is valid UTF-8.
+                    let start = self.i;
+                    while !matches!(self.peek(), None | Some(b'"' | b'\\')) {
+                        self.i += 1;
+                    }
+                    let run =
+                        std::str::from_utf8(&self.b[start..self.i]).map_err(|e| e.to_string())?;
+                    out.push_str(run);
                 }
             }
         }
@@ -322,6 +326,12 @@ mod tests {
         push_json_str(&mut out, "a\"b\\c\nd\u{1}e");
         let v = JsonValue::parse(&out).expect("parse");
         assert_eq!(v.as_str(), Some("a\"b\\c\nd\u{1}e"));
+
+        // Multi-byte scalars (2, 3 and 4 bytes) next to escapes.
+        let text = "é\"→\\😀\nx→é";
+        out.clear();
+        push_json_str(&mut out, text);
+        assert_eq!(JsonValue::parse(&out).expect("parse").as_str(), Some(text));
     }
 
     #[test]

@@ -425,7 +425,9 @@ fn monitor_windows_conserve_requests_on_real_threads() {
         std::thread::sleep(Duration::from_millis(1));
     }
     let traces = server.obs().flight.snapshot();
-    assert_eq!(traces.len() as u64, server.obs().flight.recorded(), "no window evicted");
+    // The monitor keeps recording after the snapshot, so eviction is
+    // checked on the snapshot itself: it must start at window 0.
+    assert_eq!(traces.first().map(|t| t.observation.index), Some(0), "no window evicted");
     let (mut last, mut arrivals, mut completions) = (vec![0; CLASSES], 0, 0);
     for (k, t) in traces.iter().enumerate() {
         let w = &t.observation;

@@ -5,9 +5,8 @@
 //! variance (`E[X⁴] ≈ 1.9e3`), so per-run mean slowdowns are strongly
 //! right-skewed and converge slowly; the paper averages 100 runs of
 //! 60 000 time units per point. The tests below use a reduced
-//! replication budget and correspondingly generous bands — the
-//! full-scale match (a few percent) is recorded in EXPERIMENTS.md and
-//! regenerated by the `figures` binary.
+//! replication budget and correspondingly generous bands; the
+//! full-scale series come from the `figures` binary.
 
 use psd::core::config::PsdConfig;
 use psd::core::experiment::Experiment;
