@@ -1,29 +1,43 @@
-//! # psd-control — the shared control-plane contract
+//! # psd-control — the shared control-plane contract and plant
 //!
-//! The rate-controller interface between *both* execution substrates —
-//! the discrete-event simulator (`psd-desim`) and the live server
-//! (`psd-server`) — and the PSD allocation strategy implemented in
-//! `psd-core`. This crate is dependency-free on purpose: it is the one
-//! vocabulary every layer of the stack speaks, so the exact same
-//! controller object can drive a simulation and a socket-accepting
-//! server without modification.
+//! What *both* execution substrates — the discrete-event simulator
+//! (`psd-desim`) and the live server (`psd-server`) — share with each
+//! other and with the PSD allocation strategy in `psd-core`. This crate
+//! is dependency-free on purpose: it is the one vocabulary every layer
+//! of the stack speaks, so the exact same controller object drives a
+//! simulation and a socket-accepting server, and the exact same plant
+//! serves both.
 //!
-//! Every control period the host (simulator engine or server monitor)
-//! closes an observation window and hands it to the controller, which
-//! answers with a [`ControlDirective`]: optionally a fresh rate vector,
-//! and optionally per-class admission probabilities. This mirrors the
-//! paper's split between the *load estimator* (inputs) and the *rate
-//! allocator* (Eq. 17), re-run every 1000 time units — extended with
-//! the admission output that Eq. 17 alone cannot express (it has no
-//! feasible solution at ρ ≥ 1).
+//! **The contract.** Every control period the host (simulator engine or
+//! server monitor) closes an observation window and hands it to the
+//! controller, which answers with a [`ControlDirective`]: optionally a
+//! fresh rate vector, and optionally per-class admission probabilities.
+//! This mirrors the paper's split between the *load estimator* (inputs)
+//! and the *rate allocator* (Eq. 17), re-run every 1000 time units —
+//! extended with the admission output that Eq. 17 alone cannot express
+//! (it has no feasible solution at ρ ≥ 1). A host fills the window in
+//! one [`WindowTally`] per class and builds the observation from them
+//! ([`WindowObservation::from_tallies`]).
+//!
+//! **The plant.** A [`Station`] is one class of the paper's Fig. 1: its
+//! FCFS queue, its task server at rate `r_i` and the one completion the
+//! pair can have pending, stepped by its host on the host's own time
+//! axis. The simulator drives one per class in virtual time (in
+//! [`ServiceMode::Fluid`] by default); each lane of the live server is
+//! one, in [`ServiceMode::PinnedRate`], on a time axis of seconds since
+//! its executor's epoch.
 //!
 //! The concrete controllers (open-loop Eq. 17, the slowdown-feedback
 //! extension, admission composition) live in `psd_core::control`, which
-//! re-exports everything here; `psd_desim` re-exports the contract for
-//! backwards compatibility.
+//! re-exports everything here; `psd_desim` re-exports the contract and
+//! [`ServiceMode`] for backwards compatibility.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
+
+mod server;
+
+pub use server::{precedes, Job, Rank, Seq, ServiceMode, Station, NEVER};
 
 /// What the load estimator gets to see about the window just ended.
 #[derive(Debug, Clone, PartialEq)]
@@ -70,6 +84,31 @@ impl WindowObservation {
         self.arrived_work.iter().zip(&self.shed_work).map(|(&w, &s)| (w + s) / dur).collect()
     }
 
+    /// Window `index` over `[start, end]` from each class's tally and
+    /// its backlog (queued + in service) at `end`, class 0 first, with
+    /// work multiplied by `work_unit` (1.0 when the host already counts
+    /// in the controller's time unit).
+    pub fn from_tallies(
+        index: u64,
+        start: f64,
+        end: f64,
+        work_unit: f64,
+        classes: impl IntoIterator<Item = (WindowTally, u64)>,
+    ) -> Self {
+        let (tallies, backlog): (Vec<WindowTally>, _) = classes.into_iter().unzip();
+        WindowObservation {
+            index,
+            start,
+            end,
+            arrivals: tallies.iter().map(|t| t.arrivals).collect(),
+            arrived_work: tallies.iter().map(|t| t.work * work_unit).collect(),
+            shed_work: tallies.iter().map(|t| t.shed_work * work_unit).collect(),
+            completions: tallies.iter().map(|t| t.completions).collect(),
+            backlog,
+            slowdown_sums: tallies.iter().map(|t| t.slowdown_sum).collect(),
+        }
+    }
+
     /// Mean slowdown of each class's departures in this window (`None`
     /// for classes with no departures).
     pub fn mean_slowdowns(&self) -> Vec<Option<f64>> {
@@ -78,6 +117,38 @@ impl WindowObservation {
             .zip(&self.completions)
             .map(|(&s, &c)| (c > 0).then(|| s / c as f64))
             .collect()
+    }
+}
+
+/// One class's tally of the control window now open: what a host adds
+/// up between two ticks. Work is in the host's unit (the simulator's
+/// time units, the live server's work units) until
+/// [`WindowObservation::from_tallies`] scales it.
+#[derive(Debug, Clone, Default, PartialEq)]
+pub struct WindowTally {
+    arrivals: u64,
+    work: f64,
+    shed_work: f64,
+    completions: u64,
+    slowdown_sum: f64,
+}
+
+impl WindowTally {
+    /// An admitted request of `work`.
+    pub fn arrive(&mut self, work: f64) {
+        self.arrivals += 1;
+        self.work += work;
+    }
+
+    /// A request of `work` turned away at the door.
+    pub fn shed(&mut self, work: f64) {
+        self.shed_work += work;
+    }
+
+    /// A departure with the given slowdown.
+    pub fn depart(&mut self, slowdown: f64) {
+        self.completions += 1;
+        self.slowdown_sum += slowdown;
     }
 }
 
@@ -247,6 +318,31 @@ mod tests {
         let s = w.mean_slowdowns();
         assert_eq!(s[0], None);
         assert_eq!(s[1], Some(1.5));
+    }
+
+    #[test]
+    fn tallies_make_the_observation() {
+        let mut tallies = [WindowTally::default(), WindowTally::default()];
+        tallies[0].arrive(2.0);
+        tallies[0].arrive(4.0);
+        tallies[0].depart(1.5);
+        tallies[1].shed(3.0);
+        tallies[1].depart(0.5);
+        tallies[1].depart(2.0);
+        let obs =
+            WindowObservation::from_tallies(7, 1.0, 2.0, 0.5, tallies.into_iter().zip([1, 0]));
+        let expected = WindowObservation {
+            index: 7,
+            start: 1.0,
+            end: 2.0,
+            arrivals: vec![2, 0],
+            arrived_work: vec![3.0, 0.0],
+            shed_work: vec![0.0, 1.5],
+            completions: vec![1, 2],
+            backlog: vec![1, 0],
+            slowdown_sums: vec![1.5, 2.5],
+        };
+        assert_eq!(obs, expected);
     }
 
     #[test]

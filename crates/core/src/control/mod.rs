@@ -2,11 +2,12 @@
 //! decision in the workspace**.
 //!
 //! The contract ([`RateController`], [`WindowObservation`],
-//! [`ControlDirective`]) lives in the dependency-free `psd-control`
-//! crate and is re-exported here; this module adds every concrete
-//! controller and the composition/runtime machinery, so the exact same
-//! stack drives the discrete-event simulator (`psd-desim`) *and* the
-//! live server (`psd-server`):
+//! [`ControlDirective`], [`WindowTally`]) and the plant both substrates
+//! run ([`Station`], one class of Fig. 1) live in the dependency-free
+//! `psd-control` crate and are re-exported here; this module adds
+//! every concrete controller and the composition/runtime machinery,
+//! so the exact same stack drives the discrete-event simulator
+//! (`psd-desim`) *and* the live server (`psd-server`):
 //!
 //! * [`open`] — [`PsdController`], **the one PSD rate controller**:
 //!   the paper's Eq. 17 allocator behind a windowed load estimator,
@@ -48,5 +49,8 @@ pub use admission::{admission_probabilities, AdmissionDecision};
 pub use admit::Admitting;
 pub use kind::{build_controller, ControllerKind};
 pub use open::{ControllerParams, PsdController};
-pub use psd_control::{ControlDirective, RateController, StaticRates, WindowObservation};
+pub use psd_control::{
+    ControlDirective, Job, RateController, Seq, ServiceMode, StaticRates, Station,
+    WindowObservation, WindowTally,
+};
 pub use shared::{ClassTable, SharedControl};

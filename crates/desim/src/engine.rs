@@ -3,11 +3,12 @@
 //! structure of the paper's Figure 1.
 //!
 //! [`Plant`] is that figure from the queues rightwards: one [`Station`]
-//! per class, the controller that re-rates them at every window
-//! boundary, and what their events write to. What feeds it is the
-//! caller's: [`Simulation::run`] drives it from one arrival process per
-//! class, [`run_sessions`](crate::run_sessions) from a closed
-//! population of users.
+//! per class (`psd-control`'s, the one each live-server lane runs), the
+//! controller that re-rates them at every window boundary, and what
+//! their events write to — each class's [`WindowTally`] among them.
+//! What feeds it is the caller's: [`Simulation::run`] drives it from
+//! one arrival process per class, [`run_sessions`](crate::run_sessions)
+//! from a closed population of users.
 //!
 //! The open loop is **window-synchronous**. The task servers are
 //! rate-partitioned: between two control instants class `i` is one FCFS
@@ -37,15 +38,16 @@
 //! rate of zero withdraws it, and `PinnedRate` leaves the original
 //! standing.
 
+use psd_control::{
+    precedes, Rank, RateController, Seq, ServiceMode, Station, WindowObservation, WindowTally,
+};
 use psd_dist::rng::SplitMix64;
 use psd_dist::ServiceDist;
 use psd_obs::{ControlTrace, FlightRecorder};
 
-use crate::controller::{RateController, WindowAccount};
 use crate::generator::{ArrivalSpec, Generator};
 use crate::metrics::{MetricsCollector, SimOutput};
 use crate::request::{CompletedRequest, Request};
-use crate::server::{precedes, Rank, Seq, ServiceMode, Station};
 use crate::trace::Tracer;
 
 /// Per-class workload specification.
@@ -152,13 +154,16 @@ fn validate_rates(rates: &[f64], n: usize) {
 /// The stations, their controller, and what the events of every class
 /// write to.
 pub(crate) struct Plant {
-    pub stations: Vec<Station>,
+    pub stations: Vec<Station<Request>>,
     /// The one sequence counter; see the module doc for where it is
     /// drawn.
     pub seq: Seq,
     next_id: u64,
     metrics: MetricsCollector,
-    window: WindowAccount,
+    /// The control window being filled: its index, when it opened, and
+    /// each class's tally of it.
+    window: (u64, f64),
+    tallies: Vec<WindowTally>,
     tracer: Option<Tracer>,
     flight: Option<FlightRecorder>,
     rate_history: Vec<(f64, Vec<f64>)>,
@@ -183,7 +188,8 @@ impl Plant {
             seq: Seq::default(),
             next_id: 0,
             metrics: MetricsCollector::new(n, warmup, metrics_window),
-            window: WindowAccount::new(n),
+            window: (0, 0.0),
+            tallies: vec![WindowTally::default(); n],
             tracer: trace_range.map(|(a, b)| Tracer::new(a, b)),
             flight: (flight_capacity > 0).then(|| FlightRecorder::new(flight_capacity)),
             rate_history: vec![(0.0, initial_rates)],
@@ -203,7 +209,7 @@ impl Plant {
     #[inline]
     pub fn arrive(&mut self, request: Request) {
         self.metrics.on_arrival(request.class);
-        self.window.on_arrival(request.class, request.size);
+        self.tallies[request.class].arrive(request.size);
         self.stations[request.class].arrive(request, &mut self.seq);
     }
 
@@ -212,12 +218,13 @@ impl Plant {
     /// departure sets off before the next completion is armed.
     #[inline]
     pub fn depart(&mut self, class: usize, now: f64) -> CompletedRequest {
-        let done = self.stations[class].depart(now);
+        let (request, service_start) = self.stations[class].depart(now);
+        let done = CompletedRequest { request, service_start, departure: now };
         self.metrics.on_departure(&done);
         if let Some(t) = self.tracer.as_mut() {
             t.offer(&done);
         }
-        self.window.on_departure(class, done.slowdown());
+        self.tallies[class].depart(done.slowdown());
         done
     }
 
@@ -230,8 +237,11 @@ impl Plant {
     /// The control tick at `now`: close the window, show it to the
     /// controller, re-rate the stations.
     pub fn tick(&mut self, now: f64) {
-        let backlog = self.stations.iter().map(Station::backlog).collect();
-        let obs = self.window.close(now, backlog);
+        let (index, start) = self.window;
+        self.window = (index + 1, now);
+        let classes = self.tallies.iter_mut().zip(&self.stations);
+        let classes = classes.map(|(tally, station)| (std::mem::take(tally), station.backlog()));
+        let obs = WindowObservation::from_tallies(index, start, now, 1.0, classes);
 
         // The unified control entry point — the same call the live
         // server's monitor makes. The simulator has no admission
@@ -370,7 +380,7 @@ impl Simulation {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::controller::{StaticRates, WindowObservation};
+    use crate::StaticRates;
     use psd_dist::{Deterministic, ServiceDist};
 
     fn det_service(v: f64) -> ServiceDist {
@@ -552,6 +562,22 @@ mod tests {
         assert_eq!(per_window, [vec![49], vec![50; 9]].concat());
     }
 
+    /// Full rate, except rate 0 on [16, 24).
+    struct Blackout;
+
+    impl RateController for Blackout {
+        fn initial_rates(&mut self, _n: usize) -> Vec<f64> {
+            vec![1.0]
+        }
+        fn reallocate(&mut self, now: f64, _w: &WindowObservation) -> Option<Vec<f64>> {
+            if now == 16.0 {
+                Some(vec![0.0])
+            } else {
+                (now == 24.0).then(|| vec![1.0])
+            }
+        }
+    }
+
     /// A controller that takes a busy class's rate to zero and later
     /// back. Fluid: the completion armed at service start is withdrawn,
     /// the request starves and completes once, after its rate returns.
@@ -559,19 +585,6 @@ mod tests {
     /// first completion stands.
     #[test]
     fn zero_rate_starves_fluid_and_spares_pinned() {
-        struct Blackout;
-        impl RateController for Blackout {
-            fn initial_rates(&mut self, _n: usize) -> Vec<f64> {
-                vec![1.0]
-            }
-            fn reallocate(&mut self, now: f64, _w: &WindowObservation) -> Option<Vec<f64>> {
-                if now == 16.0 {
-                    Some(vec![0.0])
-                } else {
-                    (now == 24.0).then(|| vec![1.0])
-                }
-            }
-        }
         // Arrivals at 15 and 30, 4.5 units of work each; ticks every 8.
         let departures = |service_mode| {
             let cfg = SimConfig {
@@ -594,6 +607,33 @@ mod tests {
         // One unit done by t = 16, the other 3.5 from t = 24.
         assert_eq!(departures(ServiceMode::Fluid), [(0, 27.5), (1, 34.5)]);
         assert_eq!(departures(ServiceMode::PinnedRate), [(0, 19.5), (1, 34.5)]);
+    }
+
+    /// A request that arrives while its class's rate is 0 parks in
+    /// service with nothing armed. In either mode it is served from the
+    /// instant the rate returns, and the class goes on behind it.
+    #[test]
+    fn a_request_started_at_rate_zero_is_served_once_the_rate_returns() {
+        for service_mode in [ServiceMode::Fluid, ServiceMode::PinnedRate] {
+            let cfg = SimConfig {
+                classes: vec![ClassSpec {
+                    arrival: ArrivalSpec::Deterministic { interval: 20.0 },
+                    service: det_service(1.0),
+                }],
+                end_time: 100.0,
+                warmup: 0.0,
+                control_period: 8.0,
+                seed: 1,
+                service_mode,
+                trace_range: Some((0.0, 100.0)),
+                ..SimConfig::default()
+            };
+            let out = Simulation::new(cfg, Box::new(Blackout)).run();
+            let departures: Vec<f64> = out.trace.iter().map(|t| t.departure).collect();
+            // Arrivals at 20, 40, …, 100; the first waits for t = 24.
+            assert_eq!(out.per_class[0].total_arrivals, 5, "{service_mode:?}");
+            assert_eq!(departures, [25.0, 41.0, 61.0, 81.0], "{service_mode:?}");
+        }
     }
 
     #[test]

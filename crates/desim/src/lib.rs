@@ -15,18 +15,30 @@
 //!   the request in service; a rate change mid-service rescales the
 //!   completion time (work-conserving, like the GPS abstraction the
 //!   paper assumes). [`ServiceMode::PinnedRate`] freezes the rate at
-//!   service start instead (used by the ablation benches).
+//!   service start instead — the mode the live server's lanes run in,
+//!   and the other arm of the `ablation_fluid` figure.
 //! * **Determinism** — all randomness flows from one experiment seed via
 //!   SplitMix64-derived child streams, and simultaneous events whose
 //!   order can be observed fire in the order they were scheduled, so a
 //!   report is an exact function of configuration and seed.
-//! * **One plant, two drivers** — a class is a `Station`: its FCFS
-//!   queue, its fluid task server and the one completion the pair can
-//!   have pending, steppable in virtual time. The stations, the
-//!   controller that re-rates them at every window boundary and the
-//!   collectors their events write to are one plant (`engine.rs`),
-//!   which [`Simulation::run`] drives from per-class arrival processes
-//!   and [`run_sessions`] from a closed population of users.
+//! * **One plant, two drivers — and the live server** — a class is a
+//!   `psd_control::Station`: its FCFS queue, its task server and the
+//!   one completion the pair can have pending, steppable in virtual
+//!   time. The stations, the controller that re-rates them at every
+//!   window boundary and the collectors their events write to are one
+//!   plant (`engine.rs`), which [`Simulation::run`] drives from
+//!   per-class arrival processes and [`run_sessions`] from a closed
+//!   population of users. Each lane of `psd-server` is the same
+//!   `Station`, so the simulated and the live task servers are one
+//!   implementation; both fill their control windows with
+//!   `psd_control::WindowTally`.
+//! * **The control contract** — [`RateController`],
+//!   [`WindowObservation`], [`ControlDirective`] and [`StaticRates`]
+//!   live in the dependency-free `psd-control` crate, so the exact same
+//!   controller objects drive this simulator and the live server's
+//!   monitor; they are re-exported here because the simulator's API is
+//!   written in their terms. The concrete controllers live in
+//!   `psd_core::control`.
 //! * **A window-synchronous open loop, no future-event set** — the task
 //!   servers are rate-partitioned, so between two control instants the
 //!   classes cannot affect one another: each is an FCFS queue at a
@@ -64,20 +76,19 @@
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
 
-mod controller;
 mod engine;
 mod generator;
 mod metrics;
 mod request;
-mod server;
 pub mod session;
 mod trace;
 
-pub use controller::{ControlDirective, RateController, StaticRates, WindowObservation};
 pub use engine::{ClassSpec, SimConfig, Simulation};
 pub use generator::ArrivalSpec;
 pub use metrics::{ClassMetrics, SimOutput, WindowStat};
+pub use psd_control::{
+    ControlDirective, RateController, ServiceMode, StaticRates, WindowObservation,
+};
 pub use request::{CompletedRequest, Request};
-pub use server::ServiceMode;
 pub use session::{run_sessions, SessionConfig, SessionState};
 pub use trace::TraceRecord;

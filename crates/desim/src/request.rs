@@ -17,6 +17,16 @@ pub struct Request {
     pub arrival: f64,
 }
 
+impl psd_control::Job for Request {
+    fn arrival(&self) -> f64 {
+        self.arrival
+    }
+
+    fn size(&self) -> f64 {
+        self.size
+    }
+}
+
 /// A request that has fully departed, with its measured timings.
 #[derive(Debug, Clone, PartialEq)]
 pub struct CompletedRequest {

@@ -26,11 +26,11 @@ use std::collections::{BinaryHeap, HashMap};
 use psd_dist::rng::{open01, SplitMix64, Xoshiro256pp};
 use psd_dist::{ServiceDist, ServiceDistribution};
 
-use crate::controller::RateController;
+use psd_control::{precedes, Rank, RateController, ServiceMode, NEVER};
+
 use crate::engine::{validate_horizon, Plant};
 use crate::metrics::SimOutput;
 use crate::request::Request;
-use crate::server::{precedes, Rank, ServiceMode, NEVER};
 
 /// One session state (e.g. "browse", "checkout").
 #[derive(Debug, Clone)]
@@ -193,7 +193,7 @@ pub fn run_sessions(cfg: SessionConfig, controller: Box<dyn RateController>) -> 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::controller::StaticRates;
+    use crate::StaticRates;
     use psd_dist::Deterministic;
 
     fn det(v: f64) -> ServiceDist {

@@ -40,13 +40,16 @@
 //!             │        (psd_core::control: open Eq.17 | feedback,       │
 //!             │         × Admitting cap — the same objects desim runs)  │
 //!             │      → ControlDirective { rates, admit_probability }    │
-//!             │        rates → lane shares; admission + epoch →         │
+//!             │        rates → lane stations; admission + epoch →       │
 //!             │        SharedControl (lock-free submit-path tables)     │
 //!             │  task servers (queues.rs lanes, executed by wheel.rs):  │
 //!             │  ┌───────────────────────────────────────────────────┐  │
-//!             │  │ lane[class]: share r_i · FIFO · busy · ledger     │  │
+//!             │  │ lane[class]: Station (psd-control, PinnedRate,    │  │
+//!             │  │   rate r_i ≥ 1 %: desim's queue + task server)    │  │
+//!             │  │   · ledger, under one lock, clock-free            │  │
 //!             │  │ one request per class in service, stretched 1/r_i │  │
-//!             │  │   Sleep: finish deadline → one timer thread       │  │
+//!             │  │ its armed completion → a finish deadline:         │  │
+//!             │  │   Sleep: one timer thread                         │  │
 //!             │  │   Spin:  the class's own thread burns the time    │  │
 //!             │  └───────────────────────────────────────────────────┘  │
 //!             │  the ledger counts under the lane lock: submit → an     │
@@ -113,9 +116,10 @@
 //! served by every engine ahead of classification; see `admin` and
 //! [`SharedControl`]. Request tracing, Prometheus exposition and the
 //! control-decision flight recorder come from the dependency-free
-//! `psd-obs` crate; the task servers live in `queues` (the lanes, each
-//! with its class's ledger from `metrics`) and `wheel` (their
-//! execution), all internal, and the wall-clock waits
+//! `psd-obs` crate; the task servers live in `queues` (the lanes: each
+//! the simulator's `psd_control::Station` plus its class's ledger from
+//! `metrics`) and `wheel` (their clock and execution), all internal,
+//! and the wall-clock waits
 //! that end on time (no timer slack, never early) in [`timing`].
 
 #![warn(missing_docs)]

@@ -7,6 +7,8 @@
 //! the backlog under that same lock, so a class's arrivals, work,
 //! completions, slowdown sum and backlog all describe one instant.
 
+use psd_core::control::WindowTally;
+
 use crate::server::Completion;
 
 /// Snapshot of one class's measured behaviour.
@@ -42,23 +44,8 @@ impl ServerStats {
     }
 }
 
-/// What the controller sees of a class for the window now open. Work
-/// is in work units; the window's close scales it to seconds.
-#[derive(Debug, Default)]
-pub(crate) struct WindowTally {
-    pub(crate) arrivals: u64,
-    pub(crate) work: f64,
-    /// Work turned away at the door. The admission controller must see
-    /// **offered** load — admitted plus shed — or it would equilibrate
-    /// above its cap: post-shed load looks compliant the moment the
-    /// shedding works.
-    pub(crate) shed_work: f64,
-    pub(crate) completions: u64,
-    pub(crate) slowdown_sum: f64,
-}
-
 /// A class's counts since the server started.
-#[derive(Debug, Default)]
+#[derive(Debug, Default, Clone)]
 struct Lifetime {
     completed: u64,
     shed: u64,
@@ -67,8 +54,9 @@ struct Lifetime {
     slowdown_sum: f64,
 }
 
-/// One class's window tally and lifetime tally.
-#[derive(Debug, Default)]
+/// One class's window tally and lifetime tally. The window's work is in
+/// work units; its close scales it to seconds.
+#[derive(Debug, Default, Clone)]
 pub(crate) struct Ledger {
     window: WindowTally,
     life: Lifetime,
@@ -77,21 +65,22 @@ pub(crate) struct Ledger {
 impl Ledger {
     /// An accepted request of `cost` work units.
     pub(crate) fn arrive(&mut self, cost: f64) {
-        self.window.arrivals += 1;
-        self.window.work += cost;
+        self.window.arrive(cost);
     }
 
-    /// A request of `cost` work units rejected at the door.
+    /// A request of `cost` work units rejected at the door. The
+    /// admission controller must see **offered** load — admitted plus
+    /// shed — or it would equilibrate above its cap: post-shed load
+    /// looks compliant the moment the shedding works.
     pub(crate) fn shed(&mut self, cost: f64) {
-        self.window.shed_work += cost;
+        self.window.shed(cost);
         self.life.shed += 1;
     }
 
     /// A departure.
     pub(crate) fn depart(&mut self, done: &Completion) {
         let slowdown = done.slowdown();
-        self.window.completions += 1;
-        self.window.slowdown_sum += slowdown;
+        self.window.depart(slowdown);
         self.life.completed += 1;
         self.life.delay_sum += done.delay_s;
         self.life.service_sum += done.service_s;
@@ -119,28 +108,36 @@ impl Ledger {
 
 #[cfg(test)]
 mod tests {
-    use std::time::Instant;
+    use psd_core::control::WindowObservation;
 
-    use super::ClassStats;
-    use crate::queues::{CompletionNotify, Lanes, QueuedRequest, Submitted};
+    use super::{ClassStats, Ledger, ServerStats};
     use crate::server::Completion;
 
-    /// A one-work-unit request of `class` arrives at an idle lane and
-    /// departs after waiting `delay_s` and taking `service_s`.
-    fn serve(lanes: &Lanes, class: usize, delay_s: f64, service_s: f64) {
-        let notify = CompletionNotify::None;
-        let req = QueuedRequest { class, cost: 1.0, enqueued: Instant::now(), notify };
-        assert!(matches!(lanes.submit(req), Submitted::Start(_)));
-        lanes.finish(class, &Completion { delay_s, service_s });
+    /// A one-work-unit request of `class` is accepted and departs after
+    /// waiting `delay_s` and taking `service_s`.
+    fn serve(ledgers: &mut [Ledger], class: usize, delay_s: f64, service_s: f64) {
+        ledgers[class].arrive(1.0);
+        ledgers[class].depart(&Completion { delay_s, service_s });
+    }
+
+    fn stats(ledgers: &[Ledger]) -> ServerStats {
+        ServerStats { classes: ledgers.iter().map(Ledger::stats).collect() }
+    }
+
+    /// Close the window with `work_unit_s` seconds per work unit, as
+    /// the lanes do (backlogs zero).
+    fn close_window(ledgers: &mut [Ledger], work_unit_s: f64) -> WindowObservation {
+        let classes = ledgers.iter_mut().map(|l| (l.take_window(), 0));
+        WindowObservation::from_tallies(0, 0.0, 1.0, work_unit_s, classes)
     }
 
     #[test]
     fn record_and_snapshot() {
-        let lanes = Lanes::new(2);
-        serve(&lanes, 0, 1.0, 0.5); // slowdown 2
-        serve(&lanes, 0, 3.0, 0.5); // slowdown 6
-        serve(&lanes, 1, 1.0, 1.0); // slowdown 1
-        let snap = lanes.stats();
+        let mut l = vec![Ledger::default(); 2];
+        serve(&mut l, 0, 1.0, 0.5); // slowdown 2
+        serve(&mut l, 0, 3.0, 0.5); // slowdown 6
+        serve(&mut l, 1, 1.0, 1.0); // slowdown 1
+        let snap = stats(&l);
         let (c0, c1) = (&snap.classes[0], &snap.classes[1]);
         assert_eq!((c0.completed, c0.mean_delay, c0.mean_service), (2, 2.0, 0.5));
         assert_eq!((c0.mean_slowdown, c1.completed), (4.0, 1));
@@ -149,23 +146,23 @@ mod tests {
 
     #[test]
     fn empty_ratio_is_none() {
-        let lanes = Lanes::new(2);
-        serve(&lanes, 0, 1.0, 1.0);
-        assert!(lanes.stats().slowdown_ratio(0, 1).is_none(), "class 1 never departed");
-        assert!(lanes.stats().slowdown_ratio(1, 0).is_none());
+        let mut l = vec![Ledger::default(); 2];
+        serve(&mut l, 0, 1.0, 1.0);
+        assert!(stats(&l).slowdown_ratio(0, 1).is_none(), "class 1 never departed");
+        assert!(stats(&l).slowdown_ratio(1, 0).is_none());
     }
 
     #[test]
     fn zero_service_guarded() {
-        let lanes = Lanes::new(1);
-        serve(&lanes, 0, 1.0, 0.0);
-        assert!(lanes.stats().classes[0].mean_slowdown.is_finite());
-        assert!(lanes.close_window(1.0).slowdown_sums[0].is_finite());
+        let mut l = vec![Ledger::default(); 1];
+        serve(&mut l, 0, 1.0, 0.0);
+        assert!(stats(&l).classes[0].mean_slowdown.is_finite());
+        assert!(close_window(&mut l, 1.0).slowdown_sums[0].is_finite());
     }
 
     #[test]
     fn empty_lanes_snapshot_zeroes() {
-        let snap = Lanes::new(3).stats();
+        let snap = stats(&vec![Ledger::default(); 3]);
         assert_eq!(snap.classes.len(), 3);
         // Counts and means are never negative: all zero iff they sum to 0.
         let sum = |c: &ClassStats| {
@@ -178,21 +175,20 @@ mod tests {
     /// window, and closing one leaves the lifetime snapshot alone.
     #[test]
     fn closed_windows_never_double_count() {
-        let lanes = Lanes::new(2);
-        serve(&lanes, 0, 1.0, 0.5); // slowdown 2
-        serve(&lanes, 0, 3.0, 0.5); // slowdown 6
-        serve(&lanes, 1, 1.0, 1.0); // slowdown 1
-        lanes.shed(1, 2.0);
-        let w = lanes.close_window(0.5); // work units scaled to seconds
+        let mut l = vec![Ledger::default(); 2];
+        serve(&mut l, 0, 1.0, 0.5); // slowdown 2
+        serve(&mut l, 0, 3.0, 0.5); // slowdown 6
+        serve(&mut l, 1, 1.0, 1.0); // slowdown 1
+        l[1].shed(2.0);
+        let w = close_window(&mut l, 0.5); // work units scaled to seconds
         assert_eq!((w.arrivals, w.completions), (vec![2, 1], vec![2, 1]));
         assert_eq!((w.arrived_work, w.shed_work), (vec![1.0, 0.5], vec![0.0, 1.0]));
         assert_eq!(w.slowdown_sums, vec![8.0, 1.0]);
-        serve(&lanes, 1, 2.0, 1.0);
-        let w = lanes.close_window(0.5);
+        serve(&mut l, 1, 2.0, 1.0);
+        let w = close_window(&mut l, 0.5);
         assert_eq!((w.arrivals, w.shed_work), (vec![0, 1], vec![0.0, 0.0]), "only new events");
         assert_eq!((w.completions, w.slowdown_sums), (vec![0, 1], vec![0.0, 2.0]));
-        let snap = lanes.stats();
-        let lifetime: Vec<_> = snap.classes.iter().map(|c| (c.completed, c.shed)).collect();
+        let lifetime: Vec<_> = stats(&l).classes.iter().map(|c| (c.completed, c.shed)).collect();
         assert_eq!(lifetime, vec![(2, 0), (2, 1)]);
     }
 
@@ -200,7 +196,7 @@ mod tests {
     /// slowdowns — never NaN.
     #[test]
     fn empty_window_yields_none_not_nan() {
-        let obs = Lanes::new(2).close_window(1.0);
+        let obs = close_window(&mut vec![Ledger::default(); 2], 1.0);
         assert_eq!(
             (obs.completions.clone(), obs.slowdown_sums.clone()),
             (vec![0, 0], vec![0.0, 0.0])

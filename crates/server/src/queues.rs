@@ -1,4 +1,4 @@
-//! The rate-partition discipline: one [`Lane`] per class, the paper's
+//! The rate-partition discipline: one lane per class, the paper's
 //! *serial* virtual task server (Fig. 1) with everything but the clock.
 //!
 //! Each class runs at its allocated fraction `r_i` of the machine rate.
@@ -8,12 +8,16 @@
 //! design: spare capacity of an idle class is *not* donated, which is
 //! exactly what keeps the slowdown ratios pinned to the δ's.
 //!
-//! A lane is the share (read lock-free at service start), the FIFO
-//! behind the in-service head, a `busy` flag and the class's
-//! [`Ledger`]. [`Lanes::submit`] either queues a request or tells the
-//! caller to start it; [`Lanes::finish`] hands back the next one or
-//! idles the lane. That is the whole discipline; [`crate::wheel`]
-//! supplies the time.
+//! A lane is a `psd_control::Station` — the FCFS queue and task server
+//! the simulator runs, in `PinnedRate` mode — with its `Seq` and the
+//! class's [`Ledger`], under one mutex. Its time axis is seconds since
+//! the executor's epoch, and every instant comes from the caller:
+//! [`Lanes::submit`] hands a request to its station at its arrival and
+//! says whether it went straight into service; [`Lanes::finish`]
+//! departs the one in service at the station's own armed completion and
+//! starts the next there (or at its arrival, if that is later). That is
+//! the whole discipline; [`crate::wheel`] turns each armed completion
+//! into a deadline and fires it.
 //!
 //! The lane is also the only place that counts anything about its
 //! class: `submit` tallies an accepted arrival, [`Lanes::shed`] a door
@@ -24,25 +28,21 @@
 //! one consistent snapshot, and its backlog at one close is the last
 //! close's plus the arrivals less the completions in between.
 
-use std::collections::VecDeque;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::time::Instant;
+use std::sync::atomic::{AtomicBool, Ordering};
 
 use crossbeam::channel::Sender;
 use parking_lot::Mutex;
-use psd_core::control::WindowObservation;
+use psd_core::control::{Job, Seq, ServiceMode, Station, WindowObservation};
 
 use crate::metrics::{Ledger, ServerStats};
 use crate::server::Completion;
 
-/// Shares below this floor are clamped before the `1/r` stretch.
-const MIN_SHARE: f64 = 1e-6;
-
-/// Ceiling on the execution stretch: a class whose estimated load
-/// decays to the allocator's rate floor must still run at ≥1% of the
-/// machine rate, or its serial server wedges for longer than every
-/// drain/client timeout on the first request after the lull.
-const MAX_STRETCH: f64 = 100.0;
+/// The lowest rate a lane's station serves at, whatever its share: a
+/// class whose estimated load decays to the allocator's rate floor
+/// (1e-4) must still run at ≥ 1 % of the machine rate — its service
+/// stretched at most 100× — or its serial server wedges for longer than
+/// every drain/client timeout on the first request after the lull.
+const RATE_FLOOR: f64 = 0.01;
 
 /// How a completed execution is reported back to the submitter.
 pub(crate) enum CompletionNotify {
@@ -69,160 +69,152 @@ impl CompletionNotify {
     }
 }
 
-/// A request queued for execution.
-pub(crate) struct QueuedRequest {
-    /// Class index (clamped to the last class on submit).
-    pub(crate) class: usize,
-    /// Work units to execute.
-    pub(crate) cost: f64,
-    /// Enqueue instant (queueing delay is measured from here).
-    pub(crate) enqueued: Instant,
-    /// Completion notification for the submitter.
-    pub(crate) notify: CompletionNotify,
+/// A request on its lane's station: when it arrived and its full-rate
+/// service time, in seconds on the executor's time axis, and whom to
+/// tell when it departs.
+struct Request {
+    arrival: f64,
+    size: f64,
+    notify: CompletionNotify,
 }
 
-/// One class's serial virtual server.
-struct Lane {
-    /// `r_i` as f64 bits; read without any lock at service start.
-    share: AtomicU64,
-    queue: Mutex<LaneQueue>,
-}
+impl Job for Request {
+    fn arrival(&self) -> f64 {
+        self.arrival
+    }
 
-#[derive(Default)]
-struct LaneQueue {
-    /// Requests waiting behind the in-service head.
-    fifo: VecDeque<QueuedRequest>,
-    /// Whether a request of this class is in service.
-    busy: bool,
-    ledger: Ledger,
-}
-
-impl LaneQueue {
-    /// Requests queued or in service.
-    fn backlog(&self) -> usize {
-        self.fifo.len() + usize::from(self.busy)
+    fn size(&self) -> f64 {
+        self.size
     }
 }
 
+/// One class's serial virtual server and its ledger.
+struct Lane {
+    station: Station<Request>,
+    seq: Seq,
+    ledger: Ledger,
+}
+
 /// What [`Lanes::submit`] did with a request.
+#[derive(Debug, PartialEq)]
 pub(crate) enum Submitted {
     /// The lanes are closed; the request was dropped.
     Rejected,
-    /// Its class is busy; it waits in the FIFO.
+    /// Its class is busy; it waits in the station's queue.
     Queued,
-    /// Its class was idle and is now busy: the caller starts service.
-    Start(QueuedRequest),
+    /// Its class was idle: it is in service on lane `class` and
+    /// completes at `at`.
+    Start { class: usize, at: f64 },
 }
 
 /// Every class's lane plus the drain flag. No clock, no thread.
 pub(crate) struct Lanes {
-    lanes: Vec<Lane>,
+    lanes: Vec<Mutex<Lane>>,
+    /// Seconds per work unit: a request's size is its cost times this.
+    work_unit_s: f64,
     closed: AtomicBool,
 }
 
 impl Lanes {
     /// `n` idle lanes at an even rate split.
-    pub(crate) fn new(n: usize) -> Self {
+    pub(crate) fn new(n: usize, work_unit_s: f64) -> Self {
         assert!(n >= 1, "at least one class");
-        let even = (1.0 / n as f64).to_bits();
-        Self {
-            lanes: (0..n)
-                .map(|_| Lane {
-                    share: AtomicU64::new(even),
-                    queue: Mutex::new(LaneQueue::default()),
-                })
-                .collect(),
-            closed: AtomicBool::new(false),
-        }
+        let even = (1.0 / n as f64).max(RATE_FLOOR);
+        let lane = || Lane {
+            station: Station::new(even, ServiceMode::PinnedRate),
+            seq: Seq::default(),
+            ledger: Ledger::default(),
+        };
+        let lanes = (0..n).map(|_| Mutex::new(lane())).collect();
+        Self { lanes, work_unit_s, closed: AtomicBool::default() }
     }
 
-    /// Accept `req` into its class's lane (an out-of-range class lands
-    /// in the last one).
-    pub(crate) fn submit(&self, mut req: QueuedRequest) -> Submitted {
-        req.class = req.class.min(self.lanes.len() - 1);
-        let mut q = self.lanes[req.class].queue.lock();
+    /// Accept a class-`class` request of `cost` work units that arrived
+    /// at `arrival` (an out-of-range class lands in the last lane).
+    pub(crate) fn submit(
+        &self,
+        class: usize,
+        cost: f64,
+        notify: CompletionNotify,
+        arrival: f64,
+    ) -> Submitted {
+        let class = class.min(self.lanes.len() - 1);
+        let Lane { station, seq, ledger } = &mut *self.lanes[class].lock();
         // Checked under the lane lock: an executor that reads the flag
         // set and then finds this lane idle (see `drained`) knows no
         // submit slipped in between.
         if self.closed.load(Ordering::SeqCst) {
             return Submitted::Rejected;
         }
-        q.ledger.arrive(req.cost);
-        if q.busy {
-            q.fifo.push_back(req);
-            Submitted::Queued
+        ledger.arrive(cost);
+        let idle = station.backlog() == 0;
+        station.arrive(Request { arrival, size: cost * self.work_unit_s, notify }, seq);
+        if idle {
+            Submitted::Start { class, at: station.completion().0 }
         } else {
-            q.busy = true;
-            Submitted::Start(req)
+            Submitted::Queued
         }
     }
 
     /// A class-`class` request of `cost` work units was turned away at
     /// the door.
     pub(crate) fn shed(&self, class: usize, cost: f64) {
-        self.lanes[class].queue.lock().ledger.shed(cost);
+        self.lanes[class].lock().ledger.shed(cost);
     }
 
-    /// `class`'s in-service request departed as `done`: the FIFO head
-    /// to start next, or `None` and the lane goes idle.
-    pub(crate) fn finish(&self, class: usize, done: &Completion) -> Option<QueuedRequest> {
-        let mut q = self.lanes[class].queue.lock();
-        q.ledger.depart(done);
-        let next = q.fifo.pop_front();
-        q.busy = next.is_some();
+    /// `class`'s request in service departs at its station's armed
+    /// completion, its receipt's service time running to `now` (when the
+    /// executor fired it), and the station starts its next request
+    /// there. The departure is tallied, then its submitter is told,
+    /// outside the lock — in that order, so the departure is counted
+    /// before anyone can act on its reply. Returns when the next request
+    /// completes, if one started.
+    pub(crate) fn finish(&self, class: usize, now: f64) -> Option<f64> {
+        let (notify, done, next) = {
+            let Lane { station, seq, ledger } = &mut *self.lanes[class].lock();
+            let departure = station.completion().0;
+            let (request, start) = station.depart(departure);
+            let done = Completion { delay_s: start - request.arrival, service_s: now - start };
+            ledger.depart(&done);
+            station.start_next(departure, seq);
+            (request.notify, done, (station.backlog() > 0).then(|| station.completion().0))
+        };
+        notify.deliver(done);
         next
     }
 
-    /// The execution stretch a service starting now on `class` gets:
-    /// `1/r_i`, capped. A request already in service keeps the stretch
-    /// it started with.
-    pub(crate) fn stretch(&self, class: usize) -> f64 {
-        let share = f64::from_bits(self.lanes[class].share.load(Ordering::Relaxed));
-        (1.0 / share.max(MIN_SHARE)).min(MAX_STRETCH)
-    }
-
-    /// Update the per-class rate shares (normalized here).
-    pub(crate) fn set_weights(&self, weights: &[f64]) {
-        let total: f64 = weights.iter().map(|&w| w.max(MIN_SHARE)).sum();
+    /// Hand each class's station its share of `weights` (normalized
+    /// here) at `now`, floored at `RATE_FLOOR`. A request already in
+    /// service keeps the rate it started with.
+    pub(crate) fn set_weights(&self, weights: &[f64], now: f64) {
+        let total: f64 = weights.iter().sum();
         for (lane, &w) in self.lanes.iter().zip(weights) {
-            lane.share.store((w.max(MIN_SHARE) / total).to_bits(), Ordering::Relaxed);
+            // Every weight zero gives 0/0, NaN, which the floor replaces.
+            let rate = (w / total).max(RATE_FLOOR);
+            let Lane { station, seq, .. } = &mut *lane.lock();
+            station.set_rate(rate, now, seq);
         }
     }
 
     /// `class`'s requests queued or in service.
     pub(crate) fn backlog(&self, class: usize) -> usize {
-        self.lanes[class].queue.lock().backlog()
+        self.lanes[class].lock().station.backlog() as usize
     }
 
-    /// Close the control window: every class's window tally and backlog,
-    /// each read and reset under its lane's lock, with work scaled to
-    /// seconds by `work_unit_s`. `index`, `start` and `end` are the
-    /// caller's to stamp.
-    pub(crate) fn close_window(&self, work_unit_s: f64) -> WindowObservation {
-        let (tallies, backlog): (Vec<_>, _) = self
-            .lanes
-            .iter()
-            .map(|lane| {
-                let mut q = lane.queue.lock();
-                (q.ledger.take_window(), q.backlog() as u64)
-            })
-            .unzip();
-        WindowObservation {
-            index: 0,
-            start: 0.0,
-            end: 0.0,
-            arrivals: tallies.iter().map(|w| w.arrivals).collect(),
-            arrived_work: tallies.iter().map(|w| w.work * work_unit_s).collect(),
-            shed_work: tallies.iter().map(|w| w.shed_work * work_unit_s).collect(),
-            completions: tallies.iter().map(|w| w.completions).collect(),
-            backlog,
-            slowdown_sums: tallies.iter().map(|w| w.slowdown_sum).collect(),
-        }
+    /// Close control window `index` over `[start, end]`: every class's
+    /// window tally and backlog, each read and reset under its lane's
+    /// lock, with work scaled from units to seconds.
+    pub(crate) fn close_window(&self, index: u64, start: f64, end: f64) -> WindowObservation {
+        let classes = self.lanes.iter().map(|lane| {
+            let mut lane = lane.lock();
+            (lane.ledger.take_window(), lane.station.backlog())
+        });
+        WindowObservation::from_tallies(index, start, end, self.work_unit_s, classes)
     }
 
     /// Every class's lifetime counts and means.
     pub(crate) fn stats(&self) -> ServerStats {
-        ServerStats { classes: self.lanes.iter().map(|l| l.queue.lock().ledger.stats()).collect() }
+        ServerStats { classes: self.lanes.iter().map(|l| l.lock().ledger.stats()).collect() }
     }
 
     /// Stop accepting; what was accepted still drains.
@@ -230,11 +222,10 @@ impl Lanes {
         self.closed.store(true, Ordering::SeqCst);
     }
 
-    /// Closed and nothing of `class` queued, in service or about to be
-    /// started. The flag is read first: once it is set, a lane seen
-    /// idle stays idle.
+    /// Closed and nothing of `class` queued or in service. The flag is
+    /// read first: once it is set, a lane seen idle stays idle.
     pub(crate) fn drained(&self, class: usize) -> bool {
-        self.closed.load(Ordering::SeqCst) && !self.lanes[class].queue.lock().busy
+        self.closed.load(Ordering::SeqCst) && self.backlog(class) == 0
     }
 
     /// [`Lanes::drained`] for every class.
@@ -253,110 +244,129 @@ mod tests {
     use super::*;
     use std::sync::Arc;
 
-    fn req(class: usize, cost: f64) -> QueuedRequest {
-        QueuedRequest { class, cost, enqueued: Instant::now(), notify: CompletionNotify::None }
+    /// A request of `class` and `cost` arriving at `at` (one work unit
+    /// is one second here).
+    fn submit(lanes: &Lanes, class: usize, cost: f64, at: f64) -> Submitted {
+        lanes.submit(class, cost, CompletionNotify::None, at)
     }
 
-    const DONE: Completion = Completion { delay_s: 0.0, service_s: 1.0 };
-
-    /// Submit to a lane that must be idle; the request comes back to be
-    /// started.
-    fn start(lanes: &Lanes, class: usize, cost: f64) -> QueuedRequest {
-        match lanes.submit(req(class, cost)) {
-            Submitted::Start(r) => r,
-            _ => panic!("lane {class} should have been idle"),
-        }
+    /// The rate a request of `class` starting now is served at: its
+    /// execution is stretched by the inverse.
+    fn rate(lanes: &Lanes, class: usize) -> f64 {
+        lanes.lanes[class].lock().station.rate()
     }
 
     #[test]
     fn push_pop_roundtrip() {
-        let lanes = Lanes::new(2);
-        assert_eq!(start(&lanes, 0, 1.0).cost, 1.0);
-        assert!(matches!(lanes.submit(req(0, 2.0)), Submitted::Queued));
-        assert!(matches!(lanes.submit(req(0, 3.0)), Submitted::Queued));
+        let lanes = Lanes::new(2, 1.0); // rate 1/2 each: stretch 2
+        assert_eq!(submit(&lanes, 0, 1.0, 0.0), Submitted::Start { class: 0, at: 2.0 });
+        assert_eq!(submit(&lanes, 0, 2.0, 0.5), Submitted::Queued);
+        assert_eq!(submit(&lanes, 0, 3.0, 1.0), Submitted::Queued);
         assert_eq!((lanes.backlog(0), lanes.backlog(1), lanes.in_flight()), (3, 0, 3));
-        // FIFO behind the head, then the lane idles.
-        assert_eq!(lanes.finish(0, &DONE).map(|r| r.cost), Some(2.0));
-        assert_eq!(lanes.finish(0, &DONE).map(|r| r.cost), Some(3.0));
-        assert!(lanes.finish(0, &DONE).is_none());
+        // FIFO behind the head, each starting at its predecessor's
+        // completion however late that was noticed, then the lane idles.
+        assert_eq!(lanes.finish(0, 2.5), Some(2.0 + 4.0));
+        assert_eq!(lanes.finish(0, 6.0), Some(6.0 + 6.0));
+        assert_eq!(lanes.finish(0, 12.0), None);
         assert_eq!(lanes.in_flight(), 0);
-        assert_eq!(start(&lanes, 0, 4.0).cost, 4.0, "idle again: the next submit starts");
+        let again = submit(&lanes, 0, 4.0, 20.0);
+        assert_eq!(again, Submitted::Start { class: 0, at: 28.0 }, "idle again: the next starts");
     }
 
     #[test]
     fn close_rejects_pushes_but_drains() {
-        let lanes = Lanes::new(2);
-        start(&lanes, 0, 1.0);
-        lanes.submit(req(0, 2.0));
+        let lanes = Lanes::new(2, 1.0);
+        submit(&lanes, 0, 1.0, 0.0);
+        submit(&lanes, 0, 2.0, 0.0);
         lanes.close();
-        assert!(matches!(lanes.submit(req(1, 1.0)), Submitted::Rejected));
+        assert_eq!(submit(&lanes, 1, 1.0, 0.0), Submitted::Rejected);
         assert!(lanes.drained(1) && !lanes.drained(0), "class 0 still has work");
-        assert!(lanes.finish(0, &DONE).is_some(), "queued work drains");
+        assert!(lanes.finish(0, 2.0).is_some(), "queued work drains");
         assert!(!lanes.all_drained(), "its last request is in service");
-        assert!(lanes.finish(0, &DONE).is_none());
+        assert!(lanes.finish(0, 6.0).is_none());
         assert!(lanes.all_drained());
         assert_eq!(lanes.in_flight(), 0);
     }
 
     #[test]
     fn paced_serializes_each_class() {
-        let lanes = Lanes::new(2);
-        start(&lanes, 0, 1.0);
-        assert!(matches!(lanes.submit(req(0, 2.0)), Submitted::Queued), "class 0 is serial");
-        start(&lanes, 1, 1.0); // class 1 is not held up by class 0
-        assert_eq!(lanes.finish(0, &DONE).map(|r| r.cost), Some(2.0), "starts only now");
-        assert!(matches!(lanes.submit(req(0, 3.0)), Submitted::Queued), "still one at a time");
+        let lanes = Lanes::new(2, 1.0);
+        submit(&lanes, 0, 1.0, 0.0);
+        assert_eq!(submit(&lanes, 0, 2.0, 0.0), Submitted::Queued, "class 0 is serial");
+        let other = submit(&lanes, 1, 1.0, 0.0);
+        assert_eq!(other, Submitted::Start { class: 1, at: 2.0 }, "class 1 is not held up");
+        assert_eq!(lanes.finish(0, 2.0), Some(6.0), "starts only now");
+        assert_eq!(submit(&lanes, 0, 3.0, 3.0), Submitted::Queued, "still one at a time");
+    }
+
+    /// The live case `Station::start_next` waits for: a request that
+    /// arrived after its predecessor's completion but before the
+    /// executor noticed it starts at its own arrival, and its receipt
+    /// shows no queueing.
+    #[test]
+    fn a_request_arriving_after_an_unnoticed_completion_starts_on_arrival() {
+        let lanes = Lanes::new(1, 1.0);
+        let receipts = Arc::new(Mutex::new(Vec::new()));
+        for at in [0.0, 1.25] {
+            let receipts = Arc::clone(&receipts);
+            let notify = CompletionNotify::Callback(Box::new(move |c| receipts.lock().push(c)));
+            lanes.submit(0, 1.0, notify, at);
+        }
+        assert_eq!(lanes.finish(0, 1.5), Some(2.25), "fired late; the next arrived at 1.25");
+        assert_eq!(lanes.finish(0, 2.25), None);
+        let receipts: Vec<_> = receipts.lock().iter().map(|c| (c.delay_s, c.service_s)).collect();
+        assert_eq!(receipts, [(0.0, 1.5), (0.0, 1.0)], "neither queued behind the other");
     }
 
     #[test]
     fn paced_stretch_is_inverse_share() {
-        let lanes = Lanes::new(2);
-        lanes.set_weights(&[0.8, 0.2]);
-        let (s0, s1) = (lanes.stretch(0), lanes.stretch(1));
+        let lanes = Lanes::new(2, 1.0);
+        lanes.set_weights(&[0.8, 0.2], 0.0);
+        let (s0, s1) = (1.0 / rate(&lanes, 0), 1.0 / rate(&lanes, 1));
         assert!((s0 - 1.25).abs() < 1e-9, "class 0 runs at 0.8× machine rate, stretch {s0}");
         assert!((s1 - 5.0).abs() < 1e-9, "class 1 runs at 0.2× machine rate, stretch {s1}");
     }
 
     #[test]
     fn paced_stretch_is_capped_for_starved_shares() {
-        let lanes = Lanes::new(2);
+        let lanes = Lanes::new(2, 1.0);
         // The allocator's rate floor (1e-4) must not wedge the class.
-        lanes.set_weights(&[1.0, 1e-4]);
-        let s = lanes.stretch(1);
-        assert!((s - MAX_STRETCH).abs() < 1e-9, "stretch capped, got {s}");
+        lanes.set_weights(&[1.0, 1e-4], 0.0);
+        let s = 1.0 / rate(&lanes, 1);
+        assert!((s - 1.0 / RATE_FLOOR).abs() < 1e-9, "stretch capped, got {s}");
     }
 
     #[test]
     fn paced_even_split_by_default() {
-        let lanes = Lanes::new(4);
-        assert!((lanes.stretch(2) - 4.0).abs() < 1e-9, "even split over 4 classes");
+        let lanes = Lanes::new(4, 1.0);
+        assert!((1.0 / rate(&lanes, 2) - 4.0).abs() < 1e-9, "even split over 4 classes");
     }
 
     #[test]
     fn weights_update_applies() {
-        let lanes = Lanes::new(2);
-        lanes.set_weights(&[3.0, 1.0]); // normalized here
-        assert!((lanes.stretch(0) - 4.0 / 3.0).abs() < 1e-9);
-        assert!((lanes.stretch(1) - 4.0).abs() < 1e-9);
-        lanes.set_weights(&[0.5, 0.5]);
-        assert!((lanes.stretch(0) - 2.0).abs() < 1e-9, "the latest weights win");
+        let lanes = Lanes::new(2, 1.0);
+        lanes.set_weights(&[3.0, 1.0], 0.0); // normalized here
+        assert!((1.0 / rate(&lanes, 0) - 4.0 / 3.0).abs() < 1e-9);
+        assert!((1.0 / rate(&lanes, 1) - 4.0).abs() < 1e-9);
+        lanes.set_weights(&[0.5, 0.5], 0.0);
+        assert!((1.0 / rate(&lanes, 0) - 2.0).abs() < 1e-9, "the latest weights win");
     }
 
     #[test]
     fn zero_weight_is_floored_not_fatal() {
-        let lanes = Lanes::new(2);
-        lanes.set_weights(&[0.0, 1.0]);
-        // Share MIN_SHARE/(1 + MIN_SHARE): 1/share is finite, then capped.
-        assert_eq!(lanes.stretch(0), MAX_STRETCH);
-        assert!((lanes.stretch(1) - 1.0).abs() < 1e-5);
-        start(&lanes, 0, 1.0);
+        let lanes = Lanes::new(2, 1.0);
+        lanes.set_weights(&[0.0, 1.0], 0.0);
+        assert_eq!((rate(&lanes, 0), rate(&lanes, 1)), (RATE_FLOOR, 1.0));
+        assert_eq!(submit(&lanes, 0, 1.0, 0.0), Submitted::Start { class: 0, at: 100.0 });
+        lanes.set_weights(&[0.0, 0.0], 0.0);
+        assert_eq!((rate(&lanes, 0), rate(&lanes, 1)), (RATE_FLOOR, RATE_FLOOR), "all zero");
     }
 
     #[test]
     fn out_of_range_class_lands_in_last_lane() {
-        let lanes = Lanes::new(2);
-        assert_eq!(start(&lanes, 99, 1.0).class, 1, "clamped on submit");
-        assert!(matches!(lanes.submit(req(99, 1.0)), Submitted::Queued));
+        let lanes = Lanes::new(2, 1.0);
+        assert!(matches!(submit(&lanes, 99, 1.0, 0.0), Submitted::Start { class: 1, .. }));
+        assert_eq!(submit(&lanes, 99, 1.0, 0.0), Submitted::Queued);
         assert_eq!((lanes.backlog(0), lanes.backlog(1)), (0, 2), "in service + queued");
     }
 

@@ -9,12 +9,12 @@ use std::time::{Duration, Instant};
 
 use parking_lot::{Condvar, Mutex};
 use psd_core::control::{
-    build_controller, ClassTable, ControllerKind, RateController, SharedControl, WindowObservation,
+    build_controller, ClassTable, ControllerKind, RateController, SharedControl,
 };
 use psd_obs::{ControlTrace, ObsBundle, ObsConfig};
 
 use crate::metrics::ServerStats;
-use crate::queues::{CompletionNotify, QueuedRequest};
+use crate::queues::CompletionNotify;
 use crate::wheel::TaskServers;
 
 /// The dispatch discipline. One value: the server has no other. The
@@ -219,7 +219,7 @@ impl PsdServer {
         let table = control.table();
         let mut controller = build_monitor_controller(&cfg, &table);
         let initial = controller.initial_rates(n);
-        exec.lanes().set_weights(&initial);
+        exec.set_weights(&initial);
         control.publish(table.epoch, &initial, None);
 
         let monitor = {
@@ -282,8 +282,7 @@ impl PsdServer {
 
     fn submit_inner(&self, class: usize, cost: f64, notify: CompletionNotify) -> bool {
         assert!(cost.is_finite() && cost > 0.0, "request cost must be positive");
-        let class = class.min(self.n_classes - 1);
-        self.exec.submit(QueuedRequest { class, cost, enqueued: Instant::now(), notify })
+        self.exec.submit(class, cost, notify)
     }
 
     /// One admission decision for a class-`class` request of `cost`
@@ -389,7 +388,7 @@ fn build_monitor_controller(
 }
 
 /// The rate monitor: every control window it closes a
-/// [`WindowObservation`] — per class, the arrivals, admitted and shed
+/// [`WindowObservation`](psd_core::control::WindowObservation) — per class, the arrivals, admitted and shed
 /// work, departures with their **measured slowdowns**, and the backlog
 /// (queued + in service), all read and reset at one instant under the
 /// class's lane lock, so nothing double-counts and a class's backlog
@@ -417,7 +416,6 @@ fn monitor_loop(
     mut table: ClassTable,
     mut current_rates: Vec<f64>,
 ) {
-    let work_unit_s = cfg.work_unit.as_secs_f64();
     let started = Instant::now();
     let mut window_start = 0.0f64;
     let mut index = 0u64;
@@ -433,18 +431,13 @@ fn monitor_loop(
             controller = build_monitor_controller(cfg, &table);
         }
         let now_s = started.elapsed().as_secs_f64();
-        let obs = WindowObservation {
-            index,
-            start: window_start,
-            end: now_s,
-            ..exec.lanes().close_window(work_unit_s)
-        };
+        let obs = exec.lanes().close_window(index, window_start, now_s);
         index += 1;
         window_start = now_s;
 
         let directive = controller.control(now_s, &obs);
         if let Some(rates) = &directive.rates {
-            exec.lanes().set_weights(rates);
+            exec.set_weights(rates);
             current_rates = rates.clone();
         }
         control.publish(table.epoch, &current_rates, directive.admit_probability.as_deref());
@@ -509,12 +502,7 @@ mod tests {
             let exec = Arc::clone(&s.exec);
             s.shutdown();
             assert!(
-                !exec.submit(QueuedRequest {
-                    class: 0,
-                    cost: 1.0,
-                    enqueued: Instant::now(),
-                    notify: CompletionNotify::None
-                }),
+                !exec.submit(0, 1.0, CompletionNotify::None),
                 "{workload:?}: closed task servers must reject"
             );
         }

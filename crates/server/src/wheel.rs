@@ -1,16 +1,17 @@
-//! The per-class task servers' execution: what a request's stretched
-//! service time costs, and who notices that it is over. The discipline
-//! — which request of which class is in service — is [`Lanes`]; this
-//! module turns each service start into a finish deadline and each
-//! fired deadline into the lane's next start.
+//! The per-class task servers' execution: who notices that a
+//! request's stretched service is over. The discipline — which request
+//! of which class is in service, and when its service ends — is
+//! [`Lanes`], whose stations keep time in seconds since
+//! `Shared::epoch`; this module reads that clock for each arrival, files
+//! each armed completion as a deadline and fires it.
 //!
 //! ```text
-//!  submit ─▶ lane[class] ─ idle ─▶ start: file finish deadline ─▶ executor thread
-//!              └─ busy: FIFO                                       │ waits for it:
-//!                                                                  │  Sleep: parked
-//!  fire: finish (the lane tallies the departure ◀──────────────────┘  Spin: polling
-//!  and pops its FIFO head), deliver CompletionNotify,                 the clock
-//!  start that head
+//!  submit ─▶ lane[class] station ─ idle: in service ─▶ file its completion ─▶ executor thread
+//!              └─ busy: queued                                                │ waits for it:
+//!                                                                             │  Sleep: parked
+//!  fire: finish (the station departs the request at its completion ◀──────────┘  Spin: polling
+//!  and starts the next there; the ledger tallies the departure),                  the clock
+//!  deliver CompletionNotify, file the next completion
 //! ```
 //!
 //! The departure is tallied before the submitter hears of it, so every
@@ -22,10 +23,10 @@
 //! stands for CPU-bound work, so each class has its own thread, which
 //! burns the stretched time polling the clock. Either way a
 //! [`Deadlines`] store never holds more than one entry per class (a
-//! lane admits one in-service request). The module keeps the name of
-//! the hierarchical timer wheel it replaced because
-//! `PsdServer::wheel_stats`, `psd_obs::WheelStats` and the
-//! `psd_wheel_*` metric families are what `benchmark/` reads.
+//! station has one request in service). The module keeps the name of
+//! the hierarchical timer wheel it replaced, as do `WheelStats`,
+//! `PsdServer::wheel_stats` and the `psd_wheel_*` metric families,
+//! because `benchmark/` reads them by those names.
 
 use std::collections::VecDeque;
 use std::sync::atomic::Ordering;
@@ -36,48 +37,43 @@ use std::time::{Duration, Instant};
 use parking_lot::{Condvar, Mutex};
 use psd_obs::WheelStats;
 
-use crate::queues::{CompletionNotify, Lanes, QueuedRequest, Submitted};
-use crate::server::{Completion, Workload};
+use crate::queues::{CompletionNotify, Lanes, Submitted};
+use crate::server::Workload;
 use crate::timing;
 
 /// Sleep finish times are rounded **up** to this grid (50 µs), so a
 /// completion is delivered at most one step late (≈ 25 µs on average);
-/// the class's next service still starts at the unrounded finish
-/// (`Shared::start`). It stays only because of the benchmark's RSS
-/// instrument: with the timer slack gone (PR 25), dropping the grid as
+/// the class's next service still starts at the unrounded completion
+/// (`Lanes::finish`). It stays only because of the benchmark's RSS
+/// instrument: with the timer slack gone, dropping the grid as
 /// well took `http-keepalive-epoll` p50 121 → 61 µs and goodput +49 %,
 /// and the generator's per-request sample log turned that into
 /// `peak_rss_mb` +31 % against a 0.15 bound (ROADMAP items 1a and 2).
 const GRID_NANOS: u64 = 50_000;
 
 /// Pending finish deadlines, earliest first (filing order among
-/// equals). Time is whatever unit the caller counts in (the timer
-/// thread: nanoseconds since its epoch). A sorted queue, not a heap: a
-/// lane admits one in-service request, so it never holds more entries
-/// than there are classes, and it keeps its capacity, so steady state
-/// allocates nothing.
-struct Deadlines<T> {
-    queue: VecDeque<(u64, T)>,
+/// equals): `(due, class)`, due in whatever unit the caller counts in
+/// (the executor: nanoseconds since its epoch). A sorted queue, not a
+/// heap: a station has one request in service, so it never holds more
+/// entries than there are classes, and it keeps its capacity, so steady
+/// state allocates nothing.
+#[derive(Default)]
+struct Deadlines {
+    queue: VecDeque<(u64, usize)>,
 }
 
-impl<T> Default for Deadlines<T> {
-    fn default() -> Self {
-        Self { queue: VecDeque::new() }
-    }
-}
-
-impl<T> Deadlines<T> {
-    fn insert(&mut self, due: u64, payload: T) {
+impl Deadlines {
+    fn insert(&mut self, due: u64, class: usize) {
         let at = self.queue.partition_point(|entry| entry.0 <= due);
-        self.queue.insert(at, (due, payload));
+        self.queue.insert(at, (due, class));
     }
 
     fn next_due(&self) -> Option<u64> {
         self.queue.front().map(|entry| entry.0)
     }
 
-    /// The earliest payload whose deadline is at or before `now`.
-    fn pop_due(&mut self, now: u64) -> Option<T> {
+    /// The earliest class whose deadline is at or before `now`.
+    fn pop_due(&mut self, now: u64) -> Option<usize> {
         if self.next_due()? > now {
             return None;
         }
@@ -85,34 +81,28 @@ impl<T> Deadlines<T> {
     }
 }
 
+/// The first nanosecond at or after `at` seconds.
+fn nanos(at: f64) -> u64 {
+    (at * 1e9).ceil() as u64
+}
+
 /// `finish` (nanoseconds) rounded up to the grid.
 fn on_grid(finish_ns: u64) -> u64 {
     finish_ns.next_multiple_of(GRID_NANOS)
-}
-
-/// A request in service: what completes when its stretched time is up.
-struct InService {
-    class: usize,
-    enqueued: Instant,
-    dispatched: Instant,
-    /// `dispatched` + the stretched time, off the grid: the instant the
-    /// class's server is free for the next request.
-    finish: Instant,
-    notify: CompletionNotify,
 }
 
 /// One executor thread's deadline store (nanoseconds since
 /// `Shared::epoch`) and what the thread parks on when it is empty.
 #[derive(Default)]
 struct Executor {
-    state: Mutex<Deadlines<InService>>,
+    state: Mutex<Deadlines>,
     alarm: Condvar,
     stats: WheelStats,
 }
 
 struct Shared {
+    /// Instant 0 of the lanes' time axis.
     epoch: Instant,
-    work_unit: Duration,
     workload: Workload,
     lanes: Lanes,
     /// Sleep: one, serving every class. Spin: one per class.
@@ -136,9 +126,8 @@ impl TaskServers {
         };
         let shared = Arc::new(Shared {
             epoch: Instant::now(),
-            work_unit,
             workload,
-            lanes: Lanes::new(n),
+            lanes: Lanes::new(n, work_unit.as_secs_f64()),
             executors: (0..executors).map(|_| Executor::default()).collect(),
         });
         let threads = (0..executors)
@@ -153,20 +142,26 @@ impl TaskServers {
         Self { shared, threads: Mutex::new(threads) }
     }
 
-    /// Accept a request: start service at once if its class is idle,
-    /// else queue behind the head. `false` after [`TaskServers::close`].
-    pub(crate) fn submit(&self, req: QueuedRequest) -> bool {
-        match self.shared.lanes.submit(req) {
+    /// Accept a class-`class` request of `cost` work units, arriving
+    /// now: into service at once if its class is idle, else queued
+    /// behind the head. `false` after [`TaskServers::close`].
+    pub(crate) fn submit(&self, class: usize, cost: f64, notify: CompletionNotify) -> bool {
+        match self.shared.lanes.submit(class, cost, notify, self.shared.now()) {
             Submitted::Rejected => false,
             Submitted::Queued => true,
-            Submitted::Start(req) => {
-                self.shared.start(req, Instant::now());
+            Submitted::Start { class, at } => {
+                self.shared.file(class, at);
                 true
             }
         }
     }
 
-    /// The lanes: their shares, backlogs and per-class ledgers.
+    /// Re-rate the lanes from the controller's `weights`, now.
+    pub(crate) fn set_weights(&self, weights: &[f64]) {
+        self.shared.lanes.set_weights(weights, self.shared.now());
+    }
+
+    /// The lanes: their backlogs and per-class ledgers.
     pub(crate) fn lanes(&self) -> &Lanes {
         &self.shared.lanes
     }
@@ -201,47 +196,27 @@ impl TaskServers {
 }
 
 impl Shared {
-    /// Put `req` in service on its class's server, which is free from
-    /// `free` on, and file its finish with the executor that will
-    /// notice it. The share is read now, so the stretch holds for this
-    /// request's whole execution; the stretched time is the paper's
-    /// rate-scaled `X/r_i`, which makes the recorded slowdown exactly
-    /// `W/(X/r_i)`.
-    fn start(&self, req: QueuedRequest, free: Instant) {
-        let target = self.work_unit.mul_f64(req.cost * self.lanes.stretch(req.class));
-        // Service begins when the server is free or the request
-        // arrives, whichever is later (Fig. 1's FCFS server at rate
-        // r_i). For a request that queued, `free` is its predecessor's
-        // `finish`, not the later instant the executor noticed it: the
-        // executor's lateness delays a completion's delivery, never the
-        // class's next service. Charged to the server instead, it would
-        // raise each class's utilisation by λ_i·lateness, and the busier
-        // (higher-δ) class's M/G/1 wait grows the most — S1/S0 above
-        // δ1/δ0.
-        let dispatched = free.max(req.enqueued);
-        let finish = dispatched + target;
-        let finish_ns = (finish - self.epoch).as_nanos() as u64;
+    /// Seconds since the epoch: where the lanes' time axis stands.
+    fn now(&self) -> f64 {
+        self.epoch.elapsed().as_secs_f64()
+    }
+
+    /// File `class`'s completion, due at `at` seconds, with the executor
+    /// that will notice it: at its true time, no early aim (the timer
+    /// thread has no slack to cancel, see `timing`), rounded up to the
+    /// grid under Sleep (`GRID_NANOS`). The stretched time behind `at`
+    /// is the paper's rate-scaled `X/r_i`, which makes the recorded
+    /// slowdown exactly `W/(X/r_i)`.
+    fn file(&self, class: usize, at: f64) {
         let (exec, due) = match self.workload {
-            // The true finish time, no early aim (the timer thread has
-            // no slack to cancel, see `timing`), rounded up to the grid
-            // that stays only for the RSS instrument (`GRID_NANOS`) —
-            // `on_grid(start + target)`, as in the seeded virtual-time
-            // model.
-            Workload::Sleep => (&self.executors[0], on_grid(finish_ns)),
-            Workload::Spin => (&self.executors[req.class], finish_ns),
-        };
-        let job = InService {
-            class: req.class,
-            enqueued: req.enqueued,
-            dispatched,
-            finish,
-            notify: req.notify,
+            Workload::Sleep => (&self.executors[0], on_grid(nanos(at))),
+            Workload::Spin => (&self.executors[class], nanos(at)),
         };
         exec.stats.scheduled.fetch_add(1, Ordering::Relaxed);
         let wake = {
             let mut st = exec.state.lock();
             let earlier = st.next_due().is_none_or(|d| due < d);
-            st.insert(due, job);
+            st.insert(due, class);
             earlier
         };
         if wake {
@@ -249,18 +224,18 @@ impl Shared {
         }
     }
 
-    /// Tally and deliver a finished execution — in that order, so the
-    /// departure is counted before anyone can act on its reply — then
-    /// start the class's next request, if one was waiting, at this
-    /// one's finish.
-    fn complete(&self, job: InService) {
-        let service_s = job.dispatched.elapsed().as_secs_f64();
-        let delay_s = job.dispatched.saturating_duration_since(job.enqueued).as_secs_f64();
-        let done = Completion { delay_s, service_s };
-        let next = self.lanes.finish(job.class, &done);
-        job.notify.deliver(done);
-        if let Some(next) = next {
-            self.start(next, job.finish);
+    /// `class`'s completion fired: its lane departs the request,
+    /// tallies it and tells its submitter, and the completion of the
+    /// class's next request, if one started, is filed. That request
+    /// starts at this one's completion, not at the later instant the
+    /// executor noticed it: the executor's lateness delays a
+    /// completion's delivery, never the class's next service. Charged
+    /// to the server instead, it would raise each class's utilisation
+    /// by λ_i·lateness, and the busier (higher-δ) class's M/G/1 wait
+    /// grows the most — S1/S0 above δ1/δ0.
+    fn complete(&self, class: usize) {
+        if let Some(at) = self.lanes.finish(class, self.now()) {
+            self.file(class, at);
         }
     }
 
@@ -270,20 +245,20 @@ impl Shared {
     fn run(&self, i: usize) {
         timing::precise_timers();
         let exec = &self.executors[i];
-        let mut fired: Vec<InService> = Vec::new();
+        let mut fired: Vec<usize> = Vec::new();
         let mut st = exec.state.lock();
         loop {
             let now_ns = self.epoch.elapsed().as_nanos() as u64;
-            while let Some(job) = st.pop_due(now_ns) {
-                fired.push(job);
+            while let Some(class) = st.pop_due(now_ns) {
+                fired.push(class);
             }
             if !fired.is_empty() {
                 exec.stats.fires.fetch_add(fired.len() as u64, Ordering::Relaxed);
                 drop(st);
                 // Fire outside the lock: completions take lane locks,
                 // run callbacks and file the next deadline.
-                for job in fired.drain(..) {
-                    self.complete(job);
+                for class in fired.drain(..) {
+                    self.complete(class);
                 }
                 st = exec.state.lock();
                 continue;
@@ -318,16 +293,18 @@ impl Shared {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::server::Completion;
+    use psd_core::control::{Job, Seq, ServiceMode, Station, WindowObservation, WindowTally};
     use psd_dist::rng::Xoshiro256pp;
 
-    fn drain(d: &mut Deadlines<u32>, now: u64) -> Vec<u32> {
+    fn drain(d: &mut Deadlines, now: u64) -> Vec<usize> {
         std::iter::from_fn(|| d.pop_due(now)).collect()
     }
 
     #[test]
     fn fires_at_exact_tick_not_before() {
         let mut d = Deadlines::default();
-        d.insert(5, 1u32);
+        d.insert(5, 1);
         assert!(drain(&mut d, 4).is_empty(), "not due yet");
         assert_eq!(d.next_due(), Some(5));
         assert_eq!(drain(&mut d, 5), vec![1], "due exactly at 5");
@@ -339,18 +316,19 @@ mod tests {
         assert_eq!(on_grid(1), GRID_NANOS);
         assert_eq!(on_grid(GRID_NANOS), GRID_NANOS, "already on the grid");
         assert_eq!(on_grid(GRID_NANOS + 1), 2 * GRID_NANOS);
+        assert_eq!((nanos(1e-9), nanos(1.5e-9), nanos(2.0)), (1, 2, 2_000_000_000));
         // A deadline already in the past when filed fires at the next pop.
         let mut d = Deadlines::default();
-        d.insert(7, 9u32);
+        d.insert(7, 9);
         assert_eq!(drain(&mut d, 100), vec![9]);
     }
 
     #[test]
     fn same_tick_timers_fire_together() {
         let mut d = Deadlines::default();
-        d.insert(50, 99u32);
-        for v in 0..10u32 {
-            d.insert(42, v);
+        d.insert(50, 99);
+        for class in 0..10 {
+            d.insert(42, class);
         }
         assert_eq!(drain(&mut d, 42), (0..10).collect::<Vec<_>>(), "in filing order");
         assert_eq!(drain(&mut d, 1000), vec![99]);
@@ -362,7 +340,7 @@ mod tests {
         let mut d = Deadlines::default();
         let t = Instant::now();
         assert!(drain(&mut d, u64::MAX - 1).is_empty());
-        d.insert(u64::MAX, 1u32);
+        d.insert(u64::MAX, 1);
         assert_eq!(drain(&mut d, u64::MAX), vec![1]);
         assert!(t.elapsed() < Duration::from_millis(100), "an empty stretch must cost nothing");
     }
@@ -379,13 +357,9 @@ mod tests {
                     .map(|p| {
                         let servers = Arc::clone(&servers);
                         thread::spawn(move || {
-                            let req = |i| QueuedRequest {
-                                class: (p + i) % 2,
-                                cost: 1.0,
-                                enqueued: Instant::now(),
-                                notify: CompletionNotify::None,
-                            };
-                            (0..200usize).filter(|&i| servers.submit(req(i))).count() as u64
+                            let submit =
+                                |i| servers.submit((p + i) % 2, 1.0, CompletionNotify::None);
+                            (0..200usize).filter(|&i| submit(i)).count() as u64
                         })
                     })
                     .collect();
@@ -401,28 +375,26 @@ mod tests {
     }
 
     /// On the real timer thread, no Sleep service completes before its
-    /// stretched target `cost × unit × stretch` — the lateness a wait
-    /// may have is never traded for an early aim. 1 ns covers the
-    /// rounding of `Duration::mul_f64`.
+    /// stretched target `cost × unit / r` — the lateness a wait may have
+    /// is never traded for an early aim. 1 ns covers the rounding of the
+    /// clock's seconds.
     #[test]
     fn sleep_service_never_ends_before_its_stretched_target() {
         let unit = Duration::from_micros(20);
         let servers = TaskServers::start(2, unit, Workload::Sleep);
-        servers.lanes().set_weights(&[1.0, 3.0]);
+        servers.set_weights(&[1.0, 3.0]); // rates 1/4 and 3/4
         let early = Arc::new(Mutex::new(Vec::new()));
         for i in 0..200u32 {
             let class = i as usize % 2;
             let cost = 0.3 + f64::from(i * 7 % 28) / 10.0;
-            let want = cost * unit.as_secs_f64() * servers.shared.lanes.stretch(class);
+            let want = cost * unit.as_secs_f64() / [0.25, 0.75][class];
             let early = Arc::clone(&early);
             let done = move |c: Completion| {
                 if c.service_s < want - 1e-9 {
                     early.lock().push((i, c.service_s, want));
                 }
             };
-            let notify = CompletionNotify::Callback(Box::new(done));
-            let req = QueuedRequest { class, cost, enqueued: Instant::now(), notify };
-            assert!(servers.submit(req));
+            assert!(servers.submit(class, cost, CompletionNotify::Callback(Box::new(done))));
         }
         servers.close();
         servers.join();
@@ -432,28 +404,32 @@ mod tests {
         assert!(early.is_empty(), "(request, service_s, target) ended early: {:?}", *early);
     }
 
-    /// A request that queued starts service at its predecessor's finish
-    /// instant, not when the timer thread noticed it (the grid plus the
-    /// wakeup latency later): back to back, each start is exactly the
-    /// previous start plus the previous stretched target, so the
+    /// A request that queued starts service at its predecessor's
+    /// completion, not when the timer thread noticed it (the grid plus
+    /// the wakeup latency later): back to back, each start is exactly
+    /// the previous start plus the previous stretched target, so the
     /// executor's lateness never eats into the class's rate.
     #[test]
     fn queued_service_starts_at_its_predecessors_finish() {
         let unit = Duration::from_micros(20);
         let servers = TaskServers::start(2, unit, Workload::Sleep);
-        servers.lanes().set_weights(&[1.0, 3.0]);
-        let stretch = servers.shared.lanes.stretch(0);
-        // A 50 ms head holds the lane while 19 short requests (20–80 µs,
-        // off the 50 µs grid) queue behind it, all "arrived" at once.
+        servers.set_weights(&[1.0, 3.0]);
+        // Class 0 runs at rate 1/4. A 50 ms head holds the lane while 19
+        // short requests (20–80 µs, off the 50 µs grid) queue behind it,
+        // all arrived at once — so the gaps between their queueing
+        // delays are the gaps between their starts.
         let costs: Vec<f64> =
             std::iter::once(625.0).chain((0..19).map(|i| 0.25 * f64::from(1 + i % 4))).collect();
-        let enqueued = Instant::now();
+        let arrival = servers.shared.now();
         let delays = Arc::new(Mutex::new(Vec::new()));
         for (i, &cost) in costs.iter().enumerate() {
             let delays = Arc::clone(&delays);
             let done = move |c: Completion| delays.lock().push((i, c.delay_s));
             let notify = CompletionNotify::Callback(Box::new(done));
-            assert!(servers.submit(QueuedRequest { class: 0, cost, enqueued, notify }));
+            match servers.lanes().submit(0, cost, notify, arrival) {
+                Submitted::Start { class, at } => servers.shared.file(class, at),
+                queued => assert_eq!(queued, Submitted::Queued),
+            }
         }
         assert_eq!(servers.lanes().backlog(0), costs.len(), "the head outlived the submissions");
         servers.close();
@@ -462,7 +438,7 @@ mod tests {
         for k in 1..costs.len() {
             assert_eq!((delays[k - 1].0, delays[k].0), (k - 1, k), "FIFO");
             let gap = delays[k].1 - delays[k - 1].1;
-            let target = unit.mul_f64(costs[k - 1] * stretch).as_secs_f64();
+            let target = costs[k - 1] * unit.as_secs_f64() / 0.25;
             assert!(
                 (gap - target).abs() < 1e-9,
                 "start {k}: {gap} s after the last, target {target} s"
@@ -470,20 +446,42 @@ mod tests {
         }
     }
 
-    /// The Sleep executor with the clock and the thread taken out: the
+    const CLASSES: usize = 5;
+
+    /// Seconds per work unit in the virtual-time model.
+    const UNIT_S: f64 = 20e-6;
+
+    /// A reference job: `(arrival, size)`.
+    struct Ref(f64, f64);
+
+    impl Job for Ref {
+        fn arrival(&self) -> f64 {
+            self.0
+        }
+        fn size(&self) -> f64 {
+            self.1
+        }
+    }
+
+    /// The Sleep executor with the clock and the thread taken out — the
     /// same [`Lanes`] and [`Deadlines`], virtual nanoseconds for time,
-    /// the invariants checked at every step.
+    /// each deadline fired at its due instant — beside the plant the
+    /// lanes must be: a bare `Station` per class in `PinnedRate` mode,
+    /// fed the same arrivals and the floor-clamped share of the same
+    /// weights, its completions fired when the lanes' are. The
+    /// invariants are checked at every step.
     struct Model {
         lanes: Lanes,
-        /// `(class, due as computed at the start, notify)`.
-        deadlines: Deadlines<(usize, u64, CompletionNotify)>,
+        deadlines: Deadlines,
         now: u64,
-        /// Finish deadlines pending per class (the invariant: ≤ 1).
-        pending: Vec<u32>,
-        /// The weights last set, to predict the stretch independently.
-        weights: Vec<f64>,
+        /// The completion filed for each class's request in service
+        /// (the invariant: at most one per class).
+        filed: Vec<Option<f64>>,
+        /// The reference plant and its window tallies.
+        stations: Vec<Station<Ref>>,
+        seq: Seq,
+        tallies: Vec<WindowTally>,
         accepted: u32,
-        last_fired: u64,
         /// `(class, id)` in completion order, written by the callbacks.
         log: Arc<Mutex<Vec<(usize, u32)>>>,
         /// Backlog at the last window close, and arrivals and
@@ -491,117 +489,140 @@ mod tests {
         backlog: Vec<u64>,
         arrivals: u64,
         completions: u64,
+        windows: u64,
     }
 
     impl Model {
-        /// Close a control window and check the per-window conservation
-        /// law: each class's backlog is its backlog at the last close
-        /// plus the window's arrivals less its completions.
+        fn new() -> Self {
+            let station = || Station::new(1.0 / CLASSES as f64, ServiceMode::PinnedRate);
+            Self {
+                lanes: Lanes::new(CLASSES, UNIT_S),
+                deadlines: Deadlines::default(),
+                now: 0,
+                filed: vec![None; CLASSES],
+                stations: (0..CLASSES).map(|_| station()).collect(),
+                seq: Seq::default(),
+                tallies: vec![WindowTally::default(); CLASSES],
+                accepted: 0,
+                log: Arc::default(),
+                backlog: vec![0; CLASSES],
+                arrivals: 0,
+                completions: 0,
+                windows: 0,
+            }
+        }
+
+        fn now_s(&self) -> f64 {
+            self.now as f64 / 1e9
+        }
+
+        /// Close a control window and check it against the reference's,
+        /// and the per-window conservation law: each class's backlog is
+        /// its backlog at the last close plus the window's arrivals less
+        /// its completions.
         fn close_window(&mut self) {
-            let obs = self.lanes.close_window(1.0);
+            let (index, now) = (self.windows, self.now_s());
+            let obs = self.lanes.close_window(index, 0.0, now);
+            let reference = self.tallies.iter_mut().zip(&self.stations);
+            let reference = reference.map(|(t, s)| (std::mem::take(t), s.backlog()));
+            let expected = WindowObservation::from_tallies(index, 0.0, now, UNIT_S, reference);
+            assert_eq!(obs, expected, "window {index}");
             for (class, (&now, &last)) in obs.backlog.iter().zip(&self.backlog).enumerate() {
                 assert_eq!(now, last + obs.arrivals[class] - obs.completions[class], "{class}");
             }
             self.arrivals += obs.arrivals.iter().sum::<u64>();
             self.completions += obs.completions.iter().sum::<u64>();
             self.backlog = obs.backlog;
+            self.windows += 1;
         }
 
         fn submit(&mut self, raw_class: usize, cost: f64) {
-            let (log, id) = (Arc::clone(&self.log), self.accepted);
-            let class = raw_class.min(self.pending.len() - 1);
+            let (log, id, now) = (Arc::clone(&self.log), self.accepted, self.now_s());
+            let class = raw_class.min(CLASSES - 1);
             let done = move |_| log.lock().push((class, id));
-            let req = QueuedRequest {
-                class: raw_class, // clamped by the lanes
-                cost,
-                enqueued: Instant::now(),
-                notify: CompletionNotify::Callback(Box::new(done)),
-            };
-            match self.lanes.submit(req) {
+            let notify = CompletionNotify::Callback(Box::new(done));
+            // The lanes clamp the class.
+            match self.lanes.submit(raw_class, cost, notify, now) {
                 Submitted::Rejected => panic!("open lanes accept"),
-                Submitted::Queued => assert_eq!(self.pending[class], 1, "queued behind a head"),
-                Submitted::Start(req) => self.start(req),
+                Submitted::Queued => assert!(self.filed[class].is_some(), "queued behind a head"),
+                Submitted::Start { class, at } => self.file(class, at),
             }
+            self.stations[class].arrive(Ref(now, cost * UNIT_S), &mut self.seq);
+            self.tallies[class].arrive(cost);
             self.accepted += 1;
         }
 
-        fn start(&mut self, req: QueuedRequest) {
-            // 1/share, share floored at MIN_SHARE, capped at MAX_STRETCH
-            // — from the weights in force now, whatever they were when
-            // the request was queued.
-            let floor = |w: f64| w.max(1e-6);
-            let total: f64 = self.weights.iter().map(|&w| floor(w)).sum();
-            let want = (total / floor(self.weights[req.class])).min(100.0);
-            let stretch = self.lanes.stretch(req.class);
-            assert!((stretch - want).abs() <= 1e-9 * want, "stretch {stretch} vs {want}");
-            let due = on_grid(self.now + (req.cost * stretch * 20_000.0) as u64);
-            self.pending[req.class] += 1;
-            assert_eq!(self.pending[req.class], 1, "one pending finish per class");
-            self.deadlines.insert(due, (req.class, due, req.notify));
+        fn set_weights(&mut self, weights: &[f64]) {
+            self.lanes.set_weights(weights, self.now_s());
+            let total: f64 = weights.iter().sum();
+            for (station, &w) in self.stations.iter_mut().zip(weights) {
+                station.set_rate((w / total).max(0.01), self.now as f64 / 1e9, &mut self.seq);
+            }
         }
 
+        fn file(&mut self, class: usize, at: f64) {
+            assert!(self.filed[class].replace(at).is_none(), "one pending finish per class");
+            self.deadlines.insert(on_grid(nanos(at)), class);
+        }
+
+        /// Run to `to`, firing each deadline at its due instant; the
+        /// reference departs the same request at the same instant.
         fn advance(&mut self, to: u64) {
-            self.now = to;
-            while let Some((class, due, notify)) = self.deadlines.pop_due(self.now) {
-                assert!(due <= self.now, "fired before due");
-                assert!(due >= self.last_fired, "fired out of deadline order");
-                self.last_fired = due;
-                self.pending[class] -= 1;
-                let done = Completion { delay_s: 0.0, service_s: 1.0 };
-                let next = self.lanes.finish(class, &done);
-                notify.deliver(done);
-                if let Some(next) = next {
-                    self.start(next);
+            while let Some(due) = self.deadlines.next_due().filter(|&due| due <= to) {
+                assert!(due >= self.now, "fired out of deadline order");
+                self.now = due;
+                while let Some(class) = self.deadlines.pop_due(self.now) {
+                    let (departure, now) = (self.filed[class].take().unwrap(), self.now_s());
+                    let (departed, delivered) = (departure * 1e9, self.now as f64);
+                    assert!(
+                        departed <= delivered && delivered <= departed + GRID_NANOS as f64,
+                        "class {class} departed at {departed} ns, delivered at {delivered} ns"
+                    );
+                    let reference = &mut self.stations[class];
+                    assert_eq!(reference.completion().0, departure, "the plant's departure");
+                    let (job, start) = reference.depart(departure);
+                    let done = Completion { delay_s: start - job.0, service_s: now - start };
+                    self.tallies[class].depart(done.slowdown());
+                    reference.start_next(departure, &mut self.seq);
+                    if let Some(at) = self.lanes.finish(class, now) {
+                        self.file(class, at);
+                    }
                 }
             }
-            assert!(self.deadlines.next_due().is_none_or(|d| d > self.now));
+            self.now = to;
         }
     }
 
+    /// The lanes and deadlines against the bare plant, on 8 seeds of
+    /// ≥ 3 000 submitted requests each, weight changes (zero, starved
+    /// and ordinary weights alike) and window closes in between: the
+    /// same departure instants, each delivered within one grid step of
+    /// its departure, and the same windows.
     #[test]
     fn seeded_schedules_keep_the_task_server_invariants() {
-        const CLASSES: usize = 5;
         for seed in 0..8u64 {
             let mut rng = Xoshiro256pp::seed_from(seed);
             let mut draw = |k: usize| (rng.next_f64() * k as f64) as usize;
-            let mut m = Model {
-                lanes: Lanes::new(CLASSES),
-                deadlines: Deadlines::default(),
-                now: 0,
-                pending: vec![0; CLASSES],
-                weights: vec![1.0; CLASSES],
-                accepted: 0,
-                last_fired: 0,
-                log: Arc::default(),
-                backlog: vec![0; CLASSES],
-                arrivals: 0,
-                completions: 0,
-            };
-            for _ in 0..3_000 {
+            let mut m = Model::new();
+            while m.accepted < 3_000 {
                 match draw(10) {
                     0..=4 => m.submit(draw(CLASSES + 1), 0.5 + draw(4) as f64), // incl. out of range
                     5..=7 => m.advance(m.now + draw(300_000) as u64),
                     8 => {
-                        // Zero, starved and ordinary weights alike; what
-                        // is already filed does not move.
-                        m.weights =
+                        let weights: Vec<f64> =
                             (0..CLASSES).map(|_| [0.0, 1e-5, 0.3, 1.0, 4.0][draw(5)]).collect();
-                        m.lanes.set_weights(&m.weights);
+                        m.set_weights(&weights);
                     }
                     _ => {
-                        assert!(m.lanes.in_flight() >= m.pending.iter().sum::<u32>() as usize);
+                        let pending = m.filed.iter().flatten().count();
+                        assert!(m.lanes.in_flight() >= pending);
                         m.close_window();
                     }
                 }
             }
             m.lanes.close();
-            let late = QueuedRequest {
-                class: 0,
-                cost: 1.0,
-                enqueued: Instant::now(),
-                notify: CompletionNotify::None,
-            };
-            assert!(matches!(m.lanes.submit(late), Submitted::Rejected), "closed lanes refuse");
+            let refused = m.lanes.submit(0, 1.0, CompletionNotify::None, m.now_s());
+            assert_eq!(refused, Submitted::Rejected, "closed lanes refuse");
             while let Some(due) = m.deadlines.next_due() {
                 assert!(!m.lanes.all_drained());
                 m.advance(due);
