@@ -165,10 +165,13 @@ impl Lanes {
     /// `class`'s request in service departs at its station's armed
     /// completion, its receipt's service time running to `now` (when the
     /// executor fired it), and the station starts its next request
-    /// there. The departure is tallied, then its submitter is told,
-    /// outside the lock — in that order, so the departure is counted
-    /// before anyone can act on its reply. Returns when the next request
-    /// completes, if one started.
+    /// there. The receipt's service time — and with it the slowdown the
+    /// ledger, `/metrics` and the controller read — is therefore the
+    /// station's stretched service `X/r_i` plus the executor's wakeup
+    /// lateness, and nothing more. The departure is tallied, then its
+    /// submitter is told, outside the lock — in that order, so the
+    /// departure is counted before anyone can act on its reply. Returns
+    /// when the next request completes, if one started.
     pub(crate) fn finish(&self, class: usize, now: f64) -> Option<f64> {
         let (notify, done, next) = {
             let Lane { station, seq, ledger } = &mut *self.lanes[class].lock();

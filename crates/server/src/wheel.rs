@@ -14,8 +14,11 @@
 //!  deliver CompletionNotify, file the next completion
 //! ```
 //!
-//! The departure is tallied before the submitter hears of it, so every
-//! reply a client holds is already counted in `PsdServer::stats`.
+//! Each armed completion is filed at the first nanosecond at or after
+//! it, the same for both workloads, so a reply leaves when its stretched
+//! service ends, late only by the executor's wakeup. The departure is
+//! tallied before the submitter hears of it, so every reply a client
+//! holds is already counted in `PsdServer::stats`.
 //!
 //! The [`Workload`] decides how the wait is spent. Sleep service is
 //! pure waiting, so one timer thread serves every class, parked until
@@ -41,20 +44,10 @@ use crate::queues::{CompletionNotify, Lanes, Submitted};
 use crate::server::Workload;
 use crate::timing;
 
-/// Sleep finish times are rounded **up** to this grid (50 µs), so a
-/// completion is delivered at most one step late (≈ 25 µs on average);
-/// the class's next service still starts at the unrounded completion
-/// (`Lanes::finish`). It stays only because of the benchmark's RSS
-/// instrument: with the timer slack gone, dropping the grid as
-/// well took `http-keepalive-epoll` p50 121 → 61 µs and goodput +49 %,
-/// and the generator's per-request sample log turned that into
-/// `peak_rss_mb` +31 % against a 0.15 bound (ROADMAP items 1a and 2).
-const GRID_NANOS: u64 = 50_000;
-
 /// Pending finish deadlines, earliest first (filing order among
-/// equals): `(due, class)`, due in whatever unit the caller counts in
-/// (the executor: nanoseconds since its epoch). A sorted queue, not a
-/// heap: a station has one request in service, so it never holds more
+/// equals): `(due, class)`, due in whatever unit `insert`'s caller
+/// counts in (`file`: nanoseconds since the epoch). A sorted queue, not
+/// a heap: a station has one request in service, so it never holds more
 /// entries than there are classes, and it keeps its capacity, so steady
 /// state allocates nothing.
 #[derive(Default)]
@@ -63,6 +56,16 @@ struct Deadlines {
 }
 
 impl Deadlines {
+    /// File `class`'s completion, due at `at` seconds since the epoch,
+    /// at the first nanosecond at or after it. `true` if it is now the
+    /// earliest, so a thread parked on the store must re-aim.
+    fn file(&mut self, at: f64, class: usize) -> bool {
+        let due = nanos(at);
+        let earlier = self.next_due().is_none_or(|d| due < d);
+        self.insert(due, class);
+        earlier
+    }
+
     fn insert(&mut self, due: u64, class: usize) {
         let at = self.queue.partition_point(|entry| entry.0 <= due);
         self.queue.insert(at, (due, class));
@@ -84,11 +87,6 @@ impl Deadlines {
 /// The first nanosecond at or after `at` seconds.
 fn nanos(at: f64) -> u64 {
     (at * 1e9).ceil() as u64
-}
-
-/// `finish` (nanoseconds) rounded up to the grid.
-fn on_grid(finish_ns: u64) -> u64 {
-    finish_ns.next_multiple_of(GRID_NANOS)
 }
 
 /// One executor thread's deadline store (nanoseconds since
@@ -202,23 +200,19 @@ impl Shared {
     }
 
     /// File `class`'s completion, due at `at` seconds, with the executor
-    /// that will notice it: at its true time, no early aim (the timer
-    /// thread has no slack to cancel, see `timing`), rounded up to the
-    /// grid under Sleep (`GRID_NANOS`). The stretched time behind `at`
-    /// is the paper's rate-scaled `X/r_i`, which makes the recorded
-    /// slowdown exactly `W/(X/r_i)`.
+    /// that will notice it: at the first nanosecond at or after `at`, no
+    /// early aim (the timer thread has no slack to cancel, see
+    /// `timing`). The stretched time behind `at` is the paper's
+    /// rate-scaled `X/r_i`. The receipt's service time runs to the fire
+    /// (`Lanes::finish`), so the recorded slowdown is `W/(X/r_i)` up to
+    /// the executor's wakeup lateness.
     fn file(&self, class: usize, at: f64) {
-        let (exec, due) = match self.workload {
-            Workload::Sleep => (&self.executors[0], on_grid(nanos(at))),
-            Workload::Spin => (&self.executors[class], nanos(at)),
+        let exec = match self.workload {
+            Workload::Sleep => &self.executors[0],
+            Workload::Spin => &self.executors[class],
         };
         exec.stats.scheduled.fetch_add(1, Ordering::Relaxed);
-        let wake = {
-            let mut st = exec.state.lock();
-            let earlier = st.next_due().is_none_or(|d| due < d);
-            st.insert(due, class);
-            earlier
-        };
+        let wake = exec.state.lock().file(at, class);
         if wake {
             exec.alarm.notify_one();
         }
@@ -313,9 +307,6 @@ mod tests {
 
     #[test]
     fn past_deadlines_round_up_to_the_next_tick() {
-        assert_eq!(on_grid(1), GRID_NANOS);
-        assert_eq!(on_grid(GRID_NANOS), GRID_NANOS, "already on the grid");
-        assert_eq!(on_grid(GRID_NANOS + 1), 2 * GRID_NANOS);
         assert_eq!((nanos(1e-9), nanos(1.5e-9), nanos(2.0)), (1, 2, 2_000_000_000));
         // A deadline already in the past when filed fires at the next pop.
         let mut d = Deadlines::default();
@@ -405,19 +396,19 @@ mod tests {
     }
 
     /// A request that queued starts service at its predecessor's
-    /// completion, not when the timer thread noticed it (the grid plus
-    /// the wakeup latency later): back to back, each start is exactly
-    /// the previous start plus the previous stretched target, so the
-    /// executor's lateness never eats into the class's rate.
+    /// completion, not when the timer thread noticed it (its wakeup
+    /// latency later): back to back, each start is exactly the previous
+    /// start plus the previous stretched target, so the executor's
+    /// lateness never eats into the class's rate.
     #[test]
     fn queued_service_starts_at_its_predecessors_finish() {
         let unit = Duration::from_micros(20);
         let servers = TaskServers::start(2, unit, Workload::Sleep);
         servers.set_weights(&[1.0, 3.0]);
         // Class 0 runs at rate 1/4. A 50 ms head holds the lane while 19
-        // short requests (20–80 µs, off the 50 µs grid) queue behind it,
-        // all arrived at once — so the gaps between their queueing
-        // delays are the gaps between their starts.
+        // short requests (20–80 µs) queue behind it, all arrived at once
+        // — so the gaps between their queueing delays are the gaps
+        // between their starts.
         let costs: Vec<f64> =
             std::iter::once(625.0).chain((0..19).map(|i| 0.25 * f64::from(1 + i % 4))).collect();
         let arrival = servers.shared.now();
@@ -482,8 +473,9 @@ mod tests {
         seq: Seq,
         tallies: Vec<WindowTally>,
         accepted: u32,
-        /// `(class, id)` in completion order, written by the callbacks.
-        log: Arc<Mutex<Vec<(usize, u32)>>>,
+        /// `(class, id, service_s)` in completion order, written by the
+        /// callbacks.
+        log: Arc<Mutex<Vec<(usize, u32, f64)>>>,
         /// Backlog at the last window close, and arrivals and
         /// completions summed over every closed window.
         backlog: Vec<u64>,
@@ -539,7 +531,7 @@ mod tests {
         fn submit(&mut self, raw_class: usize, cost: f64) {
             let (log, id, now) = (Arc::clone(&self.log), self.accepted, self.now_s());
             let class = raw_class.min(CLASSES - 1);
-            let done = move |_| log.lock().push((class, id));
+            let done = move |c: Completion| log.lock().push((class, id, c.service_s));
             let notify = CompletionNotify::Callback(Box::new(done));
             // The lanes clamp the class.
             match self.lanes.submit(raw_class, cost, notify, now) {
@@ -562,21 +554,24 @@ mod tests {
 
         fn file(&mut self, class: usize, at: f64) {
             assert!(self.filed[class].replace(at).is_none(), "one pending finish per class");
-            self.deadlines.insert(on_grid(nanos(at)), class);
+            self.deadlines.file(at, class);
         }
 
-        /// Run to `to`, firing each deadline at its due instant; the
-        /// reference departs the same request at the same instant.
+        /// Run to `to`, firing each deadline at its due instant: the
+        /// first nanosecond at or after its departure, with the
+        /// station's stretched service on its receipt. The reference
+        /// departs the same request at the same instant.
         fn advance(&mut self, to: u64) {
             while let Some(due) = self.deadlines.next_due().filter(|&due| due <= to) {
                 assert!(due >= self.now, "fired out of deadline order");
                 self.now = due;
                 while let Some(class) = self.deadlines.pop_due(self.now) {
                     let (departure, now) = (self.filed[class].take().unwrap(), self.now_s());
-                    let (departed, delivered) = (departure * 1e9, self.now as f64);
-                    assert!(
-                        departed <= delivered && delivered <= departed + GRID_NANOS as f64,
-                        "class {class} departed at {departed} ns, delivered at {delivered} ns"
+                    assert_eq!(
+                        self.now,
+                        nanos(departure),
+                        "class {class} departed at {departure} s, delivered at {} ns",
+                        self.now
                     );
                     let reference = &mut self.stations[class];
                     assert_eq!(reference.completion().0, departure, "the plant's departure");
@@ -587,6 +582,13 @@ mod tests {
                     if let Some(at) = self.lanes.finish(class, now) {
                         self.file(class, at);
                     }
+                    let (logged, _, service_s) = *self.log.lock().last().unwrap();
+                    let stretched = departure - start;
+                    assert_eq!(logged, class, "the receipt just delivered");
+                    assert!(
+                        (service_s - stretched).abs() <= 1e-9,
+                        "class {class}: receipt service {service_s} s, stretched {stretched} s"
+                    );
                 }
             }
             self.now = to;
@@ -596,8 +598,9 @@ mod tests {
     /// The lanes and deadlines against the bare plant, on 8 seeds of
     /// ≥ 3 000 submitted requests each, weight changes (zero, starved
     /// and ordinary weights alike) and window closes in between: the
-    /// same departure instants, each delivered within one grid step of
-    /// its departure, and the same windows.
+    /// same departure instants, each delivered at the first nanosecond
+    /// at or after its departure with the stretched service on its
+    /// receipt, and the same windows.
     #[test]
     fn seeded_schedules_keep_the_task_server_invariants() {
         for seed in 0..8u64 {
