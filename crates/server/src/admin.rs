@@ -288,7 +288,11 @@ fn prom_text(server: &PsdServer, info: &AdminInfo<'_>) -> String {
 
     if let Some((wheel, in_flight)) = server.wheel_stats() {
         use std::sync::atomic::Ordering::Relaxed;
-        w.help("psd_wheel_wakeups_total", "counter", "Timer thread wakeups.");
+        w.help(
+            "psd_wheel_wakeups_total",
+            "counter",
+            "Deadline-store wakeups: timer thread waits, plus claiming reactor turns that fired.",
+        );
         w.sample("psd_wheel_wakeups_total", &[], wheel.wakeups.load(Relaxed) as f64);
         w.help("psd_wheel_fires_total", "counter", "Virtual-finish deadlines fired.");
         w.sample("psd_wheel_fires_total", &[], wheel.fires.load(Relaxed) as f64);

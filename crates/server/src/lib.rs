@@ -19,6 +19,8 @@
 //!                         │      │   fd assignment, sans-io codec, pooled     │
 //!                         │      │   buffers, coarse cached clock, coalesced  │
 //!                         │      │   eventfd completions — on an epoll driver │
+//!                         │      │   (epoll_pwait2); shard 0 fires the Sleep  │
+//!                         │      │   deadlines in its own loop                │
 //!                         │      │ uring: the same loop on an io_uring driver │
 //!                         │      │   — multishot accept, registered fixed     │
 //!      GET /metrics       │      │   buffers, reads/writes/doorbell batched   │
@@ -49,7 +51,9 @@
 //!             │  │   · ledger, under one lock, clock-free            │  │
 //!             │  │ one request per class in service, stretched 1/r_i │  │
 //!             │  │ its armed completion → a finish deadline:         │  │
-//!             │  │   Sleep: one timer thread                         │  │
+//!             │  │   Sleep: one store, fired by reactor shard 0's    │  │
+//!             │  │     loop while it holds the claim, else by one    │  │
+//!             │  │     timer thread                                  │  │
 //!             │  │   Spin:  the class's own thread burns the time    │  │
 //!             │  └───────────────────────────────────────────────────┘  │
 //!             │  the ledger counts under the lane lock: submit → an     │
@@ -72,7 +76,8 @@
 //! Requests carry a *cost* (work units), scaled by a configurable
 //! work-unit duration so tests stay fast. A class executes one request
 //! at a time for `cost × work_unit / r_i`: under [`Workload::Sleep`]
-//! that is pure waiting — a finish deadline fired by one timer thread,
+//! that is pure waiting — a finish deadline fired by the reactor's shard
+//! 0 in its own event loop, or by one timer thread when no reactor runs,
 //! no thread blocked per request — and under [`Workload::Spin`] the
 //! class's own thread burns it on a CPU.
 //!
@@ -82,10 +87,11 @@
 //! standalone `benchmark/` crate (see its README); nothing here is a
 //! claim beyond what it reports. Two structural numbers are pinned by
 //! tests in this crate: the io_uring driver spends **half the I/O-plane
-//! syscalls per request** of the epoll driver (4.0 vs 8.0, metered by
+//! syscalls per request** of the epoll driver (3.0 vs 6.0 on shard 0,
+//! which fires the deadlines in its own loop; metered by
 //! `polling::count`, exported as `psd_reactor_syscalls_total`, gated by
 //! `tests/syscall_gate.rs`) because reads, writes, the multishot accept
-//! and the completion doorbell ride one batched `io_uring_enter` per
+//! and the deadline's timeout ride one batched `io_uring_enter` per
 //! loop turn; and steady-state request handling performs ~3 heap
 //! allocations end to end (`tests/reactor_alloc.rs`, counting
 //! allocator).

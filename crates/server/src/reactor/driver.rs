@@ -57,6 +57,11 @@ pub(super) trait Driver {
     /// error means the backend is gone and the loop exits.
     fn wait(&mut self, timeout: Duration) -> io::Result<()>;
 
+    /// Whether [`Driver::wait`] ends at its timeout to the nanosecond,
+    /// never early. Only then may the loop fire task-server deadlines
+    /// by bounding its wait with them.
+    fn precise_timeouts(&self) -> bool;
+
     /// Next event harvested by the last [`Driver::wait`], `None` when
     /// the turn's events are exhausted. Events for connections already
     /// handed to [`Driver::close`] never surface.

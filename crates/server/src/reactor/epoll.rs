@@ -3,10 +3,13 @@
 //! made here, on the loop thread, and metered through
 //! [`polling::count`].
 //!
-//! Per keep-alive request the sequence is `epoll_wait`, `read`,
-//! `epoll_ctl DEL` (park), `epoll_wait` + eventfd `read` (the PSD
-//! completion doorbell), `write`, `epoll_ctl ADD` — eight with the
-//! executor's eventfd `write`, pinned by `tests/syscall_gate.rs`.
+//! Per keep-alive request on the shard that fires the Sleep deadlines
+//! (shard 0) the sequence is `epoll_pwait2`, `read`, `epoll_ctl DEL`
+//! (park), `epoll_pwait2` (its timeout is the deadline), `write`,
+//! `epoll_ctl ADD` — six, pinned by `tests/syscall_gate.rs`. On the
+//! other shards the completion still arrives through the mailbox: the
+//! firing thread's eventfd `write`, and an eventfd `read` after the
+//! second wait, make eight.
 
 use std::io::{self, Read};
 use std::net::{TcpListener, TcpStream};
@@ -95,6 +98,12 @@ impl Driver for EpollDriver {
     fn wait(&mut self, timeout: Duration) -> io::Result<()> {
         self.cursor = 0;
         self.shared.poller.wait(&mut self.events, Some(timeout)).map(|_| ())
+    }
+
+    /// `epoll_pwait2` where the kernel allows it; `epoll_wait`'s
+    /// milliseconds are not.
+    fn precise_timeouts(&self) -> bool {
+        self.shared.poller.precise_timeouts()
     }
 
     fn next_event(&mut self) -> Option<IoEvent> {

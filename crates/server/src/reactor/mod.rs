@@ -10,22 +10,23 @@
 //!
 //! ```text
 //!            ┌─ Shard<D> 0 (its driver owns the listener) ───────────────┐
-//!            │ I/O events ▶ handoffs ▶ PSD completions ▶ idle sweep      │
+//!            │ wait ≤ min(TICK, next deadline) ▶ I/O events ▶ deadlines  │
+//!            │   ▶ handoffs ▶ PSD completions ▶ idle sweep               │
 //!  accept ──▶│   round-robin: keep conn, or hand stream to shard k ──────┼──┐
 //!            │   Reading ─▶ codec ─▶ route ─▶ submit_async ──────────────┼──┼─▶ class lane
-//!            │   Waiting (parked) ◀─ mailbox ◀─ doorbell ◀───────────────┼◀─┼──────┘
-//!            │   Flushing ─▶ keep-alive (pipelined pickup) or close      │  │ task server
-//!            ├───────────────────────────────────────────────────────────┤  │ callback:
-//!            │ D: Driver   wait · next_event · accept · open · read ·    │  │ mailbox.push
-//!            │             arm_read · park · flush · close               │  │ + eventfd ring
-//!            │   EpollDriver  epoll_wait, read(2)/write(2)/accept(2),    │  │ (coalesced)
-//!            │                interest = phase, parked = deregistered    │  │
-//!            │   UringDriver  one io_uring_enter per turn, fixed-buffer  │  │
-//!            │                SQEs, multishot accept, in-ring doorbell,  │  │
-//!            │                close = cancel + wait out the CQEs         │  │
+//!            │   Waiting (parked) ◀─ mailbox ◀─ fires its own deadlines  │  │ (Sleep: the
+//!            │   Flushing ─▶ keep-alive (pipelined pickup) or close      │  │ deadline store
+//!            ├───────────────────────────────────────────────────────────┤  │ claimed by
+//!            │ D: Driver   wait · next_event · accept · open · read ·    │  │ shard 0)
+//!            │             arm_read · park · flush · close               │  │ fire → callback:
+//!            │   EpollDriver  epoll_pwait2, read(2)/write(2)/accept(2),  │  │ mailbox.push
+//!            │                interest = phase, parked = deregistered    │  │ + eventfd ring
+//!            │   UringDriver  one io_uring_enter per turn, fixed-buffer  │  │ (coalesced; none
+//!            │                SQEs, multishot accept, in-ring doorbell,  │  │ from shard 0's
+//!            │                close = cancel + wait out the CQEs         │  │ own loop)
 //!            └───────────────────────────────────────────────────────────┘  │
 //!            ┌─ Shard<D> 1..N-1 ─────────────────────────────────────────┐  │
-//!            │ same loop, same driver type, own mailbox ◀── inbox ◀──────┼──┘
+//!            │ same loop, same driver type, own mailbox ◀── doorbell ◀───┼──┘
 //!            └───────────────────────────────────────────────────────────┘
 //! ```
 //!
@@ -33,21 +34,33 @@
 //! connection table, its completion mailbox, its buffer pool and its
 //! scratch vectors. The only cross-shard state is the global live
 //! connection counter (for the `max_connections` cap) and the one-way
-//! stream handoff inboxes filled by the accepting shard. Task servers
-//! reply through the owning shard's mailbox; the eventfd ring is
-//! **coalesced** — a completion only writes the eventfd when it is the
-//! first into an empty mailbox, so a burst of completions costs one
-//! wakeup, not one syscall each.
+//! stream handoff inboxes filled by the accepting shard.
 //!
-//! Each loop turn reads the clock **once** and stamps everything it
-//! handles with it (the coarse cached clock); per-connection idle
-//! bookkeeping never calls `clock_gettime` itself.
+//! Who fires a Sleep deadline: shard 0 claims the task servers' one
+//! deadline store when its loop starts (if its driver's waits end on
+//! time to the nanosecond) and releases it when the loop exits. Each of
+//! its turns waits at most until the next deadline and fires what is
+//! due after the I/O events, so a reply to one of its own connections
+//! leaves from the thread that parked it, in the turn its deadline
+//! fires, with no eventfd write and no second wait. A submit on another
+//! shard that files a new earliest deadline rings shard 0's poller.
+//! Completions for other shards' connections, and every completion
+//! while the timer thread holds the store, reply through the owning
+//! shard's mailbox; the eventfd ring is **coalesced** — a completion
+//! only writes the eventfd when it is the first into an empty mailbox,
+//! so a burst of completions costs one wakeup, not one syscall each.
+//!
+//! Each loop turn reads the clock **once** (twice if it fired
+//! deadlines) and stamps everything it handles with it (the coarse
+//! cached clock); per-connection idle bookkeeping never calls
+//! `clock_gettime` itself.
 
 mod driver;
 mod epoll;
 mod shard;
 mod uring;
 
+use std::cell::Cell;
 use std::io;
 use std::net::{TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
@@ -67,8 +80,9 @@ use epoll::EpollDriver;
 use shard::Shard;
 use uring::UringDriver;
 
-/// Event-loop tick: upper bound on idle-sweep latency and stop-flag
-/// latency (wakeups via the eventfd make the common paths immediate).
+/// Event-loop tick: upper bound on a turn's wait, so on idle-sweep
+/// latency and stop-flag latency (wakeups via the eventfd, and the next
+/// deadline on the shard that fires them, end a wait sooner).
 pub(crate) const TICK: Duration = Duration::from_millis(100);
 
 /// During a drain, how long a mid-request connection may go without
@@ -125,7 +139,10 @@ impl Shared {
 
     /// Post a completion for `key` and ring the shard's eventfd only if
     /// the mailbox was empty — completions arriving while a wakeup is
-    /// already pending coalesce into the same poller wake.
+    /// already pending coalesce into the same poller wake — and the
+    /// caller is not the shard's own loop. That loop posts only while it
+    /// fires deadlines, which precedes its mailbox drain in the same
+    /// turn: a ring would only cost an eventfd write and a second wait.
     pub(crate) fn post_completion(&self, key: usize, done: Completion) {
         let was_empty = {
             let mut mb = self.mailbox.lock();
@@ -133,10 +150,16 @@ impl Shared {
             mb.push((key, done));
             was_empty
         };
-        if was_empty {
+        if was_empty && !std::ptr::eq(LOOP.get(), self) {
             let _ = self.poller.notify();
         }
     }
+}
+
+thread_local! {
+    /// The shard whose loop runs on this thread, if any (the address of
+    /// its [`Shared`]; set by the loop, compared by `post_completion`).
+    pub(crate) static LOOP: Cell<*const Shared> = const { Cell::new(std::ptr::null()) };
 }
 
 /// A running reactor front-end. Created through

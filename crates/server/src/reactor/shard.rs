@@ -13,7 +13,10 @@
 //!   nothing. Pipelined bytes stay in the kernel socket buffer (natural
 //!   TCP backpressure, like the blocked thread of the
 //!   thread-per-connection engine). The task server's completion
-//!   callback posts into this shard's mailbox and rings its doorbell.
+//!   callback posts into this shard's mailbox and rings its doorbell —
+//!   unless this shard fired the deadline itself (shard 0 holds the
+//!   Sleep deadline store), in which case the post is answered later in
+//!   the same turn and rings nothing.
 //! * `Flushing` — the driver drains [`WriteBuf`], resuming at the exact
 //!   byte offset after every short write; then back to `Reading`
 //!   (keep-alive, picking up a pipelined request already buffered) or
@@ -28,12 +31,17 @@
 //! queue, which is the thing under test.
 //!
 //! One loop turn, in this order on every driver: wait (the turn's one
-//! blocking call), read the clock once, handle I/O events, adopt
-//! handed-off streams, answer PSD completions, sweep idle connections.
-//! The inbox and mailbox drains come *after* the I/O events because a
-//! completion driver consumes the doorbell while reaping them: a ring
-//! that lands mid-turn is then still followed by a drain in the same
-//! turn, instead of waiting out the next tick with its doorbell spent.
+//! blocking call, at most [`TICK`] and, on the shard holding the
+//! deadline store, at most until the next deadline), read the clock
+//! once, handle I/O events, fire the deadlines due (that shard only;
+//! the clock is read again if any fired), adopt handed-off streams,
+//! answer PSD completions, sweep idle connections. The inbox and
+//! mailbox drains come *after* the I/O events because a completion
+//! driver consumes the doorbell while reaping them: a ring that lands
+//! mid-turn is then still followed by a drain in the same turn, instead
+//! of waiting out the next tick with its doorbell spent. The fires come
+//! before the mailbox drain so that their completions are answered in
+//! the turn they fire.
 //!
 //! Allocation discipline: the loop owns every scratch buffer it uses
 //! (drained completions, handed-off streams, expiry key
@@ -55,10 +63,11 @@ use crate::httplite::{
     bad_request, keeps_alive, record_span, route, service_unavailable, write_ok_response, Routed,
 };
 use crate::server::{Completion, PsdServer};
-use crate::FrontendConfig;
+use crate::wheel::DeadlineClaim;
+use crate::{timing, FrontendConfig};
 
 use super::driver::{Driver, Flush, IoEvent};
-use super::{Shared, DRAIN_GRACE, TICK};
+use super::{Shared, DRAIN_GRACE, LOOP, TICK};
 
 /// How many retired (codec, write) buffer pairs a shard keeps for
 /// reuse by future connections.
@@ -138,6 +147,8 @@ impl<D: Driver> Shard<D> {
     }
 
     pub(super) fn run(&mut self) {
+        LOOP.set(Arc::as_ptr(&self.shared));
+        let mut claim = self.claim_deadlines();
         // Loop-owned scratch, swapped with the shared vectors and
         // drained, handing the capacity back and forth.
         let mut completions: Vec<(usize, Completion)> = Vec::new();
@@ -149,7 +160,10 @@ impl<D: Driver> Shard<D> {
                     break;
                 }
             }
-            if self.driver.wait(TICK).is_err() {
+            // The wait ends by the next deadline, if this loop fires them.
+            let due = claim.as_ref().and_then(|c| c.next_due());
+            let timeout = due.map_or(TICK, |due| due.saturating_duration_since(Instant::now()));
+            if self.driver.wait(timeout.min(TICK)).is_err() {
                 break; // backend gone: nothing recoverable
             }
             // One clock read per turn: everything handled below is
@@ -163,6 +177,13 @@ impl<D: Driver> Shard<D> {
             }
             if events > 0 {
                 self.shared.stats.events.fetch_add(events, Ordering::Relaxed);
+            }
+            // Deadlines due by now: their completions post into the
+            // mailboxes, this shard's without a ring, so the drain below
+            // answers them in this turn. The clock moves past them, so
+            // their spans' totals cover their service.
+            if claim.as_mut().is_some_and(|c| c.fire_due() > 0) {
+                self.now = Instant::now();
             }
             // Handed-off streams from the accepting shard.
             std::mem::swap(&mut self.shared.inbox.lock().streams, &mut streams);
@@ -180,7 +201,26 @@ impl<D: Driver> Shard<D> {
             self.sweep_idle();
             self.driver.end_turn();
         }
+        // Released before the exit report: the timer thread fires what
+        // other shards still wait for.
+        drop(claim);
         self.exit();
+    }
+
+    /// Shard 0 fires the Sleep task servers' deadlines itself when its
+    /// driver's waits end on time: it claims the store, and turns its
+    /// own timer slack down as the timer thread does. `None` on other
+    /// shards, under Spin, or when another front end holds the store.
+    fn claim_deadlines(&self) -> Option<DeadlineClaim> {
+        if self.self_index != 0 || !self.driver.precise_timeouts() {
+            return None;
+        }
+        let shared = Arc::clone(&self.shared);
+        let claim = self.server.claim_deadlines(Arc::new(move || {
+            let _ = shared.poller.notify();
+        }))?;
+        timing::precise_timers();
+        Some(claim)
     }
 
     /// Loop exit: hand what is left to the driver (whose own drop
@@ -489,6 +529,9 @@ mod tests {
 
         fn wait(&mut self, _: Duration) -> io::Result<()> {
             Ok(())
+        }
+        fn precise_timeouts(&self) -> bool {
+            true
         }
         fn next_event(&mut self) -> Option<IoEvent> {
             None

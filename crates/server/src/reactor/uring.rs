@@ -9,17 +9,19 @@
 //!   `write(2)` at all. A closed connection's slot is reused with its
 //!   registration, so a shard pins about 20 KiB per live connection
 //!   (one 16 KiB slot, unaligned) at its peak, and nothing up front.
-//! * Task-server completions still land in the shard mailbox, but the
-//!   eventfd ring is observed by an in-ring **doorbell read** armed on
-//!   the poller's notify fd — the wakeup folds into the same
-//!   `io_uring_enter` wait as every other completion instead of
-//!   costing an `epoll_wait` + `read` round-trip.
+//! * Task-server completions still land in the shard mailbox. On the
+//!   shard that fires the Sleep deadlines they land from its own loop
+//!   and ring nothing; on the others the eventfd ring is observed by an
+//!   in-ring **doorbell read** armed on the poller's notify fd — the
+//!   wakeup folds into the same `io_uring_enter` wait as every other
+//!   completion instead of costing an `epoll_wait` + `read` round-trip.
 //!
 //! Everything a loop turn queued — accept re-arms, reads, response
 //! writes, cancels, the doorbell — is flushed by **one**
-//! `io_uring_enter` in the next [`Driver::wait`]: four syscalls per
-//! keep-alive request with the executor's eventfd `write`, against
-//! epoll's eight (`tests/syscall_gate.rs` pins both).
+//! `io_uring_enter` in the next [`Driver::wait`], whose `EXT_ARG`
+//! timeout is the next deadline: three syscalls per keep-alive request
+//! on the deadline-firing shard, against epoll's six
+//! (`tests/syscall_gate.rs` pins both).
 //!
 //! Closing inverts too: an fd with in-flight SQEs must outlive them, so
 //! [`Driver::close`] cancels the ops (`ASYNC_CANCEL` on the fd) and
@@ -188,6 +190,12 @@ impl Driver for UringDriver {
             return Err(io::Error::other("io_uring doorbell or accept lost"));
         }
         self.engine.submit_and_wait(Some(timeout))
+    }
+
+    /// `IORING_ENTER_EXT_ARG` carries the timeout into the enter itself
+    /// (Linux 5.11); without it a timed wait waits for a completion.
+    fn precise_timeouts(&self) -> bool {
+        self.engine.timed_waits()
     }
 
     /// Reap the CQ one completion at a time. Follow-up SQEs queue

@@ -15,7 +15,7 @@ use psd_obs::{ControlTrace, ObsBundle, ObsConfig};
 
 use crate::metrics::ServerStats;
 use crate::queues::CompletionNotify;
-use crate::wheel::TaskServers;
+use crate::wheel::{DeadlineClaim, Ring, TaskServers};
 
 /// The dispatch discipline. One value: the server has no other. The
 /// type and [`ServerConfig::scheduler`] remain because `benchmark/`
@@ -269,8 +269,9 @@ impl PsdServer {
     /// Submit and have the executing thread invoke `notify` with the
     /// [`Completion`] — no thread blocks in between. The reactor engine
     /// replies through this: the callback posts into the reactor's
-    /// mailbox and rings its poller. Returns `false` (without invoking
-    /// `notify`) after shutdown began.
+    /// mailbox, and rings its poller unless it runs on that shard's own
+    /// loop (the shard that fires the deadlines). Returns `false`
+    /// (without invoking `notify`) after shutdown began.
     pub fn submit_async(
         &self,
         class: usize,
@@ -331,13 +332,21 @@ impl PsdServer {
         self.started
     }
 
-    /// The timer thread's activity counters and the current occupancy
-    /// (requests accepted and not yet finished): `Some` under
+    /// The Sleep deadline store's activity counters — the timer
+    /// thread's, and a claiming reactor shard's — and the current
+    /// occupancy (requests accepted and not yet finished): `Some` under
     /// [`Workload::Sleep`], `None` under [`Workload::Spin`], which has
     /// no timer. Named for the timer wheel this used to be; `benchmark/`
     /// calls it by this name.
     pub fn wheel_stats(&self) -> Option<(&psd_obs::WheelStats, usize)> {
         self.exec.timer_stats()
+    }
+
+    /// Claim the Sleep deadline store for the calling thread's event
+    /// loop (see `TaskServers::claim`): `None` under
+    /// [`Workload::Spin`] or while another loop holds it.
+    pub(crate) fn claim_deadlines(&self, ring: Ring) -> Option<DeadlineClaim> {
+        self.exec.claim(ring)
     }
 
     /// Requests shed at admission for one class.

@@ -6,35 +6,49 @@
 //! each armed completion as a deadline and fires it.
 //!
 //! ```text
-//!  submit ─▶ lane[class] station ─ idle: in service ─▶ file its completion ─▶ executor thread
+//!  submit ─▶ lane[class] station ─ idle: in service ─▶ file its completion ─▶ its executor
 //!              └─ busy: queued                                                │ waits for it:
-//!                                                                             │  Sleep: parked
-//!  fire: finish (the station departs the request at its completion ◀──────────┘  Spin: polling
-//!  and starts the next there; the ledger tallies the departure),                  the clock
-//!  deliver CompletionNotify, file the next completion
+//!                                                                             │  Sleep: shard 0's
+//!  fire: finish (the station departs the request at its completion ◀──────────┘  loop, or the
+//!  and starts the next there; the ledger tallies the departure),                  timer thread
+//!  deliver CompletionNotify, file the next completion                             Spin: polling
 //! ```
 //!
 //! Each armed completion is filed at the first nanosecond at or after
 //! it, the same for both workloads, so a reply leaves when its stretched
-//! service ends, late only by the executor's wakeup. The departure is
-//! tallied before the submitter hears of it, so every reply a client
-//! holds is already counted in `PsdServer::stats`.
+//! service ends, late only by the wakeup of whoever fires it. The
+//! departure is tallied before the submitter hears of it, so every reply
+//! a client holds is already counted in `PsdServer::stats`.
 //!
 //! The [`Workload`] decides how the wait is spent. Sleep service is
-//! pure waiting, so one timer thread serves every class, parked until
-//! the earliest deadline: no thread blocks per request. Spin service
-//! stands for CPU-bound work, so each class has its own thread, which
-//! burns the stretched time polling the clock. Either way a
-//! [`Deadlines`] store never holds more than one entry per class (a
-//! station has one request in service). The module keeps the name of
-//! the hierarchical timer wheel it replaced, as do `WheelStats`,
-//! `PsdServer::wheel_stats` and the `psd_wheel_*` metric families,
-//! because `benchmark/` reads them by those names.
+//! pure waiting, so one [`Deadlines`] store serves every class and no
+//! thread blocks per request. Its deadlines are fired by one of two:
+//!
+//! * a reactor shard that holds the store's [`DeadlineClaim`] (shard 0
+//!   claims it when its loop starts and releases it when the loop
+//!   exits): the loop bounds each wait by the next deadline and fires
+//!   what is due in the same turn, so a completion for one of its own
+//!   connections is answered on the thread that parked it, with no
+//!   cross-thread hop. A filing from any other thread that becomes the
+//!   earliest deadline rings the claimant's poller;
+//! * otherwise the timer thread, parked until the earliest deadline.
+//!   It fires the store while nobody holds the claim (no reactor in
+//!   front: the in-process submitters, the threads engine), parks with
+//!   no timeout while a claim is held, and takes over whatever is still
+//!   filed when the claim is released.
+//!
+//! Spin service stands for CPU-bound work, so each class has its own
+//! thread, which burns the stretched time polling the clock; nobody
+//! claims its stores. Either way a [`Deadlines`] store never holds more
+//! than one entry per class (a station has one request in service). The
+//! module keeps the name of the hierarchical timer wheel it replaced, as
+//! do `WheelStats`, `PsdServer::wheel_stats` and the `psd_wheel_*`
+//! metric families, because `benchmark/` reads them by those names.
 
 use std::collections::VecDeque;
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
-use std::thread::{self, JoinHandle};
+use std::thread::{self, JoinHandle, ThreadId};
 use std::time::{Duration, Instant};
 
 use parking_lot::{Condvar, Mutex};
@@ -53,7 +67,21 @@ use crate::timing;
 #[derive(Default)]
 struct Deadlines {
     queue: VecDeque<(u64, usize)>,
+    /// The event loop that fires these deadlines instead of the timer
+    /// thread, if one holds the store's [`DeadlineClaim`].
+    claimant: Option<Claimant>,
 }
+
+/// Who holds a [`DeadlineClaim`]: the loop's thread, and how another
+/// thread wakes that loop when it files a new earliest deadline.
+struct Claimant {
+    thread: ThreadId,
+    ring: Ring,
+}
+
+/// Wakes a claiming loop from another thread (a reactor shard: its
+/// poller's `notify`).
+pub(crate) type Ring = Arc<dyn Fn() + Send + Sync>;
 
 impl Deadlines {
     /// File `class`'s completion, due at `at` seconds since the epoch,
@@ -184,12 +212,91 @@ impl TaskServers {
         }
     }
 
-    /// The timer thread's activity counters and the current occupancy
-    /// (requests accepted and not yet finished); `None` for Spin, which
-    /// has no timer.
+    /// The Sleep store's activity counters (the timer thread's and a
+    /// claimant's alike) and the current occupancy (requests accepted
+    /// and not yet finished); `None` for Spin, which has no timer.
     pub(crate) fn timer_stats(&self) -> Option<(&WheelStats, usize)> {
         (self.shared.workload == Workload::Sleep)
             .then(|| (&self.shared.executors[0].stats, self.shared.lanes.in_flight()))
+    }
+
+    /// Claim the Sleep deadline store for the calling thread's event
+    /// loop: from now until the claim drops, that loop fires the
+    /// deadlines ([`DeadlineClaim::fire_due`]) and the timer thread
+    /// parks; a filing from another thread that becomes the earliest
+    /// deadline calls `ring`. `None` under Spin, and while another loop
+    /// holds the claim (two front ends on one server: the second keeps
+    /// the mailbox path).
+    pub(crate) fn claim(&self, ring: Ring) -> Option<DeadlineClaim> {
+        if self.shared.workload != Workload::Sleep {
+            return None;
+        }
+        let mut st = self.shared.executors[0].state.lock();
+        if st.claimant.is_some() {
+            return None;
+        }
+        st.claimant = Some(Claimant { thread: thread::current().id(), ring });
+        Some(DeadlineClaim { shared: Arc::clone(&self.shared), fired: Vec::new() })
+    }
+}
+
+/// An event loop's hold on the Sleep deadline store (see
+/// [`TaskServers::claim`]). Dropping it releases the store, and the
+/// timer thread takes over whatever is still filed.
+pub(crate) struct DeadlineClaim {
+    shared: Arc<Shared>,
+    /// Scratch: the classes one [`DeadlineClaim::fire_due`] pops.
+    fired: Vec<usize>,
+}
+
+impl DeadlineClaim {
+    fn exec(&self) -> &Executor {
+        &self.shared.executors[0]
+    }
+
+    /// When the earliest filed deadline is due; `None` if none is
+    /// filed. The loop's wait must end by then.
+    pub(crate) fn next_due(&self) -> Option<Instant> {
+        let due = self.exec().state.lock().next_due()?;
+        Some(self.shared.epoch + Duration::from_nanos(due))
+    }
+
+    /// Fire every deadline due by now, on the calling thread: each
+    /// completes through `Shared::complete`, as on the timer thread, and
+    /// a next completion already due fires in the same call. Returns
+    /// how many fired; a call that fires any counts as one of the
+    /// store's wakeups.
+    pub(crate) fn fire_due(&mut self) -> usize {
+        let Self { shared, fired } = self;
+        let exec = &shared.executors[0];
+        let mut total = 0;
+        loop {
+            let now_ns = shared.now_ns();
+            let mut st = exec.state.lock();
+            fired.extend(std::iter::from_fn(|| st.pop_due(now_ns)));
+            drop(st);
+            if fired.is_empty() {
+                break;
+            }
+            total += fired.len();
+            for class in fired.drain(..) {
+                shared.complete(class);
+            }
+        }
+        if total > 0 {
+            exec.stats.wakeups.fetch_add(1, Ordering::Relaxed);
+            exec.stats.fires.fetch_add(total as u64, Ordering::Relaxed);
+        }
+        total
+    }
+}
+
+impl Drop for DeadlineClaim {
+    /// Release the store and wake the timer thread to take it over.
+    fn drop(&mut self) {
+        let exec = self.exec();
+        exec.state.lock().claimant = None;
+        exec.alarm.notify_one();
     }
 }
 
@@ -199,22 +306,43 @@ impl Shared {
         self.epoch.elapsed().as_secs_f64()
     }
 
+    /// The same instant in the deadline stores' nanoseconds.
+    fn now_ns(&self) -> u64 {
+        self.epoch.elapsed().as_nanos() as u64
+    }
+
     /// File `class`'s completion, due at `at` seconds, with the executor
     /// that will notice it: at the first nanosecond at or after `at`, no
-    /// early aim (the timer thread has no slack to cancel, see
-    /// `timing`). The stretched time behind `at` is the paper's
-    /// rate-scaled `X/r_i`. The receipt's service time runs to the fire
-    /// (`Lanes::finish`), so the recorded slowdown is `W/(X/r_i)` up to
-    /// the executor's wakeup lateness.
+    /// early aim (neither the timer thread nor a claimant has slack to
+    /// cancel, see `timing`). The stretched time behind `at` is the
+    /// paper's rate-scaled `X/r_i`. The receipt's service time runs to
+    /// the fire (`Lanes::finish`), so the recorded slowdown is
+    /// `W/(X/r_i)` up to the executor's wakeup lateness.
+    ///
+    /// A new earliest deadline wakes whoever fires the store: the timer
+    /// thread's alarm, or the claimant's ring — unless this is the
+    /// claimant's own thread, whose loop bounds its next wait by the
+    /// store before it waits.
     fn file(&self, class: usize, at: f64) {
         let exec = match self.workload {
             Workload::Sleep => &self.executors[0],
             Workload::Spin => &self.executors[class],
         };
         exec.stats.scheduled.fetch_add(1, Ordering::Relaxed);
-        let wake = exec.state.lock().file(at, class);
-        if wake {
-            exec.alarm.notify_one();
+        let ring = {
+            let mut st = exec.state.lock();
+            if !st.file(at, class) {
+                return;
+            }
+            match &st.claimant {
+                None => None,
+                Some(c) if c.thread == thread::current().id() => return,
+                Some(c) => Some(Arc::clone(&c.ring)),
+            }
+        };
+        match ring {
+            Some(ring) => ring(),
+            None => exec.alarm.notify_one(),
         }
     }
 
@@ -235,16 +363,18 @@ impl Shared {
 
     /// Executor `i`'s thread: fire what is due, then wait for the next
     /// deadline — asleep on the alarm (Sleep) or burning the CPU the
-    /// request stands for (Spin) — until closed and drained.
+    /// request stands for (Spin) — until closed and drained. While a
+    /// loop holds the store's claim, the thread fires nothing and parks
+    /// until the claim is released or the servers close.
     fn run(&self, i: usize) {
         timing::precise_timers();
         let exec = &self.executors[i];
         let mut fired: Vec<usize> = Vec::new();
         let mut st = exec.state.lock();
         loop {
-            let now_ns = self.epoch.elapsed().as_nanos() as u64;
-            while let Some(class) = st.pop_due(now_ns) {
-                fired.push(class);
+            let now_ns = self.now_ns();
+            if st.claimant.is_none() {
+                fired.extend(std::iter::from_fn(|| st.pop_due(now_ns)));
             }
             if !fired.is_empty() {
                 exec.stats.fires.fetch_add(fired.len() as u64, Ordering::Relaxed);
@@ -258,7 +388,7 @@ impl Shared {
                 continue;
             }
             match (st.next_due(), self.workload) {
-                (Some(due_ns), Workload::Sleep) => {
+                (Some(due_ns), Workload::Sleep) if st.claimant.is_none() => {
                     exec.alarm.wait_for(&mut st, Duration::from_nanos(due_ns - now_ns));
                     exec.stats.wakeups.fetch_add(1, Ordering::Relaxed);
                 }
@@ -266,7 +396,8 @@ impl Shared {
                 // service, so no start can want it, and `close` waits
                 // for the drain anyway.
                 (Some(_), Workload::Spin) => std::hint::spin_loop(),
-                (None, workload) => {
+                // Nothing filed, or a claimant fires what is.
+                (_, workload) => {
                     let drained = match workload {
                         Workload::Sleep => self.lanes.all_drained(),
                         Workload::Spin => self.lanes.drained(i),
@@ -274,9 +405,9 @@ impl Shared {
                     if drained {
                         return;
                     }
-                    // Idle: sleep until a start or close rings the
-                    // alarm. Both do so while ordering against this
-                    // lock, so the wakeup cannot be lost.
+                    // Idle: sleep until a start, a release or close
+                    // rings the alarm. Each does so while ordering
+                    // against this lock, so the wakeup cannot be lost.
                     exec.alarm.wait(&mut st);
                 }
             }
@@ -290,6 +421,7 @@ mod tests {
     use crate::server::Completion;
     use psd_core::control::{Job, Seq, ServiceMode, Station, WindowObservation, WindowTally};
     use psd_dist::rng::Xoshiro256pp;
+    use std::sync::atomic::AtomicU32;
 
     fn drain(d: &mut Deadlines, now: u64) -> Vec<usize> {
         std::iter::from_fn(|| d.pop_due(now)).collect()
@@ -337,31 +469,160 @@ mod tests {
     }
 
     /// Submitters racing `close`, on real threads: whatever `submit`
-    /// accepted completes before `join` returns — no executor exits
-    /// over a request that was accepted but not yet handed to it.
+    /// accepted completes exactly once before `join` returns — no
+    /// executor exits over a request that was accepted but not yet
+    /// handed to it. In the claimed rounds a test thread holds the Sleep
+    /// store as a reactor shard would, fires what is due while the
+    /// submitters file, and releases the claim mid-flight; the timer
+    /// thread drains the rest. A second claim is refused meanwhile, and
+    /// no ring is lost.
     #[test]
     fn submits_racing_close_are_served_or_refused_never_lost() {
-        for workload in [Workload::Sleep, Workload::Spin] {
+        let (mut by_claimants, mut by_timer) = (0, 0);
+        let variants = [(Workload::Sleep, false), (Workload::Sleep, true), (Workload::Spin, false)];
+        for (workload, claimed) in variants {
             for round in 0..20 {
                 let servers = Arc::new(TaskServers::start(2, Duration::from_micros(5), workload));
+                let claimant = claimed.then(|| FakeShard::spawn(&servers, 10 * round as usize));
+                let done: Arc<Vec<AtomicU32>> =
+                    Arc::new((0..400).map(|_| AtomicU32::new(0)).collect());
                 let pushers: Vec<_> = (0..2usize)
                     .map(|p| {
-                        let servers = Arc::clone(&servers);
+                        let (servers, done) = (Arc::clone(&servers), Arc::clone(&done));
                         thread::spawn(move || {
-                            let submit =
-                                |i| servers.submit((p + i) % 2, 1.0, CompletionNotify::None);
-                            (0..200usize).filter(|&i| submit(i)).count() as u64
+                            let submit = |i: usize| {
+                                let (done, id) = (Arc::clone(&done), p * 200 + i);
+                                let tally = move |_| _ = done[id].fetch_add(1, Ordering::SeqCst);
+                                let notify = CompletionNotify::Callback(Box::new(tally));
+                                servers.submit((p + i) % 2, 1.0, notify).then_some(p * 200 + i)
+                            };
+                            (0..200usize).filter_map(submit).collect::<Vec<_>>()
                         })
                     })
                     .collect();
                 thread::sleep(Duration::from_micros(50 * round));
                 servers.close();
-                let accepted: u64 = pushers.into_iter().map(|h| h.join().unwrap()).sum();
+                let accepted: Vec<usize> =
+                    pushers.into_iter().flat_map(|h| h.join().unwrap()).collect();
+                let fired_by_claimant = claimant.map_or(0, FakeShard::finish);
                 servers.join();
+                let label = format!("{workload:?} claimed {claimed} round {round}");
+                for (id, n) in done.iter().enumerate() {
+                    let want = u32::from(accepted.contains(&id));
+                    assert_eq!(n.load(Ordering::SeqCst), want, "{label}: request {id}");
+                }
                 let completed: u64 =
                     servers.lanes().stats().classes.iter().map(|c| c.completed).sum();
-                assert_eq!(completed, accepted, "{workload:?} round {round}");
+                assert_eq!(completed, accepted.len() as u64, "{label}");
+                if claimed {
+                    let fires = servers.timer_stats().unwrap().0.fires.load(Ordering::Relaxed);
+                    by_claimants += fired_by_claimant;
+                    by_timer += fires - fired_by_claimant as u64;
+                }
             }
+        }
+        assert!(by_claimants > 0 && by_timer > 0, "claimants {by_claimants}, timer {by_timer}");
+    }
+
+    /// A test thread in a reactor shard's place: it claims the Sleep
+    /// store, fires what is due, waits for the next deadline or a ring,
+    /// and releases the claim after `release_after` fires or once the
+    /// closed lanes drain.
+    struct FakeShard {
+        bell: Arc<Doorbell>,
+        thread: JoinHandle<usize>,
+    }
+
+    /// What a claimant's wait ends on besides its timeout: a ring from
+    /// the store, or the end of the round.
+    #[derive(Default)]
+    struct Doorbell {
+        state: Mutex<Bell>,
+        cv: Condvar,
+    }
+
+    #[derive(Default)]
+    struct Bell {
+        rung: bool,
+        closed: bool,
+    }
+
+    impl Doorbell {
+        fn ring(&self) {
+            self.state.lock().rung = true;
+            self.cv.notify_one();
+        }
+
+        fn close(&self) {
+            self.state.lock().closed = true;
+            self.cv.notify_one();
+        }
+
+        /// Wait up to `timeout` unless rung or closed: whether it was
+        /// rung (it no longer is), and whether the round is closed.
+        fn wait(&self, timeout: Duration) -> (bool, bool) {
+            let mut st = self.state.lock();
+            if !st.rung && !st.closed {
+                self.cv.wait_for(&mut st, timeout);
+            }
+            (std::mem::take(&mut st.rung), st.closed)
+        }
+    }
+
+    impl FakeShard {
+        fn spawn(servers: &Arc<TaskServers>, release_after: usize) -> Self {
+            let bell = Arc::new(Doorbell::default());
+            let ring = |bell: &Arc<Doorbell>| -> Ring {
+                let bell = Arc::clone(bell);
+                Arc::new(move || bell.ring())
+            };
+            // Held between the claim and the start of its loop, while
+            // this thread tries a second claim.
+            let claimed = Arc::new(std::sync::Barrier::new(2));
+            let (on_thread, to_claim, own_bell, own_claimed) =
+                (Arc::clone(servers), ring(&bell), Arc::clone(&bell), Arc::clone(&claimed));
+            let thread = thread::spawn(move || {
+                let claim = on_thread.claim(to_claim).expect("an unclaimed Sleep store");
+                own_claimed.wait();
+                own_claimed.wait();
+                Self::serve(&on_thread, claim, &own_bell, release_after)
+            });
+            claimed.wait();
+            assert!(servers.claim(ring(&bell)).is_none(), "the store is already claimed");
+            claimed.wait();
+            Self { bell, thread }
+        }
+
+        /// The claimant's loop; returns how many deadlines it fired.
+        fn serve(
+            servers: &TaskServers,
+            mut claim: DeadlineClaim,
+            bell: &Doorbell,
+            release_after: usize,
+        ) -> usize {
+            let mut fired = 0;
+            loop {
+                fired += claim.fire_due();
+                if fired >= release_after || servers.lanes().all_drained() {
+                    return fired; // dropping the claim releases the store
+                }
+                let due = claim.next_due();
+                let idle = Duration::from_secs(10);
+                let (rung, closed) = bell.wait(due.map_or(idle, |d| d - Instant::now().min(d)));
+                // A deadline now earlier than this wait's bound was filed
+                // during it by a submitter, which rang; once the round is
+                // closed every submitter has returned, so the ring landed.
+                let earlier = claim.next_due().is_some_and(|d| due.is_none_or(|due| d < due));
+                assert!(rung || !closed || !earlier, "a ring was lost");
+            }
+        }
+
+        /// After `close` and the submitters' return: end the round, so
+        /// an idle claimant sees the drain, and return how many
+        /// deadlines it fired.
+        fn finish(self) -> usize {
+            self.bell.close();
+            self.thread.join().unwrap()
         }
     }
 

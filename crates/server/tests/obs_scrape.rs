@@ -174,8 +174,11 @@ fn observability_routes_scrape_mid_overload() {
         assert_eq!(sample(&samples, "psd_admission_sheds_total", None), 3.0, "{engine:?}");
         assert!(sample(&samples, "psd_trace_spans_recorded_total", None) >= 9.0, "{engine:?}");
         // Sleep × RatePartition engages the timer wheel on both
-        // engines: all six admitted requests crossed it.
+        // engines: all six admitted requests crossed it, and were fired
+        // by whoever holds the store (the claiming shard or the timer
+        // thread).
         assert!(sample(&samples, "psd_wheel_scheduled_total", None) >= 6.0, "{engine:?}");
+        assert!(sample(&samples, "psd_wheel_fires_total", None) >= 6.0, "{engine:?}");
         // The latency histogram saw every admitted request.
         assert_eq!(
             sample(&samples, "psd_request_duration_seconds_count", Some(("class", "0"))),

@@ -6,11 +6,14 @@
 //! `epoll_wait` + `read` + `write` (+ `accept`) per exchange. Every
 //! I/O-plane syscall either backend issues goes through the counters
 //! in `polling::count`, so this test measures the steady-state
-//! syscalls-per-request of both backends over the same request script
-//! and pins the uring engine **strictly below** the epoll engine. A
-//! perf regression that quietly reintroduces a per-request syscall
-//! (dropping batching, re-arming through an extra enter, falling back
-//! to eventfd round-trips) fails this gate rather than shipping.
+//! syscalls-per-request of both backends over the same request script,
+//! pins each under an absolute ceiling (6 on epoll, 3 on uring: the
+//! connection lives on shard 0, which fires its own deadlines, so no
+//! eventfd round trip is left) and the uring engine **strictly below**
+//! the epoll engine. A perf regression that quietly reintroduces a
+//! per-request syscall (dropping batching, re-arming through an extra
+//! enter, falling back to eventfd round-trips) fails this gate rather
+//! than shipping.
 //!
 //! The counter is process-global, so everything runs inside ONE test
 //! function — the harness would otherwise interleave other tests'
@@ -96,6 +99,22 @@ fn uring_spends_strictly_fewer_syscalls_than_epoll() {
         "epoll metering looks broken: {epoll} syscalls for {REQUESTS} requests"
     );
     assert!(uring > 0, "uring metering looks broken: zero syscalls recorded");
+
+    // The ceilings: epoll_pwait2 (read ready), read, epoll_ctl DEL
+    // (park), epoll_pwait2 (ends at the deadline), write, epoll_ctl ADD
+    // on epoll. On uring, one enter submits the re-armed read and reaps
+    // the request, one waits out the deadline, and one submits the
+    // response write and reaps its completion.
+    assert!(
+        per_req(epoll) <= 6.0,
+        "epoll spends {:.2} syscalls/request, ceiling 6",
+        per_req(epoll)
+    );
+    assert!(
+        per_req(uring) <= 3.0,
+        "uring spends {:.2} syscalls/request, ceiling 3",
+        per_req(uring)
+    );
 
     // The gate: batching must beat readiness polling outright — not by
     // a tolerance band, strictly. One enter replaces wait+read+write,
