@@ -20,6 +20,9 @@ pub struct WheelStats {
     pub cascades: AtomicU64,
     /// Deadlines scheduled (including service-start reschedules).
     pub scheduled: AtomicU64,
+    /// Fire lateness summed over every fire: the nanoseconds between a
+    /// deadline's due instant and the clock read that popped it.
+    pub late_ns: AtomicU64,
 }
 
 /// One reactor shard's event-loop counters.

@@ -296,6 +296,13 @@ fn prom_text(server: &PsdServer, info: &AdminInfo<'_>) -> String {
         w.sample("psd_wheel_wakeups_total", &[], wheel.wakeups.load(Relaxed) as f64);
         w.help("psd_wheel_fires_total", "counter", "Virtual-finish deadlines fired.");
         w.sample("psd_wheel_fires_total", &[], wheel.fires.load(Relaxed) as f64);
+        w.help(
+            "psd_wheel_fire_lateness_seconds_total",
+            "counter",
+            "Fire lateness summed over every fired deadline: due instant to the clock read that fired it.",
+        );
+        let late_s = wheel.late_ns.load(Relaxed) as f64 / 1e9;
+        w.sample("psd_wheel_fire_lateness_seconds_total", &[], late_s);
         w.help("psd_wheel_scheduled_total", "counter", "Finish deadlines scheduled.");
         w.sample("psd_wheel_scheduled_total", &[], wheel.scheduled.load(Relaxed) as f64);
         w.help("psd_wheel_in_flight", "gauge", "Requests queued or in service, all classes.");

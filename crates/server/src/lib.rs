@@ -94,7 +94,13 @@
 //! and the deadline's timeout ride one batched `io_uring_enter` per
 //! loop turn; and steady-state request handling performs ~3 heap
 //! allocations end to end (`tests/reactor_alloc.rs`, counting
-//! allocator).
+//! allocator). Shard 0 fires each Sleep deadline at its nanosecond: its
+//! kernel wait ends ε = 10 µs early and the turn spins out the rest on
+//! the clock, yielding the core between reads, because a timed wait
+//! wakes 7–9 µs late even at 1 ns timer slack. The spin adds no poller
+//! call, so the syscall gate's numbers hold; its yields raise the
+//! context switches per request instead. Every fire's lateness is
+//! summed in `psd_wheel_fire_lateness_seconds_total`.
 //!
 //! ```no_run
 //! use psd_server::{PsdServer, ServerConfig};

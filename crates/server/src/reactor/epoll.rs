@@ -5,7 +5,8 @@
 //!
 //! Per keep-alive request on the shard that fires the Sleep deadlines
 //! (shard 0) the sequence is `epoll_pwait2`, `read`, `epoll_ctl DEL`
-//! (park), `epoll_pwait2` (its timeout is the deadline), `write`,
+//! (park), `epoll_pwait2` (its timeout ends ε before the deadline; the
+//! turn spins out the rest without a syscall), `write`,
 //! `epoll_ctl ADD` — six, pinned by `tests/syscall_gate.rs`. On the
 //! other shards the completion still arrives through the mailbox: the
 //! firing thread's eventfd `write`, and an eventfd `read` after the

@@ -10,8 +10,9 @@
 //!
 //! ```text
 //!            ┌─ Shard<D> 0 (its driver owns the listener) ───────────────┐
-//!            │ wait ≤ min(TICK, next deadline) ▶ I/O events ▶ deadlines  │
-//!            │   ▶ handoffs ▶ PSD completions ▶ idle sweep               │
+//!            │ wait ≤ min(TICK, next deadline − ε) ▶ I/O events ▶ spin   │
+//!            │   to the deadline ▶ deadlines ▶ handoffs ▶ PSD            │
+//!            │   completions ▶ idle sweep                                │
 //!  accept ──▶│   round-robin: keep conn, or hand stream to shard k ──────┼──┐
 //!            │   Reading ─▶ codec ─▶ route ─▶ submit_async ──────────────┼──┼─▶ class lane
 //!            │   Waiting (parked) ◀─ mailbox ◀─ fires its own deadlines  │  │ (Sleep: the
@@ -39,10 +40,13 @@
 //! Who fires a Sleep deadline: shard 0 claims the task servers' one
 //! deadline store when its loop starts (if its driver's waits end on
 //! time to the nanosecond) and releases it when the loop exits. Each of
-//! its turns waits at most until the next deadline and fires what is
-//! due after the I/O events, so a reply to one of its own connections
-//! leaves from the thread that parked it, in the turn its deadline
-//! fires, with no eventfd write and no second wait. A submit on another
+//! its turns waits at most until ε (10 µs) before the next deadline,
+//! handles the I/O events, spins out the last ε on the clock (yielding
+//! the core between reads) and fires what is due, so a deadline fires at
+//! its nanosecond instead of a kernel wake latency (7–9 µs) late, and a
+//! reply to one of its own connections leaves from the thread that
+//! parked it, in the turn its deadline fires, with no eventfd write and
+//! no second wait. A submit on another
 //! shard that files a new earliest deadline rings shard 0's poller.
 //! Completions for other shards' connections, and every completion
 //! while the timer thread holds the store, reply through the owning
@@ -50,10 +54,10 @@
 //! only writes the eventfd when it is the first into an empty mailbox,
 //! so a burst of completions costs one wakeup, not one syscall each.
 //!
-//! Each loop turn reads the clock **once** (twice if it fired
-//! deadlines) and stamps everything it handles with it (the coarse
-//! cached clock); per-connection idle bookkeeping never calls
-//! `clock_gettime` itself.
+//! Each loop turn reads the clock **once** for its I/O (shard 0 reads it
+//! again to bound its wait, to spin, and after a fire) and stamps
+//! everything it handles with it (the coarse cached clock);
+//! per-connection idle bookkeeping never calls `clock_gettime` itself.
 
 mod driver;
 mod epoll;

@@ -30,18 +30,40 @@
 //! `Waiting` connections are exempt — their latency belongs to the PSD
 //! queue, which is the thing under test.
 //!
-//! One loop turn, in this order on every driver: wait (the turn's one
-//! blocking call, at most [`TICK`] and, on the shard holding the
-//! deadline store, at most until the next deadline), read the clock
-//! once, handle I/O events, fire the deadlines due (that shard only;
-//! the clock is read again if any fired), adopt handed-off streams,
-//! answer PSD completions, sweep idle connections. The inbox and
-//! mailbox drains come *after* the I/O events because a completion
-//! driver consumes the doorbell while reaping them: a ring that lands
-//! mid-turn is then still followed by a drain in the same turn, instead
-//! of waiting out the next tick with its doorbell spent. The fires come
-//! before the mailbox drain so that their completions are answered in
-//! the turn they fire.
+//! One loop turn, in this order on every driver:
+//!
+//! 1. wait: the turn's one kernel call, at most [`TICK`]; on the shard
+//!    holding the deadline store, at most until [`SPIN`] (ε, 10 µs)
+//!    before the next deadline, and zero once that is within ε;
+//! 2. read the clock once and handle the I/O events;
+//! 3. spin (that shard only): if the earliest deadline is within ε,
+//!    read the clock until it is reached, yielding the core between
+//!    reads;
+//! 4. fire the deadlines due (that shard only; the clock is read again
+//!    if any fired);
+//! 5. adopt handed-off streams, answer PSD completions, sweep idle
+//!    connections.
+//!
+//! Why the spin: a timed kernel wait ends late by the scheduler's wake
+//! latency, 7–9 µs on the VM the server is measured on, even at 1 ns
+//! timer slack, and every reply fired by the shard carried that delay.
+//! Waking ε early and spinning the rest fires each deadline at its
+//! nanosecond, give or take one clock read, and never before it: the
+//! spin ends on a clock read at or past the due instant, and the fire
+//! pops only what that clock has reached, so nothing is aimed early
+//! and nothing is calibrated. The spin yields between reads because
+//! the core may be shared (the benchmark pins its load generator to the
+//! server's core); it adds no poller call, so the I/O syscalls per
+//! request are unchanged, and the yields show as context switches.
+//! Bytes that arrive during a spin wait for the next turn's wait, which
+//! returns at once: at most ε later.
+//!
+//! The inbox and mailbox drains come *after* the I/O events because a
+//! completion driver consumes the doorbell while reaping them: a ring
+//! that lands mid-turn is then still followed by a drain in the same
+//! turn, instead of waiting out the next tick with its doorbell spent.
+//! The fires come before the mailbox drain so that their completions
+//! are answered in the turn they fire.
 //!
 //! Allocation discipline: the loop owns every scratch buffer it uses
 //! (drained completions, handed-off streams, expiry key
@@ -51,11 +73,12 @@
 //! pins this with a counting global allocator.
 
 use std::collections::HashMap;
-use std::io::Write;
+use std::io::{self, Write};
 use std::net::TcpStream;
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
-use std::time::Instant;
+use std::thread;
+use std::time::{Duration, Instant};
 
 use crate::admin::AdminInfo;
 use crate::codec::{HttpRequest, RequestCodec, Response, WriteBuf};
@@ -72,6 +95,14 @@ use super::{Shared, DRAIN_GRACE, LOOP, TICK};
 /// How many retired (codec, write) buffer pairs a shard keeps for
 /// reuse by future connections.
 const POOL_CAP: usize = 256;
+
+/// ε: the claiming shard's kernel wait ends this long before the next
+/// deadline, and the turn spins out the rest on the clock. A 20 µs
+/// `epoll_pwait2` wait at 1 ns timer slack on the 2-vCPU VM the server
+/// is measured on returned late by 6.7 µs at p50, 6.8 µs at p90 and
+/// 9.1 µs at p99 (scheduler wake latency), so a wait aimed ε early
+/// almost always wakes before its deadline and the spin lands on it.
+const SPIN: Duration = Duration::from_micros(10);
 
 /// Where a connection is in its request/response cycle.
 enum Phase {
@@ -118,6 +149,13 @@ pub(super) struct Shard<D: Driver> {
     body_scratch: Vec<u8>,
     /// Reused key list for idle sweeps / drains.
     key_scratch: Vec<usize>,
+    /// Drained completions and handed-off streams: loop-owned scratch,
+    /// swapped with the shared vectors, handing the capacity back and
+    /// forth.
+    completions: Vec<(usize, Completion)>,
+    streams: Vec<TcpStream>,
+    /// The Sleep deadline store, while this loop fires it (shard 0).
+    claim: Option<DeadlineClaim>,
 }
 
 impl<D: Driver> Shard<D> {
@@ -143,16 +181,15 @@ impl<D: Driver> Shard<D> {
             pool: Vec::new(),
             body_scratch: Vec::new(),
             key_scratch: Vec::new(),
+            completions: Vec::new(),
+            streams: Vec::new(),
+            claim: None,
         }
     }
 
     pub(super) fn run(&mut self) {
         LOOP.set(Arc::as_ptr(&self.shared));
-        let mut claim = self.claim_deadlines();
-        // Loop-owned scratch, swapped with the shared vectors and
-        // drained, handing the capacity back and forth.
-        let mut completions: Vec<(usize, Completion)> = Vec::new();
-        let mut streams: Vec<TcpStream> = Vec::new();
+        self.claim = self.claim_deadlines();
         loop {
             if self.shared.stop.load(Ordering::SeqCst) {
                 self.begin_drain();
@@ -160,51 +197,67 @@ impl<D: Driver> Shard<D> {
                     break;
                 }
             }
-            // The wait ends by the next deadline, if this loop fires them.
-            let due = claim.as_ref().and_then(|c| c.next_due());
-            let timeout = due.map_or(TICK, |due| due.saturating_duration_since(Instant::now()));
-            if self.driver.wait(timeout.min(TICK)).is_err() {
+            if self.turn().is_err() {
                 break; // backend gone: nothing recoverable
             }
-            // One clock read per turn: everything handled below is
-            // stamped with this instant.
-            self.now = Instant::now();
-            self.shared.stats.wakeups.fetch_add(1, Ordering::Relaxed);
-            let mut events = 0u64;
-            while let Some(ev) = self.driver.next_event() {
-                events += 1;
-                self.on_io(ev);
-            }
-            if events > 0 {
-                self.shared.stats.events.fetch_add(events, Ordering::Relaxed);
+        }
+        // Released before the exit report: the timer thread fires what
+        // other shards still wait for.
+        self.claim = None;
+        self.exit();
+    }
+
+    /// One loop turn, in the order the module doc gives.
+    fn turn(&mut self) -> io::Result<()> {
+        let due = self.claim.as_ref().and_then(DeadlineClaim::next_due);
+        self.driver.wait(wait_bound(due, Instant::now))?;
+        // One clock read per turn: everything handled below is
+        // stamped with this instant.
+        self.now = Instant::now();
+        self.shared.stats.wakeups.fetch_add(1, Ordering::Relaxed);
+        let mut events = 0u64;
+        while let Some(ev) = self.driver.next_event() {
+            events += 1;
+            self.on_io(ev);
+        }
+        if events > 0 {
+            self.shared.stats.events.fetch_add(events, Ordering::Relaxed);
+        }
+        if let Some(claim) = &mut self.claim {
+            // The wait ended short of a deadline within SPIN: spin out
+            // the rest. The store is read again, since the I/O above
+            // may have filed an earlier deadline.
+            if let Some(due) = claim.next_due() {
+                spin_until(due, Instant::now(), Instant::now);
             }
             // Deadlines due by now: their completions post into the
             // mailboxes, this shard's without a ring, so the drain below
             // answers them in this turn. The clock moves past them, so
             // their spans' totals cover their service.
-            if claim.as_mut().is_some_and(|c| c.fire_due() > 0) {
+            if claim.fire_due() > 0 {
                 self.now = Instant::now();
             }
-            // Handed-off streams from the accepting shard.
-            std::mem::swap(&mut self.shared.inbox.lock().streams, &mut streams);
-            for stream in streams.drain(..) {
-                self.adopt(stream);
-            }
-            // The swap drains the whole batch under one lock — paired
-            // with the first-into-empty-mailbox doorbell ring, a burst
-            // of completions costs one wakeup and one lock.
-            std::mem::swap(&mut *self.shared.mailbox.lock(), &mut completions);
-            self.shared.stats.record_drain(completions.len() as u64);
-            for (key, done) in completions.drain(..) {
-                self.on_complete(key, done);
-            }
-            self.sweep_idle();
-            self.driver.end_turn();
         }
-        // Released before the exit report: the timer thread fires what
-        // other shards still wait for.
-        drop(claim);
-        self.exit();
+        // Handed-off streams from the accepting shard.
+        let mut streams = std::mem::take(&mut self.streams);
+        std::mem::swap(&mut self.shared.inbox.lock().streams, &mut streams);
+        for stream in streams.drain(..) {
+            self.adopt(stream);
+        }
+        self.streams = streams;
+        // The swap drains the whole batch under one lock — paired
+        // with the first-into-empty-mailbox doorbell ring, a burst
+        // of completions costs one wakeup and one lock.
+        let mut completions = std::mem::take(&mut self.completions);
+        std::mem::swap(&mut *self.shared.mailbox.lock(), &mut completions);
+        self.shared.stats.record_drain(completions.len() as u64);
+        for (key, done) in completions.drain(..) {
+            self.on_complete(key, done);
+        }
+        self.completions = completions;
+        self.sweep_idle();
+        self.driver.end_turn();
+        Ok(())
     }
 
     /// Shard 0 fires the Sleep task servers' deadlines itself when its
@@ -493,6 +546,32 @@ impl<D: Driver> Shard<D> {
     }
 }
 
+/// The bound on a turn's kernel wait, given the next deadline `due` of
+/// the store the loop fires (if it fires one): [`TICK`], or until
+/// [`SPIN`] before `due`, zero once `due` is within [`SPIN`] of the
+/// `clock`, which is read only if there is a deadline.
+fn wait_bound(due: Option<Instant>, clock: impl FnOnce() -> Instant) -> Duration {
+    due.map_or(TICK, |due| due.saturating_duration_since(clock() + SPIN).min(TICK))
+}
+
+/// The turn's spin: if `due` is at most [`SPIN`] after `now`, read
+/// `clock` until it reaches `due` and return that read, so a deadline
+/// fires at its nanosecond and never before. The core is yielded
+/// between reads, since other work may share it (the benchmark pins its
+/// load generator to the server's core). `None`, with no read, if `due`
+/// is further off.
+fn spin_until(due: Instant, now: Instant, mut clock: impl FnMut() -> Instant) -> Option<Instant> {
+    if due.saturating_duration_since(now) > SPIN {
+        return None;
+    }
+    let mut now = now;
+    while now < due {
+        thread::yield_now();
+        now = clock();
+    }
+    Some(now)
+}
+
 /// The shared transitions, driven through a recording driver with an
 /// injected clock: no sockets, no sleeps, no kernel.
 #[cfg(test)]
@@ -514,10 +593,11 @@ mod tests {
         stalled: bool,
     }
 
-    /// Moves bytes in memory; records parks, what each connection was
-    /// sent, and which were closed.
+    /// Moves bytes in memory; records each wait's bound, parks, what
+    /// each connection was sent, and which were closed.
     #[derive(Default)]
     struct Recorder {
+        waits: Vec<Duration>,
         parks: usize,
         sent: HashMap<usize, String>,
         closed: Vec<usize>,
@@ -527,7 +607,8 @@ mod tests {
         type Io = FakeIo;
         const ENGINE: EngineKind = EngineKind::Reactor;
 
-        fn wait(&mut self, _: Duration) -> io::Result<()> {
+        fn wait(&mut self, timeout: Duration) -> io::Result<()> {
+            self.waits.push(timeout);
             Ok(())
         }
         fn precise_timeouts(&self) -> bool {
@@ -573,8 +654,14 @@ mod tests {
     const DONE: Completion = Completion { delay_s: 1e-3, service_s: 1e-3 };
 
     fn shard() -> Shard<Recorder> {
+        shard_on(ServerConfig::default())
+    }
+
+    /// A shard in front of a server configured as `cfg` but for its
+    /// control window, which never closes.
+    fn shard_on(cfg: ServerConfig) -> Shard<Recorder> {
         let control_window = Duration::from_secs(3600);
-        let server = PsdServer::start(ServerConfig { control_window, ..ServerConfig::default() });
+        let server = PsdServer::start(ServerConfig { control_window, ..cfg });
         let shared = Shared::new(Arc::new(AtomicUsize::new(0))).expect("poller");
         let cfg = FrontendConfig::default();
         Shard::new(Recorder::default(), vec![shared], 0, Arc::new(server), cfg)
@@ -597,6 +684,7 @@ mod tests {
 
     /// Every script ends here: after the exit protocol nothing is live.
     fn finish(mut s: Shard<Recorder>) -> Recorder {
+        s.claim = None;
         s.exit();
         assert!(s.conns.is_empty());
         assert_eq!(s.shared.live.load(Ordering::SeqCst), 0, "live count returns to zero");
@@ -670,5 +758,66 @@ mod tests {
         assert!(sent[&bad].starts_with("HTTP/1.0 400"), "{}", sent[&bad]);
         assert!(sent[&shed].starts_with("HTTP/1.1 503"), "{}", sent[&shed]);
         assert!(sent[&shed].contains("X-Shed: 1"), "{}", sent[&shed]);
+    }
+
+    #[test]
+    fn the_wait_ends_spin_short_of_the_deadline() {
+        let now = Instant::now();
+        let bound = |ahead: Duration| wait_bound(Some(now + ahead), || now);
+        assert_eq!(wait_bound(None, || panic!("read the clock")), TICK, "nothing filed");
+        assert_eq!(bound(3 * SPIN), 2 * SPIN);
+        assert_eq!(bound(SPIN + Duration::from_nanos(1)), Duration::from_nanos(1));
+        for within in [SPIN, SPIN / 2, Duration::ZERO] {
+            assert_eq!(bound(within), Duration::ZERO, "{within:?} ahead");
+        }
+        assert_eq!(wait_bound(Some(now), || now + SPIN), Duration::ZERO, "already past");
+        assert_eq!(bound(TICK + 2 * SPIN), TICK, "never beyond TICK");
+    }
+
+    #[test]
+    fn the_spin_stops_at_the_deadline_and_only_starts_within_spin() {
+        // A clock that moves 1 µs per read, from ε/2 before the deadline.
+        let due = Instant::now() + TICK;
+        let mut reads = 0;
+        let mut clock = |from: Instant| {
+            reads += 1;
+            from + Duration::from_micros(reads)
+        };
+        let start = due - SPIN / 2;
+        let reached = spin_until(due, start, || clock(start));
+        assert_eq!(reached, Some(due), "the first read at or past the deadline");
+        assert_eq!(reads, 5);
+        // 2ε ahead is the kernel wait's to cover: no read, no spin.
+        let far = due - 2 * SPIN;
+        assert_eq!(spin_until(due, far, || panic!("read the clock from 2ε out")), None);
+        // Already due: nothing to spin out.
+        assert_eq!(spin_until(due, due, || panic!("read the clock at the deadline")), Some(due));
+    }
+
+    /// A deadline ε/2 ahead when the turn starts, filed by a real
+    /// request: the turn's wait is bounded at zero, and the same turn
+    /// spins to the deadline, fires exactly it and sends the reply.
+    #[test]
+    fn a_turn_fires_a_deadline_within_spin_at_its_instant() {
+        let mut s = shard_on(ServerConfig {
+            deltas: vec![1.0],
+            work_unit: Duration::from_millis(1), // one class: the whole rate
+            ..ServerConfig::default()
+        });
+        s.claim = s.claim_deadlines();
+        let k = connect(&mut s, false);
+        send(&mut s, k, REQ);
+        let due = s.claim.as_ref().and_then(DeadlineClaim::next_due).expect("filed");
+        while due.saturating_duration_since(Instant::now()) > SPIN / 2 {
+            std::hint::spin_loop();
+        }
+        s.turn().unwrap();
+        assert_eq!(s.driver.waits, [Duration::ZERO], "a deadline within ε bounds the wait at 0");
+        assert!(s.now >= due, "the turn ended {:?} before the deadline", due - s.now);
+        let (wheel, _) = s.server.wheel_stats().unwrap();
+        assert_eq!(wheel.fires.load(Ordering::Relaxed), 1);
+        assert!(s.claim.as_ref().unwrap().next_due().is_none(), "nothing left filed");
+        assert_eq!(s.driver.sent[&k].matches("200 OK").count(), 1, "answered in the turn");
+        finish(s);
     }
 }

@@ -19,8 +19,9 @@
 //! Everything a loop turn queued — accept re-arms, reads, response
 //! writes, cancels, the doorbell — is flushed by **one**
 //! `io_uring_enter` in the next [`Driver::wait`], whose `EXT_ARG`
-//! timeout is the next deadline: three syscalls per keep-alive request
-//! on the deadline-firing shard, against epoll's six
+//! timeout ends ε before the next deadline (a zero timeout is a
+//! `GETEVENTS` enter that never sleeps): three syscalls per keep-alive
+//! request on the deadline-firing shard, against epoll's six
 //! (`tests/syscall_gate.rs` pins both).
 //!
 //! Closing inverts too: an fd with in-flight SQEs must outlive them, so

@@ -12,8 +12,16 @@
 //! latency. That is why there is no calibration: aiming a wait early by
 //! a measured slack only trades lateness for waits that end *before*
 //! their deadline — a service shorter than X/r_i, an arrival sent
-//! early. A wait here never ends early, and ends late by scheduler
-//! latency only.
+//! early. A wait here, and the timer thread's, never ends early, and
+//! ends late by scheduler latency only (7–9 µs on the 2-vCPU VM the
+//! server is measured on).
+//!
+//! The reactor shard that fires the deadlines does not leave that
+//! latency in its replies: its kernel wait ends a fixed ε before the
+//! deadline and the turn spins out the rest on the clock (see the
+//! shard's module doc). That is not an early aim — the wait's early end
+//! fires nothing; the fire waits for a clock read at or past the due
+//! instant.
 
 use std::cell::Cell;
 use std::thread;

@@ -16,9 +16,11 @@
 //!
 //! Each armed completion is filed at the first nanosecond at or after
 //! it, the same for both workloads, so a reply leaves when its stretched
-//! service ends, late only by the wakeup of whoever fires it. The
-//! departure is tallied before the submitter hears of it, so every reply
-//! a client holds is already counted in `PsdServer::stats`.
+//! service ends, late only by the wakeup of whoever fires it. Every fire
+//! adds that lateness (due instant to the clock read that popped it) to
+//! `WheelStats::late_ns`. The departure is tallied before the submitter
+//! hears of it, so every reply a client holds is already counted in
+//! `PsdServer::stats`.
 //!
 //! The [`Workload`] decides how the wait is spent. Sleep service is
 //! pure waiting, so one [`Deadlines`] store serves every class and no
@@ -26,16 +28,20 @@
 //!
 //! * a reactor shard that holds the store's [`DeadlineClaim`] (shard 0
 //!   claims it when its loop starts and releases it when the loop
-//!   exits): the loop bounds each wait by the next deadline and fires
-//!   what is due in the same turn, so a completion for one of its own
-//!   connections is answered on the thread that parked it, with no
-//!   cross-thread hop. A filing from any other thread that becomes the
-//!   earliest deadline rings the claimant's poller;
-//! * otherwise the timer thread, parked until the earliest deadline.
-//!   It fires the store while nobody holds the claim (no reactor in
-//!   front: the in-process submitters, the threads engine), parks with
-//!   no timeout while a claim is held, and takes over whatever is still
-//!   filed when the claim is released.
+//!   exits): the loop ends each kernel wait ε (10 µs) before the next
+//!   deadline, spins out the rest on the clock, yielding the core
+//!   between reads, and fires what is due in the same turn. A deadline
+//!   so fires at its nanosecond, give or take one clock read, and a
+//!   completion for one of the shard's own connections is answered on
+//!   the thread that parked it, with no cross-thread hop. A filing from
+//!   any other thread that becomes the earliest deadline rings the
+//!   claimant's poller;
+//! * otherwise the timer thread, parked until the earliest deadline and
+//!   late by the scheduler's wake latency. It fires the store while
+//!   nobody holds the claim (no reactor in front: the in-process
+//!   submitters, the threads engine), parks with no timeout while a
+//!   claim is held, and takes over whatever is still filed when the
+//!   claim is released.
 //!
 //! Spin service stands for CPU-bound work, so each class has its own
 //! thread, which burns the stretched time polling the clock; nobody
@@ -103,12 +109,13 @@ impl Deadlines {
         self.queue.front().map(|entry| entry.0)
     }
 
-    /// The earliest class whose deadline is at or before `now`.
-    fn pop_due(&mut self, now: u64) -> Option<usize> {
+    /// The earliest `(due, class)` whose deadline is at or before
+    /// `now`.
+    fn pop_due(&mut self, now: u64) -> Option<(u64, usize)> {
         if self.next_due()? > now {
             return None;
         }
-        self.queue.pop_front().map(|entry| entry.1)
+        self.queue.pop_front()
     }
 }
 
@@ -124,6 +131,25 @@ struct Executor {
     state: Mutex<Deadlines>,
     alarm: Condvar,
     stats: WheelStats,
+}
+
+impl Executor {
+    /// Pop every deadline in `st` (this executor's store, locked) due by
+    /// `now`, earliest first, into `fired`, and count them as fired with
+    /// their lateness `now − due`. The caller completes them after
+    /// unlocking.
+    fn take_due(&self, st: &mut Deadlines, now: u64, fired: &mut Vec<usize>) {
+        let (mut n, mut late) = (0, 0);
+        while let Some((due, class)) = st.pop_due(now) {
+            n += 1;
+            late += now - due;
+            fired.push(class);
+        }
+        if n > 0 {
+            self.stats.fires.fetch_add(n, Ordering::Relaxed);
+            self.stats.late_ns.fetch_add(late, Ordering::Relaxed);
+        }
+    }
 }
 
 struct Shared {
@@ -272,9 +298,7 @@ impl DeadlineClaim {
         let mut total = 0;
         loop {
             let now_ns = shared.now_ns();
-            let mut st = exec.state.lock();
-            fired.extend(std::iter::from_fn(|| st.pop_due(now_ns)));
-            drop(st);
+            exec.take_due(&mut exec.state.lock(), now_ns, fired);
             if fired.is_empty() {
                 break;
             }
@@ -285,7 +309,6 @@ impl DeadlineClaim {
         }
         if total > 0 {
             exec.stats.wakeups.fetch_add(1, Ordering::Relaxed);
-            exec.stats.fires.fetch_add(total as u64, Ordering::Relaxed);
         }
         total
     }
@@ -374,10 +397,9 @@ impl Shared {
         loop {
             let now_ns = self.now_ns();
             if st.claimant.is_none() {
-                fired.extend(std::iter::from_fn(|| st.pop_due(now_ns)));
+                exec.take_due(&mut st, now_ns, &mut fired);
             }
             if !fired.is_empty() {
-                exec.stats.fires.fetch_add(fired.len() as u64, Ordering::Relaxed);
                 drop(st);
                 // Fire outside the lock: completions take lane locks,
                 // run callbacks and file the next deadline.
@@ -424,7 +446,7 @@ mod tests {
     use std::sync::atomic::AtomicU32;
 
     fn drain(d: &mut Deadlines, now: u64) -> Vec<usize> {
-        std::iter::from_fn(|| d.pop_due(now)).collect()
+        std::iter::from_fn(|| d.pop_due(now)).map(|(_, class)| class).collect()
     }
 
     #[test]
@@ -455,6 +477,28 @@ mod tests {
         }
         assert_eq!(drain(&mut d, 42), (0..10).collect::<Vec<_>>(), "in filing order");
         assert_eq!(drain(&mut d, 1000), vec![99]);
+    }
+
+    /// Each fire adds `now − due` to the lateness counter, `now` being
+    /// the clock read that popped it: nothing before its due instant,
+    /// and nothing for a deadline left filed.
+    #[test]
+    fn a_fire_counts_its_lateness() {
+        let exec = Executor::default();
+        let mut fired = Vec::new();
+        let mut st = exec.state.lock();
+        st.insert(100, 0);
+        st.insert(130, 1);
+        st.insert(500, 2);
+        exec.take_due(&mut st, 99, &mut fired);
+        assert_eq!((fired.len(), exec.stats.late_ns.load(Ordering::Relaxed)), (0, 0));
+        exec.take_due(&mut st, 160, &mut fired);
+        assert_eq!(fired, [0, 1]);
+        assert_eq!(exec.stats.fires.load(Ordering::Relaxed), 2);
+        assert_eq!(exec.stats.late_ns.load(Ordering::Relaxed), (160 - 100) + (160 - 130));
+        exec.take_due(&mut st, 500, &mut fired);
+        assert_eq!(exec.stats.late_ns.load(Ordering::Relaxed), 90, "on time adds nothing");
+        assert_eq!(fired, [0, 1, 2]);
     }
 
     #[test]
@@ -826,7 +870,7 @@ mod tests {
             while let Some(due) = self.deadlines.next_due().filter(|&due| due <= to) {
                 assert!(due >= self.now, "fired out of deadline order");
                 self.now = due;
-                while let Some(class) = self.deadlines.pop_due(self.now) {
+                while let Some((_, class)) = self.deadlines.pop_due(self.now) {
                     let (departure, now) = (self.filed[class].take().unwrap(), self.now_s());
                     assert_eq!(
                         self.now,

@@ -179,6 +179,8 @@ fn observability_routes_scrape_mid_overload() {
         // thread).
         assert!(sample(&samples, "psd_wheel_scheduled_total", None) >= 6.0, "{engine:?}");
         assert!(sample(&samples, "psd_wheel_fires_total", None) >= 6.0, "{engine:?}");
+        let late = sample(&samples, "psd_wheel_fire_lateness_seconds_total", None);
+        assert!(late.is_finite() && late >= 0.0, "{engine:?}: fire lateness {late}");
         // The latency histogram saw every admitted request.
         assert_eq!(
             sample(&samples, "psd_request_duration_seconds_count", Some(("class", "0"))),
