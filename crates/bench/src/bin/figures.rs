@@ -97,8 +97,7 @@ fn main() {
         std::fs::create_dir_all(&dir).expect("create json output dir");
         for t in &tables {
             let path = format!("{dir}/{}.json", t.id);
-            std::fs::write(&path, serde_json::to_string_pretty(t).expect("serialize"))
-                .expect("write json table");
+            std::fs::write(&path, t.to_json()).expect("write json table");
             eprintln!("wrote {path}");
         }
     }

@@ -1,9 +1,11 @@
 //! Plain-text + JSON tables for figure output.
 
-use serde::Serialize;
+use psd_obs::json::{
+    pretty, push_json_f64_array, push_json_key, push_json_str, push_json_str_array,
+};
 
 /// A named series table: one row per x-axis point.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct Table {
     /// Figure id, e.g. `"fig2"`.
     pub id: String,
@@ -40,6 +42,25 @@ impl Table {
         self.notes.push(s.into());
     }
 
+    /// Indented JSON: the `figures --json` file format.
+    pub fn to_json(&self) -> String {
+        let mut out = String::from("{");
+        push_json_str(push_json_key(&mut out, "id"), &self.id);
+        push_json_str(push_json_key(&mut out, "title"), &self.title);
+        push_json_str_array(push_json_key(&mut out, "columns"), &self.columns);
+        push_json_key(&mut out, "rows").push('[');
+        for (i, row) in self.rows.iter().enumerate() {
+            if i > 0 {
+                out.push(',');
+            }
+            push_json_f64_array(&mut out, row);
+        }
+        out.push(']');
+        push_json_str_array(push_json_key(&mut out, "notes"), &self.notes);
+        out.push('}');
+        pretty(&out)
+    }
+
     /// Render as an aligned text table.
     pub fn render(&self) -> String {
         let mut out = String::new();
@@ -74,6 +95,7 @@ impl Table {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use psd_obs::JsonValue;
 
     #[test]
     fn renders_header_and_rows() {
@@ -92,6 +114,27 @@ mod tests {
         let mut t = Table::new("f", "t", &["x"]);
         t.push_row(vec![f64::NAN]);
         assert!(t.render().contains('-'));
+    }
+
+    #[test]
+    fn json_golden() {
+        let mut t = Table::new("figX", "Demo \"quoted\" title", &["load", "sim_c0", "exp_c0"]);
+        t.push_row(vec![0.3, 1.5, f64::NAN]);
+        t.push_row(vec![0.9, 12.25, 1e-7]);
+        t.note("2 runs; δ = (1, 2)");
+        // Compared as parsed trees (key order kept), so only a number's
+        // spelling may change; the NaN cell is written as `null`.
+        let want = JsonValue::parse(
+            r#"{
+  "id": "figX", "title": "Demo \"quoted\" title",
+  "columns": ["load", "sim_c0", "exp_c0"],
+  "rows": [[0.3, 1.5, null], [0.9, 12.25, 1e-7]],
+  "notes": ["2 runs; δ = (1, 2)"]
+}"#,
+        )
+        .expect("golden parses");
+        let json = t.to_json();
+        assert_eq!(JsonValue::parse(&json).expect("table parses"), want, "{json}");
     }
 
     #[test]

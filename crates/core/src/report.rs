@@ -1,9 +1,7 @@
-//! Serializable result types for single runs and experiments.
-
-use serde::Serialize;
+//! Result types for single runs and experiments.
 
 /// Per-class outcome of a single simulation run.
-#[derive(Debug, Clone, PartialEq, Serialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ClassReport {
     /// Differentiation parameter δ.
     pub delta: f64,
@@ -20,7 +18,7 @@ pub struct ClassReport {
 }
 
 /// Outcome of a single simulation run.
-#[derive(Debug, Clone, PartialEq, Serialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct PsdReport {
     /// Seed used for this run.
     pub seed: u64,
@@ -80,12 +78,5 @@ mod tests {
     fn ratio_helper() {
         assert_eq!(report().mean_ratio_vs_class0(1), Some(2.0));
         assert_eq!(report().mean_ratio_vs_class0(0), Some(1.0));
-    }
-
-    #[test]
-    fn serializes_to_json() {
-        let json = serde_json::to_string(&report()).unwrap();
-        assert!(json.contains("\"delta\":1.0"));
-        assert!(json.contains("window_ratios_vs_class0"));
     }
 }

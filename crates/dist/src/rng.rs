@@ -63,8 +63,9 @@ impl Xoshiro256pp {
         Self { s: [sm.next_u64(), sm.next_u64(), sm.next_u64(), sm.next_u64()] }
     }
 
+    /// Next 64-bit output.
     #[inline]
-    fn step(&mut self) -> u64 {
+    pub fn next_u64(&mut self) -> u64 {
         let s = &mut self.s;
         let result = s[0].wrapping_add(s[3]).rotate_left(23).wrapping_add(s[0]);
         let t = s[1] << 17;
@@ -80,24 +81,14 @@ impl Xoshiro256pp {
     /// Uniform in the half-open interval `[0, 1)` (53 random bits).
     #[inline]
     pub fn next_f64(&mut self) -> f64 {
-        (self.step() >> 11) as f64 * (1.0 / (1u64 << 53) as f64)
+        (self.next_u64() >> 11) as f64 * (1.0 / (1u64 << 53) as f64)
     }
 
     /// Uniform in the *open* interval `(0, 1)` — safe under `ln` and
     /// division; used for exponential and Pareto inversion sampling.
     #[inline]
     pub fn next_open_f64(&mut self) -> f64 {
-        ((self.step() >> 12) as f64 + 0.5) * (1.0 / (1u64 << 52) as f64)
-    }
-}
-
-impl rand::RngCore for Xoshiro256pp {
-    fn next_u32(&mut self) -> u32 {
-        (self.step() >> 32) as u32
-    }
-
-    fn next_u64(&mut self) -> u64 {
-        self.step()
+        ((self.next_u64() >> 12) as f64 + 0.5) * (1.0 / (1u64 << 52) as f64)
     }
 }
 
@@ -110,7 +101,6 @@ pub fn open01(rng: &mut Xoshiro256pp) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rand::RngCore;
 
     /// Known-answer vector: SplitMix64(0) seeds (published test values)
     /// and the first five xoshiro256++ outputs from that state, computed
@@ -178,14 +168,5 @@ mod tests {
         let n = 100_000;
         let mean = (0..n).map(|_| rng.next_f64()).sum::<f64>() / n as f64;
         assert!((mean - 0.5).abs() < 0.01, "uniform mean {mean}");
-    }
-
-    #[test]
-    fn fill_bytes_via_rngcore() {
-        let mut rng = Xoshiro256pp::seed_from(1);
-        let mut buf = [0u8; 13];
-        rng.fill_bytes(&mut buf);
-        assert!(buf.iter().any(|&b| b != 0));
-        let _ = rng.next_u32();
     }
 }

@@ -6,11 +6,10 @@
 
 use std::collections::VecDeque;
 use std::net::SocketAddr;
-use std::sync::Arc;
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::thread;
 use std::time::{Duration, Instant};
 
-use parking_lot::{Condvar, Mutex};
 use psd_dist::rng::{SplitMix64, Xoshiro256pp};
 use psd_dist::stats::Welford;
 use psd_dist::ServiceDistribution;
@@ -114,20 +113,26 @@ struct JobQueue {
 }
 
 impl JobQueue {
+    /// The queue and its closed flag, even after a holder panicked: each
+    /// critical section is one push, pop or flag write, so it is whole.
+    fn lock(&self) -> MutexGuard<'_, (VecDeque<Job>, bool)> {
+        self.inner.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
     fn push(&self, job: Job) {
-        let mut g = self.inner.lock();
+        let mut g = self.lock();
         g.0.push_back(job);
         drop(g);
         self.ready.notify_one();
     }
 
     fn close(&self) {
-        self.inner.lock().1 = true;
+        self.lock().1 = true;
         self.ready.notify_all();
     }
 
     fn pop(&self) -> Option<Job> {
-        let mut g = self.inner.lock();
+        let mut g = self.lock();
         loop {
             if let Some(j) = g.0.pop_front() {
                 return Some(j);
@@ -135,7 +140,7 @@ impl JobQueue {
             if g.1 {
                 return None;
             }
-            self.ready.wait(&mut g);
+            g = self.ready.wait(g).unwrap_or_else(PoisonError::into_inner);
         }
     }
 }
@@ -497,6 +502,33 @@ fn run_closed(
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// A worker panics while holding the queue's lock: pushes and pops
+    /// still go through, and a pop parked on the condition variable
+    /// still wakes for the next push.
+    #[test]
+    fn a_panicked_holder_leaves_the_queue_usable() {
+        let q = Arc::new(JobQueue::default());
+        let held = Arc::clone(&q);
+        let panicked = thread::spawn(move || {
+            let _g = held.lock();
+            panic!("poison the queue");
+        })
+        .join();
+        assert!(panicked.is_err() && q.inner.is_poisoned());
+        let job = |class| Job { intended: Duration::ZERO, class, cost: 1.0 };
+        q.push(job(0));
+        assert_eq!(q.pop().map(|j| j.class), Some(0));
+        let pusher = Arc::clone(&q);
+        let t = thread::spawn(move || {
+            thread::sleep(Duration::from_millis(20));
+            pusher.push(job(1));
+        });
+        assert_eq!(q.pop().map(|j| j.class), Some(1), "the parked pop wakes");
+        t.join().unwrap();
+        q.close();
+        assert!(q.pop().is_none());
+    }
 
     #[test]
     fn early_send_latency_is_measured_from_the_send() {

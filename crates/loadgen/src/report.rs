@@ -3,7 +3,9 @@
 //! configured δ's — serializable to JSON (the `BENCH_loadgen.json`
 //! schema CI tracks) and renderable as markdown.
 
-use serde::Serialize;
+use std::fmt::Write as _;
+
+use psd_obs::json::{pretty, push_json_f64, push_json_f64_array, push_json_key, push_json_str};
 
 use crate::generator::{GenStats, BAND_WINDOW};
 use crate::scenario::{LoadMode, Scenario};
@@ -14,7 +16,7 @@ use crate::scenario::{LoadMode, Scenario};
 pub const BAND_TOLERANCE: f64 = 0.25;
 
 /// Latency summary in milliseconds.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct LatencySummary {
     /// Mean latency (ms).
     pub mean_ms: f64,
@@ -31,7 +33,7 @@ pub struct LatencySummary {
 }
 
 /// One class's slice of the report.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct ClassReport {
     /// Class index (0 = highest class).
     pub class: usize,
@@ -66,7 +68,7 @@ pub struct ClassReport {
 }
 
 /// The complete report of one scenario run.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct LoadReport {
     /// Scenario name.
     pub scenario: String,
@@ -126,6 +128,14 @@ pub struct LoadReport {
     pub throughput_rps: f64,
     /// Per-class detail.
     pub classes: Vec<ClassReport>,
+}
+
+/// Append `v` as a JSON number, or `null` when absent.
+fn push_opt_f64(out: &mut String, v: Option<f64>) {
+    match v {
+        Some(v) => push_json_f64(out, v),
+        None => out.push_str("null"),
+    }
 }
 
 fn quantile_ms(h: &crate::histogram::LogHistogram, q: f64) -> f64 {
@@ -332,7 +342,71 @@ impl LoadReport {
 
     /// Indented JSON (the `BENCH_loadgen.json` schema).
     pub fn to_json(&self) -> String {
-        serde_json::to_string_pretty(self).expect("report serialization is total")
+        let mut o = String::from("{");
+        push_json_str(push_json_key(&mut o, "scenario"), &self.scenario);
+        push_json_str(push_json_key(&mut o, "engine"), &self.engine);
+        let _ = write!(push_json_key(&mut o, "shards"), "{}", self.shards);
+        push_json_str(push_json_key(&mut o, "controller"), &self.controller);
+        push_opt_f64(push_json_key(&mut o, "admission_cap"), self.admission_cap);
+        push_json_str(push_json_key(&mut o, "mode"), &self.mode);
+        push_json_f64(push_json_key(&mut o, "duration_s"), self.duration_s);
+        push_json_f64(push_json_key(&mut o, "warmup_s"), self.warmup_s);
+        let _ = write!(push_json_key(&mut o, "connections"), "{}", self.connections);
+        let _ = write!(push_json_key(&mut o, "seed"), "{}", self.seed);
+        push_json_f64_array(push_json_key(&mut o, "deltas"), &self.deltas);
+        push_opt_f64(push_json_key(&mut o, "reconfig_at_frac"), self.reconfig_at_frac);
+        match &self.reconfig_deltas {
+            Some(d) => push_json_f64_array(push_json_key(&mut o, "reconfig_deltas"), d),
+            None => push_json_key(&mut o, "reconfig_deltas").push_str("null"),
+        }
+        let _ = write!(
+            o,
+            ",\"total_sent\":{},\"total_errors\":{},\"total_shed\":{},\"dead_workers\":{}",
+            self.total_sent, self.total_errors, self.total_shed, self.dead_workers
+        );
+        push_opt_f64(push_json_key(&mut o, "time_to_band_s"), self.time_to_band_s);
+        push_json_f64(push_json_key(&mut o, "band_tolerance"), self.band_tolerance);
+        push_json_f64(push_json_key(&mut o, "throughput_rps"), self.throughput_rps);
+        push_json_key(&mut o, "classes").push('[');
+        for (i, c) in self.classes.iter().enumerate() {
+            if i > 0 {
+                o.push(',');
+            }
+            let _ = write!(o, "{{\"class\":{},\"delta\":", c.class);
+            push_json_f64(&mut o, c.delta);
+            let _ = write!(
+                o,
+                ",\"sent\":{},\"ok\":{},\"errors\":{},\"shed\":{},\"measured\":{}",
+                c.sent, c.ok, c.errors, c.shed, c.measured
+            );
+            push_json_f64(push_json_key(&mut o, "throughput_rps"), c.throughput_rps);
+            let l = &c.latency;
+            push_json_key(&mut o, "latency").push('{');
+            for (key, v) in [
+                ("mean_ms", l.mean_ms),
+                ("p50_ms", l.p50_ms),
+                ("p90_ms", l.p90_ms),
+                ("p99_ms", l.p99_ms),
+                ("p999_ms", l.p999_ms),
+                ("max_ms", l.max_ms),
+            ] {
+                push_json_f64(push_json_key(&mut o, key), v);
+            }
+            o.push('}');
+            push_json_f64(push_json_key(&mut o, "mean_slowdown"), c.mean_slowdown);
+            push_opt_f64(
+                push_json_key(&mut o, "slowdown_ratio_vs_class0"),
+                c.slowdown_ratio_vs_class0,
+            );
+            push_json_f64(
+                push_json_key(&mut o, "target_ratio_vs_class0"),
+                c.target_ratio_vs_class0,
+            );
+            push_opt_f64(push_json_key(&mut o, "ratio_deviation"), c.ratio_deviation);
+            o.push('}');
+        }
+        o.push_str("]}");
+        pretty(&o)
     }
 
     /// Human-readable markdown summary.
@@ -460,7 +534,42 @@ mod tests {
         ] {
             assert!(json.contains(key), "missing {key} in {json}");
         }
+        // The whole document, compared as parsed trees (key order kept):
+        // a writer change may respell a number, never move or drop a field.
+        let want = psd_obs::JsonValue::parse(GOLDEN_JSON).expect("golden parses");
+        assert_eq!(psd_obs::JsonValue::parse(&json).expect("report parses"), want, "{json}");
     }
+
+    const GOLDEN_JSON: &str = r#"{
+  "scenario": "steady", "engine": "threads", "shards": 2, "controller": "open",
+  "admission_cap": null, "mode": "open", "duration_s": 10.0, "warmup_s": 2.0,
+  "connections": 48, "seed": 42, "deltas": [1.0, 2.0],
+  "reconfig_at_frac": null, "reconfig_deltas": null,
+  "total_sent": 200, "total_errors": 1, "total_shed": 0, "dead_workers": 0,
+  "time_to_band_s": null, "band_tolerance": 0.25, "throughput_rps": 24.875,
+  "classes": [
+    {
+      "class": 0, "delta": 1.0, "sent": 100, "ok": 100, "errors": 0, "shed": 0,
+      "measured": 100, "throughput_rps": 12.5,
+      "latency": {
+        "mean_ms": 1.495, "p50_ms": 1.488, "p90_ms": 1.904,
+        "p99_ms": 1.968, "p999_ms": 1.99, "max_ms": 1.99
+      },
+      "mean_slowdown": 1.0, "slowdown_ratio_vs_class0": null,
+      "target_ratio_vs_class0": 1.0, "ratio_deviation": null
+    },
+    {
+      "class": 1, "delta": 2.0, "sent": 100, "ok": 99, "errors": 1, "shed": 0,
+      "measured": 99, "throughput_rps": 12.375,
+      "latency": {
+        "mean_ms": 2.98, "p50_ms": 2.976, "p90_ms": 3.808,
+        "p99_ms": 3.936, "p999_ms": 3.936, "max_ms": 3.96
+      },
+      "mean_slowdown": 2.1, "slowdown_ratio_vs_class0": 2.1,
+      "target_ratio_vs_class0": 2.0, "ratio_deviation": 0.050000000000000044
+    }
+  ]
+}"#;
 
     #[test]
     fn markdown_has_a_row_per_class() {

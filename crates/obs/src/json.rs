@@ -1,9 +1,10 @@
-//! Minimal JSON support shared by every exposition path in this crate:
-//! escape-correct writer helpers (the hot paths build JSON by hand into
-//! a caller-owned `String`) and a small recursive-descent parser used to
-//! read a flight-recorder dump back for replay. Both ends are
-//! deliberately tiny — just enough to round-trip this crate's own
-//! output — so the observability layer stays dependency-free.
+//! The workspace's one JSON codec: escape-correct writer helpers (the
+//! hot paths and the report writers build JSON by hand into a
+//! caller-owned `String`), a 2-space pretty-printer for report files,
+//! and a small recursive-descent parser used to read a flight-recorder
+//! dump back for replay. Both ends are deliberately tiny — just enough
+//! to round-trip the workspace's own output — so the observability
+//! layer stays dependency-free.
 
 use std::fmt::Write as _;
 
@@ -59,6 +60,88 @@ pub fn push_json_u64_array(out: &mut String, vs: &[u64]) {
         let _ = write!(out, "{v}");
     }
     out.push(']');
+}
+
+/// Append `["a", "b", ...]` for a string slice.
+pub fn push_json_str_array(out: &mut String, vs: &[String]) {
+    out.push('[');
+    for (i, v) in vs.iter().enumerate() {
+        if i > 0 {
+            out.push(',');
+        }
+        push_json_str(out, v);
+    }
+    out.push(']');
+}
+
+/// Append `"key":` to an object under construction, after a comma
+/// unless `out` has just opened it, and hand `out` back for the value.
+pub fn push_json_key<'a>(out: &'a mut String, key: &str) -> &'a mut String {
+    if !out.ends_with('{') {
+        out.push(',');
+    }
+    push_json_str(out, key);
+    out.push(':');
+    out
+}
+
+/// Re-indent compact JSON with two spaces per level and `": "` after
+/// each key; empty containers stay on one line. Strings pass through
+/// untouched. The one pretty-printer behind every `--json` report file.
+pub fn pretty(compact: &str) -> String {
+    fn newline(out: &mut String, indent: usize) {
+        out.push('\n');
+        for _ in 0..indent {
+            out.push_str("  ");
+        }
+    }
+    let mut out = String::with_capacity(compact.len() * 2);
+    let mut indent = 0usize;
+    let mut in_string = false;
+    let mut escaped = false;
+    let mut chars = compact.chars().peekable();
+    while let Some(c) = chars.next() {
+        if in_string {
+            out.push(c);
+            if escaped {
+                escaped = false;
+            } else if c == '\\' {
+                escaped = true;
+            } else if c == '"' {
+                in_string = false;
+            }
+            continue;
+        }
+        match c {
+            '"' => {
+                in_string = true;
+                out.push(c);
+            }
+            '{' | '[' => {
+                out.push(c);
+                let close = if c == '{' { '}' } else { ']' };
+                if chars.peek() == Some(&close) {
+                    out.push(close);
+                    chars.next();
+                } else {
+                    indent += 1;
+                    newline(&mut out, indent);
+                }
+            }
+            '}' | ']' => {
+                indent = indent.saturating_sub(1);
+                newline(&mut out, indent);
+                out.push(c);
+            }
+            ',' => {
+                out.push(c);
+                newline(&mut out, indent);
+            }
+            ':' => out.push_str(": "),
+            c => out.push(c),
+        }
+    }
+    out
 }
 
 /// A parsed JSON value. Numbers are kept as `f64` — every quantity this

@@ -138,4 +138,20 @@ mod tests {
         assert_eq!(obs.admission.draws.load(std::sync::atomic::Ordering::Relaxed), 0);
         assert_eq!(obs.flight.recorded(), 0);
     }
+
+    #[test]
+    fn pretty_indents() {
+        assert_eq!(json::pretty("[1,2]"), "[\n  1,\n  2\n]");
+    }
+
+    #[test]
+    fn pretty_keeps_empty_and_strings() {
+        let mut out = String::from("{");
+        json::push_json_str_array(json::push_json_key(&mut out, "a"), &[]);
+        json::push_json_str(json::push_json_key(&mut out, "b"), "x{,}:\"y");
+        out.push('}');
+        let p = json::pretty(&out);
+        assert_eq!(p, "{\n  \"a\": [],\n  \"b\": \"x{,}:\\\"y\"\n}");
+        assert_eq!(JsonValue::parse(&p), JsonValue::parse(&out));
+    }
 }

@@ -48,7 +48,6 @@ mod fairness_tests {
 
     use super::*;
     use psd_dist::rng::Xoshiro256pp;
-    use rand::RngCore;
 
     /// Keep every class backlogged, dispatch `total` work items with
     /// random costs, and return per-class dispatched work fractions.

@@ -14,8 +14,9 @@
 //! `X-Delay-Us` and `X-Slowdown` headers. HTTP/1.1 connections are
 //! kept alive. Class `i` executes one request at a time at its
 //! allocated rate `r_i` (service stretched by `1/r_i`): as a finish
-//! deadline on one timer thread by default, or burning CPU on the
-//! class's own thread with `--spin`.
+//! deadline by default, fired in reactor shard 0's own loop where its
+//! waits are exact and otherwise (`--engine threads`, say) by one timer
+//! thread, or burning CPU on the class's own thread with `--spin`.
 //!
 //! `--engine threads` (default) serves one blocking thread per
 //! connection; `--engine reactor` multiplexes connections over

@@ -38,11 +38,10 @@ use std::io::{self, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::os::unix::io::AsRawFd;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Condvar, Mutex};
 use std::thread::{self, JoinHandle};
 use std::time::{Duration, Instant};
 
-use parking_lot::{Condvar, Mutex};
 use polling::{Interest, Poller};
 
 pub use crate::codec::{HttpRequest, MAX_BODY_BYTES, MAX_HEADERS, MAX_HEAD_LINE_BYTES};
@@ -50,6 +49,7 @@ pub use crate::codec::{HttpRequest, MAX_BODY_BYTES, MAX_HEADERS, MAX_HEAD_LINE_B
 use crate::admin::{self, AdminInfo};
 use crate::classify::classify;
 use crate::codec::{RequestCodec, Response};
+use crate::locks::{lock, wait_timeout};
 use crate::reactor;
 use crate::server::{Completion, PsdServer};
 
@@ -462,11 +462,11 @@ struct ConnTracker {
 
 impl ConnTracker {
     fn started(&self) {
-        *self.active.lock() += 1;
+        *lock(&self.active) += 1;
     }
 
     fn finished(&self) {
-        let mut g = self.active.lock();
+        let mut g = lock(&self.active);
         *g -= 1;
         if *g == 0 {
             self.idle.notify_all();
@@ -483,20 +483,20 @@ impl ConnTracker {
     }
 
     fn active(&self) -> usize {
-        *self.active.lock()
+        *lock(&self.active)
     }
 
     /// Wait until no handler is running, up to `timeout`. Returns the
     /// number of handlers still alive (0 on success).
     fn wait_idle(&self, timeout: Duration) -> usize {
         let deadline = Instant::now() + timeout;
-        let mut g = self.active.lock();
+        let mut g = lock(&self.active);
         while *g > 0 {
             let now = Instant::now();
             if now >= deadline {
                 break;
             }
-            self.idle.wait_for(&mut g, deadline - now);
+            g = wait_timeout(&self.idle, g, deadline - now);
         }
         *g
     }

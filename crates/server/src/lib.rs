@@ -142,6 +142,7 @@ pub mod classify;
 pub mod codec;
 pub mod driver;
 pub mod httplite;
+mod locks;
 mod metrics;
 mod queues;
 pub mod reactor;

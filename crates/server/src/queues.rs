@@ -29,11 +29,12 @@
 //! close's plus the arrivals less the completions in between.
 
 use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::mpsc::SyncSender;
+use std::sync::Mutex;
 
-use crossbeam::channel::Sender;
-use parking_lot::Mutex;
 use psd_core::control::{Job, Seq, ServiceMode, Station, WindowObservation};
 
+use crate::locks::lock;
 use crate::metrics::{Ledger, ServerStats};
 use crate::server::Completion;
 
@@ -49,7 +50,7 @@ pub(crate) enum CompletionNotify {
     /// Fire-and-forget: nobody is waiting.
     None,
     /// A blocked synchronous submitter ([`crate::PsdServer::submit_sync`]).
-    Channel(Sender<Completion>),
+    Channel(SyncSender<Completion>),
     /// An event-driven submitter: the executing thread invokes the
     /// callback — the reactor uses this to post the completion into its
     /// mailbox and ring its poller, instead of parking a whole
@@ -139,7 +140,7 @@ impl Lanes {
         arrival: f64,
     ) -> Submitted {
         let class = class.min(self.lanes.len() - 1);
-        let Lane { station, seq, ledger } = &mut *self.lanes[class].lock();
+        let Lane { station, seq, ledger } = &mut *lock(&self.lanes[class]);
         // Checked under the lane lock: an executor that reads the flag
         // set and then finds this lane idle (see `drained`) knows no
         // submit slipped in between.
@@ -159,7 +160,7 @@ impl Lanes {
     /// A class-`class` request of `cost` work units was turned away at
     /// the door.
     pub(crate) fn shed(&self, class: usize, cost: f64) {
-        self.lanes[class].lock().ledger.shed(cost);
+        lock(&self.lanes[class]).ledger.shed(cost);
     }
 
     /// `class`'s request in service departs at its station's armed
@@ -174,7 +175,7 @@ impl Lanes {
     /// when the next request completes, if one started.
     pub(crate) fn finish(&self, class: usize, now: f64) -> Option<f64> {
         let (notify, done, next) = {
-            let Lane { station, seq, ledger } = &mut *self.lanes[class].lock();
+            let Lane { station, seq, ledger } = &mut *lock(&self.lanes[class]);
             let departure = station.completion().0;
             let (request, start) = station.depart(departure);
             let done = Completion { delay_s: start - request.arrival, service_s: now - start };
@@ -194,14 +195,14 @@ impl Lanes {
         for (lane, &w) in self.lanes.iter().zip(weights) {
             // Every weight zero gives 0/0, NaN, which the floor replaces.
             let rate = (w / total).max(RATE_FLOOR);
-            let Lane { station, seq, .. } = &mut *lane.lock();
+            let Lane { station, seq, .. } = &mut *lock(lane);
             station.set_rate(rate, now, seq);
         }
     }
 
     /// `class`'s requests queued or in service.
     pub(crate) fn backlog(&self, class: usize) -> usize {
-        self.lanes[class].lock().station.backlog() as usize
+        lock(&self.lanes[class]).station.backlog() as usize
     }
 
     /// Close control window `index` over `[start, end]`: every class's
@@ -209,7 +210,7 @@ impl Lanes {
     /// lock, with work scaled from units to seconds.
     pub(crate) fn close_window(&self, index: u64, start: f64, end: f64) -> WindowObservation {
         let classes = self.lanes.iter().map(|lane| {
-            let mut lane = lane.lock();
+            let mut lane = lock(lane);
             (lane.ledger.take_window(), lane.station.backlog())
         });
         WindowObservation::from_tallies(index, start, end, self.work_unit_s, classes)
@@ -217,7 +218,7 @@ impl Lanes {
 
     /// Every class's lifetime counts and means.
     pub(crate) fn stats(&self) -> ServerStats {
-        ServerStats { classes: self.lanes.iter().map(|l| l.lock().ledger.stats()).collect() }
+        ServerStats { classes: self.lanes.iter().map(|l| lock(l).ledger.stats()).collect() }
     }
 
     /// Stop accepting; what was accepted still drains.
@@ -256,7 +257,7 @@ mod tests {
     /// The rate a request of `class` starting now is served at: its
     /// execution is stretched by the inverse.
     fn rate(lanes: &Lanes, class: usize) -> f64 {
-        lanes.lanes[class].lock().station.rate()
+        lock(&lanes.lanes[class]).station.rate()
     }
 
     #[test]
@@ -312,12 +313,12 @@ mod tests {
         let receipts = Arc::new(Mutex::new(Vec::new()));
         for at in [0.0, 1.25] {
             let receipts = Arc::clone(&receipts);
-            let notify = CompletionNotify::Callback(Box::new(move |c| receipts.lock().push(c)));
+            let notify = CompletionNotify::Callback(Box::new(move |c| lock(&receipts).push(c)));
             lanes.submit(0, 1.0, notify, at);
         }
         assert_eq!(lanes.finish(0, 1.5), Some(2.25), "fired late; the next arrived at 1.25");
         assert_eq!(lanes.finish(0, 2.25), None);
-        let receipts: Vec<_> = receipts.lock().iter().map(|c| (c.delay_s, c.service_s)).collect();
+        let receipts: Vec<_> = lock(&receipts).iter().map(|c| (c.delay_s, c.service_s)).collect();
         assert_eq!(receipts, [(0.0, 1.5), (0.0, 1.0)], "neither queued behind the other");
     }
 

@@ -68,14 +68,14 @@ use std::cell::Cell;
 use std::io;
 use std::net::{TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Condvar, Mutex};
 use std::thread::{self, JoinHandle};
 use std::time::{Duration, Instant};
 
-use parking_lot::{Condvar, Mutex};
 use polling::Poller;
 use psd_obs::{ReactorShardStats, UringStats};
 
+use crate::locks::{lock, wait_timeout};
 use crate::server::{Completion, PsdServer};
 use crate::{EngineKind, FrontendConfig};
 
@@ -149,7 +149,7 @@ impl Shared {
     /// turn: a ring would only cost an eventfd write and a second wait.
     pub(crate) fn post_completion(&self, key: usize, done: Completion) {
         let was_empty = {
-            let mut mb = self.mailbox.lock();
+            let mut mb = lock(&self.mailbox);
             let was_empty = mb.is_empty();
             mb.push((key, done));
             was_empty
@@ -237,13 +237,13 @@ impl Handle {
         let deadline = Instant::now() + timeout;
         let mut clean = true;
         for (shared, thread) in &mut self.shards {
-            let mut exited = shared.exited.lock();
+            let mut exited = lock(&shared.exited);
             while !*exited {
                 let now = Instant::now();
                 if now >= deadline {
                     break;
                 }
-                shared.exited_cv.wait_for(&mut exited, deadline - now);
+                exited = wait_timeout(&shared.exited_cv, exited, deadline - now);
             }
             let this_clean = *exited;
             drop(exited);
@@ -301,7 +301,7 @@ where
             // Driver teardown and the `PsdServer` release come before
             // the exit report: a drain that saw it may unwrap the Arc.
             drop(shard);
-            *shared.exited.lock() = true;
+            *lock(&shared.exited) = true;
             shared.exited_cv.notify_all();
         })?));
     }

@@ -85,6 +85,7 @@ use crate::codec::{HttpRequest, RequestCodec, Response, WriteBuf};
 use crate::httplite::{
     bad_request, keeps_alive, record_span, route, service_unavailable, write_ok_response, Routed,
 };
+use crate::locks::lock;
 use crate::server::{Completion, PsdServer};
 use crate::wheel::DeadlineClaim;
 use crate::{timing, FrontendConfig};
@@ -240,7 +241,7 @@ impl<D: Driver> Shard<D> {
         }
         // Handed-off streams from the accepting shard.
         let mut streams = std::mem::take(&mut self.streams);
-        std::mem::swap(&mut self.shared.inbox.lock().streams, &mut streams);
+        std::mem::swap(&mut lock(&self.shared.inbox).streams, &mut streams);
         for stream in streams.drain(..) {
             self.adopt(stream);
         }
@@ -249,7 +250,7 @@ impl<D: Driver> Shard<D> {
         // with the first-into-empty-mailbox doorbell ring, a burst
         // of completions costs one wakeup and one lock.
         let mut completions = std::mem::take(&mut self.completions);
-        std::mem::swap(&mut *self.shared.mailbox.lock(), &mut completions);
+        std::mem::swap(&mut *lock(&self.shared.mailbox), &mut completions);
         self.shared.stats.record_drain(completions.len() as u64);
         for (key, done) in completions.drain(..) {
             self.on_complete(key, done);
@@ -287,7 +288,7 @@ impl<D: Driver> Shard<D> {
         // and stays with the accepting shard — then release the live
         // slots of anything never adopted.
         let leftover = {
-            let mut inbox = self.shared.inbox.lock();
+            let mut inbox = lock(&self.shared.inbox);
             inbox.closed = true;
             std::mem::take(&mut inbox.streams)
         };
@@ -344,7 +345,7 @@ impl<D: Driver> Shard<D> {
             return self.adopt(stream);
         }
         let peer = &self.peers[target];
-        let mut inbox = peer.inbox.lock();
+        let mut inbox = lock(&peer.inbox);
         if inbox.closed {
             // The peer exited (drain race): keep the connection here
             // instead of stranding it — this shard serves or closes it

@@ -3,16 +3,16 @@
 //! PSD rate monitor.
 
 use std::sync::atomic::Ordering;
-use std::sync::Arc;
+use std::sync::{mpsc, Arc, Condvar, Mutex};
 use std::thread::{self, JoinHandle};
 use std::time::{Duration, Instant};
 
-use parking_lot::{Condvar, Mutex};
 use psd_core::control::{
     build_controller, ClassTable, ControllerKind, RateController, SharedControl,
 };
 use psd_obs::{ControlTrace, ObsBundle, ObsConfig};
 
+use crate::locks::{lock, wait_timeout};
 use crate::metrics::ServerStats;
 use crate::queues::CompletionNotify;
 use crate::wheel::{DeadlineClaim, Ring, TaskServers};
@@ -37,8 +37,10 @@ pub enum Workload {
     /// class's own thread — so the machine needs a core for every class
     /// that is busy at once.
     Spin,
-    /// Pure waiting (I/O-bound; cheap for tests): a finish deadline on
-    /// the one timer thread, so no thread blocks per request.
+    /// Pure waiting (I/O-bound; cheap for tests): a finish deadline in
+    /// one shared store, fired in reactor shard 0's own loop where its
+    /// waits are exact and otherwise by one timer thread; no thread
+    /// blocks per request.
     Sleep,
 }
 
@@ -157,19 +159,18 @@ impl StopFlag {
     }
 
     fn set(&self) {
-        *self.state.lock() = true;
+        *lock(&self.state) = true;
         self.cv.notify_all();
     }
 
     /// Park for up to `d`; returns `true` once stop has been requested
     /// (immediately, or mid-wait).
     fn wait_for(&self, d: Duration) -> bool {
-        let mut g = self.state.lock();
+        let g = lock(&self.state);
         if *g {
             return true;
         }
-        self.cv.wait_for(&mut g, d);
-        *g
+        *wait_timeout(&self.cv, g, d)
     }
 }
 
@@ -259,7 +260,7 @@ impl PsdServer {
     /// executed (used by the threaded HTTP front-end, which parks the
     /// connection's thread until then).
     pub fn submit_sync(&self, class: usize, cost: f64) -> Option<Completion> {
-        let (tx, rx) = crossbeam::channel::bounded(1);
+        let (tx, rx) = mpsc::sync_channel(1);
         if !self.submit_inner(class, cost, CompletionNotify::Channel(tx)) {
             return None;
         }

@@ -53,13 +53,13 @@
 
 use std::collections::VecDeque;
 use std::sync::atomic::Ordering;
-use std::sync::Arc;
+use std::sync::{Arc, Condvar, Mutex};
 use std::thread::{self, JoinHandle, ThreadId};
 use std::time::{Duration, Instant};
 
-use parking_lot::{Condvar, Mutex};
 use psd_obs::WheelStats;
 
+use crate::locks::{lock, wait, wait_timeout};
 use crate::queues::{CompletionNotify, Lanes, Submitted};
 use crate::server::Workload;
 use crate::timing;
@@ -225,7 +225,7 @@ impl TaskServers {
             // Pass through the lock before ringing, so a thread that
             // checked the flag just before it flipped is already parked
             // when the notify lands.
-            drop(exec.state.lock());
+            drop(lock(&exec.state));
             exec.alarm.notify_all();
         }
     }
@@ -233,7 +233,7 @@ impl TaskServers {
     /// Wait for the executor threads to drain and exit (call after
     /// [`TaskServers::close`]).
     pub(crate) fn join(&self) {
-        for h in self.threads.lock().drain(..) {
+        for h in lock(&self.threads).drain(..) {
             let _ = h.join();
         }
     }
@@ -257,7 +257,7 @@ impl TaskServers {
         if self.shared.workload != Workload::Sleep {
             return None;
         }
-        let mut st = self.shared.executors[0].state.lock();
+        let mut st = lock(&self.shared.executors[0].state);
         if st.claimant.is_some() {
             return None;
         }
@@ -283,7 +283,7 @@ impl DeadlineClaim {
     /// When the earliest filed deadline is due; `None` if none is
     /// filed. The loop's wait must end by then.
     pub(crate) fn next_due(&self) -> Option<Instant> {
-        let due = self.exec().state.lock().next_due()?;
+        let due = lock(&self.exec().state).next_due()?;
         Some(self.shared.epoch + Duration::from_nanos(due))
     }
 
@@ -298,7 +298,7 @@ impl DeadlineClaim {
         let mut total = 0;
         loop {
             let now_ns = shared.now_ns();
-            exec.take_due(&mut exec.state.lock(), now_ns, fired);
+            exec.take_due(&mut lock(&exec.state), now_ns, fired);
             if fired.is_empty() {
                 break;
             }
@@ -318,7 +318,7 @@ impl Drop for DeadlineClaim {
     /// Release the store and wake the timer thread to take it over.
     fn drop(&mut self) {
         let exec = self.exec();
-        exec.state.lock().claimant = None;
+        lock(&exec.state).claimant = None;
         exec.alarm.notify_one();
     }
 }
@@ -353,7 +353,7 @@ impl Shared {
         };
         exec.stats.scheduled.fetch_add(1, Ordering::Relaxed);
         let ring = {
-            let mut st = exec.state.lock();
+            let mut st = lock(&exec.state);
             if !st.file(at, class) {
                 return;
             }
@@ -393,7 +393,7 @@ impl Shared {
         timing::precise_timers();
         let exec = &self.executors[i];
         let mut fired: Vec<usize> = Vec::new();
-        let mut st = exec.state.lock();
+        let mut st = lock(&exec.state);
         loop {
             let now_ns = self.now_ns();
             if st.claimant.is_none() {
@@ -406,12 +406,12 @@ impl Shared {
                 for class in fired.drain(..) {
                     self.complete(class);
                 }
-                st = exec.state.lock();
+                st = lock(&exec.state);
                 continue;
             }
             match (st.next_due(), self.workload) {
                 (Some(due_ns), Workload::Sleep) if st.claimant.is_none() => {
-                    exec.alarm.wait_for(&mut st, Duration::from_nanos(due_ns - now_ns));
+                    st = wait_timeout(&exec.alarm, st, Duration::from_nanos(due_ns - now_ns));
                     exec.stats.wakeups.fetch_add(1, Ordering::Relaxed);
                 }
                 // Poll the clock with the lock held: the class is in
@@ -430,7 +430,7 @@ impl Shared {
                     // Idle: sleep until a start, a release or close
                     // rings the alarm. Each does so while ordering
                     // against this lock, so the wakeup cannot be lost.
-                    exec.alarm.wait(&mut st);
+                    st = wait(&exec.alarm, st);
                 }
             }
         }
@@ -486,7 +486,7 @@ mod tests {
     fn a_fire_counts_its_lateness() {
         let exec = Executor::default();
         let mut fired = Vec::new();
-        let mut st = exec.state.lock();
+        let mut st = lock(&exec.state);
         st.insert(100, 0);
         st.insert(130, 1);
         st.insert(500, 2);
@@ -593,21 +593,21 @@ mod tests {
 
     impl Doorbell {
         fn ring(&self) {
-            self.state.lock().rung = true;
+            lock(&self.state).rung = true;
             self.cv.notify_one();
         }
 
         fn close(&self) {
-            self.state.lock().closed = true;
+            lock(&self.state).closed = true;
             self.cv.notify_one();
         }
 
         /// Wait up to `timeout` unless rung or closed: whether it was
         /// rung (it no longer is), and whether the round is closed.
         fn wait(&self, timeout: Duration) -> (bool, bool) {
-            let mut st = self.state.lock();
+            let mut st = lock(&self.state);
             if !st.rung && !st.closed {
-                self.cv.wait_for(&mut st, timeout);
+                st = wait_timeout(&self.cv, st, timeout);
             }
             (std::mem::take(&mut st.rung), st.closed)
         }
@@ -687,7 +687,7 @@ mod tests {
             let early = Arc::clone(&early);
             let done = move |c: Completion| {
                 if c.service_s < want - 1e-9 {
-                    early.lock().push((i, c.service_s, want));
+                    lock(&early).push((i, c.service_s, want));
                 }
             };
             assert!(servers.submit(class, cost, CompletionNotify::Callback(Box::new(done))));
@@ -696,7 +696,7 @@ mod tests {
         servers.join();
         let completed: u64 = servers.lanes().stats().classes.iter().map(|c| c.completed).sum();
         assert_eq!(completed, 200);
-        let early = early.lock();
+        let early = lock(&early);
         assert!(early.is_empty(), "(request, service_s, target) ended early: {:?}", *early);
     }
 
@@ -720,7 +720,7 @@ mod tests {
         let delays = Arc::new(Mutex::new(Vec::new()));
         for (i, &cost) in costs.iter().enumerate() {
             let delays = Arc::clone(&delays);
-            let done = move |c: Completion| delays.lock().push((i, c.delay_s));
+            let done = move |c: Completion| lock(&delays).push((i, c.delay_s));
             let notify = CompletionNotify::Callback(Box::new(done));
             match servers.lanes().submit(0, cost, notify, arrival) {
                 Submitted::Start { class, at } => servers.shared.file(class, at),
@@ -730,7 +730,7 @@ mod tests {
         assert_eq!(servers.lanes().backlog(0), costs.len(), "the head outlived the submissions");
         servers.close();
         servers.join();
-        let delays = delays.lock();
+        let delays = lock(&delays);
         for k in 1..costs.len() {
             assert_eq!((delays[k - 1].0, delays[k].0), (k - 1, k), "FIFO");
             let gap = delays[k].1 - delays[k - 1].1;
@@ -836,7 +836,7 @@ mod tests {
         fn submit(&mut self, raw_class: usize, cost: f64) {
             let (log, id, now) = (Arc::clone(&self.log), self.accepted, self.now_s());
             let class = raw_class.min(CLASSES - 1);
-            let done = move |c: Completion| log.lock().push((class, id, c.service_s));
+            let done = move |c: Completion| lock(&log).push((class, id, c.service_s));
             let notify = CompletionNotify::Callback(Box::new(done));
             // The lanes clamp the class.
             match self.lanes.submit(raw_class, cost, notify, now) {
@@ -887,7 +887,7 @@ mod tests {
                     if let Some(at) = self.lanes.finish(class, now) {
                         self.file(class, at);
                     }
-                    let (logged, _, service_s) = *self.log.lock().last().unwrap();
+                    let (logged, _, service_s) = *lock(&self.log).last().unwrap();
                     let stretched = departure - start;
                     assert_eq!(logged, class, "the receipt just delivered");
                     assert!(
@@ -940,7 +940,7 @@ mod tests {
             m.close_window();
             let accepted = u64::from(m.accepted);
             assert_eq!((m.arrivals, m.completions), (accepted, accepted));
-            let log = m.log.lock();
+            let log = lock(&m.log);
             assert_eq!(log.len(), m.accepted as usize, "seed {seed}: each completes exactly once");
             for class in 0..CLASSES {
                 let ids: Vec<u32> = log.iter().filter(|e| e.0 == class).map(|e| e.1).collect();

@@ -17,13 +17,16 @@
 //!
 //! The counter is process-global, so everything runs inside ONE test
 //! function — the harness would otherwise interleave other tests'
-//! syscalls into the window.
+//! syscalls into the window. For the same reason the front end runs one
+//! shard: an idle second shard's `TICK` wakeup is a syscall no request
+//! pays for, and it would land in the window at random.
 
 mod common;
 
 use std::io::Write;
 use std::net::TcpStream;
 use std::sync::Arc;
+use std::thread;
 use std::time::Duration;
 
 use psd_server::{EngineKind, FrontendConfig, HttpFrontend, PsdServer, ServerConfig};
@@ -31,6 +34,10 @@ use psd_server::{EngineKind, FrontendConfig, HttpFrontend, PsdServer, ServerConf
 use common::read_response;
 
 const REQUESTS: usize = 400;
+
+/// How long the counter must hold still before [`settled_total`]
+/// reads it.
+const QUIET: Duration = Duration::from_millis(10);
 
 fn quick_server() -> Arc<PsdServer> {
     Arc::new(PsdServer::start(ServerConfig {
@@ -40,16 +47,35 @@ fn quick_server() -> Arc<PsdServer> {
     }))
 }
 
+/// The syscall total once the server has gone quiet. The client holds
+/// a reply as soon as the server has written it, but the server's
+/// tail of that exchange (re-arming the read, entering the next wait)
+/// can still be running, so a read taken at once lands on either side
+/// of it. Waiting until the count holds still for [`QUIET`] puts every
+/// tail inside the exchange it ends.
+fn settled_total() -> u64 {
+    let mut last = polling::count::total();
+    loop {
+        thread::sleep(QUIET);
+        let now = polling::count::total();
+        if now == last {
+            return now;
+        }
+        last = now;
+    }
+}
+
 /// Serve `REQUESTS` keep-alive exchanges on `engine` and return the
 /// I/O-plane syscalls spent on the steady-state portion (startup,
 /// connection setup and shutdown are all excluded by a warmup request
-/// before the first snapshot and by snapshotting again before drop).
+/// before the first snapshot and by snapshotting again before drop;
+/// both snapshots are [`settled_total`]s).
 fn steady_state_syscalls(engine: EngineKind) -> u64 {
     let server = quick_server();
     let fe = HttpFrontend::start_with(
         "127.0.0.1:0",
         Arc::clone(&server),
-        FrontendConfig { engine, ..FrontendConfig::default() },
+        FrontendConfig { engine, shards: 1, ..FrontendConfig::default() },
     )
     .expect("bind");
     assert_eq!(fe.engine(), engine, "probe passed, so no silent fallback");
@@ -61,13 +87,13 @@ fn steady_state_syscalls(engine: EngineKind) -> u64 {
     s.write_all(b"GET /warmup?cost=0.2 HTTP/1.1\r\n\r\n").unwrap();
     assert!(read_response(&mut s).starts_with("HTTP/1.1 200 OK"));
 
-    let before = polling::count::total();
+    let before = settled_total();
     for i in 0..REQUESTS {
         s.write_all(format!("GET /class{}/g?cost=0.2 HTTP/1.1\r\n\r\n", i % 2).as_bytes()).unwrap();
         let resp = read_response(&mut s);
         assert!(resp.starts_with("HTTP/1.1 200 OK"), "{engine:?} request {i}: {resp}");
     }
-    let spent = polling::count::total() - before;
+    let spent = settled_total() - before;
 
     drop(s);
     assert_eq!(fe.shutdown(Duration::from_secs(10)).expect("drain"), 0);

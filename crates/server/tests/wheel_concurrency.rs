@@ -6,7 +6,7 @@
 //! the thread count to the class count to compensate). With the
 //! deadline chains on the wheel, zero threads block per request.
 
-use std::sync::Arc;
+use std::sync::{mpsc, Arc};
 use std::time::{Duration, Instant};
 
 use psd_server::{PsdServer, SchedulerKind, ServerConfig, Workload};
@@ -33,7 +33,7 @@ fn stretched_requests_complete_concurrently_on_two_workers() {
     // Each class's share is 1/256 → stretch caps at 100 → one request
     // of cost 1.0 occupies its virtual server for ≈ 20 ms.
     let per_request = work_unit.mul_f64(100.0);
-    let (tx, rx) = crossbeam::channel::bounded(CLASSES);
+    let (tx, rx) = mpsc::sync_channel(CLASSES);
     let t0 = Instant::now();
     for class in 0..CLASSES {
         let tx = tx.clone();
@@ -85,7 +85,7 @@ fn single_class_requests_chain_serially() {
         ..ServerConfig::default()
     }));
     // Share 1.0 → stretch 1 → 0.5 ms per request; 8 requests chained.
-    let (tx, rx) = crossbeam::channel::bounded(8);
+    let (tx, rx) = mpsc::sync_channel(8);
     let t0 = Instant::now();
     for _ in 0..8 {
         let tx = tx.clone();
@@ -121,7 +121,7 @@ fn an_earlier_deadline_wakes_the_timer() {
         control_window: Duration::from_secs(30),
         ..ServerConfig::default()
     });
-    let (tx, rx) = crossbeam::channel::bounded(2);
+    let (tx, rx) = mpsc::sync_channel(2);
     let submit = |class: usize, cost: f64| {
         let tx = tx.clone();
         assert!(server.submit_async(class, cost, move |done| {
@@ -150,7 +150,7 @@ fn a_completion_is_counted_before_it_is_delivered() {
             workload,
             ..ServerConfig::default()
         }));
-        let (tx, rx) = crossbeam::channel::bounded(20);
+        let (tx, rx) = mpsc::sync_channel(20);
         for i in 0..20 {
             let (seen_by, tx, class) = (Arc::clone(&server), tx.clone(), i % 2);
             assert!(server.submit_async(class, 1.0, move |_| {
