@@ -13,9 +13,9 @@ use std::time::{Duration, Instant};
 use psd_dist::rng::{SplitMix64, Xoshiro256pp};
 use psd_dist::stats::Welford;
 use psd_dist::ServiceDistribution;
+use psd_obs::LogHistogram;
 
 use crate::client::{Connection, Exchange};
-use crate::histogram::LogHistogram;
 use crate::scenario::{LoadMode, Scenario};
 
 /// Floor on sampled costs: keeps every request at least a fraction of a

@@ -19,8 +19,6 @@
 //!   open loop with coordinated-omission-corrected latencies (measured
 //!   from each request's *intended* arrival instant) or closed loop
 //!   with a fixed session population and think times.
-//! * [`histogram`] — a mergeable log-bucketed (HDR-style) latency
-//!   histogram: share-nothing per worker, folded after the run.
 //! * [`report`] — the [`LoadReport`] JSON/markdown schema with
 //!   per-class p50/p99/p999, throughput, mean slowdown, achieved vs.
 //!   target slowdown ratios, shed counts, the controller kind and the
@@ -45,11 +43,11 @@
 pub mod client;
 pub mod generator;
 pub mod harness;
-pub mod histogram;
 pub mod report;
 pub mod scenario;
 
 pub use generator::{WindowSeries, BAND_WINDOW};
-pub use histogram::LogHistogram;
+// The latency histogram is psd-obs's; callers name it here too.
+pub use psd_obs::LogHistogram;
 pub use report::{ClassReport, LatencySummary, LoadReport, BAND_TOLERANCE};
 pub use scenario::{ArrivalSpec, ClassMix, LoadMode, ReconfigSpec, Scenario, ServerProfile};

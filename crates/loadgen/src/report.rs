@@ -6,6 +6,7 @@
 use std::fmt::Write as _;
 
 use psd_obs::json::{pretty, push_json_f64, push_json_f64_array, push_json_key, push_json_str};
+use psd_obs::LogHistogram;
 
 use crate::generator::{GenStats, BAND_WINDOW};
 use crate::scenario::{LoadMode, Scenario};
@@ -138,7 +139,7 @@ fn push_opt_f64(out: &mut String, v: Option<f64>) {
     }
 }
 
-fn quantile_ms(h: &crate::histogram::LogHistogram, q: f64) -> f64 {
+fn quantile_ms(h: &LogHistogram, q: f64) -> f64 {
     h.value_at_quantile(q).unwrap_or(0) as f64 / 1_000.0
 }
 

@@ -306,6 +306,56 @@ mod tests {
     }
 
     #[test]
+    fn histogram_text_is_pinned_byte_for_byte() {
+        // 0 ns, 999 ns, `u64::MAX / 2`, and every power-of-two µs edge
+        // −1/0/+1 µs up to 2^30 µs.
+        let h = LogHistogram::new();
+        for ns in [0, 999, u64::MAX / 2] {
+            h.observe_ns(ns);
+        }
+        for edge in (0..=30).map(|b| 1u64 << b) {
+            for us in [edge - 1, edge, edge + 1] {
+                h.observe_ns(us * 1_000);
+            }
+        }
+        let mut w = PromWriter::new();
+        w.histogram("psd_request_duration_seconds", &[("class", "1")], &h.snapshot());
+        assert_eq!(
+            w.into_string(),
+            "psd_request_duration_seconds_bucket{class=\"1\",le=\"0.000001\"} 3\n\
+             psd_request_duration_seconds_bucket{class=\"1\",le=\"0.000002\"} 5\n\
+             psd_request_duration_seconds_bucket{class=\"1\",le=\"0.000004\"} 9\n\
+             psd_request_duration_seconds_bucket{class=\"1\",le=\"0.000008\"} 12\n\
+             psd_request_duration_seconds_bucket{class=\"1\",le=\"0.000016\"} 15\n\
+             psd_request_duration_seconds_bucket{class=\"1\",le=\"0.000032\"} 18\n\
+             psd_request_duration_seconds_bucket{class=\"1\",le=\"0.000064\"} 21\n\
+             psd_request_duration_seconds_bucket{class=\"1\",le=\"0.000128\"} 24\n\
+             psd_request_duration_seconds_bucket{class=\"1\",le=\"0.000256\"} 27\n\
+             psd_request_duration_seconds_bucket{class=\"1\",le=\"0.000512\"} 30\n\
+             psd_request_duration_seconds_bucket{class=\"1\",le=\"0.001024\"} 33\n\
+             psd_request_duration_seconds_bucket{class=\"1\",le=\"0.002048\"} 36\n\
+             psd_request_duration_seconds_bucket{class=\"1\",le=\"0.004096\"} 39\n\
+             psd_request_duration_seconds_bucket{class=\"1\",le=\"0.008192\"} 42\n\
+             psd_request_duration_seconds_bucket{class=\"1\",le=\"0.016384\"} 45\n\
+             psd_request_duration_seconds_bucket{class=\"1\",le=\"0.032768\"} 48\n\
+             psd_request_duration_seconds_bucket{class=\"1\",le=\"0.065536\"} 51\n\
+             psd_request_duration_seconds_bucket{class=\"1\",le=\"0.131072\"} 54\n\
+             psd_request_duration_seconds_bucket{class=\"1\",le=\"0.262144\"} 57\n\
+             psd_request_duration_seconds_bucket{class=\"1\",le=\"0.524288\"} 60\n\
+             psd_request_duration_seconds_bucket{class=\"1\",le=\"1.048576\"} 63\n\
+             psd_request_duration_seconds_bucket{class=\"1\",le=\"2.097152\"} 66\n\
+             psd_request_duration_seconds_bucket{class=\"1\",le=\"4.194304\"} 69\n\
+             psd_request_duration_seconds_bucket{class=\"1\",le=\"8.388608\"} 72\n\
+             psd_request_duration_seconds_bucket{class=\"1\",le=\"16.777216\"} 75\n\
+             psd_request_duration_seconds_bucket{class=\"1\",le=\"33.554432\"} 78\n\
+             psd_request_duration_seconds_bucket{class=\"1\",le=\"67.108864\"} 81\n\
+             psd_request_duration_seconds_bucket{class=\"1\",le=\"+Inf\"} 96\n\
+             psd_request_duration_seconds_sum{class=\"1\"} 9223378479.305717\n\
+             psd_request_duration_seconds_count{class=\"1\"} 96\n"
+        );
+    }
+
+    #[test]
     fn parser_rejects_malformed_lines() {
         assert!(parse_text("name{l=\"v\" 3").is_err());
         assert!(parse_text("name{l=v} 3").is_err());
