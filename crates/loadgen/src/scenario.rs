@@ -20,7 +20,7 @@ use std::time::Duration;
 use psd_dist::arrival::{ArrivalProcess, Mmpp2, PoissonProcess, StepPoisson};
 use psd_dist::rng::Xoshiro256pp;
 use psd_dist::{BoundedPareto, ServiceDist};
-use psd_server::{ControllerKind, EngineKind, ServerConfig, Workload};
+use psd_server::{ControllerKind, EngineKind, ServerConfig};
 
 /// Piecewise-constant-rate Poisson process: segment `i` holds
 /// `rates[i]` until absolute time `ends[i]`; the last rate holds
@@ -200,8 +200,6 @@ pub struct ClassMix {
 pub struct ServerProfile {
     /// Wall-clock duration of one work unit.
     pub work_unit: Duration,
-    /// Spin or sleep execution.
-    pub workload: Workload,
     /// Monitor window for the online PSD allocator.
     pub control_window: Duration,
     /// Estimator history in windows.
@@ -231,14 +229,13 @@ pub struct ServerProfile {
 
 impl Default for ServerProfile {
     fn default() -> Self {
-        // Sleep workload on the server's rate-partitioned task servers
-        // (the regime Eq. 17 controls exactly): accurate
+        // The server's rate-partitioned task servers (the regime Eq. 17
+        // controls exactly), whose service is a deadline: accurate
         // on one core, since sleeping burns no cycles the generator
         // needs, and the sub-millisecond work unit keeps the machine
         // rate ≈1410 req/s at the default mix's ≈1.18-unit mean cost.
         Self {
             work_unit: Duration::from_micros(600),
-            workload: Workload::Sleep,
             control_window: Duration::from_millis(500),
             estimator_history: 5,
             engine: EngineKind::Threads,
@@ -452,7 +449,6 @@ impl Scenario {
             deltas: self.deltas.clone(),
             mean_cost,
             work_unit: self.server.work_unit,
-            workload: self.server.workload,
             control_window: self.server.control_window,
             estimator_history: self.server.estimator_history,
             controller: self.server.controller,

@@ -4,7 +4,7 @@
 //!
 //! ```text
 //! psd_httpd [--addr 127.0.0.1:8080] [--deltas 1,2,4]
-//!           [--work-unit-us 300] [--default-cost 1.0] [--spin]
+//!           [--work-unit-us 300] [--default-cost 1.0]
 //!           [--engine threads|reactor|uring] [--shards N]
 //!           [--controller open|feedback] [--gain G] [--admission-cap C]
 //!           [--max-connections 1024] [--duration-s N]
@@ -14,9 +14,8 @@
 //! `X-Delay-Us` and `X-Slowdown` headers. HTTP/1.1 connections are
 //! kept alive. Class `i` executes one request at a time at its
 //! allocated rate `r_i` (service stretched by `1/r_i`): as a finish
-//! deadline by default, fired in reactor shard 0's own loop where its
-//! waits are exact and otherwise (`--engine threads`, say) by one timer
-//! thread, or burning CPU on the class's own thread with `--spin`.
+//! deadline, fired in reactor shard 0's own loop where its waits are
+//! exact and otherwise (`--engine threads`, say) by one timer thread.
 //!
 //! `--engine threads` (default) serves one blocking thread per
 //! connection; `--engine reactor` multiplexes connections over
@@ -53,7 +52,7 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use psd_server::{
-    ControllerKind, EngineKind, FrontendConfig, HttpFrontend, PsdServer, ServerConfig, Workload,
+    ControllerKind, EngineKind, FrontendConfig, HttpFrontend, PsdServer, ServerConfig,
 };
 
 fn main() {
@@ -61,7 +60,6 @@ fn main() {
     let mut deltas = vec![1.0, 2.0, 4.0];
     let mut work_unit_us = 300u64;
     let mut default_cost = 1.0f64;
-    let mut workload = Workload::Sleep;
     let mut engine = EngineKind::Threads;
     let mut shards = psd_server::default_shards();
     let mut controller = ControllerKind::Open;
@@ -149,7 +147,6 @@ fn main() {
                         .unwrap_or_else(|| die("--duration-s needs a positive number")),
                 );
             }
-            "--spin" => workload = Workload::Spin,
             // Exit 0 if this kernel serves io_uring, 1 otherwise — for
             // scripts/CI to gate uring-engine runs without grepping
             // fallback warnings off stderr.
@@ -163,7 +160,7 @@ fn main() {
             "--help" | "-h" => {
                 println!(
                     "usage: psd_httpd [--addr A] [--deltas 1,2,4] \
-                     [--work-unit-us U] [--default-cost C] [--spin] \
+                     [--work-unit-us U] [--default-cost C] \
                      [--engine threads|reactor|uring] [--shards N] \
                      [--controller open|feedback] [--gain G] [--admission-cap C] \
                      [--max-connections N] [--duration-s N] [--probe-uring]"
@@ -180,7 +177,6 @@ fn main() {
         deltas: deltas.clone(),
         mean_cost: default_cost,
         work_unit: Duration::from_micros(work_unit_us),
-        workload,
         controller,
         gain,
         admission_cap,
@@ -201,14 +197,13 @@ fn main() {
     .unwrap_or_else(|e| die(&format!("cannot bind {addr}: {e}")));
     eprintln!(
         "psd_httpd listening on {} — {} engine ({shards} shard(s)), {} classes \
-         (deltas {deltas:?}), {} controller{}, rate partition ({}), \
+         (deltas {deltas:?}), {} controller{}, rate partition (sleep), \
          {work_unit_us}µs/work-unit, ≤{max_connections} connections",
         frontend.addr(),
         engine.as_str(),
         deltas.len(),
         controller.as_str(),
         admission_cap.map(|c| format!(" (admission cap {c})")).unwrap_or_default(),
-        if workload == Workload::Spin { "spin" } else { "sleep" }
     );
     eprintln!("try: curl 'http://{}/class0/hello?cost=2'", frontend.addr());
 

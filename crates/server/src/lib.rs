@@ -19,7 +19,7 @@
 //!                         │      │   fd assignment, sans-io codec, pooled     │
 //!                         │      │   buffers, coarse cached clock, coalesced  │
 //!                         │      │   eventfd completions — on an epoll driver │
-//!                         │      │   (epoll_pwait2); shard 0 fires the Sleep  │
+//!                         │      │   (epoll_pwait2); shard 0 fires the        │
 //!                         │      │   deadlines in its own loop                │
 //!                         │      │ uring: the same loop on an io_uring driver │
 //!                         │      │   — multishot accept, registered fixed     │
@@ -50,11 +50,9 @@
 //!             │  │   rate r_i ≥ 1 %: desim's queue + task server)    │  │
 //!             │  │   · ledger, under one lock, clock-free            │  │
 //!             │  │ one request per class in service, stretched 1/r_i │  │
-//!             │  │ its armed completion → a finish deadline:         │  │
-//!             │  │   Sleep: one store, fired by reactor shard 0's    │  │
-//!             │  │     loop while it holds the claim, else by one    │  │
-//!             │  │     timer thread                                  │  │
-//!             │  │   Spin:  the class's own thread burns the time    │  │
+//!             │  │ its armed completion → a finish deadline in one   │  │
+//!             │  │   store, fired by reactor shard 0's loop while it │  │
+//!             │  │   holds the claim, else by one timer thread       │  │
 //!             │  └───────────────────────────────────────────────────┘  │
 //!             │  the ledger counts under the lane lock: submit → an     │
 //!             │  arrival, admit's 503 → a shed, finish → a departure    │
@@ -75,11 +73,9 @@
 //!
 //! Requests carry a *cost* (work units), scaled by a configurable
 //! work-unit duration so tests stay fast. A class executes one request
-//! at a time for `cost × work_unit / r_i`: under [`Workload::Sleep`]
-//! that is pure waiting — a finish deadline fired by the reactor's shard
-//! 0 in its own event loop, or by one timer thread when no reactor runs,
-//! no thread blocked per request — and under [`Workload::Spin`] the
-//! class's own thread burns it on a CPU.
+//! at a time for `cost × work_unit / r_i`, as pure waiting: a finish
+//! deadline fired by the reactor's shard 0 in its own event loop, or by
+//! one timer thread when no reactor runs, no thread blocked per request.
 //!
 //! # Performance
 //!
@@ -94,7 +90,7 @@
 //! and the deadline's timeout ride one batched `io_uring_enter` per
 //! loop turn; and steady-state request handling performs ~3 heap
 //! allocations end to end (`tests/reactor_alloc.rs`, counting
-//! allocator). Shard 0 fires each Sleep deadline at its nanosecond: its
+//! allocator). Shard 0 fires each deadline at its nanosecond: its
 //! kernel wait ends ε = 10 µs early and the turn spins out the rest on
 //! the clock, yielding the core between reads, because a timed wait
 //! wakes 7–9 µs late even at 1 ns timer slack. The spin adds no poller

@@ -3,7 +3,7 @@
 //! made here, on the loop thread, and metered through
 //! [`polling::count`].
 //!
-//! Per keep-alive request on the shard that fires the Sleep deadlines
+//! Per keep-alive request on the shard that fires the deadlines
 //! (shard 0) the sequence is `epoll_pwait2`, `read`, `epoll_ctl DEL`
 //! (park), `epoll_pwait2` (its timeout ends ε before the deadline; the
 //! turn spins out the rest without a syscall), `write`,

@@ -15,7 +15,7 @@
 //!            │   completions ▶ idle sweep                                │
 //!  accept ──▶│   round-robin: keep conn, or hand stream to shard k ──────┼──┐
 //!            │   Reading ─▶ codec ─▶ route ─▶ submit_async ──────────────┼──┼─▶ class lane
-//!            │   Waiting (parked) ◀─ mailbox ◀─ fires its own deadlines  │  │ (Sleep: the
+//!            │   Waiting (parked) ◀─ mailbox ◀─ fires its own deadlines  │  │ (the
 //!            │   Flushing ─▶ keep-alive (pipelined pickup) or close      │  │ deadline store
 //!            ├───────────────────────────────────────────────────────────┤  │ claimed by
 //!            │ D: Driver   wait · next_event · accept · open · read ·    │  │ shard 0)
@@ -37,7 +37,7 @@
 //! connection counter (for the `max_connections` cap) and the one-way
 //! stream handoff inboxes filled by the accepting shard.
 //!
-//! Who fires a Sleep deadline: shard 0 claims the task servers' one
+//! Who fires a deadline: shard 0 claims the task servers' one
 //! deadline store when its loop starts (if its driver's waits end on
 //! time to the nanosecond) and releases it when the loop exits. Each of
 //! its turns waits at most until ε (10 µs) before the next deadline,

@@ -15,7 +15,7 @@
 //!   thread-per-connection engine). The task server's completion
 //!   callback posts into this shard's mailbox and rings its doorbell —
 //!   unless this shard fired the deadline itself (shard 0 holds the
-//!   Sleep deadline store), in which case the post is answered later in
+//!   deadline store), in which case the post is answered later in
 //!   the same turn and rings nothing.
 //! * `Flushing` — the driver drains [`WriteBuf`], resuming at the exact
 //!   byte offset after every short write; then back to `Reading`
@@ -155,7 +155,7 @@ pub(super) struct Shard<D: Driver> {
     /// forth.
     completions: Vec<(usize, Completion)>,
     streams: Vec<TcpStream>,
-    /// The Sleep deadline store, while this loop fires it (shard 0).
+    /// The deadline store, while this loop fires it (shard 0).
     claim: Option<DeadlineClaim>,
 }
 
@@ -261,10 +261,10 @@ impl<D: Driver> Shard<D> {
         Ok(())
     }
 
-    /// Shard 0 fires the Sleep task servers' deadlines itself when its
+    /// Shard 0 fires the task servers' deadlines itself when its
     /// driver's waits end on time: it claims the store, and turns its
     /// own timer slack down as the timer thread does. `None` on other
-    /// shards, under Spin, or when another front end holds the store.
+    /// shards, or when another front end holds the store.
     fn claim_deadlines(&self) -> Option<DeadlineClaim> {
         if self.self_index != 0 || !self.driver.precise_timeouts() {
             return None;

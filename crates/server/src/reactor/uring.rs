@@ -10,7 +10,7 @@
 //!   registration, so a shard pins about 20 KiB per live connection
 //!   (one 16 KiB slot, unaligned) at its peak, and nothing up front.
 //! * Task-server completions still land in the shard mailbox. On the
-//!   shard that fires the Sleep deadlines they land from its own loop
+//!   shard that fires the deadlines they land from its own loop
 //!   and ring nothing; on the others the eventfd ring is observed by an
 //!   in-ring **doorbell read** armed on the poller's notify fd — the
 //!   wakeup folds into the same `io_uring_enter` wait as every other

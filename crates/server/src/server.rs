@@ -30,17 +30,15 @@ pub enum SchedulerKind {
     RatePartition,
 }
 
-/// How a class's task server spends a request's stretched service time.
+/// How a class's task server spends a request's stretched service
+/// time. One value: the server has no other. The type and
+/// [`ServerConfig::workload`] remain because `benchmark/` names both
+/// when it builds its configurations.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Workload {
-    /// Busy-spin (CPU-bound, like dynamic content generation) on the
-    /// class's own thread — so the machine needs a core for every class
-    /// that is busy at once.
-    Spin,
-    /// Pure waiting (I/O-bound; cheap for tests): a finish deadline in
-    /// one shared store, fired in reactor shard 0's own loop where its
-    /// waits are exact and otherwise by one timer thread; no thread
-    /// blocks per request.
+    /// Pure waiting: a finish deadline in one shared store, fired in
+    /// reactor shard 0's own loop where its waits are exact and
+    /// otherwise by one timer thread; no thread blocks per request.
     Sleep,
 }
 
@@ -67,7 +65,7 @@ pub struct ServerConfig {
     pub scheduler: SchedulerKind,
     /// Wall-clock duration of one work unit.
     pub work_unit: Duration,
-    /// Spin or sleep execution.
+    /// Execution (see [`Workload`]: there is one).
     pub workload: Workload,
     /// Monitor window (the paper's 1000-time-unit estimator window).
     pub control_window: Duration,
@@ -211,7 +209,7 @@ impl PsdServer {
             },
         ));
 
-        let exec = Arc::new(TaskServers::start(n, cfg.work_unit, cfg.workload));
+        let exec = Arc::new(TaskServers::start(n, cfg.work_unit));
 
         // Build the controller stack and publish its initial directive
         // *before* the monitor thread exists: `start` returns with the
@@ -333,19 +331,17 @@ impl PsdServer {
         self.started
     }
 
-    /// The Sleep deadline store's activity counters — the timer
-    /// thread's, and a claiming reactor shard's — and the current
-    /// occupancy (requests accepted and not yet finished): `Some` under
-    /// [`Workload::Sleep`], `None` under [`Workload::Spin`], which has
-    /// no timer. Named for the timer wheel this used to be; `benchmark/`
-    /// calls it by this name.
+    /// The deadline store's activity counters — the timer thread's,
+    /// and a claiming reactor shard's — and the current occupancy
+    /// (requests accepted and not yet finished). Always `Some`: the
+    /// name (the timer wheel this used to be) and the `Option` remain
+    /// because `benchmark/` calls it so.
     pub fn wheel_stats(&self) -> Option<(&psd_obs::WheelStats, usize)> {
-        self.exec.timer_stats()
+        Some(self.exec.timer_stats())
     }
 
-    /// Claim the Sleep deadline store for the calling thread's event
-    /// loop (see `TaskServers::claim`): `None` under
-    /// [`Workload::Spin`] or while another loop holds it.
+    /// Claim the deadline store for the calling thread's event loop
+    /// (see `TaskServers::claim`): `None` while another loop holds it.
     pub(crate) fn claim_deadlines(&self, ring: Ring) -> Option<DeadlineClaim> {
         self.exec.claim(ring)
     }
@@ -507,15 +503,10 @@ mod tests {
 
     #[test]
     fn submit_after_shutdown_fails_gracefully() {
-        for workload in [Workload::Sleep, Workload::Spin] {
-            let s = PsdServer::start(ServerConfig { workload, ..quick_cfg(vec![1.0]) });
-            let exec = Arc::clone(&s.exec);
-            s.shutdown();
-            assert!(
-                !exec.submit(0, 1.0, CompletionNotify::None),
-                "{workload:?}: closed task servers must reject"
-            );
-        }
+        let s = PsdServer::start(quick_cfg(vec![1.0]));
+        let exec = Arc::clone(&s.exec);
+        s.shutdown();
+        assert!(!exec.submit(0, 1.0, CompletionNotify::None), "closed task servers must reject");
     }
 
     #[test]
@@ -524,28 +515,11 @@ mod tests {
         let c = s.submit_sync(0, 1.0).expect("executes");
         // Even split over 2 classes: stretch 2 → ≈ 400 µs of service.
         assert!(c.service_s >= 0.0002, "stretched service, got {}", c.service_s);
-        let (timer, _) = s.wheel_stats().expect("Sleep runs on the timer thread");
+        let (timer, _) = s.wheel_stats().expect("always Some");
         assert_eq!(timer.fires.load(Ordering::Relaxed), 1);
         assert_eq!(timer.cascades.load(Ordering::Relaxed), 0, "nothing cascades any more");
         let stats = s.shutdown();
         assert_eq!(stats.classes[0].completed, 1);
-    }
-
-    #[test]
-    fn spin_serves_each_class_on_its_own_thread() {
-        let s = PsdServer::start(ServerConfig {
-            workload: Workload::Spin,
-            work_unit: Duration::from_micros(50),
-            ..quick_cfg(vec![1.0, 2.0])
-        });
-        assert!(s.wheel_stats().is_none(), "spinning needs real CPU, not a timer");
-        let c = s.submit_sync(1, 1.0).expect("executes");
-        assert!(c.service_s >= 0.0001, "even split: stretch 2, got {}", c.service_s);
-        for i in 0..20 {
-            assert!(s.submit(i % 2, 1.0));
-        }
-        let stats = s.shutdown();
-        assert_eq!(stats.classes.iter().map(|c| c.completed).sum::<u64>(), 21);
     }
 
     #[test]

@@ -6,25 +6,25 @@
 //! each armed completion as a deadline and fires it.
 //!
 //! ```text
-//!  submit ─▶ lane[class] station ─ idle: in service ─▶ file its completion ─▶ its executor
-//!              └─ busy: queued                                                │ waits for it:
-//!                                                                             │  Sleep: shard 0's
-//!  fire: finish (the station departs the request at its completion ◀──────────┘  loop, or the
-//!  and starts the next there; the ledger tallies the departure),                  timer thread
-//!  deliver CompletionNotify, file the next completion                             Spin: polling
+//!  submit ─▶ lane[class] station ─ idle: in service ─▶ file its completion ─▶ the one
+//!              └─ busy: queued                                                │ Deadlines store;
+//!                                                                             │ fired by shard 0's
+//!  fire: finish (the station departs the request at its completion ◀──────────┘ loop, or else the
+//!  and starts the next there; the ledger tallies the departure),                 timer thread
+//!  deliver CompletionNotify, file the next completion
 //! ```
 //!
 //! Each armed completion is filed at the first nanosecond at or after
-//! it, the same for both workloads, so a reply leaves when its stretched
-//! service ends, late only by the wakeup of whoever fires it. Every fire
-//! adds that lateness (due instant to the clock read that popped it) to
-//! `WheelStats::late_ns`. The departure is tallied before the submitter
-//! hears of it, so every reply a client holds is already counted in
-//! `PsdServer::stats`.
+//! it, so a reply leaves when its stretched service ends, late only by
+//! the wakeup of whoever fires it. Every fire adds that lateness (due
+//! instant to the clock read that popped it) to `WheelStats::late_ns`.
+//! The departure is tallied before the submitter hears of it, so every
+//! reply a client holds is already counted in `PsdServer::stats`.
 //!
-//! The [`Workload`] decides how the wait is spent. Sleep service is
-//! pure waiting, so one [`Deadlines`] store serves every class and no
-//! thread blocks per request. Its deadlines are fired by one of two:
+//! Service is pure waiting, so one [`Deadlines`] store serves every
+//! class and no thread blocks per request. It never holds more than one
+//! entry per class (a station has one request in service). Its
+//! deadlines are fired by one of two:
 //!
 //! * a reactor shard that holds the store's [`DeadlineClaim`] (shard 0
 //!   claims it when its loop starts and releases it when the loop
@@ -43,13 +43,10 @@
 //!   claim is held, and takes over whatever is still filed when the
 //!   claim is released.
 //!
-//! Spin service stands for CPU-bound work, so each class has its own
-//! thread, which burns the stretched time polling the clock; nobody
-//! claims its stores. Either way a [`Deadlines`] store never holds more
-//! than one entry per class (a station has one request in service). The
-//! module keeps the name of the hierarchical timer wheel it replaced, as
-//! do `WheelStats`, `PsdServer::wheel_stats` and the `psd_wheel_*`
-//! metric families, because `benchmark/` reads them by those names.
+//! The module keeps the name of the hierarchical timer wheel it
+//! replaced, as do `WheelStats`, `PsdServer::wheel_stats` and the
+//! `psd_wheel_*` metric families, because `benchmark/` reads them by
+//! those names.
 
 use std::collections::VecDeque;
 use std::sync::atomic::Ordering;
@@ -61,7 +58,6 @@ use psd_obs::WheelStats;
 
 use crate::locks::{lock, wait, wait_timeout};
 use crate::queues::{CompletionNotify, Lanes, Submitted};
-use crate::server::Workload;
 use crate::timing;
 
 /// Pending finish deadlines, earliest first (filing order among
@@ -124,8 +120,8 @@ fn nanos(at: f64) -> u64 {
     (at * 1e9).ceil() as u64
 }
 
-/// One executor thread's deadline store (nanoseconds since
-/// `Shared::epoch`) and what the thread parks on when it is empty.
+/// The deadline store (nanoseconds since `Shared::epoch`) and what
+/// the timer thread parks on.
 #[derive(Default)]
 struct Executor {
     state: Mutex<Deadlines>,
@@ -155,43 +151,33 @@ impl Executor {
 struct Shared {
     /// Instant 0 of the lanes' time axis.
     epoch: Instant,
-    workload: Workload,
     lanes: Lanes,
-    /// Sleep: one, serving every class. Spin: one per class.
-    executors: Vec<Executor>,
+    /// The one deadline store, serving every class.
+    exec: Executor,
 }
 
-/// All classes' task servers: the lanes plus the thread(s) that realise
-/// their service times.
+/// All classes' task servers: the lanes plus the timer thread that
+/// realises their service times.
 pub(crate) struct TaskServers {
     shared: Arc<Shared>,
-    threads: Mutex<Vec<JoinHandle<()>>>,
+    thread: Mutex<Option<JoinHandle<()>>>,
 }
 
 impl TaskServers {
-    /// Start `n` classes' servers at an even rate split: one timer
-    /// thread for Sleep, one spinning thread per class for Spin.
-    pub(crate) fn start(n: usize, work_unit: Duration, workload: Workload) -> Self {
-        let executors = match workload {
-            Workload::Sleep => 1,
-            Workload::Spin => n,
-        };
+    /// Start `n` classes' servers at an even rate split, and the one
+    /// timer thread, whatever `n` is.
+    pub(crate) fn start(n: usize, work_unit: Duration) -> Self {
         let shared = Arc::new(Shared {
             epoch: Instant::now(),
-            workload,
             lanes: Lanes::new(n, work_unit.as_secs_f64()),
-            executors: (0..executors).map(|_| Executor::default()).collect(),
+            exec: Executor::default(),
         });
-        let threads = (0..executors)
-            .map(|i| {
-                let shared = Arc::clone(&shared);
-                thread::Builder::new()
-                    .name(format!("psd-task-{i}"))
-                    .spawn(move || shared.run(i))
-                    .expect("spawn task-server thread")
-            })
-            .collect();
-        Self { shared, threads: Mutex::new(threads) }
+        let on_thread = Arc::clone(&shared);
+        let thread = thread::Builder::new()
+            .name("psd-timer".into())
+            .spawn(move || on_thread.run())
+            .expect("spawn the timer thread");
+        Self { shared, thread: Mutex::new(Some(thread)) }
     }
 
     /// Accept a class-`class` request of `cost` work units, arriving
@@ -221,43 +207,37 @@ impl TaskServers {
     /// Stop accepting; queued and in-service requests still complete.
     pub(crate) fn close(&self) {
         self.shared.lanes.close();
-        for exec in &self.shared.executors {
-            // Pass through the lock before ringing, so a thread that
-            // checked the flag just before it flipped is already parked
-            // when the notify lands.
-            drop(lock(&exec.state));
-            exec.alarm.notify_all();
-        }
+        let exec = &self.shared.exec;
+        // Pass through the lock before ringing, so a timer thread that
+        // checked the flag just before it flipped is already parked when
+        // the notify lands.
+        drop(lock(&exec.state));
+        exec.alarm.notify_all();
     }
 
-    /// Wait for the executor threads to drain and exit (call after
+    /// Wait for the timer thread to drain and exit (call after
     /// [`TaskServers::close`]).
     pub(crate) fn join(&self) {
-        for h in lock(&self.threads).drain(..) {
+        if let Some(h) = lock(&self.thread).take() {
             let _ = h.join();
         }
     }
 
-    /// The Sleep store's activity counters (the timer thread's and a
-    /// claimant's alike) and the current occupancy (requests accepted
-    /// and not yet finished); `None` for Spin, which has no timer.
-    pub(crate) fn timer_stats(&self) -> Option<(&WheelStats, usize)> {
-        (self.shared.workload == Workload::Sleep)
-            .then(|| (&self.shared.executors[0].stats, self.shared.lanes.in_flight()))
+    /// The deadline store's activity counters (the timer thread's and
+    /// a claimant's alike) and the current occupancy (requests accepted
+    /// and not yet finished).
+    pub(crate) fn timer_stats(&self) -> (&WheelStats, usize) {
+        (&self.shared.exec.stats, self.shared.lanes.in_flight())
     }
 
-    /// Claim the Sleep deadline store for the calling thread's event
-    /// loop: from now until the claim drops, that loop fires the
-    /// deadlines ([`DeadlineClaim::fire_due`]) and the timer thread
-    /// parks; a filing from another thread that becomes the earliest
-    /// deadline calls `ring`. `None` under Spin, and while another loop
-    /// holds the claim (two front ends on one server: the second keeps
-    /// the mailbox path).
+    /// Claim the deadline store for the calling thread's event loop:
+    /// from now until the claim drops, that loop fires the deadlines
+    /// ([`DeadlineClaim::fire_due`]) and the timer thread parks; a
+    /// filing from another thread that becomes the earliest deadline
+    /// calls `ring`. `None` while another loop holds the claim (two
+    /// front ends on one server: the second keeps the mailbox path).
     pub(crate) fn claim(&self, ring: Ring) -> Option<DeadlineClaim> {
-        if self.shared.workload != Workload::Sleep {
-            return None;
-        }
-        let mut st = lock(&self.shared.executors[0].state);
+        let mut st = lock(&self.shared.exec.state);
         if st.claimant.is_some() {
             return None;
         }
@@ -266,7 +246,7 @@ impl TaskServers {
     }
 }
 
-/// An event loop's hold on the Sleep deadline store (see
+/// An event loop's hold on the deadline store (see
 /// [`TaskServers::claim`]). Dropping it releases the store, and the
 /// timer thread takes over whatever is still filed.
 pub(crate) struct DeadlineClaim {
@@ -276,14 +256,10 @@ pub(crate) struct DeadlineClaim {
 }
 
 impl DeadlineClaim {
-    fn exec(&self) -> &Executor {
-        &self.shared.executors[0]
-    }
-
     /// When the earliest filed deadline is due; `None` if none is
     /// filed. The loop's wait must end by then.
     pub(crate) fn next_due(&self) -> Option<Instant> {
-        let due = lock(&self.exec().state).next_due()?;
+        let due = lock(&self.shared.exec.state).next_due()?;
         Some(self.shared.epoch + Duration::from_nanos(due))
     }
 
@@ -294,7 +270,7 @@ impl DeadlineClaim {
     /// store's wakeups.
     pub(crate) fn fire_due(&mut self) -> usize {
         let Self { shared, fired } = self;
-        let exec = &shared.executors[0];
+        let exec = &shared.exec;
         let mut total = 0;
         loop {
             let now_ns = shared.now_ns();
@@ -317,7 +293,7 @@ impl DeadlineClaim {
 impl Drop for DeadlineClaim {
     /// Release the store and wake the timer thread to take it over.
     fn drop(&mut self) {
-        let exec = self.exec();
+        let exec = &self.shared.exec;
         lock(&exec.state).claimant = None;
         exec.alarm.notify_one();
     }
@@ -334,8 +310,8 @@ impl Shared {
         self.epoch.elapsed().as_nanos() as u64
     }
 
-    /// File `class`'s completion, due at `at` seconds, with the executor
-    /// that will notice it: at the first nanosecond at or after `at`, no
+    /// File `class`'s completion, due at `at` seconds, in the deadline
+    /// store: at the first nanosecond at or after `at`, no
     /// early aim (neither the timer thread nor a claimant has slack to
     /// cancel, see `timing`). The stretched time behind `at` is the
     /// paper's rate-scaled `X/r_i`. The receipt's service time runs to
@@ -347,10 +323,7 @@ impl Shared {
     /// claimant's own thread, whose loop bounds its next wait by the
     /// store before it waits.
     fn file(&self, class: usize, at: f64) {
-        let exec = match self.workload {
-            Workload::Sleep => &self.executors[0],
-            Workload::Spin => &self.executors[class],
-        };
+        let exec = &self.exec;
         exec.stats.scheduled.fetch_add(1, Ordering::Relaxed);
         let ring = {
             let mut st = lock(&exec.state);
@@ -384,14 +357,13 @@ impl Shared {
         }
     }
 
-    /// Executor `i`'s thread: fire what is due, then wait for the next
-    /// deadline — asleep on the alarm (Sleep) or burning the CPU the
-    /// request stands for (Spin) — until closed and drained. While a
-    /// loop holds the store's claim, the thread fires nothing and parks
+    /// The timer thread: fire what is due, then sleep on the alarm
+    /// until the next deadline, until closed and drained. While a loop
+    /// holds the store's claim, the thread fires nothing and parks
     /// until the claim is released or the servers close.
-    fn run(&self, i: usize) {
+    fn run(&self) {
         timing::precise_timers();
-        let exec = &self.executors[i];
+        let exec = &self.exec;
         let mut fired: Vec<usize> = Vec::new();
         let mut st = lock(&exec.state);
         loop {
@@ -409,22 +381,14 @@ impl Shared {
                 st = lock(&exec.state);
                 continue;
             }
-            match (st.next_due(), self.workload) {
-                (Some(due_ns), Workload::Sleep) if st.claimant.is_none() => {
+            match st.next_due() {
+                Some(due_ns) if st.claimant.is_none() => {
                     st = wait_timeout(&exec.alarm, st, Duration::from_nanos(due_ns - now_ns));
                     exec.stats.wakeups.fetch_add(1, Ordering::Relaxed);
                 }
-                // Poll the clock with the lock held: the class is in
-                // service, so no start can want it, and `close` waits
-                // for the drain anyway.
-                (Some(_), Workload::Spin) => std::hint::spin_loop(),
                 // Nothing filed, or a claimant fires what is.
-                (_, workload) => {
-                    let drained = match workload {
-                        Workload::Sleep => self.lanes.all_drained(),
-                        Workload::Spin => self.lanes.drained(i),
-                    };
-                    if drained {
+                _ => {
+                    if self.lanes.all_drained() {
                         return;
                     }
                     // Idle: sleep until a start, a release or close
@@ -514,8 +478,8 @@ mod tests {
 
     /// Submitters racing `close`, on real threads: whatever `submit`
     /// accepted completes exactly once before `join` returns — no
-    /// executor exits over a request that was accepted but not yet
-    /// handed to it. In the claimed rounds a test thread holds the Sleep
+    /// timer thread exits over a request that was accepted but not yet
+    /// handed to it. In the claimed rounds a test thread holds the
     /// store as a reactor shard would, fires what is due while the
     /// submitters file, and releases the claim mid-flight; the timer
     /// thread drains the rest. A second claim is refused meanwhile, and
@@ -523,10 +487,9 @@ mod tests {
     #[test]
     fn submits_racing_close_are_served_or_refused_never_lost() {
         let (mut by_claimants, mut by_timer) = (0, 0);
-        let variants = [(Workload::Sleep, false), (Workload::Sleep, true), (Workload::Spin, false)];
-        for (workload, claimed) in variants {
+        for claimed in [false, true] {
             for round in 0..20 {
-                let servers = Arc::new(TaskServers::start(2, Duration::from_micros(5), workload));
+                let servers = Arc::new(TaskServers::start(2, Duration::from_micros(5)));
                 let claimant = claimed.then(|| FakeShard::spawn(&servers, 10 * round as usize));
                 let done: Arc<Vec<AtomicU32>> =
                     Arc::new((0..400).map(|_| AtomicU32::new(0)).collect());
@@ -550,7 +513,7 @@ mod tests {
                     pushers.into_iter().flat_map(|h| h.join().unwrap()).collect();
                 let fired_by_claimant = claimant.map_or(0, FakeShard::finish);
                 servers.join();
-                let label = format!("{workload:?} claimed {claimed} round {round}");
+                let label = format!("claimed {claimed} round {round}");
                 for (id, n) in done.iter().enumerate() {
                     let want = u32::from(accepted.contains(&id));
                     assert_eq!(n.load(Ordering::SeqCst), want, "{label}: request {id}");
@@ -559,7 +522,7 @@ mod tests {
                     servers.lanes().stats().classes.iter().map(|c| c.completed).sum();
                 assert_eq!(completed, accepted.len() as u64, "{label}");
                 if claimed {
-                    let fires = servers.timer_stats().unwrap().0.fires.load(Ordering::Relaxed);
+                    let fires = servers.timer_stats().0.fires.load(Ordering::Relaxed);
                     by_claimants += fired_by_claimant;
                     by_timer += fires - fired_by_claimant as u64;
                 }
@@ -568,10 +531,10 @@ mod tests {
         assert!(by_claimants > 0 && by_timer > 0, "claimants {by_claimants}, timer {by_timer}");
     }
 
-    /// A test thread in a reactor shard's place: it claims the Sleep
-    /// store, fires what is due, waits for the next deadline or a ring,
-    /// and releases the claim after `release_after` fires or once the
-    /// closed lanes drain.
+    /// A test thread in a reactor shard's place: it claims the store,
+    /// fires what is due, waits for the next deadline or a ring, and
+    /// releases the claim after `release_after` fires or once the closed
+    /// lanes drain.
     struct FakeShard {
         bell: Arc<Doorbell>,
         thread: JoinHandle<usize>,
@@ -626,7 +589,7 @@ mod tests {
             let (on_thread, to_claim, own_bell, own_claimed) =
                 (Arc::clone(servers), ring(&bell), Arc::clone(&bell), Arc::clone(&claimed));
             let thread = thread::spawn(move || {
-                let claim = on_thread.claim(to_claim).expect("an unclaimed Sleep store");
+                let claim = on_thread.claim(to_claim).expect("an unclaimed store");
                 own_claimed.wait();
                 own_claimed.wait();
                 Self::serve(&on_thread, claim, &own_bell, release_after)
@@ -670,14 +633,14 @@ mod tests {
         }
     }
 
-    /// On the real timer thread, no Sleep service completes before its
+    /// On the real timer thread, no service completes before its
     /// stretched target `cost × unit / r` — the lateness a wait may have
     /// is never traded for an early aim. 1 ns covers the rounding of the
     /// clock's seconds.
     #[test]
     fn sleep_service_never_ends_before_its_stretched_target() {
         let unit = Duration::from_micros(20);
-        let servers = TaskServers::start(2, unit, Workload::Sleep);
+        let servers = TaskServers::start(2, unit);
         servers.set_weights(&[1.0, 3.0]); // rates 1/4 and 3/4
         let early = Arc::new(Mutex::new(Vec::new()));
         for i in 0..200u32 {
@@ -708,7 +671,7 @@ mod tests {
     #[test]
     fn queued_service_starts_at_its_predecessors_finish() {
         let unit = Duration::from_micros(20);
-        let servers = TaskServers::start(2, unit, Workload::Sleep);
+        let servers = TaskServers::start(2, unit);
         servers.set_weights(&[1.0, 3.0]);
         // Class 0 runs at rate 1/4. A 50 ms head holds the lane while 19
         // short requests (20–80 µs) queue behind it, all arrived at once
@@ -759,7 +722,7 @@ mod tests {
         }
     }
 
-    /// The Sleep executor with the clock and the thread taken out — the
+    /// The executor with the clock and the thread taken out — the
     /// same [`Lanes`] and [`Deadlines`], virtual nanoseconds for time,
     /// each deadline fired at its due instant — beside the plant the
     /// lanes must be: a bare `Station` per class in `PinnedRate` mode,

@@ -1,9 +1,9 @@
 //! The shipped binary, spawned for real: `psd_httpd` with no scheduler
-//! or engine flags (and again with `--spin`) serves one request per
-//! class through the rate-partition task servers, drains at
-//! `--duration-s` and exits 0 with every class's completion counted.
-//! (Everything else in CI that runs the binary passes `--probe-uring`,
-//! which returns before a server exists.)
+//! or engine flags serves one request per class through the
+//! rate-partition task servers, drains at `--duration-s` and exits 0
+//! with every class's completion counted; its usage text names exactly
+//! the flags the README lists. (Everything else in CI that runs the
+//! binary passes `--probe-uring`, which returns before a server exists.)
 
 use std::io::{BufRead, BufReader, Read, Write};
 use std::net::TcpStream;
@@ -63,23 +63,50 @@ fn default_flags_serve_every_class_and_exit_clean() {
     serve_every_class(&[], "rate partition (sleep)");
 }
 
-#[test]
-fn spin_flag_serves_every_class_and_exit_clean() {
-    serve_every_class(&["--spin"], "rate partition (spin)");
+/// The usage text `--help` prints.
+fn usage() -> String {
+    let help = Command::new(env!("CARGO_BIN_EXE_psd_httpd")).arg("--help").output();
+    let help = help.expect("run --help");
+    assert!(help.status.success());
+    String::from_utf8(help.stdout).expect("UTF-8 usage")
 }
 
-/// The deleted worker-pool knob is gone from the usage text and refused
-/// on the command line.
+/// Every `--flag` named in `text`, sorted and deduplicated.
+fn flags(text: &str) -> Vec<&str> {
+    let words = text.split(|c: char| !(c.is_ascii_alphanumeric() || c == '-'));
+    let mut found: Vec<&str> = words.filter(|w| w.starts_with("--") && w.len() > 2).collect();
+    found.sort_unstable();
+    found.dedup();
+    found
+}
+
+/// The deleted worker-pool and spinning-execution knobs are gone from
+/// the usage text and refused on the command line.
 #[test]
 fn workers_flag_is_gone() {
-    let bin = env!("CARGO_BIN_EXE_psd_httpd");
-    let help = Command::new(bin).arg("--help").output().expect("run --help");
-    assert!(help.status.success());
-    let usage = String::from_utf8_lossy(&help.stdout);
-    assert!(usage.contains("--spin") && !usage.contains("--workers"), "{usage}");
-    let refused = Command::new(bin).args(["--workers", "2"]).output().expect("run --workers");
-    assert_eq!(refused.status.code(), Some(2));
-    assert!(String::from_utf8_lossy(&refused.stderr).contains("unknown argument: --workers"));
+    let usage = usage();
+    for gone in ["--workers", "--spin"] {
+        assert!(!usage.contains(gone), "{gone}: {usage}");
+        let refused = Command::new(env!("CARGO_BIN_EXE_psd_httpd")).arg(gone).output();
+        let refused = refused.expect("run psd_httpd");
+        assert_eq!(refused.status.code(), Some(2), "{gone}");
+        let stderr = String::from_utf8_lossy(&refused.stderr);
+        assert!(stderr.contains(&format!("unknown argument: {gone}")), "{gone}: {stderr}");
+    }
+}
+
+/// The README's "`psd_httpd --help` lists every flag (…)" names exactly
+/// the flags `--help` prints, so a flag added or deleted in one and not
+/// the other fails here.
+#[test]
+fn readme_flag_list_matches_help() {
+    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../README.md");
+    let readme = std::fs::read_to_string(path).expect("read README.md");
+    let marker = "`psd_httpd --help` lists every flag (";
+    let start = readme.find(marker).expect("the README's flag list") + marker.len();
+    let end = start + readme[start..].find(')').expect("the flag list's closing parenthesis");
+    let usage = usage();
+    assert_eq!(flags(&readme[start..end]), flags(&usage), "README vs --help: {usage}");
 }
 
 /// Out-of-range values are refused with exit 2 and an `error:` line

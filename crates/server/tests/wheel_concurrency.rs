@@ -138,34 +138,31 @@ fn an_earlier_deadline_wakes_the_timer() {
     server.shutdown();
 }
 
-/// A departure is counted in `stats()` before its submitter hears of it,
-/// on both executors: the k-th reply of a class finds k completions of
-/// that class counted. A client that holds a reply can therefore count
-/// on the server's completion count to include it.
+/// A departure is counted in `stats()` before its submitter hears of
+/// it: the k-th reply of a class finds k completions of that class
+/// counted. A client that holds a reply can therefore count on the
+/// server's completion count to include it.
 #[test]
 fn a_completion_is_counted_before_it_is_delivered() {
-    for workload in [Workload::Sleep, Workload::Spin] {
-        let server = Arc::new(PsdServer::start(ServerConfig {
-            work_unit: Duration::from_micros(20),
-            workload,
-            ..ServerConfig::default()
+    let server = Arc::new(PsdServer::start(ServerConfig {
+        work_unit: Duration::from_micros(20),
+        ..ServerConfig::default()
+    }));
+    let (tx, rx) = mpsc::sync_channel(20);
+    for i in 0..20 {
+        let (seen_by, tx, class) = (Arc::clone(&server), tx.clone(), i % 2);
+        assert!(server.submit_async(class, 1.0, move |_| {
+            let _ = tx.send((class, seen_by.stats().classes[class].completed));
         }));
-        let (tx, rx) = mpsc::sync_channel(20);
-        for i in 0..20 {
-            let (seen_by, tx, class) = (Arc::clone(&server), tx.clone(), i % 2);
-            assert!(server.submit_async(class, 1.0, move |_| {
-                let _ = tx.send((class, seen_by.stats().classes[class].completed));
-            }));
-        }
-        let seen: Vec<(usize, u64)> = (0..20).map(|_| rx.recv().expect("delivered")).collect();
-        for class in 0..2 {
-            let counts: Vec<u64> = seen.iter().filter(|s| s.0 == class).map(|s| s.1).collect();
-            assert_eq!(counts, (1..=10).collect::<Vec<_>>(), "{workload:?} class {class}");
-        }
-        // The callbacks drop their handles after they return.
-        while Arc::strong_count(&server) > 1 {
-            std::thread::yield_now();
-        }
-        Arc::try_unwrap(server).ok().expect("sole owner").shutdown();
     }
+    let seen: Vec<(usize, u64)> = (0..20).map(|_| rx.recv().expect("delivered")).collect();
+    for class in 0..2 {
+        let counts: Vec<u64> = seen.iter().filter(|s| s.0 == class).map(|s| s.1).collect();
+        assert_eq!(counts, (1..=10).collect::<Vec<_>>(), "class {class}");
+    }
+    // The callbacks drop their handles after they return.
+    while Arc::strong_count(&server) > 1 {
+        std::thread::yield_now();
+    }
+    Arc::try_unwrap(server).ok().expect("sole owner").shutdown();
 }

@@ -8,7 +8,7 @@ use std::time::Duration;
 
 use psd::dist::{Deterministic, ServiceDist};
 use psd::server::driver::{drive, ClassTraffic};
-use psd::server::{HttpFrontend, PsdServer, ServerConfig, Workload};
+use psd::server::{HttpFrontend, PsdServer, ServerConfig};
 
 fn server_cfg(deltas: Vec<f64>) -> ServerConfig {
     ServerConfig { deltas, work_unit: Duration::from_micros(150), ..ServerConfig::default() }
@@ -19,8 +19,7 @@ fn server_cfg(deltas: Vec<f64>) -> ServerConfig {
 ///
 /// Sleep workload with a 1 ms work unit: the timer thread's lateness
 /// (tens of µs) stays a few percent of every service time, and waiting
-/// burns no CPU, so the result does not depend on how many cores the
-/// test machine can spare for spinning task servers.
+/// burns no CPU.
 #[test]
 fn threaded_server_differentiates() {
     let mut cfg = server_cfg(vec![1.0, 4.0]);
@@ -90,19 +89,15 @@ fn httplite_roundtrip() {
     Arc::try_unwrap(server).ok().expect("handlers done").shutdown();
 }
 
-/// Both execution kernels — Sleep deadlines on the timer thread, Spin
-/// on one thread per class — keep the server functional end to end.
+/// The execution kernel — deadlines on the timer thread — keeps the
+/// server functional end to end.
 #[test]
 fn all_kernels_complete_work() {
-    for workload in [Workload::Sleep, Workload::Spin] {
-        let mut cfg = server_cfg(vec![1.0, 2.0]);
-        cfg.workload = workload;
-        let server = PsdServer::start(cfg);
-        for i in 0..60 {
-            assert!(server.submit(i % 2, 0.5));
-        }
-        let stats = server.shutdown();
-        let done: u64 = stats.classes.iter().map(|c| c.completed).sum();
-        assert_eq!(done, 60, "{workload:?} lost work");
+    let server = PsdServer::start(server_cfg(vec![1.0, 2.0]));
+    for i in 0..60 {
+        assert!(server.submit(i % 2, 0.5));
     }
+    let stats = server.shutdown();
+    let done: u64 = stats.classes.iter().map(|c| c.completed).sum();
+    assert_eq!(done, 60, "lost work");
 }
