@@ -6,7 +6,8 @@
 //!              [--connections 64] [--rate R] [--deltas 1,2]
 //!              [--engine threads|reactor|uring] [--shards N]
 //!              [--controller open|feedback] [--gain G]
-//!              [--admission-cap C] [--work-unit-us U] [--seed N]
+//!              [--admission-cap C] [--work-unit-us U]
+//!              [--control-window-ms M] [--seed N]
 //!              [--trace-sample P] [--obs-scrape DIR]
 //!              [--json PATH] [--check MAX_DEV] [--list]
 //!
@@ -59,151 +60,92 @@
 
 use std::time::Duration;
 
-use psd_loadgen::scenario::ArrivalSpec;
+use psd_loadgen::scenario::{self, ArrivalSpec};
 use psd_loadgen::{harness, LoadMode, Scenario};
-use psd_server::{ControllerKind, EngineKind};
+use psd_server::cli;
 
 fn main() {
-    let mut name = "steady".to_string();
-    let mut duration: Option<Duration> = None;
-    let mut warmup: Option<Duration> = None;
-    let mut connections: Option<usize> = None;
-    let mut rate: Option<f64> = None;
-    let mut deltas: Option<Vec<f64>> = None;
-    let mut engine: Option<EngineKind> = None;
-    let mut shards: Option<usize> = None;
-    let mut controller: Option<ControllerKind> = None;
-    let mut gain: Option<f64> = None;
-    let mut admission_cap: Option<f64> = None;
-    let mut work_unit_us: Option<u64> = None;
-    let mut control_window_ms: Option<u64> = None;
-    let mut seed: Option<u64> = None;
-    let mut trace_sample: Option<f64> = None;
+    let args: Vec<String> = std::env::args().skip(1).collect();
+    // The named scenario comes first, wherever `--scenario` stands:
+    // every other flag writes into it.
+    let name = args.windows(2).rev().find(|w| w[0] == "--scenario").map_or("steady", |w| &w[1]);
+    let mut scenario = Scenario::by_name(name)
+        .unwrap_or_else(|| die(&format!("unknown scenario '{name}' (try --list)")));
+    let mut warmup_given = false;
     let mut obs_scrape: Option<String> = None;
     let mut json_path: Option<String> = None;
     let mut check: Option<f64> = None;
 
-    let mut args = std::env::args().skip(1);
+    let mut args = args.into_iter();
     while let Some(a) = args.next() {
         match a.as_str() {
-            "--scenario" => name = args.next().unwrap_or_else(|| die("--scenario needs a name")),
+            // Looked up above; only its value is skipped here.
+            "--scenario" => {
+                args.next().unwrap_or_else(|| die("--scenario needs a name"));
+            }
             "--duration" => {
-                duration = Some(parse_duration(
-                    &args.next().unwrap_or_else(|| die("--duration needs a value")),
-                ));
+                scenario.duration =
+                    parse_duration(&args.next().unwrap_or_else(|| die("--duration needs a value")));
             }
             "--warmup" => {
-                warmup = Some(parse_duration(
-                    &args.next().unwrap_or_else(|| die("--warmup needs a value")),
-                ));
+                scenario.warmup =
+                    parse_duration(&args.next().unwrap_or_else(|| die("--warmup needs a value")));
+                warmup_given = true;
             }
             "--connections" => {
-                connections = Some(
-                    args.next()
-                        .and_then(|v| v.parse().ok())
-                        .filter(|&n| n >= 1)
-                        .unwrap_or_else(|| die("--connections needs a positive integer")),
-                );
+                let why = "--connections needs a positive integer";
+                let c = cli::value(&mut args, |&n| n >= 1, why).unwrap_or_else(|why| die(&why));
+                scenario.connections = c;
+                if let LoadMode::Closed { sessions, .. } = &mut scenario.mode {
+                    *sessions = c;
+                }
             }
             "--rate" => {
-                rate = Some(
-                    args.next()
-                        .and_then(|v| v.parse().ok())
-                        .filter(|&r: &f64| r.is_finite() && r > 0.0)
-                        .unwrap_or_else(|| die("--rate needs a positive finite number")),
-                );
-            }
-            "--deltas" => {
-                let v = args.next().unwrap_or_else(|| die("--deltas needs a list"));
-                // Positivity and finiteness are `Scenario::validate`'s.
-                deltas = Some(
-                    v.split(',')
-                        .map(|s| s.trim().parse().unwrap_or_else(|_| die("bad delta")))
-                        .collect(),
-                );
-            }
-            "--engine" => {
-                engine = Some(
-                    args.next()
-                        .as_deref()
-                        .and_then(EngineKind::parse)
-                        .unwrap_or_else(|| die("--engine needs 'threads', 'reactor' or 'uring'")),
-                );
-            }
-            "--shards" => {
-                shards = Some(
-                    args.next()
-                        .and_then(|v| v.parse().ok())
-                        .filter(|&n| n >= 1)
-                        .unwrap_or_else(|| die("--shards needs a positive integer")),
-                );
-            }
-            "--controller" => {
-                controller = Some(
-                    args.next()
-                        .as_deref()
-                        .and_then(ControllerKind::parse)
-                        .unwrap_or_else(|| die("--controller needs 'open' or 'feedback'")),
-                );
-            }
-            "--gain" => {
-                gain = Some(
-                    args.next()
-                        .and_then(|v| v.parse().ok())
-                        .filter(|&g: &f64| g >= 0.0 && g.is_finite())
-                        .unwrap_or_else(|| die("--gain needs a number >= 0")),
-                );
-            }
-            "--admission-cap" => {
-                admission_cap = Some(
-                    args.next()
-                        .and_then(|v| v.parse().ok())
-                        .filter(|&c: &f64| c > 0.0 && c < 1.0)
-                        .unwrap_or_else(|| die("--admission-cap needs a value in (0,1)")),
-                );
-            }
-            "--work-unit-us" => {
-                work_unit_us = Some(
-                    args.next()
-                        .and_then(|v| v.parse().ok())
-                        .filter(|&n| n >= 1)
-                        .unwrap_or_else(|| die("--work-unit-us needs a positive integer")),
-                );
+                let ok = |&r: &f64| r.is_finite() && r > 0.0;
+                let why = "--rate needs a positive finite number";
+                let r = cli::value(&mut args, ok, why).unwrap_or_else(|why| die(&why));
+                let LoadMode::Open { arrival } = &mut scenario.mode else {
+                    die("--rate applies to open-loop scenarios")
+                };
+                // Scale every segment so the long-run aggregate equals
+                // the requested rate, preserving the scenario's shape.
+                let scale = r / arrival.mean_rate(scenario.duration).max(1e-9);
+                match arrival {
+                    ArrivalSpec::Steady { rate } => *rate *= scale,
+                    ArrivalSpec::Burst { mean_rate, .. } => *mean_rate *= scale,
+                    ArrivalSpec::FlashCrowd { base_rate, peak_rate, .. } => {
+                        *base_rate *= scale;
+                        *peak_rate *= scale;
+                    }
+                    ArrivalSpec::Step { rate_before, rate_after, .. } => {
+                        *rate_before *= scale;
+                        *rate_after *= scale;
+                    }
+                }
             }
             "--control-window-ms" => {
-                control_window_ms = Some(
-                    args.next()
-                        .and_then(|v| v.parse().ok())
-                        .filter(|&n| n >= 1)
-                        .unwrap_or_else(|| die("--control-window-ms needs a positive integer")),
-                );
+                let why = "--control-window-ms needs a positive integer";
+                let ms = cli::value(&mut args, |&n| n >= 1, why).unwrap_or_else(|why| die(&why));
+                scenario.server.control_window = Duration::from_millis(ms);
             }
             "--seed" => {
-                seed = Some(
-                    args.next()
-                        .and_then(|v| v.parse().ok())
-                        .unwrap_or_else(|| die("--seed needs an integer")),
-                );
+                scenario.seed = cli::value(&mut args, |_| true, "--seed needs an integer")
+                    .unwrap_or_else(|why| die(&why));
             }
             "--trace-sample" => {
-                trace_sample = Some(
-                    args.next()
-                        .and_then(|v| v.parse().ok())
-                        .filter(|&p: &f64| (0.0..=1.0).contains(&p))
-                        .unwrap_or_else(|| die("--trace-sample needs a probability in [0,1]")),
-                );
+                let ok = |p: &f64| (0.0..=1.0).contains(p);
+                let why = "--trace-sample needs a probability in [0,1]";
+                scenario.server.trace_sample =
+                    cli::value(&mut args, ok, why).unwrap_or_else(|why| die(&why));
             }
             "--obs-scrape" => {
                 obs_scrape = Some(args.next().unwrap_or_else(|| die("--obs-scrape needs a dir")));
             }
             "--json" => json_path = Some(args.next().unwrap_or_else(|| die("--json needs a path"))),
             "--check" => {
-                check = Some(
-                    args.next()
-                        .and_then(|v| v.parse().ok())
-                        .filter(|&d: &f64| d > 0.0)
-                        .unwrap_or_else(|| die("--check needs a positive deviation bound")),
-                );
+                let why = "--check needs a positive deviation bound";
+                check =
+                    Some(cli::value(&mut args, |&d| d > 0.0, why).unwrap_or_else(|why| die(&why)));
             }
             "--list" => {
                 for n in Scenario::catalog() {
@@ -223,91 +165,37 @@ fn main() {
                 );
                 return;
             }
-            other => die(&format!("unknown argument: {other}")),
+            other => match cli::server_flag(
+                other,
+                &mut args,
+                &mut scenario.server,
+                &mut scenario.frontend,
+            ) {
+                Ok(true) => {}
+                Ok(false) => die(&format!("unknown argument: {other}")),
+                Err(why) => die(&why),
+            },
         }
     }
 
-    let mut scenario = Scenario::by_name(&name)
-        .unwrap_or_else(|| die(&format!("unknown scenario '{name}' (try --list)")));
-    if let Some(d) = duration {
-        scenario.duration = d;
-    }
-    if let Some(w) = warmup {
-        scenario.warmup = w;
-    } else if scenario.warmup >= scenario.duration {
+    if !warmup_given && scenario.warmup >= scenario.duration {
         // A short custom duration keeps a proportional warmup.
         scenario.warmup = scenario.duration / 4;
     }
-    if let Some(c) = connections {
-        scenario.connections = c;
-        if let LoadMode::Closed { sessions, .. } = &mut scenario.mode {
-            *sessions = c;
+    if scenario.mix.len() != scenario.server.deltas.len() {
+        // `--deltas` changed the class count: rebuild the mix so lengths
+        // stay consistent. The stock mix-shift weights are meaningless
+        // for a different class count, so the shift is disabled rather
+        // than faked.
+        let template = scenario.mix[0].clone();
+        scenario.mix = scenario.server.deltas.iter().map(|_| template.clone()).collect();
+        scenario.server.mean_cost = scenario::mean_cost(&scenario.mix);
+        if scenario.mix_shift.take().is_some() {
+            eprintln!(
+                "psd_loadtest: note — custom --deltas class count disables the \
+                 scenario's mix shift"
+            );
         }
-    }
-    if let Some(r) = rate {
-        match &mut scenario.mode {
-            // Scale every segment so the long-run aggregate equals the
-            // requested rate, preserving the scenario's shape.
-            LoadMode::Open { arrival } => {
-                let scale = r / arrival.mean_rate(scenario.duration).max(1e-9);
-                match arrival {
-                    ArrivalSpec::Steady { rate } => *rate *= scale,
-                    ArrivalSpec::Burst { mean_rate, .. } => *mean_rate *= scale,
-                    ArrivalSpec::FlashCrowd { base_rate, peak_rate, .. } => {
-                        *base_rate *= scale;
-                        *peak_rate *= scale;
-                    }
-                    ArrivalSpec::Step { rate_before, rate_after, .. } => {
-                        *rate_before *= scale;
-                        *rate_after *= scale;
-                    }
-                }
-            }
-            LoadMode::Closed { .. } => die("--rate applies to open-loop scenarios"),
-        }
-    }
-    if let Some(d) = deltas {
-        if d.len() != scenario.deltas.len() {
-            // Rebuild the mix so lengths stay consistent. The stock
-            // mix-shift weights are meaningless for a different class
-            // count, so the shift is disabled rather than faked.
-            let template = scenario.mix[0].clone();
-            scenario.mix = d.iter().map(|_| template.clone()).collect();
-            if scenario.mix_shift.take().is_some() {
-                eprintln!(
-                    "psd_loadtest: note — custom --deltas class count disables the \
-                     scenario's mix shift"
-                );
-            }
-        }
-        scenario.deltas = d;
-    }
-    if let Some(e) = engine {
-        scenario.server.engine = e;
-    }
-    if let Some(n) = shards {
-        scenario.server.shards = n;
-    }
-    if let Some(c) = controller {
-        scenario.server.controller = c;
-    }
-    if let Some(g) = gain {
-        scenario.server.gain = g;
-    }
-    if let Some(cap) = admission_cap {
-        scenario.server.admission_cap = Some(cap);
-    }
-    if let Some(u) = work_unit_us {
-        scenario.server.work_unit = Duration::from_micros(u);
-    }
-    if let Some(ms) = control_window_ms {
-        scenario.server.control_window = Duration::from_millis(ms);
-    }
-    if let Some(s) = seed {
-        scenario.seed = s;
-    }
-    if let Some(p) = trace_sample {
-        scenario.server.trace_sample = p;
     }
     if let Err(why) = scenario.validate() {
         die(&why);
@@ -319,8 +207,8 @@ fn main() {
         scenario.name,
         scenario.duration,
         scenario.connections,
-        scenario.server.engine.as_str(),
-        scenario.server.shards,
+        scenario.frontend.engine.as_str(),
+        scenario.frontend.shards,
         scenario.server.controller.as_str(),
         scenario.server.admission_cap.map(|c| format!(", admission cap {c}")).unwrap_or_default()
     );

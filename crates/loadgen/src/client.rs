@@ -195,7 +195,7 @@ mod tests {
             deltas: vec![1.0, 2.0],
             ..ServerConfig::default()
         }));
-        let fe = HttpFrontend::start("127.0.0.1:0", Arc::clone(&server), 1.0).expect("bind");
+        let fe = HttpFrontend::start("127.0.0.1:0", Arc::clone(&server)).expect("bind");
         (fe, server)
     }
 

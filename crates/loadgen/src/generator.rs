@@ -6,8 +6,9 @@
 
 use std::collections::VecDeque;
 use std::net::SocketAddr;
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
-use std::thread;
+use std::thread::{self, JoinHandle};
 use std::time::{Duration, Instant};
 
 use psd_dist::rng::{SplitMix64, Xoshiro256pp};
@@ -142,6 +143,48 @@ impl JobQueue {
             }
             g = self.ready.wait(g).unwrap_or_else(PoisonError::into_inner);
         }
+    }
+}
+
+/// A one-shot timer thread that runs its action at an instant of the
+/// run — the `reconfig` spec's `PUT` here, the harness's mid-run
+/// scrape — and can be cancelled: a run that dies early must not sit
+/// out the remaining wait (and then act against a dead server) before
+/// its caller sees the failure.
+pub(crate) struct Timer<T> {
+    cancel: Arc<AtomicBool>,
+    thread: JoinHandle<std::io::Result<Option<T>>>,
+}
+
+impl<T: Send + 'static> Timer<T> {
+    /// Run `fire` once `after` has passed, unless cancelled first.
+    pub(crate) fn start(
+        after: Duration,
+        fire: impl FnOnce() -> std::io::Result<T> + Send + 'static,
+    ) -> Self {
+        let cancel = Arc::new(AtomicBool::new(false));
+        let cancelled = Arc::clone(&cancel);
+        let thread = thread::spawn(move || {
+            let deadline = Instant::now() + after;
+            loop {
+                if cancelled.load(Ordering::Relaxed) {
+                    return Ok(None);
+                }
+                let now = Instant::now();
+                if now >= deadline {
+                    return fire().map(Some);
+                }
+                thread::sleep((deadline - now).min(Duration::from_millis(50)));
+            }
+        });
+        Self { cancel, thread }
+    }
+
+    /// Cancel the action if it has not fired yet, and wait for the
+    /// thread: `Ok(None)` when it never fired.
+    pub(crate) fn finish(self) -> std::io::Result<Option<T>> {
+        self.cancel.store(true, Ordering::Relaxed);
+        self.thread.join().expect("timer thread panicked")
     }
 }
 
@@ -290,39 +333,20 @@ fn new_counters(n: usize) -> Vec<ClassCounters> {
 
 /// Run `scenario` against a server listening on `addr`; blocks until
 /// the run completes and every worker joined. A `reconfig` spec fires
-/// its `PUT /config` from a dedicated timer thread at the configured
-/// instant (wall clock, not the generator's look-ahead schedule); a
-/// failed or rejected reconfiguration fails the whole run.
+/// its `PUT /config` from a `Timer` at the configured instant (wall
+/// clock, not the generator's look-ahead schedule); a failed or
+/// rejected reconfiguration fails the whole run.
 pub fn run(addr: SocketAddr, scenario: &Scenario) -> std::io::Result<GenStats> {
-    use std::sync::atomic::{AtomicBool, Ordering};
-
     scenario.validate().expect("invalid scenario");
-    // The timer is cancellable: a run that dies early must not sit out
-    // the remaining sleep (and then PUT against a dead server) before
-    // the caller sees the failure. Returns whether the PUT fired.
-    let cancel = Arc::new(AtomicBool::new(false));
     let reconfig = scenario.reconfig.clone().map(|spec| {
-        let fire_at = scenario.duration.mul_f64(spec.at_frac);
-        let cancel = Arc::clone(&cancel);
-        thread::spawn(move || -> std::io::Result<bool> {
-            let deadline = Instant::now() + fire_at;
-            loop {
-                if cancel.load(Ordering::Relaxed) {
-                    return Ok(false);
-                }
-                let now = Instant::now();
-                if now >= deadline {
-                    break;
-                }
-                thread::sleep((deadline - now).min(Duration::from_millis(50)));
-            }
+        Timer::start(scenario.duration.mul_f64(spec.at_frac), move || {
             let deltas = spec.deltas.iter().map(f64::to_string).collect::<Vec<_>>().join(",");
             let status =
                 crate::client::put_config(addr, &format!("deltas={deltas}"), EXCHANGE_TIMEOUT)?;
             if status != 200 {
                 return Err(std::io::Error::other(format!("PUT /config answered {status}")));
             }
-            Ok(true)
+            Ok(())
         })
     });
     let stats = match &scenario.mode {
@@ -331,13 +355,12 @@ pub fn run(addr: SocketAddr, scenario: &Scenario) -> std::io::Result<GenStats> {
             run_closed(addr, scenario, *sessions, *mean_think)
         }
     };
-    cancel.store(true, Ordering::Relaxed);
-    let reconfig_outcome = reconfig.map(|h| h.join().expect("reconfig thread panicked"));
+    let reconfig_outcome = reconfig.map(Timer::finish);
     // The run's own failure is the primary diagnosis — a PUT that then
     // failed against the dead server must not mask it.
     let stats = stats?;
     if let Some(outcome) = reconfig_outcome {
-        if !outcome? {
+        if outcome?.is_none() {
             return Err(std::io::Error::other(
                 "run finished before the reconfig instant — the δ flip never fired",
             ));
@@ -348,7 +371,7 @@ pub fn run(addr: SocketAddr, scenario: &Scenario) -> std::io::Result<GenStats> {
 
 fn run_open(addr: SocketAddr, scenario: &Scenario) -> std::io::Result<GenStats> {
     let LoadMode::Open { arrival } = &scenario.mode else { unreachable!("checked by caller") };
-    let n = scenario.deltas.len();
+    let n = scenario.server.deltas.len();
     let queue = Arc::new(JobQueue::default());
     let start = Instant::now();
     let warmup = scenario.warmup;
@@ -436,7 +459,7 @@ fn run_closed(
     sessions: usize,
     mean_think: Duration,
 ) -> std::io::Result<GenStats> {
-    let n = scenario.deltas.len();
+    let n = scenario.server.deltas.len();
     let start = Instant::now();
     let duration = scenario.duration;
     let warmup = scenario.warmup;

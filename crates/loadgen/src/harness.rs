@@ -5,15 +5,13 @@
 
 use std::io;
 use std::net::SocketAddr;
-use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
-use std::thread;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
-use psd_server::{FrontendConfig, HttpFrontend, PsdServer, ServerStats};
+use psd_server::{HttpFrontend, PsdServer, ServerStats};
 
 use crate::client;
-use crate::generator;
+use crate::generator::{self, Timer};
 use crate::report::LoadReport;
 use crate::scenario::Scenario;
 
@@ -57,8 +55,8 @@ pub fn run_scenario(scenario: &Scenario) -> io::Result<RunOutput> {
 }
 
 /// Like [`run_scenario`], but additionally scrape the observability
-/// routes at `at_frac` of the run (from a dedicated timer thread, as
-/// the reconfig trigger does). Fails if the run ends before the scrape
+/// routes at `at_frac` of the run (from a timer thread, as the reconfig
+/// trigger does). Fails if the run ends before the scrape
 /// instant or any route answers non-200.
 pub fn run_scenario_scraped(
     scenario: &Scenario,
@@ -86,65 +84,33 @@ fn run_with(
     scrape_at: Option<f64>,
 ) -> io::Result<(RunOutput, Option<ObsScrape>)> {
     scenario.validate().expect("invalid scenario");
-    let server = Arc::new(PsdServer::start(scenario.server_config()));
-    // Every scenario runs against the engine its profile selects; the
-    // connection pool must fit under the front-end cap (plus headroom
-    // for reconnects racing their predecessor's close).
-    let frontend = HttpFrontend::start_with(
-        "127.0.0.1:0",
-        Arc::clone(&server),
-        FrontendConfig {
-            engine: scenario.server.engine,
-            shards: scenario.server.shards,
-            max_connections: (2 * scenario.connections).max(64),
-            ..FrontendConfig::default()
-        },
-    )?;
+    let server = Arc::new(PsdServer::start(scenario.server.clone()));
+    let frontend =
+        HttpFrontend::start_with("127.0.0.1:0", Arc::clone(&server), scenario.frontend.clone())?;
     let addr = frontend.addr();
 
-    // The scrape timer is cancellable like the reconfig trigger: a run
-    // that dies early must not sit out the remaining sleep before the
-    // caller sees the failure. Returns `Ok(None)` when cancelled.
-    let cancel = Arc::new(AtomicBool::new(false));
     let scraper = scrape_at.map(|frac| {
-        let fire_at = scenario.duration.mul_f64(frac);
-        let cancel = Arc::clone(&cancel);
-        thread::spawn(move || -> io::Result<Option<ObsScrape>> {
-            let deadline = Instant::now() + fire_at;
-            loop {
-                if cancel.load(Ordering::Relaxed) {
-                    return Ok(None);
-                }
-                let now = Instant::now();
-                if now >= deadline {
-                    break;
-                }
-                thread::sleep((deadline - now).min(Duration::from_millis(50)));
-            }
-            Ok(Some(ObsScrape {
+        Timer::start(scenario.duration.mul_f64(frac), move || {
+            Ok(ObsScrape {
                 prometheus: scrape_route(addr, "/metrics/prometheus")?,
                 healthz: scrape_route(addr, "/healthz")?,
                 trace: scrape_route(addr, "/trace?n=64")?,
                 control_trace: scrape_route(addr, "/trace/control")?,
-            }))
+            })
         })
     });
 
     let stats = generator::run(addr, scenario);
-    cancel.store(true, Ordering::Relaxed);
-    let scrape_outcome = scraper.map(|h| h.join().expect("scrape thread panicked"));
+    let scrape_outcome = scraper.map(Timer::finish);
     // The run's own failure is the primary diagnosis.
     let stats = stats?;
     let scrape = match scrape_outcome {
         None => None,
-        Some(outcome) => match outcome? {
-            Some(s) => Some(s),
-            None => {
-                return Err(io::Error::other(
-                    "run finished before the scrape instant — no mid-run observability sample",
-                ))
-            }
-        },
+        Some(outcome) => Some(outcome?.ok_or_else(|| {
+            io::Error::other(
+                "run finished before the scrape instant — no mid-run observability sample",
+            )
+        })?),
     };
 
     let leftover = frontend.shutdown(DRAIN_TIMEOUT)?;

@@ -2,9 +2,9 @@
 //!
 //! The paper validates its Eq. 17 allocation in a discrete-event
 //! simulator; this crate closes the remaining loop by hammering the
-//! *real* threaded server (`psd-server`) over real TCP sockets and
-//! measuring whether the achieved per-class slowdown ratios track the
-//! configured δ's end to end.
+//! *real* server (`psd-server`, on any of its three front-end engines)
+//! over real TCP sockets and measuring whether the achieved per-class
+//! slowdown ratios track the configured δ's end to end.
 //!
 //! Pieces:
 //!
@@ -50,4 +50,4 @@ pub use generator::{WindowSeries, BAND_WINDOW};
 // The latency histogram is psd-obs's; callers name it here too.
 pub use psd_obs::LogHistogram;
 pub use report::{ClassReport, LatencySummary, LoadReport, BAND_TOLERANCE};
-pub use scenario::{ArrivalSpec, ClassMix, LoadMode, ReconfigSpec, Scenario, ServerProfile};
+pub use scenario::{ArrivalSpec, ClassMix, LoadMode, ReconfigSpec, Scenario};

@@ -170,7 +170,7 @@ fn time_to_band(scenario: &Scenario, stats: &GenStats) -> Option<f64> {
     }
     let target_deltas: &[f64] = match &scenario.reconfig {
         Some(r) => &r.deltas,
-        None => &scenario.deltas,
+        None => &scenario.server.deltas,
     };
     let base_delta = target_deltas[0];
     let measure_from_s = match &scenario.reconfig {
@@ -236,7 +236,7 @@ impl LoadReport {
         // the new targets, is the reconfig convergence metric.
         let target_deltas: &[f64] = match &scenario.reconfig {
             Some(r) => &r.deltas,
-            None => &scenario.deltas,
+            None => &scenario.server.deltas,
         };
         let base_delta = target_deltas.first().copied().unwrap_or(1.0);
         let measured_s = stats.measured_s.max(1e-9);
@@ -251,7 +251,7 @@ impl LoadReport {
                 let target = target_deltas[i] / base_delta;
                 ClassReport {
                     class: i,
-                    delta: scenario.deltas[i],
+                    delta: scenario.server.deltas[i],
                     sent: c.sent,
                     ok: c.ok,
                     errors: c.errors,
@@ -280,8 +280,8 @@ impl LoadReport {
         let total_measured: u64 = classes.iter().map(|c| c.measured).sum();
         LoadReport {
             scenario: scenario.name.clone(),
-            engine: scenario.server.engine.as_str().to_string(),
-            shards: scenario.server.shards,
+            engine: scenario.frontend.engine.as_str().to_string(),
+            shards: scenario.frontend.shards,
             controller: scenario.server.controller.as_str().to_string(),
             admission_cap: scenario.server.admission_cap,
             mode: mode.to_string(),
@@ -289,7 +289,7 @@ impl LoadReport {
             warmup_s: scenario.warmup.as_secs_f64(),
             connections,
             seed: scenario.seed,
-            deltas: scenario.deltas.clone(),
+            deltas: scenario.server.deltas.clone(),
             reconfig_at_frac: scenario.reconfig.as_ref().map(|r| r.at_frac),
             reconfig_deltas: scenario.reconfig.as_ref().map(|r| r.deltas.clone()),
             total_sent: stats.total_sent(),

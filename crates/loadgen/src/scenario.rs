@@ -1,5 +1,5 @@
 //! The declarative scenario catalog: what traffic to offer, in which
-//! loop mode, against which server profile.
+//! loop mode, against which server configuration.
 //!
 //! A [`Scenario`] is data, not code — the same struct drives the
 //! `psd_loadtest` CLI, the CI smoke job and the e2e tests, so every
@@ -20,7 +20,7 @@ use std::time::Duration;
 use psd_dist::arrival::{ArrivalProcess, Mmpp2, PoissonProcess, StepPoisson};
 use psd_dist::rng::Xoshiro256pp;
 use psd_dist::{BoundedPareto, ServiceDist};
-use psd_server::{ControllerKind, EngineKind, ServerConfig};
+use psd_server::{ControllerKind, FrontendConfig, ServerConfig};
 
 /// Piecewise-constant-rate Poisson process: segment `i` holds
 /// `rates[i]` until absolute time `ends[i]`; the last rate holds
@@ -195,59 +195,6 @@ pub struct ClassMix {
     pub cost: ServiceDist,
 }
 
-/// How the in-process server under test is configured.
-#[derive(Debug, Clone, PartialEq)]
-pub struct ServerProfile {
-    /// Wall-clock duration of one work unit.
-    pub work_unit: Duration,
-    /// Monitor window for the online PSD allocator.
-    pub control_window: Duration,
-    /// Estimator history in windows.
-    pub estimator_history: usize,
-    /// Which HTTP front-end engine serves the run (`--engine` on the
-    /// CLI): thread-per-connection baseline or the epoll reactor. The
-    /// scenario itself is engine-agnostic — every catalog entry runs
-    /// against both.
-    pub engine: EngineKind,
-    /// Reactor event-loop shards (`--shards` on the CLI; ignored by
-    /// the threaded engine). Defaults to min(cores, 4).
-    pub shards: usize,
-    /// Which controller family drives the server's monitor
-    /// (`--controller {open,feedback}`).
-    pub controller: ControllerKind,
-    /// Feedback integral gain (`--gain`; ignored by `open`).
-    pub gain: f64,
-    /// Target admitted utilization (`--admission-cap`); `None`
-    /// disables admission control.
-    pub admission_cap: Option<f64>,
-    /// Request-trace sampling probability (`--trace-sample`): the
-    /// fraction of requests recorded into the server's span ring.
-    /// `0.0` disables tracing entirely — the CI observability smoke
-    /// compares a traced run against this baseline.
-    pub trace_sample: f64,
-}
-
-impl Default for ServerProfile {
-    fn default() -> Self {
-        // The server's rate-partitioned task servers (the regime Eq. 17
-        // controls exactly), whose service is a deadline: accurate
-        // on one core, since sleeping burns no cycles the generator
-        // needs, and the sub-millisecond work unit keeps the machine
-        // rate ≈1410 req/s at the default mix's ≈1.18-unit mean cost.
-        Self {
-            work_unit: Duration::from_micros(600),
-            control_window: Duration::from_millis(500),
-            estimator_history: 5,
-            engine: EngineKind::Threads,
-            shards: psd_server::default_shards(),
-            controller: ControllerKind::Open,
-            gain: 0.3,
-            admission_cap: None,
-            trace_sample: 1.0,
-        }
-    }
-}
-
 /// A mid-run hot reconfiguration: at `at_frac` of the duration the
 /// generator issues `PUT /config?deltas=…` against the live server's
 /// admin endpoint, and the report's convergence metric
@@ -262,14 +209,12 @@ pub struct ReconfigSpec {
 }
 
 /// A complete, declarative load-test description.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone)]
 pub struct Scenario {
     /// Catalog name (free-form for custom scenarios).
     pub name: String,
-    /// Differentiation parameters, one per class (class 0 highest).
-    pub deltas: Vec<f64>,
-    /// Per-class mix weights and cost distributions (same length as
-    /// `deltas`).
+    /// Per-class mix weights and cost distributions (one per
+    /// `server.deltas` entry).
     pub mix: Vec<ClassMix>,
     /// If set, at `(frac, weights)` the mix weights are replaced —
     /// the `classmix-shift` scenario's knob.
@@ -288,8 +233,14 @@ pub struct Scenario {
     pub connections: usize,
     /// Experiment seed (schedules and cost draws are deterministic).
     pub seed: u64,
-    /// In-process server profile.
-    pub server: ServerProfile,
+    /// The in-process server the harness starts: its `deltas` are the
+    /// differentiation parameters, one per class (class 0 highest), and
+    /// the catalog sets its `mean_cost` to the mix's.
+    pub server: ServerConfig,
+    /// The front end the harness starts in front of it. The scenario
+    /// itself is engine-agnostic: every catalog entry runs on every
+    /// engine.
+    pub frontend: FrontendConfig,
 }
 
 /// The default cost distribution: a bounded Pareto in the paper's
@@ -304,6 +255,14 @@ fn default_cost() -> ServiceDist {
 
 fn even_mix(n: usize) -> Vec<ClassMix> {
     (0..n).map(|_| ClassMix { weight: 1.0, cost: default_cost() }).collect()
+}
+
+/// The mix's mean cost in work units: the allocator's `E[X]`, which a
+/// scenario's `server.mean_cost` is set to.
+pub fn mean_cost(mix: &[ClassMix]) -> f64 {
+    use psd_dist::ServiceDistribution;
+    let wsum: f64 = mix.iter().map(|m| m.weight).sum();
+    mix.iter().map(|m| m.weight / wsum * m.cost.mean()).sum::<f64>().max(1e-6)
 }
 
 impl Scenario {
@@ -323,25 +282,36 @@ impl Scenario {
 
     /// Look up a stock scenario by name.
     pub fn by_name(name: &str) -> Option<Scenario> {
-        // Sized against the default [`ServerProfile`]: a 600 µs work
-        // unit and the ~1.18-unit mean cost give ≈1410 req/s of machine
-        // capacity, so the steady rate offers ≈0.75 load — enough
-        // queueing for the slowdown differentiation to be measurable,
-        // with margin against both the allocator's overload fallback
-        // and the nonlinear M/G/1 blow-up near saturation.
+        // The server's rate-partitioned task servers (the regime Eq. 17
+        // controls exactly), whose service is a deadline: accurate on
+        // one core, since sleeping burns no cycles the generator needs.
+        // A 600 µs work unit and the ~1.18-unit mean cost give ≈1410
+        // req/s of machine capacity, so the steady rate offers ≈0.75
+        // load — enough queueing for the slowdown differentiation to be
+        // measurable, with margin against both the allocator's overload
+        // fallback and the nonlinear M/G/1 blow-up near saturation.
         let base_rate = 1050.0;
-        let base = |mode: LoadMode| Scenario {
-            name: name.to_string(),
-            deltas: vec![1.0, 2.0],
-            mix: even_mix(2),
-            mix_shift: None,
-            reconfig: None,
-            mode,
-            duration: Duration::from_secs(20),
-            warmup: Duration::from_secs(4),
-            connections: 48,
-            seed: 42,
-            server: ServerProfile::default(),
+        let base = |mode: LoadMode| {
+            let mix = even_mix(2);
+            Scenario {
+                name: name.to_string(),
+                mix_shift: None,
+                reconfig: None,
+                mode,
+                duration: Duration::from_secs(20),
+                warmup: Duration::from_secs(4),
+                connections: 48,
+                seed: 42,
+                server: ServerConfig {
+                    deltas: vec![1.0, 2.0],
+                    mean_cost: mean_cost(&mix),
+                    work_unit: Duration::from_micros(600),
+                    control_window: Duration::from_millis(500),
+                    ..ServerConfig::default()
+                },
+                frontend: FrontendConfig::default(),
+                mix,
+            }
         };
         match name {
             "steady" => {
@@ -381,6 +351,7 @@ impl Scenario {
                     base(LoadMode::Open { arrival: ArrivalSpec::Steady { rate: base_rate } });
                 s.mix[0].weight = 0.55;
                 s.mix[1].weight = 0.45;
+                s.server.mean_cost = mean_cost(&s.mix);
                 s.mix_shift = Some((0.5, vec![0.45, 0.55]));
                 Some(s)
             }
@@ -438,36 +409,16 @@ impl Scenario {
         }
     }
 
-    /// The [`ServerConfig`] this scenario runs against, with `E[X]`
-    /// derived from the mix's cost distributions.
-    pub fn server_config(&self) -> ServerConfig {
-        use psd_dist::ServiceDistribution;
-        let wsum: f64 = self.mix.iter().map(|m| m.weight).sum();
-        let mean_cost: f64 =
-            self.mix.iter().map(|m| m.weight / wsum * m.cost.mean()).sum::<f64>().max(1e-6);
-        ServerConfig {
-            deltas: self.deltas.clone(),
-            mean_cost,
-            work_unit: self.server.work_unit,
-            control_window: self.server.control_window,
-            estimator_history: self.server.estimator_history,
-            controller: self.server.controller,
-            gain: self.server.gain,
-            admission_cap: self.server.admission_cap,
-            trace_sample: self.server.trace_sample,
-            ..ServerConfig::default()
-        }
-    }
-
     /// Reject nonsensical configurations (mismatched lengths, empty
     /// mixes, non-finite deltas, warm-ups as long as the run, …) before
     /// any thread spawns; the error says which rule failed.
     pub fn validate(&self) -> Result<(), String> {
         let require = |ok: bool, why: &str| if ok { Ok(()) } else { Err(why.to_string()) };
         let positive = |d: &[f64]| d.iter().all(|&d| d.is_finite() && d > 0.0);
-        require(!self.deltas.is_empty(), "need at least one class")?;
-        require(self.mix.len() == self.deltas.len(), "one mix entry per class")?;
-        require(positive(&self.deltas), "deltas must be positive and finite")?;
+        let deltas = &self.server.deltas;
+        require(!deltas.is_empty(), "need at least one class")?;
+        require(self.mix.len() == deltas.len(), "one mix entry per class")?;
+        require(positive(deltas), "deltas must be positive and finite")?;
         require(self.mix.iter().any(|m| m.weight > 0.0), "mix needs some weight")?;
         require(self.mix.iter().all(|m| m.weight >= 0.0), "mix weights must be non-negative")?;
         require(self.duration > self.warmup, "duration must exceed warmup")?;
@@ -479,7 +430,7 @@ impl Scenario {
         }
         if let Some(r) = &self.reconfig {
             require(r.at_frac > 0.0 && r.at_frac < 1.0, "reconfig frac in (0,1)")?;
-            require(r.deltas.len() == self.deltas.len(), "reconfig deltas length")?;
+            require(r.deltas.len() == deltas.len(), "reconfig deltas length")?;
             require(positive(&r.deltas), "reconfig deltas positive")?;
         }
         if let Some(cap) = self.server.admission_cap {
@@ -572,11 +523,11 @@ mod tests {
 
     #[test]
     fn server_config_uses_mix_mean_cost() {
-        let s = Scenario::by_name("steady").unwrap();
-        let cfg = s.server_config();
         use psd_dist::ServiceDistribution;
-        let want = s.mix[0].cost.mean();
-        assert!((cfg.mean_cost - want).abs() < 1e-12, "even mix of equal dists keeps E[X]");
-        assert_eq!(cfg.deltas, s.deltas);
+        for name in Scenario::catalog() {
+            let s = Scenario::by_name(name).unwrap();
+            let want = s.mix[0].cost.mean();
+            assert!((s.server.mean_cost - want).abs() < 1e-12, "{name}: equal dists keep E[X]");
+        }
     }
 }

@@ -70,11 +70,6 @@ pub use stats::{
 /// Sizing knobs for an [`ObsBundle`].
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ObsConfig {
-    /// Writer shards in the span ring (frontend writers map onto these
-    /// round-robin, so ≥ the expected writer count avoids contention).
-    pub span_shards: usize,
-    /// Total span slots across all shards.
-    pub span_capacity: usize,
     /// Per-request sampling probability in `[0, 1]`; `0` disables the
     /// span ring entirely (counters and the flight recorder stay on).
     pub sample: f64,
@@ -84,7 +79,7 @@ pub struct ObsConfig {
 
 impl Default for ObsConfig {
     fn default() -> Self {
-        Self { span_shards: 8, span_capacity: 4096, sample: 1.0, flight_capacity: 256 }
+        Self { sample: 1.0, flight_capacity: 256 }
     }
 }
 
@@ -107,7 +102,10 @@ impl ObsBundle {
     /// A bundle for `n_classes` service classes.
     pub fn new(n_classes: usize, cfg: ObsConfig) -> Self {
         Self {
-            spans: SpanRing::new(cfg.span_shards, cfg.span_capacity, cfg.sample),
+            // 4096 span slots over 8 writer shards: frontend writers map
+            // onto the shards round-robin, so ≥ the writer count avoids
+            // contention.
+            spans: SpanRing::new(8, 4096, cfg.sample),
             flight: FlightRecorder::new(cfg.flight_capacity),
             admission: AdmissionStats::default(),
             latency: (0..n_classes.max(1)).map(|_| LogHistogram::new()).collect(),

@@ -10,12 +10,14 @@
 //!           [--max-connections 1024] [--duration-s N]
 //!
 //! Requests are classified by URL (`/class0/...`, `/premium/...`) or an
-//! `X-Class` header; `?cost=2.5` sets the work amount. Responses carry
-//! `X-Delay-Us` and `X-Slowdown` headers. HTTP/1.1 connections are
-//! kept alive. Class `i` executes one request at a time at its
-//! allocated rate `r_i` (service stretched by `1/r_i`): as a finish
-//! deadline, fired in reactor shard 0's own loop where its waits are
-//! exact and otherwise (`--engine threads`, say) by one timer thread.
+//! `X-Class` header; `?cost=2.5` sets the work amount, and without it a
+//! request costs `--default-cost`, the allocator's mean cost E[X].
+//! Responses carry `X-Delay-Us` and `X-Slowdown` headers. HTTP/1.1
+//! connections are kept alive. Class `i` executes one request at a time
+//! at its allocated rate `r_i` (service stretched by `1/r_i`): as a
+//! finish deadline, fired in reactor shard 0's own loop where its waits
+//! are exact and otherwise (`--engine threads`, say) by one timer
+//! thread.
 //!
 //! `--engine threads` (default) serves one blocking thread per
 //! connection; `--engine reactor` multiplexes connections over
@@ -36,7 +38,7 @@
 //! `integral_terms`). Either way a class whose rate falls under the
 //! floor is pinned at `min_rate` and the rest share the remainder;
 //! `--admission-cap C` sheds the lowest classes (`503` + `X-Shed`)
-//! once the offered load exceeds `C`. Both engines also serve the
+//! once the offered load exceeds `C`. All three engines also serve the
 //! admin routes: `GET /metrics` (JSON snapshot) and `GET|PUT /config`
 //! (hot reconfiguration of δ's/gain/cap without restart):
 //!
@@ -51,101 +53,42 @@
 use std::sync::Arc;
 use std::time::Duration;
 
-use psd_server::{
-    ControllerKind, EngineKind, FrontendConfig, HttpFrontend, PsdServer, ServerConfig,
-};
+use psd_server::{cli, FrontendConfig, HttpFrontend, PsdServer, ServerConfig};
 
 fn main() {
     let mut addr = "127.0.0.1:8080".to_string();
-    let mut deltas = vec![1.0, 2.0, 4.0];
-    let mut work_unit_us = 300u64;
-    let mut default_cost = 1.0f64;
-    let mut engine = EngineKind::Threads;
-    let mut shards = psd_server::default_shards();
-    let mut controller = ControllerKind::Open;
-    let mut gain = 0.3f64;
-    let mut admission_cap: Option<f64> = None;
-    let mut max_connections = FrontendConfig::default().max_connections;
-    let mut duration_s: Option<f64> = None;
+    // Everything not exposed as a flag comes from the one documented
+    // default set (control window, …).
+    let mut cfg = ServerConfig {
+        deltas: vec![1.0, 2.0, 4.0],
+        work_unit: Duration::from_micros(300),
+        ..ServerConfig::default()
+    };
+    let mut front = FrontendConfig::default();
+    let mut duration: Option<Duration> = None;
 
     let mut args = std::env::args().skip(1);
     while let Some(a) = args.next() {
         match a.as_str() {
             "--addr" => addr = args.next().unwrap_or_else(|| die("--addr needs a value")),
-            "--deltas" => {
-                let v = args.next().unwrap_or_else(|| die("--deltas needs a list"));
-                deltas = v
-                    .split(',')
-                    .map(|s| s.trim().parse().unwrap_or_else(|_| die("bad delta")))
-                    .collect();
-                if deltas.iter().any(|&d: &f64| d <= 0.0 || !d.is_finite()) {
-                    die("deltas must be positive and finite");
-                }
-            }
-            "--work-unit-us" => {
-                work_unit_us = args
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .filter(|&n: &u64| n >= 1)
-                    .unwrap_or_else(|| die("--work-unit-us needs a positive integer"));
-            }
+            // The cost of a request without `?cost=`, which makes it the
+            // allocator's E[X] too.
             "--default-cost" => {
-                default_cost = args
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .filter(|&c: &f64| c > 0.0 && c.is_finite())
-                    .unwrap_or_else(|| die("--default-cost needs a positive number"));
-            }
-            "--engine" => {
-                engine = args
-                    .next()
-                    .as_deref()
-                    .and_then(EngineKind::parse)
-                    .unwrap_or_else(|| die("--engine needs 'threads', 'reactor' or 'uring'"));
-            }
-            "--shards" => {
-                shards = args
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .filter(|&n: &usize| n >= 1)
-                    .unwrap_or_else(|| die("--shards needs a positive integer"));
-            }
-            "--controller" => {
-                controller = args
-                    .next()
-                    .as_deref()
-                    .and_then(ControllerKind::parse)
-                    .unwrap_or_else(|| die("--controller needs 'open' or 'feedback'"));
-            }
-            "--gain" => {
-                gain = args
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .filter(|&g: &f64| g >= 0.0 && g.is_finite())
-                    .unwrap_or_else(|| die("--gain needs a number >= 0"));
-            }
-            "--admission-cap" => {
-                admission_cap = Some(
-                    args.next()
-                        .and_then(|v| v.parse().ok())
-                        .filter(|&c: &f64| c > 0.0 && c < 1.0)
-                        .unwrap_or_else(|| die("--admission-cap needs a value in (0,1)")),
-                );
+                let ok = |&c: &f64| c > 0.0 && c.is_finite();
+                cfg.mean_cost = cli::value(&mut args, ok, "--default-cost needs a positive number")
+                    .unwrap_or_else(|why| die(&why));
             }
             "--max-connections" => {
-                max_connections = args
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .filter(|&n: &usize| n >= 1)
-                    .unwrap_or_else(|| die("--max-connections needs a positive integer"));
+                let why = "--max-connections needs a positive integer";
+                front.max_connections =
+                    cli::value(&mut args, |&n: &usize| n >= 1, why).unwrap_or_else(|why| die(&why));
             }
+            // Refused here, before the server binds, when no `Duration`
+            // holds it (`inf`, `1e300`).
             "--duration-s" => {
-                duration_s = Some(
-                    args.next()
-                        .and_then(|v| v.parse().ok())
-                        .filter(|&d: &f64| d > 0.0)
-                        .unwrap_or_else(|| die("--duration-s needs a positive number")),
-                );
+                let secs = args.next().and_then(|v| v.parse().ok()).filter(|&s: &f64| s > 0.0);
+                let d = secs.and_then(|s| Duration::try_from_secs_f64(s).ok());
+                duration = Some(d.unwrap_or_else(|| die("--duration-s needs a positive number")));
             }
             // Exit 0 if this kernel serves io_uring, 1 otherwise — for
             // scripts/CI to gate uring-engine runs without grepping
@@ -167,55 +110,42 @@ fn main() {
                 );
                 return;
             }
-            other => die(&format!("unknown argument: {other}")),
+            other => match cli::server_flag(other, &mut args, &mut cfg, &mut front) {
+                Ok(true) => {}
+                Ok(false) => die(&format!("unknown argument: {other}")),
+                Err(why) => die(&why),
+            },
         }
     }
 
-    // Everything not exposed as a flag comes from the one documented
-    // default set (control window, estimator history, …).
-    let server = Arc::new(PsdServer::start(ServerConfig {
-        deltas: deltas.clone(),
-        mean_cost: default_cost,
-        work_unit: Duration::from_micros(work_unit_us),
-        controller,
-        gain,
-        admission_cap,
-        ..ServerConfig::default()
-    }));
-
-    let frontend = HttpFrontend::start_with(
-        &addr,
-        Arc::clone(&server),
-        FrontendConfig {
-            engine,
-            shards,
-            max_connections,
-            default_cost,
-            ..FrontendConfig::default()
-        },
-    )
-    .unwrap_or_else(|e| die(&format!("cannot bind {addr}: {e}")));
+    let server = Arc::new(PsdServer::start(cfg.clone()));
+    let frontend = HttpFrontend::start_with(&addr, Arc::clone(&server), front.clone())
+        .unwrap_or_else(|e| die(&format!("cannot bind {addr}: {e}")));
     eprintln!(
-        "psd_httpd listening on {} — {} engine ({shards} shard(s)), {} classes \
-         (deltas {deltas:?}), {} controller{}, rate partition (sleep), \
-         {work_unit_us}µs/work-unit, ≤{max_connections} connections",
+        "psd_httpd listening on {} — {} engine ({} shard(s)), {} classes \
+         (deltas {:?}), {} controller{}, rate partition (sleep), \
+         {}µs/work-unit, ≤{} connections",
         frontend.addr(),
-        engine.as_str(),
-        deltas.len(),
-        controller.as_str(),
-        admission_cap.map(|c| format!(" (admission cap {c})")).unwrap_or_default(),
+        front.engine.as_str(),
+        front.shards,
+        cfg.deltas.len(),
+        cfg.deltas,
+        cfg.controller.as_str(),
+        cfg.admission_cap.map(|c| format!(" (admission cap {c})")).unwrap_or_default(),
+        cfg.work_unit.as_micros(),
+        front.max_connections,
     );
     eprintln!("try: curl 'http://{}/class0/hello?cost=2'", frontend.addr());
 
-    match duration_s {
+    match duration {
         None => {
             // Run forever: park this thread while the front-end serves.
             loop {
                 std::thread::sleep(Duration::from_secs(3600));
             }
         }
-        Some(secs) => {
-            std::thread::sleep(Duration::from_secs_f64(secs));
+        Some(d) => {
+            std::thread::sleep(d);
             eprintln!("psd_httpd: draining…");
             let leftover = frontend
                 .shutdown(Duration::from_secs(10))

@@ -132,8 +132,6 @@ pub struct FrontendConfig {
     /// arriving) are closed after this long — slow-loris heads count as
     /// idle too, since only *arriving bytes* refresh the clock.
     pub idle_timeout: Duration,
-    /// Cost assigned to requests without a `?cost=` parameter.
-    pub default_cost: f64,
 }
 
 /// The default reactor shard count: one event loop per core, capped at
@@ -150,7 +148,6 @@ impl Default for FrontendConfig {
             shards: default_shards(),
             max_connections: 1024,
             idle_timeout: Duration::from_secs(30),
-            default_cost: 1.0,
         }
     }
 }
@@ -186,14 +183,13 @@ pub(crate) fn route(
     server: &PsdServer,
     req: &HttpRequest,
     draining: bool,
-    default_cost: f64,
     shard: usize,
     info: &AdminInfo<'_>,
 ) -> Routed {
     if let Some(resp) = admin::handle(server, req, keeps_alive(req, draining), info) {
         return Routed::Respond(resp);
     }
-    let (class, cost) = class_and_cost(server, req, default_cost);
+    let (class, cost) = class_and_cost(server, req);
     if !server.admit(class, cost) {
         push_span(server, shard, class, cost, None);
         return Routed::Respond(shed_response(req.http11));
@@ -204,14 +200,15 @@ pub(crate) fn route(
 /// Map a parsed request onto (class, cost) for its task server. The
 /// class is clamped to the last class here, once, so the response's
 /// `X-Class` and the recorded span name the class that served the
-/// request. The cost is clamped into the finite band `submit` accepts —
+/// request. A request without `?cost=` costs the server's mean cost
+/// (`E[X]`). The cost is clamped into the finite band `submit` accepts —
 /// `?cost=inf` parses as a valid f64 and would otherwise trip the
 /// lane's positivity assert, letting one request panic a serving thread
 /// (or the whole reactor loop).
-fn class_and_cost(server: &PsdServer, req: &HttpRequest, default_cost: f64) -> (usize, f64) {
+fn class_and_cost(server: &PsdServer, req: &HttpRequest) -> (usize, f64) {
     let last = server.num_classes() - 1;
     let class = classify(&req.path, req.x_class.as_deref(), last).class.min(last);
-    let mut cost = req.cost.unwrap_or(default_cost);
+    let mut cost = req.cost.unwrap_or(server.mean_cost());
     if !cost.is_finite() {
         cost = 1.0;
     }
@@ -362,7 +359,6 @@ fn reject_saturated(stream: TcpStream) {
 fn handle_connection(
     stream: TcpStream,
     server: &PsdServer,
-    default_cost: f64,
     idle_timeout: Duration,
     stop: &AtomicBool,
 ) {
@@ -390,17 +386,16 @@ fn handle_connection(
                 let draining = stop.load(Ordering::SeqCst);
                 let since = Instant::now();
                 let info = AdminInfo { engine: EngineKind::Threads, shards: &[] };
-                let (class, cost) =
-                    match route(server, &req, draining, default_cost, span_shard(), &info) {
-                        Routed::Respond(resp) => {
-                            if stream.write_all(&resp.to_bytes()).is_err() || !resp.keep_alive {
-                                return;
-                            }
-                            idle_since = Instant::now();
-                            continue;
+                let (class, cost) = match route(server, &req, draining, span_shard(), &info) {
+                    Routed::Respond(resp) => {
+                        if stream.write_all(&resp.to_bytes()).is_err() || !resp.keep_alive {
+                            return;
                         }
-                        Routed::Submit { class, cost } => (class, cost),
-                    };
+                        idle_since = Instant::now();
+                        continue;
+                    }
+                    Routed::Submit { class, cost } => (class, cost),
+                };
                 let Some(done) = server.submit_sync(class, cost) else {
                     // Server already shutting down.
                     let _ = stream.write_all(&service_unavailable(req.http11).to_bytes());
@@ -554,16 +549,9 @@ fn accept_loop(
                     let _ = stream.set_nonblocking(false);
                     let stop = Arc::clone(&stop);
                     let guard = tracker.guard(Arc::clone(&server));
-                    let default_cost = cfg.default_cost;
                     let idle_timeout = cfg.idle_timeout;
                     thread::spawn(move || {
-                        handle_connection(
-                            stream,
-                            guard.server(),
-                            default_cost,
-                            idle_timeout,
-                            &stop,
-                        );
+                        handle_connection(stream, guard.server(), idle_timeout, &stop);
                         drop(guard);
                     });
                 }
@@ -602,8 +590,8 @@ impl HttpFrontend {
     /// Bind `addr` (e.g. `127.0.0.1:0` for an ephemeral port) and start
     /// the **threaded** engine with default limits — the legacy
     /// constructor most tests use.
-    pub fn start(addr: &str, server: Arc<PsdServer>, default_cost: f64) -> io::Result<Self> {
-        Self::start_with(addr, server, FrontendConfig { default_cost, ..FrontendConfig::default() })
+    pub fn start(addr: &str, server: Arc<PsdServer>) -> io::Result<Self> {
+        Self::start_with(addr, server, FrontendConfig::default())
     }
 
     /// Bind `addr` and start the engine selected by `cfg`.
@@ -710,7 +698,7 @@ mod tests {
     #[test]
     fn keep_alive_survives_request_bodies() {
         let server = quick_server();
-        let fe = HttpFrontend::start("127.0.0.1:0", Arc::clone(&server), 1.0).expect("bind");
+        let fe = HttpFrontend::start("127.0.0.1:0", Arc::clone(&server)).expect("bind");
         let mut s = TcpStream::connect(fe.addr()).expect("connect");
         // A request with a body, then a second request on the same
         // connection: the body must be drained, not parsed as a head.
@@ -725,10 +713,28 @@ mod tests {
         Arc::try_unwrap(server).ok().expect("handlers drained").shutdown();
     }
 
+    /// A request without `?cost=` costs the server's mean cost: 1 work
+    /// unit on a default configuration, whatever it is set to otherwise.
+    #[test]
+    fn a_request_without_cost_costs_the_mean_cost() {
+        let priced = ServerConfig { mean_cost: 2.5, ..ServerConfig::default() };
+        for (cfg, body) in [(ServerConfig::default(), " cost=1.000 "), (priced, " cost=2.500 ")] {
+            let server = Arc::new(PsdServer::start(cfg));
+            let fe = HttpFrontend::start("127.0.0.1:0", Arc::clone(&server)).expect("bind");
+            let mut s = TcpStream::connect(fe.addr()).expect("connect");
+            s.write_all(b"GET /class1/x HTTP/1.1\r\nConnection: close\r\n\r\n").unwrap();
+            let mut all = String::new();
+            s.read_to_string(&mut all).unwrap();
+            assert!(all.contains(body), "{all}");
+            assert_eq!(fe.shutdown(Duration::from_secs(5)).expect("drain"), 0);
+            Arc::try_unwrap(server).ok().expect("handlers drained").shutdown();
+        }
+    }
+
     #[test]
     fn malformed_head_answers_400() {
         let server = quick_server();
-        let fe = HttpFrontend::start("127.0.0.1:0", Arc::clone(&server), 1.0).expect("bind");
+        let fe = HttpFrontend::start("127.0.0.1:0", Arc::clone(&server)).expect("bind");
         let mut s = TcpStream::connect(fe.addr()).expect("connect");
         s.write_all(b"GET\r\n\r\n").unwrap();
         let mut all = String::new();
@@ -807,7 +813,7 @@ mod tests {
     #[test]
     fn dropping_frontend_stops_the_accept_loop() {
         let server = quick_server();
-        let fe = HttpFrontend::start("127.0.0.1:0", Arc::clone(&server), 1.0).expect("bind");
+        let fe = HttpFrontend::start("127.0.0.1:0", Arc::clone(&server)).expect("bind");
         let addr = fe.addr();
         drop(fe); // no shutdown(): Drop must still stop the accept thread
                   // Once the loop is gone, fresh connections go unserved: either

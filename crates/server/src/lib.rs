@@ -116,7 +116,8 @@
 //! falls back to the epoll reactor with a logged warning — exposed to
 //! scripts as `--probe-uring`), sizes the reactor with `--shards N`, and
 //! selects the control plane with `--controller {open,feedback}`,
-//! `--gain` and `--admission-cap`. The admin route family
+//! `--gain` and `--admission-cap` — flags `psd_loadtest` takes too, so
+//! both binaries parse them through [`cli`]. The admin route family
 //! (`GET /metrics`, `GET /metrics/prometheus`, `GET`/`PUT /config` —
 //! hot reconfiguration of δ's, gain and admission cap without restart,
 //! epoch-ordered at control window boundaries — plus the observability
@@ -135,6 +136,7 @@
 
 mod admin;
 pub mod classify;
+pub mod cli;
 pub mod codec;
 pub mod driver;
 pub mod httplite;

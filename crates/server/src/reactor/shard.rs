@@ -416,9 +416,7 @@ impl<D: Driver> Shard<D> {
     fn begin_request(&mut self, key: usize, req: HttpRequest) {
         let draining = self.shared.stop.load(Ordering::SeqCst);
         let info = AdminInfo { engine: D::ENGINE, shards: &self.peers };
-        let routed =
-            route(&self.server, &req, draining, self.cfg.default_cost, self.self_index, &info);
-        let (class, cost) = match routed {
+        let (class, cost) = match route(&self.server, &req, draining, self.self_index, &info) {
             Routed::Respond(resp) => return self.respond(key, &resp),
             Routed::Submit { class, cost } => (class, cost),
         };

@@ -53,13 +53,17 @@ pub enum Workload {
 /// paper's 1000-time-unit window override it explicitly.
 pub const DEFAULT_CONTROL_WINDOW: Duration = Duration::from_millis(50);
 
+/// The monitor's estimator history in control windows (the paper's 5).
+const ESTIMATOR_HISTORY: usize = 5;
+
 /// Server configuration.
 #[derive(Debug, Clone)]
 pub struct ServerConfig {
     /// Differentiation parameters, one per class (class 0 highest).
     pub deltas: Vec<f64>,
     /// Mean request cost in work units (the allocator's `E[X]`, in the
-    /// same units clients use for `submit`).
+    /// same units clients use for `submit`) — also what an HTTP request
+    /// without `?cost=` costs (`--default-cost`).
     pub mean_cost: f64,
     /// Dispatch discipline (see [`SchedulerKind`]: there is one).
     pub scheduler: SchedulerKind,
@@ -69,8 +73,6 @@ pub struct ServerConfig {
     pub workload: Workload,
     /// Monitor window (the paper's 1000-time-unit estimator window).
     pub control_window: Duration,
-    /// Estimator history in windows (paper: 5).
-    pub estimator_history: usize,
     /// How the one PSD controller drives the monitor (`--controller`):
     /// as the open-loop Eq. 17 allocator or with its slowdown feedback
     /// engaged. It is the same object the simulator runs.
@@ -94,8 +96,6 @@ pub struct ServerConfig {
     /// and the flight recorder stay on — they are not per-request
     /// allocations either way).
     pub trace_sample: f64,
-    /// Total span slots retained across the trace ring's shards.
-    pub trace_capacity: usize,
     /// Control windows retained by the control-decision flight
     /// recorder (`GET /trace/control`).
     pub flight_capacity: usize,
@@ -103,10 +103,9 @@ pub struct ServerConfig {
 
 impl Default for ServerConfig {
     /// Two classes at δ = 1:2, rate-partitioned, sleep workload, a
-    /// 200 µs work unit, [`DEFAULT_CONTROL_WINDOW`] and the
-    /// paper's 5-window estimator history. Callers override what they
-    /// need with struct-update syntax; nothing else in the tree
-    /// hard-codes these values anymore.
+    /// 200 µs work unit and [`DEFAULT_CONTROL_WINDOW`]. Callers
+    /// override what they need with struct-update syntax; nothing else
+    /// in the tree hard-codes these values anymore.
     fn default() -> Self {
         Self {
             deltas: vec![1.0, 2.0],
@@ -115,12 +114,10 @@ impl Default for ServerConfig {
             work_unit: Duration::from_micros(200),
             workload: Workload::Sleep,
             control_window: DEFAULT_CONTROL_WINDOW,
-            estimator_history: 5,
             controller: ControllerKind::Open,
             gain: 0.3,
             admission_cap: None,
             trace_sample: 1.0,
-            trace_capacity: 4096,
             flight_capacity: 256,
         }
     }
@@ -179,9 +176,8 @@ pub struct PsdServer {
     control: Arc<SharedControl>,
     stop: Arc<StopFlag>,
     monitor: Option<JoinHandle<()>>,
-    n_classes: usize,
     obs: Arc<ObsBundle>,
-    work_unit: Duration,
+    cfg: ServerConfig,
     started: Instant,
 }
 
@@ -201,12 +197,7 @@ impl PsdServer {
         let stop = Arc::new(StopFlag::new());
         let obs = Arc::new(ObsBundle::new(
             n,
-            ObsConfig {
-                span_capacity: cfg.trace_capacity,
-                sample: cfg.trace_sample,
-                flight_capacity: cfg.flight_capacity,
-                ..ObsConfig::default()
-            },
+            ObsConfig { sample: cfg.trace_sample, flight_capacity: cfg.flight_capacity },
         ));
 
         let exec = Arc::new(TaskServers::start(n, cfg.work_unit));
@@ -232,21 +223,12 @@ impl PsdServer {
             }))
         };
 
-        Self {
-            exec,
-            control,
-            stop,
-            monitor,
-            n_classes: n,
-            obs,
-            work_unit: cfg.work_unit,
-            started: Instant::now(),
-        }
+        Self { exec, control, stop, monitor, obs, cfg, started: Instant::now() }
     }
 
     /// Number of classes.
     pub fn num_classes(&self) -> usize {
-        self.n_classes
+        self.cfg.deltas.len()
     }
 
     /// Fire-and-forget submission. Returns `false` after shutdown began.
@@ -295,7 +277,7 @@ impl PsdServer {
     /// configured this is always `true` at the cost of one relaxed
     /// atomic load.
     pub fn admit(&self, class: usize, cost: f64) -> bool {
-        let class = class.min(self.n_classes - 1);
+        let class = class.min(self.num_classes() - 1);
         self.obs.admission.draws.fetch_add(1, Ordering::Relaxed);
         let admitted = self.control.admit(class);
         if !admitted {
@@ -323,7 +305,13 @@ impl PsdServer {
     /// span decomposition uses to compute a request's nominal
     /// (full-rate) service time.
     pub fn work_unit(&self) -> Duration {
-        self.work_unit
+        self.cfg.work_unit
+    }
+
+    /// The configured mean request cost in work units (the allocator's
+    /// `E[X]`) — also the cost of a request that names none.
+    pub fn mean_cost(&self) -> f64 {
+        self.cfg.mean_cost
     }
 
     /// When this server started (for `/healthz` uptime).
@@ -348,7 +336,7 @@ impl PsdServer {
 
     /// Requests shed at admission for one class.
     pub fn shed_count(&self, class: usize) -> u64 {
-        self.stats().classes[class.min(self.n_classes - 1)].shed
+        self.stats().classes[class.min(self.num_classes() - 1)].shed
     }
 
     /// Live statistics snapshot. A request is counted as completed
@@ -359,7 +347,7 @@ impl PsdServer {
 
     /// One class's requests queued or in service.
     pub fn backlog(&self, class: usize) -> usize {
-        self.exec.lanes().backlog(class.min(self.n_classes - 1))
+        self.exec.lanes().backlog(class.min(self.num_classes() - 1))
     }
 
     /// Drain pending work, stop all threads, return final statistics.
@@ -388,7 +376,7 @@ fn build_monitor_controller(
         &table.deltas,
         mean_service_s,
         table.gain,
-        cfg.estimator_history,
+        ESTIMATOR_HISTORY,
         table.admission_cap,
     )
 }

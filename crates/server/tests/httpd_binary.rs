@@ -10,9 +10,10 @@ use std::net::TcpStream;
 use std::process::{Command, Stdio};
 
 /// Run the binary for 2 s with `extra` flags, send one request per
-/// class (the default δ's are 1,2,4: three classes), and check the exit
-/// status and the final per-class statistics.
-fn serve_every_class(extra: &[&str], banner_says: &str) {
+/// class (the default δ's are 1,2,4: three classes) without `?cost=`,
+/// and check each reply's body, the exit status and the final per-class
+/// statistics.
+fn serve_every_class(extra: &[&str], banner_says: &str, body_says: &str) {
     let mut child = Command::new(env!("CARGO_BIN_EXE_psd_httpd"))
         .args(["--addr", "127.0.0.1:0", "--duration-s", "2"])
         .args(extra)
@@ -37,6 +38,7 @@ fn serve_every_class(extra: &[&str], banner_says: &str) {
         s.read_to_string(&mut resp).expect("read");
         assert!(resp.starts_with("HTTP/1.1 200 OK"), "class {class}: {resp}");
         assert!(resp.contains(&format!("X-Class: {class}")), "class {class}: {resp}");
+        assert!(resp.contains(body_says), "class {class}: {resp}");
     }
 
     let mut rest = String::new();
@@ -60,7 +62,14 @@ fn serve_every_class(extra: &[&str], banner_says: &str) {
 
 #[test]
 fn default_flags_serve_every_class_and_exit_clean() {
-    serve_every_class(&[], "rate partition (sleep)");
+    serve_every_class(&[], "rate partition (sleep)", " cost=1.000 ");
+}
+
+/// A request without `?cost=` costs the server's mean cost, which
+/// `--default-cost` sets.
+#[test]
+fn default_cost_prices_a_request_without_cost() {
+    serve_every_class(&["--default-cost", "2.5"], "rate partition (sleep)", " cost=2.500 ");
 }
 
 /// The usage text `--help` prints.
@@ -110,16 +119,26 @@ fn readme_flag_list_matches_help() {
 }
 
 /// Out-of-range values are refused with exit 2 and an `error:` line
-/// before a server exists, not by a panic inside it.
+/// before a server exists, not by a panic inside it. The first eight are
+/// the server flags `psd_loadtest` refuses alike; a `--duration-s` no
+/// `Duration` holds is refused before the server binds.
 #[test]
 fn out_of_range_flags_exit_2_with_an_error() {
     let bin = env!("CARGO_BIN_EXE_psd_httpd");
     for args in [
-        ["--deltas", "0,1"],
-        ["--deltas", "1,-2"],
-        ["--work-unit-us", "0"],
-        ["--default-cost", "0"],
-        ["--default-cost", "nan"],
+        &["--shards", "0"][..],
+        &["--gain", "-1"],
+        &["--gain", "nan"],
+        &["--admission-cap", "1"],
+        &["--engine", "fast"],
+        &["--controller", "closed"],
+        &["--work-unit-us", "0"],
+        &["--deltas", "0,1"],
+        &["--deltas", "1,-2"],
+        &["--default-cost", "0"],
+        &["--default-cost", "nan"],
+        &["--addr", "127.0.0.1:0", "--duration-s", "inf"],
+        &["--addr", "127.0.0.1:0", "--duration-s", "1e300"],
     ] {
         let out = Command::new(bin).args(args).output().expect("run psd_httpd");
         let stderr = String::from_utf8_lossy(&out.stderr);

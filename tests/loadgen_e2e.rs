@@ -36,7 +36,7 @@ fn steady_slowdown_ratio_tracks_deltas() {
         assert!(c.latency.p50_ms > 0.0 && c.latency.p999_ms >= c.latency.p50_ms);
     }
 
-    let target = scenario.deltas[1] / scenario.deltas[0];
+    let target = scenario.server.deltas[1] / scenario.server.deltas[0];
     let ratio = report.classes[1]
         .slowdown_ratio_vs_class0
         .expect("both classes completed requests, so the ratio exists");
@@ -131,8 +131,8 @@ fn overload_sheds_low_class_and_protects_class0() {
     scenario.warmup = Duration::from_secs(4);
     // The reactor keeps the experiment's own thread count down — this
     // all runs on one shared CI core.
-    scenario.server.engine = EngineKind::Reactor;
-    scenario.server.shards = 2;
+    scenario.frontend.engine = EngineKind::Reactor;
+    scenario.frontend.shards = 2;
     // Half the request rate at the same offered ρ ≈ 1.3 (doubled work
     // unit): tier-1 runs unoptimized, where the stock rate starves the
     // 1-CPU box and the experiment measures contention, not admission.
@@ -209,14 +209,11 @@ fn reconfig_flips_deltas_mid_run_and_ratios_converge() {
     // pre-flip phase (the stock 0.3 is tuned for long runs).
     scenario.server.gain = 0.5;
 
-    let server = Arc::new(psd::server::PsdServer::start(scenario.server_config()));
+    let server = Arc::new(psd::server::PsdServer::start(scenario.server.clone()));
     let frontend = psd::server::HttpFrontend::start_with(
         "127.0.0.1:0",
         Arc::clone(&server),
-        psd::server::FrontendConfig {
-            max_connections: 2 * scenario.connections,
-            ..Default::default()
-        },
+        scenario.frontend.clone(),
     )
     .expect("bind");
     let stats = generator::run(frontend.addr(), &scenario).expect("generator run");

@@ -50,7 +50,7 @@ fn threaded_server_differentiates() {
 #[test]
 fn httplite_roundtrip() {
     let server = Arc::new(PsdServer::start(server_cfg(vec![1.0, 2.0])));
-    let fe = HttpFrontend::start("127.0.0.1:0", Arc::clone(&server), 1.0).expect("bind loopback");
+    let fe = HttpFrontend::start("127.0.0.1:0", Arc::clone(&server)).expect("bind loopback");
     let addr = fe.addr();
 
     let fetch = |path: &str, header: Option<&str>| -> (String, Vec<String>) {
