@@ -6,6 +6,7 @@
 //! exposition needs.
 
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::time::Duration;
 
 /// Timer-thread activity counters (occupancy is the executor's
 /// in-flight count, reported alongside by the host).
@@ -46,6 +47,11 @@ pub struct ReactorShardStats {
     pub sweeps: AtomicU64,
     /// Connections retired by idle sweeps.
     pub swept: AtomicU64,
+    /// Nanoseconds spent spinning out the last stretch before a
+    /// deadline (the shard that fires them).
+    pub spin_ns: AtomicU64,
+    /// Core yields during those spins.
+    pub spin_yields: AtomicU64,
 }
 
 impl ReactorShardStats {
@@ -60,6 +66,17 @@ impl ReactorShardStats {
         self.mailbox_peak.fetch_max(n, Ordering::Relaxed);
     }
 
+    /// Record one spin: `spun` long, with `yields` yields of the core.
+    pub fn record_spin(&self, spun: Duration, yields: u64) {
+        let ns = u64::try_from(spun.as_nanos()).unwrap_or(u64::MAX);
+        if ns > 0 {
+            self.spin_ns.fetch_add(ns, Ordering::Relaxed);
+        }
+        if yields > 0 {
+            self.spin_yields.fetch_add(yields, Ordering::Relaxed);
+        }
+    }
+
     /// A point-in-time copy for exposition.
     pub fn snapshot(&self) -> ReactorShardSnapshot {
         ReactorShardSnapshot {
@@ -72,6 +89,8 @@ impl ReactorShardStats {
             mailbox_drains: self.mailbox_drains.load(Ordering::Relaxed),
             sweeps: self.sweeps.load(Ordering::Relaxed),
             swept: self.swept.load(Ordering::Relaxed),
+            spin_ns: self.spin_ns.load(Ordering::Relaxed),
+            spin_yields: self.spin_yields.load(Ordering::Relaxed),
         }
     }
 }
@@ -97,6 +116,10 @@ pub struct ReactorShardSnapshot {
     pub sweeps: u64,
     /// Connections swept.
     pub swept: u64,
+    /// Nanoseconds spun before deadlines.
+    pub spin_ns: u64,
+    /// Yields during those spins.
+    pub spin_yields: u64,
 }
 
 impl ReactorShardSnapshot {
@@ -221,7 +244,10 @@ mod tests {
         s.record_drain(1);
         s.wakeups.fetch_add(2, Ordering::Relaxed);
         s.events.fetch_add(5, Ordering::Relaxed);
+        s.record_spin(Duration::from_micros(7), 3);
+        s.record_spin(Duration::from_nanos(500), 0);
         let snap = s.snapshot();
+        assert_eq!((snap.spin_ns, snap.spin_yields), (7_500, 3));
         assert_eq!(snap.completions, 4);
         assert_eq!(snap.mailbox_peak, 3);
         assert_eq!(snap.mailbox_drains, 2);

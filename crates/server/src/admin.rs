@@ -316,6 +316,12 @@ fn prom_text(server: &PsdServer, info: &AdminInfo<'_>) -> String {
         w.help("psd_reactor_completions_total", "counter", "Completions drained per shard.");
         w.help("psd_reactor_sweeps_total", "counter", "Idle sweeps per shard.");
         w.help("psd_reactor_swept_total", "counter", "Connections reaped by idle sweeps.");
+        w.help(
+            "psd_reactor_spin_seconds_total",
+            "counter",
+            "Time spent spinning out the last stretch before a deadline.",
+        );
+        w.help("psd_reactor_spin_yields_total", "counter", "Core yields during those spins.");
         w.help("psd_reactor_mailbox_peak", "gauge", "Largest mailbox drain batch per shard.");
         w.help("psd_reactor_events_per_wakeup", "gauge", "Mean readiness events per wakeup.");
         w.help("psd_reactor_mean_mailbox_depth", "gauge", "Mean completions per mailbox drain.");
@@ -331,6 +337,8 @@ fn prom_text(server: &PsdServer, info: &AdminInfo<'_>) -> String {
             w.sample("psd_reactor_completions_total", shard, snap.completions as f64);
             w.sample("psd_reactor_sweeps_total", shard, snap.sweeps as f64);
             w.sample("psd_reactor_swept_total", shard, snap.swept as f64);
+            w.sample("psd_reactor_spin_seconds_total", shard, snap.spin_ns as f64 / 1e9);
+            w.sample("psd_reactor_spin_yields_total", shard, snap.spin_yields as f64);
             w.sample("psd_reactor_mailbox_peak", shard, snap.mailbox_peak as f64);
             w.sample("psd_reactor_events_per_wakeup", shard, snap.events_per_wakeup());
             w.sample("psd_reactor_mean_mailbox_depth", shard, snap.mean_mailbox_depth());

@@ -82,9 +82,10 @@
 //! What a request costs end to end, and per layer, is measured by the
 //! standalone `benchmark/` crate (see its README); nothing here is a
 //! claim beyond what it reports. Two structural numbers are pinned by
-//! tests in this crate: the io_uring driver spends **half the I/O-plane
-//! syscalls per request** of the epoll driver (3.0 vs 6.0 on shard 0,
-//! which fires the deadlines in its own loop; metered by
+//! tests in this crate: the io_uring driver spends **fewer I/O-plane
+//! syscalls per request** than the epoll driver (3.0 vs 4.0 on shard 0,
+//! which fires the deadlines in its own loop, and whose epoll
+//! connections stay registered, edge-triggered, while parked; metered by
 //! `polling::count`, exported as `psd_reactor_syscalls_total`, gated by
 //! `tests/syscall_gate.rs`) because reads, writes, the multishot accept
 //! and the deadline's timeout ride one batched `io_uring_enter` per
@@ -92,11 +93,13 @@
 //! allocations end to end (`tests/reactor_alloc.rs`, counting
 //! allocator). Shard 0 fires each deadline at its nanosecond: its
 //! kernel wait ends ε = 10 µs early and the turn spins out the rest on
-//! the clock, yielding the core between reads, because a timed wait
-//! wakes 7–9 µs late even at 1 ns timer slack. The spin adds no poller
-//! call, so the syscall gate's numbers hold; its yields raise the
-//! context switches per request instead. Every fire's lateness is
-//! summed in `psd_wheel_fire_lateness_seconds_total`.
+//! the clock, yielding the core between reads until the last 3 µs,
+//! because a timed wait wakes 7–9 µs late even at 1 ns timer slack. The
+//! spin adds no poller call, so the syscall gate's numbers hold; its
+//! yields raise the context switches per request instead. Every fire's
+//! lateness is summed in `psd_wheel_fire_lateness_seconds_total`, and
+//! each shard's spin time and yields in `psd_reactor_spin_seconds_total`
+//! and `psd_reactor_spin_yields_total`.
 //!
 //! ```no_run
 //! use psd_server::{PsdServer, ServerConfig};

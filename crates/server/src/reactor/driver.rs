@@ -19,8 +19,9 @@ use crate::codec::WriteBuf;
 use crate::EngineKind;
 
 /// One I/O event, in the only vocabulary the shard loop speaks. `result`
-/// is the completion's raw result on a completion driver and 0 on a
-/// readiness driver; the shard hands it back to the driver unread.
+/// is the completion's raw result on a completion driver and a hang-up
+/// flag on a readiness driver; the shard hands it back to the driver
+/// unread.
 pub(super) enum IoEvent {
     /// The listener produced a connection.
     Accepted(TcpStream),
@@ -44,8 +45,8 @@ pub(super) enum Flush {
 /// thread.
 pub(super) trait Driver {
     /// Per-connection I/O state: the `TcpStream`, the key its events
-    /// carry, and whatever the backend tracks for it (registered
-    /// interest; buffer slot and in-flight flags).
+    /// carry, and whatever the backend tracks for it (reads owed;
+    /// buffer slot and in-flight flags).
     type Io;
 
     /// The engine this driver realizes (admin exposition, thread names).
@@ -78,12 +79,9 @@ pub(super) trait Driver {
     /// Handle an [`IoEvent::Read`] for a connection in `Reading`: pass
     /// arrived bytes to `sink`, chunk by chunk, while it returns `true`
     /// (wants more) and bytes are available; keep the read armed when
-    /// it still wants more. `Err` means EOF or a socket error. The
-    /// shard drops read events for connections in other phases — a
-    /// readiness backend reports hang-ups regardless of interest, and
-    /// no backend holds a read in flight outside `Reading`, because
-    /// only [`Driver::open`], this method and [`Driver::arm_read`]
-    /// start one.
+    /// it still wants more. `Err` means EOF or a socket error. No
+    /// backend holds a read in flight outside `Reading`, because only
+    /// [`Driver::open`], this method and [`Driver::arm_read`] start one.
     fn read(
         &mut self,
         io: &mut Self::Io,
@@ -91,14 +89,24 @@ pub(super) trait Driver {
         sink: impl FnMut(&[u8]) -> bool,
     ) -> io::Result<()>;
 
+    /// An [`IoEvent::Read`] arrived for a connection in `Waiting` or
+    /// `Flushing`, which reads nothing now. A readiness backend still
+    /// reports on a parked connection (bytes, a hang-up); it keeps what
+    /// the event announced for [`Driver::arm_read`]. A completion
+    /// backend has no read in flight there, so it never gets here.
+    fn defer_read(&mut self, _io: &mut Self::Io, _result: i32) {}
+
     /// The connection returns to `Reading` after a flush with no
-    /// request buffered: make the next arriving bytes raise a read.
+    /// request buffered: make the next arriving bytes raise a read, and
+    /// raise one for what arrived (or was left unread, or hung up)
+    /// while it was not reading, since no new arrival may announce it.
     fn arm_read(&mut self, io: &mut Self::Io) -> io::Result<()>;
 
-    /// The connection enters `Waiting`: nothing may be registered or in
-    /// flight for it until [`Driver::flush`], so pipelined bytes stay in
-    /// the kernel socket buffer (TCP back-pressure) and a client abort
-    /// raises no event.
+    /// The connection enters `Waiting`: no read may be in flight for it
+    /// until [`Driver::arm_read`], so pipelined bytes stay in the kernel
+    /// socket buffer (TCP back-pressure). Whatever the backend still
+    /// reports for it meanwhile goes to [`Driver::defer_read`], once per
+    /// change, so a client abort cannot spin the loop.
     fn park(&mut self, io: &mut Self::Io);
 
     /// Move `out` toward the socket. `completed` carries the result of

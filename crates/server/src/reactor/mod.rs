@@ -19,9 +19,9 @@
 //!            │   Flushing ─▶ keep-alive (pipelined pickup) or close      │  │ deadline store
 //!            ├───────────────────────────────────────────────────────────┤  │ claimed by
 //!            │ D: Driver   wait · next_event · accept · open · read ·    │  │ shard 0)
-//!            │             arm_read · park · flush · close               │  │ fire → callback:
+//!            │             defer_read · arm_read · park · flush · close  │  │ fire → callback:
 //!            │   EpollDriver  epoll_pwait2, read(2)/write(2)/accept(2),  │  │ mailbox.push
-//!            │                interest = phase, parked = deregistered    │  │ + eventfd ring
+//!            │                registered once (ET), parked = unread      │  │ + eventfd ring
 //!            │   UringDriver  one io_uring_enter per turn, fixed-buffer  │  │ (coalesced; none
 //!            │                SQEs, multishot accept, in-ring doorbell,  │  │ from shard 0's
 //!            │                close = cancel + wait out the CQEs         │  │ own loop)
@@ -42,7 +42,8 @@
 //! time to the nanosecond) and releases it when the loop exits. Each of
 //! its turns waits at most until ε (10 µs) before the next deadline,
 //! handles the I/O events, spins out the last ε on the clock (yielding
-//! the core between reads) and fires what is due, so a deadline fires at
+//! the core between reads, but not in the last few microseconds) and
+//! fires what is due, so a deadline fires at
 //! its nanosecond instead of a kernel wake latency (7–9 µs) late, and a
 //! reply to one of its own connections leaves from the thread that
 //! parked it, in the turn its deadline fires, with no eventfd write and

@@ -8,11 +8,14 @@
 //!   sans-io codec until a full request (head + drained body) is
 //!   parsed.
 //! * `Waiting` — parked: the request sits in its class's lane (queued
-//!   or in service on the class's task server) and the driver holds no
-//!   interest and no operation for the connection, so it costs
-//!   nothing. Pipelined bytes stay in the kernel socket buffer (natural
-//!   TCP backpressure, like the blocked thread of the
-//!   thread-per-connection engine). The task server's completion
+//!   or in service on the class's task server) and the driver reads
+//!   nothing for the connection and holds no operation for it.
+//!   Pipelined bytes stay in the kernel socket buffer (natural TCP
+//!   backpressure, like the blocked thread of the thread-per-connection
+//!   engine); a read event that still arrives (a readiness driver
+//!   reports arrivals and hang-ups on every registered connection) goes
+//!   to [`Driver::defer_read`], which keeps it for the return to
+//!   `Reading`. The task server's completion
 //!   callback posts into this shard's mailbox and rings its doorbell —
 //!   unless this shard fired the deadline itself (shard 0 holds the
 //!   deadline store), in which case the post is answered later in
@@ -38,7 +41,7 @@
 //! 2. read the clock once and handle the I/O events;
 //! 3. spin (that shard only): if the earliest deadline is within ε,
 //!    read the clock until it is reached, yielding the core between
-//!    reads;
+//!    reads until the last [`YIELD_TAIL`] and busy-waiting through it;
 //! 4. fire the deadlines due (that shard only; the clock is read again
 //!    if any fired);
 //! 5. adopt handed-off streams, answer PSD completions, sweep idle
@@ -53,8 +56,12 @@
 //! pops only what that clock has reached, so nothing is aimed early
 //! and nothing is calibrated. The spin yields between reads because
 //! the core may be shared (the benchmark pins its load generator to the
-//! server's core); it adds no poller call, so the I/O syscalls per
-//! request are unchanged, and the yields show as context switches.
+//! server's core), but not in its last [`YIELD_TAIL`]: a yield there
+//! hands the core away for a whole pass of the other thread and lands
+//! past the deadline. It adds no poller call, so the I/O syscalls per
+//! request are unchanged; the yields show as context switches, and the
+//! time spun and the yields are counted per shard
+//! (`psd_reactor_spin_seconds_total`, `psd_reactor_spin_yields_total`).
 //! Bytes that arrive during a spin wait for the next turn's wait, which
 //! returns at once: at most ε later.
 //!
@@ -104,6 +111,13 @@ const POOL_CAP: usize = 256;
 /// 9.1 µs at p99 (scheduler wake latency), so a wait aimed ε early
 /// almost always wakes before its deadline and the spin lands on it.
 const SPIN: Duration = Duration::from_micros(10);
+
+/// The spin stops yielding once no more than this is left before the
+/// deadline, and busy-waits on [`std::hint::spin_loop`] instead. It is
+/// one yield round trip with a polling thread on the same core: on the
+/// 2-vCPU VM the server is measured on, fires that followed a yield
+/// landed 1.4–1.7 µs late, so 3 µs leaves a whole round trip of margin.
+const YIELD_TAIL: Duration = Duration::from_micros(3);
 
 /// Where a connection is in its request/response cycle.
 enum Phase {
@@ -229,7 +243,11 @@ impl<D: Driver> Shard<D> {
             // the rest. The store is read again, since the I/O above
             // may have filed an earlier deadline.
             if let Some(due) = claim.next_due() {
-                spin_until(due, Instant::now(), Instant::now);
+                let start = Instant::now();
+                if let Some((end, yields)) = spin_until(due, start, Instant::now, thread::yield_now)
+                {
+                    self.shared.stats.record_spin(end - start, yields);
+                }
             }
             // Deadlines due by now: their completions post into the
             // mailboxes, this shard's without a ring, so the drain below
@@ -390,7 +408,9 @@ impl<D: Driver> Shard<D> {
     fn on_read(&mut self, key: usize, result: i32) {
         let Some(conn) = self.conns.get_mut(&key) else { return };
         if !matches!(conn.phase, Phase::Reading) {
-            return; // hang-up report for a Waiting/Flushing connection
+            // Bytes or a hang-up for a Waiting/Flushing connection: the
+            // driver keeps it for the return to Reading.
+            return self.driver.defer_read(&mut conn.io, result);
         }
         let now = self.now;
         let Conn { io, codec, last_progress, .. } = conn;
@@ -554,21 +574,32 @@ fn wait_bound(due: Option<Instant>, clock: impl FnOnce() -> Instant) -> Duration
 }
 
 /// The turn's spin: if `due` is at most [`SPIN`] after `now`, read
-/// `clock` until it reaches `due` and return that read, so a deadline
-/// fires at its nanosecond and never before. The core is yielded
-/// between reads, since other work may share it (the benchmark pins its
-/// load generator to the server's core). `None`, with no read, if `due`
-/// is further off.
-fn spin_until(due: Instant, now: Instant, mut clock: impl FnMut() -> Instant) -> Option<Instant> {
+/// `clock` until it reaches `due` and return that read and the number
+/// of yields, so a deadline fires at its nanosecond and never before.
+/// Between reads the core is handed to `yield_now` while more than
+/// [`YIELD_TAIL`] remains, since other work may share it (the benchmark
+/// pins its load generator to the server's core), and busy-waited
+/// after that. `None`, with no read, if `due` is further off.
+fn spin_until(
+    due: Instant,
+    now: Instant,
+    mut clock: impl FnMut() -> Instant,
+    mut yield_now: impl FnMut(),
+) -> Option<(Instant, u64)> {
     if due.saturating_duration_since(now) > SPIN {
         return None;
     }
-    let mut now = now;
+    let (mut now, mut yields) = (now, 0);
     while now < due {
-        thread::yield_now();
+        if due - now > YIELD_TAIL {
+            yield_now();
+            yields += 1;
+        } else {
+            std::hint::spin_loop();
+        }
         now = clock();
     }
-    Some(now)
+    Some((now, yields))
 }
 
 /// The shared transitions, driven through a recording driver with an
@@ -584,20 +615,25 @@ mod tests {
     use crate::server::ServerConfig;
     use crate::EngineKind;
 
-    /// A socket that is a script: chunks the peer sent, and whether it
-    /// has stopped reading.
+    /// A socket that is a script: chunks the peer sent, whether it has
+    /// stopped reading, and whether a read event was deferred.
     struct FakeIo {
         key: usize,
         inbound: VecDeque<&'static [u8]>,
         stalled: bool,
+        owed: bool,
     }
 
-    /// Moves bytes in memory; records each wait's bound, parks, what
-    /// each connection was sent, and which were closed.
+    /// Moves bytes in memory; records each wait's bound, parks,
+    /// deferred read events, what each connection was sent, and which
+    /// were closed. A deferred read is replayed, as the next turn's
+    /// event, when its connection is re-armed.
     #[derive(Default)]
     struct Recorder {
         waits: Vec<Duration>,
         parks: usize,
+        deferred: usize,
+        replays: VecDeque<usize>,
         sent: HashMap<usize, String>,
         closed: Vec<usize>,
     }
@@ -614,7 +650,7 @@ mod tests {
             true
         }
         fn next_event(&mut self) -> Option<IoEvent> {
-            None
+            self.replays.pop_front().map(|key| IoEvent::Read { key, result: 0 })
         }
         fn stop_accepting(&mut self) {}
         fn open(&mut self, _: usize, _: TcpStream) -> io::Result<FakeIo> {
@@ -629,7 +665,14 @@ mod tests {
             while io.inbound.pop_front().is_some_and(&mut sink) {}
             Ok(())
         }
-        fn arm_read(&mut self, _: &mut FakeIo) -> io::Result<()> {
+        fn defer_read(&mut self, io: &mut FakeIo, _: i32) {
+            io.owed = true;
+            self.deferred += 1;
+        }
+        fn arm_read(&mut self, io: &mut FakeIo) -> io::Result<()> {
+            if std::mem::take(&mut io.owed) {
+                self.replays.push_back(io.key);
+            }
             Ok(())
         }
         fn park(&mut self, _: &mut FakeIo) {
@@ -672,7 +715,7 @@ mod tests {
         let key = s.next_key;
         s.next_key += 1;
         s.shared.live.fetch_add(1, Ordering::SeqCst);
-        s.insert(key, FakeIo { key, inbound: VecDeque::new(), stalled });
+        s.insert(key, FakeIo { key, inbound: VecDeque::new(), stalled, owed: false });
         key
     }
 
@@ -716,6 +759,25 @@ mod tests {
         s.on_complete(k, DONE);
         assert_eq!(s.driver.closed, [k], "Connection: close honoured after the last response");
         assert_eq!(finish(s).sent[&k].matches("200 OK").count(), 3);
+    }
+
+    /// A read event for a parked connection reads nothing: it reaches
+    /// the driver's hook, and once the reply has flushed the driver
+    /// replays it, which picks up the request that arrived meanwhile.
+    #[test]
+    fn a_read_event_while_waiting_is_deferred_and_replayed_after_the_flush() {
+        let mut s = shard();
+        let k = connect(&mut s, false);
+        send(&mut s, k, REQ);
+        send(&mut s, k, b"GET /next HTTP/1.1\r\n\r\n"); // arrives while Waiting
+        assert_eq!((s.driver.parks, s.driver.deferred), (1, 1), "deferred, not read");
+        assert!(s.driver.replays.is_empty(), "nothing replays before the reply");
+        s.on_complete(k, DONE);
+        assert_eq!(s.driver.replays, [k], "replayed once the reply has flushed");
+        s.turn().unwrap();
+        assert_eq!(s.driver.parks, 2, "the replayed read picked up the second request");
+        s.on_complete(k, DONE);
+        assert_eq!(finish(s).sent[&k].matches("200 OK").count(), 2);
     }
 
     #[test]
@@ -783,14 +845,42 @@ mod tests {
             from + Duration::from_micros(reads)
         };
         let start = due - SPIN / 2;
-        let reached = spin_until(due, start, || clock(start));
-        assert_eq!(reached, Some(due), "the first read at or past the deadline");
+        let reached = spin_until(due, start, || clock(start), || {});
+        assert_eq!(reached.map(|(at, _)| at), Some(due), "the first read at or past the deadline");
         assert_eq!(reads, 5);
         // 2ε ahead is the kernel wait's to cover: no read, no spin.
         let far = due - 2 * SPIN;
-        assert_eq!(spin_until(due, far, || panic!("read the clock from 2ε out")), None);
+        let no_yield = || panic!("yielded");
+        assert_eq!(spin_until(due, far, || panic!("read the clock from 2ε out"), no_yield), None);
         // Already due: nothing to spin out.
-        assert_eq!(spin_until(due, due, || panic!("read the clock at the deadline")), Some(due));
+        let at_due = spin_until(due, due, || panic!("read the clock at the deadline"), no_yield);
+        assert_eq!(at_due, Some((due, 0)));
+    }
+
+    /// The spin hands the core away while more than [`YIELD_TAIL`] is
+    /// left, and never within it.
+    #[test]
+    fn the_spin_yields_only_before_its_tail() {
+        let due = Instant::now() + TICK;
+        // A clock that moves 1 µs per read; each yield records how far
+        // the deadline still was.
+        let spin_from = |start: Instant| {
+            let now = std::cell::Cell::new(start);
+            let mut left = Vec::new();
+            let clock = || {
+                now.set(now.get() + Duration::from_micros(1));
+                now.get()
+            };
+            let out = spin_until(due, start, clock, || left.push(due - now.get()));
+            (out, left)
+        };
+        let (out, left) = spin_from(due - YIELD_TAIL);
+        assert_eq!(out, Some((due, 0)), "no yield within the tail");
+        assert!(left.is_empty());
+        let (out, left) = spin_from(due - SPIN);
+        assert!(!left.is_empty(), "ε out, the core is yielded");
+        assert_eq!(out, Some((due, left.len() as u64)), "every yield is counted");
+        assert!(left.iter().all(|&l| l > YIELD_TAIL), "a yield within the tail: {left:?}");
     }
 
     /// A deadline ε/2 ahead when the turn starts, filed by a real

@@ -21,7 +21,7 @@
 //! `io_uring_enter` in the next [`Driver::wait`], whose `EXT_ARG`
 //! timeout ends ε before the next deadline (a zero timeout is a
 //! `GETEVENTS` enter that never sleeps): three syscalls per keep-alive
-//! request on the deadline-firing shard, against epoll's six
+//! request on the deadline-firing shard, against epoll's four
 //! (`tests/syscall_gate.rs` pins both).
 //!
 //! Closing inverts too: an fd with in-flight SQEs must outlive them, so

@@ -30,7 +30,8 @@
 //!   claims it when its loop starts and releases it when the loop
 //!   exits): the loop ends each kernel wait ε (10 µs) before the next
 //!   deadline, spins out the rest on the clock, yielding the core
-//!   between reads, and fires what is due in the same turn. A deadline
+//!   between reads until its last few microseconds, and fires what is
+//!   due in the same turn. A deadline
 //!   so fires at its nanosecond, give or take one clock read, and a
 //!   completion for one of the shard's own connections is answered on
 //!   the thread that parked it, with no cross-thread hop. A filing from

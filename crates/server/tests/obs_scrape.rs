@@ -198,6 +198,21 @@ fn observability_routes_scrape_mid_overload() {
                     .map(|s| s.value)
                     .sum();
                 assert!(accepts >= 9.0, "accepts across shards: {accepts}");
+                // The spin counters, one per shard: only shard 0 fires
+                // deadlines, so only it can have spun.
+                for family in ["psd_reactor_spin_seconds_total", "psd_reactor_spin_yields_total"] {
+                    let per_shard: Vec<(Option<&str>, f64)> = samples
+                        .iter()
+                        .filter(|s| s.name == family)
+                        .map(|s| (s.label("shard"), s.value))
+                        .collect();
+                    assert_eq!(per_shard.len(), 2, "{engine:?}: {family} per shard: {per_shard:?}");
+                    assert!(
+                        per_shard.iter().all(|&(_, v)| v.is_finite() && v >= 0.0),
+                        "{engine:?}: {family}: {per_shard:?}"
+                    );
+                    assert_eq!(sample(&samples, family, Some(("shard", "1"))), 0.0, "{engine:?}");
+                }
             }
             EngineKind::Threads => {
                 assert!(!shard_metrics, "threads engine has no reactor shards");

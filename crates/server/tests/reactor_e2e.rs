@@ -385,3 +385,124 @@ fn drain_serves_in_flight_requests() {
         assert_eq!(stats.classes[0].completed, 1, "{engine:?}");
     }
 }
+
+/// A one-class reactor whose requests take `cost` ms of service, with
+/// room for `cap` connections.
+fn parked_case(engine: EngineKind, cap: usize) -> (HttpFrontend, Arc<PsdServer>) {
+    let server = Arc::new(PsdServer::start(ServerConfig {
+        deltas: vec![1.0],
+        work_unit: Duration::from_millis(1),
+        ..ServerConfig::default()
+    }));
+    let cfg = FrontendConfig { engine, max_connections: cap, ..FrontendConfig::default() };
+    let fe = HttpFrontend::start_with("127.0.0.1:0", Arc::clone(&server), cfg).expect("bind");
+    assert_eq!(fe.engine(), engine);
+    (fe, server)
+}
+
+/// Every connection the case opened is gone from the live count: all
+/// `cap` slots serve at once (a leaked slot would answer 503), then the
+/// drain is clean.
+fn assert_slots_free_then_drain(
+    engine: EngineKind,
+    fe: HttpFrontend,
+    server: Arc<PsdServer>,
+    cap: usize,
+) {
+    std::thread::sleep(Duration::from_millis(100)); // the server saw the closes
+    let held: Vec<TcpStream> = (0..cap)
+        .map(|i| {
+            let mut s = TcpStream::connect(fe.addr()).expect("connect");
+            s.set_read_timeout(Some(Duration::from_secs(10))).unwrap();
+            s.write_all(b"GET /slot?cost=0.01 HTTP/1.1\r\n\r\n").unwrap();
+            let resp = read_response(&mut s);
+            assert!(resp.starts_with("HTTP/1.1 200"), "{engine:?}: slot {i} of {cap}: {resp}");
+            s
+        })
+        .collect();
+    drop(held);
+    assert_eq!(fe.shutdown(Duration::from_secs(10)).expect("drain"), 0, "{engine:?}");
+    Arc::try_unwrap(server).ok().expect("released").shutdown();
+}
+
+/// A request written while the previous one on its connection is
+/// parked is read once the first reply is out and answered after it.
+/// On epoll its arrival raised the connection's only edge while nothing
+/// was reading.
+#[test]
+fn a_request_sent_while_parked_is_answered_in_order() {
+    for engine in reactor_backends() {
+        let (fe, server) = parked_case(engine, 2);
+        let mut s = TcpStream::connect(fe.addr()).expect("connect");
+        s.set_read_timeout(Some(Duration::from_secs(10))).unwrap();
+        s.write_all(b"GET /first?cost=30 HTTP/1.1\r\n\r\n").unwrap();
+        std::thread::sleep(Duration::from_millis(10)); // the first is parked in its lane
+        s.write_all(b"GET /second?cost=1 HTTP/1.1\r\nConnection: close\r\n\r\n").unwrap();
+        let mut all = String::new();
+        s.read_to_string(&mut all).expect("both answered, then closed");
+        let first = all.find("path=/first").expect("first answered");
+        let second = all.find("path=/second").expect("second answered");
+        assert!(first < second, "{engine:?}: in request order:\n{all}");
+        assert_eq!(all.matches("200 OK").count(), 2, "{engine:?}: {all}");
+        drop(s);
+        assert_slots_free_then_drain(engine, fe, server, 2);
+    }
+}
+
+/// One write of a request and more than 8 KiB of pipelined requests
+/// behind it: every one is answered, in order. On epoll the first read
+/// fills its 8 KiB chunk and stops at the first request, so the rest
+/// waits in the socket with no edge left to announce it.
+#[test]
+fn pipelined_requests_past_one_read_chunk_are_all_answered() {
+    for engine in reactor_backends() {
+        let (fe, server) = parked_case(engine, 2);
+        let n = 400;
+        let mut burst = String::new();
+        for i in 0..n {
+            let close = if i + 1 == n { "Connection: close\r\n" } else { "" };
+            burst.push_str(&format!("GET /p{i}?cost=0.01 HTTP/1.1\r\n{close}\r\n"));
+        }
+        assert!(burst.len() > 8192 + 4096, "{} bytes", burst.len());
+        let mut s = TcpStream::connect(fe.addr()).expect("connect");
+        s.set_read_timeout(Some(Duration::from_secs(20))).unwrap();
+        s.write_all(burst.as_bytes()).unwrap();
+        let mut all = String::new();
+        s.read_to_string(&mut all).expect("every request answered, then closed");
+        assert_eq!(all.matches("200 OK").count(), n, "{engine:?}");
+        let last = all.find(&format!("path=/p{} ", n - 1)).expect("last answered");
+        assert!(all.find("path=/p0 ").expect("first answered") < last, "{engine:?}");
+        drop(s);
+        assert_slots_free_then_drain(engine, fe, server, 2);
+    }
+}
+
+/// A client that half-closes gets its reply and then a prompt close:
+/// whether the FIN arrives while the request is parked, or right behind
+/// the request (on epoll, the same edge then reports the request and the
+/// hang-up, which is never reported again).
+#[test]
+fn a_half_close_gets_the_reply_then_a_prompt_close() {
+    for engine in reactor_backends() {
+        let (fe, server) = parked_case(engine, 2);
+        for (cost, pause) in [(30, Duration::from_millis(10)), (1, Duration::ZERO)] {
+            let mut s = TcpStream::connect(fe.addr()).expect("connect");
+            s.set_read_timeout(Some(Duration::from_secs(10))).unwrap();
+            s.write_all(format!("GET /half?cost={cost} HTTP/1.1\r\n\r\n").as_bytes()).unwrap();
+            std::thread::sleep(pause);
+            s.shutdown(std::net::Shutdown::Write).unwrap();
+            let reply = read_response(&mut s);
+            assert!(reply.starts_with("HTTP/1.1 200 OK"), "{engine:?} cost {cost}: {reply}");
+            let t = Instant::now();
+            let mut rest = Vec::new();
+            s.read_to_end(&mut rest).expect("closed, not timed out");
+            assert!(rest.is_empty(), "{engine:?} cost {cost}: nothing after the reply");
+            let waited = t.elapsed();
+            assert!(
+                waited < Duration::from_secs(1),
+                "{engine:?} cost {cost}: closed after {waited:?}"
+            );
+        }
+        assert_slots_free_then_drain(engine, fe, server, 2);
+    }
+}

@@ -7,9 +7,10 @@
 //! I/O-plane syscall either backend issues goes through the counters
 //! in `polling::count`, so this test measures the steady-state
 //! syscalls-per-request of both backends over the same request script,
-//! pins each under an absolute ceiling (6 on epoll, 3 on uring: the
+//! pins each under an absolute ceiling (4 on epoll, 3 on uring: the
 //! connection lives on shard 0, which fires its own deadlines, so no
-//! eventfd round trip is left) and the uring engine **strictly below**
+//! eventfd round trip is left, and epoll registers it once, so no
+//! `epoll_ctl` is left either) and the uring engine **strictly below**
 //! the epoll engine. A perf regression that quietly reintroduces a
 //! per-request syscall (dropping batching, re-arming through an extra
 //! enter, falling back to eventfd round-trips) fails this gate rather
@@ -126,14 +127,15 @@ fn uring_spends_strictly_fewer_syscalls_than_epoll() {
     );
     assert!(uring > 0, "uring metering looks broken: zero syscalls recorded");
 
-    // The ceilings: epoll_pwait2 (read ready), read, epoll_ctl DEL
-    // (park), epoll_pwait2 (ends at the deadline), write, epoll_ctl ADD
-    // on epoll. On uring, one enter submits the re-armed read and reaps
-    // the request, one waits out the deadline, and one submits the
-    // response write and reaps its completion.
+    // The ceilings: epoll_pwait2 (read ready), read (stops at the short
+    // read), epoll_pwait2 (ends at the deadline), write on epoll — the
+    // connection's edge-triggered registration outlives the park, so
+    // no epoll_ctl. On uring, one enter submits the re-armed read and
+    // reaps the request, one waits out the deadline, and one submits
+    // the response write and reaps its completion.
     assert!(
-        per_req(epoll) <= 6.0,
-        "epoll spends {:.2} syscalls/request, ceiling 6",
+        per_req(epoll) <= 4.0,
+        "epoll spends {:.2} syscalls/request, ceiling 4",
         per_req(epoll)
     );
     assert!(
