@@ -2,7 +2,7 @@
 //! process with a service-size distribution.
 
 use psd_dist::arrival::{
-    ArrivalProcess, DeterministicArrivals, Mmpp2, PoissonProcess, StepPoisson,
+    ArrivalProcess, DeterministicArrivals, Mmpp2, PiecewisePoisson, PoissonProcess,
 };
 use psd_dist::rng::Xoshiro256pp;
 use psd_dist::{ServiceDist, ServiceDistribution};
@@ -64,7 +64,7 @@ enum Arrivals {
     Poisson(PoissonProcess),
     Deterministic(DeterministicArrivals),
     Bursty(Mmpp2),
-    Step(StepPoisson),
+    Step(PiecewisePoisson),
 }
 
 impl Arrivals {
@@ -78,9 +78,9 @@ impl Arrivals {
             ArrivalSpec::Bursty { mean_rate, burstiness, sojourn } => {
                 Self::Bursty(Mmpp2::bursty(mean_rate, burstiness, sojourn).expect(why))
             }
-            ArrivalSpec::Step { rate_before, rate_after, switch_at } => {
-                Self::Step(StepPoisson::new(rate_before, rate_after, switch_at).expect(why))
-            }
+            ArrivalSpec::Step { rate_before, rate_after, switch_at } => Self::Step(
+                PiecewisePoisson::new(vec![switch_at], vec![rate_before, rate_after]).expect(why),
+            ),
         }
     }
 }
@@ -276,7 +276,7 @@ mod tests {
                 ),
                 (
                     ArrivalSpec::Step { rate_before: 1.0, rate_after: 4.0, switch_at: 100.0 },
-                    direct(StepPoisson::new(1.0, 4.0, 100.0).unwrap(), service),
+                    direct(PiecewisePoisson::new(vec![100.0], vec![1.0, 4.0]).unwrap(), service),
                 ),
             ];
             for (spec, expected) in cases {

@@ -3,14 +3,15 @@
 //! The paper's traffic model is Poisson ([`PoissonProcess`]); the rest
 //! exist to stress the load estimator beyond it: evenly spaced arrivals
 //! for exact-answer tests ([`DeterministicArrivals`]), a bursty 2-state
-//! Markov-modulated Poisson process ([`Mmpp2`]) and a one-shot load
-//! step ([`StepPoisson`]) for controller-adaptivity experiments.
+//! Markov-modulated Poisson process ([`Mmpp2`]) and piecewise-constant
+//! rates ([`PiecewisePoisson`]: a load step for controller-adaptivity
+//! experiments, or a flash crowd).
 
 use crate::rng::Xoshiro256pp;
 use crate::DistError;
 
 /// A stream of interarrival gaps. Implementations may carry state (the
-/// MMPP's modulating chain, the step process's clock), so the method
+/// MMPP's modulating chain, the piecewise process's clock), so the method
 /// takes `&mut self`; all randomness comes from the caller's RNG so
 /// streams stay deterministic per seed.
 pub trait ArrivalProcess {
@@ -178,55 +179,71 @@ impl ArrivalProcess for Mmpp2 {
     }
 }
 
-/// Poisson arrivals whose rate steps once, from `rate_before` to
-/// `rate_after`, at absolute process time `switch_at`.
+/// Piecewise-constant-rate Poisson arrivals: segment `i` holds
+/// `rates[i]` until absolute process time `ends[i]`; the last rate
+/// holds forever. One end is a load step; two make a flash crowd
+/// (surge up, then back down).
 ///
 /// The process tracks its own clock (the cumulative sum of the gaps it
 /// has produced), so callers just chain `next_interarrival` like any
 /// other process.
 #[derive(Debug, Clone, PartialEq)]
-pub struct StepPoisson {
-    rate_before: f64,
-    rate_after: f64,
-    switch_at: f64,
+pub struct PiecewisePoisson {
+    /// Segment end times (finite, non-negative, strictly increasing).
+    ends: Vec<f64>,
+    /// One rate per segment, plus the rate after the last end.
+    rates: Vec<f64>,
     now: f64,
 }
 
-impl StepPoisson {
-    /// Step process; both rates must be positive and finite, and the
-    /// switch time non-negative.
-    pub fn new(rate_before: f64, rate_after: f64, switch_at: f64) -> Result<Self, DistError> {
-        for (label, r) in [("before", rate_before), ("after", rate_after)] {
-            if !(r.is_finite() && r > 0.0) {
-                return Err(DistError::invalid(format!(
-                    "step rate ({label}) must be finite and > 0, got {r}"
-                )));
-            }
-        }
-        if !(switch_at.is_finite() && switch_at >= 0.0) {
+impl PiecewisePoisson {
+    /// `rates.len()` must be `ends.len() + 1`, every rate positive and
+    /// finite, and the ends finite, non-negative and increasing.
+    pub fn new(ends: Vec<f64>, rates: Vec<f64>) -> Result<Self, DistError> {
+        if rates.len() != ends.len() + 1 {
             return Err(DistError::invalid(format!(
-                "step switch time must be finite and >= 0, got {switch_at}"
+                "need one rate per segment plus the tail: {} ends, {} rates",
+                ends.len(),
+                rates.len()
             )));
         }
-        Ok(Self { rate_before, rate_after, switch_at, now: 0.0 })
+        if let Some(r) = rates.iter().find(|r| !(r.is_finite() && **r > 0.0)) {
+            return Err(DistError::invalid(format!("rates must be finite and > 0, got {r}")));
+        }
+        let ordered = ends.windows(2).all(|w| w[0] < w[1]);
+        if !(ordered && ends.iter().all(|e| e.is_finite() && *e >= 0.0)) {
+            return Err(DistError::invalid(format!(
+                "segment ends must be finite, >= 0 and increasing, got {ends:?}"
+            )));
+        }
+        Ok(Self { ends, rates, now: 0.0 })
+    }
+
+    fn rate_at(&self, t: f64) -> f64 {
+        let segment = self.ends.iter().take_while(|&&end| t >= end).count();
+        self.rates[segment]
     }
 }
 
-impl ArrivalProcess for StepPoisson {
+impl ArrivalProcess for PiecewisePoisson {
     fn next_interarrival(&mut self, rng: &mut Xoshiro256pp) -> f64 {
-        let gap = if self.now >= self.switch_at {
-            exp_gap(self.rate_after, rng)
-        } else {
-            let g = exp_gap(self.rate_before, rng);
-            if self.now + g <= self.switch_at {
-                g
-            } else {
-                // Memorylessness: restart at the switch with the new rate.
-                (self.switch_at - self.now) + exp_gap(self.rate_after, rng)
+        // Draw at the current rate; if the gap crosses a boundary,
+        // restart there at the next rate (memorylessness).
+        let mut gap = 0.0;
+        loop {
+            let g = exp_gap(self.rate_at(self.now), rng);
+            match self.ends.iter().copied().find(|&end| end > self.now) {
+                Some(end) if self.now + g > end => {
+                    gap += end - self.now;
+                    self.now = end;
+                }
+                _ => {
+                    gap += g;
+                    self.now += g;
+                    return gap;
+                }
             }
-        };
-        self.now += gap;
-        gap
+        }
     }
 }
 
@@ -297,7 +314,7 @@ mod tests {
 
     #[test]
     fn step_poisson_rates_before_and_after() {
-        let mut s = StepPoisson::new(1.0, 4.0, 5_000.0).unwrap();
+        let mut s = PiecewisePoisson::new(vec![5_000.0], vec![1.0, 4.0]).unwrap();
         let mut rng = Xoshiro256pp::seed_from(17);
         let (mut n_before, mut n_after) = (0u64, 0u64);
         let mut t = 0.0;
@@ -318,7 +335,7 @@ mod tests {
 
     #[test]
     fn step_switch_at_zero_is_after_rate_only() {
-        let mut s = StepPoisson::new(100.0, 2.0, 0.0).unwrap();
+        let mut s = PiecewisePoisson::new(vec![0.0], vec![100.0, 2.0]).unwrap();
         let rate = empirical_rate(&mut s, 3, 100_000);
         assert!((rate - 2.0).abs() / 2.0 < 0.02, "rate {rate}");
     }
@@ -330,7 +347,8 @@ mod tests {
             Box::new(PoissonProcess::new(10.0).unwrap()),
             Box::new(DeterministicArrivals::new(1.0).unwrap()),
             Box::new(Mmpp2::bursty(1.0, 4.0, 5.0).unwrap()),
-            Box::new(StepPoisson::new(2.0, 3.0, 10.0).unwrap()),
+            Box::new(PiecewisePoisson::new(vec![10.0], vec![2.0, 3.0]).unwrap()),
+            Box::new(PiecewisePoisson::new(vec![1.0, 2.0], vec![2.0, 9.0, 2.0]).unwrap()),
         ];
         for p in procs.iter_mut() {
             for _ in 0..10_000 {
@@ -346,8 +364,11 @@ mod tests {
         assert!(Mmpp2::bursty(1.0, 0.5, 1.0).is_err());
         assert!(Mmpp2::bursty(0.0, 2.0, 1.0).is_err());
         assert!(Mmpp2::bursty(1.0, 2.0, 0.0).is_err());
-        assert!(StepPoisson::new(0.0, 1.0, 1.0).is_err());
-        assert!(StepPoisson::new(1.0, 1.0, -1.0).is_err());
-        assert!(StepPoisson::new(1.0, f64::NAN, 1.0).is_err());
+        assert!(PiecewisePoisson::new(vec![1.0], vec![0.0, 1.0]).is_err());
+        assert!(PiecewisePoisson::new(vec![-1.0], vec![1.0, 1.0]).is_err());
+        assert!(PiecewisePoisson::new(vec![1.0], vec![1.0, f64::NAN]).is_err());
+        assert!(PiecewisePoisson::new(vec![f64::INFINITY], vec![1.0, 1.0]).is_err());
+        assert!(PiecewisePoisson::new(vec![2.0, 1.0], vec![1.0; 3]).is_err());
+        assert!(PiecewisePoisson::new(vec![1.0], vec![1.0]).is_err());
     }
 }

@@ -17,66 +17,9 @@
 
 use std::time::Duration;
 
-use psd_dist::arrival::{ArrivalProcess, Mmpp2, PoissonProcess, StepPoisson};
-use psd_dist::rng::Xoshiro256pp;
+use psd_dist::arrival::{ArrivalProcess, Mmpp2, PiecewisePoisson, PoissonProcess};
 use psd_dist::{BoundedPareto, ServiceDist};
 use psd_server::{ControllerKind, FrontendConfig, ServerConfig};
-
-/// Piecewise-constant-rate Poisson process: segment `i` holds
-/// `rates[i]` until absolute time `ends[i]`; the last rate holds
-/// forever. This is the flash-crowd arrival shape (surge up, then back
-/// down), which the two-rate [`StepPoisson`] cannot express.
-#[derive(Debug, Clone, PartialEq)]
-pub struct PiecewisePoisson {
-    /// Segment end times (strictly increasing; seconds).
-    ends: Vec<f64>,
-    /// One rate per segment, plus the rate after the last end.
-    rates: Vec<f64>,
-    now: f64,
-}
-
-impl PiecewisePoisson {
-    /// `rates.len()` must be `ends.len() + 1`; every rate positive.
-    pub fn new(ends: Vec<f64>, rates: Vec<f64>) -> Self {
-        assert_eq!(rates.len(), ends.len() + 1, "need one rate per segment plus the tail");
-        assert!(ends.windows(2).all(|w| w[0] < w[1]), "segment ends must increase");
-        assert!(rates.iter().all(|&r| r.is_finite() && r > 0.0), "rates must be positive");
-        Self { ends, rates, now: 0.0 }
-    }
-
-    fn rate_at(&self, t: f64) -> f64 {
-        for (i, &end) in self.ends.iter().enumerate() {
-            if t < end {
-                return self.rates[i];
-            }
-        }
-        *self.rates.last().expect("at least one rate")
-    }
-}
-
-impl ArrivalProcess for PiecewisePoisson {
-    fn next_interarrival(&mut self, rng: &mut Xoshiro256pp) -> f64 {
-        // Thinning-free piecewise sampling: draw at the current rate;
-        // if the gap crosses a boundary, restart there (memorylessness).
-        let mut gap = 0.0;
-        loop {
-            let rate = self.rate_at(self.now);
-            let g = -rng.next_open_f64().ln() / rate;
-            let boundary = self.ends.iter().copied().find(|&e| e > self.now);
-            match boundary {
-                Some(b) if self.now + g > b => {
-                    gap += b - self.now;
-                    self.now = b;
-                }
-                _ => {
-                    gap += g;
-                    self.now += g;
-                    return gap;
-                }
-            }
-        }
-    }
-}
 
 /// The arrival shape of an open-loop scenario, in requests/second
 /// aggregated over all classes.
@@ -132,15 +75,17 @@ impl ArrivalSpec {
             ArrivalSpec::Burst { mean_rate, burstiness, sojourn_s } => {
                 Box::new(Mmpp2::bursty(mean_rate, burstiness, sojourn_s).expect("validated MMPP"))
             }
-            ArrivalSpec::FlashCrowd { base_rate, peak_rate, from_frac, to_frac } => {
-                Box::new(PiecewisePoisson::new(
+            ArrivalSpec::FlashCrowd { base_rate, peak_rate, from_frac, to_frac } => Box::new(
+                PiecewisePoisson::new(
                     vec![from_frac * d, to_frac * d],
                     vec![base_rate, peak_rate, base_rate],
-                ))
-            }
-            ArrivalSpec::Step { rate_before, rate_after, at_frac } => {
-                Box::new(StepPoisson::new(rate_before, rate_after, at_frac * d).expect("validated"))
-            }
+                )
+                .expect("validated"),
+            ),
+            ArrivalSpec::Step { rate_before, rate_after, at_frac } => Box::new(
+                PiecewisePoisson::new(vec![at_frac * d], vec![rate_before, rate_after])
+                    .expect("validated"),
+            ),
         }
     }
 
@@ -447,6 +392,7 @@ impl Scenario {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use psd_dist::rng::Xoshiro256pp;
 
     #[test]
     fn catalog_names_all_resolve() {
@@ -460,7 +406,7 @@ mod tests {
 
     #[test]
     fn piecewise_rates_follow_segments() {
-        let mut p = PiecewisePoisson::new(vec![10.0, 20.0], vec![100.0, 400.0, 100.0]);
+        let mut p = PiecewisePoisson::new(vec![10.0, 20.0], vec![100.0, 400.0, 100.0]).unwrap();
         let mut rng = Xoshiro256pp::seed_from(5);
         let mut t = 0.0;
         let mut counts = [0u64; 3];
@@ -485,7 +431,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "one rate per segment")]
     fn piecewise_rejects_mismatched_lengths() {
-        PiecewisePoisson::new(vec![1.0], vec![1.0]);
+        PiecewisePoisson::new(vec![1.0], vec![1.0]).unwrap();
     }
 
     #[test]

@@ -160,13 +160,6 @@ pub struct UringStats {
     pub sqes: AtomicU64,
     /// CQEs reaped.
     pub cqes: AtomicU64,
-    /// Reads served via `READ_FIXED` (registered buffers).
-    pub fixed_reads: AtomicU64,
-    /// Writes served via `WRITE_FIXED` (registered buffers).
-    pub fixed_writes: AtomicU64,
-    /// Reads/writes that fell back to plain opcodes (slots past the
-    /// registered table, or registration refused).
-    pub plain_ops: AtomicU64,
 }
 
 impl UringStats {
@@ -177,9 +170,6 @@ impl UringStats {
             waits: self.waits.load(Ordering::Relaxed),
             sqes: self.sqes.load(Ordering::Relaxed),
             cqes: self.cqes.load(Ordering::Relaxed),
-            fixed_reads: self.fixed_reads.load(Ordering::Relaxed),
-            fixed_writes: self.fixed_writes.load(Ordering::Relaxed),
-            plain_ops: self.plain_ops.load(Ordering::Relaxed),
         }
     }
 }
@@ -195,12 +185,6 @@ pub struct UringSnapshot {
     pub sqes: u64,
     /// CQEs reaped.
     pub cqes: u64,
-    /// Fixed-buffer reads.
-    pub fixed_reads: u64,
-    /// Fixed-buffer writes.
-    pub fixed_writes: u64,
-    /// Plain-opcode reads/writes.
-    pub plain_ops: u64,
 }
 
 impl UringSnapshot {
@@ -213,12 +197,6 @@ impl UringSnapshot {
     /// Mean CQEs reaped per waiting enter.
     pub fn cqes_per_wait(&self) -> f64 {
         ratio(self.cqes, self.waits)
-    }
-
-    /// Fraction of reads/writes that used registered buffers.
-    pub fn fixed_hit_ratio(&self) -> f64 {
-        let fixed = self.fixed_reads + self.fixed_writes;
-        ratio(fixed, fixed + self.plain_ops)
     }
 }
 
@@ -263,13 +241,9 @@ mod tests {
         s.waits.store(2, Ordering::Relaxed);
         s.sqes.store(12, Ordering::Relaxed);
         s.cqes.store(10, Ordering::Relaxed);
-        s.fixed_reads.store(6, Ordering::Relaxed);
-        s.fixed_writes.store(3, Ordering::Relaxed);
-        s.plain_ops.store(1, Ordering::Relaxed);
         let snap = s.snapshot();
         assert!((snap.sqes_per_enter() - 3.0).abs() < 1e-12);
         assert!((snap.cqes_per_wait() - 5.0).abs() < 1e-12);
-        assert!((snap.fixed_hit_ratio() - 0.9).abs() < 1e-12);
         assert_eq!(UringSnapshot::default().sqes_per_enter(), 0.0);
     }
 }

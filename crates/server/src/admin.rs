@@ -351,12 +351,8 @@ fn prom_text(server: &PsdServer, info: &AdminInfo<'_>) -> String {
         w.help("psd_uring_waits_total", "counter", "Enter calls that waited for a completion.");
         w.help("psd_uring_sqes_total", "counter", "SQEs submitted per shard.");
         w.help("psd_uring_cqes_total", "counter", "CQEs reaped per shard.");
-        w.help("psd_uring_fixed_reads_total", "counter", "Reads served via READ_FIXED.");
-        w.help("psd_uring_fixed_writes_total", "counter", "Writes served via WRITE_FIXED.");
-        w.help("psd_uring_plain_ops_total", "counter", "Reads/writes on plain opcodes.");
         w.help("psd_uring_sqes_per_enter", "gauge", "Mean SQEs batched into one enter.");
         w.help("psd_uring_cqes_per_wait", "gauge", "Mean CQEs reaped per waiting enter.");
-        w.help("psd_uring_fixed_hit_ratio", "gauge", "Share of ops on registered buffers.");
         for (i, s) in info.shards.iter().enumerate() {
             let snap = s.uring_stats.snapshot();
             label.clear();
@@ -366,17 +362,13 @@ fn prom_text(server: &PsdServer, info: &AdminInfo<'_>) -> String {
             w.sample("psd_uring_waits_total", shard, snap.waits as f64);
             w.sample("psd_uring_sqes_total", shard, snap.sqes as f64);
             w.sample("psd_uring_cqes_total", shard, snap.cqes as f64);
-            w.sample("psd_uring_fixed_reads_total", shard, snap.fixed_reads as f64);
-            w.sample("psd_uring_fixed_writes_total", shard, snap.fixed_writes as f64);
-            w.sample("psd_uring_plain_ops_total", shard, snap.plain_ops as f64);
             w.sample("psd_uring_sqes_per_enter", shard, snap.sqes_per_enter());
             w.sample("psd_uring_cqes_per_wait", shard, snap.cqes_per_wait());
-            w.sample("psd_uring_fixed_hit_ratio", shard, snap.fixed_hit_ratio());
         }
     }
 
     // Process-wide I/O-plane syscall meter from the vendored polling
-    // shim (epoll ctl/wait, eventfd ops, io_uring setup/enter/register,
+    // shim (epoll ctl/wait, eventfd ops, io_uring setup/enter,
     // and the reactor shards' direct read/write/accept calls). The
     // engines' syscall economy is compared on deltas of this counter —
     // see `tests/syscall_gate.rs`.

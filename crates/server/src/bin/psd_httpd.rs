@@ -24,8 +24,8 @@
 //! `--shards N` epoll event-loop threads (default: min(cores, 4)),
 //! assigned round-robin; `--engine uring` runs the same sharded
 //! reactor on an io_uring completion plane (batched submissions,
-//! registered buffers) and falls back to `reactor` with a warning on
-//! kernels without io_uring. Past `--max-connections`, new arrivals
+//! engine-owned slot buffers) and falls back to `reactor` with a
+//! warning on kernels without it or older than 5.19. Past `--max-connections`, new arrivals
 //! are answered `503` + `Connection: close` on every engine.
 //!
 //!   curl 'http://127.0.0.1:8080/class0/hello?cost=2'

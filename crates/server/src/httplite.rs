@@ -77,10 +77,10 @@ pub enum EngineKind {
     /// Sharded epoll event loops multiplexing every connection.
     Reactor,
     /// The same sharded reactor on an io_uring completion plane:
-    /// batched SQEs, registered buffers, in-ring doorbell. Requires
-    /// kernel support — the reactor probes at startup and falls back
-    /// to [`EngineKind::Reactor`] (with a logged warning) when the
-    /// kernel refuses io_uring.
+    /// batched SQEs, engine-owned slot buffers, in-ring doorbell.
+    /// Requires Linux 5.19 — the reactor probes at startup and falls
+    /// back to [`EngineKind::Reactor`] (with a logged warning) when the
+    /// kernel is older or refuses io_uring.
     Uring,
 }
 

@@ -22,8 +22,8 @@
 //!                         │      │   (epoll_pwait2); shard 0 fires the        │
 //!                         │      │   deadlines in its own loop                │
 //!                         │      │ uring: the same loop on an io_uring driver │
-//!                         │      │   — multishot accept, registered fixed     │
-//!      GET /metrics       │      │   buffers, reads/writes/doorbell batched   │
+//!                         │      │   — multishot accept, plain reads/writes   │
+//!      GET /metrics       │      │   into slot buffers, doorbell, batched     │
 //!      GET|PUT /config ────────┐ │   into ONE io_uring_enter per loop turn;   │
 //!      (hot reconfig:     │    │ │   probe → epoll fallback with warning      │
 //!       δ's, gain, cap)   │    └─┼─▶ admin routes (classify::admin_route)     │

@@ -22,7 +22,7 @@
 //!            │             defer_read · arm_read · park · flush · close  │  │ fire → callback:
 //!            │   EpollDriver  epoll_pwait2, read(2)/write(2)/accept(2),  │  │ mailbox.push
 //!            │                registered once (ET), parked = unread      │  │ + eventfd ring
-//!            │   UringDriver  one io_uring_enter per turn, fixed-buffer  │  │ (coalesced; none
+//!            │   UringDriver  one io_uring_enter per turn, read/write    │  │ (coalesced; none
 //!            │                SQEs, multishot accept, in-ring doorbell,  │  │ from shard 0's
 //!            │                close = cancel + wait out the CQEs         │  │ own loop)
 //!            └───────────────────────────────────────────────────────────┘  │
@@ -181,11 +181,12 @@ impl Handle {
     /// for; shard 0 owns `listener` and assigns accepted connections
     /// round-robin. [`EngineKind::Uring`] falls back to epoll — once,
     /// here, with the reason on stderr — when the kernel refuses
-    /// io_uring; [`Handle::engine`] reports what actually runs.
+    /// io_uring or is older than 5.19; [`Handle::engine`] reports what
+    /// actually runs.
     ///
-    /// Every driver (ring, registered-buffer table, listener
-    /// registration) is built before any thread spawns, so a failure
-    /// fails this call instead of leaving a half-started reactor.
+    /// Every driver (ring, listener registration) is built before any
+    /// thread spawns, so a failure fails this call instead of leaving a
+    /// half-started reactor.
     pub(crate) fn start(
         listener: TcpListener,
         server: Arc<PsdServer>,

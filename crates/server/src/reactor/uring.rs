@@ -2,13 +2,11 @@
 //!
 //! * Accepts arrive through one **multishot `ACCEPT`** SQE that stays
 //!   armed across completions instead of an epoll-readable listener.
-//! * Reads and writes are **submitted up front** into a per-connection
-//!   buffer slot, registered on first use (`READ_FIXED`/`WRITE_FIXED`
-//!   inside the registered table, plain `READ`/`WRITE` past it); the
-//!   kernel reports *finished* I/O, so the loop never calls `read(2)`/
-//!   `write(2)` at all. A closed connection's slot is reused with its
-//!   registration, so a shard pins about 20 KiB per live connection
-//!   (one 16 KiB slot, unaligned) at its peak, and nothing up front.
+//! * Reads and writes are **submitted up front** as plain `READ`/
+//!   `WRITE` into a per-connection buffer slot (an 8 KiB read half and
+//!   an 8 KiB write half, allocated on first use and reused after a
+//!   close; nothing is pinned); the kernel reports *finished* I/O, so
+//!   the loop never calls `read(2)`/`write(2)` at all.
 //! * Task-server completions still land in the shard mailbox. On the
 //!   shard that fires the deadlines they land from its own loop
 //!   and ring nothing; on the others the eventfd ring is observed by an
@@ -38,7 +36,7 @@ use std::sync::atomic::Ordering;
 use std::sync::Arc;
 use std::time::Duration;
 
-use polling::uring::{take_accepted_fd, UringEngine};
+use polling::uring::UringEngine;
 
 use crate::codec::WriteBuf;
 use crate::EngineKind;
@@ -50,11 +48,6 @@ use super::Shared;
 /// and re-arms across hundreds of connections) never forces a
 /// mid-batch flush.
 const ENTRIES: u32 = 1024;
-/// Entries in each shard's registered-buffer table. It sizes the table,
-/// not an allocation: a slot's buffer is allocated and registered when
-/// a connection first needs it. Connections past this use engine-owned
-/// heap slots with plain opcodes (correct, one fewer fast path).
-const FIXED_SLOTS: usize = 128;
 /// Bytes per buffer half (one read half + one write half per slot) —
 /// matches the epoll driver's 8 KiB stack chunk.
 const HALF_BYTES: usize = 8192;
@@ -75,17 +68,18 @@ fn token(key: usize, tag: u64) -> u64 {
     ((key as u64) << TAG_BITS) | tag
 }
 
-/// Build one ring (and its registered-buffer table) per shard, or say
-/// on stderr why not. `--engine uring` is a request for the fast path,
-/// not a hard requirement: a kernel without io_uring (ENOSYS), one that
-/// refuses it (seccomp/EPERM), or a probe pass followed by a ring
-/// construction failure (e.g. memlock exhaustion) all yield `None`, and
-/// [`super::Handle::start`] serves on epoll instead.
+/// Build one ring per shard, or say on stderr why not. `--engine uring`
+/// is a request for the fast path, not a hard requirement: a kernel
+/// without io_uring (ENOSYS), one that refuses it (seccomp/EPERM), one
+/// older than 5.19 (no timed waits or no multishot accept — the probe
+/// names which), or a probe pass followed by a ring construction
+/// failure all yield `None`, and [`super::Handle::start`] serves on
+/// epoll instead.
 pub(super) fn engines(shards: usize) -> Option<Vec<UringEngine>> {
     let built = match polling::uring::probe() {
         Err(why) => Err(format!("io_uring unavailable ({why})")),
         Ok(()) => (0..shards)
-            .map(|_| UringEngine::new(ENTRIES, FIXED_SLOTS, HALF_BYTES))
+            .map(|_| UringEngine::new(ENTRIES, HALF_BYTES))
             .collect::<io::Result<Vec<_>>>()
             .map_err(|e| format!("io_uring engine failed to start ({e})")),
     };
@@ -190,13 +184,13 @@ impl Driver for UringDriver {
         if self.dead {
             return Err(io::Error::other("io_uring doorbell or accept lost"));
         }
-        self.engine.submit_and_wait(Some(timeout))
+        self.engine.submit_and_wait(timeout)
     }
 
-    /// `IORING_ENTER_EXT_ARG` carries the timeout into the enter itself
-    /// (Linux 5.11); without it a timed wait waits for a completion.
+    /// `IORING_ENTER_EXT_ARG` carries the timeout into the enter itself;
+    /// the probe refuses a kernel without it.
     fn precise_timeouts(&self) -> bool {
-        self.engine.timed_waits()
+        true
     }
 
     /// Reap the CQ one completion at a time. Follow-up SQEs queue
@@ -222,10 +216,10 @@ impl Driver for UringDriver {
                     if !c.more && self.accepting {
                         self.dead |= arm_accept(&mut self.engine, self.listener.as_ref()).is_err();
                     }
-                    // Negative: ECANCELED after drain, or transient
-                    // (EMFILE etc.).
-                    if c.result >= 0 {
-                        return Some(IoEvent::Accepted(take_accepted_fd(c.result)));
+                    // None: a negative result — ECANCELED after drain,
+                    // or transient (EMFILE etc.).
+                    if let Some(stream) = c.accepted {
+                        return Some(IoEvent::Accepted(stream));
                     }
                 }
                 TAG_READ | TAG_WRITE => {
@@ -339,8 +333,5 @@ impl Driver for UringDriver {
         s.waits.store(c.waits, Ordering::Relaxed);
         s.sqes.store(c.sqes_submitted, Ordering::Relaxed);
         s.cqes.store(c.cqes_reaped, Ordering::Relaxed);
-        s.fixed_reads.store(c.fixed_reads, Ordering::Relaxed);
-        s.fixed_writes.store(c.fixed_writes, Ordering::Relaxed);
-        s.plain_ops.store(c.plain_ops, Ordering::Relaxed);
     }
 }

@@ -5,6 +5,7 @@
 //! uses. Also pins the satellite contract that every admin response
 //! carries an explicit `Content-Type`.
 
+use std::collections::BTreeSet;
 use std::io::{Read, Write};
 use std::net::TcpStream;
 use std::sync::Arc;
@@ -220,18 +221,40 @@ fn observability_routes_scrape_mid_overload() {
         }
         match engine {
             EngineKind::Uring => {
-                assert!(uring_metrics, "uring engine must expose ring counters");
-                let enters: f64 = samples
+                // The uring family set is pinned exactly: `benchmark/`
+                // reads the enters and SQE totals by name, so a rename
+                // fails here, and so does any family outside the six,
+                // such as the deleted fixed-buffer counters and ratio.
+                const FAMILIES: [&str; 6] = [
+                    "psd_uring_enters_total",
+                    "psd_uring_waits_total",
+                    "psd_uring_sqes_total",
+                    "psd_uring_cqes_total",
+                    "psd_uring_sqes_per_enter",
+                    "psd_uring_cqes_per_wait",
+                ];
+                let families: BTreeSet<&str> = samples
                     .iter()
-                    .filter(|s| s.name == "psd_uring_enters_total")
-                    .map(|s| s.value)
-                    .sum();
+                    .map(|s| s.name.as_str())
+                    .filter(|n| n.starts_with("psd_uring_"))
+                    .collect();
+                assert_eq!(families, BTreeSet::from(FAMILIES), "uring families");
+                for family in FAMILIES {
+                    let mut shards: Vec<Option<&str>> = samples
+                        .iter()
+                        .filter(|s| s.name == family)
+                        .inspect(|s| assert!(s.value.is_finite(), "{family}: {}", s.value))
+                        .map(|s| s.label("shard"))
+                        .collect();
+                    shards.sort_unstable();
+                    assert_eq!(shards, [Some("0"), Some("1")], "{family}: one sample per shard");
+                }
+                let total = |family: &str| -> f64 {
+                    samples.iter().filter(|s| s.name == family).map(|s| s.value).sum()
+                };
+                let enters = total("psd_uring_enters_total");
                 assert!(enters > 0.0, "uring shards must have entered the ring: {enters}");
-                let sqes: f64 = samples
-                    .iter()
-                    .filter(|s| s.name == "psd_uring_sqes_total")
-                    .map(|s| s.value)
-                    .sum();
+                let sqes = total("psd_uring_sqes_total");
                 assert!(sqes > 0.0, "uring shards must have submitted SQEs: {sqes}");
             }
             _ => assert!(!uring_metrics, "{engine:?} must not expose ring counters"),
