@@ -1,9 +1,11 @@
 //! A minimal blocking HTTP/1.1 keep-alive client for the generator's
 //! connection workers: one persistent loopback `TcpStream` per worker,
-//! one in-flight request at a time, and just enough response parsing to
-//! pull the status code and the server's `X-Slowdown` timing header.
+//! one in-flight request at a time. Every response — a load exchange,
+//! an admin scrape, a reconfiguration — is read by one head reader,
+//! which pulls the status, the framing and the server's `X-Slowdown`
+//! and `X-Shed` headers.
 
-use std::io::{self, BufRead, BufReader, Write};
+use std::io::{self, BufRead, BufReader, Read, Write};
 use std::net::{SocketAddr, TcpStream};
 use std::time::Duration;
 
@@ -55,58 +57,82 @@ impl Connection {
             "GET /loadgen?cost={cost:.6} HTTP/1.1\r\nX-Class: {class}\r\nConnection: keep-alive\r\n\r\n"
         );
         self.writer.write_all(head.as_bytes())?;
-
-        let mut status_line = String::new();
-        if self.reader.read_line(&mut status_line)? == 0 {
-            return Err(io::Error::new(io::ErrorKind::UnexpectedEof, "server closed"));
-        }
-        let status: u16 = status_line
-            .split_whitespace()
-            .nth(1)
-            .and_then(|s| s.parse().ok())
-            .ok_or_else(|| io::Error::new(io::ErrorKind::InvalidData, "bad status line"))?;
-
-        let mut slowdown = None;
-        let mut content_length = 0usize;
-        let mut close = false;
-        let mut shed = false;
-        loop {
-            let mut line = String::new();
-            if self.reader.read_line(&mut line)? == 0 {
-                return Err(io::Error::new(io::ErrorKind::UnexpectedEof, "truncated head"));
-            }
-            let line = line.trim();
-            if line.is_empty() {
-                break;
-            }
-            if let Some((name, value)) = line.split_once(':') {
-                let name = name.trim();
-                let value = value.trim();
-                if name.eq_ignore_ascii_case("x-slowdown") {
-                    slowdown = value.parse().ok();
-                } else if name.eq_ignore_ascii_case("content-length") {
-                    content_length = value.parse().unwrap_or(0);
-                } else if name.eq_ignore_ascii_case("connection") {
-                    close = value.eq_ignore_ascii_case("close");
-                } else if name.eq_ignore_ascii_case("x-shed") {
-                    shed = value == "1";
-                }
-            }
-        }
+        let head = read_head(&mut self.reader)?;
         // Drain the body so the next exchange starts at a clean frame.
-        let mut remaining = content_length;
-        while remaining > 0 {
-            let chunk = self.reader.fill_buf()?;
-            if chunk.is_empty() {
-                return Err(io::Error::new(io::ErrorKind::UnexpectedEof, "truncated body"));
-            }
-            let n = chunk.len().min(remaining);
-            self.reader.consume(n);
-            remaining -= n;
+        let len = head.content_length as u64;
+        if io::copy(&mut (&mut self.reader).take(len), &mut io::sink())? < len {
+            return Err(io::Error::new(io::ErrorKind::UnexpectedEof, "truncated body"));
         }
         // A close announcement does NOT invalidate this response — the
         // caller records it normally and reconnects before the next one.
-        Ok(Exchange { status, slowdown, closed: close, shed })
+        Ok(head.exchange)
+    }
+}
+
+/// A response head: what an exchange records, plus the body's framing.
+struct Head {
+    exchange: Exchange,
+    /// 0 when absent.
+    content_length: usize,
+    /// Empty when absent.
+    content_type: String,
+}
+
+/// Open a fresh connection, send `method target` with
+/// `Connection: close`, and read the response head.
+fn request_once(
+    addr: SocketAddr,
+    method: &str,
+    target: &str,
+    timeout: Duration,
+) -> io::Result<(Connection, Head)> {
+    let mut conn = Connection::connect(addr, timeout)?;
+    let head = format!("{method} {target} HTTP/1.1\r\nConnection: close\r\n\r\n");
+    conn.writer.write_all(head.as_bytes())?;
+    let head = read_head(&mut conn.reader)?;
+    Ok((conn, head))
+}
+
+/// Read one response head: the status line and every header up to the
+/// blank line. A `Content-Length` that is not a number is an
+/// `InvalidData` error: the body's end is then unknown, and a guess
+/// would either truncate the body or leave it in the socket to be read
+/// as the next response.
+fn read_head(reader: &mut impl BufRead) -> io::Result<Head> {
+    let invalid = |why: &str| io::Error::new(io::ErrorKind::InvalidData, why.to_string());
+    let mut line = String::new();
+    if reader.read_line(&mut line)? == 0 {
+        return Err(io::Error::new(io::ErrorKind::UnexpectedEof, "server closed"));
+    }
+    let status = line
+        .split_whitespace()
+        .nth(1)
+        .and_then(|s| s.parse().ok())
+        .ok_or_else(|| invalid("bad status line"))?;
+    let exchange = Exchange { status, slowdown: None, closed: false, shed: false };
+    let mut head = Head { exchange, content_length: 0, content_type: String::new() };
+    loop {
+        line.clear();
+        if reader.read_line(&mut line)? == 0 {
+            return Err(io::Error::new(io::ErrorKind::UnexpectedEof, "truncated head"));
+        }
+        let header = line.trim();
+        if header.is_empty() {
+            return Ok(head);
+        }
+        let Some((name, value)) = header.split_once(':') else { continue };
+        let (name, value) = (name.trim(), value.trim());
+        if name.eq_ignore_ascii_case("content-length") {
+            head.content_length = value.parse().map_err(|_| invalid("bad Content-Length"))?;
+        } else if name.eq_ignore_ascii_case("connection") {
+            head.exchange.closed = value.eq_ignore_ascii_case("close");
+        } else if name.eq_ignore_ascii_case("x-shed") {
+            head.exchange.shed = value == "1";
+        } else if name.eq_ignore_ascii_case("x-slowdown") {
+            head.exchange.slowdown = value.parse().ok();
+        } else if name.eq_ignore_ascii_case("content-type") {
+            head.content_type = value.to_string();
+        }
     }
 }
 
@@ -127,61 +153,20 @@ pub struct AdminBody {
 /// scrape (`/metrics/prometheus`, `/trace`, `/trace/control`,
 /// `/healthz`).
 pub fn get(addr: SocketAddr, path: &str, timeout: Duration) -> io::Result<AdminBody> {
-    let mut conn = Connection::connect(addr, timeout)?;
-    let head = format!("GET {path} HTTP/1.1\r\nConnection: close\r\n\r\n");
-    conn.writer.write_all(head.as_bytes())?;
-    let mut status_line = String::new();
-    if conn.reader.read_line(&mut status_line)? == 0 {
-        return Err(io::Error::new(io::ErrorKind::UnexpectedEof, "server closed"));
-    }
-    let status: u16 = status_line
-        .split_whitespace()
-        .nth(1)
-        .and_then(|s| s.parse().ok())
-        .ok_or_else(|| io::Error::new(io::ErrorKind::InvalidData, "bad status line"))?;
-    let mut content_length = 0usize;
-    let mut content_type = String::new();
-    loop {
-        let mut line = String::new();
-        if conn.reader.read_line(&mut line)? == 0 {
-            return Err(io::Error::new(io::ErrorKind::UnexpectedEof, "truncated head"));
-        }
-        let line = line.trim();
-        if line.is_empty() {
-            break;
-        }
-        if let Some((name, value)) = line.split_once(':') {
-            let (name, value) = (name.trim(), value.trim());
-            if name.eq_ignore_ascii_case("content-length") {
-                content_length = value.parse().unwrap_or(0);
-            } else if name.eq_ignore_ascii_case("content-type") {
-                content_type = value.to_string();
-            }
-        }
-    }
-    let mut body = vec![0u8; content_length];
-    io::Read::read_exact(&mut conn.reader, &mut body)?;
+    let (mut conn, head) = request_once(addr, "GET", path, timeout)?;
+    let mut body = vec![0u8; head.content_length];
+    conn.reader.read_exact(&mut body)?;
     let body = String::from_utf8(body)
         .map_err(|_| io::Error::new(io::ErrorKind::InvalidData, "non-UTF-8 body"))?;
-    Ok(AdminBody { status, content_type, body })
+    Ok(AdminBody { status: head.exchange.status, content_type: head.content_type, body })
 }
 
 /// Issue one `PUT /config?{query}` against the server's admin endpoint
 /// on a fresh connection (e.g. `query = "deltas=2,1"`) and return the
 /// status code — the generator's hot-reconfiguration trigger.
 pub fn put_config(addr: SocketAddr, query: &str, timeout: Duration) -> io::Result<u16> {
-    let mut conn = Connection::connect(addr, timeout)?;
-    let head = format!("PUT /config?{query} HTTP/1.1\r\nConnection: close\r\n\r\n");
-    conn.writer.write_all(head.as_bytes())?;
-    let mut status_line = String::new();
-    if conn.reader.read_line(&mut status_line)? == 0 {
-        return Err(io::Error::new(io::ErrorKind::UnexpectedEof, "server closed"));
-    }
-    status_line
-        .split_whitespace()
-        .nth(1)
-        .and_then(|s| s.parse().ok())
-        .ok_or_else(|| io::Error::new(io::ErrorKind::InvalidData, "bad status line"))
+    let (_, head) = request_once(addr, "PUT", &format!("/config?{query}"), timeout)?;
+    Ok(head.exchange.status)
 }
 
 #[cfg(test)]
@@ -213,6 +198,38 @@ mod tests {
         let stats = Arc::try_unwrap(server).ok().expect("handlers drained").shutdown();
         let total: u64 = stats.classes.iter().map(|c| c.completed).sum();
         assert_eq!(total, 20, "all exchanges executed");
+    }
+
+    /// A listener that answers each of `connections` requests with
+    /// `response`, whatever was asked.
+    fn scripted(response: &'static str, connections: usize) -> SocketAddr {
+        let listener = std::net::TcpListener::bind("127.0.0.1:0").expect("bind");
+        let addr = listener.local_addr().expect("addr");
+        std::thread::spawn(move || {
+            for stream in listener.incoming().take(connections) {
+                let mut stream = stream.expect("accept");
+                let mut reader = BufReader::new(stream.try_clone().expect("clone"));
+                let mut line = String::new();
+                while reader.read_line(&mut line).is_ok_and(|n| n > 0) && !line.trim().is_empty() {
+                    line.clear();
+                }
+                stream.write_all(response.as_bytes()).expect("respond");
+            }
+        });
+        addr
+    }
+
+    /// A `Content-Length` that is not a number leaves the body's end
+    /// unknown: both readers refuse the response instead of guessing.
+    #[test]
+    fn a_malformed_content_length_is_an_error() {
+        let addr = scripted("HTTP/1.1 200 OK\r\nContent-Length: abc\r\n\r\nhello", 2);
+        let timeout = Duration::from_secs(5);
+        let mut conn = Connection::connect(addr, timeout).expect("connect");
+        let err = conn.exchange(0, 1.0).expect_err("exchange accepted Content-Length: abc");
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData, "{err}");
+        let err = get(addr, "/healthz", timeout).expect_err("get accepted Content-Length: abc");
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData, "{err}");
     }
 
     #[test]

@@ -127,15 +127,6 @@ fn run_with(
     Ok((RunOutput { report: LoadReport::from_stats(scenario, &stats), server_stats }, scrape))
 }
 
-/// Run `scenario` against an already-listening server at `addr`
-/// (e.g. a `psd_httpd` on another machine); no server lifecycle is
-/// managed.
-pub fn run_scenario_against(addr: SocketAddr, scenario: &Scenario) -> io::Result<LoadReport> {
-    scenario.validate().expect("invalid scenario");
-    let stats = generator::run(addr, scenario)?;
-    Ok(LoadReport::from_stats(scenario, &stats))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -2,8 +2,7 @@
 //!
 //! | route | method | semantics |
 //! |---|---|---|
-//! | `/metrics` | `GET` | JSON snapshot: controller kind, epochs, published rates & admission probabilities, per-class completed/shed/backlog/mean-slowdown |
-//! | `/metrics/prometheus` | `GET` | the same signals plus engine internals (timer thread, reactor shards, admission door, latency histograms) in Prometheus text format 0.0.4 |
+//! | `/metrics/prometheus` | `GET` | epochs, published rates & admission probabilities, per-class completed/shed/backlog/mean delay, service and slowdown, plus engine internals (timer thread, reactor shards, admission door, latency histograms) in Prometheus text format 0.0.4 |
 //! | `/config`  | `GET` | JSON view of the epoch-stamped class table |
 //! | `/config`  | `PUT`/`POST` | hot reconfiguration via query parameters |
 //! | `/healthz` | `GET` | liveness: engine, shard count, uptime, epochs |
@@ -27,11 +26,12 @@
 //! Invalid parameters answer `400` with an `{"error": …}` body and
 //! leave the table untouched.
 //!
-//! Responses are `application/json`; admin requests respect keep-alive
-//! like any other request. The routes are matched by
-//! [`crate::classify::admin_route`] *before* classification, so
-//! `/metrics` is never queued behind the PSD scheduler — you can
-//! observe an overloaded server while it sheds.
+//! Responses are `application/json`, the Prometheus exposition aside;
+//! admin requests respect keep-alive like any other request. The routes
+//! are matched by [`crate::classify::admin_route`] *before*
+//! classification, so `/metrics/prometheus` is never queued behind the
+//! PSD scheduler — you can observe an overloaded server while it sheds.
+//! Every other path, `/metrics` included, is an ordinary request.
 
 use std::fmt::Write as _;
 use std::sync::Arc;
@@ -73,7 +73,6 @@ pub(crate) fn handle(
 ) -> Option<Response> {
     let route = admin_route(&req.path)?;
     Some(match (route, req.method.as_str()) {
-        (AdminRoute::Metrics, "GET") => json_response(req, keep_alive, 200, metrics_json(server)),
         (AdminRoute::MetricsProm, "GET") => prom_response(req, keep_alive, prom_text(server, info)),
         (AdminRoute::Config, "GET") => json_response(req, keep_alive, 200, config_json(server)),
         (AdminRoute::Config, "PUT" | "POST") => match apply_config(server, req) {
@@ -125,7 +124,7 @@ fn prom_response(req: &HttpRequest, keep_alive: bool, body: String) -> Response 
     }
 }
 
-fn table_fields(server: &PsdServer) -> String {
+fn config_json(server: &PsdServer) -> String {
     let control = server.control();
     // Read `applied_epoch` *before* the table: both only ever increase
     // and applied ≤ epoch holds at every instant, so this order keeps
@@ -134,47 +133,15 @@ fn table_fields(server: &PsdServer) -> String {
     let applied = control.applied_epoch();
     let t = control.table();
     let cap = t.admission_cap.map_or("null".to_string(), |c| c.to_string());
-    let mut out = String::from("\"controller\":");
+    let mut out = String::from("{\"controller\":");
     push_json_str(&mut out, t.controller.as_str());
     out.push_str(",\"deltas\":");
     push_json_f64_array(&mut out, &t.deltas);
     let _ = write!(
         out,
-        ",\"gain\":{},\"admission_cap\":{cap},\"epoch\":{},\"applied_epoch\":{applied}",
+        ",\"gain\":{},\"admission_cap\":{cap},\"epoch\":{},\"applied_epoch\":{applied}}}",
         t.gain, t.epoch,
     );
-    out
-}
-
-fn config_json(server: &PsdServer) -> String {
-    format!("{{{}}}", table_fields(server))
-}
-
-fn metrics_json(server: &PsdServer) -> String {
-    let control = server.control();
-    let stats = server.stats();
-    let mut out = format!("{{{},\"rates\":", table_fields(server));
-    push_json_f64_array(&mut out, &control.rates());
-    out.push_str(",\"admit_probability\":");
-    push_json_f64_array(&mut out, &control.admit_probabilities());
-    out.push_str(",\"classes\":[");
-    for (i, c) in stats.classes.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        let _ = write!(
-            out,
-            "{{\"class\":{i},\"completed\":{},\"shed\":{},\"backlog\":{},\
-             \"mean_delay_s\":{},\"mean_service_s\":{},\"mean_slowdown\":{}}}",
-            c.completed,
-            c.shed,
-            server.backlog(i),
-            c.mean_delay,
-            c.mean_service,
-            c.mean_slowdown,
-        );
-    }
-    out.push_str("]}");
     out
 }
 
@@ -218,9 +185,9 @@ fn trace_json(server: &PsdServer, req: &HttpRequest) -> String {
 }
 
 /// Render the whole Prometheus exposition: control plane, per-class
-/// service stats, latency histograms, and the engine internals that
-/// the JSON `/metrics` never carried (timer-thread activity,
-/// per-shard reactor loop behaviour, admission door counters).
+/// service stats, latency histograms, and the engine internals
+/// (timer-thread activity, per-shard reactor loop behaviour, admission
+/// door counters).
 fn prom_text(server: &PsdServer, info: &AdminInfo<'_>) -> String {
     let control = server.control();
     let applied = control.applied_epoch();
@@ -247,6 +214,8 @@ fn prom_text(server: &PsdServer, info: &AdminInfo<'_>) -> String {
     w.help("psd_requests_shed_total", "counter", "Requests shed at the door per class.");
     w.help("psd_backlog", "gauge", "Requests queued or in service per class.");
     w.help("psd_mean_slowdown", "gauge", "Mean slowdown of completed requests per class.");
+    w.help("psd_mean_delay_seconds", "gauge", "Mean queueing delay per class.");
+    w.help("psd_mean_service_seconds", "gauge", "Mean service time per class.");
     let mut label = String::new();
     for (i, c) in stats.classes.iter().enumerate() {
         label.clear();
@@ -258,6 +227,8 @@ fn prom_text(server: &PsdServer, info: &AdminInfo<'_>) -> String {
         w.sample("psd_requests_shed_total", class, c.shed as f64);
         w.sample("psd_backlog", class, server.backlog(i) as f64);
         w.sample("psd_mean_slowdown", class, c.mean_slowdown);
+        w.sample("psd_mean_delay_seconds", class, c.mean_delay);
+        w.sample("psd_mean_service_seconds", class, c.mean_service);
     }
 
     w.help(

@@ -39,10 +39,11 @@
 //! floor is pinned at `min_rate` and the rest share the remainder;
 //! `--admission-cap C` sheds the lowest classes (`503` + `X-Shed`)
 //! once the offered load exceeds `C`. All three engines also serve the
-//! admin routes: `GET /metrics` (JSON snapshot) and `GET|PUT /config`
-//! (hot reconfiguration of δ's/gain/cap without restart):
+//! admin routes, among them `GET /metrics/prometheus` (the exposition)
+//! and `GET|PUT /config` (hot reconfiguration of δ's/gain/cap without
+//! restart):
 //!
-//!   curl 'http://127.0.0.1:8080/metrics'
+//!   curl 'http://127.0.0.1:8080/metrics/prometheus'
 //!   curl -X PUT 'http://127.0.0.1:8080/config?deltas=2,1,4&gain=0.5'
 //!
 //! With `--duration-s N` the server runs for N seconds and then drains

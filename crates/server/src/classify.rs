@@ -8,9 +8,10 @@
 //! * tier-name prefixes (`/premium`, `/standard`, `/basic` → 0, 1, 2),
 //! * a default class for everything else,
 //!
-//! plus the **admin route family** ([`admin_route`]): `/metrics` and
-//! `/config` are control-plane endpoints served by the front-end
-//! itself (never classified or queued) — see `crate::admin`.
+//! plus the **admin route family** ([`admin_route`]): `/config`,
+//! `/metrics/prometheus`, `/healthz`, `/trace` and `/trace/control` are
+//! control-plane endpoints served by the front-end itself (never
+//! classified or queued) — see `crate::admin`.
 
 /// Result of classifying a request.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -23,11 +24,9 @@ pub struct Classification {
 /// The control-plane endpoints both front-end engines serve directly.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum AdminRoute {
-    /// `GET /metrics` — JSON snapshot of the control plane and the
-    /// per-class statistics.
-    Metrics,
-    /// `GET /metrics/prometheus` — the same signals (plus engine
-    /// internals) in Prometheus text exposition format 0.0.4.
+    /// `GET /metrics/prometheus` — the control plane, the per-class
+    /// statistics and the engine internals in Prometheus text
+    /// exposition format 0.0.4.
     MetricsProm,
     /// `GET /config` (read) / `PUT /config?…` (hot reconfiguration).
     Config,
@@ -44,7 +43,6 @@ pub enum AdminRoute {
 /// request matching one is answered by the front-end, not executed.
 pub fn admin_route(path: &str) -> Option<AdminRoute> {
     match path {
-        "/metrics" => Some(AdminRoute::Metrics),
         "/metrics/prometheus" => Some(AdminRoute::MetricsProm),
         "/config" => Some(AdminRoute::Config),
         "/healthz" => Some(AdminRoute::Healthz),
@@ -111,7 +109,7 @@ mod tests {
 
     #[test]
     fn admin_routes_recognized() {
-        assert_eq!(admin_route("/metrics"), Some(AdminRoute::Metrics));
+        assert_eq!(admin_route("/metrics"), None, "an ordinary request");
         assert_eq!(admin_route("/metrics/prometheus"), Some(AdminRoute::MetricsProm));
         assert_eq!(admin_route("/config"), Some(AdminRoute::Config));
         assert_eq!(admin_route("/healthz"), Some(AdminRoute::Healthz));

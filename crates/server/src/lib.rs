@@ -13,25 +13,25 @@
 //! ```text
 //!  clients / TCP                  front-end engines (FrontendConfig::engine)
 //!  ─────────────                 ┌────────────────────────────────────────────┐
-//!  driver::drive ─────────┐      │ threads: 1 blocking thread / connection    │
-//!                         │      │ reactor: N shards (cfg.shards) of ONE loop │
-//!  psd-loadgen / curl ─────────▶ │   + connection state machine, round-robin  │
-//!                         │      │   fd assignment, sans-io codec, pooled     │
-//!                         │      │   buffers, coarse cached clock, coalesced  │
-//!                         │      │   eventfd completions — on an epoll driver │
-//!                         │      │   (epoll_pwait2); shard 0 fires the        │
-//!                         │      │   deadlines in its own loop                │
-//!                         │      │ uring: the same loop on an io_uring driver │
-//!                         │      │   — multishot accept, plain reads/writes   │
-//!      GET /metrics       │      │   into slot buffers, doorbell, batched     │
+//!                                │ threads: 1 blocking thread / connection    │
+//!  psd-loadgen / curl ─────────▶ │ reactor: N shards (cfg.shards) of ONE loop │
+//!                                │   + connection state machine, round-robin  │
+//!                                │   fd assignment, sans-io codec, pooled     │
+//!                                │   buffers, coarse cached clock, coalesced  │
+//!                                │   eventfd completions — on an epoll driver │
+//!                                │   (epoll_pwait2); shard 0 fires the        │
+//!                                │   deadlines in its own loop                │
+//!                                │ uring: the same loop on an io_uring driver │
+//!                                │   — multishot accept, plain reads/writes   │
+//!                                │   into slot buffers, doorbell, batched     │
 //!      GET|PUT /config ────────┐ │   into ONE io_uring_enter per loop turn;   │
-//!      (hot reconfig:     │    │ │   probe → epoll fallback with warning      │
-//!       δ's, gain, cap)   │    └─┼─▶ admin routes (classify::admin_route)     │
-//!                         │      └──────────────┬─────────────────────────────┘
-//!                         │   httplite::route (every engine): admin first, then
-//!                         │   classify → class, cost → admit? ──no──▶ 503
-//!                         │                     │ yes                X-Shed: 1
-//!                         │ submit/submit_async ▼                   + close
+//!      (hot reconfig:          │ │   probe → epoll fallback with warning      │
+//!       δ's, gain, cap)        └─┼─▶ admin routes (classify::admin_route)     │
+//!                                └──────────────┬─────────────────────────────┘
+//!                             httplite::route (every engine): admin first, then
+//!                             classify → class, cost → admit? ──no──▶ 503
+//!                                               │ yes                X-Shed: 1
+//!                           submit/submit_async ▼                   + close
 //!             ┌─────────────────────────────────────────────────────────┐
 //!             │ PsdServer                                               │
 //!             │  monitor (every control window):                        │
@@ -57,7 +57,7 @@
 //!             │  the ledger counts under the lane lock: submit → an     │
 //!             │  arrival, admit's 503 → a shed, finish → a departure    │
 //!             │  (before CompletionNotify is delivered); stats(),       │
-//!             │  /metrics and the monitor all read it                   │
+//!             │  the exposition and the monitor all read it             │
 //!             └──────────────────────────┬──────────────────────────────┘
 //!                                        │ psd-obs (allocation-free)
 //!             ┌──────────────────────────▼──────────────────────────────┐
@@ -121,7 +121,7 @@
 //! selects the control plane with `--controller {open,feedback}`,
 //! `--gain` and `--admission-cap` — flags `psd_loadtest` takes too, so
 //! both binaries parse them through [`cli`]. The admin route family
-//! (`GET /metrics`, `GET /metrics/prometheus`, `GET`/`PUT /config` —
+//! (`GET /metrics/prometheus`, `GET`/`PUT /config` —
 //! hot reconfiguration of δ's, gain and admission cap without restart,
 //! epoch-ordered at control window boundaries — plus the observability
 //! routes `GET /healthz`, `GET /trace` and `GET /trace/control`) is
@@ -141,7 +141,6 @@ mod admin;
 pub mod classify;
 pub mod cli;
 pub mod codec;
-pub mod driver;
 pub mod httplite;
 mod locks;
 mod metrics;

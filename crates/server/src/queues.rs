@@ -167,7 +167,7 @@ impl Lanes {
     /// completion, its receipt's service time running to `now` (when the
     /// executor fired it), and the station starts its next request
     /// there. The receipt's service time — and with it the slowdown the
-    /// ledger, `/metrics` and the controller read — is therefore the
+    /// ledger, the exposition and the controller read — is therefore the
     /// station's stretched service `X/r_i` plus the executor's wakeup
     /// lateness, and nothing more. The departure is tallied, then its
     /// submitter is told, outside the lock — in that order, so the

@@ -81,7 +81,11 @@ pub(super) trait Driver {
     /// (wants more) and bytes are available; keep the read armed when
     /// it still wants more. `Err` means EOF or a socket error. No
     /// backend holds a read in flight outside `Reading`, because only
-    /// [`Driver::open`], this method and [`Driver::arm_read`] start one.
+    /// [`Driver::open`], this method and [`Driver::arm_read`] start one:
+    /// once `sink` has declined more (a request went to its lane, and
+    /// the connection is `Waiting`), no read may be in flight for it
+    /// until [`Driver::arm_read`], so pipelined bytes stay in the kernel
+    /// socket buffer (TCP back-pressure).
     fn read(
         &mut self,
         io: &mut Self::Io,
@@ -100,14 +104,11 @@ pub(super) trait Driver {
     /// request buffered: make the next arriving bytes raise a read, and
     /// raise one for what arrived (or was left unread, or hung up)
     /// while it was not reading, since no new arrival may announce it.
+    /// Until this call the connection was `Waiting` or `Flushing`, with
+    /// no read in flight; whatever the backend still reported for it
+    /// meanwhile went to [`Driver::defer_read`], once per change, so a
+    /// client abort cannot spin the loop.
     fn arm_read(&mut self, io: &mut Self::Io) -> io::Result<()>;
-
-    /// The connection enters `Waiting`: no read may be in flight for it
-    /// until [`Driver::arm_read`], so pipelined bytes stay in the kernel
-    /// socket buffer (TCP back-pressure). Whatever the backend still
-    /// reports for it meanwhile goes to [`Driver::defer_read`], once per
-    /// change, so a client abort cannot spin the loop.
-    fn park(&mut self, io: &mut Self::Io);
 
     /// Move `out` toward the socket. `completed` carries the result of
     /// the [`IoEvent::Write`] being handled, `None` when the shard just

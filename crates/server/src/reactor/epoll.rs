@@ -226,10 +226,6 @@ impl Driver for EpollDriver {
         Ok(())
     }
 
-    /// Nothing to undo: the registration stays, and the events it raises
-    /// meanwhile reach [`Driver::defer_read`].
-    fn park(&mut self, _io: &mut EpollIo) {}
-
     /// Optimistic: write first, ask for writability only when the
     /// socket buffer is full.
     fn flush(&mut self, io: &mut EpollIo, out: &mut WriteBuf, _completed: Option<i32>) -> Flush {

@@ -19,7 +19,7 @@
 //!            │   Flushing ─▶ keep-alive (pipelined pickup) or close      │  │ deadline store
 //!            ├───────────────────────────────────────────────────────────┤  │ claimed by
 //!            │ D: Driver   wait · next_event · accept · open · read ·    │  │ shard 0)
-//!            │             defer_read · arm_read · park · flush · close  │  │ fire → callback:
+//!            │             defer_read · arm_read · flush · close         │  │ fire → callback:
 //!            │   EpollDriver  epoll_pwait2, read(2)/write(2)/accept(2),  │  │ mailbox.push
 //!            │                registered once (ET), parked = unread      │  │ + eventfd ring
 //!            │   UringDriver  one io_uring_enter per turn, read/write    │  │ (coalesced; none

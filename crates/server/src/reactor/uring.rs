@@ -283,10 +283,6 @@ impl Driver for UringDriver {
         self.push_read(io)
     }
 
-    /// Nothing to undo: a connection enters `Waiting` from a read
-    /// completion, which is not re-armed, so no SQE is in flight.
-    fn park(&mut self, _io: &mut UringIo) {}
-
     /// Keep the write pipeline full: queue a write SQE for the front of
     /// the unflushed buffer unless one is already in flight. Its
     /// completion advances the buffer and comes back here.

@@ -43,14 +43,14 @@ pub enum Workload {
 }
 
 /// The default monitor window. This is the **single source of truth**
-/// for the control-window default — tests, the `psd_httpd` binary and
-/// the in-process drivers all inherit it through
-/// [`ServerConfig::default`] (they used to scatter 20/25/50/200 ms
-/// copies). 50 ms refreshes the Eq. 17 weights ~20×/s: fast enough
-/// that sub-second tests see at least one reallocation, slow enough
-/// that the estimator sees tens of arrivals per window at the request
-/// rates the front-ends sustain. Scenario profiles that model the
-/// paper's 1000-time-unit window override it explicitly.
+/// for the control-window default — tests and the `psd_httpd` binary
+/// inherit it through [`ServerConfig::default`] (they used to scatter
+/// 20/25/50/200 ms copies). 50 ms refreshes the Eq. 17 weights ~20×/s:
+/// fast enough that sub-second tests see at least one reallocation,
+/// slow enough that the estimator sees tens of arrivals per window at
+/// the request rates the front-ends sustain. The load generator's
+/// scenarios, like the paper's 1000-time-unit window, override it
+/// explicitly.
 pub const DEFAULT_CONTROL_WINDOW: Duration = Duration::from_millis(50);
 
 /// The monitor's estimator history in control windows (the paper's 5).

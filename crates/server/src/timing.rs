@@ -1,9 +1,8 @@
 //! Wall-clock waits that end on time, for every thread that targets a
-//! wall-clock instant: [`sleep_until`] paces the in-process
-//! [`crate::driver`] and the `psd-loadgen` open loop, and the task
-//! servers' timer thread calls `precise_timers` before its condvar
-//! waits, as does the reactor shard that fires the deadlines before its
-//! poller waits.
+//! wall-clock instant: [`sleep_until`] paces the `psd-loadgen` open
+//! loop, and the task servers' timer thread calls `precise_timers`
+//! before its condvar waits, as does the reactor shard that fires the
+//! deadlines before its poller waits.
 //!
 //! Linux ends a timed wait late by the thread's *timer slack* — 50 µs
 //! by default, so that it can fire the timer together with others —

@@ -4,17 +4,17 @@
 //!   **byte-identical** rate trajectories to `--controller open` over a
 //!   recorded arrival sequence, through the exact factory the server
 //!   monitor uses (the live mirror of the desim property test);
-//! * the admin route family (`GET /metrics`, `GET`/`PUT /config`) on
-//!   every engine (uring self-skipping via the probe), including hot
-//!   reconfiguration epochs;
+//! * the admin route family (`GET /metrics/prometheus`,
+//!   `GET`/`PUT /config`) on every engine (uring self-skipping via the
+//!   probe), including hot reconfiguration epochs;
 //! * admission shedding over HTTP: `503` + `X-Shed: 1` +
 //!   `Connection: close` on every engine, protected classes untouched;
 //! * an out-of-range `X-Class` is reported as the class that served it,
 //!   in the reply and in the span, on every engine;
 //! * the monitor applies a hot-swapped class table at a window
 //!   boundary (`applied_epoch` catches up to `epoch`);
-//! * the monitor's windows conserve requests, and the backlog it, `/metrics`
-//!   and `psd_backlog` report counts the request in service.
+//! * the monitor's windows conserve requests, and the backlog it and
+//!   `psd_backlog` report counts the request in service.
 
 mod common;
 
@@ -139,8 +139,9 @@ fn teardown(fe: HttpFrontend, server: Arc<PsdServer>) {
     Arc::try_unwrap(server).ok().expect("handlers drained").shutdown();
 }
 
-/// GET /metrics and GET/PUT /config on every engine: JSON snapshots,
-/// validation errors, and the epoch bump of a hot reconfiguration.
+/// GET /metrics/prometheus and GET/PUT /config on every engine: the
+/// control plane's signals, validation errors, and the epoch bump of a
+/// hot reconfiguration.
 #[test]
 fn admin_routes_serve_on_both_engines() {
     for engine in all_engines() {
@@ -154,22 +155,27 @@ fn admin_routes_serve_on_both_engines() {
         );
         let addr = fe.addr();
 
-        // A normal request first, so /metrics has something to show.
+        // A normal request first, so the exposition has something to show.
         let mut s = TcpStream::connect(addr).unwrap();
         let all = wait_ok(&mut s, "GET /class0/x HTTP/1.1\r\nConnection: close\r\n\r\n");
         assert!(all.contains("200 OK"), "{engine:?}: {all}");
 
         let mut s = TcpStream::connect(addr).unwrap();
-        let metrics = wait_ok(&mut s, "GET /metrics HTTP/1.1\r\nConnection: close\r\n\r\n");
-        assert!(metrics.contains("200 OK"), "{engine:?}: {metrics}");
-        assert!(metrics.contains("application/json"), "{engine:?}: {metrics}");
-        for key in ["\"controller\":\"open\"", "\"rates\":", "\"admit_probability\":", "\"shed\":0"]
-        {
-            assert!(metrics.contains(key), "{engine:?}: /metrics lost {key}:\n{metrics}");
+        let prom = wait_ok(&mut s, "GET /metrics/prometheus HTTP/1.1\r\nConnection: close\r\n\r\n");
+        assert!(prom.contains("200 OK"), "{engine:?}: {prom}");
+        let body = prom.split_once("\r\n\r\n").map_or("", |(_, b)| b);
+        let samples = psd_obs::parse_prometheus(body).expect("exposition parses");
+        for name in ["psd_rate", "psd_admit_probability", "psd_requests_shed_total"] {
+            let per_class = samples.iter().filter(|s| s.name == name).count();
+            assert_eq!(per_class, 2, "{engine:?}: {name} per class:\n{body}");
         }
+        let mut shed = samples.iter().filter(|s| s.name == "psd_requests_shed_total");
+        assert!(shed.all(|s| s.value == 0.0), "{engine:?}: {body}");
 
         let mut s = TcpStream::connect(addr).unwrap();
         let config = wait_ok(&mut s, "GET /config HTTP/1.1\r\nConnection: close\r\n\r\n");
+        assert!(config.contains("application/json"), "{engine:?}: {config}");
+        assert!(config.contains("\"controller\":\"open\""), "{engine:?}: {config}");
         assert!(config.contains("\"deltas\":[1,2]"), "{engine:?}: {config}");
         assert!(config.contains("\"epoch\":0"), "{engine:?}: {config}");
 
@@ -313,39 +319,33 @@ fn out_of_range_class_is_reported_as_the_last_class_on_every_engine() {
 /// drains — the smoke behind `--controller feedback`.
 #[test]
 fn feedback_controller_drives_the_live_monitor() {
-    use psd_dist::{Deterministic, ServiceDist};
-    use psd_server::driver::{drive, ClassTraffic};
-
-    let server = Arc::new(PsdServer::start(ServerConfig {
+    let server = PsdServer::start(ServerConfig {
         deltas: vec![1.0, 2.0],
         controller: ControllerKind::Feedback,
         gain: 0.3,
         work_unit: Duration::from_micros(100),
         control_window: Duration::from_millis(25),
         ..ServerConfig::default()
-    }));
-    let det = ServiceDist::Deterministic(Deterministic::new(1.0).unwrap());
-    let submitted = drive(
-        &server,
-        &[
-            ClassTraffic { rate_per_s: 300.0, cost: det.clone() },
-            ClassTraffic { rate_per_s: 300.0, cost: det },
-        ],
-        Duration::from_millis(500),
-        11,
-    );
-    assert!(submitted.iter().sum::<u64>() > 50);
+    });
+    // 600 requests/s for 500 ms, alternating classes.
+    let (period, start) = (Duration::from_secs(1) / 600, Instant::now());
+    let mut submitted = 0u64;
+    for i in 0..300 {
+        psd_server::timing::sleep_until(start + period * i);
+        submitted += u64::from(server.submit(i as usize % 2, 1.0));
+    }
+    assert!(submitted > 50);
     let rates = server.control().rates();
     assert!((rates.iter().sum::<f64>() - 1.0).abs() < 1e-6, "{rates:?}");
-    let stats = Arc::try_unwrap(server).ok().expect("sole owner").shutdown();
+    let stats = server.shutdown();
     let done: u64 = stats.classes.iter().map(|c| c.completed).sum();
-    assert_eq!(done, submitted.iter().sum::<u64>(), "everything drains under feedback");
+    assert_eq!(done, submitted, "everything drains under feedback");
 }
 
 /// The backlog counts the request in service, as
 /// `WindowObservation::backlog` and desim define it: a class with one
 /// request in service and two queued behind it reads 3 in the monitor's
-/// window observation, in `/metrics` and in `psd_backlog`.
+/// window observation and in `psd_backlog`.
 #[test]
 fn backlog_counts_the_request_in_service() {
     let (fe, server) = start_frontend(
@@ -358,11 +358,6 @@ fn backlog_counts_the_request_in_service() {
     }
     let departs = Instant::now() + Duration::from_millis(200);
     assert_eq!((server.backlog(0), server.backlog(1)), (3, 0));
-
-    let mut s = TcpStream::connect(fe.addr()).unwrap();
-    let metrics = wait_ok(&mut s, "GET /metrics HTTP/1.1\r\nConnection: close\r\n\r\n");
-    assert!(metrics.contains("\"class\":0,\"completed\":0,\"shed\":0,\"backlog\":3,"), "{metrics}");
-    assert!(metrics.contains("\"class\":1,\"completed\":0,\"shed\":0,\"backlog\":0,"), "{metrics}");
 
     let mut s = TcpStream::connect(fe.addr()).unwrap();
     let prom = wait_ok(&mut s, "GET /metrics/prometheus HTTP/1.1\r\nConnection: close\r\n\r\n");
@@ -442,31 +437,4 @@ fn monitor_windows_conserve_requests_on_real_threads() {
     let completed: u64 = server.stats().classes.iter().map(|c| c.completed).sum();
     assert_eq!((arrivals, completions, completed), (600, 600, 600));
     Arc::try_unwrap(server).ok().expect("sole owner").shutdown();
-}
-
-/// The driver honors admission too: with everything shed, arrivals
-/// never enter the system and show up as shed counts instead.
-#[test]
-fn driver_respects_admission_gate() {
-    use psd_dist::{Deterministic, ServiceDist};
-    use psd_server::driver::{drive, ClassTraffic};
-
-    let server = Arc::new(PsdServer::start(ServerConfig {
-        deltas: vec![1.0],
-        work_unit: Duration::from_micros(100),
-        control_window: Duration::from_secs(3600),
-        ..ServerConfig::default()
-    }));
-    server.control().publish(0, &[1.0], Some(&[0.0]));
-    let det = ServiceDist::Deterministic(Deterministic::new(1.0).unwrap());
-    let submitted = drive(
-        &server,
-        &[ClassTraffic { rate_per_s: 500.0, cost: det }],
-        Duration::from_millis(200),
-        3,
-    );
-    assert_eq!(submitted[0], 0, "everything shed at the gate");
-    let stats = Arc::try_unwrap(server).ok().expect("sole owner").shutdown();
-    assert_eq!(stats.classes[0].completed, 0);
-    assert!(stats.classes[0].shed > 0, "sheds are visible in the stats");
 }

@@ -118,6 +118,42 @@ fn readme_flag_list_matches_help() {
     assert_eq!(flags(&readme[start..end]), flags(&usage), "README vs --help: {usage}");
 }
 
+/// Every path in the README's admin-route table is an admin route, and
+/// every admin route is in the table.
+#[test]
+fn readme_admin_table_matches_admin_route() {
+    use psd_server::{admin_route, AdminRoute};
+    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../README.md");
+    let readme = std::fs::read_to_string(path).expect("read README.md");
+    let start = readme.find("### Admin API").expect("the README's admin section");
+    let listed: Vec<AdminRoute> = readme[start..]
+        .lines()
+        .skip_while(|line| !line.starts_with('|'))
+        .take_while(|line| line.starts_with('|'))
+        .filter_map(|row| row.strip_prefix("| `")?.split_once('`').map(|(path, _)| path))
+        .map(|path| admin_route(path).unwrap_or_else(|| panic!("README lists {path}")))
+        .collect();
+    // Exhaustive: a new variant fails to compile here until it is listed.
+    let every = |route| match route {
+        AdminRoute::MetricsProm
+        | AdminRoute::Config
+        | AdminRoute::Healthz
+        | AdminRoute::Trace
+        | AdminRoute::TraceControl => route,
+    };
+    for route in [
+        AdminRoute::MetricsProm,
+        AdminRoute::Config,
+        AdminRoute::Healthz,
+        AdminRoute::Trace,
+        AdminRoute::TraceControl,
+    ]
+    .map(every)
+    {
+        assert!(listed.contains(&route), "{route:?} is not in the README's admin table");
+    }
+}
+
 /// Out-of-range values are refused with exit 2 and an `error:` line
 /// before a server exists, not by a panic inside it. The first eight are
 /// the server flags `psd_loadtest` refuses alike; a `--duration-s` no

@@ -102,7 +102,6 @@ fn observability_routes_scrape_mid_overload() {
 
         // Every admin route answers 200 with an explicit Content-Type.
         for (path, want_type) in [
-            ("/metrics", "application/json"),
             ("/metrics/prometheus", "text/plain; version=0.0.4"),
             ("/config", "application/json"),
             ("/healthz", "application/json"),
@@ -182,6 +181,15 @@ fn observability_routes_scrape_mid_overload() {
         assert!(sample(&samples, "psd_wheel_fires_total", None) >= 6.0, "{engine:?}");
         let late = sample(&samples, "psd_wheel_fire_lateness_seconds_total", None);
         assert!(late.is_finite() && late >= 0.0, "{engine:?}: fire lateness {late}");
+        // The per-class means: one finite sample per class.
+        for name in ["psd_mean_delay_seconds", "psd_mean_service_seconds"] {
+            let means: Vec<f64> =
+                samples.iter().filter(|s| s.name == name).map(|s| s.value).collect();
+            assert_eq!(means.len(), 2, "{engine:?}: {name}: {means:?}");
+            assert!(means.iter().all(|m| m.is_finite()), "{engine:?}: {name}: {means:?}");
+        }
+        let service0 = sample(&samples, "psd_mean_service_seconds", Some(("class", "0")));
+        assert!(service0 > 0.0, "{engine:?}: class 0 completed six requests");
         // The latency histogram saw every admitted request.
         assert_eq!(
             sample(&samples, "psd_request_duration_seconds_count", Some(("class", "0"))),

@@ -108,9 +108,9 @@ fn run_concurrent_rounds(engine: EngineKind, conns: usize, rounds: usize, shards
 /// reactor thread (the threaded baseline would need 512 OS threads) —
 /// on either backend. Every connection makes two request rounds — the
 /// second proves the connections all stayed alive concurrently, not
-/// serially. On the uring backend this also exercises the overflow
-/// slots: 512 connections share 128 registered buffers plus heap
-/// spill.
+/// serially. On the uring backend this also exercises slot allocation:
+/// each of the 512 connections reads and writes through its own
+/// engine-owned heap slot.
 #[test]
 fn holds_512_concurrent_keep_alive_connections() {
     for engine in reactor_backends() {

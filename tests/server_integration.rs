@@ -1,5 +1,6 @@
 //! Integration tests of the threaded server substrate: differentiation
-//! on real threads and the HTTP-lite front-end over a loopback socket.
+//! under the load generator's HTTP traffic, and the HTTP-lite front-end
+//! over a loopback socket.
 
 use std::io::{BufRead, BufReader, Write};
 use std::net::TcpStream;
@@ -7,7 +8,8 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use psd::dist::{Deterministic, ServiceDist};
-use psd::server::driver::{drive, ClassTraffic};
+use psd::loadgen::scenario::mean_cost;
+use psd::loadgen::{harness, ArrivalSpec, ClassMix, LoadMode, Scenario};
 use psd::server::{HttpFrontend, PsdServer, ServerConfig};
 
 fn server_cfg(deltas: Vec<f64>) -> ServerConfig {
@@ -17,28 +19,28 @@ fn server_cfg(deltas: Vec<f64>) -> ServerConfig {
 /// Under high symmetric traffic, the lower class must experience
 /// clearly higher slowdown than the premium class.
 ///
-/// Sleep workload with a 1 ms work unit: the timer thread's lateness
-/// (tens of µs) stays a few percent of every service time, and waiting
-/// burns no CPU.
+/// The generator's `steady` scenario over HTTP, with a 1 ms work unit:
+/// the timer thread's lateness (tens of µs) stays a few percent of
+/// every service time, and waiting burns no CPU.
 #[test]
 fn threaded_server_differentiates() {
-    let mut cfg = server_cfg(vec![1.0, 4.0]);
-    cfg.work_unit = Duration::from_millis(1);
-    let server = Arc::new(PsdServer::start(cfg));
-    let det = ServiceDist::Deterministic(Deterministic::new(1.0).unwrap());
-    // 1 ms per unit ⇒ capacity 1 000 units/s; drive ≈ 75% load split
+    let mut scenario = Scenario::by_name("steady").expect("stock scenario");
+    scenario.mix = (0..2)
+        .map(|_| ClassMix {
+            weight: 1.0,
+            cost: ServiceDist::Deterministic(Deterministic::new(1.0).unwrap()),
+        })
+        .collect();
+    scenario.server.deltas = vec![1.0, 4.0];
+    scenario.server.mean_cost = mean_cost(&scenario.mix);
+    scenario.server.work_unit = Duration::from_millis(1);
+    // 1 ms per unit ⇒ capacity 1 000 units/s; offer ≈ 75% load split
     // evenly.
-    let rate = 1_000.0 * 0.75 / 2.0;
-    drive(
-        &server,
-        &[
-            ClassTraffic { rate_per_s: rate, cost: det.clone() },
-            ClassTraffic { rate_per_s: rate, cost: det },
-        ],
-        Duration::from_secs(2),
-        99,
-    );
-    let stats = Arc::try_unwrap(server).ok().expect("drivers joined").shutdown();
+    scenario.mode = LoadMode::Open { arrival: ArrivalSpec::Steady { rate: 1_000.0 * 0.75 } };
+    scenario.duration = Duration::from_secs(2);
+    scenario.warmup = Duration::from_millis(500);
+    scenario.seed = 99;
+    let stats = harness::run_scenario(&scenario).expect("harness run").server_stats;
     let s0 = stats.classes[0].mean_slowdown;
     let s1 = stats.classes[1].mean_slowdown;
     assert!(stats.classes[0].completed > 500);
