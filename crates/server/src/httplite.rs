@@ -53,14 +53,9 @@ use crate::locks::{lock, wait_timeout};
 use crate::reactor;
 use crate::server::{Completion, PsdServer};
 
-/// How long an idle keep-alive connection waits for the next request
-/// before re-checking the stop flag (threaded engine's read timeout).
+/// How long the threaded engine's read waits before re-checking the
+/// stop flag and the connection's idle clock.
 const IDLE_POLL: Duration = Duration::from_millis(100);
-
-/// Consecutive mid-request read timeouts tolerated before the
-/// connection is dropped as stalled (with [`IDLE_POLL`] this bounds a
-/// half-written request head to a few seconds).
-const MAX_MID_REQUEST_STALLS: u32 = 50;
 
 /// How long the accept loop parks in the poller between stop-flag
 /// checks when no connection arrives. [`HttpFrontend::shutdown`] and
@@ -355,7 +350,10 @@ fn reject_saturated(stream: TcpStream) {
 /// Serve requests on one connection until it closes, errors, asks for
 /// `Connection: close`, idles past the timeout, or `stop` flips while
 /// the connection is idle. (Threaded engine: the codec does the
-/// parsing; this loop owns the blocking socket and the stall policy.)
+/// parsing; this loop owns the blocking socket.) The idle rule is the
+/// reactor's sweep: no byte for `idle_timeout` — `min(idle_timeout,
+/// DRAIN_GRACE)` once a drain began — closes the connection with no
+/// response, mid-request or not.
 fn handle_connection(
     stream: TcpStream,
     server: &PsdServer,
@@ -373,7 +371,6 @@ fn handle_connection(
     // `write_ok_response`) — zero per-request allocation after warmup.
     let mut out = Vec::new();
     let mut scratch = Vec::new();
-    let mut stalls = 0u32;
     let mut idle_since = Instant::now();
     loop {
         // Serve everything already parsed before reading again.
@@ -422,24 +419,18 @@ fn handle_connection(
             Ok(0) => return,
             Ok(n) => {
                 codec.feed(&chunk[..n]);
-                stalls = 0; // data arrived: the client is making progress
                 idle_since = Instant::now();
             }
             Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
             Err(e) if matches!(e.kind(), io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut) => {
-                if codec.is_mid_request() {
-                    stalls += 1;
-                    if stalls > MAX_MID_REQUEST_STALLS {
-                        let _ = stream.write_all(&bad_request().to_bytes());
-                        return;
-                    }
-                } else {
-                    if stop.load(Ordering::SeqCst) {
-                        return; // graceful drain: close the idle connection
-                    }
-                    if idle_since.elapsed() >= idle_timeout {
-                        return; // idle keep-alive expired
-                    }
+                let draining = stop.load(Ordering::SeqCst);
+                if draining && !codec.is_mid_request() {
+                    return; // graceful drain: close the idle keep-alive
+                }
+                let timeout =
+                    if draining { idle_timeout.min(reactor::DRAIN_GRACE) } else { idle_timeout };
+                if idle_since.elapsed() >= timeout {
+                    return; // silent keep-alive or stalled head
                 }
             }
             Err(_) => return,

@@ -29,7 +29,6 @@
 //! close's plus the arrivals less the completions in between.
 
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::mpsc::SyncSender;
 use std::sync::Mutex;
 
 use psd_core::control::{Job, Seq, ServiceMode, Station, WindowObservation};
@@ -45,30 +44,12 @@ use crate::server::Completion;
 /// every drain/client timeout on the first request after the lull.
 const RATE_FLOOR: f64 = 0.01;
 
-/// How a completed execution is reported back to the submitter.
-pub(crate) enum CompletionNotify {
-    /// Fire-and-forget: nobody is waiting.
-    None,
-    /// A blocked synchronous submitter ([`crate::PsdServer::submit_sync`]).
-    Channel(SyncSender<Completion>),
-    /// An event-driven submitter: the executing thread invokes the
-    /// callback — the reactor uses this to post the completion into its
-    /// mailbox and ring its poller, instead of parking a whole
-    /// connection thread per in-flight request.
-    Callback(Box<dyn FnOnce(Completion) + Send>),
-}
-
-impl CompletionNotify {
-    pub(crate) fn deliver(self, done: Completion) {
-        match self {
-            CompletionNotify::None => {}
-            CompletionNotify::Channel(tx) => {
-                let _ = tx.send(done);
-            }
-            CompletionNotify::Callback(f) => f(done),
-        }
-    }
-}
+/// How a completed execution is reported back to the submitter: the
+/// executing thread calls it with the receipt. A fire-and-forget
+/// submitter passes a no-op, a blocked synchronous one
+/// ([`crate::PsdServer::submit_sync`]) a channel send, and the reactor
+/// a post into its mailbox.
+pub(crate) type CompletionNotify = Box<dyn FnOnce(Completion) + Send>;
 
 /// A request on its lane's station: when it arrived and its full-rate
 /// service time, in seconds on the executor's time axis, and whom to
@@ -183,7 +164,7 @@ impl Lanes {
             station.start_next(departure, seq);
             (request.notify, done, (station.backlog() > 0).then(|| station.completion().0))
         };
-        notify.deliver(done);
+        notify(done);
         next
     }
 
@@ -251,7 +232,7 @@ mod tests {
     /// A request of `class` and `cost` arriving at `at` (one work unit
     /// is one second here).
     fn submit(lanes: &Lanes, class: usize, cost: f64, at: f64) -> Submitted {
-        lanes.submit(class, cost, CompletionNotify::None, at)
+        lanes.submit(class, cost, Box::new(|_| {}), at)
     }
 
     /// The rate a request of `class` starting now is served at: its
@@ -313,8 +294,7 @@ mod tests {
         let receipts = Arc::new(Mutex::new(Vec::new()));
         for at in [0.0, 1.25] {
             let receipts = Arc::clone(&receipts);
-            let notify = CompletionNotify::Callback(Box::new(move |c| lock(&receipts).push(c)));
-            lanes.submit(0, 1.0, notify, at);
+            lanes.submit(0, 1.0, Box::new(move |c| lock(&receipts).push(c)), at);
         }
         assert_eq!(lanes.finish(0, 1.5), Some(2.25), "fired late; the next arrived at 1.25");
         assert_eq!(lanes.finish(0, 2.25), None);
@@ -372,17 +352,5 @@ mod tests {
         assert!(matches!(submit(&lanes, 99, 1.0, 0.0), Submitted::Start { class: 1, .. }));
         assert_eq!(submit(&lanes, 99, 1.0, 0.0), Submitted::Queued);
         assert_eq!((lanes.backlog(0), lanes.backlog(1)), (0, 2), "in service + queued");
-    }
-
-    #[test]
-    fn callback_notify_fires_on_deliver() {
-        let hit = Arc::new(AtomicBool::new(false));
-        let hit2 = Arc::clone(&hit);
-        let notify = CompletionNotify::Callback(Box::new(move |done: Completion| {
-            assert!(done.delay_s >= 0.0);
-            hit2.store(true, Ordering::SeqCst);
-        }));
-        notify.deliver(Completion { delay_s: 0.5, service_s: 1.0 });
-        assert!(hit.load(Ordering::SeqCst));
     }
 }

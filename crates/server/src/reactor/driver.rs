@@ -8,8 +8,9 @@
 //! The split: the shard owns *what happens* to a connection (parse,
 //! route, park, respond, keep alive or close, reap); the driver owns
 //! *how bytes move* and every file descriptor. A connection's
-//! `TcpStream` lives in the driver's [`Driver::Io`], so the shared half
-//! never touches a socket.
+//! `TcpStream` lives with the driver — in its [`Driver::Io`] on epoll,
+//! in the ring engine's slot on io_uring — so the shared half never
+//! touches a socket.
 
 use std::io;
 use std::net::TcpStream;
@@ -44,9 +45,10 @@ pub(super) enum Flush {
 /// The I/O mechanics of one shard. All methods run on the shard's
 /// thread.
 pub(super) trait Driver {
-    /// Per-connection I/O state: the `TcpStream`, the key its events
-    /// carry, and whatever the backend tracks for it (reads owed;
-    /// buffer slot and in-flight flags).
+    /// Per-connection I/O state: the key its events carry and the
+    /// handle of its stream (the `TcpStream` and the reads owed on
+    /// epoll; the engine slot that holds the stream, its buffer and its
+    /// in-flight ops on io_uring).
     type Io;
 
     /// The engine this driver realizes (admin exposition, thread names).
@@ -115,9 +117,11 @@ pub(super) trait Driver {
     /// queued a response.
     fn flush(&mut self, io: &mut Self::Io, out: &mut WriteBuf, completed: Option<i32>) -> Flush;
 
-    /// Release a connection. The fd closes once nothing in the kernel
-    /// refers to it any more — at once on a readiness backend, after
-    /// the cancelled operations complete on a completion backend.
+    /// Release a connection; none of its events surfaces after this.
+    /// The fd closes once nothing in the kernel refers to it any more —
+    /// at once on a readiness backend; on a completion backend the ring
+    /// engine cancels the operations in flight and closes it when their
+    /// completions have drained.
     fn close(&mut self, io: Self::Io);
 
     /// End of a loop turn (and once more at loop exit): publish

@@ -92,7 +92,7 @@ pub(crate) const TICK: Duration = Duration::from_millis(100);
 
 /// During a drain, how long a mid-request connection may go without
 /// byte progress before it is closed anyway (see the shard's idle
-/// sweep).
+/// sweep; the threaded engine's read loop applies the same bound).
 pub(crate) const DRAIN_GRACE: Duration = Duration::from_secs(1);
 
 /// Accepted streams handed off by the accepting shard, waiting to be

@@ -132,7 +132,8 @@ enum Phase {
 }
 
 struct Conn<Io> {
-    /// The driver's half: the socket and its registration or slot.
+    /// The driver's half: the socket and its registration, or the
+    /// ring engine's slot that holds the socket.
     io: Io,
     codec: RequestCodec,
     out: WriteBuf,

@@ -3,10 +3,11 @@
 //! * Accepts arrive through one **multishot `ACCEPT`** SQE that stays
 //!   armed across completions instead of an epoll-readable listener.
 //! * Reads and writes are **submitted up front** as plain `READ`/
-//!   `WRITE` into a per-connection buffer slot (an 8 KiB read half and
-//!   an 8 KiB write half, allocated on first use and reused after a
-//!   close; nothing is pinned); the kernel reports *finished* I/O, so
-//!   the loop never calls `read(2)`/`write(2)` at all.
+//!   `WRITE` into the connection's engine slot (its `TcpStream`, an
+//!   8 KiB read half and an 8 KiB write half, allocated on first use
+//!   and reused after a close; nothing is pinned); the kernel reports
+//!   *finished* I/O, so the loop never calls `read(2)`/`write(2)` at
+//!   all.
 //! * Task-server completions still land in the shard mailbox. On the
 //!   shard that fires the deadlines they land from its own loop
 //!   and ring nothing; on the others the eventfd ring is observed by an
@@ -22,13 +23,11 @@
 //! request on the deadline-firing shard, against epoll's four
 //! (`tests/syscall_gate.rs` pins both).
 //!
-//! Closing inverts too: an fd with in-flight SQEs must outlive them, so
-//! [`Driver::close`] cancels the ops (`ASYNC_CANCEL` on the fd) and
-//! parks the connection in `closing` until the cancelled completions
-//! drain; only then does the `TcpStream` drop. Buffer slots go through
-//! the engine's zombie deferral the same way.
+//! A close inverts too: an fd with in-flight SQEs must outlive them.
+//! The engine owns that: [`Driver::close`] hands it the slot, and
+//! [`UringEngine::close`] cancels the ops and keeps the stream and the
+//! buffer until their completions drain, none of which surfaces here.
 
-use std::collections::HashMap;
 use std::io;
 use std::net::{TcpListener, TcpStream};
 use std::os::unix::io::AsRawFd;
@@ -58,7 +57,6 @@ const TAG_READ: u64 = 0;
 const TAG_WRITE: u64 = 1;
 const TAG_ACCEPT: u64 = 2;
 const TAG_DOORBELL: u64 = 3;
-const TAG_CANCEL: u64 = 4;
 
 /// `-EAGAIN` as a CQE result: the kernel chose not to poll-arm the op;
 /// resubmitting it is the whole remedy.
@@ -94,27 +92,21 @@ fn arm_accept(engine: &mut UringEngine, listener: Option<&TcpListener>) -> io::R
 }
 
 pub(super) struct UringIo {
-    stream: TcpStream,
     key: usize,
-    /// The engine buffer slot owned by this connection for its
-    /// lifetime (read half + write half).
+    /// The engine slot holding this connection's stream, buffer and
+    /// in-flight ops.
     slot: usize,
-    read_inflight: bool,
-    write_inflight: bool,
 }
 
 /// Teardown order is the field order: dropping `engine` cancels and
 /// reaps every operation still in flight (the doorbell, the accept,
-/// reads of connections in `closing`), and only then do `closing` and
-/// `listener` drop and their fds close — an fd never closes under an
-/// SQE that names it. The shard hands every connection it still holds
-/// to [`Driver::close`] before the driver drops, so no stream lives
-/// anywhere else.
+/// reads of connections closed with one pending) and then closes the
+/// streams it holds, and only then does `listener` drop and its fd
+/// close — an fd never closes under an SQE that names it. The shard
+/// hands every connection it still holds to [`Driver::close`] before
+/// the driver drops.
 pub(super) struct UringDriver {
     engine: UringEngine,
-    /// Connections released with operations still in flight: cancels
-    /// issued, the stream stays open until the last completion drains.
-    closing: HashMap<usize, UringIo>,
     /// The accepting shard's listener (shard 0 only). It stays open
     /// after accepting stops: the cancel names its fd.
     listener: Option<TcpListener>,
@@ -137,38 +129,7 @@ impl UringDriver {
     ) -> io::Result<Self> {
         engine.push_wakeup_read(shared.poller.notify_fd(), token(0, TAG_DOORBELL))?;
         arm_accept(&mut engine, listener.as_ref())?;
-        Ok(Self {
-            engine,
-            closing: HashMap::new(),
-            accepting: listener.is_some(),
-            listener,
-            shared,
-            dead: false,
-        })
-    }
-
-    /// A completion for a connection in `closing`: retire it when its
-    /// last operation has drained. Returns false for live connections.
-    fn reap_closing(&mut self, key: usize, tag: u64) -> bool {
-        let Some(io) = self.closing.get_mut(&key) else { return false };
-        match tag {
-            TAG_READ => io.read_inflight = false,
-            _ => io.write_inflight = false,
-        }
-        if !io.read_inflight && !io.write_inflight {
-            if let Some(io) = self.closing.remove(&key) {
-                self.engine.release_slot(io.slot);
-            }
-        }
-        true
-    }
-
-    fn push_read(&mut self, io: &mut UringIo) -> io::Result<()> {
-        if !io.read_inflight {
-            self.engine.push_read(io.stream.as_raw_fd(), io.slot, token(io.key, TAG_READ))?;
-            io.read_inflight = true;
-        }
-        Ok(())
+        Ok(Self { engine, accepting: listener.is_some(), listener, shared, dead: false })
     }
 }
 
@@ -222,17 +183,8 @@ impl Driver for UringDriver {
                         return Some(IoEvent::Accepted(stream));
                     }
                 }
-                TAG_READ | TAG_WRITE => {
-                    if !self.closing.is_empty() && self.reap_closing(key, tag) {
-                        continue;
-                    }
-                    return Some(if tag == TAG_READ {
-                        IoEvent::Read { key, result: c.result }
-                    } else {
-                        IoEvent::Write { key, result: c.result }
-                    });
-                }
-                TAG_CANCEL => {} // the cancelled ops' own CQEs do the work
+                TAG_READ => return Some(IoEvent::Read { key, result: c.result }),
+                TAG_WRITE => return Some(IoEvent::Write { key, result: c.result }),
                 _ => unreachable!("unknown completion tag"),
             }
         }
@@ -243,19 +195,19 @@ impl Driver for UringDriver {
     fn stop_accepting(&mut self) {
         self.accepting = false;
         if let Some(listener) = &self.listener {
-            let _ = self.engine.push_cancel_fd(listener.as_raw_fd(), token(0, TAG_CANCEL));
+            let _ = self.engine.push_cancel_fd(listener.as_raw_fd());
         }
     }
 
-    /// Claim a buffer slot and put the first read in flight.
+    /// Hand the stream to an engine slot and put the first read in
+    /// flight.
     fn open(&mut self, key: usize, stream: TcpStream) -> io::Result<UringIo> {
-        let slot = self.engine.alloc_slot();
-        let mut io = UringIo { stream, key, slot, read_inflight: false, write_inflight: false };
-        if let Err(e) = self.push_read(&mut io) {
-            self.engine.release_slot(slot);
+        let slot = self.engine.open(stream);
+        if let Err(e) = self.engine.push_read(slot, token(key, TAG_READ)) {
+            self.engine.close(slot);
             return Err(e);
         }
-        Ok(io)
+        Ok(UringIo { key, slot })
     }
 
     fn read(
@@ -264,7 +216,6 @@ impl Driver for UringDriver {
         result: i32,
         mut sink: impl FnMut(&[u8]) -> bool,
     ) -> io::Result<()> {
-        io.read_inflight = false;
         if result == 0 {
             return Err(io::ErrorKind::UnexpectedEof.into());
         }
@@ -274,13 +225,13 @@ impl Driver for UringDriver {
         // Disjoint borrows: the slice lives in the engine's slot, the
         // codec the sink feeds in the shard's connection table.
         if result == EAGAIN || sink(self.engine.read_slice(io.slot, result as usize)) {
-            self.push_read(io)?;
+            self.arm_read(io)?;
         }
         Ok(())
     }
 
     fn arm_read(&mut self, io: &mut UringIo) -> io::Result<()> {
-        self.push_read(io)
+        self.engine.push_read(io.slot, token(io.key, TAG_READ))
     }
 
     /// Keep the write pipeline full: queue a write SQE for the front of
@@ -288,14 +239,13 @@ impl Driver for UringDriver {
     /// completion advances the buffer and comes back here.
     fn flush(&mut self, io: &mut UringIo, out: &mut WriteBuf, completed: Option<i32>) -> Flush {
         if let Some(result) = completed {
-            io.write_inflight = false;
             match result {
                 EAGAIN => {}                        // retry the same bytes
                 n if n < 0 => return Flush::Failed, // EPIPE/ECONNRESET: client went away
                 n => out.consume(n as usize),
             }
         }
-        if io.write_inflight {
+        if self.engine.write_busy(io.slot) {
             return Flush::Pending;
         }
         if out.is_empty() {
@@ -303,21 +253,14 @@ impl Driver for UringDriver {
         }
         // push_write copies into the slot's write half, so a response
         // may exceed a half and drain in turns.
-        let (fd, token) = (io.stream.as_raw_fd(), token(io.key, TAG_WRITE));
-        if self.engine.push_write(fd, io.slot, out.unflushed(), token).is_err() {
-            return Flush::Failed;
+        match self.engine.push_write(io.slot, out.unflushed(), token(io.key, TAG_WRITE)) {
+            Ok(_) => Flush::Pending,
+            Err(_) => Flush::Failed,
         }
-        io.write_inflight = true;
-        Flush::Pending
     }
 
     fn close(&mut self, io: UringIo) {
-        if io.read_inflight || io.write_inflight {
-            let _ = self.engine.push_cancel_fd(io.stream.as_raw_fd(), token(io.key, TAG_CANCEL));
-            self.closing.insert(io.key, io);
-        } else {
-            self.engine.release_slot(io.slot);
-        }
+        self.engine.close(io.slot);
     }
 
     /// Copy the engine's single-threaded meters into the shared atomics

@@ -233,7 +233,8 @@ impl PsdServer {
 
     /// Fire-and-forget submission. Returns `false` after shutdown began.
     pub fn submit(&self, class: usize, cost: f64) -> bool {
-        self.submit_inner(class, cost, CompletionNotify::None)
+        // A zero-sized closure boxes without allocating.
+        self.submit_inner(class, cost, Box::new(|_| {}))
     }
 
     /// Submit and receive a [`Completion`] receipt when the request has
@@ -241,7 +242,7 @@ impl PsdServer {
     /// connection's thread until then).
     pub fn submit_sync(&self, class: usize, cost: f64) -> Option<Completion> {
         let (tx, rx) = mpsc::sync_channel(1);
-        if !self.submit_inner(class, cost, CompletionNotify::Channel(tx)) {
+        if !self.submit_inner(class, cost, Box::new(move |done| _ = tx.send(done))) {
             return None;
         }
         rx.recv().ok()
@@ -259,7 +260,7 @@ impl PsdServer {
         cost: f64,
         notify: impl FnOnce(Completion) + Send + 'static,
     ) -> bool {
-        self.submit_inner(class, cost, CompletionNotify::Callback(Box::new(notify)))
+        self.submit_inner(class, cost, Box::new(notify))
     }
 
     fn submit_inner(&self, class: usize, cost: f64, notify: CompletionNotify) -> bool {
@@ -494,7 +495,7 @@ mod tests {
         let s = PsdServer::start(quick_cfg(vec![1.0]));
         let exec = Arc::clone(&s.exec);
         s.shutdown();
-        assert!(!exec.submit(0, 1.0, CompletionNotify::None), "closed task servers must reject");
+        assert!(!exec.submit(0, 1.0, Box::new(|_| {})), "closed task servers must reject");
     }
 
     #[test]

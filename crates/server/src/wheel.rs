@@ -11,7 +11,7 @@
 //!                                                                             │ fired by shard 0's
 //!  fire: finish (the station departs the request at its completion ◀──────────┘ loop, or else the
 //!  and starts the next there; the ledger tallies the departure),                 timer thread
-//!  deliver CompletionNotify, file the next completion
+//!  call its CompletionNotify, file the next completion
 //! ```
 //!
 //! Each armed completion is filed at the first nanosecond at or after
@@ -501,7 +501,7 @@ mod tests {
                             let submit = |i: usize| {
                                 let (done, id) = (Arc::clone(&done), p * 200 + i);
                                 let tally = move |_| _ = done[id].fetch_add(1, Ordering::SeqCst);
-                                let notify = CompletionNotify::Callback(Box::new(tally));
+                                let notify = Box::new(tally);
                                 servers.submit((p + i) % 2, 1.0, notify).then_some(p * 200 + i)
                             };
                             (0..200usize).filter_map(submit).collect::<Vec<_>>()
@@ -654,7 +654,7 @@ mod tests {
                     lock(&early).push((i, c.service_s, want));
                 }
             };
-            assert!(servers.submit(class, cost, CompletionNotify::Callback(Box::new(done))));
+            assert!(servers.submit(class, cost, Box::new(done)));
         }
         servers.close();
         servers.join();
@@ -685,8 +685,7 @@ mod tests {
         for (i, &cost) in costs.iter().enumerate() {
             let delays = Arc::clone(&delays);
             let done = move |c: Completion| lock(&delays).push((i, c.delay_s));
-            let notify = CompletionNotify::Callback(Box::new(done));
-            match servers.lanes().submit(0, cost, notify, arrival) {
+            match servers.lanes().submit(0, cost, Box::new(done), arrival) {
                 Submitted::Start { class, at } => servers.shared.file(class, at),
                 queued => assert_eq!(queued, Submitted::Queued),
             }
@@ -801,9 +800,8 @@ mod tests {
             let (log, id, now) = (Arc::clone(&self.log), self.accepted, self.now_s());
             let class = raw_class.min(CLASSES - 1);
             let done = move |c: Completion| lock(&log).push((class, id, c.service_s));
-            let notify = CompletionNotify::Callback(Box::new(done));
             // The lanes clamp the class.
-            match self.lanes.submit(raw_class, cost, notify, now) {
+            match self.lanes.submit(raw_class, cost, Box::new(done), now) {
                 Submitted::Rejected => panic!("open lanes accept"),
                 Submitted::Queued => assert!(self.filed[class].is_some(), "queued behind a head"),
                 Submitted::Start { class, at } => self.file(class, at),
@@ -893,7 +891,7 @@ mod tests {
                 }
             }
             m.lanes.close();
-            let refused = m.lanes.submit(0, 1.0, CompletionNotify::None, m.now_s());
+            let refused = m.lanes.submit(0, 1.0, Box::new(|_| {}), m.now_s());
             assert_eq!(refused, Submitted::Rejected, "closed lanes refuse");
             while let Some(due) = m.deadlines.next_due() {
                 assert!(!m.lanes.all_drained());
