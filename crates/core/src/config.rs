@@ -39,9 +39,6 @@ pub struct PsdConfig {
     pub control_period: f64,
     /// Online-controller tuning.
     pub controller_params: ControllerParams,
-    /// Start the controller from the nominal loads instead of an even
-    /// split (the paper's simulator knows the offered loads).
-    pub warm_start: bool,
     /// Fluid or pinned-rate task servers.
     pub service_mode: ServiceMode,
     /// Optional per-request trace window (paper Figs 7/8).
@@ -64,7 +61,6 @@ impl PsdConfig {
             warmup: 10_000.0 * ex,
             control_period: 1_000.0 * ex,
             controller_params: ControllerParams::default(),
-            warm_start: true,
             service_mode: ServiceMode::Fluid,
             trace_range: None,
         }
@@ -87,13 +83,6 @@ impl PsdConfig {
         assert!(end_tu > warmup_tu && warmup_tu >= 0.0);
         self.end_time = end_tu * ex;
         self.warmup = warmup_tu * ex;
-        self
-    }
-
-    /// Override the control window (in time units).
-    pub fn with_control_period(mut self, period_tu: f64) -> Self {
-        assert!(period_tu > 0.0);
-        self.control_period = period_tu * self.service.mean();
         self
     }
 
@@ -148,19 +137,15 @@ impl PsdConfig {
             seed,
             service_mode: self.service_mode,
             trace_range: self.trace_range,
-            ..SimConfig::default()
         }
     }
 
-    /// Build the online PSD controller for this configuration.
+    /// Build the online PSD controller for this configuration, started
+    /// from the nominal loads (the paper's simulator knows the offered
+    /// loads).
     pub fn controller(&self) -> PsdController {
-        let c =
-            PsdController::new(self.deltas(), self.service.mean(), self.controller_params.clone());
-        if self.warm_start {
-            c.with_nominal_lambdas(self.lambdas())
-        } else {
-            c
-        }
+        PsdController::new(self.deltas(), self.service.mean(), self.controller_params.clone())
+            .with_nominal_lambdas(self.lambdas())
     }
 }
 

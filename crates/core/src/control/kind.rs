@@ -55,7 +55,7 @@ pub fn build_controller(
         ControllerKind::Open => 0.0,
         ControllerKind::Feedback => gain,
     };
-    let params = ControllerParams { estimator_history, gain, ..ControllerParams::default() };
+    let params = ControllerParams { estimator_history, gain };
     let base = PsdController::new(deltas.to_vec(), mean_service, params);
     match admission_cap {
         None => Box::new(base),
@@ -107,7 +107,7 @@ mod tests {
         let mut open = build_controller(ControllerKind::Open, &[1.0, 2.0], ex, 0.3, 5, None);
         let mut fb0 = build_controller(ControllerKind::Feedback, &[1.0, 2.0], ex, 0.0, 5, None);
         let rates = open.control(1000.0, &idle).rates.unwrap();
-        assert_eq!(rates, vec![1.0 - 1e-4, 1e-4], "the idle class sits exactly at min_rate");
+        assert_eq!(rates, vec![1.0 - 1e-4, 1e-4], "the idle class sits exactly at MIN_RATE");
         assert_eq!(fb0.control(1000.0, &idle).rates.unwrap(), rates);
     }
 

@@ -16,8 +16,8 @@
 //!   measured per-class slowdowns that is inert at `gain = 0` — the
 //!   paper's open loop, and the default. Whatever the configuration,
 //!   the rates come out of one clamped path: overload fallback →
-//!   residual split → floor (floored classes pinned at `min_rate`, the
-//!   rest sharing the remainder).
+//!   residual split → floor (floored classes pinned at
+//!   [`open::MIN_RATE`], the rest sharing the remainder).
 //! * [`admission`] — utilization-capped admission probabilities,
 //!   shedding the lowest classes first.
 //! * [`Admitting`] — composes admission with **any** controller by

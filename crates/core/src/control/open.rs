@@ -23,34 +23,34 @@ use crate::estimator::LoadEstimator;
 use psd_control::{RateController, WindowObservation};
 use psd_dist::Moments;
 
-/// Tuning knobs for the online controller.
+/// Rate floor every class is guaranteed (guards against transient
+/// zero-load estimates starving a class): a class below it is pinned
+/// at exactly this rate, the rest share the remainder.
+pub const MIN_RATE: f64 = 1e-4;
+
+/// Estimated total load above `1 − OVERLOAD_MARGIN` counts as overload,
+/// and the shares fall back to load-proportional.
+pub const OVERLOAD_MARGIN: f64 = 0.02;
+
+/// Anti-windup bound on each integral term, in natural-log units of
+/// residual-share tilt.
+pub const INTEGRAL_CLAMP: f64 = 1.5;
+
+/// Tuning knobs for the online controller. Its guards around Eq. 17
+/// are the constants [`MIN_RATE`], [`OVERLOAD_MARGIN`] and
+/// [`INTEGRAL_CLAMP`].
 #[derive(Debug, Clone, PartialEq)]
 pub struct ControllerParams {
     /// Windows averaged by the load estimator (paper: 5).
     pub estimator_history: usize,
-    /// Minimum rate guaranteed to every class (guards against transient
-    /// zero-load estimates starving a class).
-    pub min_rate: f64,
-    /// Treat estimated total load above `1 − overload_margin` as
-    /// overload and fall back to load-proportional shares.
-    pub overload_margin: f64,
     /// Integral gain `g ≥ 0` of the slowdown feedback; 0 (the default)
     /// is the paper's open loop.
     pub gain: f64,
-    /// Clamp on the integral terms (anti-windup), in natural-log units
-    /// of residual-share tilt.
-    pub integral_clamp: f64,
 }
 
 impl Default for ControllerParams {
     fn default() -> Self {
-        Self {
-            estimator_history: 5,
-            min_rate: 1e-4,
-            overload_margin: 0.02,
-            gain: 0.0,
-            integral_clamp: 1.5,
-        }
+        Self { estimator_history: 5, gain: 0.0 }
     }
 }
 
@@ -94,9 +94,7 @@ impl PsdController {
         assert!(n > 0, "at least one class");
         assert!(deltas.iter().all(|&d| d.is_finite() && d > 0.0), "deltas must be positive");
         assert!(params.gain >= 0.0 && params.gain.is_finite(), "gain must be >= 0");
-        assert!(params.integral_clamp > 0.0, "clamp must be positive");
-        validate_clamp(n, params.min_rate, params.overload_margin)
-            .unwrap_or_else(|e| panic!("{e}"));
+        validate_clamp(n, MIN_RATE, OVERLOAD_MARGIN).unwrap_or_else(|e| panic!("{e}"));
         let estimator = LoadEstimator::new(n, params.estimator_history);
         let integral = vec![0.0; n];
         Self { deltas, service, nominal_lambdas: None, params, estimator, integral }
@@ -121,12 +119,12 @@ impl PsdController {
         if present < 2 || mean_x <= 0.0 {
             return; // no cross-class information in this window
         }
-        let (gain, clamp) = (self.params.gain, self.params.integral_clamp);
+        let gain = self.params.gain;
         for (term, x) in self.integral.iter_mut().zip(xs) {
             if let Some(x) = x {
                 // Slower than its entitlement (x > mean) ⇒ positive term
                 // ⇒ more residual share.
-                *term = (*term + gain * (x / mean_x - 1.0)).clamp(-clamp, clamp);
+                *term = (*term + gain * (x / mean_x - 1.0)).clamp(-INTEGRAL_CLAMP, INTEGRAL_CLAMP);
             }
         }
     }
@@ -138,7 +136,7 @@ impl PsdController {
         let weights: Vec<f64> = (0..lambdas.len())
             .map(|i| lambdas[i] / self.deltas[i] * self.service[i].1 * self.integral[i].exp())
             .collect();
-        clamped_rates(&loads, &weights, self.params.min_rate, self.params.overload_margin)
+        clamped_rates(&loads, &weights, MIN_RATE, OVERLOAD_MARGIN)
     }
 }
 
@@ -261,21 +259,9 @@ mod tests {
         }
     }
 
-    #[test]
-    fn min_rate_floor_respected() {
-        let mut c = PsdController::new(
-            vec![1.0, 2.0],
-            0.5,
-            ControllerParams { min_rate: 0.05, ..Default::default() },
-        );
-        c.initial_rates(2);
-        let r = c.reallocate(1.0, &window(vec![1000, 0])).unwrap();
-        assert_eq!(r, vec![0.95, 0.05], "idle class pinned at the floor: {r:?}");
-    }
-
     /// One window in which class 0 offers load ≈ 0.6 and class 1 is
-    /// idle: the idle class gets exactly `min_rate` (a clamp-and-
-    /// renormalise floor would give `min_rate / (1 + min_rate)`) and the
+    /// idle: the idle class gets exactly `MIN_RATE` (a clamp-and-
+    /// renormalise floor would give `MIN_RATE / (1 + MIN_RATE)`) and the
     /// rates are the same bits however the controller is configured.
     #[test]
     fn idle_class_is_pinned_at_min_rate_in_every_configuration() {
@@ -362,14 +348,14 @@ mod tests {
     #[test]
     fn integral_clamped() {
         let ex = 0.29;
-        let params = ControllerParams { gain: 10.0, integral_clamp: 0.5, ..Default::default() };
-        let mut fb = PsdController::new(vec![1.0, 2.0], ex, params);
+        let mut fb = PsdController::new(vec![1.0, 2.0], ex, feedback(10.0));
         fb.initial_rates(2);
         for _ in 0..50 {
             let w = window_with_slowdowns(vec![500, 500], vec![Some(1.0), Some(99.0)]);
             fb.reallocate(1000.0, &w);
         }
-        assert_eq!(fb.integral, [-0.5, 0.5], "anti-windup clamp");
+        assert_eq!(fb.integral, [-INTEGRAL_CLAMP, INTEGRAL_CLAMP], "anti-windup clamp");
+        assert_eq!(INTEGRAL_CLAMP, 1.5, "the anti-windup bound every feedback run uses");
     }
 
     #[test]

@@ -58,16 +58,3 @@ fn replay_detects_a_mistuned_controller() {
     let div = max_divergence(&replay(&mut other, &traces));
     assert!(div > 1e-6, "a δ = (1,4) controller should not reproduce the δ = (1,2) run");
 }
-
-/// Disabling the recorder (`flight_capacity = 0`) leaves the output
-/// empty and the dump parseable.
-#[test]
-fn flight_capacity_zero_disables_recording() {
-    let cfg = short_cfg();
-    let mut sim_cfg = cfg.sim_config(42);
-    sim_cfg.flight_capacity = 0;
-    let out = Simulation::new(sim_cfg, Box::new(cfg.controller())).run();
-    assert!(out.control_trace.is_empty());
-    let traces = parse_traces(&out.control_trace_json()).expect("empty dump still parses");
-    assert!(traces.is_empty());
-}

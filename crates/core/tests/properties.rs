@@ -8,6 +8,7 @@
 //! replays the case exactly.
 
 use psd_core::allocation::{psd_rates, psd_rates_clamped, AllocationError};
+use psd_core::control::open::{INTEGRAL_CLAMP, MIN_RATE, OVERLOAD_MARGIN};
 use psd_core::control::{
     admission_probabilities, ClassTable, ControllerKind, ControllerParams, PsdController,
     RateController, SharedControl, WindowObservation,
@@ -231,7 +232,7 @@ fn estimator_within_envelope() {
 /// classes, overload bursts and windows without departures included
 /// — for the open loop and the feedback, for one shared distribution
 /// and per-class ones: rates finite, summing to 1, never below
-/// `min_rate`; integral terms inside their clamp. At gain 0 the
+/// `MIN_RATE`; integral terms inside `INTEGRAL_CLAMP`. At gain 0 the
 /// controller *is* `psd_rates_clamped` on the estimator's mean, and
 /// per-class moments that are all equal change nothing.
 #[test]
@@ -262,11 +263,11 @@ fn controller_invariants_over_window_sequences() {
                     assert!(r.iter().all(|x| x.is_finite()), "seed {seed}: {r:?}");
                     let sum: f64 = r.iter().sum();
                     assert!((sum - 1.0).abs() < 1e-12, "seed {seed}: window {index}: sum {sum}");
-                    assert!(r.iter().all(|&x| x >= params.min_rate), "seed {seed}: floor: {r:?}");
-                    let clamp = params.integral_clamp;
+                    assert!(r.iter().all(|&x| x >= MIN_RATE), "seed {seed}: floor: {r:?}");
                     let traced = c.internals();
                     assert_eq!(traced.len(), usize::from(gain > 0.0), "seed {seed}");
-                    let clamped = traced.iter().all(|(_, i)| i.iter().all(|i| i.abs() <= clamp));
+                    let clamped =
+                        traced.iter().all(|(_, i)| i.iter().all(|i| i.abs() <= INTEGRAL_CLAMP));
                     assert!(clamped, "seed {seed}: {traced:?}");
                 }
                 let equal = rates[0].iter().zip(&rates[1]).all(|(a, b)| (a - b).abs() < 1e-12);
@@ -274,13 +275,7 @@ fn controller_invariants_over_window_sequences() {
                 if gain == 0.0 {
                     estimator.observe(&w.arrival_rates());
                     let est = estimator.estimate().unwrap();
-                    let want = psd_rates_clamped(
-                        &est,
-                        &deltas,
-                        m.mean,
-                        params.min_rate,
-                        params.overload_margin,
-                    );
+                    let want = psd_rates_clamped(&est, &deltas, m.mean, MIN_RATE, OVERLOAD_MARGIN);
                     assert_eq!(rates[0], want.unwrap(), "seed {seed}: window {index}");
                 }
             }

@@ -43,7 +43,7 @@ use psd_control::{
 };
 use psd_dist::rng::SplitMix64;
 use psd_dist::ServiceDist;
-use psd_obs::{ControlTrace, FlightRecorder};
+use psd_obs::{ControlTrace, FlightRecorder, FLIGHT_CAPACITY};
 
 use crate::generator::{ArrivalSpec, Generator};
 use crate::metrics::{MetricsCollector, SimOutput};
@@ -87,10 +87,6 @@ pub struct SimConfig {
     pub service_mode: ServiceMode,
     /// If set, record every departure in `[from, to)` (paper Figs 7/8).
     pub trace_range: Option<(f64, f64)>,
-    /// Control-decision flight-recorder depth: the last this many
-    /// control windows (observation + directive + controller internals)
-    /// are kept in [`SimOutput::control_trace`]. 0 disables recording.
-    pub flight_capacity: usize,
 }
 
 impl Default for SimConfig {
@@ -104,7 +100,6 @@ impl Default for SimConfig {
             seed: 0,
             service_mode: ServiceMode::Fluid,
             trace_range: None,
-            flight_capacity: 256,
         }
     }
 }
@@ -171,7 +166,8 @@ pub(crate) struct Plant {
 }
 
 impl Plant {
-    /// `n` empty stations at the controller's initial rates.
+    /// `n` empty stations at the controller's initial rates, keeping the
+    /// last `flight_capacity` control windows (0 keeps none).
     pub fn new(
         n: usize,
         mode: ServiceMode,
@@ -338,7 +334,7 @@ impl Simulation {
             cfg.warmup,
             cfg.metrics_window.unwrap_or(cfg.control_period),
             cfg.trace_range,
-            cfg.flight_capacity,
+            FLIGHT_CAPACITY,
             self.controller,
         );
         // The first draws of the sequence counter: the class arrivals

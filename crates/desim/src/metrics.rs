@@ -177,7 +177,7 @@ pub struct SimOutput {
     /// engine; empty in unit-constructed outputs).
     pub busy_time: Vec<f64>,
     /// The control-decision flight record: one [`ControlTrace`] per
-    /// control window (bounded by `SimConfig::flight_capacity`),
+    /// control window (the last [`psd_obs::FLIGHT_CAPACITY`]),
     /// exactly the shape the live server's `GET /trace/control` dumps —
     /// so a live recording replays through the simulator's controller
     /// and diffs (see [`psd_obs::replay`]).

@@ -19,11 +19,12 @@
 //!   --connections  connection pool size (open) / sessions (closed)
 //!   --rate         override the scenario's aggregate arrival rate
 //!   --deltas       comma-separated differentiation parameters
-//!   --engine       HTTP front-end engine under test: threads
-//!                  (one thread per connection, the baseline),
-//!                  reactor (epoll event loop), or uring (io_uring
-//!                  completion plane; falls back to reactor when the
-//!                  kernel refuses io_uring)     (default: threads)
+//!   --engine       HTTP front-end engine under test: reactor
+//!                  (epoll event loop), uring (io_uring completion
+//!                  plane; falls back to reactor when the kernel
+//!                  refuses io_uring), or threads (one thread per
+//!                  connection, the wire-parity baseline)
+//!                  (default: reactor)
 //!   --shards       reactor event-loop shard count
 //!                  (default: min(cores, 4); threads engine ignores)
 //!   --controller   how the PSD controller drives the monitor: open

@@ -542,7 +542,7 @@ mod tests {
     }
 
     const GOLDEN_JSON: &str = r#"{
-  "scenario": "steady", "engine": "threads", "shards": 2, "controller": "open",
+  "scenario": "steady", "engine": "reactor", "shards": 2, "controller": "open",
   "admission_cap": null, "mode": "open", "duration_s": 10.0, "warmup_s": 2.0,
   "connections": 48, "seed": 42, "deltas": [1.0, 2.0],
   "reconfig_at_frac": null, "reconfig_deltas": null,

@@ -14,6 +14,8 @@
 //! | `stepload` | Poisson stepping to 1.6× at half time, and staying |
 //! | `classmix-shift` | steady arrivals, mix flips 55/45 → 45/55 at half time |
 //! | `closed` | closed-loop: fixed session population with think times |
+//! | `overload` | steady arrivals at ρ ≈ 1.3 against a 0.9 admission cap |
+//! | `reconfig` | steady arrivals; `PUT /config` flips δ (1, 2) → (1, 1) at half time |
 
 use std::time::Duration;
 
@@ -393,6 +395,18 @@ impl Scenario {
 mod tests {
     use super::*;
     use psd_dist::rng::Xoshiro256pp;
+
+    /// The module doc's table lists exactly the catalog, in its order.
+    #[test]
+    fn module_table_matches_catalog() {
+        let listed: Vec<&str> = include_str!("scenario.rs")
+            .lines()
+            .skip_while(|line| !line.starts_with("//! |"))
+            .take_while(|line| line.starts_with("//! |"))
+            .filter_map(|row| row.strip_prefix("//! | `")?.split_once('`').map(|(name, _)| name))
+            .collect();
+        assert_eq!(listed, Scenario::catalog());
+    }
 
     #[test]
     fn catalog_names_all_resolve() {

@@ -141,6 +141,10 @@ impl ControlTrace {
     }
 }
 
+/// Control windows a flight recorder keeps by default: the simulator's
+/// and the live server's.
+pub const FLIGHT_CAPACITY: usize = 256;
+
 /// A bounded ring of [`ControlTrace`]s. Control windows are hundreds
 /// of milliseconds apart, so one mutex and per-record allocation are
 /// fine here — this is the cold plane, unlike the span ring.

@@ -58,6 +58,7 @@ pub mod stats;
 
 pub use flight::{
     max_divergence, parse_traces, replay, traces_to_json, ControlTrace, FlightRecorder, ReplayDiff,
+    FLIGHT_CAPACITY,
 };
 pub use hist::{HistSnapshot, LogHistogram, HIST_BUCKETS};
 pub use json::JsonValue;
@@ -79,7 +80,7 @@ pub struct ObsConfig {
 
 impl Default for ObsConfig {
     fn default() -> Self {
-        Self { sample: 1.0, flight_capacity: 256 }
+        Self { sample: 1.0, flight_capacity: FLIGHT_CAPACITY }
     }
 }
 

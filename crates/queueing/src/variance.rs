@@ -36,12 +36,6 @@ pub fn delay_second_moment(
     Ok(2.0 * w * w + lambda * third_moment / (3.0 * (1.0 - rho)))
 }
 
-/// Variance of the FCFS queueing delay.
-pub fn delay_variance(lambda: f64, m: &Moments, third_moment: f64) -> Result<f64, AnalysisError> {
-    let w = pk::expected_delay(lambda, m)?;
-    Ok((delay_second_moment(lambda, m, third_moment)? - w * w).max(0.0))
-}
-
 /// Variance of the slowdown `S = W/X` in M/G/1 FCFS.
 ///
 /// Requires both `E[X³]` (for `E[W²]`) and `E[1/X²]`.

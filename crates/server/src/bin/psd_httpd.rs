@@ -19,14 +19,15 @@
 //! are exact and otherwise (`--engine threads`, say) by one timer
 //! thread.
 //!
-//! `--engine threads` (default) serves one blocking thread per
-//! connection; `--engine reactor` multiplexes connections over
+//! `--engine reactor` (default) multiplexes connections over
 //! `--shards N` epoll event-loop threads (default: min(cores, 4)),
 //! assigned round-robin; `--engine uring` runs the same sharded
 //! reactor on an io_uring completion plane (batched submissions,
 //! engine-owned slot buffers) and falls back to `reactor` with a
-//! warning on kernels without it or older than 5.19. Past `--max-connections`, new arrivals
-//! are answered `503` + `Connection: close` on every engine.
+//! warning on kernels without it or older than 5.19; `--engine
+//! threads` serves one blocking thread per connection. Past
+//! `--max-connections`, new arrivals are answered `503` +
+//! `Connection: close` on every engine.
 //!
 //!   curl 'http://127.0.0.1:8080/class0/hello?cost=2'
 //! ```
@@ -36,7 +37,7 @@
 //! controller, `open` runs it at gain 0 whatever `G` is, and feedback
 //! at gain 0 is that same open loop (`/trace/control` then carries no
 //! `integral_terms`). Either way a class whose rate falls under the
-//! floor is pinned at `min_rate` and the rest share the remainder;
+//! floor is pinned at `MIN_RATE` and the rest share the remainder;
 //! `--admission-cap C` sheds the lowest classes (`503` + `X-Shed`)
 //! once the offered load exceeds `C`. All three engines also serve the
 //! admin routes, among them `GET /metrics/prometheus` (the exposition)

@@ -6,15 +6,15 @@
 //! Three interchangeable engines serve the same protocol (selected by
 //! [`FrontendConfig::engine`], surfaced as `--engine` on the binaries):
 //!
-//! * [`EngineKind::Threads`] — the wire-parity reference: one OS thread
-//!   per connection, blocked in `submit_sync` while the class's task
-//!   server runs the request. Simple, and fine up to a few dozen
-//!   connections.
-//! * [`EngineKind::Reactor`] — the sharded event loop of
+//! * [`EngineKind::Reactor`] (the default) — the sharded event loop of
 //!   [`crate::reactor`] on its epoll driver: all connections
 //!   multiplexed on a few threads, task servers reply through a
 //!   completion mailbox + poller wakeup. Hundreds of keep-alive
 //!   connections cost file descriptors, not threads.
+//! * [`EngineKind::Threads`] — the wire-parity reference: one OS thread
+//!   per connection, blocked in `submit_sync` while the class's task
+//!   server runs the request. Simple, and fine up to a few dozen
+//!   connections.
 //! * [`EngineKind::Uring`] — the same loop on its io_uring driver,
 //!   falling back to epoll when the kernel refuses io_uring.
 //!
@@ -69,7 +69,8 @@ const ACCEPT_TICK: Duration = Duration::from_millis(50);
 pub enum EngineKind {
     /// Thread per connection, blocking I/O (the wire-parity reference).
     Threads,
-    /// Sharded epoll event loops multiplexing every connection.
+    /// Sharded epoll event loops multiplexing every connection: the
+    /// default, and the engine the benchmark's epoll workload measures.
     Reactor,
     /// The same sharded reactor on an io_uring completion plane:
     /// batched SQEs, engine-owned slot buffers, in-ring doorbell.
@@ -109,10 +110,12 @@ pub fn uring_available() -> bool {
     polling::uring::available()
 }
 
-/// Front-end configuration shared by all three engines.
+/// Front-end configuration shared by all three engines. The default
+/// runs [`EngineKind::Reactor`] on [`default_shards`] shards.
 #[derive(Debug, Clone)]
 pub struct FrontendConfig {
-    /// Which engine serves connections.
+    /// Which engine serves connections ([`EngineKind::Reactor`] by
+    /// default).
     pub engine: EngineKind,
     /// Reactor event-loop shards: connections are assigned round-robin
     /// across this many independent epoll threads, each with its own
@@ -139,7 +142,7 @@ pub fn default_shards() -> usize {
 impl Default for FrontendConfig {
     fn default() -> Self {
         Self {
-            engine: EngineKind::Threads,
+            engine: EngineKind::Reactor,
             shards: default_shards(),
             max_connections: 1024,
             idle_timeout: Duration::from_secs(30),
@@ -569,18 +572,18 @@ enum Engine {
 /// A running HTTP front-end with a graceful drain: `shutdown` stops
 /// accepting, closes idle keep-alive connections, waits for in-flight
 /// requests, and joins the engine's threads. Construct with
-/// [`HttpFrontend::start`] (threaded engine, defaults) or
-/// [`HttpFrontend::start_with`] (explicit [`FrontendConfig`], any
-/// engine).
+/// [`HttpFrontend::start`] (the default [`FrontendConfig`]: the epoll
+/// reactor) or [`HttpFrontend::start_with`] (explicit
+/// [`FrontendConfig`], any engine).
 pub struct HttpFrontend {
     addr: SocketAddr,
     engine: Engine,
 }
 
 impl HttpFrontend {
-    /// Bind `addr` (e.g. `127.0.0.1:0` for an ephemeral port) and start
-    /// the **threaded** engine with default limits — the legacy
-    /// constructor most tests use.
+    /// Bind `addr` (e.g. `127.0.0.1:0` for an ephemeral port) and serve
+    /// it with the default [`FrontendConfig`]: the epoll reactor on
+    /// [`default_shards`] shards, default limits.
     pub fn start(addr: &str, server: Arc<PsdServer>) -> io::Result<Self> {
         Self::start_with(addr, server, FrontendConfig::default())
     }
@@ -741,7 +744,11 @@ mod tests {
         let fe = HttpFrontend::start_with(
             "127.0.0.1:0",
             Arc::clone(&server),
-            FrontendConfig { max_connections: 2, ..FrontendConfig::default() },
+            FrontendConfig {
+                engine: EngineKind::Threads,
+                max_connections: 2,
+                ..FrontendConfig::default()
+            },
         )
         .expect("bind");
         // Two connections occupy the cap (handlers spawn at accept)…
@@ -781,6 +788,7 @@ mod tests {
             "127.0.0.1:0",
             Arc::clone(&server),
             FrontendConfig {
+                engine: EngineKind::Threads,
                 idle_timeout: Duration::from_millis(250),
                 ..FrontendConfig::default()
             },

@@ -80,7 +80,7 @@ pub struct ServerConfig {
     /// Integral gain of the slowdown feedback (`--gain`); it reaches
     /// the controller only under [`ControllerKind::Feedback`], and
     /// `gain = 0` there *is* the open loop (one controller, one clamped
-    /// Eq. 17 path: a class below `min_rate` is pinned at it, the rest
+    /// Eq. 17 path: a class below `MIN_RATE` is pinned at it, the rest
     /// share the remainder). At gain 0 `/trace/control` lists no
     /// `integral_terms`.
     pub gain: f64,
@@ -118,7 +118,7 @@ impl Default for ServerConfig {
             gain: 0.3,
             admission_cap: None,
             trace_sample: 1.0,
-            flight_capacity: 256,
+            flight_capacity: psd_obs::FLIGHT_CAPACITY,
         }
     }
 }

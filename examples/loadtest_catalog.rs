@@ -1,16 +1,18 @@
 //! Tour the load-generation scenario catalog against the real server.
 //!
 //! Runs shortened versions of an open-loop `steady` scenario and a
-//! closed-loop session scenario end to end — real TCP sockets, the
-//! threaded PSD server, the online Eq. 17 allocator — and prints the
-//! per-class slowdown-differentiation reports.
+//! closed-loop session scenario end to end — real TCP sockets, the PSD
+//! server behind its default epoll reactor, the online Eq. 17
+//! allocator — and prints the per-class slowdown-differentiation
+//! reports.
 //!
 //! ```sh
 //! cargo run --release --example loadtest_catalog
 //! ```
 //!
 //! For full-length runs and the other scenarios (`burst`,
-//! `flashcrowd`, `stepload`, `classmix-shift`) use the CLI:
+//! `flashcrowd`, `stepload`, `classmix-shift`, `overload`, `reconfig`)
+//! use the CLI:
 //! `cargo run --release -p psd-loadgen --bin psd_loadtest -- --list`.
 
 use std::time::Duration;

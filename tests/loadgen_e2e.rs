@@ -42,7 +42,10 @@ fn steady_slowdown_ratio_tracks_deltas() {
         .expect("both classes completed requests, so the ratio exists");
     assert!(
         (0.55 * target..=1.8 * target).contains(&ratio),
-        "achieved slowdown ratio {ratio:.2} outside the tolerance band of δ1/δ0 = {target}:\n{}",
+        "achieved slowdown ratio {ratio:.2} outside the tolerance band of δ1/δ0 = {target} \
+         (seed {}, {} engine):\n{}",
+        scenario.seed,
+        report.engine,
         report.to_markdown()
     );
 
@@ -236,11 +239,30 @@ fn reconfig_flips_deltas_mid_run_and_ratios_converge() {
     };
     let pre = pooled(warm_w, flip_w - 1);
     let post = pooled(flip_w + 8, end_w);
-    assert!(pre > 1.35, "pre-flip ratio must track δ1/δ0 = 2, got {pre:.2}");
-    assert!(post < 1.5, "post-flip ratio must approach 1, got {post:.2}");
+    // What a failed ratio reads against: the run's seed and engine, the
+    // server's per-class books and the rates it last published.
+    let books = server.stats();
+    let classes: Vec<String> = books
+        .classes
+        .iter()
+        .enumerate()
+        .map(|(i, c)| {
+            format!("class {i}: {} completed, mean slowdown {:.2}", c.completed, c.mean_slowdown)
+        })
+        .collect();
+    let context = format!(
+        "seed {}, {} engine; {}; rates {:?}",
+        scenario.seed,
+        frontend.engine().as_str(),
+        classes.join("; "),
+        server.control().rates()
+    );
+    assert!(pre > 1.35, "pre-flip ratio must track δ1/δ0 = 2, got {pre:.2} ({context})");
+    assert!(post < 1.5, "post-flip ratio must approach 1, got {post:.2} ({context})");
     assert!(
         post < 0.8 * pre,
-        "the flip must visibly collapse the differentiation: pre {pre:.2} → post {post:.2}"
+        "the flip must visibly collapse the differentiation: pre {pre:.2} → post {post:.2} \
+         ({context})"
     );
     assert_eq!(stats.total_errors(), 0);
 

@@ -10,7 +10,7 @@ use std::time::Duration;
 use psd::dist::{Deterministic, ServiceDist};
 use psd::loadgen::scenario::mean_cost;
 use psd::loadgen::{harness, ArrivalSpec, ClassMix, LoadMode, Scenario};
-use psd::server::{HttpFrontend, PsdServer, ServerConfig};
+use psd::server::{EngineKind, HttpFrontend, PsdServer, ServerConfig};
 
 fn server_cfg(deltas: Vec<f64>) -> ServerConfig {
     ServerConfig { deltas, work_unit: Duration::from_micros(150), ..ServerConfig::default() }
@@ -40,6 +40,7 @@ fn threaded_server_differentiates() {
     scenario.duration = Duration::from_secs(2);
     scenario.warmup = Duration::from_millis(500);
     scenario.seed = 99;
+    scenario.frontend.engine = EngineKind::Threads;
     let stats = harness::run_scenario(&scenario).expect("harness run").server_stats;
     let s0 = stats.classes[0].mean_slowdown;
     let s1 = stats.classes[1].mean_slowdown;
