@@ -110,7 +110,7 @@ fn main() {
                 };
                 // Scale every segment so the long-run aggregate equals
                 // the requested rate, preserving the scenario's shape.
-                let scale = r / arrival.mean_rate(scenario.duration).max(1e-9);
+                let scale = r / arrival.mean_rate().max(1e-9);
                 match arrival {
                     ArrivalSpec::Steady { rate } => *rate *= scale,
                     ArrivalSpec::Burst { mean_rate, .. } => *mean_rate *= scale,

@@ -27,76 +27,6 @@ const MIN_COST: f64 = 0.05;
 /// the exchange failed.
 const EXCHANGE_TIMEOUT: Duration = Duration::from_secs(30);
 
-/// Width of the convergence-tracking windows behind the report's
-/// `time_to_band_s` metric: measured slowdowns are bucketed into
-/// windows of this duration so the per-class slowdown-ratio
-/// *trajectory* (not just the run mean) is observable.
-pub const BAND_WINDOW: Duration = Duration::from_millis(500);
-
-/// Per-class slowdown means bucketed by [`BAND_WINDOW`] — mergeable
-/// across workers, queried per window by the report's time-to-band
-/// computation.
-#[derive(Debug, Clone, Default)]
-pub struct WindowSeries {
-    sums: Vec<f64>,
-    counts: Vec<u64>,
-}
-
-impl WindowSeries {
-    /// Record one slowdown at `at` (time since run start).
-    pub fn record(&mut self, at: Duration, slowdown: f64) {
-        let idx = (at.as_nanos() / BAND_WINDOW.as_nanos()) as usize;
-        if self.sums.len() <= idx {
-            self.sums.resize(idx + 1, 0.0);
-            self.counts.resize(idx + 1, 0);
-        }
-        self.sums[idx] += slowdown;
-        self.counts[idx] += 1;
-    }
-
-    /// Element-wise merge.
-    pub fn merge(&mut self, other: &WindowSeries) {
-        if self.sums.len() < other.sums.len() {
-            self.sums.resize(other.sums.len(), 0.0);
-            self.counts.resize(other.counts.len(), 0);
-        }
-        for (i, (&s, &c)) in other.sums.iter().zip(&other.counts).enumerate() {
-            self.sums[i] += s;
-            self.counts[i] += c;
-        }
-    }
-
-    /// Number of windows touched so far.
-    pub fn len(&self) -> usize {
-        self.sums.len()
-    }
-
-    /// True when nothing has been recorded.
-    pub fn is_empty(&self) -> bool {
-        self.sums.is_empty()
-    }
-
-    /// Mean slowdown of window `idx` (`None` when it saw no data).
-    pub fn mean(&self, idx: usize) -> Option<f64> {
-        let c = *self.counts.get(idx)?;
-        (c > 0).then(|| self.sums[idx] / c as f64)
-    }
-
-    /// Pooled mean over the window range `lo..=hi` (count-weighted —
-    /// the statistically meaningful smoothing for band judgements on a
-    /// heavy-tailed slowdown distribution, where single-window means
-    /// bounce by ±3×). `None` when the range saw no data.
-    pub fn mean_range(&self, lo: usize, hi: usize) -> Option<f64> {
-        let hi = hi.min(self.sums.len().saturating_sub(1));
-        let (mut sum, mut count) = (0.0, 0u64);
-        for w in lo..=hi {
-            sum += self.sums.get(w).copied().unwrap_or(0.0);
-            count += self.counts.get(w).copied().unwrap_or(0);
-        }
-        (count > 0).then(|| sum / count as f64)
-    }
-}
-
 /// One scheduled request of the open-loop plan.
 #[derive(Debug, Clone, Copy)]
 struct Job {
@@ -208,9 +138,6 @@ pub struct ClassCounters {
     pub latency_us: LogHistogram,
     /// Server-reported `X-Slowdown` of measured 2xx responses.
     pub slowdown: Welford,
-    /// Slowdowns bucketed into [`BAND_WINDOW`]s over the whole run —
-    /// the trajectory behind the report's `time_to_band_s`.
-    pub windows: WindowSeries,
 }
 
 impl ClassCounters {
@@ -221,7 +148,6 @@ impl ClassCounters {
         self.shed += other.shed;
         self.latency_us.merge(&other.latency_us);
         self.slowdown.merge(&other.slowdown);
-        self.windows.merge(&other.windows);
     }
 }
 
@@ -274,7 +200,7 @@ fn open_loop_latency(intended: Duration, sent: Duration, done: Duration) -> Dura
 /// when the server announced `Connection: close` alongside it; `at` is
 /// the request's time since run start (intended instant in open loop),
 /// and responses before `warmup` are excluded from the measured
-/// statistics but still feed the trajectory windows.
+/// statistics.
 fn record(
     c: &mut ClassCounters,
     outcome: &std::io::Result<Exchange>,
@@ -285,9 +211,6 @@ fn record(
     match outcome {
         Ok(ex) if ex.ok() => {
             c.ok += 1;
-            if let Some(s) = ex.slowdown {
-                c.windows.record(at, s);
-            }
             if at >= warmup {
                 c.latency_us.record(latency.as_micros().min(u128::from(u64::MAX)) as u64);
                 if let Some(s) = ex.slowdown {

@@ -21,9 +21,10 @@
 //!   with a fixed session population and think times.
 //! * [`report`] — the [`LoadReport`] JSON/markdown schema with
 //!   per-class p50/p99/p999, throughput, mean slowdown, achieved vs.
-//!   target slowdown ratios, shed counts, the controller kind and the
-//!   `time_to_band_s` convergence metric, plus the CI gate
-//!   [`LoadReport::check`].
+//!   target slowdown ratios, shed counts and the controller kind, plus
+//!   the CI gate [`LoadReport::check`]. The report is whole-run; the
+//!   per-window slowdowns the controller acted on are the server's own
+//!   control flight record (`GET /trace/control`).
 //! * [`harness`] — spawn the server in-process, run a scenario, drain
 //!   gracefully, return the report. The `psd_loadtest` binary is a
 //!   thin CLI over this.
@@ -46,8 +47,7 @@ pub mod harness;
 pub mod report;
 pub mod scenario;
 
-pub use generator::{WindowSeries, BAND_WINDOW};
 // The latency histogram is psd-obs's; callers name it here too.
 pub use psd_obs::LogHistogram;
-pub use report::{ClassReport, LatencySummary, LoadReport, BAND_TOLERANCE};
+pub use report::{ClassReport, LatencySummary, LoadReport};
 pub use scenario::{ArrivalSpec, ClassMix, LoadMode, ReconfigSpec, Scenario};

@@ -8,13 +8,8 @@ use std::fmt::Write as _;
 use psd_obs::json::{pretty, push_json_f64, push_json_f64_array, push_json_key, push_json_str};
 use psd_obs::LogHistogram;
 
-use crate::generator::{GenStats, BAND_WINDOW};
+use crate::generator::GenStats;
 use crate::scenario::{LoadMode, Scenario};
-
-/// The convergence band behind `time_to_band_s`: a window is "in band"
-/// when every class's achieved (trailing-pooled) slowdown ratio is
-/// within ±25% of its (possibly reconfigured) δ target.
-pub const BAND_TOLERANCE: f64 = 0.25;
 
 /// Latency summary in milliseconds.
 #[derive(Debug, Clone)]
@@ -64,7 +59,8 @@ pub struct ClassReport {
     pub target_ratio_vs_class0: f64,
     /// `|achieved/target − 1|`, when achieved exists. `None` for
     /// reconfig runs: the whole-run mean blends both δ regimes, so no
-    /// single target applies — use `time_to_band_s` instead.
+    /// single target applies — the server's per-window slowdowns
+    /// before and after the flip are in its `GET /trace/control`.
     pub ratio_deviation: Option<f64>,
 }
 
@@ -114,17 +110,6 @@ pub struct LoadReport {
     pub total_shed: u64,
     /// Connection workers that aborted on transport failures.
     pub dead_workers: usize,
-    /// Time-to-band settling: seconds from the measurement origin
-    /// (warmup end — or the reconfiguration instant, when the scenario
-    /// hot-swaps δ's) until the trailing-pooled per-window slowdown
-    /// ratios enter the ±[`BAND_TOLERANCE`] band around the δ targets
-    /// **and hold it for ~3 s of judged windows** (the classical
-    /// settling-time definition — a later heavy-tail excursion does
-    /// not retract it). `None` = never settled (or fewer than two
-    /// classes saw data).
-    pub time_to_band_s: Option<f64>,
-    /// The tolerance `time_to_band_s` was computed against.
-    pub band_tolerance: f64,
     /// Aggregate measured-window throughput (req/s).
     pub throughput_rps: f64,
     /// Per-class detail.
@@ -143,79 +128,6 @@ fn quantile_ms(h: &LogHistogram, q: f64) -> f64 {
     h.value_at_quantile(q).unwrap_or(0) as f64 / 1_000.0
 }
 
-/// How many trailing [`BAND_WINDOW`]s are pooled for each band
-/// judgement (count-weighted): slowdowns are heavy-tailed, so a single
-/// 500 ms window mean bounces by ±3× even in steady state — the band
-/// must be judged on a few seconds of pooled data to mean anything.
-const BAND_SMOOTH_WINDOWS: usize = 6;
-
-/// How many consecutive judged windows must stay in band for the
-/// trajectory to count as settled (the classical settling-time
-/// definition — "in band and holds for 3 s" — rather than "never
-/// leaves again", which a single heavy-tail excursion near the end of
-/// the run would void).
-const BAND_HOLD_WINDOWS: usize = 6;
-
-/// Seconds from the measurement origin until the (trailing-pooled)
-/// windowed slowdown ratios enter the ±[`BAND_TOLERANCE`] band around
-/// the target δ ratios and hold it for [`BAND_HOLD_WINDOWS`] judged
-/// windows. With a reconfiguration the origin is the flip instant, the
-/// targets are the *new* δ's, and the pooling never reaches back
-/// across the flip; otherwise the origin is the warmup end. Windows
-/// where class 0 or every other class lacks data are neutral (they
-/// neither enter nor break the band).
-fn time_to_band(scenario: &Scenario, stats: &GenStats) -> Option<f64> {
-    if stats.classes.len() < 2 {
-        return None;
-    }
-    let target_deltas: &[f64] = match &scenario.reconfig {
-        Some(r) => &r.deltas,
-        None => &scenario.server.deltas,
-    };
-    let base_delta = target_deltas[0];
-    let measure_from_s = match &scenario.reconfig {
-        Some(r) => scenario.duration.as_secs_f64() * r.at_frac,
-        None => scenario.warmup.as_secs_f64(),
-    };
-    let win_s = BAND_WINDOW.as_secs_f64();
-    let n_windows = stats.classes.iter().map(|c| c.windows.len()).max().unwrap_or(0);
-    let first = (measure_from_s / win_s).ceil() as usize;
-    // Judge each window on its trailing pooled ratios, clamped to the
-    // measurement origin so pre-flip (old-δ) data never leaks in.
-    let mut judged: Vec<(usize, bool)> = Vec::new();
-    for w in first..n_windows {
-        let lo = w.saturating_sub(BAND_SMOOTH_WINDOWS - 1).max(first);
-        let Some(s0) = stats.classes[0].windows.mean_range(lo, w).filter(|&s| s > 0.0) else {
-            continue;
-        };
-        let mut any = false;
-        let mut in_band = true;
-        for (i, c) in stats.classes.iter().enumerate().skip(1) {
-            if let Some(si) = c.windows.mean_range(lo, w) {
-                any = true;
-                let target = target_deltas[i] / base_delta;
-                if ((si / s0) / target - 1.0).abs() > BAND_TOLERANCE {
-                    in_band = false;
-                }
-            }
-        }
-        if any {
-            judged.push((w, in_band));
-        }
-    }
-    // Settle = first judged window opening a run of BAND_HOLD_WINDOWS
-    // consecutive in-band judgements (a shorter all-in-band run at the
-    // very end still counts if at least half the hold is observed).
-    for i in 0..judged.len() {
-        let horizon = &judged[i..(i + BAND_HOLD_WINDOWS).min(judged.len())];
-        if horizon.len() >= BAND_HOLD_WINDOWS.div_ceil(2) && horizon.iter().all(|&(_, ok)| ok) {
-            let w = judged[i].0;
-            return Some((w as f64 * win_s - measure_from_s).max(0.0));
-        }
-    }
-    None
-}
-
 impl LoadReport {
     /// Assemble the report from the generator's raw counters.
     pub fn from_stats(scenario: &Scenario, stats: &GenStats) -> Self {
@@ -232,8 +144,7 @@ impl LoadReport {
         // run; a reconfig run's whole-run achieved ratio blends both
         // regimes, so its per-class `ratio_deviation` is suppressed
         // (judging a blend against either target would be
-        // meaningless) — `time_to_band_s`, computed post-flip against
-        // the new targets, is the reconfig convergence metric.
+        // meaningless).
         let target_deltas: &[f64] = match &scenario.reconfig {
             Some(r) => &r.deltas,
             None => &scenario.server.deltas,
@@ -296,8 +207,6 @@ impl LoadReport {
             total_errors: stats.total_errors(),
             total_shed: classes.iter().map(|c| c.shed).sum(),
             dead_workers: stats.dead_workers,
-            time_to_band_s: time_to_band(scenario, stats),
-            band_tolerance: BAND_TOLERANCE,
             throughput_rps: total_measured as f64 / measured_s,
             classes,
         }
@@ -365,8 +274,6 @@ impl LoadReport {
             ",\"total_sent\":{},\"total_errors\":{},\"total_shed\":{},\"dead_workers\":{}",
             self.total_sent, self.total_errors, self.total_shed, self.dead_workers
         );
-        push_opt_f64(push_json_key(&mut o, "time_to_band_s"), self.time_to_band_s);
-        push_json_f64(push_json_key(&mut o, "band_tolerance"), self.band_tolerance);
         push_json_f64(push_json_key(&mut o, "throughput_rps"), self.throughput_rps);
         push_json_key(&mut o, "classes").push('[');
         for (i, c) in self.classes.iter().enumerate() {
@@ -421,14 +328,11 @@ impl LoadReport {
             .admission_cap
             .map(|c| format!("admission cap {c:.2}"))
             .unwrap_or_else(|| "no admission cap".into());
-        let band =
-            self.time_to_band_s.map(|t| format!("{t:.1}s")).unwrap_or_else(|| "not reached".into());
         out.push_str(&format!(
             "## Load report — `{}` ({}, {} loop)\n\n\
              {:.1}s run ({:.1}s warmup), {} connections, seed {}, δ = {:?}\n\n\
              control: `{}` controller, {cap}\n\n\
-             total: {} sent, {} errors, {} shed, {:.0} req/s measured, \
-             time-to-band (±{:.0}%): {band}\n\n",
+             total: {} sent, {} errors, {} shed, {:.0} req/s measured\n\n",
             self.scenario,
             engine,
             self.mode,
@@ -442,7 +346,6 @@ impl LoadReport {
             self.total_errors,
             self.total_shed,
             self.throughput_rps,
-            self.band_tolerance * 100.0,
         ));
         out.push_str(
             "| class | δ | req/s | p50 ms | p99 ms | p99.9 ms | mean slowdown | S ratio | target | dev | shed |\n\
@@ -547,7 +450,7 @@ mod tests {
   "connections": 48, "seed": 42, "deltas": [1.0, 2.0],
   "reconfig_at_frac": null, "reconfig_deltas": null,
   "total_sent": 200, "total_errors": 1, "total_shed": 0, "dead_workers": 0,
-  "time_to_band_s": null, "band_tolerance": 0.25, "throughput_rps": 24.875,
+  "throughput_rps": 24.875,
   "classes": [
     {
       "class": 0, "delta": 1.0, "sent": 100, "ok": 100, "errors": 0, "shed": 0,

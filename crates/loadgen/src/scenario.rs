@@ -93,7 +93,7 @@ impl ArrivalSpec {
 
     /// Long-run aggregate rate implied by the spec (req/s), used for
     /// sizing sanity checks.
-    pub fn mean_rate(&self, duration: Duration) -> f64 {
+    pub fn mean_rate(&self) -> f64 {
         match *self {
             ArrivalSpec::Steady { rate } => rate,
             ArrivalSpec::Burst { mean_rate, .. } => mean_rate,
@@ -103,7 +103,6 @@ impl ArrivalSpec {
             }
             ArrivalSpec::Step { rate_before, rate_after, at_frac } => {
                 let f = at_frac.clamp(0.0, 1.0);
-                let _ = duration;
                 rate_before * f + rate_after * (1.0 - f)
             }
         }
@@ -144,9 +143,9 @@ pub struct ClassMix {
 
 /// A mid-run hot reconfiguration: at `at_frac` of the duration the
 /// generator issues `PUT /config?deltas=…` against the live server's
-/// admin endpoint, and the report's convergence metric
-/// (`time_to_band_s`) is measured against the *new* targets from that
-/// instant.
+/// admin endpoint. The report's ratio targets are the *new* δ's; how
+/// the per-window slowdowns moved across the flip is in the server's
+/// control flight record (`GET /trace/control`).
 #[derive(Debug, Clone, PartialEq)]
 pub struct ReconfigSpec {
     /// When to fire, as a fraction of the duration, in `(0, 1)`.
@@ -338,12 +337,12 @@ impl Scenario {
             "reconfig" => {
                 // δ = (1, 2) flips to (1, 1) at half time through the
                 // admin endpoint — the differentiation gap collapses
-                // *live*, no restart — and the report measures
-                // time-to-band against the new (equal-slowdown)
-                // targets from the flip instant. An equalizing flip is
-                // the robust probe: extreme δ ratios sit near the
-                // band edge on a real substrate (the M/G/1 "+1" term
-                // compresses achieved ratios toward 1), while the
+                // *live*, no restart — and the server's control
+                // windows (`GET /trace/control`) show the per-window
+                // slowdowns on either side of the flip. An equalizing
+                // flip is the robust probe: extreme δ ratios sit near
+                // the band edge on a real substrate (the M/G/1 "+1"
+                // term compresses achieved ratios toward 1), while the
                 // equal target lands mid-band once the controller has
                 // genuinely converged.
                 let mut s =
@@ -466,11 +465,11 @@ mod tests {
         for spec in &specs {
             let mut p = spec.build(d);
             assert!(p.next_interarrival(&mut rng) > 0.0);
-            assert!(spec.mean_rate(d) > 0.0);
+            assert!(spec.mean_rate() > 0.0);
         }
-        assert_eq!(specs[0].mean_rate(d), 100.0);
-        assert_eq!(specs[3].mean_rate(d), 100.0);
-        assert!((specs[2].mean_rate(d) - 125.0).abs() < 1e-9);
+        assert_eq!(specs[0].mean_rate(), 100.0);
+        assert_eq!(specs[3].mean_rate(), 100.0);
+        assert!((specs[2].mean_rate() - 125.0).abs() < 1e-9);
     }
 
     #[test]
