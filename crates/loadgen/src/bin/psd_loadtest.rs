@@ -8,8 +8,8 @@
 //!              [--controller open|feedback] [--gain G]
 //!              [--admission-cap C] [--work-unit-us U]
 //!              [--control-window-ms M] [--seed N]
-//!              [--trace-sample P] [--obs-scrape DIR]
-//!              [--json PATH] [--check MAX_DEV] [--list]
+//!              [--obs-scrape DIR] [--json PATH] [--check MAX_DEV]
+//!              [--list]
 //!
 //!   --scenario     steady | burst | flashcrowd | stepload |
 //!                  classmix-shift | closed | overload | reconfig
@@ -41,9 +41,6 @@
 //!                  allocator monitor window (default 500; short runs
 //!                  at high rates converge faster with ~150)
 //!   --seed         schedule + cost-draw seed
-//!   --trace-sample request-trace sampling probability in [0,1]
-//!                  (default 1.0; 0 disables the span ring — the CI
-//!                  observability smoke's baseline)
 //!   --obs-scrape DIR
 //!                  scrape /metrics/prometheus, /healthz, /trace and
 //!                  /trace/control at half-run (while traffic is
@@ -133,12 +130,6 @@ fn main() {
                 scenario.seed = cli::value(&mut args, |_| true, "--seed needs an integer")
                     .unwrap_or_else(|why| die(&why));
             }
-            "--trace-sample" => {
-                let ok = |p: &f64| (0.0..=1.0).contains(p);
-                let why = "--trace-sample needs a probability in [0,1]";
-                scenario.server.trace_sample =
-                    cli::value(&mut args, ok, why).unwrap_or_else(|why| die(&why));
-            }
             "--obs-scrape" => {
                 obs_scrape = Some(args.next().unwrap_or_else(|| die("--obs-scrape needs a dir")));
             }
@@ -161,8 +152,7 @@ fn main() {
                      [--engine threads|reactor|uring] [--shards N] \
                      [--controller open|feedback] [--gain G] [--admission-cap C] \
                      [--work-unit-us U] [--control-window-ms M] [--seed N] \
-                     [--trace-sample P] [--obs-scrape DIR] \
-                     [--json PATH] [--check D] [--list]"
+                     [--obs-scrape DIR] [--json PATH] [--check D] [--list]"
                 );
                 return;
             }

@@ -11,8 +11,8 @@
 //!
 //! 1. **Request lifecycle tracing** ([`span`]) — a sharded
 //!    fixed-capacity ring of compact `Copy` span records, written from
-//!    the frontends' hot paths with zero per-request heap allocation,
-//!    thinned by a per-request sampling draw, and rendered as JSON
+//!    the frontends' hot paths with zero per-request heap allocation
+//!    (an [`ObsBundle`] keeps every request), and rendered as JSON
 //!    with a per-stage slowdown decomposition (queueing vs stretch vs
 //!    service vs write-back).
 //! 2. **Prometheus text exposition** ([`prom`], [`hist`], [`stats`]) —
@@ -27,9 +27,9 @@
 //!    simulator's controller and diffs ([`flight::replay`]).
 //!
 //! ```
-//! use psd_obs::{ObsBundle, ObsConfig, SpanRecord};
+//! use psd_obs::{ObsBundle, SpanRecord, FLIGHT_CAPACITY};
 //!
-//! let obs = ObsBundle::new(2, ObsConfig::default());
+//! let obs = ObsBundle::new(2, FLIGHT_CAPACITY);
 //! obs.spans.record(0, SpanRecord {
 //!     class: 1,
 //!     admitted: true,
@@ -68,22 +68,6 @@ pub use stats::{
     AdmissionStats, ReactorShardSnapshot, ReactorShardStats, UringSnapshot, UringStats, WheelStats,
 };
 
-/// Sizing knobs for an [`ObsBundle`].
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct ObsConfig {
-    /// Per-request sampling probability in `[0, 1]`; `0` disables the
-    /// span ring entirely (counters and the flight recorder stay on).
-    pub sample: f64,
-    /// Control windows retained by the flight recorder.
-    pub flight_capacity: usize,
-}
-
-impl Default for ObsConfig {
-    fn default() -> Self {
-        Self { sample: 1.0, flight_capacity: FLIGHT_CAPACITY }
-    }
-}
-
 /// Everything a host wires through its stack: the span ring, the
 /// flight recorder, admission door counters, and per-class latency
 /// histograms.
@@ -100,14 +84,16 @@ pub struct ObsBundle {
 }
 
 impl ObsBundle {
-    /// A bundle for `n_classes` service classes.
-    pub fn new(n_classes: usize, cfg: ObsConfig) -> Self {
+    /// A bundle for `n_classes` service classes whose flight recorder
+    /// keeps the last `flight_capacity` control windows. Its span ring
+    /// records every request.
+    pub fn new(n_classes: usize, flight_capacity: usize) -> Self {
         Self {
             // 4096 span slots over 8 writer shards: frontend writers map
             // onto the shards round-robin, so ≥ the writer count avoids
             // contention.
-            spans: SpanRing::new(8, 4096, cfg.sample),
-            flight: FlightRecorder::new(cfg.flight_capacity),
+            spans: SpanRing::new(8, 4096, 1.0),
+            flight: FlightRecorder::new(flight_capacity),
             admission: AdmissionStats::default(),
             latency: (0..n_classes.max(1)).map(|_| LogHistogram::new()).collect(),
         }
@@ -128,7 +114,7 @@ mod tests {
 
     #[test]
     fn bundle_wires_all_pieces() {
-        let obs = ObsBundle::new(2, ObsConfig { sample: 1.0, ..ObsConfig::default() });
+        let obs = ObsBundle::new(2, FLIGHT_CAPACITY);
         assert!(obs.spans.record(3, SpanRecord { admitted: true, ..SpanRecord::default() }));
         obs.observe_latency_ns(0, 1_000);
         obs.observe_latency_ns(99, 2_000); // clamps to the last class

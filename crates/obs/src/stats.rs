@@ -1,6 +1,6 @@
 //! Relaxed-atomic counters for internals that were previously
 //! invisible: timer-thread wake/fire activity, per-shard reactor
-//! loop behaviour, and admission draws vs sheds. The hot paths bump
+//! loop behaviour, and admission draws. The hot paths bump
 //! plain `AtomicU64`s (wait-free, no allocation); scrapes read them
 //! relaxed — each counter is independently consistent, which is all an
 //! exposition needs.
@@ -37,15 +37,11 @@ pub struct ReactorShardStats {
     pub accepts: AtomicU64,
     /// Executor completions drained from the mailbox.
     pub completions: AtomicU64,
-    /// Sum of mailbox batch sizes (mean depth = sum / drains).
-    pub mailbox_sum: AtomicU64,
     /// Largest single mailbox drain observed.
     pub mailbox_peak: AtomicU64,
-    /// Non-empty mailbox drains.
+    /// Non-empty mailbox drains (mean depth = completions / drains).
     pub mailbox_drains: AtomicU64,
-    /// Idle sweeps executed.
-    pub sweeps: AtomicU64,
-    /// Connections retired by idle sweeps.
+    /// Connections retired by idle sweeps (one sweep per wakeup).
     pub swept: AtomicU64,
     /// Nanoseconds spent spinning out the last stretch before a
     /// deadline (the shard that fires them).
@@ -61,7 +57,6 @@ impl ReactorShardStats {
             return;
         }
         self.completions.fetch_add(n, Ordering::Relaxed);
-        self.mailbox_sum.fetch_add(n, Ordering::Relaxed);
         self.mailbox_drains.fetch_add(1, Ordering::Relaxed);
         self.mailbox_peak.fetch_max(n, Ordering::Relaxed);
     }
@@ -84,10 +79,8 @@ impl ReactorShardStats {
             events: self.events.load(Ordering::Relaxed),
             accepts: self.accepts.load(Ordering::Relaxed),
             completions: self.completions.load(Ordering::Relaxed),
-            mailbox_sum: self.mailbox_sum.load(Ordering::Relaxed),
             mailbox_peak: self.mailbox_peak.load(Ordering::Relaxed),
             mailbox_drains: self.mailbox_drains.load(Ordering::Relaxed),
-            sweeps: self.sweeps.load(Ordering::Relaxed),
             swept: self.swept.load(Ordering::Relaxed),
             spin_ns: self.spin_ns.load(Ordering::Relaxed),
             spin_yields: self.spin_yields.load(Ordering::Relaxed),
@@ -106,45 +99,16 @@ pub struct ReactorShardSnapshot {
     pub accepts: u64,
     /// Completions drained.
     pub completions: u64,
-    /// Sum of drain batch sizes.
-    pub mailbox_sum: u64,
     /// Largest drain batch.
     pub mailbox_peak: u64,
     /// Non-empty drains.
     pub mailbox_drains: u64,
-    /// Idle sweeps.
-    pub sweeps: u64,
     /// Connections swept.
     pub swept: u64,
     /// Nanoseconds spun before deadlines.
     pub spin_ns: u64,
     /// Yields during those spins.
     pub spin_yields: u64,
-}
-
-impl ReactorShardSnapshot {
-    /// Mean readiness events delivered per poller wakeup.
-    pub fn events_per_wakeup(&self) -> f64 {
-        ratio(self.events, self.wakeups)
-    }
-
-    /// Mean completions per non-empty mailbox drain.
-    pub fn mean_mailbox_depth(&self) -> f64 {
-        ratio(self.mailbox_sum, self.mailbox_drains)
-    }
-
-    /// Mean connections retired per idle sweep.
-    pub fn mean_sweep_size(&self) -> f64 {
-        ratio(self.swept, self.sweeps)
-    }
-}
-
-fn ratio(num: u64, den: u64) -> f64 {
-    if den == 0 {
-        0.0
-    } else {
-        num as f64 / den as f64
-    }
 }
 
 /// One io_uring shard's ring counters, published by the uring engine's
@@ -187,19 +151,6 @@ pub struct UringSnapshot {
     pub cqes: u64,
 }
 
-impl UringSnapshot {
-    /// Mean SQEs batched into one `io_uring_enter` — the batching win
-    /// over epoll's one-syscall-per-op pattern.
-    pub fn sqes_per_enter(&self) -> f64 {
-        ratio(self.sqes, self.enters)
-    }
-
-    /// Mean CQEs reaped per waiting enter.
-    pub fn cqes_per_wait(&self) -> f64 {
-        ratio(self.cqes, self.waits)
-    }
-}
-
 /// Admission-control door counters. What the draws turned away is
 /// counted per class by the host (`psd-server`'s lanes), next to the
 /// arrivals it is compared with.
@@ -218,32 +169,14 @@ mod tests {
     fn drain_accounting_tracks_peak_and_mean() {
         let s = ReactorShardStats::default();
         s.record_drain(0); // empty drains are not drains
+        assert_eq!(s.snapshot(), ReactorShardSnapshot::default());
         s.record_drain(3);
         s.record_drain(1);
-        s.wakeups.fetch_add(2, Ordering::Relaxed);
-        s.events.fetch_add(5, Ordering::Relaxed);
         s.record_spin(Duration::from_micros(7), 3);
         s.record_spin(Duration::from_nanos(500), 0);
         let snap = s.snapshot();
         assert_eq!((snap.spin_ns, snap.spin_yields), (7_500, 3));
-        assert_eq!(snap.completions, 4);
-        assert_eq!(snap.mailbox_peak, 3);
-        assert_eq!(snap.mailbox_drains, 2);
-        assert!((snap.mean_mailbox_depth() - 2.0).abs() < 1e-12);
-        assert!((snap.events_per_wakeup() - 2.5).abs() < 1e-12);
-        assert_eq!(ReactorShardSnapshot::default().mean_sweep_size(), 0.0);
-    }
-
-    #[test]
-    fn uring_snapshot_ratios() {
-        let s = UringStats::default();
-        s.enters.store(4, Ordering::Relaxed);
-        s.waits.store(2, Ordering::Relaxed);
-        s.sqes.store(12, Ordering::Relaxed);
-        s.cqes.store(10, Ordering::Relaxed);
-        let snap = s.snapshot();
-        assert!((snap.sqes_per_enter() - 3.0).abs() < 1e-12);
-        assert!((snap.cqes_per_wait() - 5.0).abs() < 1e-12);
-        assert_eq!(UringSnapshot::default().sqes_per_enter(), 0.0);
+        // Mean depth is completions / drains: 2.
+        assert_eq!((snap.completions, snap.mailbox_drains, snap.mailbox_peak), (4, 2, 3));
     }
 }

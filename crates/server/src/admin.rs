@@ -5,7 +5,7 @@
 //! | `/metrics/prometheus` | `GET` | epochs, published rates & admission probabilities, per-class completed/shed/backlog/mean delay, service and slowdown, plus engine internals (timer thread, reactor shards, admission door, latency histograms) in Prometheus text format 0.0.4 |
 //! | `/config`  | `GET` | JSON view of the epoch-stamped class table |
 //! | `/config`  | `PUT`/`POST` | hot reconfiguration via query parameters |
-//! | `/healthz` | `GET` | liveness: engine, shard count, uptime, epochs |
+//! | `/healthz` | `GET` | liveness: engine, shard count, classes, uptime, epochs |
 //! | `/trace`   | `GET` | recent request spans (`?n=` caps the count) with the per-class queueing/service/stretch/write-back decomposition |
 //! | `/trace/control` | `GET` | the control-decision flight recorder: one `ControlTrace` per window, JSON-replayable through `psd_obs::replay` |
 //!
@@ -154,12 +154,11 @@ fn healthz_json(server: &PsdServer, info: &AdminInfo<'_>) -> String {
     let _ = write!(
         out,
         ",\"shards\":{},\"classes\":{},\"uptime_s\":{:.3},\"epoch\":{},\
-         \"applied_epoch\":{applied},\"trace_sample\":{}}}",
+         \"applied_epoch\":{applied}}}",
         info.shards.len(),
         server.num_classes(),
         server.started_at().elapsed().as_secs_f64(),
         t.epoch,
-        server.obs().spans.sample_rate(),
     );
     out
 }
@@ -248,9 +247,6 @@ fn prom_text(server: &PsdServer, info: &AdminInfo<'_>) -> String {
         &[],
         telemetry.admission.draws.load(std::sync::atomic::Ordering::Relaxed) as f64,
     );
-    w.help("psd_admission_sheds_total", "counter", "Requests turned away by the admission draw.");
-    let sheds: u64 = stats.classes.iter().map(|c| c.shed).sum();
-    w.sample("psd_admission_sheds_total", &[], sheds as f64);
 
     w.help("psd_trace_spans_recorded_total", "counter", "Request spans kept by the trace ring.");
     w.sample("psd_trace_spans_recorded_total", &[], telemetry.spans.recorded() as f64);
@@ -285,7 +281,7 @@ fn prom_text(server: &PsdServer, info: &AdminInfo<'_>) -> String {
         w.help("psd_reactor_events_total", "counter", "Readiness events per reactor shard.");
         w.help("psd_reactor_accepts_total", "counter", "Connections accepted per shard.");
         w.help("psd_reactor_completions_total", "counter", "Completions drained per shard.");
-        w.help("psd_reactor_sweeps_total", "counter", "Idle sweeps per shard.");
+        w.help("psd_reactor_mailbox_drains_total", "counter", "Non-empty drains per shard.");
         w.help("psd_reactor_swept_total", "counter", "Connections reaped by idle sweeps.");
         w.help(
             "psd_reactor_spin_seconds_total",
@@ -294,9 +290,6 @@ fn prom_text(server: &PsdServer, info: &AdminInfo<'_>) -> String {
         );
         w.help("psd_reactor_spin_yields_total", "counter", "Core yields during those spins.");
         w.help("psd_reactor_mailbox_peak", "gauge", "Largest mailbox drain batch per shard.");
-        w.help("psd_reactor_events_per_wakeup", "gauge", "Mean readiness events per wakeup.");
-        w.help("psd_reactor_mean_mailbox_depth", "gauge", "Mean completions per mailbox drain.");
-        w.help("psd_reactor_mean_sweep_size", "gauge", "Mean connections reaped per sweep.");
         for (i, s) in info.shards.iter().enumerate() {
             let snap = s.stats.snapshot();
             label.clear();
@@ -306,14 +299,11 @@ fn prom_text(server: &PsdServer, info: &AdminInfo<'_>) -> String {
             w.sample("psd_reactor_events_total", shard, snap.events as f64);
             w.sample("psd_reactor_accepts_total", shard, snap.accepts as f64);
             w.sample("psd_reactor_completions_total", shard, snap.completions as f64);
-            w.sample("psd_reactor_sweeps_total", shard, snap.sweeps as f64);
+            w.sample("psd_reactor_mailbox_drains_total", shard, snap.mailbox_drains as f64);
             w.sample("psd_reactor_swept_total", shard, snap.swept as f64);
             w.sample("psd_reactor_spin_seconds_total", shard, snap.spin_ns as f64 / 1e9);
             w.sample("psd_reactor_spin_yields_total", shard, snap.spin_yields as f64);
             w.sample("psd_reactor_mailbox_peak", shard, snap.mailbox_peak as f64);
-            w.sample("psd_reactor_events_per_wakeup", shard, snap.events_per_wakeup());
-            w.sample("psd_reactor_mean_mailbox_depth", shard, snap.mean_mailbox_depth());
-            w.sample("psd_reactor_mean_sweep_size", shard, snap.mean_sweep_size());
         }
     }
 
@@ -322,8 +312,6 @@ fn prom_text(server: &PsdServer, info: &AdminInfo<'_>) -> String {
         w.help("psd_uring_waits_total", "counter", "Enter calls that waited for a completion.");
         w.help("psd_uring_sqes_total", "counter", "SQEs submitted per shard.");
         w.help("psd_uring_cqes_total", "counter", "CQEs reaped per shard.");
-        w.help("psd_uring_sqes_per_enter", "gauge", "Mean SQEs batched into one enter.");
-        w.help("psd_uring_cqes_per_wait", "gauge", "Mean CQEs reaped per waiting enter.");
         for (i, s) in info.shards.iter().enumerate() {
             let snap = s.uring_stats.snapshot();
             label.clear();
@@ -333,8 +321,6 @@ fn prom_text(server: &PsdServer, info: &AdminInfo<'_>) -> String {
             w.sample("psd_uring_waits_total", shard, snap.waits as f64);
             w.sample("psd_uring_sqes_total", shard, snap.sqes as f64);
             w.sample("psd_uring_cqes_total", shard, snap.cqes as f64);
-            w.sample("psd_uring_sqes_per_enter", shard, snap.sqes_per_enter());
-            w.sample("psd_uring_cqes_per_wait", shard, snap.cqes_per_wait());
         }
     }
 

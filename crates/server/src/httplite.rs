@@ -101,9 +101,10 @@ impl EngineKind {
     }
 }
 
-/// True when the running kernel accepts io_uring (one cached probe:
-/// ring setup + NOP round-trip). [`EngineKind::Uring`] serves on the
-/// ring iff this holds; otherwise it falls back to the epoll reactor.
+/// True when the kernel serves the uring engine (one cached probe:
+/// ring setup, `IORING_FEAT_EXT_ARG` and one multishot `ACCEPT` of a
+/// loopback connection). [`EngineKind::Uring`] serves on the ring iff
+/// this holds; otherwise it falls back to the epoll reactor.
 /// Tests and the bench harness use it to self-skip uring cases on
 /// kernels (or seccomp sandboxes) without io_uring.
 pub fn uring_available() -> bool {

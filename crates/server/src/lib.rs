@@ -61,7 +61,7 @@
 //!             └──────────────────────────┬──────────────────────────────┘
 //!                                        │ psd-obs (allocation-free)
 //!             ┌──────────────────────────▼──────────────────────────────┐
-//!             │ ObsBundle: span ring (sampled request traces, stage     │
+//!             │ ObsBundle: span ring (every request's trace, stage      │
 //!             │ decomposition), per-class log-bucket latency histograms,│
 //!             │ admission door counters, control-decision flight        │
 //!             │ recorder (one ControlTrace per window, replayable       │

@@ -533,7 +533,6 @@ impl<D: Driver> Shard<D> {
             !matches!(c.phase, Phase::Waiting { .. })
                 && now.saturating_duration_since(c.last_progress) >= timeout
         });
-        self.shared.stats.sweeps.fetch_add(1, Ordering::Relaxed);
         if swept > 0 {
             self.shared.stats.swept.fetch_add(swept as u64, Ordering::Relaxed);
         }

@@ -10,7 +10,7 @@ use std::time::{Duration, Instant};
 use psd_core::control::{
     build_controller, ClassTable, ControllerKind, RateController, SharedControl,
 };
-use psd_obs::{ControlTrace, ObsBundle, ObsConfig};
+use psd_obs::{ControlTrace, ObsBundle};
 
 use crate::locks::{lock, wait_timeout};
 use crate::metrics::ServerStats;
@@ -90,12 +90,6 @@ pub struct ServerConfig {
     /// rejected by [`PsdServer::admit`] are answered `503` upstream.
     /// `None` disables admission control.
     pub admission_cap: Option<f64>,
-    /// Request-trace sampling probability in `[0, 1]` (`--trace-sample`).
-    /// Every sampled request writes one span into the observability
-    /// ring; `0` disables span tracing entirely (counters, histograms
-    /// and the flight recorder stay on — they are not per-request
-    /// allocations either way).
-    pub trace_sample: f64,
     /// Control windows retained by the control-decision flight
     /// recorder (`GET /trace/control`).
     pub flight_capacity: usize,
@@ -117,7 +111,6 @@ impl Default for ServerConfig {
             controller: ControllerKind::Open,
             gain: 0.3,
             admission_cap: None,
-            trace_sample: 1.0,
             flight_capacity: psd_obs::FLIGHT_CAPACITY,
         }
     }
@@ -195,10 +188,7 @@ impl PsdServer {
             epoch: 0,
         }));
         let stop = Arc::new(StopFlag::new());
-        let obs = Arc::new(ObsBundle::new(
-            n,
-            ObsConfig { sample: cfg.trace_sample, flight_capacity: cfg.flight_capacity },
-        ));
+        let obs = Arc::new(ObsBundle::new(n, cfg.flight_capacity));
 
         let exec = Arc::new(TaskServers::start(n, cfg.work_unit));
 

@@ -165,13 +165,11 @@ fn observability_routes_scrape_mid_overload() {
             6.0,
             "{engine:?}"
         );
-        assert_eq!(
-            sample(&samples, "psd_requests_shed_total", Some(("class", "1"))),
-            3.0,
-            "{engine:?}"
-        );
+        for (class, shed) in [("0", 0.0), ("1", 3.0)] {
+            let got = sample(&samples, "psd_requests_shed_total", Some(("class", class)));
+            assert_eq!(got, shed, "{engine:?}: class {class} sheds");
+        }
         assert_eq!(sample(&samples, "psd_admission_draws_total", None), 9.0, "{engine:?}");
-        assert_eq!(sample(&samples, "psd_admission_sheds_total", None), 3.0, "{engine:?}");
         assert!(sample(&samples, "psd_trace_spans_recorded_total", None) >= 9.0, "{engine:?}");
         // Sleep × RatePartition engages the timer wheel on both
         // engines: all six admitted requests crossed it, and were fired
@@ -222,6 +220,41 @@ fn observability_routes_scrape_mid_overload() {
                     );
                     assert_eq!(sample(&samples, family, Some(("shard", "1"))), 0.0, "{engine:?}");
                 }
+                // The per-shard family set is pinned exactly: counters
+                // only, so a re-added ratio gauge or a copy of another
+                // counter fails here.
+                let families: BTreeSet<&str> = samples
+                    .iter()
+                    .filter(|s| s.name.starts_with("psd_reactor_") && s.label("shard").is_some())
+                    .map(|s| s.name.as_str())
+                    .collect();
+                assert_eq!(
+                    families,
+                    BTreeSet::from([
+                        "psd_reactor_wakeups_total",
+                        "psd_reactor_events_total",
+                        "psd_reactor_accepts_total",
+                        "psd_reactor_completions_total",
+                        "psd_reactor_mailbox_drains_total",
+                        "psd_reactor_swept_total",
+                        "psd_reactor_spin_seconds_total",
+                        "psd_reactor_spin_yields_total",
+                        "psd_reactor_mailbox_peak",
+                    ]),
+                    "{engine:?}: reactor per-shard families"
+                );
+                // Mean mailbox depth is completions / drains: every
+                // drain takes at least one completion, and the six
+                // admitted requests' replies took at least one drain.
+                let per_shard = |family, shard| sample(&samples, family, Some(("shard", shard)));
+                let mut all_drains = 0.0;
+                for shard in ["0", "1"] {
+                    let drains = per_shard("psd_reactor_mailbox_drains_total", shard);
+                    let completions = per_shard("psd_reactor_completions_total", shard);
+                    assert!(drains <= completions, "{engine:?} shard {shard}: {drains} drains");
+                    all_drains += drains;
+                }
+                assert!(all_drains >= 1.0, "{engine:?}: no mailbox drain");
             }
             EngineKind::Threads => {
                 assert!(!shard_metrics, "threads engine has no reactor shards");
@@ -231,15 +264,13 @@ fn observability_routes_scrape_mid_overload() {
             EngineKind::Uring => {
                 // The uring family set is pinned exactly: `benchmark/`
                 // reads the enters and SQE totals by name, so a rename
-                // fails here, and so does any family outside the six,
-                // such as the deleted fixed-buffer counters and ratio.
-                const FAMILIES: [&str; 6] = [
+                // fails here, and so does any family outside the four
+                // totals, such as a ratio of two of them.
+                const FAMILIES: [&str; 4] = [
                     "psd_uring_enters_total",
                     "psd_uring_waits_total",
                     "psd_uring_sqes_total",
                     "psd_uring_cqes_total",
-                    "psd_uring_sqes_per_enter",
-                    "psd_uring_cqes_per_wait",
                 ];
                 let families: BTreeSet<&str> = samples
                     .iter()
